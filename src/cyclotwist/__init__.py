@@ -17,7 +17,7 @@ Typical use::
 """
 
 from .algebra import AlgebraElement, AlgebraSpec, Poly
-from .builder import IdempotentFamily, IdempotentItem, build
+from .builder import IdempotentFamily, IdempotentItem, ambient_family, build
 from .classify import (
     Classification,
     CosetDecomposition,
@@ -44,7 +44,6 @@ from .oracle import (
     brute_enumerate_minimal,
     conjugate_pairing_check,
     cross_check,
-    enumeration_backend,
     verify_family,
 )
 
@@ -63,12 +62,12 @@ __all__ = [
     "Poly",
     "VerificationError",
     "VerificationReport",
+    "ambient_family",
     "brute_enumerate_minimal",
     "build",
     "classify",
     "conjugate_pairing_check",
     "cross_check",
-    "enumeration_backend",
     "eps",
     "format_element",
     "format_field",

@@ -1,9 +1,8 @@
 """Pure-Python enumeration kernel: the reference implementation.
 
 Enumerates every coefficient vector of F_q[g]/(g^(2^n) - a), keeps the
-idempotents, and filters those down to the minimal ones.  The compiled
-twin in _enumspeed.pyx mirrors this file statement for statement; tests
-assert they agree.
+idempotents, and filters those down to the minimal ones.  It shares no
+code with the closed-form construction.
 """
 
 

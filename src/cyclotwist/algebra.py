@@ -7,20 +7,17 @@ code paths serve K-rational elements and ambient-side constructions;
 K-rationality is a property we can always test after the fact.
 
 Also here: minimal polynomials of elements inside a component e*K_t<g>
-(computed by incremental Gaussian elimination, no factoring), and
-irreducibility certificates for the binomial and quadratic polynomials
-that the closed-form construction produces.
+(computed by incremental Gaussian elimination, no factoring), and the
+irreducibility certificate for 2-power binomials over the ambient field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Optional, Union
 
 from .fields import (
-    FINITE,
     POWER_TEST_CAP,
     AmbientElement,
     AmbientError,
@@ -357,60 +354,18 @@ def binomial_irreducible(
     return True
 
 
-def _fixed_field_elements(K: FieldDescriptor):
-    return [x for x in K.iter_ambient() if is_in_k(K, x)]
+def certify_irreducible(K: FieldDescriptor, poly: Poly) -> bool:
+    """Is poly certified irreducible over the ambient field A of K?
 
-
-def _poly_rem(num: list, den: list, zero) -> list:
-    """Remainder of num by monic den (coefficient lists, low first)."""
-    out = list(num)
-    dd = len(den) - 1
-    for k in range(len(out) - 1, dd - 1, -1):
-        f = out[k]
-        if f.is_zero():
-            continue
-        out[k] = zero
-        for j in range(dd):
-            out[k - dd + j] = out[k - dd + j] - f * den[j]
-    return out[:dd]
-
-
-def _finite_poly_irreducible(K: FieldDescriptor, poly: Poly) -> bool:
-    """Trial division by every monic divisor of degree <= deg/2 over the
-    (finite) fixed field.  Exhaustive, hence a certificate."""
-    base = _fixed_field_elements(K)
-    zero, one = K.zero(), K.one()
-    coeffs = list(poly.coeffs)
-    if not coeffs[0]:
-        return poly.degree == 1
-    for ddeg in range(1, poly.degree // 2 + 1):
-        for tail in product(base, repeat=ddeg):
-            den = list(tail) + [one]
-            rem = _poly_rem(coeffs, den, zero)
-            if all(r.is_zero() for r in rem):
-                return False
-    return True
-
-
-def certify_irreducible(K: FieldDescriptor, poly: Poly) -> Optional[bool]:
-    """True/False when irreducibility over K can be certified exactly,
-    None when no certificate applies (never a guess).
-
-    The ladder: degree 1; 2-power binomials; quadratics via the
-    discriminant (characteristic != 2); finite fields by exhaustive
-    trial division.
+    Over an A that contains i (every field the grammar names) the
+    minimal polynomial of every component is linear or a 2-power
+    binomial, and the Capelli criterion decides those exactly.  Any
+    other polynomial has no certificate: the answer is a definite False,
+    never an open verdict.
     """
     if poly.degree < 1:
         raise ValueError("constants have no irreducibility")
-    if poly.degree == 1:
-        return True
     bino = poly.as_binomial()
-    if bino is not None and (bino.degree & (bino.degree - 1)) == 0:
-        return binomial_irreducible(K, bino)
-    if poly.degree == 2:
-        c0, c1 = poly.coeffs[0], poly.coeffs[1]
-        disc = c1 * c1 - 4 * c0
-        return kth_power_test_branching(K, disc, 2, "fixed_field") is None
-    if K.kind == FINITE:
-        return _finite_poly_irreducible(K, poly)
-    return None
+    if bino is None or bino.degree & (bino.degree - 1):
+        return False
+    return binomial_irreducible(K, bino, "ambient")

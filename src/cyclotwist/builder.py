@@ -49,7 +49,7 @@ from .classify import (
     h_n,
     ks_decompose,
 )
-from .fields import AmbientElement, FieldDescriptor, eps
+from .fields import IDENTITY, AmbientElement, FieldDescriptor, eps
 
 RawItem = Tuple[tuple, AlgebraElement]
 
@@ -324,9 +324,9 @@ def build(spec: AlgebraSpec, checked: bool = True) -> IdempotentFamily:
     """Construct the complete family of minimal idempotents of K_t<g>.
 
     With ``checked`` (the default) the family is handed to the oracle
-    and a VerificationError is raised unless every check passes and
-    every component's irreducibility is certified; use checked=False
-    to obtain the raw construction.
+    together with its ambient family, and a VerificationError is raised
+    unless every check passes and every component is certified minimal;
+    use checked=False to obtain the raw construction.
     """
     K = spec.field
     cls = classify(K, spec.n)
@@ -342,8 +342,20 @@ def build(spec: AlgebraSpec, checked: bool = True) -> IdempotentFamily:
     if checked:
         from .oracle import VerificationError, verify_family
 
-        report = verify_family(spec, family)
+        report = verify_family(family, ambient_family(family))
         family = replace(family, report=report)
         if not report.ok:
             raise VerificationError(report)
     return family
+
+
+def ambient_family(family: IdempotentFamily) -> IdempotentFamily:
+    """The family of the same algebra over the ambient field A, with the
+    trivial involution: ``family`` itself when K = A, else one unchecked
+    build."""
+    spec = family.spec
+    K = spec.field
+    if K.involution == IDENTITY:
+        return family
+    A = FieldDescriptor(K.kind, IDENTITY, level=K.level, q=K.q, d=K.d)
+    return build(AlgebraSpec(A, spec.n, A.element(spec.a.coeffs)), checked=False)

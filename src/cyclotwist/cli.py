@@ -26,7 +26,7 @@ import sys
 from typing import Optional, Sequence
 
 from .algebra import AlgebraSpec
-from .builder import IdempotentFamily, build
+from .builder import IdempotentFamily, ambient_family, build
 from .classify import classify
 from .fields import IDENTITY, FINITE
 from .grammar import format_element, format_field, parse_element, parse_field
@@ -143,14 +143,15 @@ def _cmd_idempotents(args) -> int:
 def _cmd_verify(args) -> int:
     spec = _spec_from_args(args)
     family = build(spec, checked=False)
-    report = verify_family(spec, family)
+    ambient = ambient_family(family)
+    report = verify_family(family, ambient)
 
     if spec.field.kind != FINITE:
         enumeration = "skipped: enumeration needs a finite field"
     else:
         try:
             enumeration = (
-                "pass" if cross_check(spec, args.max_enum) else "mismatch"
+                "pass" if cross_check(family, args.max_enum) else "mismatch"
             )
         except EnumerationBudgetError as err:
             enumeration = f"skipped: {err}"
@@ -158,7 +159,7 @@ def _cmd_verify(args) -> int:
     if spec.field.involution == IDENTITY:
         pairing = "skipped: trivial involution"
     else:
-        pairing = "pass" if conjugate_pairing_check(spec) else "mismatch"
+        pairing = "pass" if conjugate_pairing_check(family, ambient) else "mismatch"
 
     passed = report.ok and "mismatch" not in (enumeration, pairing)
     if args.json:
@@ -212,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument(
         "--unchecked",
         action="store_true",
-        help="skip verification (shows families with uncertifiable components)",
+        help="skip verification",
     )
     p.set_defaults(handler=_cmd_idempotents)
 

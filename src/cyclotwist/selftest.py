@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Callable, List, Optional, Tuple
 
 from .algebra import AlgebraSpec, Poly
-from .builder import IdempotentFamily, build, thm3_case3, thm3_case4
+from .builder import IdempotentFamily, ambient_family, build, thm3_case3, thm3_case4
 from .classify import classify, h_n, ks_decompose, ks_membership
 from .fields import FINITE, IDENTITY, FieldDescriptor
 from .grammar import parse_element, parse_field
@@ -152,7 +152,7 @@ def criterion_case_matrix(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionResul
         case = MATRIX[0]
         family = _checked_family(case)
         tampered = replace(family, items=family.items[:-1], report=None)
-        report = verify_family(case.spec(), tampered)
+        report = verify_family(tampered, ambient_family(tampered))
         details.append(
             f"{case}: deliberate corruption detected by: "
             + "; ".join(report.failures)
@@ -182,7 +182,7 @@ def criterion_ground_truth(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionResu
             continue
         spec = AlgebraSpec(K, n, parse_element(K, a))
         try:
-            agree = cross_check(spec, max_count=max_enum)
+            agree = cross_check(build(spec, checked=False), max_count=max_enum)
         except Exception as err:
             agree = False
             details.append(f"({field_spec}, n={n}, a={a}): {type(err).__name__}: {err}")
@@ -328,7 +328,8 @@ def criterion_conjugate_pairing(max_enum: int = DEFAULT_ENUM_BUDGET) -> Criterio
         if parse_field(case.field).involution == IDENTITY:
             continue
         try:
-            agree = conjugate_pairing_check(case.spec())
+            family = build(case.spec(), checked=False)
+            agree = conjugate_pairing_check(family, ambient_family(family))
         except Exception as err:
             details.append(f"{case}: {type(err).__name__}: {err}")
         else:

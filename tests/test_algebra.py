@@ -18,7 +18,6 @@ from cyclotwist.grammar import parse_element, parse_field
 
 Q = parse_field("Q")
 QR3 = parse_field("QR:3")
-F3 = parse_field("F:3")
 F5 = parse_field("F:5")
 
 
@@ -157,29 +156,24 @@ def test_binomial_criterion_finite(qspec, c, irreducible):
     assert binomial_irreducible(K, f) == irreducible
 
 
-def test_certify_ladder():
+def test_certify_binomials_over_the_ambient_field():
+    QC2 = parse_field("QC:2")  # A = Q(i)
+    linear = Poly((QC2.scalar(7), QC2.one()))
+    assert certify_irreducible(QC2, linear) is True
+    x2_minus_3 = Poly((QC2.scalar(-3), QC2.zero(), QC2.one()))
+    assert certify_irreducible(QC2, x2_minus_3) is True
+    x4_plus_4 = Poly((QC2.scalar(4),) + (QC2.zero(),) * 3 + (QC2.one(),))
+    assert certify_irreducible(QC2, x4_plus_4) is False  # -4 = (2i)^2
+    # over Q the certificate still speaks about A = Q(i): x^2 + 1 splits
     x2_plus_1 = Poly((Q.scalar(1), Q.zero(), Q.one()))
-    assert certify_irreducible(Q, x2_plus_1) is True
-    x2_minus_1 = Poly((Q.scalar(-1), Q.zero(), Q.one()))
-    assert certify_irreducible(Q, x2_minus_1) is False
-    linear = Poly((Q.scalar(7), Q.one()))
-    assert certify_irreducible(Q, linear) is True
-    # non-binomial octic over an infinite field: honestly unknown
-    octic = Poly(
-        (Q.scalar(68),)
-        + (Q.zero(),) * 3
-        + (Q.scalar(8),)
-        + (Q.zero(),) * 3
-        + (Q.one(),)
-    )
-    assert certify_irreducible(Q, octic) is None
+    assert certify_irreducible(Q, x2_plus_1) is False
 
 
-def test_certify_finite_is_exhaustive():
-    # x^2 + x + 2 over F_3 has no roots and no factorization: irreducible
-    K = F3
-    p = Poly((K.scalar(2), K.one(), K.one()))
-    assert certify_irreducible(K, p) is True
-    # x^2 + x + 1 = (x - 1)^2 over F_3
-    p = Poly((K.one(), K.one(), K.one()))
-    assert certify_irreducible(K, p) is False
+def test_certify_non_binomial_is_a_definite_false():
+    # x^2 + x + 1 is irreducible over Q(i), but it is no binomial, and
+    # over A no component's minimal polynomial may be anything else
+    QC2 = parse_field("QC:2")
+    p = Poly((QC2.one(), QC2.one(), QC2.one()))
+    assert certify_irreducible(QC2, p) is False
+    p = Poly((F5.scalar(2), F5.one(), F5.one()))
+    assert certify_irreducible(F5, p) is False

@@ -91,9 +91,18 @@ def test_idempotents_json_schema(capsys):
 
 
 def test_idempotents_refuses_uncertified(capsys):
-    code, out, err = run(capsys, "idempotents", "QR:3", "5", DEEP_A)
-    assert code == 1
-    assert "NOT CERTIFIED" in err
+    # the octic components are certified by descent, so the checked
+    # build succeeds
+    code, out, err = run(
+        capsys, "idempotents", "QR:3", "5", DEEP_A, "--verify", "--json"
+    )
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["verification"]["pass"] is True
+    assert data["verification"]["uncertified"] == []
+    assert tuple(sorted(it["dim"] for it in data["idempotents"])) == (
+        2, 2, 2, 2, 2, 2, 4, 8, 8,
+    )
 
 
 def test_idempotents_unchecked_shows_family(capsys):
@@ -136,10 +145,10 @@ def test_verify_budget_skip(capsys):
 
 def test_verify_uncertified_fails(capsys):
     code, out, _ = run(capsys, "verify", "QR:3", "5", DEEP_A)
-    assert code == 1
-    assert "structural: NOT CERTIFIED" in out
+    assert code == 0
+    assert "structural: PASS" in out
     assert "pairing: pass" in out
-    assert "overall: FAIL" in out
+    assert "overall: PASS" in out
 
 
 def test_verify_json(capsys):

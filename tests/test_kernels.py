@@ -1,70 +1,9 @@
-"""Pure and compiled enumeration kernels must agree exactly."""
+"""The pure enumeration kernel used by the brute-force oracle."""
 
-import os
-import subprocess
-import sys
-
-import pytest
-
-from cyclotwist import _enum_py, _kernel
-
-try:
-    from cyclotwist import _enumspeed
-except ImportError:
-    _enumspeed = None
-
-GRID = [
-    (3, 0, 1),
-    (3, 1, 1),
-    (3, 1, 2),
-    (3, 2, 1),
-    (3, 2, 2),
-    (5, 1, 1),
-    (5, 1, 3),
-    (5, 2, 2),
-    (7, 1, 5),
-]
-
-
-def test_backend_is_declared():
-    assert _kernel.BACKEND in ("pure", "compiled")
-    if _kernel.BACKEND == "compiled":
-        assert _enumspeed is not None
-        assert _kernel.atoms is _enumspeed.atoms
-    else:
-        assert _kernel.atoms is _enum_py.atoms
-
-
-@pytest.mark.parametrize("q, n, a", GRID)
-def test_kernels_agree(q, n, a):
-    if _enumspeed is None:
-        pytest.skip("compiled kernel not built; pure fallback in use")
-    assert _enum_py.atoms(q, n, a) == _enumspeed.atoms(q, n, a)
+from cyclotwist import _enum_py
 
 
 def test_pure_kernel_basic_shape():
     atoms = _enum_py.atoms(5, 1, 1)
     assert atoms == [(3, 2), (3, 3)]
     assert all(len(v) == 2 for v in atoms)
-
-
-def test_compiled_kernel_size_cap():
-    if _enumspeed is None:
-        pytest.skip("compiled kernel not built; pure fallback in use")
-    with pytest.raises(ValueError):
-        _enumspeed.atoms(3, 6, 1)  # 2^6 = 64 coefficients > the C buffer
-
-
-def test_pure_env_override():
-    code = (
-        "import cyclotwist._kernel as k; print(k.BACKEND)"
-    )
-    env = dict(os.environ, CYCLOTWIST_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "pure"

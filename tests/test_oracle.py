@@ -4,8 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from cyclotwist.algebra import AlgebraSpec
-from cyclotwist.builder import build
+from cyclotwist.algebra import AlgebraSpec, min_poly_in_component
+from cyclotwist.builder import IdempotentItem, ambient_family, build
 from cyclotwist.grammar import parse_element, parse_field
 from cyclotwist.oracle import (
     EnumerationBudgetError,
@@ -19,6 +19,10 @@ from cyclotwist.oracle import (
 def spec_of(field_spec, n, a_literal):
     K = parse_field(field_spec)
     return AlgebraSpec(K, n, parse_element(K, a_literal))
+
+
+def verified(family):
+    return verify_family(family, ambient_family(family))
 
 
 # -- brute-force enumeration -----------------------------------------------------
@@ -53,7 +57,7 @@ def test_enumeration_budget():
     with pytest.raises(EnumerationBudgetError, match="budget"):
         brute_enumerate_minimal(spec)
     with pytest.raises(EnumerationBudgetError):
-        cross_check(spec, max_count=10**6)
+        cross_check(build(spec, checked=False), max_count=10**6)
 
 
 def test_enumeration_rejects_infinite_fields():
@@ -65,7 +69,7 @@ def test_enumeration_rejects_infinite_fields():
 def test_cross_check_small_grid(qspec, n):
     K = parse_field(qspec)
     for a0 in range(1, K.q):
-        assert cross_check(AlgebraSpec(K, n, K.scalar(a0)))
+        assert cross_check(build(AlgebraSpec(K, n, K.scalar(a0)), checked=False))
 
 
 # -- structural verification -------------------------------------------------------
@@ -73,8 +77,8 @@ def test_cross_check_small_grid(qspec, n):
 
 def test_verify_accepts_correct_family():
     spec = spec_of("F:3", 2, "1")
-    report = verify_family(spec, build(spec, checked=False))
-    assert report.ok and report.sound
+    report = verified(build(spec, checked=False))
+    assert report.ok
     assert report.orthogonal and report.sum_is_one
     assert report.dim_total == report.expected_dim == 4
     assert report.headline() == "PASS"
@@ -84,8 +88,8 @@ def test_verify_flags_duplicate_items():
     spec = spec_of("F:3", 2, "1")
     family = build(spec, checked=False)
     dup = replace(family, items=family.items + (family.items[0],))
-    report = verify_family(spec, dup)
-    assert not report.sound
+    report = verified(dup)
+    assert not report.ok
     assert any("duplicate labels" in f for f in report.failures)
     assert not report.orthogonal  # e*e = e != 0 across the duplicate pair
     assert not report.sum_is_one
@@ -95,8 +99,8 @@ def test_verify_flags_missing_item():
     spec = spec_of("F:3", 2, "1")
     family = build(spec, checked=False)
     short = replace(family, items=family.items[1:])
-    report = verify_family(spec, short)
-    assert not report.sound
+    report = verified(short)
+    assert not report.ok
     assert not report.sum_is_one
     assert report.dim_total < report.expected_dim
 
@@ -107,10 +111,10 @@ def test_verify_flags_corrupted_coefficient():
     item = family.items[0]
     bad_el = spec.element([c + spec.field.one() for c in item.element.coeffs])
     bad = replace(family, items=(replace(item, element=bad_el),) + family.items[1:])
-    report = verify_family(spec, bad)
+    report = verified(bad)
     checks = {c.label: c for c in report.item_checks}
     assert not checks[item.label].idempotent
-    assert not report.sound
+    assert not report.ok
 
 
 def test_verify_flags_wrong_dim():
@@ -118,10 +122,35 @@ def test_verify_flags_wrong_dim():
     family = build(spec, checked=False)
     item = family.items[0]
     bad = replace(family, items=(replace(item, dim=item.dim + 1),) + family.items[1:])
-    report = verify_family(spec, bad)
+    report = verified(bad)
     checks = {c.label: c for c in report.item_checks}
     assert not checks[item.label].dim_consistent
-    assert not report.sound
+    assert not report.ok
+
+
+@pytest.mark.parametrize(
+    "field_spec, n, a, pair",
+    [
+        # merged min poly x^4 + 2x^3 + 4x^2 + 4x + 4: no orbit sum of
+        # the ambient family equals the merged item
+        ("Q", 3, "16", ((0,), (1, 0))),
+        # type B: the family is its own ambient family
+        ("F:5", 2, "1", ((0,), (1,))),
+    ],
+)
+def test_verify_flags_merged_components(field_spec, n, a, pair):
+    spec = spec_of(field_spec, n, a)
+    family = build(spec, checked=False)
+    items = {it.label: it for it in family.items}
+    merged = items[pair[0]].element + items[pair[1]].element
+    poly = min_poly_in_component(merged, spec.gbar())
+    rest = tuple(it for it in family.items if it.label not in pair)
+    item = IdempotentItem(pair[0], merged, poly.degree, poly)
+    report = verified(replace(family, items=(item,) + rest))
+    assert not report.ok
+    assert report.orthogonal and report.sum_is_one
+    assert any(str(pair[0]) in f for f in report.failures)
+    assert [c.label for c in report.item_checks if not c.primitive] == [pair[0]]
 
 
 # -- conjugate pairing ----------------------------------------------------------------
@@ -141,9 +170,11 @@ def test_verify_flags_wrong_dim():
     ],
 )
 def test_pairing_across_types(field_spec, n, a):
-    assert conjugate_pairing_check(spec_of(field_spec, n, a))
+    family = build(spec_of(field_spec, n, a), checked=False)
+    assert conjugate_pairing_check(family, ambient_family(family))
 
 
 def test_pairing_needs_nontrivial_involution():
+    family = build(spec_of("F:5", 1, "1"), checked=False)
     with pytest.raises(ValueError, match="involution"):
-        conjugate_pairing_check(spec_of("F:5", 1, "1"))
+        conjugate_pairing_check(family, family)
