@@ -40,6 +40,11 @@ class AlgebraSpec:
     def __post_init__(self):
         if not 0 <= self.n <= POWER_TEST_CAP:
             raise ValueError(f"n must be in [0, {POWER_TEST_CAP}]")
+        if self.field.root_level < 2:
+            raise ValueError(
+                "the ambient field has no square root of -1; the construction "
+                "needs i in A"
+            )
         if self.a.owner != self.field:
             raise AmbientError("a does not belong to the given field")
         if self.a.is_zero():
@@ -205,14 +210,6 @@ def alg_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(spec, tuple(out))
 
 
-def subalgebra_generator(spec: AlgebraSpec, s: int, b: AmbientElement) -> AlgebraElement:
-    """The unit h = b^(-1) g^(2^(n-s)); when a = b^(2^s) it has order 2^s
-    and generates the group algebra K<h> inside K_t<g>."""
-    if not 0 <= s <= spec.n:
-        raise ValueError("s must be in [0, n]")
-    return spec.gbar(1 << (spec.n - s)).scale(b**-1)
-
-
 # ---------------------------------------------------------------------------
 # polynomials over K (stored with ambient coefficients, low degree first)
 # ---------------------------------------------------------------------------
@@ -282,7 +279,9 @@ def min_poly_in_component(e: AlgebraElement, x: AlgebraElement) -> Poly:
 
     Incremental Gaussian elimination on the powers e, z, z^2, ... over
     the ambient field: the first power that becomes linearly dependent
-    yields the monic relation directly.  The resulting coefficients must
+    yields the monic relation directly.  Since e is idempotent,
+    z^k = x^k * e, so each power is the previous one times x (a shift
+    when x is a monomial such as g).  The resulting coefficients must
     land in K; if they do not, z does not generate a K-rational
     component and we refuse rather than return a wrong answer.
     """
@@ -290,7 +289,6 @@ def min_poly_in_component(e: AlgebraElement, x: AlgebraElement) -> Poly:
     K = spec.field
     if e.is_zero() or e * e != e:
         raise ValueError("e must be a nonzero idempotent")
-    z = x * e
     zero, one = K.zero(), K.one()
 
     rows = []  # (pivot index, echelon vector, expression in powers of z)
@@ -316,7 +314,7 @@ def min_poly_in_component(e: AlgebraElement, x: AlgebraElement) -> Poly:
         vec = [inv * v for v in vec]
         combo = [inv * c for c in combo]
         rows.append((pivot, vec, combo))
-        cur = cur * z
+        cur = x * cur
         k += 1
         assert k <= spec.size, "no linear relation within the algebra dimension"
 
@@ -326,17 +324,13 @@ def min_poly_in_component(e: AlgebraElement, x: AlgebraElement) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def binomial_irreducible(
-    K: FieldDescriptor, f: Binomial, where: str = "fixed_field"
-) -> bool:
-    """Exact irreducibility of x^(2^k) - c over the fixed field K
-    (or over A with where="ambient").
+def binomial_irreducible(K: FieldDescriptor, f: Binomial) -> bool:
+    """Exact irreducibility of x^(2^k) - c over the ambient field A of K.
 
     For 2-power degree the classical criterion is two membership tests:
     the binomial is irreducible iff c is not a square, and additionally
     (when the degree is divisible by 4) c is not of the form -4*u^4.
-    Both tests reduce to branching power tests with the witness confined
-    to the requested field.
+    Both tests reduce to branching power tests over A.
     """
     if f.degree < 1:
         raise ValueError("binomial degree must be >= 1")
@@ -345,11 +339,11 @@ def binomial_irreducible(
     if f.degree & (f.degree - 1):
         raise ValueError("only 2-power degrees are supported")
     c = f.constant
-    if kth_power_test_branching(K, c, 2, where) is not None:
+    if kth_power_test_branching(K, c, 2) is not None:
         return False
     if f.degree % 4 == 0:
         quarter = c / K.scalar(-4)
-        if kth_power_test_branching(K, quarter, 4, where) is not None:
+        if kth_power_test_branching(K, quarter, 4) is not None:
             return False
     return True
 
@@ -368,4 +362,4 @@ def certify_irreducible(K: FieldDescriptor, poly: Poly) -> bool:
     bino = poly.as_binomial()
     if bino is None or bino.degree & (bino.degree - 1):
         return False
-    return binomial_irreducible(K, bino, "ambient")
+    return binomial_irreducible(K, bino)

@@ -29,13 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
-from .algebra import (
-    AlgebraElement,
-    AlgebraSpec,
-    Poly,
-    min_poly_in_component,
-    subalgebra_generator,
-)
+from .algebra import AlgebraElement, AlgebraSpec, Poly, min_poly_in_component
 from .classify import (
     EPS_COSET,
     NEGATED,
@@ -86,29 +80,26 @@ class IdempotentFamily:
 # ---------------------------------------------------------------------------
 
 
-def _powers(base: AlgebraElement, count: int) -> list:
-    out = [base.spec.one()]
-    for _ in range(count - 1):
-        out.append(out[-1] * base)
-    return out
-
-
-def _geom(chi: AmbientElement, count: int) -> list:
-    out = [chi.owner.one()]
-    for _ in range(count - 1):
-        out.append(out[-1] * chi)
-    return out
-
-
-def _pair(chi1: AmbientElement, chi2: AmbientElement, count: int) -> list:
-    return [x + y for x, y in zip(_geom(chi1, count), _geom(chi2, count))]
-
-
-def _avg(spec: AlgebraSpec, powers: list, weights: list) -> AlgebraElement:
-    acc = spec.zero()
-    for w, p in zip(weights, powers):
-        acc = acc + p.scale(w)
-    return acc.scale(spec.field.scalar(len(powers)).inverse())
+def _char_sum(
+    spec: AlgebraSpec, s: int, r: int, b: AmbientElement, *chis: AmbientElement
+) -> AlgebraElement:
+    """(1/T) * sum over chi of sum_{j<T} chi^j * u^j, T = 2^(s-r), for
+    the monomial u = b^(-2^r) g^(2^(n-s+r)).  Since j * 2^(n-s+r) < 2^n
+    the powers of u never wrap, so the sum is written coefficient by
+    coefficient: (chi * b^(-2^r))^j / T lands on g^(j * 2^(n-s+r))."""
+    K = spec.field
+    T = 1 << (s - r)
+    step = 1 << (spec.n - s + r)
+    inv_t = K.scalar(T).inverse()
+    bi = b ** -(1 << r)
+    coeffs = [K.zero()] * spec.size
+    for chi in chis:
+        c = chi * bi
+        w = inv_t
+        for j in range(T):
+            coeffs[j * step] = coeffs[j * step] + w
+            w = w * c
+    return AlgebraElement(spec, tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +110,8 @@ def _avg(spec: AlgebraSpec, powers: list, weights: list) -> AlgebraElement:
 def thm2_case1(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[RawItem]:
     """All 2-power roots of unity needed are in K (s <= m): the 2^s
     characters of <h> each give one idempotent of dimension 2^(n-s)."""
-    K = spec.field
-    T = 1 << s
-    powers = _powers(subalgebra_generator(spec, s, b), T)
-    es = eps(K, s)
-    return [((i,), _avg(spec, powers, _geom(es**-i, T))) for i in range(T)]
+    es = eps(spec.field, s)
+    return [((i,), _char_sum(spec, s, 0, b, es**-i)) for i in range(1 << s)]
 
 
 def thm2_case2(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[RawItem]:
@@ -133,19 +121,15 @@ def thm2_case2(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[RawItem]:
     K = spec.field
     m = K.root_level
     assert s > m
-    T = 1 << s
-    powers = _powers(subalgebra_generator(spec, s, b), T)
     em = eps(K, m)
     items: List[RawItem] = [
-        ((i,), _avg(spec, powers, _geom(em**-i, T))) for i in range(1 << m)
+        ((i,), _char_sum(spec, s, 0, b, em**-i)) for i in range(1 << m)
     ]
     em1 = eps(K, m - 1)
     for r in range(1, s - m + 1):
-        Tr = 1 << (s - r)
-        pr = _powers(powers[1 << r], Tr)
         for i in range(1 << (m - 1)):
             chi = em**-1 * em1**-i
-            items.append(((r, i), _avg(spec, pr, _geom(chi, Tr))))
+            items.append(((r, i), _char_sum(spec, s, r, b, chi)))
     return items
 
 
@@ -155,20 +139,18 @@ def thm3_case2(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[RawItem]:
     self-paired."""
     K = spec.field
     assert 1 <= s <= K.root_level - 1
-    T = 1 << s
-    powers = _powers(subalgebra_generator(spec, s, b), T)
     es = eps(K, s)
     one = K.one()
     half = 1 << (s - 1)
     items: List[RawItem] = []
     for i in range(half + 1):
         if i == 0:
-            w = _geom(one, T)
+            chis = (one,)
         elif i == half:
-            w = _geom(-one, T)
+            chis = (-one,)
         else:
-            w = _pair(es**i, es**-i, T)
-        items.append(((i,), _avg(spec, powers, w)))
+            chis = (es**i, es**-i)
+        items.append(((i,), _char_sum(spec, s, 0, b, *chis)))
     return items
 
 
@@ -186,15 +168,13 @@ def thm3_case4(
     cls = classify(K)
     assert 1 <= s <= cls.m - 1 and cls.field_type in (TYPE_D, TYPE_E)
     lam = -K.one() if (cls.field_type == TYPE_E and s == cls.m - 1) else K.one()
-    T = 1 << s
-    powers = _powers(subalgebra_generator(spec, s, b), T)
     es1 = eps(K, s + 1)
     esm = eps(K, s - 1)
     items: List[RawItem] = []
     for i in range(_first_index, 1 << (s - 1)):
         chi1 = es1**-1 * esm**-i
         chi2 = lam * es1 * esm**i
-        items.append(((i,), _avg(spec, powers, _pair(chi1, chi2, T))))
+        items.append(((i,), _char_sum(spec, s, 0, b, chi1, chi2)))
     return items
 
 
@@ -223,8 +203,6 @@ def thm3_case3(
     lam = K.one() if cls.field_type == TYPE_D else -K.one()
     if _flip_lambda:
         lam = -lam
-    T = 1 << s
-    powers = _powers(subalgebra_generator(spec, s, b), T)
     one = K.one()
     em = eps(K, m)
     em1 = eps(K, m - 1)
@@ -233,19 +211,17 @@ def thm3_case3(
     items: List[RawItem] = []
     for i in range(quarter + 1):
         if i == 0:
-            w = _geom(one, T)
+            chis = (one,)
         elif i == quarter:
-            w = _geom(-one, T)
+            chis = (-one,)
         else:
-            w = _pair(em1**i, em1**-i, T)
-        items.append(((i,), _avg(spec, powers, w)))
+            chis = (em1**i, em1**-i)
+        items.append(((i,), _char_sum(spec, s, 0, b, *chis)))
     for r in range(_double_from_r, s - m + 1):
-        Tr = 1 << (s - r)
-        pr = _powers(powers[1 << r], Tr)
         for i in range(quarter):
             chi1 = em**-1 * em2**-i
             chi2 = lam * em * em2**i
-            items.append(((r, i), _avg(spec, pr, _pair(chi1, chi2, Tr))))
+            items.append(((r, i), _char_sum(spec, s, r, b, chi1, chi2)))
     return items
 
 
@@ -259,8 +235,6 @@ def thm3_case5(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[RawItem]:
     cls = classify(K)
     m = cls.m
     assert s >= m and cls.field_type == TYPE_D
-    T = 1 << s
-    powers = _powers(subalgebra_generator(spec, s, b), T)
     one = K.one()
     u = eps(K, m)
     opu = one + u
@@ -269,28 +243,24 @@ def thm3_case5(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[RawItem]:
     for i in range(1 << (m - 1)):
         chi1 = opu**-1 * em1**-i
         chi2 = opu**-1 * u * em1**i
-        items.append(((i,), _avg(spec, powers, _pair(chi1, chi2, T))))
+        items.append(((i,), _char_sum(spec, s, 0, b, chi1, chi2)))
     if s == m:
         return items
     c0inv = (2 + u + u**-1) ** -1
-    T2 = 1 << (s - 1)
-    p2 = _powers(powers[2], T2)
     quarter = 1 << (m - 2)
     for i in range(quarter - 1):
         chi1 = c0inv * em1 ** -(1 + i)
         chi2 = c0inv * em1 ** (1 + i)
-        items.append(((1, i), _avg(spec, p2, _pair(chi1, chi2, T2))))
-    items.append(((1, quarter - 1), _avg(spec, p2, _geom(-c0inv, T2))))
-    items.append(((1, (1 << (m - 1)) - 1), _avg(spec, p2, _geom(c0inv, T2))))
+        items.append(((1, i), _char_sum(spec, s, 1, b, chi1, chi2)))
+    items.append(((1, quarter - 1), _char_sum(spec, s, 1, b, -c0inv)))
+    items.append(((1, (1 << (m - 1)) - 1), _char_sum(spec, s, 1, b, c0inv)))
     em2 = eps(K, m - 2)
     for r in range(2, s - m + 1):
-        Tr = 1 << (s - r)
-        pr = _powers(powers[1 << r], Tr)
         opur_inv = opu ** -(1 << r)
         for i in range(quarter):
             chi1 = opur_inv * u**-1 * em2**-i
             chi2 = opur_inv * u * em2 ** (i + (1 << (r - 2)))
-            items.append(((r, i), _avg(spec, pr, _pair(chi1, chi2, Tr))))
+            items.append(((r, i), _char_sum(spec, s, r, b, chi1, chi2)))
     return items
 
 
@@ -340,22 +310,32 @@ def build(spec: AlgebraSpec, checked: bool = True) -> IdempotentFamily:
         items.append(IdempotentItem(label, element, mp.degree, mp))
     family = IdempotentFamily(spec, cls, dec, tuple(items))
     if checked:
-        from .oracle import VerificationError, verify_family
-
-        report = verify_family(family, ambient_family(family))
-        family = replace(family, report=report)
-        if not report.ok:
-            raise VerificationError(report)
+        return verified(family, ambient_family(family))
     return family
 
 
-def ambient_family(family: IdempotentFamily) -> IdempotentFamily:
-    """The family of the same algebra over the ambient field A, with the
-    trivial involution: ``family`` itself when K = A, else one unchecked
-    build."""
-    spec = family.spec
+def verified(family: IdempotentFamily, ambient: IdempotentFamily) -> IdempotentFamily:
+    """``family`` with the report of ``verify_family(family, ambient)``
+    attached; raises VerificationError unless the report passes."""
+    from .oracle import VerificationError, verify_family
+
+    report = verify_family(family, ambient)
+    if not report.ok:
+        raise VerificationError(report)
+    return replace(family, report=report)
+
+
+def ambient_spec(spec: AlgebraSpec) -> AlgebraSpec:
+    """The same algebra over the ambient field A, with the trivial
+    involution; equal to ``spec`` when K = A."""
     K = spec.field
-    if K.involution == IDENTITY:
-        return family
     A = FieldDescriptor(K.kind, IDENTITY, level=K.level, q=K.q, d=K.d)
-    return build(AlgebraSpec(A, spec.n, A.element(spec.a.coeffs)), checked=False)
+    return AlgebraSpec(A, spec.n, A.element(spec.a.coeffs))
+
+
+def ambient_family(family: IdempotentFamily) -> IdempotentFamily:
+    """The family of ``ambient_spec(family.spec)``: ``family`` itself
+    when K = A, else one unchecked build."""
+    if family.spec.field.involution == IDENTITY:
+        return family
+    return build(ambient_spec(family.spec), checked=False)

@@ -125,7 +125,7 @@ def h_n(K: FieldDescriptor, a: AmbientElement, n: int) -> int:
     if not 0 <= n <= POWER_TEST_CAP:
         raise ValueError(f"n must be in [0, {POWER_TEST_CAP}]")
     for s in range(1, n + 1):
-        if kth_power_test_branching(K, a, 1 << s, "ambient") is None:
+        if kth_power_test_branching(K, a, 1 << s) is None:
             return s - 1
     return n
 
@@ -137,7 +137,7 @@ def ks_membership(K: FieldDescriptor, a: AmbientElement, s: int) -> bool:
         raise ValueError(f"s must be in [0, {POWER_TEST_CAP}]")
     if s == 0:
         return True
-    return kth_power_test_branching(K, a, 1 << s, "ambient") is not None
+    return kth_power_test_branching(K, a, 1 << s) is not None
 
 
 def _root_order_log2(K: FieldDescriptor, x: AmbientElement) -> int:
@@ -182,7 +182,7 @@ def ks_decompose(K: FieldDescriptor, a: AmbientElement, s: int) -> CosetDecompos
         raise ValueError(f"s must be in [0, {POWER_TEST_CAP}]")
     if s == 0:
         return CosetDecomposition(0, PLAIN, a)
-    alpha = kth_power_test_branching(K, a, 1 << s, "ambient")
+    alpha = kth_power_test_branching(K, a, 1 << s)
     if alpha is None:
         raise ValueError(f"a is not a 2^{s}-th power in the ambient field")
     if K.involution == IDENTITY:

@@ -597,33 +597,24 @@ def sqrt_ambient(K: FieldDescriptor, x: AmbientElement) -> Optional[AmbientEleme
 
 
 def kth_power_test_branching(
-    K: FieldDescriptor,
-    x: AmbientElement,
-    k: int,
-    where: str = "ambient",
+    K: FieldDescriptor, x: AmbientElement, k: int
 ) -> Optional[AmbientElement]:
-    """Find y with y^k = x (k a power of two), or None.
+    """Find y in A with y^k = x (k a power of two), or None.
 
-    ``where`` selects the group the *witness* must live in: "ambient"
-    accepts any y in A, "fixed_field" only y in K.  Repeated square
-    roots alone are not enough: at every level both signs +-r must be
-    explored, because the branch that continues to the bottom need not
-    be the canonical one.  The search therefore walks the full sign
-    tree (at most k leaves) and returns the first witness found.
+    Repeated square roots alone are not enough: at every level both
+    signs +-r must be explored, because the branch that continues to
+    the bottom need not be the canonical one.  The search therefore
+    walks the full sign tree (at most k leaves) and returns the first
+    witness found.
     """
     if k < 1 or k & (k - 1):
         raise AmbientError("k must be a positive power of two")
     depth = k.bit_length() - 1
     if depth > POWER_TEST_CAP:
         raise AmbientError(f"power test capped at 2^{POWER_TEST_CAP}")
-    if where not in ("ambient", "fixed_field"):
-        raise AmbientError(f"unknown witness domain {where!r}")
-    need_fixed = where == "fixed_field" and K.involution != IDENTITY
 
     def search(y: AmbientElement, lvl: int) -> Optional[AmbientElement]:
         if lvl == 0:
-            if need_fixed and not is_in_k(K, y):
-                return None
             return y
         r = sqrt_ambient(K, y)
         if r is None:

@@ -23,7 +23,15 @@ from functools import lru_cache
 from typing import Callable, List, Optional, Tuple
 
 from .algebra import AlgebraSpec, Poly
-from .builder import IdempotentFamily, ambient_family, build, thm3_case3, thm3_case4
+from .builder import (
+    IdempotentFamily,
+    ambient_family,
+    ambient_spec,
+    build,
+    thm3_case3,
+    thm3_case4,
+    verified,
+)
 from .classify import classify, h_n, ks_decompose, ks_membership
 from .fields import FINITE, IDENTITY, FieldDescriptor
 from .grammar import parse_element, parse_field
@@ -120,9 +128,25 @@ class CriterionResult:
         return f"criterion {self.number} ({self.title}): {verdict}"
 
 
+# Every criterion reads its families from this cache, so each algebra
+# is built once per process, also where two fields share an ambient
+# algebra (QR:3 and QE:3 over Q(zeta_8)).
+@lru_cache(maxsize=None)
+def _family(spec: AlgebraSpec) -> IdempotentFamily:
+    return build(spec, checked=False)
+
+
+def _families(spec: AlgebraSpec) -> Tuple[IdempotentFamily, IdempotentFamily]:
+    """The unchecked family of ``spec`` and its ambient family."""
+    family = _family(spec)
+    if spec.field.involution == IDENTITY:
+        return family, family
+    return family, _family(ambient_spec(spec))
+
+
 @lru_cache(maxsize=None)
 def _checked_family(case: MatrixCase) -> IdempotentFamily:
-    return build(case.spec(), checked=True)
+    return verified(*_families(case.spec()))
 
 
 def _family_or_error(case: MatrixCase):
@@ -182,7 +206,7 @@ def criterion_ground_truth(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionResu
             continue
         spec = AlgebraSpec(K, n, parse_element(K, a))
         try:
-            agree = cross_check(build(spec, checked=False), max_count=max_enum)
+            agree = cross_check(_family(spec), max_count=max_enum)
         except Exception as err:
             agree = False
             details.append(f"({field_spec}, n={n}, a={a}): {type(err).__name__}: {err}")
@@ -328,8 +352,7 @@ def criterion_conjugate_pairing(max_enum: int = DEFAULT_ENUM_BUDGET) -> Criterio
         if parse_field(case.field).involution == IDENTITY:
             continue
         try:
-            family = build(case.spec(), checked=False)
-            agree = conjugate_pairing_check(family, ambient_family(family))
+            agree = conjugate_pairing_check(*_families(case.spec()))
         except Exception as err:
             details.append(f"{case}: {type(err).__name__}: {err}")
         else:

@@ -7,10 +7,12 @@ the collected details if the criterion does not hold.  Criteria with a
 stated runtime bound assert it.
 """
 
+import io
 import time
 
 import pytest
 
+from cyclotwist import builder, selftest
 from cyclotwist.oracle import DEFAULT_ENUM_BUDGET
 from cyclotwist.selftest import (
     criterion_case_matrix,
@@ -63,3 +65,23 @@ def test_criterion_6_conjugate_pairing():
 
 def test_criterion_7_index_regressions():
     check(criterion_index_regressions)
+
+
+def test_selftest_builds_each_algebra_once(monkeypatch):
+    # 52 distinct algebras: the matrix, the ground-truth grid and the
+    # ambient algebras of the involutive matrix fields
+    calls = []
+
+    def counting(spec, checked=True):
+        calls.append(spec)
+        return original(spec, checked)
+
+    original = builder.build
+    monkeypatch.setattr(builder, "build", counting)
+    monkeypatch.setattr(selftest, "build", counting)
+    selftest._family.cache_clear()
+    selftest._checked_family.cache_clear()
+    out = io.StringIO()
+    assert selftest.run_selftest(stream=out) == 0
+    assert out.getvalue().rstrip().endswith("selftest: PASS")
+    assert len(calls) == len(set(calls)) == 52

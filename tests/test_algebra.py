@@ -122,15 +122,17 @@ def test_poly_rendering_with_vector_coefficients():
 # -- irreducibility certificates ----------------------------------------------
 
 
+# The criterion decides irreducibility over the ambient field A of K:
+# Q(i) for Q, F_9 and F_49 for F:3 and F:7, F_5 itself for F:5.
 @pytest.mark.parametrize(
     "c, degree, irreducible",
     [
-        (-16, 4, True),  # x^4 + 16
-        (-4, 4, False),  # x^4 + 4 = (x^2-2x+2)(x^2+2x+2)
+        (-16, 4, False),  # x^4 + 16 = (x^2 - 4i)(x^2 + 4i)
+        (-4, 4, False),  # x^4 + 4 = (x^2 - 2i)(x^2 + 2i)
         (16, 4, False),  # x^4 - 16 = (x^2-4)(x^2+4)
         (2, 4, True),  # x^4 - 2
         (2, 8, True),  # x^8 - 2
-        (-1, 2, True),  # x^2 + 1
+        (-1, 2, False),  # x^2 + 1 = (x - i)(x + i)
         (4, 2, False),
     ],
 )
@@ -140,15 +142,16 @@ def test_binomial_criterion_over_q(c, degree, irreducible):
 
 
 def test_binomial_criterion_depends_on_field():
-    # x^2 + 1 is irreducible over Q but splits over the ambient Q(i)
-    f = Binomial(2, Q.scalar(-1))
-    assert binomial_irreducible(Q, f, "fixed_field")
-    assert not binomial_irreducible(Q, f, "ambient")
+    # x^2 + 1 splits over the ambient Q(i); x^2 - 2 stays irreducible
+    # over Q(i) but splits over Q(zeta_8), the ambient field of QR:3
+    assert not binomial_irreducible(Q, Binomial(2, Q.scalar(-1)))
+    assert binomial_irreducible(Q, Binomial(2, Q.scalar(2)))
+    assert not binomial_irreducible(QR3, Binomial(2, QR3.scalar(2)))
 
 
 @pytest.mark.parametrize(
     "qspec, c, irreducible",
-    [("F:3", -1, True), ("F:5", -1, False), ("F:5", 2, True), ("F:7", -1, True)],
+    [("F:3", -1, False), ("F:5", -1, False), ("F:5", 2, True), ("F:7", -1, False)],
 )
 def test_binomial_criterion_finite(qspec, c, irreducible):
     K = parse_field(qspec)
