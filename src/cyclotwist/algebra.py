@@ -6,6 +6,12 @@ of a.  Elements are stored with *ambient* coefficients so that the same
 code paths serve K-rational elements and ambient-side constructions;
 K-rationality is a property we can always test after the fact.
 
+Products are one big-integer multiplication each (Kronecker
+substitution, see ``alg_mul``), taken on the sublattice of exponents
+the operands occupy, so an idempotent supported on every 2^j-th power
+of g costs a product of length 2^(n-j).  Multiplying by a power of g
+is ``AlgebraElement.shift``, a rotation of the coefficients.
+
 Also here: minimal polynomials of elements inside a component e*K_t<g>
 (computed by incremental Gaussian elimination, no factoring), and the
 irreducibility certificate for 2-power binomials over the ambient field.
@@ -15,9 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from math import gcd, lcm
+from typing import List, Optional, Tuple, Union
 
 from .fields import (
+    CYCLOTOMIC,
     POWER_TEST_CAP,
     AmbientElement,
     AmbientError,
@@ -152,6 +160,22 @@ class AlgebraElement:
         cc = self.spec._coerce(c)
         return AlgebraElement(self.spec, tuple(cc * x for x in self.coeffs))
 
+    def shift(self, k: int) -> "AlgebraElement":
+        """g^k * self for k >= 0: the coefficients rotate by k, and each
+        one that wraps past g^(2^n) picks up a factor of a per wrap."""
+        if k < 0:
+            raise ValueError("shift must be >= 0")
+        spec = self.spec
+        wraps, r = divmod(k, spec.size)
+        low = spec.a**wraps
+        high = low * spec.a
+        cut = spec.size - r
+        head = tuple(c * high if c else c for c in self.coeffs[cut:])
+        tail = self.coeffs[:cut]
+        if wraps:
+            tail = tuple(c * low if c else c for c in tail)
+        return AlgebraElement(spec, head + tail)
+
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             return alg_mul(self, other)
@@ -190,24 +214,117 @@ class AlgebraElement:
 
 
 def alg_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Twisted cyclic convolution: exponents wrap with a factor of a."""
+    """Twisted cyclic convolution: exponents wrap with a factor of a.
+
+    One big-integer product does the work (Kronecker substitution).
+    Both operands live on the lattice of exponents divisible by
+    ``step``, the gcd of 2^n and every exponent where x or y is
+    nonzero: they are polynomials in u = g^step with u^M = a,
+    M = 2^n/step.  Their prime-field coordinates are written as
+    integers (residues mod q, or numerators over each operand's common
+    denominator) into slots of one int each, 2d-1 slots per power of u
+    for an ambient field of dimension d, so the product's coordinates
+    land in separate slots.  Each slot is wide enough for the largest
+    coordinate a product can have, with a sign bit, rounded up to whole
+    bytes so packing and unpacking are byte copies.  The product is
+    then folded back: zeta^d = -1 (i^2 = -1) in the ambient index, and
+    u^M = a in the exponent.
+    """
     if x.spec != y.spec:
         raise AmbientError("operands live in different algebras")
     spec = x.spec
     size = spec.size
-    out = [spec.field.zero()] * size
-    for i, xi in enumerate(x.coeffs):
-        if xi.is_zero():
-            continue
-        for j, yj in enumerate(y.coeffs):
-            if yj.is_zero():
-                continue
-            k = i + j
-            if k < size:
-                out[k] = out[k] + xi * yj
-            else:
-                out[k - size] = out[k - size] + spec.a * (xi * yj)
+    if x.is_zero() or y.is_zero():
+        return spec.zero()
+    step = size
+    for z in (x, y):
+        for i, c in enumerate(z.coeffs):
+            if c:
+                step = gcd(step, i)
+    M = size // step
+    K = spec.field
+    d = K.ambient_dim
+    stride = 2 * d - 1
+    xs, dx = _flat(K, x.coeffs[::step])
+    ys, dy = (xs, dx) if y is x else _flat(K, y.coeffs[::step])
+    bound = max(map(abs, xs)) * max(map(abs, ys)) * M * d
+    width = ((bound.bit_length() + 2) + 7) // 8
+    half = 1 << (8 * width - 1)
+    px = _pack(xs, d, width, half)
+    prod = px * px if y is x else px * _pack(ys, d, width, half)
+
+    # signed digits: biasing every slot by half makes each one a
+    # nonnegative byte string
+    slots = (2 * M - 1) * stride
+    raw = (prod + _bias(slots, width, half)).to_bytes(slots * width, "little")
+    digits = [
+        int.from_bytes(raw[t : t + width], "little") - half
+        for t in range(0, slots * width, width)
+    ]
+    rows = []
+    for base in range(0, len(digits), stride):
+        row = digits[base : base + d]
+        for j in range(d - 1):
+            row[j] -= digits[base + d + j]
+        rows.append(row)
+    den = dx * dy
+    if M > 1:
+        a_num, da = _flat(K, (spec.a,))
+        if da != 1:
+            den *= da
+            rows[:M] = [[v * da for v in row] for row in rows[:M]]
+        for m in range(M - 1):
+            _add_negacyclic(rows[m], a_num, rows[M + m])
+
+    out = [K.zero()] * size
+    for m in range(M):
+        row = rows[m]
+        if K.kind == CYCLOTOMIC:
+            row = [Fraction(v, den) for v in row]
+        out[m * step] = AmbientElement(K, tuple(row))
     return AlgebraElement(spec, tuple(out))
+
+
+def _flat(K: FieldDescriptor, coeffs) -> Tuple[List[int], int]:
+    """The prime-field coordinates of ``coeffs``, concatenated, as
+    integers over one common denominator: (numerators, denominator)."""
+    vals = [v for c in coeffs for v in c.coeffs]
+    if K.kind != CYCLOTOMIC:
+        return vals, 1
+    den = lcm(*(v.denominator for v in vals))
+    return [v.numerator * (den // v.denominator) for v in vals], den
+
+
+def _pack(vals: List[int], d: int, width: int, half: int) -> int:
+    """Digits ``vals`` (d per power of u) at slots m*(2d-1) + j, each
+    ``width`` bytes, as one signed int."""
+    pad = half.to_bytes(width, "little") * (d - 1)
+    chunks = []
+    for base in range(0, len(vals), d):
+        for v in vals[base : base + d]:
+            chunks.append((v + half).to_bytes(width, "little"))
+        chunks.append(pad)
+    packed = b"".join(chunks)
+    return int.from_bytes(packed, "little") - _bias(len(packed) // width, width, half)
+
+
+def _bias(slots: int, width: int, half: int) -> int:
+    return int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+
+
+def _add_negacyclic(acc: List[int], f: List[int], h: List[int]) -> None:
+    """acc += f*h in Z[zeta]/(zeta^d + 1), d = len(acc)."""
+    d = len(acc)
+    for i, fi in enumerate(f):
+        if not fi:
+            continue
+        for j, hj in enumerate(h):
+            if hj:
+                k = i + j
+                if k < d:
+                    acc[k] += fi * hj
+                else:
+                    acc[k - d] -= fi * hj
 
 
 # ---------------------------------------------------------------------------
@@ -274,16 +391,16 @@ class Poly:
         return " ".join(parts)
 
 
-def min_poly_in_component(e: AlgebraElement, x: AlgebraElement) -> Poly:
-    """Minimal polynomial of z = x*e over K inside the component e*K_t<g>.
+def min_poly_in_component(e: AlgebraElement) -> Poly:
+    """Minimal polynomial of z = g*e over K inside the component e*K_t<g>.
 
     Incremental Gaussian elimination on the powers e, z, z^2, ... over
     the ambient field: the first power that becomes linearly dependent
     yields the monic relation directly.  Since e is idempotent,
-    z^k = x^k * e, so each power is the previous one times x (a shift
-    when x is a monomial such as g).  The resulting coefficients must
-    land in K; if they do not, z does not generate a K-rational
-    component and we refuse rather than return a wrong answer.
+    z^k = g^k * e, so each power is the previous one shifted by one.
+    The resulting coefficients must land in K; if they do not, z does
+    not generate a K-rational component and we refuse rather than
+    return a wrong answer.
     """
     spec = e.spec
     K = spec.field
@@ -307,14 +424,14 @@ def min_poly_in_component(e: AlgebraElement, x: AlgebraElement) -> Poly:
         if all(v.is_zero() for v in vec):
             poly = Poly(tuple(combo))
             if not poly.is_k_rational(K):
-                raise ValueError("x*e does not generate a K-rational component")
+                raise ValueError("g*e does not generate a K-rational component")
             return poly
         pivot = next(i for i, v in enumerate(vec) if not v.is_zero())
         inv = vec[pivot].inverse()
         vec = [inv * v for v in vec]
         combo = [inv * c for c in combo]
         rows.append((pivot, vec, combo))
-        cur = x * cur
+        cur = cur.shift(1)
         k += 1
         assert k <= spec.size, "no linear relation within the algebra dimension"
 

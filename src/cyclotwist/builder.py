@@ -303,10 +303,9 @@ def build(spec: AlgebraSpec, checked: bool = True) -> IdempotentFamily:
     s = h_n(K, spec.a, spec.n)
     dec = ks_decompose(K, spec.a, s)
     raw = _dispatch(spec, cls, dec)
-    gbar = spec.gbar()
     items = []
     for label, element in raw:
-        mp = min_poly_in_component(element, gbar)
+        mp = min_poly_in_component(element)
         items.append(IdempotentItem(label, element, mp.degree, mp))
     family = IdempotentFamily(spec, cls, dec, tuple(items))
     if checked:

@@ -149,13 +149,12 @@ def verify_family(
         failures.append("duplicate labels in family")
 
     minimal, ambient_failures = _descent(family, ambient)
-    gbar = spec.gbar()
     for it in family.items:
         e = it.element
         # p(g*e) = p(g)*e for idempotent e: Horner in g, each step a shift
         acc = spec.zero()
         for c in reversed(it.min_poly.coeffs):
-            acc = gbar * acc + e.scale(c)
+            acc = acc.shift(1) + e.scale(c)
         check = ItemCheck(
             label=it.label,
             nonzero=not e.is_zero(),
@@ -233,7 +232,7 @@ def _ambient_failures(ambient: IdempotentFamily) -> List[str]:
             out.append(f"{name} is not idempotent")
         else:
             bino = poly.as_binomial()
-            if spec.gbar(bino.degree) * e != e.scale(bino.constant):
+            if e.shift(bino.degree) != e.scale(bino.constant):
                 out.append(f"{name} is not annihilated by its min poly")
         total = total + e
     if total != spec.one():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclotwist.algebra import (
+    AlgebraElement,
     AlgebraSpec,
     Binomial,
     Poly,
@@ -14,6 +15,7 @@ from cyclotwist.algebra import (
     certify_irreducible,
     min_poly_in_component,
 )
+from cyclotwist.fields import FINITE, sigma
 from cyclotwist.grammar import parse_element, parse_field
 
 Q = parse_field("Q")
@@ -52,20 +54,109 @@ def test_degenerate_rank_zero():
     assert spec.gbar() == spec.one().scale(Q.scalar(2))
 
 
+# The fields the kernel must serve: F_5 (ambient dimension 1), F_7
+# (ambient F_49, dimension 2) and the cyclotomic ambients of dimension
+# 1 to 8.  Products and shifts are taken with ambient coefficients.
+KERNEL_FIELDS = ["F:5", "F:7", "Q", "QC:3", "QC:4", "QR:3", "QE:3"]
+
+
+def schoolbook_mul(x, y):
+    """The twisted cyclic convolution term by term: the reference the
+    packed product is checked against."""
+    spec = x.spec
+    size = spec.size
+    out = [spec.field.zero()] * size
+    for i, xi in enumerate(x.coeffs):
+        if xi.is_zero():
+            continue
+        for j, yj in enumerate(y.coeffs):
+            if yj.is_zero():
+                continue
+            k = i + j
+            if k < size:
+                out[k] = out[k] + xi * yj
+            else:
+                out[k - size] = out[k - size] + spec.a * (xi * yj)
+    return AlgebraElement(spec, tuple(out))
+
+
+@st.composite
+def ambient_elements(draw, K):
+    """Ambient elements with negative coordinates, mixed denominators
+    and numerators up to about 5^64 (k*5^e + j for small k and j)."""
+    if K.kind == FINITE:
+        coord = st.integers(-K.q, 2 * K.q)
+    else:
+        small = st.integers(-9, 9)
+        coord = st.builds(
+            lambda k, e, j, den: Fraction(k * 5**e + j, den),
+            small,
+            st.sampled_from([0, 1, 16, 64]),
+            small,
+            st.sampled_from([1, 2, 3, 7, 5**30, 2**40 * 3]),
+        )
+    dim = K.ambient_dim
+    return K.element(draw(st.lists(coord, min_size=dim, max_size=dim)))
+
+
+@st.composite
+def kernel_specs(draw, max_n=4):
+    K = parse_field(draw(st.sampled_from(KERNEL_FIELDS)))
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    # c + sigma(c) lies in K; its coordinates carry denominators too
+    c = draw(ambient_elements(K))
+    a = c + sigma(K, c)
+    return AlgebraSpec(K, n, a if a else K.one())
+
+
+@st.composite
+def algebra_elements(draw, spec):
+    """Dense, on every 2^j-th power of g, a single monomial, or zero."""
+    K = spec.field
+    support = draw(st.sampled_from(["dense", "lattice", "monomial", "zero"]))
+    if support == "zero":
+        return spec.zero()
+    if support == "monomial":
+        on = {draw(st.integers(0, spec.size - 1))}
+    else:
+        step = 1 if support == "dense" else 1 << draw(st.integers(0, spec.n))
+        on = set(range(0, spec.size, step))
+    return spec.element(
+        draw(ambient_elements(K)) if k in on else K.zero() for k in range(spec.size)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_packed_product_matches_schoolbook(data):
+    spec = data.draw(kernel_specs())
+    x = data.draw(algebra_elements(spec))
+    y = data.draw(algebra_elements(spec))
+    assert x * y == schoolbook_mul(x, y)
+    assert x * x == schoolbook_mul(x, x)
+
+
 @settings(max_examples=40, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=2),
-    st.integers(min_value=1, max_value=4),
-    st.tuples(*[st.integers(0, 4)] * 4),
-    st.tuples(*[st.integers(0, 4)] * 4),
-    st.tuples(*[st.integers(0, 4)] * 4),
-)
-def test_multiplication_laws(n, a0, xs, ys, zs):
-    spec = AlgebraSpec(F5, n, F5.scalar(a0))
-    cut = spec.size
-    x = spec.element([F5.scalar(c) for c in xs[:cut]])
-    y = spec.element([F5.scalar(c) for c in ys[:cut]])
-    z = spec.element([F5.scalar(c) for c in zs[:cut]])
+@given(st.data())
+def test_shift_is_the_product_by_a_monomial(data):
+    spec = data.draw(kernel_specs())
+    x = data.draw(algebra_elements(spec))
+    for k in range(3 * spec.size):
+        g_k = spec.gbar(k)
+        assert x.shift(k) == schoolbook_mul(g_k, x) == g_k * x
+
+
+def test_shift_refuses_negative_exponents():
+    spec = spec_of("Q", 2, "2")
+    with pytest.raises(ValueError, match="shift"):
+        spec.one().shift(-1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_multiplication_laws(data):
+    spec = data.draw(kernel_specs(max_n=3))
+    x, y, z = (data.draw(algebra_elements(spec)) for _ in range(3))
     assert x * y == y * x
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
@@ -77,7 +168,7 @@ def test_multiplication_laws(n, a0, xs, ys, zs):
 
 def test_min_poly_of_identity_component():
     spec = spec_of("Q", 2, "2")
-    p = min_poly_in_component(spec.one(), spec.gbar())
+    p = min_poly_in_component(spec.one())
     assert p.degree == 4
     assert str(p) == "x^4 - 2"
 
@@ -91,7 +182,7 @@ def test_min_poly_golden_quartic_split():
         [Q.scalar(half), Q.scalar(quarter), Q.zero(), Q.scalar(-eighth)]
     )
     assert e * e == e
-    p = min_poly_in_component(e, spec.gbar())
+    p = min_poly_in_component(e)
     assert str(p) == "x^2 - 2*x + 2"
 
 
@@ -104,7 +195,7 @@ def test_min_poly_refuses_non_rational_component():
     e = spec.element([half, Q.zero(), -i * half, Q.zero()])
     assert e * e == e
     with pytest.raises(ValueError, match="K-rational component"):
-        min_poly_in_component(e, spec.gbar())
+        min_poly_in_component(e)
 
 
 def test_poly_is_monic_only():

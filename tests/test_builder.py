@@ -266,3 +266,15 @@ def test_random_finite_builds_verify(field_spec, n, a_seed, a_rational):
         a = K.scalar(a_rational)
     family = build(AlgebraSpec(K, n, a))  # checked: raises on any failure
     assert sum(it.dim for it in family.items) == 1 << n
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["QC:3", "QC:4", "QR:3", "QE:3", "QR:4", "QE:4"]),
+    st.integers(min_value=0, max_value=5),
+    st.sampled_from([1, 2, 4, 16, 64, -1, -2, -4, -16, -64]),
+)
+def test_random_cyclotomic_builds_verify_to_depth_five(field_spec, n, a_rational):
+    K = parse_field(field_spec)
+    family = build(AlgebraSpec(K, n, K.scalar(a_rational)))  # checked
+    assert sum(it.dim for it in family.items) == 1 << n

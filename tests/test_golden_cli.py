@@ -1,9 +1,11 @@
-"""Byte-identity of the CLI on every selftest matrix case.
+"""Byte-identity of the CLI on every selftest matrix case and on a few
+deep instances.
 
-``golden_cli.json`` holds, for each MATRIX case under four commands,
-the sha256 of stdout and the exit code.  Refactors of the construction
-or the verifier must leave every entry unchanged.  To re-freeze after
-an intended output change, run from the repository root::
+``golden_cli.json`` holds, for each MATRIX case under four commands and
+for each call in ``DEEP``, the sha256 of stdout and the exit code.
+Refactors of the construction, the verifier or the arithmetic kernel
+must leave every entry unchanged.  To re-freeze after an intended
+output change, run from the repository root::
 
     PYTHONPATH=src python tests/test_golden_cli.py --freeze
 """
@@ -29,11 +31,27 @@ COMMANDS = (
     ("verify", "--json"),
 )
 
+# Instances of depth 5 to 7, where the big-integer products are largest:
+# long coefficients (a scaled by 5^64 and 5^32), F_q at n = 7, and the
+# deepest instances verify finishes in about a second.
+DEEP = (
+    ("idempotents", "--unchecked", "--json", "F:5", "7", "1"),
+    ("idempotents", "--unchecked", "--json", "F:13", "7", "3"),
+    ("idempotents", "--unchecked", "--json", "QC:4", "6", str(16 * 5**64)),
+    ("idempotents", "--unchecked", "--json", "Q", "5", str(16 * 5**32)),
+    ("idempotents", "--unchecked", "--json", "F:7", "5", "5"),
+    ("verify", "--json", "F:5", "6", "1"),
+    ("verify", "--json", "F:3", "7", "1"),
+    ("verify", "--json", "QR:3", "5", "170459392,120532992,0,-120532992"),
+)
+
 
 def argvs():
     for case in MATRIX:
         for command in COMMANDS:
             yield [*command, case.field, str(case.n), case.a]
+    for argv in DEEP:
+        yield list(argv)
 
 
 def run(argv):

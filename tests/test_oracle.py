@@ -143,7 +143,7 @@ def test_verify_flags_merged_components(field_spec, n, a, pair):
     family = build(spec, checked=False)
     items = {it.label: it for it in family.items}
     merged = items[pair[0]].element + items[pair[1]].element
-    poly = min_poly_in_component(merged, spec.gbar())
+    poly = min_poly_in_component(merged)
     rest = tuple(it for it in family.items if it.label not in pair)
     item = IdempotentItem(pair[0], merged, poly.degree, poly)
     report = verified(replace(family, items=(item,) + rest))
