@@ -12,9 +12,10 @@ the operands occupy, so an idempotent supported on every 2^j-th power
 of g costs a product of length 2^(n-j).  Multiplying by a power of g
 is ``AlgebraElement.shift``, a rotation of the coefficients.
 
-Also here: minimal polynomials of elements inside a component e*K_t<g>
-(computed by incremental Gaussian elimination, no factoring), and the
-irreducibility certificate for 2-power binomials over the ambient field.
+Also here: the monic polynomials over K that the construction states
+as minimal polynomials (it writes them in closed form, no factoring or
+linear algebra), and the irreducibility certificate for 2-power
+binomials over the ambient field.
 """
 
 from __future__ import annotations
@@ -389,51 +390,6 @@ class Poly:
                 body = f"({vec})" if k == 0 else f"({vec})*{mono}"
             parts.append(f"{sign} {body}")
         return " ".join(parts)
-
-
-def min_poly_in_component(e: AlgebraElement) -> Poly:
-    """Minimal polynomial of z = g*e over K inside the component e*K_t<g>.
-
-    Incremental Gaussian elimination on the powers e, z, z^2, ... over
-    the ambient field: the first power that becomes linearly dependent
-    yields the monic relation directly.  Since e is idempotent,
-    z^k = g^k * e, so each power is the previous one shifted by one.
-    The resulting coefficients must land in K; if they do not, z does
-    not generate a K-rational component and we refuse rather than
-    return a wrong answer.
-    """
-    spec = e.spec
-    K = spec.field
-    if e.is_zero() or e * e != e:
-        raise ValueError("e must be a nonzero idempotent")
-    zero, one = K.zero(), K.one()
-
-    rows = []  # (pivot index, echelon vector, expression in powers of z)
-    cur = e
-    k = 0
-    while True:
-        vec = list(cur.coeffs)
-        combo = [zero] * k + [one]
-        for pivot, rvec, rcombo in rows:
-            f = vec[pivot]
-            if f.is_zero():
-                continue
-            vec = [v - f * r for v, r in zip(vec, rvec)]
-            small = [f * c for c in rcombo] + [zero] * (len(combo) - len(rcombo))
-            combo = [c - s for c, s in zip(combo, small)]
-        if all(v.is_zero() for v in vec):
-            poly = Poly(tuple(combo))
-            if not poly.is_k_rational(K):
-                raise ValueError("g*e does not generate a K-rational component")
-            return poly
-        pivot = next(i for i, v in enumerate(vec) if not v.is_zero())
-        inv = vec[pivot].inverse()
-        vec = [inv * v for v in vec]
-        combo = [inv * c for c in combo]
-        rows.append((pivot, vec, combo))
-        cur = cur.shift(1)
-        k += 1
-        assert k <= spec.size, "no linear relation within the algebra dimension"
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,12 @@ are (sums of two) powers of roots of unity chosen so that the result is
 K-rational.  Which family of weights applies is decided entirely by the
 field type (B/D/E), the depth s of a in the 2-power filtration, and the
 coset form of a in K_s.  The case functions below each produce one
-complete family; ``build`` dispatches and decorates the elements with
-their component dimensions and minimal polynomials.
+complete family, every item stated with its component dimension and
+the minimal polynomial the character sum already determines (see
+``_item``); ``build`` only dispatches.
 
 Index conventions that completeness depends on (checked by the test
-suite, with switches to reproduce the rejected narrower variants):
+suite, which drops the labels of the rejected narrower variants):
 
 * in the plain high-depth family (``thm3_case3``) the double-indexed
   block starts at r = 0, not r = 1;
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
-from .algebra import AlgebraElement, AlgebraSpec, Poly, min_poly_in_component
+from .algebra import AlgebraElement, AlgebraSpec, Poly
 from .classify import (
     EPS_COSET,
     NEGATED,
@@ -45,14 +46,12 @@ from .classify import (
 )
 from .fields import IDENTITY, AmbientElement, FieldDescriptor, eps
 
-RawItem = Tuple[tuple, AlgebraElement]
-
-
 @dataclass(frozen=True)
 class IdempotentItem:
-    """One minimal idempotent with its component data.  ``dim`` is the
-    K-dimension of the component e*K_t<g>, which equals the degree of
-    the minimal polynomial of g*e."""
+    """One minimal idempotent with its component data, as the
+    construction states them: ``dim`` is the K-dimension of the
+    component e*K_t<g> and ``min_poly`` the minimal polynomial of g*e,
+    of degree ``dim``.  ``verify_family`` proves both."""
 
     label: tuple
     element: AlgebraElement
@@ -102,19 +101,48 @@ def _char_sum(
     return AlgebraElement(spec, tuple(coeffs))
 
 
+def _item(
+    label: tuple,
+    spec: AlgebraSpec,
+    s: int,
+    r: int,
+    b: AmbientElement,
+    *chis: AmbientElement,
+) -> IdempotentItem:
+    """The item e = ``_char_sum(spec, s, r, b, *chis)`` with its
+    component, in closed form.  The part of e for one chi satisfies
+    g^S * e_chi = (b^(2^r) / chi) * e_chi, S = 2^(n-s+r) (idempotency
+    makes (chi * b^(-2^r))^T * a = 1), so g*e is cut out by
+    prod_chi (x^S - b^(2^r) / chi) of degree S * len(chis).
+    ``verify_family`` proves that this is the minimal polynomial."""
+    K = spec.field
+    S = 1 << (spec.n - s + r)
+    br = b ** (1 << r)
+    coeffs = [K.one()]
+    for chi in chis:
+        c = br / chi
+        # times x^S - c
+        shifted = [K.zero()] * S + coeffs
+        for k, x in enumerate(coeffs):
+            shifted[k] = shifted[k] - c * x
+        coeffs = shifted
+    element = _char_sum(spec, s, r, b, *chis)
+    return IdempotentItem(label, element, S * len(chis), Poly(tuple(coeffs)))
+
+
 # ---------------------------------------------------------------------------
 # the five construction cases
 # ---------------------------------------------------------------------------
 
 
-def thm2_case1(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[RawItem]:
+def thm2_case1(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[IdempotentItem]:
     """All 2-power roots of unity needed are in K (s <= m): the 2^s
     characters of <h> each give one idempotent of dimension 2^(n-s)."""
     es = eps(spec.field, s)
-    return [((i,), _char_sum(spec, s, 0, b, es**-i)) for i in range(1 << s)]
+    return [_item((i,), spec, s, 0, b, es**-i) for i in range(1 << s)]
 
 
-def thm2_case2(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[RawItem]:
+def thm2_case2(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[IdempotentItem]:
     """K = A but s exceeds m: the first 2^m characters are averaged at
     full length, the rest collapse into one family per extra power of
     two, built on the squared generators."""
@@ -122,18 +150,18 @@ def thm2_case2(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[RawItem]:
     m = K.root_level
     assert s > m
     em = eps(K, m)
-    items: List[RawItem] = [
-        ((i,), _char_sum(spec, s, 0, b, em**-i)) for i in range(1 << m)
+    items: List[IdempotentItem] = [
+        _item((i,), spec, s, 0, b, em**-i) for i in range(1 << m)
     ]
     em1 = eps(K, m - 1)
     for r in range(1, s - m + 1):
         for i in range(1 << (m - 1)):
             chi = em**-1 * em1**-i
-            items.append(((r, i), _char_sum(spec, s, r, b, chi)))
+            items.append(_item((r, i), spec, s, r, b, chi))
     return items
 
 
-def thm3_case2(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[RawItem]:
+def thm3_case2(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[IdempotentItem]:
     """a = b^(2^s) with 1 <= s <= m-1 and K != A: the characters of <h>
     pair off under the involution; endpoints i = 0 and i = 2^(s-1) are
     self-paired."""
@@ -142,7 +170,7 @@ def thm3_case2(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[RawItem]:
     es = eps(K, s)
     one = K.one()
     half = 1 << (s - 1)
-    items: List[RawItem] = []
+    items: List[IdempotentItem] = []
     for i in range(half + 1):
         if i == 0:
             chis = (one,)
@@ -150,65 +178,45 @@ def thm3_case2(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[RawItem]:
             chis = (-one,)
         else:
             chis = (es**i, es**-i)
-        items.append(((i,), _char_sum(spec, s, 0, b, *chis)))
+        items.append(_item((i,), spec, s, 0, b, *chis))
     return items
 
 
-def thm3_case4(
-    spec: AlgebraSpec, s: int, b: AmbientElement, *, _first_index: int = 0
-) -> List[RawItem]:
+def thm3_case4(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[IdempotentItem]:
     """a = -b^(2^s) with 1 <= s <= m-1: weights mix eps_{s+1} with the
     characters of <h>.  The sign lam flips exactly for type E at
-    s = m-1, where the involution negates odd powers of eps_{s+1}.
-
-    ``_first_index`` exists only so tests can demonstrate that starting
-    the family at i = 1 loses a component; the default 0 is correct.
-    """
+    s = m-1, where the involution negates odd powers of eps_{s+1}."""
     K = spec.field
     cls = classify(K)
     assert 1 <= s <= cls.m - 1 and cls.field_type in (TYPE_D, TYPE_E)
     lam = -K.one() if (cls.field_type == TYPE_E and s == cls.m - 1) else K.one()
     es1 = eps(K, s + 1)
     esm = eps(K, s - 1)
-    items: List[RawItem] = []
-    for i in range(_first_index, 1 << (s - 1)):
+    items: List[IdempotentItem] = []
+    for i in range(1 << (s - 1)):
         chi1 = es1**-1 * esm**-i
         chi2 = lam * es1 * esm**i
-        items.append(((i,), _char_sum(spec, s, 0, b, chi1, chi2)))
+        items.append(_item((i,), spec, s, 0, b, chi1, chi2))
     return items
 
 
-def thm3_case3(
-    spec: AlgebraSpec,
-    s: int,
-    b: AmbientElement,
-    *,
-    _double_from_r: int = 0,
-    _flip_lambda: bool = False,
-) -> List[RawItem]:
+def thm3_case3(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[IdempotentItem]:
     """a = b^(2^s) with s >= m and K != A: the low characters pair off
     as in the shallow case (over eps_{m-1}); past the root-of-unity
     supply a double-indexed block over the squared generators takes
     over, starting at r = 0.  The sign lam in the double block is +1
-    for type D and -1 for type E.
-
-    ``_double_from_r`` and ``_flip_lambda`` exist only so tests can
-    demonstrate that starting the block at r = 1 (or negating lam)
-    breaks completeness; the defaults are correct.
-    """
+    for type D and -1 for type E."""
     K = spec.field
     cls = classify(K)
     m = cls.m
     assert s >= m and cls.field_type in (TYPE_D, TYPE_E)
     lam = K.one() if cls.field_type == TYPE_D else -K.one()
-    if _flip_lambda:
-        lam = -lam
     one = K.one()
     em = eps(K, m)
     em1 = eps(K, m - 1)
     em2 = eps(K, m - 2)
     quarter = 1 << (m - 2)
-    items: List[RawItem] = []
+    items: List[IdempotentItem] = []
     for i in range(quarter + 1):
         if i == 0:
             chis = (one,)
@@ -216,16 +224,16 @@ def thm3_case3(
             chis = (-one,)
         else:
             chis = (em1**i, em1**-i)
-        items.append(((i,), _char_sum(spec, s, 0, b, *chis)))
-    for r in range(_double_from_r, s - m + 1):
+        items.append(_item((i,), spec, s, 0, b, *chis))
+    for r in range(s - m + 1):
         for i in range(quarter):
             chi1 = em**-1 * em2**-i
             chi2 = lam * em * em2**i
-            items.append(((r, i), _char_sum(spec, s, r, b, chi1, chi2)))
+            items.append(_item((r, i), spec, s, r, b, chi1, chi2))
     return items
 
 
-def thm3_case5(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[RawItem]:
+def thm3_case5(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[IdempotentItem]:
     """a = (1+eps_m)^(2^s) b^(2^s), type D, s >= m.  The unit 1+eps_m
     threads through every weight.  At s = m the first family is already
     complete; deeper s add two self-paired idempotents, a paired block
@@ -239,11 +247,11 @@ def thm3_case5(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[RawItem]:
     u = eps(K, m)
     opu = one + u
     em1 = eps(K, m - 1)
-    items: List[RawItem] = []
+    items: List[IdempotentItem] = []
     for i in range(1 << (m - 1)):
         chi1 = opu**-1 * em1**-i
         chi2 = opu**-1 * u * em1**i
-        items.append(((i,), _char_sum(spec, s, 0, b, chi1, chi2)))
+        items.append(_item((i,), spec, s, 0, b, chi1, chi2))
     if s == m:
         return items
     c0inv = (2 + u + u**-1) ** -1
@@ -251,16 +259,16 @@ def thm3_case5(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[RawItem]:
     for i in range(quarter - 1):
         chi1 = c0inv * em1 ** -(1 + i)
         chi2 = c0inv * em1 ** (1 + i)
-        items.append(((1, i), _char_sum(spec, s, 1, b, chi1, chi2)))
-    items.append(((1, quarter - 1), _char_sum(spec, s, 1, b, -c0inv)))
-    items.append(((1, (1 << (m - 1)) - 1), _char_sum(spec, s, 1, b, c0inv)))
+        items.append(_item((1, i), spec, s, 1, b, chi1, chi2))
+    items.append(_item((1, quarter - 1), spec, s, 1, b, -c0inv))
+    items.append(_item((1, (1 << (m - 1)) - 1), spec, s, 1, b, c0inv))
     em2 = eps(K, m - 2)
     for r in range(2, s - m + 1):
         opur_inv = opu ** -(1 << r)
         for i in range(quarter):
             chi1 = opur_inv * u**-1 * em2**-i
             chi2 = opur_inv * u * em2 ** (i + (1 << (r - 2)))
-            items.append(((r, i), _char_sum(spec, s, r, b, chi1, chi2)))
+            items.append(_item((r, i), spec, s, r, b, chi1, chi2))
     return items
 
 
@@ -271,7 +279,7 @@ def thm3_case5(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[RawItem]:
 
 def _dispatch(
     spec: AlgebraSpec, cls: Classification, dec: CosetDecomposition
-) -> List[RawItem]:
+) -> List[IdempotentItem]:
     s = dec.s
     if cls.field_type == TYPE_B:
         assert dec.form == PLAIN
@@ -302,12 +310,8 @@ def build(spec: AlgebraSpec, checked: bool = True) -> IdempotentFamily:
     cls = classify(K, spec.n)
     s = h_n(K, spec.a, spec.n)
     dec = ks_decompose(K, spec.a, s)
-    raw = _dispatch(spec, cls, dec)
-    items = []
-    for label, element in raw:
-        mp = min_poly_in_component(element)
-        items.append(IdempotentItem(label, element, mp.degree, mp))
-    family = IdempotentFamily(spec, cls, dec, tuple(items))
+    items = tuple(_dispatch(spec, cls, dec))
+    family = IdempotentFamily(spec, cls, dec, items)
     if checked:
         return verified(family, ambient_family(family))
     return family

@@ -47,16 +47,33 @@ class AmbientError(ValueError):
     """Raised for ill-formed descriptors, elements, or mixed-field ops."""
 
 
+# Miller-Rabin on the prime bases up to 41 decides primality exactly
+# below psi_13 (Sorenson & Webster, "Strong pseudoprimes to twelve prime
+# bases", 2015); larger moduli are refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin, exact for p < PRIME_TEST_BOUND."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for base in _MR_BASES:
+        if p % base == 0:
+            return p == base
+    odd = p - 1
+    w = _v2(odd)
+    odd >>= w
+    for base in _MR_BASES:
+        x = pow(base, odd, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(w - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -100,6 +117,11 @@ class FieldDescriptor:
         elif self.kind == FINITE:
             if self.level:
                 raise AmbientError("finite descriptor must not set level")
+            if self.q >= PRIME_TEST_BOUND:
+                raise AmbientError(
+                    f"finite modulus must be below {PRIME_TEST_BOUND}, the "
+                    "bound of the primality test"
+                )
             if self.q < 3 or self.q % 2 == 0 or not _is_prime(self.q):
                 raise AmbientError("finite modulus must be an odd prime")
             if self.d not in (1, 2):
@@ -466,26 +488,21 @@ def _fin_pow(a: tuple, e: int, q: int) -> tuple:
     return acc
 
 
-def _fin_tuples(q: int, d: int) -> Iterator[tuple]:
-    if d == 1:
-        for c0 in range(q):
-            yield (c0,)
-    else:
-        for c0 in range(q):
-            for c1 in range(q):
-                yield (c0, c1)
-
-
 @functools.lru_cache(maxsize=None)
 def _fin_nonresidue(q: int, d: int) -> tuple:
-    """First non-square in coordinate order (Euler's criterion)."""
-    half = (q**d - 1) // 2
-    one = (1,) + (0,) * (d - 1)
-    for cand in _fin_tuples(q, d):
-        if not any(cand):
-            continue
-        if _fin_pow(cand, half, q) != one:
-            return cand
+    """First non-square of F_{q^d} in coordinate order.
+
+    x is a square iff its norm to F_q is (Euler's criterion, since
+    x^((q^d-1)/2) = N(x)^((q-1)/2)).  In F_q[i] every element of the
+    rows (0, c) and (1, 0) is a square (F_q^* and i both are), so the
+    first non-square is (1, c) for the least c with 1 + c^2 a non-square
+    mod q; (q+1)/2 values of c qualify.
+    """
+    half = (q - 1) // 2
+    for c in range(1, q):
+        norm = c if d == 1 else 1 + c * c
+        if pow(norm, half, q) != 1:
+            return (c,) if d == 1 else (1, c)
     raise AssertionError("no non-residue found in a field of odd order")
 
 

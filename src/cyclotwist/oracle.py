@@ -131,13 +131,16 @@ def verify_family(
     each item minimal by descent from ``ambient``, the family of the
     same algebra over A (see ``builder.ambient_family``).
 
-    Orthogonality is implied, not multiplied out.  An item e annihilated
-    by its minimal polynomial of degree d spans a component e*K_t<g> of
-    dimension at most d, since g*e generates it.  Idempotents that sum
-    to 1 make K_t<g> the sum of their components, so those dimensions
-    sum to at least 2^n.  Degrees summing to 2^n then make the sum
-    direct, and e*f lies in e*K_t<g> and f*K_t<g>, whose intersection
-    is 0.
+    The construction states each item's minimal polynomial p; these
+    checks prove it, and imply orthogonality rather than multiply it
+    out.  An idempotent e whose p annihilates g*e (p(g*e) = p(g)*e, the
+    Horner check) spans a component e*K_t<g> of dimension at most
+    deg p, since g*e generates it.  Idempotents that sum to 1 make
+    K_t<g> the sum of their components, so those dimensions sum to at
+    least 2^n.  Degrees summing to 2^n then force every dimension to
+    equal deg p, so p, which the minimal polynomial divides, is the
+    minimal polynomial; and they make the sum direct, so e*f, which
+    lies in e*K_t<g> and f*K_t<g>, is 0.
     """
     spec = family.spec
     K = spec.field

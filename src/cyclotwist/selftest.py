@@ -368,10 +368,10 @@ def criterion_conjugate_pairing(max_enum: int = DEFAULT_ENUM_BUDGET) -> Criterio
 def criterion_index_regressions(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionResult:
     details: List[str] = []
 
-    def family_sum(spec: AlgebraSpec, raw) -> bool:
+    def family_sum(spec: AlgebraSpec, items) -> bool:
         total = spec.zero()
-        for _, e in raw:
-            total = total + e
+        for it in items:
+            total = total + it.element
         return total == spec.one()
 
     # Negated family must start at i = 0: with i = 1 the (Q, 2, -1)
@@ -380,9 +380,10 @@ def criterion_index_regressions(max_enum: int = DEFAULT_ENUM_BUDGET) -> Criterio
     spec = case.spec()
     s = h_n(spec.field, spec.a, spec.n)
     dec = ks_decompose(spec.field, spec.a, s)
-    if family_sum(spec, thm3_case4(spec, s, dec.b, _first_index=1)):
+    items = thm3_case4(spec, s, dec.b)
+    if family_sum(spec, [it for it in items if it.label != (0,)]):
         details.append(f"{case}: the rejected i=1 reading unexpectedly sums to 1")
-    if not family_sum(spec, thm3_case4(spec, s, dec.b)):
+    if not family_sum(spec, items):
         details.append(f"{case}: the adopted i=0 reading fails to sum to 1")
 
     # Deep paired family must include the r = 0 block: without it the
@@ -391,9 +392,10 @@ def criterion_index_regressions(max_enum: int = DEFAULT_ENUM_BUDGET) -> Criterio
     spec = case.spec()
     s = h_n(spec.field, spec.a, spec.n)
     dec = ks_decompose(spec.field, spec.a, s)
-    if family_sum(spec, thm3_case3(spec, s, dec.b, _double_from_r=1)):
+    items = thm3_case3(spec, s, dec.b)
+    if family_sum(spec, [it for it in items if len(it.label) == 1 or it.label[0] >= 1]):
         details.append(f"{case}: the rejected r=1 reading unexpectedly sums to 1")
-    if not family_sum(spec, thm3_case3(spec, s, dec.b)):
+    if not family_sum(spec, items):
         details.append(f"{case}: the adopted r=0 reading fails to sum to 1")
     return CriterionResult(
         7,

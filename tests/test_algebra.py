@@ -1,5 +1,6 @@
 """The twisted algebra K_t<g>, minimal polynomials, and irreducibility."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,10 +14,12 @@ from cyclotwist.algebra import (
     Poly,
     binomial_irreducible,
     certify_irreducible,
-    min_poly_in_component,
 )
+from cyclotwist.builder import IdempotentItem, ambient_family, build
 from cyclotwist.fields import FINITE, sigma
 from cyclotwist.grammar import parse_element, parse_field
+from cyclotwist.oracle import verify_family
+from test_builder import min_poly_reference
 
 Q = parse_field("Q")
 QR3 = parse_field("QR:3")
@@ -167,23 +170,28 @@ def test_multiplication_laws(data):
 
 
 def test_min_poly_of_identity_component():
-    spec = spec_of("Q", 2, "2")
-    p = min_poly_in_component(spec.one())
-    assert p.degree == 4
-    assert str(p) == "x^4 - 2"
+    # x^4 - 2 is irreducible over Q: one component, cut out by 1
+    family = build(spec_of("Q", 2, "2"))
+    [item] = family.items
+    assert item.element == family.spec.one()
+    assert item.dim == 4
+    assert str(item.min_poly) == "x^4 - 2"
 
 
 def test_min_poly_golden_quartic_split():
-    # x^4 + 4 splits as (x^2 - 2x + 2)(x^2 + 2x + 2); the two components
-    # are cut out by e = 1/2 +- (g/4 - g^3/8)
+    # x^4 + 4 splits as (x^2 + 2x + 2)(x^2 - 2x + 2); the two components
+    # are cut out by e = 1/2 -+ (g/4 - g^3/8)
     spec = spec_of("Q", 2, "-4")
+    family = build(spec)
     half, quarter, eighth = Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)
-    e = spec.element(
-        [Q.scalar(half), Q.scalar(quarter), Q.zero(), Q.scalar(-eighth)]
-    )
-    assert e * e == e
-    p = min_poly_in_component(e)
-    assert str(p) == "x^2 - 2*x + 2"
+    assert [it.element for it in family.items] == [
+        spec.element([half, -quarter, 0, eighth]),
+        spec.element([half, quarter, 0, -eighth]),
+    ]
+    assert [str(it.min_poly) for it in family.items] == [
+        "x^2 + 2*x + 2",
+        "x^2 - 2*x + 2",
+    ]
 
 
 def test_min_poly_refuses_non_rational_component():
@@ -195,7 +203,15 @@ def test_min_poly_refuses_non_rational_component():
     e = spec.element([half, Q.zero(), -i * half, Q.zero()])
     assert e * e == e
     with pytest.raises(ValueError, match="K-rational component"):
-        min_poly_in_component(e)
+        min_poly_reference(e)
+    # stated as a family item with x^2 - i, verification rejects it
+    family = build(spec, checked=False)
+    item = IdempotentItem((0,), e, 2, Poly((-i, Q.zero(), Q.one())))
+    report = verify_family(replace(family, items=(item,)), ambient_family(family))
+    [check] = report.item_checks
+    assert check.idempotent and check.min_poly_annihilates
+    assert not check.k_rational and not check.min_poly_k_rational
+    assert not check.primitive and not report.ok
 
 
 def test_poly_is_monic_only():

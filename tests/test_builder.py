@@ -4,8 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclotwist.algebra import AlgebraSpec
-from cyclotwist.builder import _char_sum, build, thm3_case3, thm3_case4
+from cyclotwist.algebra import AlgebraSpec, Poly
+from cyclotwist.builder import (
+    _char_sum,
+    _item,
+    ambient_family,
+    build,
+    thm3_case3,
+    thm3_case4,
+)
 from cyclotwist.classify import (
     EPS_COSET,
     NEGATED,
@@ -31,11 +38,51 @@ def decomposed(spec):
     return s, ks_decompose(spec.field, spec.a, s)
 
 
-def raw_sum(spec, raw):
+def items_sum(spec, items):
     total = spec.zero()
-    for _, e in raw:
-        total = total + e
+    for it in items:
+        total = total + it.element
     return total
+
+
+def min_poly_reference(e):
+    """Minimal polynomial of z = g*e over K inside the component
+    e*K_t<g>, found by incremental Gaussian elimination on the powers
+    e, z, z^2, ... over the ambient field: the first power that becomes
+    linearly dependent yields the monic relation.  Since e is
+    idempotent, z^k = g^k * e.  Refuses a relation outside K[x]."""
+    spec = e.spec
+    K = spec.field
+    if e.is_zero() or e * e != e:
+        raise ValueError("e must be a nonzero idempotent")
+    zero, one = K.zero(), K.one()
+
+    rows = []  # (pivot index, echelon vector, expression in powers of z)
+    cur = e
+    k = 0
+    while True:
+        vec = list(cur.coeffs)
+        combo = [zero] * k + [one]
+        for pivot, rvec, rcombo in rows:
+            f = vec[pivot]
+            if f.is_zero():
+                continue
+            vec = [v - f * r for v, r in zip(vec, rvec)]
+            small = [f * c for c in rcombo] + [zero] * (len(combo) - len(rcombo))
+            combo = [c - s for c, s in zip(combo, small)]
+        if all(v.is_zero() for v in vec):
+            poly = Poly(tuple(combo))
+            if not poly.is_k_rational(K):
+                raise ValueError("g*e does not generate a K-rational component")
+            return poly
+        pivot = next(i for i, v in enumerate(vec) if not v.is_zero())
+        inv = vec[pivot].inverse()
+        vec = [inv * v for v in vec]
+        combo = [inv * c for c in combo]
+        rows.append((pivot, vec, combo))
+        cur = cur.shift(1)
+        k += 1
+        assert k <= spec.size, "no linear relation within the algebra dimension"
 
 
 # -- structure of built families ----------------------------------------------
@@ -122,40 +169,50 @@ def test_char_sum_matches_dense_powers(field_spec, n, a):
 
 
 def test_negated_family_must_start_at_zero():
+    # the family that starts at i = 1 is the one without e(0,)
     spec = spec_of("Q", 2, "-1")
     s, dec = decomposed(spec)
-    assert raw_sum(spec, thm3_case4(spec, s, dec.b)) == spec.one()
-    narrowed = thm3_case4(spec, s, dec.b, _first_index=1)
-    assert narrowed == []  # the family has a single item, at i = 0
+    full = thm3_case4(spec, s, dec.b)
+    assert items_sum(spec, full) == spec.one()
+    assert [it.label for it in full] == [(0,)]  # i = 1 leaves nothing
 
     spec = spec_of("QE:3", 2, "-1")
     s, dec = decomposed(spec)
-    narrowed = thm3_case4(spec, s, dec.b, _first_index=1)
+    narrowed = [it for it in thm3_case4(spec, s, dec.b) if it.label != (0,)]
     assert len(narrowed) == 1
-    assert raw_sum(spec, narrowed) != spec.one()
+    assert items_sum(spec, narrowed) != spec.one()
 
 
 def test_deep_paired_family_needs_r0_block():
+    # the block that starts at r = 1 is the family without e(0, i)
     spec = spec_of("F:3", 3, "1")
     s, dec = decomposed(spec)
     full = thm3_case3(spec, s, dec.b)
-    assert raw_sum(spec, full) == spec.one()
-    narrowed = thm3_case3(spec, s, dec.b, _double_from_r=1)
+    assert items_sum(spec, full) == spec.one()
+    narrowed = [it for it in full if len(it.label) == 1 or it.label[0] >= 1]
     assert len(narrowed) == len(full) - 2
-    assert raw_sum(spec, narrowed) != spec.one()
+    assert items_sum(spec, narrowed) != spec.one()
 
 
 def test_flipped_lambda_loses_k_rationality():
-    # With the sign flipped the double-indexed items recombine into
-    # idempotents of the ambient algebra: still idempotent, still
+    # With the sign of lam flipped the double-indexed items recombine
+    # into idempotents of the ambient algebra: still idempotent, still
     # summing to 1, but no longer K-rational - verification rejects.
     spec = spec_of("F:3", 3, "1")
+    K = spec.field
     s, dec = decomposed(spec)
-    flipped = thm3_case3(spec, s, dec.b, _flip_lambda=True)
-    assert raw_sum(spec, flipped) == spec.one()
-    doubles = [e for label, e in flipped if len(label) == 2]
-    assert doubles and all(not e.is_k_rational() for e in doubles)
-    assert all(e * e == e for e in doubles)
+    m = classify(K).m
+    lam = -K.one()  # type E
+    em, em2 = eps(K, m), eps(K, m - 2)
+    singles = [it for it in thm3_case3(spec, s, dec.b) if len(it.label) == 1]
+    doubles = [
+        _item((r, i), spec, s, r, dec.b, em**-1 * em2**-i, -lam * em * em2**i)
+        for r in range(s - m + 1)
+        for i in range(1 << (m - 2))
+    ]
+    assert items_sum(spec, singles + doubles) == spec.one()
+    assert doubles and all(not it.element.is_k_rational() for it in doubles)
+    assert all(it.element * it.element == it.element for it in doubles)
 
 
 # -- certification of non-binomial components -----------------------------------
@@ -278,3 +335,25 @@ def test_random_cyclotomic_builds_verify_to_depth_five(field_spec, n, a_rational
     K = parse_field(field_spec)
     family = build(AlgebraSpec(K, n, K.scalar(a_rational)))  # checked
     assert sum(it.dim for it in family.items) == 1 << n
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(
+        ["Q", "QC:3", "QC:4", "QR:3", "QR:4", "QE:3", "QE:4"]
+        + ["F:3", "F:5", "F:7", "F:11", "F:13"]
+    ),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=1, max_value=200),
+    st.sampled_from([1, 2, 4, 16, 64, -1, -2, -4, -16, -64]),
+)
+def test_stated_min_poly_matches_gaussian_reference(field_spec, n, a_seed, a_rational):
+    K = parse_field(field_spec)
+    if K.kind == FINITE:
+        a = K.scalar(1 + a_seed % (K.q - 1))
+    else:
+        a = K.scalar(a_rational)
+    family = build(AlgebraSpec(K, n, a))  # checked
+    for it in family.items + ambient_family(family).items:
+        assert it.min_poly == min_poly_reference(it.element)
+        assert it.dim == it.min_poly.degree

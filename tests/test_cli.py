@@ -172,12 +172,21 @@ def test_verify_json(capsys):
         ["idempotents", "Q", "2", "1,2,3"],
         ["idempotents", "Q", "2", "0"],
         ["idempotents", "QE:3", "2", "7,x"],
+        ["classify", "F:3317044064679887385961983"],  # beyond the primality test
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("q", ["1000000007", "2305843009213693951"])
+def test_classify_large_prime_moduli(capsys, q):
+    # both are 3 mod 4: F_q is presented in F_q[i], type E
+    code, out, err = run(capsys, "classify", f"F:{q}")
+    assert code == 0 and err == ""
+    assert out.startswith(f"field: F:{q}\ntype: E\n")
 
 
 def test_output_is_deterministic(capsys):

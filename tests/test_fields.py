@@ -1,6 +1,8 @@
 """Ambient field arithmetic: cyclotomic towers and F_q / F_q[i]."""
 
+import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,11 @@ from cyclotwist.fields import (
     IDENTITY,
     INVERSE_CONJ,
     NEGATED_INVERSE_CONJ,
+    PRIME_TEST_BOUND,
     AmbientError,
     FieldDescriptor,
+    _fin_nonresidue,
+    _is_prime,
     eps,
     is_in_k,
     kth_power_test_branching,
@@ -222,3 +227,65 @@ def test_branching_agrees_with_exhaustion_finite(K):
         powers = {x**k for x in units}
         for x in units:
             assert (kth_power_test_branching(K, x, k) is not None) == (x in powers)
+
+
+# -- primality and the first non-square ------------------------------------
+
+
+def _prime_by_trial_division(p):
+    return p > 1 and all(p % f for f in range(2, isqrt(p) + 1))
+
+
+def _first_non_square_by_scan(q):
+    """The first non-square of F_q[i] in coordinate order, by scanning
+    every (c0, c1) with Euler's criterion x^((q^2 - 1)/2) != 1, taken as
+    (x^(q+1))^((q-1)/2); x^(q+1) is computed in F_q[i] and lands in F_q."""
+    bits = bin(q + 1)[3:]
+    for c0 in range(q):
+        for c1 in range(q):
+            if not (c0 or c1):
+                continue
+            x, y = c0, c1
+            for bit in bits:
+                x, y = (x * x - y * y) % q, 2 * x * y % q
+                if bit == "1":
+                    x, y = (x * c0 - y * c1) % q, (x * c1 + y * c0) % q
+            assert y == 0
+            if pow(x, (q - 1) // 2, q) != 1:
+                return (c0, c1)
+
+
+def test_primality_matches_trial_division():
+    assert [p for p in range(5000) if _is_prime(p)] == [
+        p for p in range(5000) if _prime_by_trial_division(p)
+    ]
+
+
+def test_large_prime_modulus_is_accepted_fast():
+    start = time.perf_counter()
+    K = FieldDescriptor(FINITE, FROBENIUS, q=2**61 - 1, d=2)
+    assert time.perf_counter() - start < 1
+    assert K.q == 2**61 - 1
+
+
+def test_strong_pseudoprime_is_refused():
+    # 3215031751 = 151 * 751 * 28351 passes Miller-Rabin to the bases 2, 3, 5, 7
+    with pytest.raises(AmbientError, match="odd prime"):
+        FieldDescriptor(FINITE, FROBENIUS, q=3215031751, d=2)
+
+
+def test_modulus_beyond_the_primality_bound_is_refused():
+    assert PRIME_TEST_BOUND == 3317044064679887385961981
+    with pytest.raises(AmbientError, match=f"below {PRIME_TEST_BOUND}"):
+        FieldDescriptor(FINITE, IDENTITY, q=PRIME_TEST_BOUND + 2, d=1)
+
+
+def test_first_non_square_matches_the_full_scan():
+    primes = [q for q in range(3, 3000) if _prime_by_trial_division(q)]
+    inert = [q for q in primes if q % 4 == 3]
+    assert len(inert) == 218
+    for q in inert:
+        assert _fin_nonresidue(q, 2) == _first_non_square_by_scan(q)
+    for q in primes:
+        least = next(c for c in range(1, q) if pow(c, (q - 1) // 2, q) != 1)
+        assert _fin_nonresidue(q, 1) == (least,)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from cyclotwist.algebra import AlgebraSpec, min_poly_in_component
+from cyclotwist.algebra import AlgebraSpec, Poly
 from cyclotwist.builder import IdempotentItem, ambient_family, build
 from cyclotwist.grammar import parse_element, parse_field
 from cyclotwist.oracle import (
@@ -14,6 +14,7 @@ from cyclotwist.oracle import (
     cross_check,
     verify_family,
 )
+from test_builder import min_poly_reference
 
 
 def spec_of(field_spec, n, a_literal):
@@ -128,6 +129,46 @@ def test_verify_flags_wrong_dim():
     assert not report.ok
 
 
+def with_stated_poly(family, label, poly):
+    items = tuple(
+        replace(it, min_poly=poly, dim=poly.degree) if it.label == label else it
+        for it in family.items
+    )
+    return replace(family, items=items)
+
+
+@pytest.mark.parametrize("field_spec, n, a", [("Q", 3, "16"), ("F:5", 2, "1")])
+def test_verify_flags_stated_poly_with_wrong_constant(field_spec, n, a):
+    family = build(spec_of(field_spec, n, a), checked=False)
+    item = family.items[0]
+    coeffs = item.min_poly.coeffs
+    wrong = Poly((coeffs[0] + coeffs[-1],) + coeffs[1:])
+    report = verified(with_stated_poly(family, item.label, wrong))
+    checks = {c.label: c for c in report.item_checks}
+    assert not checks[item.label].min_poly_annihilates
+    assert not report.orthogonal and not report.ok
+
+
+@pytest.mark.parametrize("field_spec, n, a", [("Q", 3, "16"), ("F:5", 2, "1")])
+def test_verify_flags_stated_poly_squared(field_spec, n, a):
+    # p^2 annihilates g*e too, but the degrees no longer sum to 2^n
+    family = build(spec_of(field_spec, n, a), checked=False)
+    item = family.items[0]
+    p = item.min_poly.coeffs
+    zero = p[0].owner.zero()
+    square = [zero] * (2 * len(p) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(p):
+            square[i + j] = square[i + j] + x * y
+    report = verified(with_stated_poly(family, item.label, Poly(tuple(square))))
+    checks = {c.label: c for c in report.item_checks}
+    assert checks[item.label].min_poly_annihilates
+    assert checks[item.label].dim_consistent
+    assert report.dim_total == family.spec.size + item.dim
+    assert any("dimensions sum to" in f for f in report.failures)
+    assert not report.orthogonal and not report.ok
+
+
 @pytest.mark.parametrize(
     "field_spec, n, a, pair",
     [
@@ -143,7 +184,7 @@ def test_verify_flags_merged_components(field_spec, n, a, pair):
     family = build(spec, checked=False)
     items = {it.label: it for it in family.items}
     merged = items[pair[0]].element + items[pair[1]].element
-    poly = min_poly_in_component(merged)
+    poly = min_poly_reference(merged)
     rest = tuple(it for it in family.items if it.label not in pair)
     item = IdempotentItem(pair[0], merged, poly.degree, poly)
     report = verified(replace(family, items=(item,) + rest))
