@@ -2,15 +2,24 @@
 
 K_t<g> is K[g]/(g^(2^n) - a): a commutative algebra with basis
 1, g, ..., g^(2^n - 1) whose multiplication wraps around with a factor
-of a.  Elements are stored with *ambient* coefficients so that the same
-code paths serve K-rational elements and ambient-side constructions;
-K-rationality is a property we can always test after the fact.
+of a.  An element is stored flat, as one tuple of prime-field integers:
+the d ambient coordinates of the coefficient of g^0, then those of g^1,
+and so on (d = ``ambient_dim``).  Over F_q they are residues mod q.
+Over Q(zeta) they are numerators over one positive common denominator,
+reduced so that equality and hashing compare plain tuples.  The
+coordinates are *ambient* ones, so the same code serves K-rational
+elements and ambient-side constructions; K-rationality is a property
+tested after the fact.  ``AmbientElement`` objects appear only at the
+boundary: ``AlgebraSpec.element``/``scalar``/``gbar`` take them, the
+read-only ``AlgebraElement.coeffs`` returns them, and ``Poly`` holds
+them.
 
-Products are one big-integer multiplication each (Kronecker
-substitution, see ``alg_mul``), taken on the sublattice of exponents
-the operands occupy, so an idempotent supported on every 2^j-th power
-of g costs a product of length 2^(n-j).  Multiplying by a power of g
-is ``AlgebraElement.shift``, a rotation of the coefficients.
+Addition, scaling and equality run on the integer tuples.  Products
+are one big-integer multiplication each (Kronecker substitution, see
+``alg_mul``), taken on the sublattice of exponents the operands occupy,
+so an idempotent supported on every 2^j-th power of g costs a product
+of length 2^(n-j).  Multiplying by a power of g is
+``AlgebraElement.shift``, a rotation of the coefficients.
 
 Also here: the monic polynomials over K that the construction states
 as minimal polynomials (it writes them in closed form, no factoring or
@@ -20,10 +29,13 @@ binomials over the ambient field.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
-from typing import List, Optional, Tuple, Union
+from operator import index
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .fields import (
     CYCLOTOMIC,
@@ -33,6 +45,8 @@ from .fields import (
     FieldDescriptor,
     is_in_k,
     kth_power_test_branching,
+    sigma_coords,
+    times_coords,
 )
 
 Coeffish = Union["AmbientElement", int, Fraction]
@@ -67,89 +81,128 @@ class AlgebraSpec:
 
     # -- element construction -------------------------------------------
 
-    def _coerce(self, c: Coeffish) -> AmbientElement:
-        if isinstance(c, AmbientElement):
-            if c.owner != self.field:
-                raise AmbientError("coefficient from a different field")
-            return c
-        return self.field.scalar(c)
+    def _ints(self, c: Coeffish) -> Tuple[Tuple[int, ...], int]:
+        """The coordinates of the field element ``c`` over one
+        denominator (``AmbientElement.as_ints``)."""
+        x = self.field.coerce(c)
+        if x is None:
+            raise TypeError(f"cannot use {type(c).__name__} as a field element")
+        return x.as_ints()
 
     def element(self, coeffs) -> "AlgebraElement":
-        return AlgebraElement(self, tuple(self._coerce(c) for c in coeffs))
+        """The element sum_k coeffs[k] * g^k, from 2^n field elements."""
+        parts = [self._ints(c) for c in coeffs]
+        den = lcm(*(dc for _, dc in parts))
+        return AlgebraElement(
+            self, [v * (den // dc) for nums, dc in parts for v in nums], den
+        )
 
     def zero(self) -> "AlgebraElement":
-        return self.element([0] * self.size)
+        return self._zero
+
+    @cached_property
+    def _zero(self) -> "AlgebraElement":
+        return _new(self, (0,) * (self.size * self.field.ambient_dim), 1)
 
     def one(self) -> "AlgebraElement":
         return self.gbar(0)
 
     def scalar(self, c: Coeffish) -> "AlgebraElement":
-        out = [self.field.zero()] * self.size
-        out[0] = self._coerce(c)
-        return AlgebraElement(self, tuple(out))
+        nums, den = self._ints(c)
+        return _new(self, nums + self._zero.ints[len(nums) :], den)
 
     def gbar(self, e: int = 1) -> "AlgebraElement":
         """The basis monomial g^e, reduced by g^(2^n) = a.  e >= 0."""
         if e < 0:
             raise ValueError("exponent must be >= 0")
         wraps, r = divmod(e, self.size)
-        out = [self.field.zero()] * self.size
-        out[r] = self.a**wraps
-        return AlgebraElement(self, tuple(out))
+        nums, den = (self.a**wraps).as_ints()
+        d = len(nums)
+        zeros = self._zero.ints
+        return _new(self, zeros[: r * d] + nums + zeros[(r + 1) * d :], den)
+
+    @cached_property
+    def _a_ints(self) -> Tuple[Tuple[int, ...], int]:
+        return self.a.as_ints()
 
 
-@dataclass(frozen=True)
 class AlgebraElement:
-    spec: AlgebraSpec
-    coeffs: tuple
+    """An element of K_t<g> over ``spec``, stored flat: ``ints`` holds
+    the ambient coordinates of the coefficient of g^k at
+    [k*d, (k+1)*d), as numerators over ``den`` (see the module
+    docstring).  The constructor reduces what it is given; the
+    arithmetic keeps every result reduced."""
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.spec.size:
+    __slots__ = ("spec", "ints", "den")
+
+    def __init__(self, spec: AlgebraSpec, ints: Sequence[int], den: int = 1):
+        K = spec.field
+        if len(ints) != spec.size * K.ambient_dim:
             raise ValueError(
-                f"expected {self.spec.size} coefficients, got {len(self.coeffs)}"
+                f"expected {spec.size} coefficients of {K.ambient_dim} "
+                f"coordinates, got {len(ints)} coordinates"
             )
-        for c in self.coeffs:
-            if not isinstance(c, AmbientElement) or c.owner != self.spec.field:
-                raise AmbientError("coefficients must come from the base field")
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        # index() refuses anything but integers
+        _set(self, spec, *_reduce(K, list(map(index, ints)), index(den)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("algebra elements are immutable")
+
+    @property
+    def coeffs(self) -> Tuple[AmbientElement, ...]:
+        """The 2^n coefficients as ambient field elements (read-only)."""
+        K = self.spec.field
+        d = K.ambient_dim
+        zero, nought = K.zero(), Fraction(0)
+        den = self.den
+        out = []
+        for base in range(0, len(self.ints), d):
+            chunk = self.ints[base : base + d]
+            if not any(chunk):
+                out.append(zero)
+                continue
+            if K.kind == CYCLOTOMIC:
+                chunk = tuple(Fraction(v, den) if v else nought for v in chunk)
+            out.append(AmbientElement._stored(K, chunk))
+        return tuple(out)
 
     def _lift(self, other) -> Optional["AlgebraElement"]:
         if isinstance(other, AlgebraElement):
-            if other.spec != self.spec:
+            if other.spec is not self.spec and other.spec != self.spec:
                 raise AmbientError("operands live in different algebras")
             return other
-        if isinstance(other, (AmbientElement, int, Fraction)):
-            return self.spec.scalar(other)
-        return None
+        c = self.spec.field.coerce(other)
+        return None if c is None else self.spec.scalar(c)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self.ints)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def is_k_rational(self) -> bool:
-        return all(is_in_k(self.spec.field, c) for c in self.coeffs)
+        return sigma_coords(self.spec.field, self.ints) == list(self.ints)
 
     def __add__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return AlgebraElement(
-            self.spec, tuple(x + y for x, y in zip(self.coeffs, o.coeffs))
-        )
+        return _combine(self, o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgebraElement(self.spec, tuple(-x for x in self.coeffs))
+        q = self.spec.field.q
+        vals = tuple(-v % q for v in self.ints) if q else tuple(-v for v in self.ints)
+        return _new(self.spec, vals, self.den)
 
     def __sub__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return AlgebraElement(
-            self.spec, tuple(x - y for x, y in zip(self.coeffs, o.coeffs))
-        )
+        return _combine(self, o, -1)
 
     def __rsub__(self, other):
         o = self._lift(other)
@@ -158,8 +211,12 @@ class AlgebraElement:
         return o - self
 
     def scale(self, c: Coeffish) -> "AlgebraElement":
-        cc = self.spec._coerce(c)
-        return AlgebraElement(self.spec, tuple(cc * x for x in self.coeffs))
+        nums, den = self.spec._ints(c)
+        if den == 1 and nums[0] == 1 and not any(nums[1:]):
+            return self
+        K = self.spec.field
+        vals = times_coords(self.ints, nums, K.q)
+        return _new(self.spec, *_reduce(K, vals, self.den * den))
 
     def shift(self, k: int) -> "AlgebraElement":
         """g^k * self for k >= 0: the coefficients rotate by k, and each
@@ -167,22 +224,22 @@ class AlgebraElement:
         if k < 0:
             raise ValueError("shift must be >= 0")
         spec = self.spec
+        K = spec.field
         wraps, r = divmod(k, spec.size)
+        cut = (spec.size - r) * K.ambient_dim
+        head, tail = self.ints[cut:], self.ints[:cut]
         low = spec.a**wraps
-        high = low * spec.a
-        cut = spec.size - r
-        head = tuple(c * high if c else c for c in self.coeffs[cut:])
-        tail = self.coeffs[:cut]
-        if wraps:
-            tail = tuple(c * low if c else c for c in tail)
-        return AlgebraElement(spec, head + tail)
+        (ln, ld), (hn, hd) = low.as_ints(), (low * spec.a).as_ints()
+        den = lcm(ld, hd)
+        vals = times_coords(head, [v * (den // hd) for v in hn], K.q)
+        vals += times_coords(tail, [v * (den // ld) for v in ln], K.q)
+        return _new(spec, *_reduce(K, vals, self.den * den))
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             return alg_mul(self, other)
-        if isinstance(other, (AmbientElement, int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+        c = self.spec.field.coerce(other)
+        return NotImplemented if c is None else self.scale(c)
 
     __rmul__ = __mul__
 
@@ -198,20 +255,73 @@ class AlgebraElement:
         return acc
 
     def __eq__(self, other):
-        if isinstance(other, (AmbientElement, int, Fraction)):
-            other = self.spec.scalar(other)
         if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.spec == other.spec and self.coeffs == other.coeffs
+            c = self.spec.field.coerce(other)
+            if c is None:
+                return NotImplemented
+            other = self.spec.scalar(c)
+        return (
+            self.ints == other.ints
+            and self.den == other.den
+            and (self.spec is other.spec or self.spec == other.spec)
+        )
 
     def __hash__(self):
-        return hash((self.spec, self.coeffs))
+        return hash((self.spec, self.ints, self.den))
 
     def __repr__(self):
         body = " + ".join(
             f"({c!r})*g^{k}" for k, c in enumerate(self.coeffs) if not c.is_zero()
         )
         return f"<{body or '0'}>"
+
+
+def _set(x: AlgebraElement, spec: AlgebraSpec, ints: tuple, den: int) -> None:
+    object.__setattr__(x, "spec", spec)
+    object.__setattr__(x, "ints", ints)
+    object.__setattr__(x, "den", den)
+
+
+def _new(spec: AlgebraSpec, ints: tuple, den: int) -> AlgebraElement:
+    """An element from coordinates that are already reduced."""
+    x = object.__new__(AlgebraElement)
+    _set(x, spec, ints, den)
+    return x
+
+
+def _reduce(K: FieldDescriptor, vals: Sequence[int], den: int) -> Tuple[tuple, int]:
+    """(vals, den) in the stored form: residues mod q over F_q (den 1),
+    lowest terms with den > 0 over Q(zeta)."""
+    if K.kind != CYCLOTOMIC:
+        q = K.q
+        if den != 1:
+            inv = pow(den, -1, q)
+            return tuple(v * inv % q for v in vals), 1
+        return tuple(v % q for v in vals), 1
+    if den < 0:
+        vals, den = [-v for v in vals], -den
+    g = gcd(den, *vals)
+    if g != 1:
+        vals, den = [v // g for v in vals], den // g
+    return tuple(vals), den
+
+
+def _combine(x: AlgebraElement, y: AlgebraElement, sign: int) -> AlgebraElement:
+    """x + y (sign 1) or x - y (sign -1)."""
+    K = x.spec.field
+    if K.kind != CYCLOTOMIC:
+        q = K.q
+        vals = tuple((u + sign * v) % q for u, v in zip(x.ints, y.ints))
+        return _new(x.spec, vals, 1)
+    dx, dy = x.den, y.den
+    if dx == dy:
+        vals = [u + sign * v for u, v in zip(x.ints, y.ints)]
+        den = dx
+    else:
+        den = lcm(dx, dy)
+        fx, fy = den // dx, sign * (den // dy)
+        vals = [u * fx + v * fy for u, v in zip(x.ints, y.ints)]
+    return _new(x.spec, *_reduce(K, vals, den))
 
 
 def alg_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -221,111 +331,125 @@ def alg_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     Both operands live on the lattice of exponents divisible by
     ``step``, the gcd of 2^n and every exponent where x or y is
     nonzero: they are polynomials in u = g^step with u^M = a,
-    M = 2^n/step.  Their prime-field coordinates are written as
-    integers (residues mod q, or numerators over each operand's common
-    denominator) into slots of one int each, 2d-1 slots per power of u
-    for an ambient field of dimension d, so the product's coordinates
-    land in separate slots.  Each slot is wide enough for the largest
-    coordinate a product can have, with a sign bit, rounded up to whole
-    bytes so packing and unpacking are byte copies.  The product is
-    then folded back: zeta^d = -1 (i^2 = -1) in the ambient index, and
+    M = 2^n/step.  Their stored integer coordinates (residues mod q,
+    or numerators over each operand's denominator) go into slots of
+    one int each, 2d-1 slots per power of u for an ambient field of
+    dimension d, so the product's coordinates land in separate slots.
+    Each slot is wide enough for the largest coordinate a product can
+    have, with a sign bit, rounded up to whole bytes; up to 8 bytes one
+    struct call packs or unpacks every slot.  The product is then
+    folded back: zeta^d = -1 (i^2 = -1) in the ambient index, and
     u^M = a in the exponent.
     """
-    if x.spec != y.spec:
+    if x.spec is not y.spec and x.spec != y.spec:
         raise AmbientError("operands live in different algebras")
     spec = x.spec
-    size = spec.size
+    K = spec.field
     if x.is_zero() or y.is_zero():
         return spec.zero()
+    size = spec.size
+    d = K.ambient_dim
     step = size
     for z in (x, y):
-        for i, c in enumerate(z.coeffs):
-            if c:
-                step = gcd(step, i)
+        for i, v in enumerate(z.ints):
+            if v:
+                step = gcd(step, i // d)
+                if step == 1:
+                    break
     M = size // step
-    K = spec.field
-    d = K.ambient_dim
+    xs = _on_lattice(x.ints, d, step)
+    ys = xs if y is x else _on_lattice(y.ints, d, step)
     stride = 2 * d - 1
-    xs, dx = _flat(K, x.coeffs[::step])
-    ys, dy = (xs, dx) if y is x else _flat(K, y.coeffs[::step])
     bound = max(map(abs, xs)) * max(map(abs, ys)) * M * d
     width = ((bound.bit_length() + 2) + 7) // 8
-    half = 1 << (8 * width - 1)
-    px = _pack(xs, d, width, half)
-    prod = px * px if y is x else px * _pack(ys, d, width, half)
-
-    # signed digits: biasing every slot by half makes each one a
-    # nonnegative byte string
-    slots = (2 * M - 1) * stride
-    raw = (prod + _bias(slots, width, half)).to_bytes(slots * width, "little")
-    digits = [
-        int.from_bytes(raw[t : t + width], "little") - half
-        for t in range(0, slots * width, width)
+    px = _pack(xs, d, width)
+    prod = px * px if y is x else px * _pack(ys, d, width)
+    digits = _unpack(prod, (2 * M - 1) * stride, width)
+    rows = [
+        [u - v for u, v in zip(digits[b : b + d - 1], digits[b + d : b + stride])]
+        + [digits[b + d - 1]]
+        for b in range(0, len(digits), stride)
     ]
-    rows = []
-    for base in range(0, len(digits), stride):
-        row = digits[base : base + d]
-        for j in range(d - 1):
-            row[j] -= digits[base + d + j]
-        rows.append(row)
-    den = dx * dy
+    den = x.den * y.den
     if M > 1:
-        a_num, da = _flat(K, (spec.a,))
+        a_num, da = spec._a_ints
         if da != 1:
             den *= da
             rows[:M] = [[v * da for v in row] for row in rows[:M]]
         for m in range(M - 1):
-            _add_negacyclic(rows[m], a_num, rows[M + m])
+            wrapped = times_coords(rows[M + m], a_num, 0)
+            rows[m] = [u + v for u, v in zip(rows[m], wrapped)]
 
-    out = [K.zero()] * size
+    vals = [0] * (size * d)
     for m in range(M):
-        row = rows[m]
-        if K.kind == CYCLOTOMIC:
-            row = [Fraction(v, den) for v in row]
-        out[m * step] = AmbientElement(K, tuple(row))
-    return AlgebraElement(spec, tuple(out))
+        vals[m * step * d : m * step * d + d] = rows[m]
+    return _new(spec, *_reduce(K, vals, den))
 
 
-def _flat(K: FieldDescriptor, coeffs) -> Tuple[List[int], int]:
-    """The prime-field coordinates of ``coeffs``, concatenated, as
-    integers over one common denominator: (numerators, denominator)."""
-    vals = [v for c in coeffs for v in c.coeffs]
-    if K.kind != CYCLOTOMIC:
-        return vals, 1
-    den = lcm(*(v.denominator for v in vals))
-    return [v.numerator * (den // v.denominator) for v in vals], den
+def _on_lattice(ints: tuple, d: int, step: int) -> Sequence[int]:
+    """The coordinates of the coefficients of g^0, g^step, g^(2*step), ..."""
+    if step == 1:
+        return ints
+    return [v for base in range(0, len(ints), step * d) for v in ints[base : base + d]]
 
 
-def _pack(vals: List[int], d: int, width: int, half: int) -> int:
+# struct codes of unsigned lanes of 1, 2, 4 and 8 bytes
+_LANES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _pack(vals: Sequence[int], d: int, width: int) -> int:
     """Digits ``vals`` (d per power of u) at slots m*(2d-1) + j, each
-    ``width`` bytes, as one signed int."""
-    pad = half.to_bytes(width, "little") * (d - 1)
-    chunks = []
-    for base in range(0, len(vals), d):
-        for v in vals[base : base + d]:
-            chunks.append((v + half).to_bytes(width, "little"))
-        chunks.append(pad)
-    packed = b"".join(chunks)
-    return int.from_bytes(packed, "little") - _bias(len(packed) // width, width, half)
+    ``width`` bytes, as one signed int: every slot holds digit + half
+    (half = 2^(8*width-1), so no slot is negative), and the bias, half
+    in every slot, is subtracted once."""
+    stride = 2 * d - 1
+    half = 1 << (8 * width - 1)
+    slots = [half] * (len(vals) // d * stride)
+    for m, base in enumerate(range(0, len(vals), d)):
+        slots[m * stride : m * stride + d] = [v + half for v in vals[base : base + d]]
+    raw = _slot_bytes(slots, width)
+    return int.from_bytes(raw, "little") - _bias(len(slots), width)
 
 
-def _bias(slots: int, width: int, half: int) -> int:
-    return int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+def _unpack(prod: int, slots: int, width: int) -> List[int]:
+    """The signed digits of ``prod`` in ``slots`` slots of ``width``
+    bytes, each smaller than 2^(8*width-1) in absolute value: adding the
+    bias makes every slot digit + half with no carries."""
+    half = 1 << (8 * width - 1)
+    raw = (prod + _bias(slots, width)).to_bytes(slots * width, "little")
+    if width > 8:
+        return [
+            int.from_bytes(raw[t : t + width], "little") - half
+            for t in range(0, slots * width, width)
+        ]
+    lane = next(w for w in _LANES if w >= width)
+    if lane != width:  # spread each slot over a lane, high bytes zero
+        wide = bytearray(lane * slots)
+        for j in range(width):
+            wide[j::lane] = raw[j::width]
+        raw = wide
+    return [u - half for u in struct.unpack(f"<{slots}{_LANES[lane]}", raw)]
 
 
-def _add_negacyclic(acc: List[int], f: List[int], h: List[int]) -> None:
-    """acc += f*h in Z[zeta]/(zeta^d + 1), d = len(acc)."""
-    d = len(acc)
-    for i, fi in enumerate(f):
-        if not fi:
-            continue
-        for j, hj in enumerate(h):
-            if hj:
-                k = i + j
-                if k < d:
-                    acc[k] += fi * hj
-                else:
-                    acc[k - d] -= fi * hj
+def _slot_bytes(slots: List[int], width: int) -> bytes:
+    """Nonnegative ints below 2^(8*width), ``width`` bytes each, little
+    endian.  Up to 8 bytes one struct call writes them into lanes, and
+    the low ``width`` bytes of each lane are kept."""
+    if width > 8:
+        return b"".join(v.to_bytes(width, "little") for v in slots)
+    lane = next(w for w in _LANES if w >= width)
+    wide = struct.pack(f"<{len(slots)}{_LANES[lane]}", *slots)
+    if lane == width:
+        return wide
+    raw = bytearray(width * len(slots))
+    for j in range(width):
+        raw[j::width] = wide[j::lane]
+    return raw
+
+
+def _bias(slots: int, width: int) -> int:
+    """half = 2^(8*width-1) in every slot."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ than 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import lcm
 from typing import List, Optional, Tuple
 
 from .algebra import AlgebraElement, AlgebraSpec, Poly
@@ -44,7 +45,7 @@ from .classify import (
     h_n,
     ks_decompose,
 )
-from .fields import IDENTITY, AmbientElement, FieldDescriptor, eps
+from .fields import IDENTITY, AmbientElement, FieldDescriptor, eps, times_coords
 
 @dataclass(frozen=True)
 class IdempotentItem:
@@ -85,20 +86,33 @@ def _char_sum(
     """(1/T) * sum over chi of sum_{j<T} chi^j * u^j, T = 2^(s-r), for
     the monomial u = b^(-2^r) g^(2^(n-s+r)).  Since j * 2^(n-s+r) < 2^n
     the powers of u never wrap, so the sum is written coefficient by
-    coefficient: (chi * b^(-2^r))^j / T lands on g^(j * 2^(n-s+r))."""
+    coefficient: (chi * b^(-2^r))^j / T lands on g^(j * 2^(n-s+r)).
+    With c = chi * b^(-2^r) = nums/D, the power c^j is kept as
+    integer coordinates over D^j and raised to the common denominator
+    T * lcm_chi D^(T-1) at the end."""
     K = spec.field
+    d = K.ambient_dim
     T = 1 << (s - r)
-    step = 1 << (spec.n - s + r)
-    inv_t = K.scalar(T).inverse()
+    step = d << (spec.n - s + r)
     bi = b ** -(1 << r)
-    coeffs = [K.zero()] * spec.size
+    one = K.one().as_ints()[0]
+    sums = []
     for chi in chis:
-        c = chi * bi
-        w = inv_t
-        for j in range(T):
-            coeffs[j * step] = coeffs[j * step] + w
-            w = w * c
-    return AlgebraElement(spec, tuple(coeffs))
+        nums, den = (chi * bi).as_ints()
+        powers = [one]
+        for _ in range(T - 1):
+            powers.append(times_coords(powers[-1], nums, K.q))
+        sums.append((powers, den))
+    top = lcm(*(den ** (T - 1) for _, den in sums))
+    vals = [0] * (spec.size * d)
+    for powers, den in sums:
+        f = top  # c^j = w_j / D^j = w_j * (top / D^j) / top
+        for j, w in enumerate(powers):
+            base = j * step
+            for i, v in enumerate(w):
+                vals[base + i] += v * f
+            f //= den
+    return AlgebraElement(spec, vals, T * top)
 
 
 def _item(

@@ -188,6 +188,17 @@ def _cmd_selftest(args) -> int:
     return run_selftest(max_enum=args.max_enum)
 
 
+def _budget(text: str) -> int:
+    """A nonnegative enumeration budget."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cyclotwist",
@@ -221,12 +232,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("field", help="field spec")
     p.add_argument("n", type=int)
     p.add_argument("a", help="element literal")
-    p.add_argument("--max-enum", type=int, default=DEFAULT_ENUM_BUDGET)
+    p.add_argument("--max-enum", type=_budget, default=DEFAULT_ENUM_BUDGET)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("selftest", help="run the built-in verification criteria")
-    p.add_argument("--max-enum", type=int, default=DEFAULT_ENUM_BUDGET)
+    p.add_argument("--max-enum", type=_budget, default=DEFAULT_ENUM_BUDGET)
     p.set_defaults(handler=_cmd_selftest)
 
     return parser

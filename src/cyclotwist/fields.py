@@ -25,8 +25,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
-from typing import Iterator, Optional, Union
+from math import isqrt, lcm
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 CYCLOTOMIC = "cyclotomic"
 FINITE = "finite"
@@ -162,6 +162,17 @@ class FieldDescriptor:
     def element(self, coeffs) -> "AmbientElement":
         return AmbientElement(self, tuple(coeffs))
 
+    def coerce(self, c) -> Optional["AmbientElement"]:
+        """``c`` as an element of this field: an element of it as is, an
+        int or Fraction as a scalar, None for any other type."""
+        if isinstance(c, AmbientElement):
+            if c.owner != self:
+                raise AmbientError("operands live in different fields")
+            return c
+        if isinstance(c, (int, Fraction)):
+            return self.scalar(c)
+        return None
+
     def scalar(self, c: Scalar) -> "AmbientElement":
         pad = [0] * (self.ambient_dim - 1)
         return self.element([c] + pad)
@@ -225,14 +236,23 @@ class AmbientElement:
 
     # -- helpers --------------------------------------------------------
 
-    def _lift(self, other) -> Optional["AmbientElement"]:
-        if isinstance(other, AmbientElement):
-            if other.owner != self.owner:
-                raise AmbientError("operands live in different fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.owner.scalar(other)
-        return None
+    @classmethod
+    def _stored(cls, owner: FieldDescriptor, coeffs: tuple) -> "AmbientElement":
+        """An element from coordinates already in the stored form:
+        Fractions over Q(zeta), residues mod q over F_q."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "owner", owner)
+        object.__setattr__(x, "coeffs", coeffs)
+        return x
+
+    def as_ints(self) -> Tuple[Tuple[int, ...], int]:
+        """The prime-field coordinates as integers over one positive
+        denominator, (numerators, den); den is 1 over F_q, and over
+        Q(zeta) it is the least common denominator."""
+        if self.owner.kind != CYCLOTOMIC:
+            return self.coeffs, 1
+        den = lcm(*(c.denominator for c in self.coeffs))
+        return tuple(c.numerator * (den // c.denominator) for c in self.coeffs), den
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -246,7 +266,7 @@ class AmbientElement:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
-        o = self._lift(other)
+        o = self.owner.coerce(other)
         if o is None:
             return NotImplemented
         return self.owner.element(x + y for x, y in zip(self.coeffs, o.coeffs))
@@ -257,19 +277,19 @@ class AmbientElement:
         return self.owner.element(-x for x in self.coeffs)
 
     def __sub__(self, other):
-        o = self._lift(other)
+        o = self.owner.coerce(other)
         if o is None:
             return NotImplemented
         return self.owner.element(x - y for x, y in zip(self.coeffs, o.coeffs))
 
     def __rsub__(self, other):
-        o = self._lift(other)
+        o = self.owner.coerce(other)
         if o is None:
             return NotImplemented
         return o - self
 
     def __mul__(self, other):
-        o = self._lift(other)
+        o = self.owner.coerce(other)
         if o is None:
             return NotImplemented
         own = self.owner
@@ -288,13 +308,13 @@ class AmbientElement:
         return own.element(_fin_inv(self.coeffs, own.q))
 
     def __truediv__(self, other):
-        o = self._lift(other)
+        o = self.owner.coerce(other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
+        o = self.owner.coerce(other)
         if o is None:
             return NotImplemented
         return o * self.inverse()
@@ -314,12 +334,10 @@ class AmbientElement:
         return acc
 
     def __eq__(self, other):
-        o = self._lift(other) if not isinstance(other, AmbientElement) else other
-        if o is None:
-            return NotImplemented
-        if isinstance(o, AmbientElement) and o.owner != self.owner:
-            return False
-        return self.coeffs == o.coeffs
+        if isinstance(other, AmbientElement):
+            return self.owner == other.owner and self.coeffs == other.coeffs
+        o = self.owner.coerce(other)
+        return NotImplemented if o is None else self.coeffs == o.coeffs
 
     def __hash__(self):
         return hash((self.owner, self.coeffs))
@@ -439,19 +457,15 @@ def _cyc_sqrt(a: tuple) -> Optional[tuple]:
     return None
 
 
-def _cyc_galois(a: tuple, k: int) -> tuple:
-    """The substitution zeta -> zeta^k (k odd), an automorphism."""
-    n = len(a)
+@functools.lru_cache(maxsize=None)
+def _signed_perm(n: int, k: int) -> Tuple[Tuple[int, int], ...]:
+    """zeta -> zeta^k (k odd) on the power basis of length n: zeta^j
+    goes to sign * zeta^target, one (target, sign) per j."""
     assert k % 2 == 1
-    out = [Fraction(0)] * n
-    for j, aj in enumerate(a):
-        if not aj:
-            continue
+    out = []
+    for j in range(n):
         e = (j * k) % (2 * n)
-        if e < n:
-            out[e] += aj
-        else:
-            out[e - n] -= aj
+        out.append((e, 1) if e < n else (e - n, -1))
     return tuple(out)
 
 
@@ -574,12 +588,55 @@ def sigma(K: FieldDescriptor, x: AmbientElement) -> AmbientElement:
         raise AmbientError("element does not belong to this field")
     if K.involution == IDENTITY:
         return x
+    return K.element(sigma_coords(K, x.coeffs))
+
+
+def sigma_coords(K: FieldDescriptor, vals: Sequence) -> list:
+    """The involution on a run of prime-field coordinates, one ambient
+    element after another (an algebra element stored flat): a signed
+    permutation of the zeta-coordinates of each, or negating the
+    i-coordinate over F_q[i].  Residues stay reduced mod q; over Q(zeta)
+    the coordinates may be numerators over any common denominator."""
+    if K.involution == IDENTITY:
+        return list(vals)
     if K.involution == FROBENIUS:
-        c0, c1 = x.coeffs
-        return K.element((c0, -c1))
+        out = list(vals)
+        out[1::2] = [-v % K.q for v in vals[1::2]]
+        return out
     n = K.ambient_dim
-    k = 2 * n - 1 if K.involution == INVERSE_CONJ else n - 1
-    return K.element(_cyc_galois(x.coeffs, k))
+    perm = _signed_perm(n, 2 * n - 1 if K.involution == INVERSE_CONJ else n - 1)
+    out = [0] * len(vals)
+    for base in range(0, len(vals), n):
+        chunk = vals[base : base + n]
+        if any(chunk):
+            for (t, sign), v in zip(perm, chunk):
+                out[base + t] = v if sign > 0 else -v
+    return out
+
+
+def times_coords(vals: Sequence[int], c: Sequence[int], q: int) -> list:
+    """Each run of d = len(c) coordinates in ``vals`` (an algebra
+    element stored flat) times the ambient element with integer
+    coordinates ``c``, in Z[zeta]/(zeta^d + 1), which is also F_q[i]
+    for d = 2; reduced mod q when q is nonzero."""
+    d = len(c)
+    terms = [(j, cj) for j, cj in enumerate(c) if cj]
+    if len(terms) == 1 and terms[0][0] == 0:
+        c0 = terms[0][1]
+        out = list(vals) if c0 == 1 else [v * c0 for v in vals]
+    else:
+        out = [0] * len(vals)
+        for base in range(0, len(vals), d):
+            for i, v in enumerate(vals[base : base + d]):
+                if not v:
+                    continue
+                for j, cj in terms:
+                    k = i + j
+                    if k < d:
+                        out[base + k] += v * cj
+                    else:
+                        out[base + k - d] -= v * cj
+    return [v % q for v in out] if q else out
 
 
 def is_in_k(K: FieldDescriptor, x: AmbientElement) -> bool:

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, List, Optional, Set, Tuple
 
 from . import _enum_py
 from .algebra import AlgebraElement, AlgebraSpec, certify_irreducible
-from .fields import FINITE, FROBENIUS, IDENTITY, FieldDescriptor, sigma
+from .fields import FINITE, FROBENIUS, IDENTITY, FieldDescriptor, sigma_coords
 
 if TYPE_CHECKING:
     from .builder import IdempotentFamily
@@ -134,7 +134,8 @@ def verify_family(
     The construction states each item's minimal polynomial p; these
     checks prove it, and imply orthogonality rather than multiply it
     out.  An idempotent e whose p annihilates g*e (p(g*e) = p(g)*e, the
-    Horner check) spans a component e*K_t<g> of dimension at most
+    sum of c_k * g^k * e over the nonzero coefficients c_k of p, each
+    term a shift) spans a component e*K_t<g> of dimension at most
     deg p, since g*e generates it.  Idempotents that sum to 1 make
     K_t<g> the sum of their components, so those dimensions sum to at
     least 2^n.  Degrees summing to 2^n then force every dimension to
@@ -154,10 +155,10 @@ def verify_family(
     minimal, ambient_failures = _descent(family, ambient)
     for it in family.items:
         e = it.element
-        # p(g*e) = p(g)*e for idempotent e: Horner in g, each step a shift
-        acc = spec.zero()
-        for c in reversed(it.min_poly.coeffs):
-            acc = acc.shift(1) + e.scale(c)
+        # p(g*e) = p(g)*e for idempotent e, term by term: a stated
+        # prod_chi (x^S - c_chi) has at most three nonzero coefficients
+        terms = [e.shift(k).scale(c) for k, c in enumerate(it.min_poly.coeffs) if c]
+        acc = sum(terms[1:], terms[0])
         check = ItemCheck(
             label=it.label,
             nonzero=not e.is_zero(),
@@ -206,7 +207,9 @@ def verify_family(
 
 
 def _raw_key(e: AlgebraElement) -> tuple:
-    return tuple(c.coeffs for c in e.coeffs)
+    """The stored coordinates of ``e``, comparable across the K-side
+    and the ambient algebra."""
+    return e.ints, e.den
 
 
 def _ambient_failures(ambient: IdempotentFamily) -> List[str]:
@@ -250,12 +253,9 @@ def _orbit_sums(K: FieldDescriptor, ambient: IdempotentFamily) -> Optional[Set[t
     """Raw keys of the sums of the orbits of K's involution on the
     ambient family, or None when the involution does not permute it."""
     spec0 = ambient.spec
-    K0 = spec0.field
 
     def conj(e: AlgebraElement) -> AlgebraElement:
-        return spec0.element(
-            K0.element(sigma(K, K.element(c.coeffs)).coeffs) for c in e.coeffs
-        )
+        return AlgebraElement(spec0, sigma_coords(K, e.ints), e.den)
 
     remaining = {_raw_key(it.element): it.element for it in ambient.items}
     sums = set()
@@ -325,21 +325,14 @@ def brute_enumerate_minimal(
     if not spec.a.is_scalar():
         raise ValueError("a must be a scalar residue")
     a_int = spec.a.coeffs[0]
-    pad = (0,) * (K.d - 1)
-    out = []
-    for vec in _enum_py.atoms(K.q, spec.n, a_int):
-        coeffs = tuple(K.element((c,) + pad) for c in vec)
-        out.append(AlgebraElement(spec, coeffs))
-    return out
+    return [spec.element(vec) for vec in _enum_py.atoms(K.q, spec.n, a_int)]
 
 
 def cross_check(family: IdempotentFamily, max_count: int = DEFAULT_ENUM_BUDGET) -> bool:
     """Does the closed-form family coincide, as a set, with the
     brute-forced minimal idempotents?"""
     enumerated = brute_enumerate_minimal(family.spec, max_count)
-    want = {e.coeffs for e in enumerated}
-    got = {it.element.coeffs for it in family.items}
-    return want == got
+    return set(enumerated) == set(family.elements())
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,11 @@ def criterion_ground_truth(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionResu
                 details.append(f"({field_spec}, n={n}, a={a}): enumeration mismatch")
         if details and repro is None:
             repro = f"cyclotwist verify {field_spec} {n} {a}"
+    if skipped == len(instances):
+        details.append(
+            f"no instance cross-checked: all {skipped} are over the "
+            f"enumeration budget {max_enum}"
+        )
     notes = [f"{len(instances) - skipped} instances cross-checked"]
     if skipped:
         notes.append(f"{skipped} skipped (over enumeration budget {max_enum})")

@@ -47,6 +47,15 @@ def test_criterion_2_ground_truth():
     assert result.details == ["27 instances cross-checked"]
 
 
+def test_criterion_2_fails_when_nothing_is_cross_checked():
+    result = criterion_ground_truth(0)
+    assert not result.passed
+    assert result.details == [
+        "no instance cross-checked: all 27 are over the enumeration budget 0"
+    ]
+    assert result.repro is None
+
+
 def test_criterion_3_exact_decompositions():
     check(criterion_exact_decompositions)
 

@@ -12,14 +12,16 @@ from cyclotwist.algebra import (
     AlgebraSpec,
     Binomial,
     Poly,
+    _pack,
+    _unpack,
     binomial_irreducible,
     certify_irreducible,
 )
 from cyclotwist.builder import IdempotentItem, ambient_family, build
-from cyclotwist.fields import FINITE, sigma
+from cyclotwist.fields import FINITE, IDENTITY, INVERSE_CONJ, sigma
 from cyclotwist.grammar import parse_element, parse_field
 from cyclotwist.oracle import verify_family
-from test_builder import min_poly_reference
+from test_builder import galois, min_poly_reference
 
 Q = parse_field("Q")
 QR3 = parse_field("QR:3")
@@ -80,7 +82,7 @@ def schoolbook_mul(x, y):
                 out[k] = out[k] + xi * yj
             else:
                 out[k - size] = out[k - size] + spec.a * (xi * yj)
-    return AlgebraElement(spec, tuple(out))
+    return spec.element(out)
 
 
 @st.composite
@@ -113,20 +115,25 @@ def kernel_specs(draw, max_n=4):
 
 
 @st.composite
-def algebra_elements(draw, spec):
-    """Dense, on every 2^j-th power of g, a single monomial, or zero."""
+def coefficient_lists(draw, spec):
+    """2^n ambient coefficients: dense, on every 2^j-th power of g, a
+    single monomial, or zero."""
     K = spec.field
     support = draw(st.sampled_from(["dense", "lattice", "monomial", "zero"]))
     if support == "zero":
-        return spec.zero()
-    if support == "monomial":
+        on = set()
+    elif support == "monomial":
         on = {draw(st.integers(0, spec.size - 1))}
     else:
         step = 1 if support == "dense" else 1 << draw(st.integers(0, spec.n))
         on = set(range(0, spec.size, step))
-    return spec.element(
+    return [
         draw(ambient_elements(K)) if k in on else K.zero() for k in range(spec.size)
-    )
+    ]
+
+
+def algebra_elements(spec):
+    return coefficient_lists(spec).map(spec.element)
 
 
 @settings(max_examples=60, deadline=None)
@@ -139,6 +146,20 @@ def test_packed_product_matches_schoolbook(data):
     assert x * x == schoolbook_mul(x, x)
 
 
+@pytest.mark.parametrize("width", range(1, 11))
+def test_slot_packing_round_trips_at_every_width(width):
+    # widths 1, 2, 4 and 8 fill struct lanes exactly, 3, 5, 6 and 7 are
+    # spread over wider lanes, and beyond 8 every slot is converted alone
+    half = 1 << (8 * width - 1)
+    vals = [0, 1, -1, half - 1, -(half - 1), half // 3, -(half // 5)] * 3
+    for d in (1, 3):
+        stride = 2 * d - 1
+        digits = _unpack(_pack(vals, d, width), len(vals) // d * stride, width)
+        rows = [digits[b : b + stride] for b in range(0, len(digits), stride)]
+        assert [v for row in rows for v in row[:d]] == vals
+        assert not any(v for row in rows for v in row[d:])  # the padding
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_shift_is_the_product_by_a_monomial(data):
@@ -147,6 +168,76 @@ def test_shift_is_the_product_by_a_monomial(data):
     for k in range(3 * spec.size):
         g_k = spec.gbar(k)
         assert x.shift(k) == schoolbook_mul(g_k, x) == g_k * x
+
+
+# The storage the flat tuples replaced: one ambient element per power
+# of g, every operation taken coefficient by coefficient.
+
+
+def reference_in_k(K, x):
+    """Is x fixed by the involution, computed from its definition."""
+    if K.involution == IDENTITY:
+        return True
+    if K.kind == FINITE:  # Frobenius on F_q[i]: i -> -i
+        return x.coeffs[1] == 0
+    d = K.ambient_dim  # zeta -> zeta^-1, or zeta -> -zeta^-1 = zeta^(d-1)
+    return galois(K, x, 2 * d - 1 if K.involution == INVERSE_CONJ else d - 1) == x
+
+
+def reference_shift(spec, coeffs, k):
+    wraps, r = divmod(k, spec.size)
+    low = spec.a**wraps
+    high = low * spec.a
+    cut = spec.size - r
+    return [c * high for c in coeffs[cut:]] + [c * low for c in coeffs[:cut]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_flat_storage_matches_the_coefficient_reference(data):
+    spec = data.draw(kernel_specs())
+    K = spec.field
+    xs = data.draw(coefficient_lists(spec))
+    ys = data.draw(coefficient_lists(spec))
+    c = data.draw(ambient_elements(K))
+    k = data.draw(st.integers(0, 3 * spec.size))
+    x, y = spec.element(xs), spec.element(ys)
+    assert x.coeffs == tuple(xs) and spec.element(x.coeffs) == x
+    assert (x + y).coeffs == tuple(u + v for u, v in zip(xs, ys))
+    assert (x - y).coeffs == tuple(u - v for u, v in zip(xs, ys))
+    assert (-x).coeffs == tuple(-u for u in xs)
+    for f in (c, K.one(), K.element([1] * K.ambient_dim)):
+        assert x.scale(f).coeffs == tuple(f * u for u in xs)
+    assert x.shift(k).coeffs == tuple(reference_shift(spec, xs, k))
+    assert x.is_zero() == all(u.is_zero() for u in xs)
+    assert x.is_k_rational() == all(reference_in_k(K, u) for u in xs)
+    # an element of K_t<g> whose coefficients lie in K
+    z = x + spec.element(sigma(K, u) for u in xs)
+    assert z.is_k_rational()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_equal_elements_over_other_denominators_are_equal(data):
+    # numerators and denominator multiplied by the same unit k (mod q
+    # over F_q) store the same element
+    spec = data.draw(kernel_specs())
+    x = data.draw(algebra_elements(spec))
+    k = data.draw(st.sampled_from([-1, 2, -3, 7, 5**20, -(2**70)]))
+    if spec.field.kind == FINITE and k % spec.field.q == 0:
+        k += 1
+    y = AlgebraElement(spec, [v * k for v in x.ints], x.den * k)
+    assert y == x and hash(y) == hash(x)
+    assert (y.ints, y.den) == (x.ints, x.den)
+    assert y.den > 0 and (spec.field.kind != FINITE or y.den == 1)
+
+
+def test_flat_constructor_refuses_non_integers():
+    spec = spec_of("Q", 1, "2")
+    with pytest.raises(TypeError):
+        AlgebraElement(spec, [Fraction(1, 2), 0, 0, 0])
+    with pytest.raises(ValueError, match="coordinates"):
+        AlgebraElement(spec, [1, 0, 0])
 
 
 def test_shift_refuses_negative_exponents():

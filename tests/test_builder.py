@@ -22,7 +22,14 @@ from cyclotwist.classify import (
     h_n,
     ks_decompose,
 )
-from cyclotwist.fields import CYCLOTOMIC, FINITE, IDENTITY, FieldDescriptor, eps
+from cyclotwist.fields import (
+    CYCLOTOMIC,
+    FINITE,
+    IDENTITY,
+    FieldDescriptor,
+    eps,
+    sigma,
+)
 from cyclotwist.grammar import parse_element, parse_field
 
 DEEP_A = "170459392,120532992,0,-120532992"  # (1 + eps_3)^32 over QR:3
@@ -291,7 +298,9 @@ def test_level_one_ambient():
 def test_scaling_by_full_powers_preserves_dims(
     field_spec, n, a_seed, c_seed, a_rational, c_rational
 ):
-    # a and a*c^(2^n) give isomorphic algebras (g -> c*g)
+    # a and a*c^(2^n) give isomorphic algebras: g -> c^-1 * g maps
+    # K[g]/(g^(2^n) - a) onto K[g]/(g^(2^n) - a*c^(2^n)), so it maps the
+    # primitive idempotents of the one onto those of the other
     K = parse_field(field_spec)
     if K.kind == FINITE:
         a = K.scalar(1 + a_seed % (K.q - 1))
@@ -299,10 +308,58 @@ def test_scaling_by_full_powers_preserves_dims(
     else:
         a, c = K.scalar(a_rational), K.scalar(c_rational)
     base = build(AlgebraSpec(K, n, a), checked=False)
-    scaled = build(AlgebraSpec(K, n, a * c ** (1 << n)), checked=False)
-    assert sorted(it.dim for it in base.items) == sorted(
-        it.dim for it in scaled.items
-    )
+    spec = AlgebraSpec(K, n, a * c ** (1 << n))
+    scaled = build(spec, checked=False)
+    image = {
+        spec.element(e_k * c**-k for k, e_k in enumerate(it.element.coeffs)): it.dim
+        for it in base.items
+    }
+    assert image == {it.element: it.dim for it in scaled.items}
+
+
+def galois(K, x, k):
+    """tau(x) for the automorphism tau: zeta -> zeta^k (k odd) of the
+    ambient field Q(zeta), zeta^d = -1."""
+    d = K.ambient_dim
+    out = [0] * d
+    for j, c in enumerate(x.coeffs):
+        e = j * k % (2 * d)
+        out[e % d] += c if e < d else -c
+    return K.element(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["QC:3", "QC:4", "QR:3", "QR:4", "QE:3", "QE:4"]),
+    st.integers(min_value=0, max_value=4),
+    st.lists(st.integers(-2, 2), min_size=8, max_size=8),
+    st.integers(min_value=0, max_value=4),
+    st.sampled_from([1, -1]),
+    st.integers(min_value=0, max_value=7),
+)
+def test_galois_conjugate_constant_conjugates_the_family(
+    field_spec, n, coords, depth, sign, j
+):
+    # tau commutes with the involution (the Galois group is abelian), so
+    # it maps K to K and K[g]/(g^(2^n) - a) onto K[g]/(g^(2^n) - tau(a))
+    # coefficient by coefficient; primitive idempotents are unique, so
+    # the family of tau(a) is the image of the family of a as a set.
+    # a = +-c^(2^depth) with c in K reaches every depth and coset form.
+    K = parse_field(field_spec)
+    d = K.ambient_dim
+    k = 2 * (j % d) + 1
+    x = K.element(coords[:d])
+    c = x if K.involution == IDENTITY else x + sigma(K, x)
+    if c.is_zero():
+        c = K.one()
+    a = c ** (1 << min(depth, n)) * sign
+    spec = AlgebraSpec(K, n, galois(K, a, k))
+    family = build(AlgebraSpec(K, n, a), checked=False)
+    image = {
+        spec.element(galois(K, e_k, k) for e_k in it.element.coeffs)
+        for it in family.items
+    }
+    assert image == set(build(spec, checked=False).elements())
 
 
 @settings(max_examples=60, deadline=None)

@@ -210,6 +210,30 @@ def test_selftest_with_budget_cap(capsys):
     assert out.rstrip().endswith("selftest: PASS")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "F:3", "1", "1", "--max-enum", "-5"],
+        ["selftest", "--max-enum", "-1"],
+    ],
+)
+def test_negative_enumeration_budget_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert "argument --max-enum: must be a nonnegative integer" in err
+
+
+def test_selftest_with_an_empty_budget_fails(capsys):
+    # a budget that admits no instance is a failure, not a vacuous pass
+    code, out, _ = run(capsys, "selftest", "--max-enum", "0")
+    assert code == 1
+    assert "criterion 2 (brute-force ground truth): FAIL" in out
+    assert "no instance cross-checked: all 27 are over the enumeration budget 0" in out
+    assert out.rstrip().endswith("selftest: FAIL")
+
+
 def test_selftest_corruption_hook(capsys, monkeypatch):
     monkeypatch.setenv("CYCLOTWIST_CORRUPT", "1")
     code, out, _ = run(capsys, "selftest", "--max-enum", "100")

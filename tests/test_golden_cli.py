@@ -31,9 +31,10 @@ COMMANDS = (
     ("verify", "--json"),
 )
 
-# Instances of depth 5 to 7, where the big-integer products are largest:
+# Instances of depth 5 to 9, where the big-integer products are largest:
 # long coefficients (a scaled by 5^64 and 5^32), F_q at n = 7, and the
-# deepest instances verify finishes in about a second.
+# deepest instances verify finishes in a few seconds: F_q at n = 9,
+# Q at n = 8, and the cyclotomic ambients of dimension 32 and 8.
 DEEP = (
     ("idempotents", "--unchecked", "--json", "F:5", "7", "1"),
     ("idempotents", "--unchecked", "--json", "F:13", "7", "3"),
@@ -43,6 +44,10 @@ DEEP = (
     ("verify", "--json", "F:5", "6", "1"),
     ("verify", "--json", "F:3", "7", "1"),
     ("verify", "--json", "QR:3", "5", "170459392,120532992,0,-120532992"),
+    ("verify", "--json", "F:5", "9", "1"),
+    ("verify", "--json", "Q", "8", "16"),
+    ("verify", "--json", "QC:6", "6", "-1"),
+    ("verify", "--json", "QE:4", "6", "16"),
 )
 
 
