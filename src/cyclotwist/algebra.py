@@ -6,13 +6,15 @@ of a.  An element is stored flat, as one tuple of prime-field integers:
 the d ambient coordinates of the coefficient of g^0, then those of g^1,
 and so on (d = ``ambient_dim``).  Over F_q they are residues mod q.
 Over Q(zeta) they are numerators over one positive common denominator,
-reduced so that equality and hashing compare plain tuples.  The
-coordinates are *ambient* ones, so the same code serves K-rational
-elements and ambient-side constructions; K-rationality is a property
-tested after the fact.  ``AmbientElement`` objects appear only at the
-boundary: ``AlgebraSpec.element``/``scalar``/``gbar`` take them, the
-read-only ``AlgebraElement.coeffs`` returns them, and ``Poly`` holds
-them.
+reduced so that equality and hashing compare plain tuples.  This is
+the form of an ``AmbientElement`` (``ints`` over ``den``) laid end to
+end, so a field element enters or leaves the flat tuple by slicing and
+one change of denominator, with no conversion.  The coordinates are
+*ambient* ones, so the same code serves K-rational elements and
+ambient-side constructions; K-rationality is a property tested after
+the fact.  ``AlgebraSpec.element``/``scalar``/``gbar`` take field
+elements (or ints and Fractions), the read-only
+``AlgebraElement.coeffs`` returns them, and ``Poly`` holds them.
 
 Addition, scaling and equality run on the integer tuples.  Products
 are one big-integer multiplication each (Kronecker substitution, see
@@ -38,16 +40,20 @@ from operator import index
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .fields import (
-    CYCLOTOMIC,
     POWER_TEST_CAP,
     AmbientElement,
     AmbientError,
     FieldDescriptor,
+    _new as _new_field_element,
+    combine_coords,
     is_in_k,
     kth_power_test_branching,
+    negate_coords,
+    reduce_coords,
     sigma_coords,
     times_coords,
 )
+from .grammar import format_element
 
 Coeffish = Union["AmbientElement", int, Fraction]
 
@@ -81,20 +87,12 @@ class AlgebraSpec:
 
     # -- element construction -------------------------------------------
 
-    def _ints(self, c: Coeffish) -> Tuple[Tuple[int, ...], int]:
-        """The coordinates of the field element ``c`` over one
-        denominator (``AmbientElement.as_ints``)."""
-        x = self.field.coerce(c)
-        if x is None:
-            raise TypeError(f"cannot use {type(c).__name__} as a field element")
-        return x.as_ints()
-
     def element(self, coeffs) -> "AlgebraElement":
         """The element sum_k coeffs[k] * g^k, from 2^n field elements."""
-        parts = [self._ints(c) for c in coeffs]
-        den = lcm(*(dc for _, dc in parts))
+        parts = [_field_element(self.field, c) for c in coeffs]
+        den = lcm(*(x.den for x in parts))
         return AlgebraElement(
-            self, [v * (den // dc) for nums, dc in parts for v in nums], den
+            self, [v * (den // x.den) for x in parts for v in x.ints], den
         )
 
     def zero(self) -> "AlgebraElement":
@@ -108,22 +106,27 @@ class AlgebraSpec:
         return self.gbar(0)
 
     def scalar(self, c: Coeffish) -> "AlgebraElement":
-        nums, den = self._ints(c)
-        return _new(self, nums + self._zero.ints[len(nums) :], den)
+        x = _field_element(self.field, c)
+        return _new(self, x.ints + self._zero.ints[len(x.ints) :], x.den)
 
     def gbar(self, e: int = 1) -> "AlgebraElement":
         """The basis monomial g^e, reduced by g^(2^n) = a.  e >= 0."""
         if e < 0:
             raise ValueError("exponent must be >= 0")
         wraps, r = divmod(e, self.size)
-        nums, den = (self.a**wraps).as_ints()
-        d = len(nums)
+        w = self.a**wraps
+        d = len(w.ints)
         zeros = self._zero.ints
-        return _new(self, zeros[: r * d] + nums + zeros[(r + 1) * d :], den)
+        return _new(self, zeros[: r * d] + w.ints + zeros[(r + 1) * d :], w.den)
 
-    @cached_property
-    def _a_ints(self) -> Tuple[Tuple[int, ...], int]:
-        return self.a.as_ints()
+
+def _field_element(K: FieldDescriptor, c: Coeffish) -> AmbientElement:
+    """``c`` as an element of K (``FieldDescriptor.coerce``), refusing
+    anything that is not a number."""
+    x = K.coerce(c)
+    if x is None:
+        raise TypeError(f"cannot use {type(c).__name__} as a field element")
+    return x
 
 
 class AlgebraElement:
@@ -145,7 +148,7 @@ class AlgebraElement:
         if not den:
             raise ZeroDivisionError("zero denominator")
         # index() refuses anything but integers
-        _set(self, spec, *_reduce(K, list(map(index, ints)), index(den)))
+        _set(self, spec, *reduce_coords(K, list(map(index, ints)), index(den)))
 
     def __setattr__(self, name, value):
         raise AttributeError("algebra elements are immutable")
@@ -155,17 +158,17 @@ class AlgebraElement:
         """The 2^n coefficients as ambient field elements (read-only)."""
         K = self.spec.field
         d = K.ambient_dim
-        zero, nought = K.zero(), Fraction(0)
-        den = self.den
+        zero = K.zero()
+        ints, den = self.ints, self.den
         out = []
-        for base in range(0, len(self.ints), d):
-            chunk = self.ints[base : base + d]
+        for base in range(0, len(ints), d):
+            chunk = ints[base : base + d]
             if not any(chunk):
                 out.append(zero)
-                continue
-            if K.kind == CYCLOTOMIC:
-                chunk = tuple(Fraction(v, den) if v else nought for v in chunk)
-            out.append(AmbientElement._stored(K, chunk))
+            elif den == 1:  # residues, or integers: already reduced
+                out.append(_new_field_element(K, chunk, 1))
+            else:
+                out.append(_new_field_element(K, *reduce_coords(K, chunk, den)))
         return tuple(out)
 
     def _lift(self, other) -> Optional["AlgebraElement"]:
@@ -194,9 +197,7 @@ class AlgebraElement:
     __radd__ = __add__
 
     def __neg__(self):
-        q = self.spec.field.q
-        vals = tuple(-v % q for v in self.ints) if q else tuple(-v for v in self.ints)
-        return _new(self.spec, vals, self.den)
+        return _new(self.spec, negate_coords(self.ints, self.spec.field.q), self.den)
 
     def __sub__(self, other):
         o = self._lift(other)
@@ -211,12 +212,12 @@ class AlgebraElement:
         return o - self
 
     def scale(self, c: Coeffish) -> "AlgebraElement":
-        nums, den = self.spec._ints(c)
-        if den == 1 and nums[0] == 1 and not any(nums[1:]):
-            return self
         K = self.spec.field
-        vals = times_coords(self.ints, nums, K.q)
-        return _new(self.spec, *_reduce(K, vals, self.den * den))
+        x = _field_element(K, c)
+        if x.den == 1 and x.ints[0] == 1 and x.is_scalar():
+            return self
+        vals = times_coords(self.ints, x.ints, K.q)
+        return _new(self.spec, *reduce_coords(K, vals, self.den * x.den))
 
     def shift(self, k: int) -> "AlgebraElement":
         """g^k * self for k >= 0: the coefficients rotate by k, and each
@@ -229,11 +230,11 @@ class AlgebraElement:
         cut = (spec.size - r) * K.ambient_dim
         head, tail = self.ints[cut:], self.ints[:cut]
         low = spec.a**wraps
-        (ln, ld), (hn, hd) = low.as_ints(), (low * spec.a).as_ints()
-        den = lcm(ld, hd)
-        vals = times_coords(head, [v * (den // hd) for v in hn], K.q)
-        vals += times_coords(tail, [v * (den // ld) for v in ln], K.q)
-        return _new(spec, *_reduce(K, vals, self.den * den))
+        high = low * spec.a
+        den = lcm(low.den, high.den)
+        vals = times_coords(head, [v * (den // high.den) for v in high.ints], K.q)
+        vals += times_coords(tail, [v * (den // low.den) for v in low.ints], K.q)
+        return _new(spec, *reduce_coords(K, vals, self.den * den))
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -289,39 +290,10 @@ def _new(spec: AlgebraSpec, ints: tuple, den: int) -> AlgebraElement:
     return x
 
 
-def _reduce(K: FieldDescriptor, vals: Sequence[int], den: int) -> Tuple[tuple, int]:
-    """(vals, den) in the stored form: residues mod q over F_q (den 1),
-    lowest terms with den > 0 over Q(zeta)."""
-    if K.kind != CYCLOTOMIC:
-        q = K.q
-        if den != 1:
-            inv = pow(den, -1, q)
-            return tuple(v * inv % q for v in vals), 1
-        return tuple(v % q for v in vals), 1
-    if den < 0:
-        vals, den = [-v for v in vals], -den
-    g = gcd(den, *vals)
-    if g != 1:
-        vals, den = [v // g for v in vals], den // g
-    return tuple(vals), den
-
-
 def _combine(x: AlgebraElement, y: AlgebraElement, sign: int) -> AlgebraElement:
     """x + y (sign 1) or x - y (sign -1)."""
     K = x.spec.field
-    if K.kind != CYCLOTOMIC:
-        q = K.q
-        vals = tuple((u + sign * v) % q for u, v in zip(x.ints, y.ints))
-        return _new(x.spec, vals, 1)
-    dx, dy = x.den, y.den
-    if dx == dy:
-        vals = [u + sign * v for u, v in zip(x.ints, y.ints)]
-        den = dx
-    else:
-        den = lcm(dx, dy)
-        fx, fy = den // dx, sign * (den // dy)
-        vals = [u * fx + v * fy for u, v in zip(x.ints, y.ints)]
-    return _new(x.spec, *_reduce(K, vals, den))
+    return _new(x.spec, *combine_coords(K, x.ints, x.den, y.ints, y.den, sign))
 
 
 def alg_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -372,7 +344,7 @@ def alg_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     ]
     den = x.den * y.den
     if M > 1:
-        a_num, da = spec._a_ints
+        a_num, da = spec.a.ints, spec.a.den
         if da != 1:
             den *= da
             rows[:M] = [[v * da for v in row] for row in rows[:M]]
@@ -383,7 +355,7 @@ def alg_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     vals = [0] * (size * d)
     for m in range(M):
         vals[m * step * d : m * step * d + d] = rows[m]
-    return _new(spec, *_reduce(K, vals, den))
+    return _new(spec, *reduce_coords(K, vals, den))
 
 
 def _on_lattice(ints: tuple, d: int, step: int) -> Sequence[int]:
@@ -504,13 +476,13 @@ class Poly:
                 parts.append(mono)
                 continue
             if c.is_scalar():
-                lead = str(c.coeffs[0])
+                lead = format_element(c)
                 sign = "-" if lead.startswith("-") else "+"
                 mag = lead.lstrip("-")
                 body = mag if k == 0 else (f"{mono}" if mag == "1" else f"{mag}*{mono}")
             else:
                 sign = "+"
-                vec = ",".join(str(x) for x in c.coeffs)
+                vec = format_element(c)
                 body = f"({vec})" if k == 0 else f"({vec})*{mono}"
             parts.append(f"{sign} {body}")
         return " ".join(parts)

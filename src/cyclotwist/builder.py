@@ -95,14 +95,14 @@ def _char_sum(
     T = 1 << (s - r)
     step = d << (spec.n - s + r)
     bi = b ** -(1 << r)
-    one = K.one().as_ints()[0]
+    one = K.one().ints
     sums = []
     for chi in chis:
-        nums, den = (chi * bi).as_ints()
+        c = chi * bi
         powers = [one]
         for _ in range(T - 1):
-            powers.append(times_coords(powers[-1], nums, K.q))
-        sums.append((powers, den))
+            powers.append(times_coords(powers[-1], c.ints, K.q))
+        sums.append((powers, c.den))
     top = lcm(*(den ** (T - 1) for _, den in sums))
     vals = [0] * (spec.size * d)
     for powers, den in sums:

@@ -10,7 +10,8 @@ Four subcommands::
 FIELD uses the spec grammar (Q, QC:L, QR:L, QE:L, F:q) and A is an
 element literal (comma-separated exact coordinates).  Element literals
 that begin with ``-`` but are not plain integers must follow a ``--``
-separator, e.g. ``cyclotwist idempotents QE:3 2 -- -1/2,0,1,0``.
+separator, e.g. ``cyclotwist idempotents QE:3 2 -- -1/2,1,0,1`` for
+a = -1/2 + sqrt(-2).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
 All output is deterministic: identical invocations produce identical

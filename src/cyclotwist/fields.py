@@ -4,20 +4,31 @@ A base field K of characteristic != 2 is presented through an *ambient*
 field A together with an involution sigma whose fixed field is K.  Two
 ambient kinds are supported:
 
-* ``cyclotomic``: A = Q(zeta) for zeta a primitive 2^L-th root of unity.
-  Elements are coefficient vectors of exact rationals over the power
-  basis 1, zeta, ..., zeta^(2^(L-1) - 1), reduced by zeta^(2^(L-1)) = -1.
-  Level L = 1 is Q itself (zeta = -1).
+* ``cyclotomic``: A = Q(zeta) for zeta a primitive 2^L-th root of unity,
+  1 <= L <= LEVEL_BOUND, with the power basis 1, zeta, ...,
+  zeta^(2^(L-1) - 1) reduced by zeta^(2^(L-1)) = -1.  Level L = 1 is Q
+  itself (zeta = -1).
 * ``finite``: A = F_q (d = 1) or A = F_q[i] with i^2 = -1 (d = 2, which
-  requires q = 3 mod 4 so that -1 is a non-square).  Elements are
-  vectors of residues mod q.
+  requires q = 3 mod 4 so that -1 is a non-square).
+
+An element is stored as integer coordinates over that basis, in the
+same reduced form as a flat algebra element: residues mod q over F_q,
+and over Q(zeta) numerators over one positive denominator in lowest
+terms, so equality and hashing compare plain tuples.  Both kinds share
+one product, ``times_coords`` in Z[zeta]/(zeta^d + 1) (F_q[i] is
+d = 2, zeta = i), and one inverse by descent through the quadratic
+tower.  Square roots over Q(zeta) run on integers too, because Z[zeta]
+is the full ring of integers of Q(zeta).  ``fractions.Fraction``
+appears only at the boundary: ``FieldDescriptor.element`` accepts it and
+``AmbientElement.coeffs`` returns it.
 
 The involution is one of: ``identity`` (K = A); ``inverse_conj``
 (zeta -> zeta^-1, cyclotomic, L >= 2); ``negated_inverse_conj``
 (zeta -> -zeta^-1, cyclotomic, L >= 3); ``frobenius`` (x -> x^q on
 F_q[i], i.e. i -> -i).
 
-All arithmetic is exact; there is no floating point anywhere.
+All arithmetic is exact; there is no floating point anywhere, and
+``element`` refuses it.
 """
 
 from __future__ import annotations
@@ -25,7 +36,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
+from numbers import Number
 from typing import Iterator, Optional, Sequence, Tuple, Union
 
 CYCLOTOMIC = "cyclotomic"
@@ -52,6 +64,10 @@ class AmbientError(ValueError):
 # bases", 2015); larger moduli are refused.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_TEST_BOUND = 3317044064679887385961981
+
+# An element of Q(zeta_{2^L}) has 2^(L-1) coordinates; levels are bounded
+# like n, by the 2^16 ceiling of POWER_TEST_CAP.
+LEVEL_BOUND = 16
 
 
 def _is_prime(p: int) -> bool:
@@ -101,6 +117,10 @@ class FieldDescriptor:
         if self.kind == CYCLOTOMIC:
             if self.level < 1:
                 raise AmbientError("cyclotomic level must be >= 1")
+            if self.level > LEVEL_BOUND:
+                raise AmbientError(
+                    f"cyclotomic level must be at most {LEVEL_BOUND}, got {self.level}"
+                )
             if self.q or self.d:
                 raise AmbientError("cyclotomic descriptor must not set q or d")
             if self.involution == INVERSE_CONJ:
@@ -160,22 +180,40 @@ class FieldDescriptor:
     # -- element construction ------------------------------------------
 
     def element(self, coeffs) -> "AmbientElement":
-        return AmbientElement(self, tuple(coeffs))
+        """The element with these coordinates over the power basis: ints,
+        or over Q(zeta) also Fractions.  Anything inexact, such as a
+        float, is refused."""
+        vals = tuple(coeffs)
+        n = self.ambient_dim
+        if len(vals) != n:
+            raise AmbientError(f"expected {n} coordinates, got {len(vals)}")
+        exact, names = int, "int"
+        if self.kind == CYCLOTOMIC:
+            exact, names = (int, Fraction), "int or Fraction"
+        for c in vals:
+            if not isinstance(c, exact):
+                raise AmbientError(
+                    f"cannot use {type(c).__name__} as a coordinate over {self}: "
+                    f"expected {names}"
+                )
+        den = lcm(*(c.denominator for c in vals))
+        nums = [c.numerator * (den // c.denominator) for c in vals]
+        return _new(self, *reduce_coords(self, nums, den))
 
     def coerce(self, c) -> Optional["AmbientElement"]:
-        """``c`` as an element of this field: an element of it as is, an
-        int or Fraction as a scalar, None for any other type."""
+        """``c`` as an element of this field: an element of it as is, any
+        other number as a scalar (``element`` refuses inexact ones), None
+        for anything that is not a number."""
         if isinstance(c, AmbientElement):
-            if c.owner != self:
+            if c.owner is not self and c.owner != self:
                 raise AmbientError("operands live in different fields")
             return c
-        if isinstance(c, (int, Fraction)):
+        if isinstance(c, Number):
             return self.scalar(c)
         return None
 
     def scalar(self, c: Scalar) -> "AmbientElement":
-        pad = [0] * (self.ambient_dim - 1)
-        return self.element([c] + pad)
+        return self.element((c,) + (0,) * (self.ambient_dim - 1))
 
     def zero(self) -> "AmbientElement":
         return self.scalar(0)
@@ -189,12 +227,9 @@ class FieldDescriptor:
             raise AmbientError("zeta_pow is only defined for cyclotomic fields")
         n = self.ambient_dim
         e %= 2 * n
-        coeffs = [Fraction(0)] * n
-        if e < n:
-            coeffs[e] = Fraction(1)
-        else:
-            coeffs[e - n] = Fraction(-1)
-        return self.element(coeffs)
+        ints = [0] * n
+        ints[e % n] = 1 if e < n else -1
+        return _new(self, tuple(ints), 1)
 
     def iter_ambient(self) -> Iterator["AmbientElement"]:
         """All elements of a finite ambient field, in coordinate order."""
@@ -202,66 +237,41 @@ class FieldDescriptor:
             raise AmbientError("cannot enumerate an infinite field")
         if self.d == 1:
             for c0 in range(self.q):
-                yield self.element((c0,))
+                yield _new(self, (c0,), 1)
         else:
             for c0 in range(self.q):
                 for c1 in range(self.q):
-                    yield self.element((c0, c1))
+                    yield _new(self, (c0, c1), 1)
 
 
-@dataclass(frozen=True)
 class AmbientElement:
-    """One element of an ambient field, as an exact coefficient vector."""
+    """One element of an ambient field: ``ints`` holds its coordinates
+    over the power basis as numerators over ``den`` (see the module
+    docstring).  ``FieldDescriptor.element`` builds elements; the
+    arithmetic keeps every result reduced."""
 
-    owner: FieldDescriptor
-    coeffs: tuple
+    __slots__ = ("owner", "ints", "den")
 
-    def __post_init__(self):
-        n = self.owner.ambient_dim
-        if len(self.coeffs) != n:
-            raise AmbientError(
-                f"expected {n} coordinates, got {len(self.coeffs)}"
-            )
-        if self.owner.kind == CYCLOTOMIC:
-            fixed = tuple(
-                c if type(c) is Fraction else Fraction(c) for c in self.coeffs
-            )
-        else:
-            q = self.owner.q
-            for c in self.coeffs:
-                if not isinstance(c, int):
-                    raise AmbientError("finite-field coordinates must be integers")
-            fixed = tuple(c % q for c in self.coeffs)
-        object.__setattr__(self, "coeffs", fixed)
+    def __setattr__(self, name, value):
+        raise AttributeError("field elements are immutable")
 
-    # -- helpers --------------------------------------------------------
-
-    @classmethod
-    def _stored(cls, owner: FieldDescriptor, coeffs: tuple) -> "AmbientElement":
-        """An element from coordinates already in the stored form:
-        Fractions over Q(zeta), residues mod q over F_q."""
-        x = object.__new__(cls)
-        object.__setattr__(x, "owner", owner)
-        object.__setattr__(x, "coeffs", coeffs)
-        return x
-
-    def as_ints(self) -> Tuple[Tuple[int, ...], int]:
-        """The prime-field coordinates as integers over one positive
-        denominator, (numerators, den); den is 1 over F_q, and over
-        Q(zeta) it is the least common denominator."""
+    @property
+    def coeffs(self) -> tuple:
+        """The coordinates as Fractions over Q(zeta), as residues mod q
+        over F_q (read-only)."""
         if self.owner.kind != CYCLOTOMIC:
-            return self.coeffs, 1
-        den = lcm(*(c.denominator for c in self.coeffs))
-        return tuple(c.numerator * (den // c.denominator) for c in self.coeffs), den
+            return self.ints
+        den = self.den
+        return tuple(Fraction(v, den) for v in self.ints)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.ints)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def is_scalar(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.ints[1:])
 
     # -- ring operations -------------------------------------------------
 
@@ -269,18 +279,20 @@ class AmbientElement:
         o = self.owner.coerce(other)
         if o is None:
             return NotImplemented
-        return self.owner.element(x + y for x, y in zip(self.coeffs, o.coeffs))
+        K = self.owner
+        return _new(K, *combine_coords(K, self.ints, self.den, o.ints, o.den, 1))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self.owner.element(-x for x in self.coeffs)
+        return _new(self.owner, negate_coords(self.ints, self.owner.q), self.den)
 
     def __sub__(self, other):
         o = self.owner.coerce(other)
         if o is None:
             return NotImplemented
-        return self.owner.element(x - y for x, y in zip(self.coeffs, o.coeffs))
+        K = self.owner
+        return _new(K, *combine_coords(K, self.ints, self.den, o.ints, o.den, -1))
 
     def __rsub__(self, other):
         o = self.owner.coerce(other)
@@ -292,20 +304,18 @@ class AmbientElement:
         o = self.owner.coerce(other)
         if o is None:
             return NotImplemented
-        own = self.owner
-        if own.kind == CYCLOTOMIC:
-            return own.element(_cyc_mul(self.coeffs, o.coeffs))
-        return own.element(_fin_mul(self.coeffs, o.coeffs, own.q))
+        K = self.owner
+        vals = times_coords(self.ints, o.ints, 0)
+        return _new(K, *reduce_coords(K, vals, self.den * o.den))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "AmbientElement":
-        own = self.owner
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        if own.kind == CYCLOTOMIC:
-            return own.element(_cyc_inv(self.coeffs))
-        return own.element(_fin_inv(self.coeffs, own.q))
+        K = self.owner
+        nums, nrm = _inverse_coords(self.ints, K.q)
+        return _new(K, *reduce_coords(K, [v * self.den for v in nums], nrm))
 
     def __truediv__(self, other):
         o = self.owner.coerce(other)
@@ -334,126 +344,198 @@ class AmbientElement:
         return acc
 
     def __eq__(self, other):
-        if isinstance(other, AmbientElement):
-            return self.owner == other.owner and self.coeffs == other.coeffs
-        o = self.owner.coerce(other)
-        return NotImplemented if o is None else self.coeffs == o.coeffs
+        if not isinstance(other, AmbientElement):
+            other = self.owner.coerce(other)
+            if other is None:
+                return NotImplemented
+        return (
+            self.ints == other.ints
+            and self.den == other.den
+            and (self.owner is other.owner or self.owner == other.owner)
+        )
 
     def __hash__(self):
-        return hash((self.owner, self.coeffs))
+        return hash((self.owner, self.ints, self.den))
 
     def __repr__(self):
         body = ", ".join(str(c) for c in self.coeffs)
         return f"<[{body}] in {self.owner}>"
 
 
+def _new(owner: FieldDescriptor, ints: tuple, den: int) -> AmbientElement:
+    """An element from coordinates that are already reduced."""
+    x = object.__new__(AmbientElement)
+    object.__setattr__(x, "owner", owner)
+    object.__setattr__(x, "ints", ints)
+    object.__setattr__(x, "den", den)
+    return x
+
+
 # ---------------------------------------------------------------------------
-# cyclotomic kernel: tuples of Fractions, basis 1, zeta, ..., zeta^(n-1),
-# reduction zeta^n = -1 (negacyclic).
+# integer kernel, shared by both kinds and by flat algebra elements:
+# coordinates in Z[zeta]/(zeta^d + 1), reduced mod q over F_q (where
+# d <= 2 and zeta = i)
 # ---------------------------------------------------------------------------
 
 
-def _cyc_mul(a: tuple, b: tuple) -> tuple:
-    n = len(a)
-    out = [Fraction(0)] * n
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if not bj:
-                continue
-            k = i + j
-            if k < n:
-                out[k] += ai * bj
-            else:
-                out[k - n] -= ai * bj
-    return tuple(out)
+def reduce_coords(
+    K: FieldDescriptor, vals: Sequence[int], den: int
+) -> Tuple[tuple, int]:
+    """(vals, den) in the stored form: residues mod q over F_q (den 1),
+    lowest terms with den > 0 over Q(zeta)."""
+    if K.kind != CYCLOTOMIC:
+        q = K.q
+        if den != 1:
+            inv = pow(den, -1, q)
+            return tuple(v * inv % q for v in vals), 1
+        return tuple(v % q for v in vals), 1
+    if den < 0:
+        vals, den = [-v for v in vals], -den
+    g = gcd(den, *vals)
+    if g != 1:
+        vals, den = [v // g for v in vals], den // g
+    return tuple(vals), den
 
 
-def _cyc_sub(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
+def combine_coords(
+    K: FieldDescriptor, x: Sequence[int], dx: int, y: Sequence[int], dy: int, sign: int
+) -> Tuple[tuple, int]:
+    """x/dx + y/dy (sign 1) or x/dx - y/dy (sign -1), coordinate by
+    coordinate, in the stored form."""
+    if K.kind != CYCLOTOMIC:
+        q = K.q
+        return tuple((u + sign * v) % q for u, v in zip(x, y)), 1
+    if dx == dy:
+        vals = [u + sign * v for u, v in zip(x, y)]
+        den = dx
+    else:
+        den = lcm(dx, dy)
+        fx, fy = den // dx, sign * (den // dy)
+        vals = [u * fx + v * fy for u, v in zip(x, y)]
+    return reduce_coords(K, vals, den)
 
 
-def _cyc_neg(a: tuple) -> tuple:
-    return tuple(-x for x in a)
+def negate_coords(vals: Sequence[int], q: int) -> tuple:
+    """-vals, reduced mod q when q is nonzero."""
+    return tuple(-v % q for v in vals) if q else tuple(-v for v in vals)
 
 
-def _cyc_subgen(m: int) -> tuple:
-    """The defining root of the index-2 subfield, as an m-tuple (zeta^2)."""
-    if m == 1:
-        return (Fraction(-1),)
-    g = [Fraction(0)] * m
-    g[1] = Fraction(1)
-    return tuple(g)
 
 
-def _interleave(u: tuple, v: tuple) -> tuple:
-    out = [None] * (2 * len(u))
+def times_coords(vals: Sequence[int], c: Sequence[int], q: int) -> list:
+    """Each run of d = len(c) coordinates in ``vals`` (an ambient
+    element, or an algebra element stored flat) times the ambient
+    element with integer coordinates ``c``, in Z[zeta]/(zeta^d + 1),
+    which is also F_q[i] for d = 2; reduced mod q when q is nonzero.
+    The one product of both ambient kinds."""
+    d = len(c)
+    if not any(c[1:]):  # a scalar
+        c0 = c[0]
+        if q:
+            return [v * c0 % q for v in vals]
+        return list(vals) if c0 == 1 else [v * c0 for v in vals]
+    if d == 2:  # (x + yi)(c0 + c1 i), run by run
+        c0, c1 = c
+        it = iter(vals)
+        out = [w for x, y in zip(it, it) for w in (x * c0 - y * c1, x * c1 + y * c0)]
+    else:
+        terms = [(j, cj) for j, cj in enumerate(c) if cj]
+        out = [0] * len(vals)
+        for base in range(0, len(vals), d):
+            for i, v in enumerate(vals[base : base + d]):
+                if not v:
+                    continue
+                for j, cj in terms:
+                    k = i + j
+                    if k < d:
+                        out[base + k] += v * cj
+                    else:
+                        out[base + k - d] -= v * cj
+    return [v % q for v in out] if q else out
+
+
+def _down_norm(u: Sequence[int], v: Sequence[int], q: int) -> list:
+    """u^2 - zeta^2 v^2, the norm of u + zeta*v to the index-2 subfield,
+    whose generator is zeta^2 (-1 when the subfield is the prime field)."""
+    m = len(u)
+    gen = (-1,) if m == 1 else (0, 1) + (0,) * (m - 2)
+    gvv = times_coords(times_coords(v, v, q), gen, q)
+    return [x - y for x, y in zip(times_coords(u, u, q), gvv)]
+
+
+def _interleave(u: Sequence[int], v: Sequence[int]) -> list:
+    """u + zeta*v from its two halves over the index-2 subfield."""
+    out = [0] * (2 * len(u))
     out[0::2] = u
     out[1::2] = v
-    return tuple(out)
+    return out
 
 
-def _cyc_inv(a: tuple) -> tuple:
-    n = len(a)
-    if n == 1:
-        return (Fraction(1) / a[0],)
-    # Write a = u + zeta*v over the subfield generated by zeta^2; then
-    # 1/a = (u - zeta*v) / (u^2 - zeta^2 v^2) with the denominator down
-    # in the subfield, and recurse.
-    u, v = a[0::2], a[1::2]
-    g = _cyc_subgen(n // 2)
-    den = _cyc_sub(_cyc_mul(u, u), _cyc_mul(_cyc_mul(v, v), g))
-    di = _cyc_inv(den)
-    return _interleave(_cyc_mul(u, di), _cyc_neg(_cyc_mul(v, di)))
+def _inverse_coords(x: Sequence[int], q: int) -> Tuple[list, int]:
+    """(nums, nrm) with x * nums = nrm, a nonzero integer, for nonzero x;
+    mod q when q is nonzero.
+
+    Write x = u + zeta*v over the subfield generated by zeta^2; then
+    1/x = (u - zeta*v) / (u^2 - zeta^2 v^2) with the denominator down in
+    the subfield, and recurse to the prime field.  At d = 2 over F_q
+    this is 1/(u + iv) = (u - iv)/(u^2 + v^2).
+    """
+    if len(x) == 1:
+        return [1], x[0]
+    u, v = x[0::2], x[1::2]
+    nums, nrm = _inverse_coords(_down_norm(u, v, q), q)
+    minus_v = [-t for t in v]
+    return _interleave(times_coords(u, nums, q), times_coords(minus_v, nums, q)), nrm
 
 
-def _rat_sqrt(c: Fraction) -> Optional[Fraction]:
-    if c < 0:
-        return None
-    p, q = c.numerator, c.denominator
-    rp, rq = isqrt(p), isqrt(q)
-    if rp * rp == p and rq * rq == q:
-        return Fraction(rp, rq)
-    return None
+def _sqrt_coords(a: Sequence[int]) -> Optional[list]:
+    """An x in Z[zeta] with x^2 = a, or None; a in Z[zeta].
 
-
-def _cyc_sqrt(a: tuple) -> Optional[tuple]:
-    """A square root of a in the same power basis, or None.
-
-    Recursion over the quadratic tower Q(zeta_{2^L}) > Q(zeta_{2^(L-1)})
-    > ... > Q.  Writing a = u + zeta*v, a root x = c + zeta*d must satisfy
-    c^2 + zeta^2 d^2 = u and 2cd = v.  If v = 0 the root lies in the
-    subfield or in zeta times it; otherwise c^2 = (u + w)/2 for one of the
-    two square roots w of the subfield norm u^2 - zeta^2 v^2, and
-    d = v/(2c).  Every branch point is tried, so the search is complete.
+    Z[zeta] is the ring of integers of Q(zeta) (Washington,
+    *Introduction to Cyclotomic Fields*, Thm 2.6), so a root in Q(zeta)
+    of an element of Z[zeta] lies in Z[zeta] and the search runs on
+    integers.  Recursion over the quadratic tower Q(zeta_{2^L}) >
+    Q(zeta_{2^(L-1)}) > ... > Q.  Writing a = u + zeta*v, a root
+    x = c + zeta*d must satisfy c^2 + zeta^2 d^2 = u and 2cd = v.  If
+    v = 0 the root lies in the subfield or in zeta times it; otherwise
+    c^2 = (u + w)/2 for one of the two square roots w of the subfield
+    norm u^2 - zeta^2 v^2, and d = v/(2c).  A branch whose halving or
+    division is not exact has no integral root, hence no root.  Every
+    branch point is tried, so the search is complete.
     """
     n = len(a)
     if n == 1:
-        r = _rat_sqrt(a[0])
-        return None if r is None else (r,)
+        if a[0] < 0:
+            return None
+        r = isqrt(a[0])
+        return [r] if r * r == a[0] else None
     u, v = a[0::2], a[1::2]
     m = n // 2
-    g = _cyc_subgen(m)
     if not any(v):
-        r = _cyc_sqrt(u)
+        r = _sqrt_coords(u)
         if r is not None:
-            return _interleave(r, (Fraction(0),) * m)
-        r = _cyc_sqrt(_cyc_mul(u, _cyc_inv(g)))
+            return _interleave(r, [0] * m)
+        # u / zeta^2, with zeta^-2 = -zeta^(2(m-1)) in the subfield
+        r = _sqrt_coords(times_coords(u, (0,) * (m - 1) + (-1,), 0))
         if r is not None:
-            return _interleave((Fraction(0),) * m, r)
+            return _interleave([0] * m, r)
         return None
-    nrm = _cyc_sub(_cyc_mul(u, u), _cyc_mul(_cyc_mul(v, v), g))
-    w = _cyc_sqrt(nrm)
+    w = _sqrt_coords(_down_norm(u, v, 0))
     if w is None:
         return None
-    for wc in (w, _cyc_neg(w)):
-        csq = tuple((x + y) / 2 for x, y in zip(u, wc))
-        c = _cyc_sqrt(csq)
+    for sign in (1, -1):
+        twice = [x + sign * y for x, y in zip(u, w)]
+        if any(t & 1 for t in twice):
+            continue
+        c = _sqrt_coords([t >> 1 for t in twice])
         if c is None or not any(c):
             continue
-        d = _cyc_mul(v, _cyc_inv(tuple(2 * x for x in c)))
-        return _interleave(c, d)
+        # d = v / (2c) = v * nums / (2 * nrm)
+        nums, nrm = _inverse_coords(c, 0)
+        top = times_coords(v, nums, 0)
+        if any(t % (2 * nrm) for t in top):
+            continue
+        return _interleave(c, [t // (2 * nrm) for t in top])
     return None
 
 
@@ -470,34 +552,16 @@ def _signed_perm(n: int, k: int) -> Tuple[Tuple[int, int], ...]:
 
 
 # ---------------------------------------------------------------------------
-# finite kernel: tuples of residues mod q, length 1 or 2, i^2 = -1.
+# finite fields: the 2-Sylow subgroup and Tonelli-Shanks
 # ---------------------------------------------------------------------------
 
 
-def _fin_mul(a: tuple, b: tuple, q: int) -> tuple:
-    if len(a) == 1:
-        return ((a[0] * b[0]) % q,)
-    a0, a1 = a
-    b0, b1 = b
-    return ((a0 * b0 - a1 * b1) % q, (a0 * b1 + a1 * b0) % q)
-
-
-def _fin_inv(a: tuple, q: int) -> tuple:
-    if len(a) == 1:
-        return (pow(a[0], -1, q),)
-    a0, a1 = a
-    nrm = (a0 * a0 + a1 * a1) % q
-    w = pow(nrm, -1, q)
-    return ((a0 * w) % q, (-a1 * w) % q)
-
-
-def _fin_pow(a: tuple, e: int, q: int) -> tuple:
-    one = (1,) + (0,) * (len(a) - 1)
-    acc, base = one, a
+def _fin_pow(a: Sequence[int], e: int, q: int) -> list:
+    acc, base = [1] + [0] * (len(a) - 1), a
     while e:
         if e & 1:
-            acc = _fin_mul(acc, base, q)
-        base = _fin_mul(base, base, q)
+            acc = times_coords(acc, base, q)
+        base = times_coords(base, base, q)
         e >>= 1
     return acc
 
@@ -525,36 +589,34 @@ def _fin_sylow_gen(q: int, d: int) -> tuple:
     """A generator of the 2-Sylow subgroup of F_{q^d}^*."""
     big = q**d - 1
     odd = big >> _v2(big)
-    return _fin_pow(_fin_nonresidue(q, d), odd, q)
+    return tuple(_fin_pow(_fin_nonresidue(q, d), odd, q))
 
 
-def _fin_sqrt(a: tuple, q: int, d: int) -> Optional[tuple]:
-    """Tonelli-Shanks, run with generic tuple arithmetic so d=1 and d=2
-    share one implementation."""
+def _fin_sqrt(a: Sequence[int], q: int, d: int) -> Optional[list]:
+    """Tonelli-Shanks on coordinate vectors, so d=1 and d=2 share one
+    implementation."""
     if not any(a):
-        return a
+        return list(a)
     big = q**d
-    one = (1,) + (0,) * (d - 1)
+    one = [1] + [0] * (d - 1)
     if _fin_pow(a, (big - 1) // 2, q) != one:
         return None
-    w = _v2(big - 1)
-    odd = (big - 1) >> w
-    c = _fin_pow(_fin_nonresidue(q, d), odd, q)
+    m = _v2(big - 1)
+    odd = (big - 1) >> m
+    c = _fin_sylow_gen(q, d)
     x = _fin_pow(a, (odd + 1) // 2, q)
     t = _fin_pow(a, odd, q)
-    m = w
     while t != one:
         i, tt = 0, t
         while tt != one:
-            tt = _fin_mul(tt, tt, q)
+            tt = times_coords(tt, tt, q)
             i += 1
         assert i < m
         b = _fin_pow(c, 1 << (m - i - 1), q)
-        x = _fin_mul(x, b, q)
-        c = _fin_mul(b, b, q)
-        t = _fin_mul(t, c, q)
+        x = times_coords(x, b, q)
+        c = times_coords(b, b, q)
+        t = times_coords(t, c, q)
         m = i
-    assert _fin_mul(x, x, q) == a
     return x
 
 
@@ -563,6 +625,7 @@ def _fin_sqrt(a: tuple, q: int, d: int) -> Optional[tuple]:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def eps(K: FieldDescriptor, t: int) -> AmbientElement:
     """The canonical primitive 2^t-th root of unity in the ambient field.
 
@@ -579,7 +642,7 @@ def eps(K: FieldDescriptor, t: int) -> AmbientElement:
     if K.kind == CYCLOTOMIC:
         return K.zeta_pow(1 << (K.level - t))
     g = _fin_sylow_gen(K.q, K.d)
-    return K.element(_fin_pow(g, 1 << (K.root_level - t), K.q))
+    return _new(K, tuple(_fin_pow(g, 1 << (K.root_level - t), K.q)), 1)
 
 
 def sigma(K: FieldDescriptor, x: AmbientElement) -> AmbientElement:
@@ -588,7 +651,7 @@ def sigma(K: FieldDescriptor, x: AmbientElement) -> AmbientElement:
         raise AmbientError("element does not belong to this field")
     if K.involution == IDENTITY:
         return x
-    return K.element(sigma_coords(K, x.coeffs))
+    return _new(K, tuple(sigma_coords(K, x.ints)), x.den)
 
 
 def sigma_coords(K: FieldDescriptor, vals: Sequence) -> list:
@@ -614,31 +677,6 @@ def sigma_coords(K: FieldDescriptor, vals: Sequence) -> list:
     return out
 
 
-def times_coords(vals: Sequence[int], c: Sequence[int], q: int) -> list:
-    """Each run of d = len(c) coordinates in ``vals`` (an algebra
-    element stored flat) times the ambient element with integer
-    coordinates ``c``, in Z[zeta]/(zeta^d + 1), which is also F_q[i]
-    for d = 2; reduced mod q when q is nonzero."""
-    d = len(c)
-    terms = [(j, cj) for j, cj in enumerate(c) if cj]
-    if len(terms) == 1 and terms[0][0] == 0:
-        c0 = terms[0][1]
-        out = list(vals) if c0 == 1 else [v * c0 for v in vals]
-    else:
-        out = [0] * len(vals)
-        for base in range(0, len(vals), d):
-            for i, v in enumerate(vals[base : base + d]):
-                if not v:
-                    continue
-                for j, cj in terms:
-                    k = i + j
-                    if k < d:
-                        out[base + k] += v * cj
-                    else:
-                        out[base + k - d] -= v * cj
-    return [v % q for v in out] if q else out
-
-
 def is_in_k(K: FieldDescriptor, x: AmbientElement) -> bool:
     """Test membership in the fixed field K of the involution."""
     return sigma(K, x) == x
@@ -654,18 +692,20 @@ def sqrt_ambient(K: FieldDescriptor, x: AmbientElement) -> Optional[AmbientEleme
 
     Of the two roots +-r the one with the lexicographically smaller
     coordinate vector is returned, making downstream searches
-    deterministic.
+    deterministic.  Over Q(zeta) the root of nums/den is
+    sqrt(nums * den) / den, with nums * den in Z[zeta]; under one
+    positive denominator the numerators order as the rationals do.
     """
     if x.owner != K:
         raise AmbientError("element does not belong to this field")
     if K.kind == CYCLOTOMIC:
-        r = _cyc_sqrt(x.coeffs)
+        r = _sqrt_coords([v * x.den for v in x.ints])
     else:
-        r = _fin_sqrt(x.coeffs, K.q, K.d)
+        r = _fin_sqrt(x.ints, K.q, K.d)
     if r is None:
         return None
-    cand = K.element(r)
-    cand = min(cand, -cand, key=lambda e: e.coeffs)
+    cand = _new(K, *reduce_coords(K, r, x.den))
+    cand = min(cand, -cand, key=lambda e: e.ints)
     assert cand * cand == x
     return cand
 

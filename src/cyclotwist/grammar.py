@@ -43,6 +43,7 @@ required.  ``format_element`` emits the shortest faithful literal
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .fields import (
     CYCLOTOMIC,
@@ -164,8 +165,12 @@ def parse_element(field: FieldDescriptor, literal: str) -> AmbientElement:
 
 
 def format_element(x: AmbientElement) -> str:
-    """Shortest literal that parses back to ``x`` (scalars as one token)."""
-    coeffs = x.coeffs
-    if all(c == 0 for c in coeffs[1:]):
-        return str(coeffs[0])
-    return ",".join(str(c) for c in coeffs)
+    """Shortest literal that parses back to ``x`` (scalars as one token).
+    Each coordinate prints as its ``Fraction`` (or residue) would, from
+    the stored numerator and denominator."""
+    den = x.den
+    out = []
+    for v in x.ints[:1] if x.is_scalar() else x.ints:
+        g = gcd(v, den)
+        out.append(str(v // g) if g == den else f"{v // g}/{den // g}")
+    return ",".join(out)

@@ -324,7 +324,7 @@ def brute_enumerate_minimal(
         )
     if not spec.a.is_scalar():
         raise ValueError("a must be a scalar residue")
-    a_int = spec.a.coeffs[0]
+    a_int = spec.a.ints[0]
     return [spec.element(vec) for vec in _enum_py.atoms(K.q, spec.n, a_int)]
 
 

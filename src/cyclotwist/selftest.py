@@ -228,12 +228,8 @@ def criterion_ground_truth(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionResu
     )
 
 
-def _poly_key(p: Poly) -> tuple:
-    return tuple(c.coeffs for c in p.coeffs)
-
-
-def _expected_poly(K: FieldDescriptor, ints: Tuple[int, ...]) -> tuple:
-    return tuple(K.scalar(c).coeffs for c in ints)
+def _expected_poly(K: FieldDescriptor, ints: Tuple[int, ...]) -> Poly:
+    return Poly(tuple(K.scalar(c) for c in ints))
 
 
 def criterion_exact_decompositions(
@@ -249,7 +245,7 @@ def criterion_exact_decompositions(
         if err is not None:
             details.append(f"{case}: {err}")
         else:
-            got = {_poly_key(it.min_poly) for it in family.items}
+            got = {it.min_poly for it in family.items}
             if got != expected:
                 details.append(f"{case}: minimal polynomials differ from {what}")
         if details and repro is None:

@@ -414,3 +414,66 @@ def test_stated_min_poly_matches_gaussian_reference(field_spec, n, a_seed, a_rat
     for it in family.items + ambient_family(family).items:
         assert it.min_poly == min_poly_reference(it.element)
         assert it.dim == it.min_poly.degree
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["QR:3", "QE:3", "QC:3", "QC:4"]),
+    st.integers(min_value=0, max_value=4),
+    st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=7),
+        min_size=8,
+        max_size=8,
+    ),
+    st.integers(min_value=0, max_value=4),
+    st.sampled_from([1, -1]),
+)
+def test_non_rational_constants_build_and_verify(field_spec, n, coords, depth, sign):
+    # a = +-c^(2^j) for c in K with fractional coordinates: every depth
+    # and coset form, with denominators in every coordinate
+    K = parse_field(field_spec)
+    x = K.element(coords[: K.ambient_dim])
+    c = x if K.involution == IDENTITY else x + sigma(K, x)
+    if c.is_zero():
+        c = K.one()
+    a = c ** (1 << min(depth, n)) * sign
+    family = build(AlgebraSpec(K, n, a))  # checked: raises on any failure
+    assert sum(it.dim for it in family.items) == 1 << n
+
+
+def sympy_degrees(n, a, **domain):
+    """Sorted degrees of the irreducible factors of x^(2^n) - a."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    _, factors = sympy.factor_list(x ** (1 << n) - a, **domain)
+    return sorted(f.as_poly(x).degree() for f, mult in factors for _ in range(mult))
+
+
+def family_degrees(K, n, a):
+    return sorted(it.dim for it in build(AlgebraSpec(K, n, a), checked=False).items)
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+def test_component_degrees_match_sympy_over_finite_fields(q):
+    # an outside oracle: K_t<g> = K[x]/(x^(2^n) - a) splits as the
+    # factorisation of x^(2^n) - a, one component per irreducible factor
+    pytest.importorskip("sympy")
+    K = parse_field(f"F:{q}")
+    for n in range(5):
+        for a in range(1, q):
+            assert family_degrees(K, n, K.scalar(a)) == sympy_degrees(n, a, modulus=q)
+
+
+@pytest.mark.parametrize("field_spec", ["Q", "QC:2", "QR:3"])
+def test_component_degrees_match_sympy_over_number_fields(field_spec):
+    sympy = pytest.importorskip("sympy")
+    domain = {
+        "Q": {},
+        "QC:2": {"extension": sympy.I},
+        "QR:3": {"extension": sympy.sqrt(2)},
+    }[field_spec]
+    K = parse_field(field_spec)
+    for n in range(5):
+        for a in (1, 2, -1, -4, 16, -64, 9, -3):
+            assert family_degrees(K, n, K.scalar(a)) == sympy_degrees(n, a, **domain)

@@ -173,12 +173,27 @@ def test_verify_json(capsys):
         ["idempotents", "Q", "2", "0"],
         ["idempotents", "QE:3", "2", "7,x"],
         ["classify", "F:3317044064679887385961983"],  # beyond the primality test
+        ["classify", "QR:30"],  # beyond the level bound, 2^29 coordinates
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_level_bound_is_named(capsys):
+    code, _, err = run(capsys, "classify", "QR:30")
+    assert err == "error: cyclotomic level must be at most 16, got 30\n"
+    code, out, err = run(capsys, "classify", "QR:16")
+    assert code == 0 and err == "" and "m: 16" in out
+
+
+def test_documented_example_runs(capsys):
+    # the example of the module docstring and the README: -1/2 + sqrt(-2)
+    code, out, err = run(capsys, "idempotents", "QE:3", "2", "--", "-1/2,1,0,1")
+    assert code == 0 and err == ""
+    assert "idempotents (1):" in out
 
 
 @pytest.mark.parametrize("q", ["1000000007", "2305843009213693951"])

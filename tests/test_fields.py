@@ -1,6 +1,7 @@
 """Ambient field arithmetic: cyclotomic towers and F_q / F_q[i]."""
 
 import time
+from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
 
@@ -8,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclotwist.algebra import AlgebraSpec
 from cyclotwist.fields import (
     CYCLOTOMIC,
     FINITE,
     FROBENIUS,
     IDENTITY,
     INVERSE_CONJ,
+    LEVEL_BOUND,
     NEGATED_INVERSE_CONJ,
     PRIME_TEST_BOUND,
     AmbientError,
@@ -70,11 +73,18 @@ def elements_of(K):
         (dict(kind=FINITE, involution=IDENTITY, q=5, d=2), "q = 3 mod 4"),
         (dict(kind=FINITE, involution=FROBENIUS, q=5, d=1), "degree 2"),
         (dict(kind="padic", involution=IDENTITY), "unknown ambient kind"),
+        (dict(kind=CYCLOTOMIC, involution=IDENTITY, level=17), "at most 16"),
+        (dict(kind=CYCLOTOMIC, involution=INVERSE_CONJ, level=30), "at most 16"),
     ],
 )
 def test_descriptor_validation(kwargs, message):
     with pytest.raises(AmbientError, match=message):
         FieldDescriptor(**kwargs)
+
+
+def test_level_bound_is_the_power_test_cap():
+    assert LEVEL_BOUND == 16
+    assert FieldDescriptor(CYCLOTOMIC, IDENTITY, level=16).ambient_dim == 1 << 15
 
 
 def test_ambient_dimensions():
@@ -132,6 +142,126 @@ def test_cyclotomic_sqrt_of_squares(x):
     r = sqrt_ambient(QC3, x * x)
     assert r is not None and r * r == x * x
     assert min(r.coeffs, (-r).coeffs) == r.coeffs
+
+
+# -- the integer form against a Fraction schoolbook reference ------------------
+
+
+def schoolbook_times(x, y, q):
+    """x*y on coordinate tuples (Fractions, or residues mod q), zeta^d = -1."""
+    d = len(x)
+    out = [0] * d
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            if i + j < d:
+                out[i + j] += xi * yj
+            else:
+                out[i + j - d] -= xi * yj
+    return tuple(v % q for v in out) if q else tuple(Fraction(v) for v in out)
+
+
+def schoolbook_inverse(x, q):
+    """1/x by Gauss-Jordan elimination on the matrix of multiplication
+    by x, solved for the unit vector 1."""
+    d = len(x)
+    units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    cols = [schoolbook_times(x, unit, q) for unit in units]
+    rows = [[cols[j][i] for j in range(d)] + [int(i == 0)] for i in range(d)]
+    for c in range(d):
+        p = next(r for r in range(c, d) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        inv = pow(rows[c][c], -1, q) if q else 1 / Fraction(rows[c][c])
+        rows[c] = [v * inv % q if q else v * inv for v in rows[c]]
+        for r in range(d):
+            f = rows[r][c]
+            if r != c and f:
+                pairs = zip(rows[r], rows[c])
+                rows[r] = [(u - f * v) % q if q else u - f * v for u, v in pairs]
+    return tuple(row[d] for row in rows)
+
+
+REFERENCE_FIELDS = [FieldDescriptor(CYCLOTOMIC, IDENTITY, level=L) for L in range(1, 7)]
+REFERENCE_FIELDS += [parse_field(f"F:{q}") for q in (3, 5, 7, 11, 13, 19)]
+
+
+def sparse_elements_of(K):
+    """Elements with about half their coordinates zero, so that level-6
+    references stay cheap."""
+    if K.kind == CYCLOTOMIC:
+        coord = st.one_of(st.just(0), small_fractions())
+    else:
+        coord = st.integers(min_value=0, max_value=K.q - 1)
+    return st.tuples(*[coord] * K.ambient_dim)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_integer_form_agrees_with_fraction_schoolbook(data):
+    K = data.draw(st.sampled_from(REFERENCE_FIELDS))
+    xs = data.draw(sparse_elements_of(K))
+    ys = data.draw(sparse_elements_of(K))
+    x, y = K.element(xs), K.element(ys)
+    q = K.q
+    ref_x = tuple(Fraction(c) for c in xs) if not q else tuple(c % q for c in xs)
+    ref_y = tuple(Fraction(c) for c in ys) if not q else tuple(c % q for c in ys)
+    assert (x * y).coeffs == schoolbook_times(ref_x, ref_y, q)
+    if x.is_zero():
+        return
+    inv = x.inverse()
+    one = K.one().coeffs
+    assert schoolbook_times(ref_x, inv.coeffs, q) == one
+    if K.ambient_dim <= 16:  # Gauss-Jordan on Fractions takes 0.3 s at d = 32
+        assert inv.coeffs == schoolbook_inverse(ref_x, q)
+    square = x * x
+    r = sqrt_ambient(K, square)
+    assert r is not None and r in (x, -x)
+    # the top 2-power root of unity is no square, so neither is x^2 times it
+    assert sqrt_ambient(K, square * eps(K, K.root_level)) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_equal_elements_from_other_denominators_are_equal(data):
+    K = data.draw(st.sampled_from(REFERENCE_FIELDS))
+    xs = data.draw(sparse_elements_of(K))
+    w = K.element(data.draw(sparse_elements_of(K)))
+    m = data.draw(st.sampled_from([2, 3, 5**7, -6, 2**70 + 1]))
+    if K.kind == FINITE and m % K.q == 0:
+        m += 1
+    x = K.element(xs)
+    rebuilt = K.element(c * m for c in xs) / m
+    for y in (rebuilt, (x + w) - w, x * m * K.scalar(m).inverse()):
+        assert y == x and hash(y) == hash(x)
+        assert (y.ints, y.den) == (x.ints, x.den)
+    assert x.den > 0 and (K.kind == CYCLOTOMIC or x.den == 1)
+    # .coeffs is the boundary view, and it round-trips
+    if K.kind == CYCLOTOMIC:
+        assert x.coeffs == tuple(Fraction(c) for c in xs)
+    else:
+        assert x.coeffs == tuple(c % K.q for c in xs)
+    assert K.element(x.coeffs) == x
+
+
+def test_inexact_numbers_are_refused():
+    with pytest.raises(AmbientError, match="float"):
+        Q.scalar(0.1)
+    with pytest.raises(AmbientError, match="float"):
+        Q.element((1.5, 0))
+    with pytest.raises(AmbientError, match="float"):
+        Q.element((Fraction(3, 2), 1.5))
+    with pytest.raises(AmbientError, match="Decimal"):
+        QC3.scalar(Decimal(1))
+    with pytest.raises(AmbientError, match="Fraction"):
+        F7.element((Fraction(1, 2), 0))
+    with pytest.raises(AmbientError, match="float"):
+        Q.one() * 0.5
+    with pytest.raises(AmbientError, match="float"):
+        Q.one() == 1.0
+    with pytest.raises(AmbientError, match="float"):
+        AlgebraSpec(Q, 1, Q.scalar(2)).one().scale(0.5)
+    with pytest.raises(TypeError):
+        Q.one() * "2"  # not a number: the operator declines
+    assert Q.scalar(Fraction(1, 10)) == Fraction(1, 10)
 
 
 # -- involutions -------------------------------------------------------------

@@ -48,6 +48,35 @@ DEEP = (
     ("verify", "--json", "Q", "8", "16"),
     ("verify", "--json", "QC:6", "6", "-1"),
     ("verify", "--json", "QE:4", "6", "16"),
+    # non-rational constants with denominators: b^16 and b^32 for
+    # b = 1/3 + sqrt(2)/5 over QR:3, and -c^8 for c = -1/2 + (2/7)sqrt(-2)
+    # over QE:3
+    (
+        "verify",
+        "--json",
+        "QR:3",
+        "5",
+        "1418100868747201/6568408355712890625,66849916046512/437893890380859375,"
+        "0,-66849916046512/437893890380859375",
+    ),
+    (
+        "idempotents",
+        "--unchecked",
+        "--json",
+        "QR:3",
+        "6",
+        "4022020147883132362565560099201/43143988327398919500410556793212890625,"
+        "189599848042472239384571625824/2876265888493261300027370452880859375,0,"
+        "-189599848042472239384571625824/2876265888493261300027370452880859375",
+    ),
+    (
+        "verify",
+        "--json",
+        "QE:3",
+        "5",
+        "--",
+        "-28545857/1475789056,-101711/6588344,0,-101711/6588344",
+    ),
 )
 
 
