@@ -127,19 +127,18 @@ def _item(
     component, in closed form.  The part of e for one chi satisfies
     g^S * e_chi = (b^(2^r) / chi) * e_chi, S = 2^(n-s+r) (idempotency
     makes (chi * b^(-2^r))^T * a = 1), so g*e is cut out by
-    prod_chi (x^S - b^(2^r) / chi) of degree S * len(chis).
+    prod_chi (x^S - b^(2^r) / chi) of degree S * len(chis): x^S - c, or
+    x^(2S) - (c1 + c2) x^S + c1 c2 for a pair of characters.
     ``verify_family`` proves that this is the minimal polynomial."""
     K = spec.field
     S = 1 << (spec.n - s + r)
     br = b ** (1 << r)
-    coeffs = [K.one()]
-    for chi in chis:
-        c = br / chi
-        # times x^S - c
-        shifted = [K.zero()] * S + coeffs
-        for k, x in enumerate(coeffs):
-            shifted[k] = shifted[k] - c * x
-        coeffs = shifted
+    cs = [br / chi for chi in chis]
+    gap = [K.zero()] * (S - 1)
+    if len(cs) == 1:
+        coeffs = [-cs[0], *gap, K.one()]
+    else:
+        coeffs = [cs[0] * cs[1], *gap, -(cs[0] + cs[1]), *gap, K.one()]
     element = _char_sum(spec, s, r, b, *chis)
     return IdempotentItem(label, element, S * len(chis), Poly(tuple(coeffs)))
 

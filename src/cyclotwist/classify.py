@@ -30,6 +30,7 @@ from .fields import (
     is_in_k,
     kth_power_test_branching,
     norm,
+    root_chain,
     sigma,
     sqrt_ambient,
 )
@@ -117,27 +118,22 @@ def _require_unit_in_k(K: FieldDescriptor, a: AmbientElement) -> None:
 def h_n(K: FieldDescriptor, a: AmbientElement, n: int) -> int:
     """The largest s in [0, n] with a in (A*)^(2^s).
 
-    Monotone in s, so we climb until the branching power test first
-    fails.  A single chain of square roots would *not* be sound here:
-    each depth is decided by its own full sign search.
+    One chain of square roots decides it (``root_chain``): the 2^j-th
+    roots of a form one coset y * mu_{2^min(j,m)}, y any one of them, and
+    eps_m is no square in A, so modulo squares that coset is the class of
+    y and, from j = m on, that of y * eps_m (Lang, *Algebra*, VI 9).
     """
     _require_unit_in_k(K, a)
     if not 0 <= n <= POWER_TEST_CAP:
         raise ValueError(f"n must be in [0, {POWER_TEST_CAP}]")
-    for s in range(1, n + 1):
-        if kth_power_test_branching(K, a, 1 << s) is None:
-            return s - 1
-    return n
+    return root_chain(K, a, n)[0]
 
 
 def ks_membership(K: FieldDescriptor, a: AmbientElement, s: int) -> bool:
     """Is a in K_s = K* intersect (A*)^(2^s)?  The witness may be ambient."""
-    _require_unit_in_k(K, a)
     if not 0 <= s <= POWER_TEST_CAP:
         raise ValueError(f"s must be in [0, {POWER_TEST_CAP}]")
-    if s == 0:
-        return True
-    return kth_power_test_branching(K, a, 1 << s) is not None
+    return h_n(K, a, s) == s
 
 
 def _root_order_log2(K: FieldDescriptor, x: AmbientElement) -> int:
@@ -180,8 +176,6 @@ def ks_decompose(K: FieldDescriptor, a: AmbientElement, s: int) -> CosetDecompos
     _require_unit_in_k(K, a)
     if not 0 <= s <= POWER_TEST_CAP:
         raise ValueError(f"s must be in [0, {POWER_TEST_CAP}]")
-    if s == 0:
-        return CosetDecomposition(0, PLAIN, a)
     alpha = kth_power_test_branching(K, a, 1 << s)
     if alpha is None:
         raise ValueError(f"a is not a 2^{s}-th power in the ambient field")

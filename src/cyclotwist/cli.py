@@ -22,6 +22,7 @@ number as an exact string — never a float.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -200,6 +201,7 @@ def _budget(text: str) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cyclotwist",

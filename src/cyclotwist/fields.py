@@ -48,8 +48,8 @@ INVERSE_CONJ = "inverse_conj"
 NEGATED_INVERSE_CONJ = "negated_inverse_conj"
 FROBENIUS = "frobenius"
 
-# Branching power tests walk a binary tree of square-root choices; 2^16
-# leaves is the largest tree we ever agree to explore.
+# The bound on n, the exponent of the group order 2^n, and so on the
+# depth of every 2-power test.
 POWER_TEST_CAP = 16
 
 Scalar = Union[int, Fraction]
@@ -65,8 +65,8 @@ class AmbientError(ValueError):
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_TEST_BOUND = 3317044064679887385961981
 
-# An element of Q(zeta_{2^L}) has 2^(L-1) coordinates; levels are bounded
-# like n, by the 2^16 ceiling of POWER_TEST_CAP.
+# The bound on the cyclotomic level L: an element of Q(zeta_{2^L}) has
+# 2^(L-1) coordinates.
 LEVEL_BOUND = 16
 
 
@@ -187,15 +187,7 @@ class FieldDescriptor:
         n = self.ambient_dim
         if len(vals) != n:
             raise AmbientError(f"expected {n} coordinates, got {len(vals)}")
-        exact, names = int, "int"
-        if self.kind == CYCLOTOMIC:
-            exact, names = (int, Fraction), "int or Fraction"
-        for c in vals:
-            if not isinstance(c, exact):
-                raise AmbientError(
-                    f"cannot use {type(c).__name__} as a coordinate over {self}: "
-                    f"expected {names}"
-                )
+        self._refuse_inexact(vals)
         den = lcm(*(c.denominator for c in vals))
         nums = [c.numerator * (den // c.denominator) for c in vals]
         return _new(self, *reduce_coords(self, nums, den))
@@ -212,12 +204,29 @@ class FieldDescriptor:
             return self.scalar(c)
         return None
 
-    def scalar(self, c: Scalar) -> "AmbientElement":
-        return self.element((c,) + (0,) * (self.ambient_dim - 1))
+    def _refuse_inexact(self, vals) -> None:
+        """Refuse any coordinate but an int, or over Q(zeta) a Fraction."""
+        exact, names = int, "int"
+        if self.kind == CYCLOTOMIC:
+            exact, names = (int, Fraction), "int or Fraction"
+        for c in vals:
+            if not isinstance(c, exact):
+                raise AmbientError(
+                    f"cannot use {type(c).__name__} as a coordinate over {self}: "
+                    f"expected {names}"
+                )
 
+    def scalar(self, c: Scalar) -> "AmbientElement":
+        """``element((c, 0, ..., 0))``, checking and reducing c alone."""
+        self._refuse_inexact((c,))
+        nums, den = reduce_coords(self, [c.numerator], c.denominator)
+        return _new(self, nums + (0,) * (self.ambient_dim - 1), den)
+
+    @functools.lru_cache(maxsize=None)
     def zero(self) -> "AmbientElement":
         return self.scalar(0)
 
+    @functools.lru_cache(maxsize=None)
     def one(self) -> "AmbientElement":
         return self.scalar(1)
 
@@ -710,33 +719,39 @@ def sqrt_ambient(K: FieldDescriptor, x: AmbientElement) -> Optional[AmbientEleme
     return cand
 
 
+def root_chain(
+    K: FieldDescriptor, x: AmbientElement, t: int
+) -> Tuple[int, AmbientElement]:
+    """(j, y) for the largest j <= t with x a 2^j-th power in A, and y a
+    2^j-th root of x, by at most 2t square roots (see ``classify.h_n``)."""
+    y = x
+    for j in range(t):
+        r = sqrt_ambient(K, y)
+        if r is None and j >= K.root_level:
+            r = sqrt_ambient(K, y * eps(K, K.root_level))
+        if r is None:
+            return j, y
+        y = r
+    return t, y
+
+
 def kth_power_test_branching(
     K: FieldDescriptor, x: AmbientElement, k: int
 ) -> Optional[AmbientElement]:
-    """Find y in A with y^k = x (k a power of two), or None.
-
-    Repeated square roots alone are not enough: at every level both
-    signs +-r must be explored, because the branch that continues to
-    the bottom need not be the canonical one.  The search therefore
-    walks the full sign tree (at most k leaves) and returns the first
-    witness found.
-    """
+    """Find y in A with y^k = x (k = 2^t), or None: the first leaf of the
+    search over both signs of each square root, canonical sign first.
+    For t <= L, the root level, -1 is a 2^(t-1)-th power and the search
+    keeps the canonical root throughout, as ``root_chain`` does.  For
+    t > L one sign survives at each level above L, so it passes through
+    alpha^(2^L), the same for every 2^t-th root alpha, and takes L
+    canonical roots from there."""
     if k < 1 or k & (k - 1):
         raise AmbientError("k must be a positive power of two")
     depth = k.bit_length() - 1
     if depth > POWER_TEST_CAP:
         raise AmbientError(f"power test capped at 2^{POWER_TEST_CAP}")
-
-    def search(y: AmbientElement, lvl: int) -> Optional[AmbientElement]:
-        if lvl == 0:
-            return y
-        r = sqrt_ambient(K, y)
-        if r is None:
-            return None
-        for cand in (r, -r):
-            hit = search(cand, lvl - 1)
-            if hit is not None:
-                return hit
+    j, y = root_chain(K, x, depth)
+    if j < depth:
         return None
-
-    return search(x, depth)
+    L = K.root_level
+    return root_chain(K, y ** (1 << L), L)[1] if depth > L else y

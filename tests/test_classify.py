@@ -72,10 +72,23 @@ def test_emulation_annotation(spec, n, emulates):
 
 
 def test_depth_needs_the_sign_tree():
-    # 16 = ((-1+i)^2)^4: the witness chain passes through -4 and 2i,
-    # which a canonical-square-root-only descent never visits.
+    # 16 = ((-1+i)^2)^4.  For 3^8 = 6561 the canonical roots
+    # 6561 -> -81 -> -9i end at a non-square: the chain goes on from
+    # -9i * i = 9, the other class of 4th roots modulo squares.
     assert h_n(Q, Q.scalar(16), 3) == 3
     assert h_n(Q, Q.scalar(16), 4) == 3
+    assert h_n(Q, Q.scalar(6561), 4) == 3
+    assert h_n(Q, Q.one(), 5) == 5
+
+
+@pytest.mark.parametrize("spec, n, s", [("F:65537", 16, 15), ("QC:10", 10, 9)])
+def test_depth_at_the_frontier(spec, n, s):
+    # -1 is a 2^(L-1)-th power and no more (L = 16 and 10): the top
+    # levels of the power test, decided by one chain of square roots
+    K = parse_field(spec)
+    a = -K.one()
+    assert h_n(K, a, n) == s
+    assert recompose(K, ks_decompose(K, a, s)) == a
 
 
 @pytest.mark.parametrize(

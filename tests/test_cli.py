@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cyclotwist.cli import main
+from cyclotwist.cli import _build_parser, main
 
 DEEP_A = "170459392,120532992,0,-120532992"  # (1 + eps_3)^32 over QR:3
 
@@ -257,3 +257,17 @@ def test_selftest_corruption_hook(capsys, monkeypatch):
     assert "deliberate corruption detected by: family does not sum to 1" in out
     assert "reproduce with: cyclotwist verify F:5 2 1" in out
     assert out.rstrip().endswith("selftest: FAIL")
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    # the parser is built once and reused: a usage error in between
+    # leaves no state behind for the next call
+    argv = ["verify", "--json", "F:5", "2", "1"]
+    first = run(capsys, *argv)
+    assert first[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "F:5", "2"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: a" in capsys.readouterr().err
+    assert run(capsys, *argv) == first
+    assert _build_parser() is _build_parser()

@@ -27,6 +27,7 @@ from cyclotwist.fields import (
     is_in_k,
     kth_power_test_branching,
     norm,
+    root_chain,
     sigma,
     sqrt_ambient,
 )
@@ -264,6 +265,30 @@ def test_inexact_numbers_are_refused():
     assert Q.scalar(Fraction(1, 10)) == Fraction(1, 10)
 
 
+QC16 = FieldDescriptor(CYCLOTOMIC, IDENTITY, level=16)
+F31I = FieldDescriptor(FINITE, FROBENIUS, q=31, d=2)
+
+
+@pytest.mark.parametrize("K", [Q, QC3, QE3, QC16, F5, F7, F31I])
+def test_scalar_equals_the_padded_element(K):
+    values = [0, 1, -1, 7, -40, 2**70 + 3, True]
+    if K.kind == CYCLOTOMIC:
+        values += [Fraction(-3, 4), Fraction(12, 8), Fraction(0, 5)]
+    pad = (0,) * (K.ambient_dim - 1)
+    for c in values:
+        x, y = K.scalar(c), K.element((c,) + pad)
+        assert (x.ints, x.den) == (y.ints, y.den) and x == y
+        assert all(type(v) is int for v in x.ints)
+    assert K.one() == K.scalar(1) and K.zero() == K.scalar(0)
+    assert K.one() is K.one() and K.zero() is K.zero()
+    for bad in (0.5, Decimal(1)):
+        with pytest.raises(AmbientError) as from_scalar:
+            K.scalar(bad)
+        with pytest.raises(AmbientError) as from_element:
+            K.element((bad,) + pad)
+        assert str(from_scalar.value) == str(from_element.value)
+
+
 # -- involutions -------------------------------------------------------------
 
 
@@ -331,8 +356,11 @@ def test_eps_beyond_supply_raises():
 
 
 def test_branching_explores_both_signs():
-    # 16 = (-1+i)^8 although the canonical-sqrt chain from 16 dies:
-    # 16 -> -4 -> 2i -> 1+i is reached only on the negative branch.
+    # 3^8 = 6561: the canonical roots 6561 -> -81 -> -9i end at a
+    # non-square, and the witness is reached through +81 -> -9 -> -3i.
+    w = kth_power_test_branching(Q, Q.scalar(6561), 8)
+    assert w == Q.element((0, -3))
+    assert kth_power_test_branching(Q, Q.scalar(6561), 16) is None
     w = kth_power_test_branching(Q, Q.scalar(16), 8)
     assert w is not None and w**8 == Q.scalar(16)
     assert kth_power_test_branching(Q, Q.scalar(16), 16) is None
@@ -357,6 +385,73 @@ def test_branching_agrees_with_exhaustion_finite(K):
         powers = {x**k for x in units}
         for x in units:
             assert (kth_power_test_branching(K, x, k) is not None) == (x in powers)
+
+
+def sign_tree_reference(K, x, k):
+    """The depth-first search over both signs of every square root,
+    canonical sign first: up to k leaves.  Its first witness is the one
+    ``kth_power_test_branching`` must return."""
+
+    def search(y, lvl):
+        if lvl == 0:
+            return y
+        r = sqrt_ambient(K, y)
+        if r is None:
+            return None
+        for cand in (r, -r):
+            hit = search(cand, lvl - 1)
+            if hit is not None:
+                return hit
+        return None
+
+    return search(x, k.bit_length() - 1)
+
+
+CHAIN_FIELDS = [FieldDescriptor(CYCLOTOMIC, IDENTITY, level=L) for L in range(1, 6)]
+CHAIN_FIELDS += [
+    FieldDescriptor(FINITE, IDENTITY, q=q, d=d)
+    for q in (3, 5, 7, 13, 17, 31, 41, 97, 257)
+    for d in (1, 2)
+    if d == 1 or q % 4 == 3
+]
+
+
+def sparse_units_of(K):
+    """Nonzero elements with few nonzero coordinates, fractional over
+    Q(zeta), so that their 2^8-th powers stay small."""
+    if K.kind == CYCLOTOMIC:
+        coord = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    else:
+        coord = st.integers(min_value=1, max_value=K.q - 1)
+    n = K.ambient_dim
+    terms = st.lists(
+        st.tuples(st.integers(0, n - 1), coord), min_size=1, max_size=2
+    )
+
+    def build(pairs):
+        vals = [0] * n
+        for i, c in pairs:
+            vals[i] = c
+        return K.element(vals)
+
+    return terms.map(build).filter(lambda x: not x.is_zero())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_chain_witness_is_the_sign_tree_witness(data):
+    K = data.draw(st.sampled_from(CHAIN_FIELDS))
+    c = data.draw(sparse_units_of(K))
+    j = data.draw(st.integers(0, 8))
+    e = data.draw(st.integers(0, (1 << K.root_level) - 1))
+    sign = data.draw(st.sampled_from([1, -1]))
+    x = c ** (1 << j) * eps(K, K.root_level) ** e * sign
+    t = data.draw(st.integers(0, min(j + 1, 8)))
+    want = sign_tree_reference(K, x, 1 << t)
+    assert kth_power_test_branching(K, x, 1 << t) == want
+    depth, y = root_chain(K, x, t)
+    assert y ** (1 << depth) == x
+    assert (depth == t) == (want is not None)
 
 
 # -- primality and the first non-square ------------------------------------

@@ -77,6 +77,10 @@ DEEP = (
         "--",
         "-28545857/1475789056,-101711/6588344,0,-101711/6588344",
     ),
+    # 3^8 = (-3i)^8 over Q(i): the canonical 4th root -9i of 3^8 is no
+    # square, so b = -3i (the power test's witness) and not the -3 that
+    # the chain of square roots reaches through -9i * i = 9
+    ("idempotents", "--unchecked", "--json", "QC:2", "3", "6561"),
 )
 
 
