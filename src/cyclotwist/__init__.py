@@ -3,8 +3,10 @@
 The algebra K_t<g> = K[g]/(g^(2^n) - a) over a field K of characteristic
 != 2 is commutative and semisimple; this package constructs its complete
 family of minimal idempotents in closed form, classifies the base field,
-and verifies the result against independent brute-force and structural
-oracles.
+and verifies the result against independent oracles: structural checks,
+Galois-descent pairing, and over F_q a certificate read off the
+Frobenius-fixed subalgebra (``brute_enumerate_minimal`` keeps the
+exhaustive enumeration as ground truth for small instances).
 
 Typical use::
 

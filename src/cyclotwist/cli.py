@@ -235,12 +235,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("field", help="field spec")
     p.add_argument("n", type=int)
     p.add_argument("a", help="element literal")
-    p.add_argument("--max-enum", type=_budget, default=DEFAULT_ENUM_BUDGET)
+    p.add_argument(
+        "--max-enum",
+        type=_budget,
+        default=DEFAULT_ENUM_BUDGET,
+        metavar="M",
+        help="over F_q, skip the Frobenius certificate when its work, 2^n "
+        "coefficients times the number of items, exceeds M (default %(default)s)",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("selftest", help="run the built-in verification criteria")
-    p.add_argument("--max-enum", type=_budget, default=DEFAULT_ENUM_BUDGET)
+    p.add_argument(
+        "--max-enum",
+        type=_budget,
+        default=DEFAULT_ENUM_BUDGET,
+        metavar="M",
+        help="skip a brute-force ground-truth instance when it has more than "
+        "M coefficient vectors, q^(2^n) (default %(default)s)",
+    )
     p.set_defaults(handler=_cmd_selftest)
 
     return parser

@@ -487,10 +487,15 @@ def _inverse_coords(x: Sequence[int], q: int) -> Tuple[list, int]:
     Write x = u + zeta*v over the subfield generated by zeta^2; then
     1/x = (u - zeta*v) / (u^2 - zeta^2 v^2) with the denominator down in
     the subfield, and recurse to the prime field.  At d = 2 over F_q
-    this is 1/(u + iv) = (u - iv)/(u^2 + v^2).
+    this is 1/(u + iv) = (u - iv)/(u^2 + v^2).  A monomial c*zeta^k
+    needs no descent: 1/x = -zeta^(d-k)/c, as zeta^d = -1.
     """
-    if len(x) == 1:
-        return [1], x[0]
+    support = [k for k, v in enumerate(x) if v]
+    if len(support) == 1:
+        k = support[0]
+        nums = [0] * len(x)
+        nums[-k] = -1 if k else 1
+        return nums, x[k]
     u, v = x[0::2], x[1::2]
     nums, nrm = _inverse_coords(_down_norm(u, v, q), q)
     minus_v = [-t for t in v]

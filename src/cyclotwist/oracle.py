@@ -7,15 +7,19 @@ Three lines of evidence are kept separate:
   minimal polynomials), plus the certificate that every item is
   minimal; orthogonality follows from these checks and is not
   multiplied out pair by pair;
-* ``brute_enumerate_minimal`` / ``cross_check``: over finite fields,
-  exhaustive enumeration of every idempotent, with no shared code or
-  ideas with the closed-form construction;
+* ``cross_check``: over finite fields, a certificate that the family is
+  exactly the set of primitive idempotents, read off the subalgebra
+  fixed by Frobenius with its own product of residues, in time
+  polynomial in 2^n; ``brute_enumerate_minimal``, which exhausts all
+  q^(2^n) coefficient vectors, stays as the ground truth that the
+  selftest and the tests compare against;
 * ``conjugate_pairing_check``: let the involution act on the family
   built over the full ambient field (trivial involution) and compare
   the orbit sums against the K-side family.
 
-The structural checks and enumeration share nothing with each other or
-with the construction.  Pairing and the minimality certificate share
+The structural checks and the Frobenius certificate share nothing with
+each other or with the construction: no roots of unity, coset forms or
+``alg_mul``.  Pairing and the minimality certificate share
 the orbit sums: the primitive idempotents of K_t<g> are the orbit sums
 of those of A_t<g> (Galois descent), and over A every component is cut
 out by a 2-power binomial that the Capelli criterion decides exactly.
@@ -23,8 +27,9 @@ out by a 2-power binomial that the Capelli criterion decides exactly.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple
 
 from . import _enum_py
 from .algebra import AlgebraElement, AlgebraSpec, certify_irreducible
@@ -45,7 +50,8 @@ class VerificationError(RuntimeError):
 
 
 class EnumerationBudgetError(ValueError):
-    """The requested brute-force enumeration would be too large."""
+    """The requested cross-check (the Frobenius certificate, or brute-force
+    enumeration) would be too large."""
 
 
 @dataclass(frozen=True)
@@ -301,7 +307,7 @@ def _descent(
 
 
 # ---------------------------------------------------------------------------
-# brute force over finite fields
+# finite fields: brute force, and the Frobenius certificate
 # ---------------------------------------------------------------------------
 
 
@@ -310,7 +316,9 @@ def brute_enumerate_minimal(
 ) -> List[AlgebraElement]:
     """Every minimal idempotent, found by exhausting all q^(2^n)
     coefficient vectors.  Only for finite K of size q (the fixed field
-    of F:q presentations); refuses anything over budget."""
+    of F:q presentations); refuses anything over budget.  The ground
+    truth of selftest criterion 2 and of the tests; ``cross_check``
+    does not call it."""
     K = spec.field
     if K.kind != FINITE:
         raise ValueError("brute-force enumeration needs a finite field")
@@ -329,10 +337,95 @@ def brute_enumerate_minimal(
 
 
 def cross_check(family: IdempotentFamily, max_count: int = DEFAULT_ENUM_BUDGET) -> bool:
-    """Does the closed-form family coincide, as a set, with the
-    brute-forced minimal idempotents?"""
-    enumerated = brute_enumerate_minimal(family.spec, max_count)
-    return set(enumerated) == set(family.elements())
+    """Is the family over a finite K exactly the set of primitive
+    idempotents?  Decided by ``_frobenius_certificate``; ``max_count``
+    bounds its work, 2^n coefficients times the number of items."""
+    spec = family.spec
+    K = spec.field
+    if K.kind != FINITE:
+        raise ValueError("the Frobenius certificate needs a finite field")
+    if K.d == 2 and K.involution != FROBENIUS:
+        raise ValueError("the certificate is over K; need |K| = q")
+    items = len(family.items)
+    work = spec.size * items
+    if work > max_count:
+        raise EnumerationBudgetError(
+            f"certificate work of {spec.size} coefficients x {items} items = "
+            f"{work} exceeds the budget of {max_count}"
+        )
+    d = K.ambient_dim
+    vecs = []
+    for e in family.elements():
+        if d == 2 and any(e.ints[1::2]):  # an i-coordinate: e is not over K
+            return False
+        vecs.append(e.ints[::d])
+    return _frobenius_certificate(K.q, spec.size, spec.a.ints[0], vecs)
+
+
+def _frobenius_certificate(q: int, N: int, a: int, vecs: Sequence[tuple]) -> bool:
+    """Are ``vecs`` exactly the primitive idempotents of
+    F_q[g]/(g^N - a)?  Each vector holds the N residues of one item.
+
+    Every idempotent lies in the Frobenius-fixed subalgebra
+    B = {x : x^q = x} (Berlekamp, "Factoring polynomials over finite
+    fields", 1967), and B is F_q^r for r the number of primitive
+    idempotents.  Frobenius is a monomial map: c*g^k goes to
+    c*a^floor(kq/N)*g^(kq mod N), so a fixed x is fixed cycle by cycle
+    of k -> kq mod N, and a cycle carries a fixed x != 0 exactly when
+    the product of its twists a^floor(kq/N) is 1.  That gives r with no
+    product.
+
+    The vectors must then be r nonzero idempotents whose running sums
+    stay idempotent.  In characteristic != 2, (s + e)^2 = s + e for
+    idempotents s and e forces s*e = 0, so the items are pairwise
+    orthogonal, and r nonzero orthogonal idempotents of F_q^r are its r
+    primitive ones.  Two more checks are implied but cost no product:
+    each item is fixed, which turns most wrong items away first, and
+    the items sum to 1.
+    """
+    perm = [k * q % N for k in range(N)]
+    twist = [pow(a, k * q // N, q) for k in range(N)]
+    seen = [False] * N
+    r = 0
+    for start in range(N):
+        if seen[start]:
+            continue
+        prod, k = 1, start
+        while not seen[k]:
+            seen[k] = True
+            prod = prod * twist[k] % q
+            k = perm[k]
+        r += prod == 1
+    if len(vecs) != r:
+        return False
+    total = (0,) * N
+    for e in vecs:
+        if not any(e) or any(e[perm[k]] != e[k] * twist[k] % q for k in range(N)):
+            return False
+        total = tuple((x + y) % q for x, y in zip(total, e))
+        if _square(e, q, a) != e or _square(total, q, a) != total:
+            return False
+    return total == (1,) + (0,) * (N - 1)
+
+
+def _square(x: tuple, q: int, a: int) -> tuple:
+    """x*x in F_q[g]/(g^N - a), N = len(x): one big-integer square of
+    the residues packed into slots wide enough for any coefficient of
+    the plain square (Kronecker substitution), wrapped back with
+    g^N = a.  A slot of up to 8 bytes is a struct lane."""
+    N = len(x)
+    w = (N * (q - 1) ** 2).bit_length() // 8 + 1
+    if w <= 8:
+        w = 1 << (w - 1).bit_length()
+        lane = "BHIQ"[w.bit_length() - 1]
+        packed = int.from_bytes(struct.pack(f"<{N}{lane}", *x), "little")
+        raw = (packed * packed).to_bytes(2 * N * w, "little")
+        c = struct.unpack(f"<{2 * N}{lane}", raw)
+    else:
+        packed = int.from_bytes(b"".join(v.to_bytes(w, "little") for v in x), "little")
+        raw = (packed * packed).to_bytes(2 * N * w, "little")
+        c = [int.from_bytes(raw[t : t + w], "little") for t in range(0, len(raw), w)]
+    return tuple((c[k] + a * c[N + k]) % q for k in range(N))
 
 
 # ---------------------------------------------------------------------------

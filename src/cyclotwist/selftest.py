@@ -38,7 +38,7 @@ from .grammar import parse_element, parse_field
 from .oracle import (
     DEFAULT_ENUM_BUDGET,
     VerificationError,
-    cross_check,
+    brute_enumerate_minimal,
     conjugate_pairing_check,
     verify_family,
 )
@@ -206,7 +206,8 @@ def criterion_ground_truth(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionResu
             continue
         spec = AlgebraSpec(K, n, parse_element(K, a))
         try:
-            agree = cross_check(_family(spec), max_count=max_enum)
+            enumerated = brute_enumerate_minimal(spec, max_enum)
+            agree = set(enumerated) == set(_family(spec).elements())
         except Exception as err:
             agree = False
             details.append(f"({field_spec}, n={n}, a={a}): {type(err).__name__}: {err}")

@@ -137,9 +137,13 @@ def test_verify_skips_are_reported(capsys):
 
 
 def test_verify_budget_skip(capsys):
-    code, out, _ = run(capsys, "verify", "F:7", "3", "1", "--max-enum", "100")
+    # the certificate's work on F:7 3 1 is 2^3 coefficients x 5 items = 40
+    code, out, _ = run(capsys, "verify", "F:7", "3", "1", "--max-enum", "39")
     assert code == 0
-    assert "enumeration: skipped" in out
+    assert (
+        "enumeration: skipped: certificate work of 8 coefficients x 5 items "
+        "= 40 exceeds the budget of 39" in out
+    )
     assert "pairing: pass" in out
 
 

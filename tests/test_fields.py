@@ -22,12 +22,17 @@ from cyclotwist.fields import (
     AmbientError,
     FieldDescriptor,
     _fin_nonresidue,
+    _down_norm,
+    _interleave,
+    _inverse_coords,
     _is_prime,
     eps,
     is_in_k,
     kth_power_test_branching,
     norm,
+    reduce_coords,
     root_chain,
+    times_coords,
     sigma,
     sqrt_ambient,
 )
@@ -121,6 +126,36 @@ def test_inverse_and_division():
     assert (x / x) == QC3.one()
     with pytest.raises(ZeroDivisionError):
         QC3.zero().inverse()
+
+
+def inverse_descent_reference(x, q):
+    """(nums, nrm) with x * nums = nrm by descent through the quadratic
+    tower alone, as ``_inverse_coords`` does for all but monomials."""
+    if len(x) == 1:
+        return [1], x[0]
+    u, v = x[0::2], x[1::2]
+    nums, nrm = inverse_descent_reference(_down_norm(u, v, q), q)
+    minus_v = [-t for t in v]
+    return _interleave(times_coords(u, nums, q), times_coords(minus_v, nums, q)), nrm
+
+
+MONOMIAL_FIELDS = [FieldDescriptor(CYCLOTOMIC, IDENTITY, level=L) for L in range(1, 7)]
+MONOMIAL_FIELDS += [parse_field(f"F:{q}") for q in (3, 7, 11, 19)]  # F_q[i]
+
+
+@pytest.mark.parametrize("K", MONOMIAL_FIELDS, ids=str)
+def test_monomial_inverse_matches_the_descent(K):
+    # c * zeta^k is inverted in closed form
+    d, q = K.ambient_dim, K.q
+    for c in (1, 2, -3, 7):
+        if q and c % q == 0:
+            continue
+        for k in range(d):
+            x = [0] * d
+            x[k] = c % q if q else c
+            got = reduce_coords(K, *_inverse_coords(x, q))
+            assert got == reduce_coords(K, *inverse_descent_reference(x, q))
+            assert K.element(x) * K.element(got[0]) / got[1] == K.one()
 
 
 def test_sqrt_canonical_sign():

@@ -1,9 +1,13 @@
-"""Verification oracles: structural checks, brute force, conjugate pairing."""
+"""Verification oracles: structural checks, brute force, the Frobenius
+certificate, conjugate pairing."""
 
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cyclotwist import _enum_py
 from cyclotwist.algebra import AlgebraSpec, Poly
 from cyclotwist.builder import IdempotentItem, ambient_family, build
 from cyclotwist.grammar import parse_element, parse_field
@@ -57,8 +61,12 @@ def test_enumeration_budget():
     spec = spec_of("F:7", 3, "1")  # 7^8 = 5,764,801 candidate vectors
     with pytest.raises(EnumerationBudgetError, match="budget"):
         brute_enumerate_minimal(spec)
-    with pytest.raises(EnumerationBudgetError):
-        cross_check(build(spec, checked=False), max_count=10**6)
+    # the certificate's work is 2^3 coefficients x 5 items = 40
+    family = build(spec, checked=False)
+    assert len(family.items) == 5
+    with pytest.raises(EnumerationBudgetError, match="8 coefficients x 5 items = 40"):
+        cross_check(family, max_count=39)
+    assert cross_check(family, max_count=40)
 
 
 def test_enumeration_rejects_infinite_fields():
@@ -71,6 +79,135 @@ def test_cross_check_small_grid(qspec, n):
     K = parse_field(qspec)
     for a0 in range(1, K.q):
         assert cross_check(build(AlgebraSpec(K, n, K.scalar(a0)), checked=False))
+
+
+# -- the Frobenius certificate -------------------------------------------------------
+
+
+def residues(family):
+    """The items' residues, sorted like ``_enum_py.atoms``; a repeated
+    item stays repeated, so a duplicated family is not the atoms."""
+    d = family.spec.field.ambient_dim
+    return sorted(e.ints[::d] for e in family.elements())
+
+
+def with_elements(family, elements):
+    """``family`` with one item, labelled (0,), (1,), ..., per element;
+    ``cross_check`` reads only the elements."""
+    item = family.items[0]
+    return replace(
+        family,
+        items=tuple(replace(item, label=(j,), element=e) for j, e in enumerate(elements)),
+    )
+
+
+def mutants(family):
+    """(kind, elements) for wrong families: an item dropped, two merged
+    into their sum, one duplicated, or one replaced by -e, g*e or 1 - e;
+    and three wrong families of the right size that sum to 1, each
+    caught by one check alone."""
+    es = family.elements()
+    one = family.spec.one()
+    q = family.spec.field.q
+    for i, e in enumerate(es):
+        rest = es[:i] + es[i + 1 :]
+        yield "dropped", rest
+        yield "duplicated", es + [e]
+        yield "negated", rest + [-e]
+        yield "complemented", rest + [one - e]
+        if e.shift(1) != e:  # g*e = e on the component where g is 1
+            yield "shifted", rest + [e.shift(1)]
+        if i + 1 < len(es):
+            merged = es[:i] + [e + es[i + 1]] + es[i + 2 :]
+            yield "merged", merged
+            # only the nonzero check rejects this one
+            yield "merged", merged + [family.spec.zero()]
+    if len(es) >= 3:
+        # running sums e0, e1, 1: idempotent, but e1 - e0 is not
+        yield "telescoped", [es[0], es[1] - es[0], es[0] + es[2]] + es[3:]
+    if len(es) > q:
+        # idempotents e0 + ej (j = 1..q) and e0 sum to 1, as (q + 1)*e0 = e0;
+        # only the running sums see that they overlap
+        yield "overlapping", [es[0] + f for f in es[1 : q + 1]] + [es[0]] + es[q + 1 :]
+
+
+SMALL_UNITS = [
+    (q, n, a)
+    for q in (3, 5, 7, 11, 13)
+    for n in range(4)
+    if q ** (1 << n) <= 10**5
+    for a in range(1, q)
+]
+
+
+@pytest.mark.parametrize("q, n, a", SMALL_UNITS)
+def test_certificate_agrees_with_enumeration(q, n, a):
+    family = build(spec_of(f"F:{q}", n, str(a)), checked=False)
+    atoms = _enum_py.atoms(q, n, a)
+    assert residues(family) == atoms
+    assert cross_check(family)
+    for kind, elements in mutants(family):
+        wrong = with_elements(family, elements)
+        assert cross_check(wrong) == (residues(wrong) == atoms), kind
+
+
+@pytest.mark.parametrize(
+    "field_spec, n, a",
+    [
+        ("F:3", 2, "1"),
+        ("F:5", 3, "1"),
+        ("F:7", 2, "3"),
+        ("F:5", 6, "1"),
+        ("F:3", 7, "1"),
+        ("F:13", 7, "3"),
+        ("F:7", 6, "6"),
+        ("F:1000000007", 6, "1"),  # slots wider than 8 bytes
+    ],
+)
+def test_certificate_rejects_mutants(field_spec, n, a):
+    family = build(spec_of(field_spec, n, a), checked=False)
+    assert cross_check(family)
+    kinds = set()
+    for kind, elements in mutants(family):
+        assert not cross_check(with_elements(family, elements)), kind
+        kinds.add(kind)
+    assert kinds >= {"dropped", "duplicated", "negated", "complemented", "shifted", "merged"}
+
+
+def test_certificate_rejects_items_outside_k():
+    # e0 + i*e1 has the residues of e0 in its K-coordinates
+    family = build(spec_of("F:7", 2, "1"), checked=False)
+    i = family.spec.field.element((0, 1))
+    es = family.elements()
+    assert not cross_check(with_elements(family, [es[0] + es[1].scale(i)] + es[1:]))
+
+
+@pytest.mark.parametrize(
+    "field_spec, n, a, kind",
+    [("F:5", 3, "1", "overlapping"), ("F:3", 3, "1", "overlapping"), ("F:3", 2, "1", "telescoped")],
+)
+def test_certificate_rejects_families_that_sum_to_one(field_spec, n, a, kind):
+    family = build(spec_of(field_spec, n, a), checked=False)
+    wrong = [es for k, es in mutants(family) if k == kind]
+    assert wrong
+    for elements in wrong:
+        assert len(elements) == len(family.items)
+        assert sum(elements[1:], elements[0]) == family.spec.one()
+        assert not cross_check(with_elements(family, elements))
+
+
+def test_certificate_needs_a_finite_field():
+    with pytest.raises(ValueError, match="finite field"):
+        cross_check(build(spec_of("Q", 1, "2"), checked=False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_unchecked_builds_certify(data):
+    q = data.draw(st.sampled_from([3, 5, 7, 13, 17]))
+    n = data.draw(st.integers(min_value=0, max_value=7))
+    a = data.draw(st.integers(min_value=1, max_value=q - 1))
+    assert cross_check(build(spec_of(f"F:{q}", n, str(a)), checked=False))
 
 
 # -- structural verification -------------------------------------------------------
