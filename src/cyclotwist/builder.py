@@ -8,10 +8,13 @@ over powers of a unit u = b^(-2^r) g^(2^(n-s+r)), where the weights w_j
 are (sums of two) powers of roots of unity chosen so that the result is
 K-rational.  Which family of weights applies is decided entirely by the
 field type (B/D/E), the depth s of a in the 2-power filtration, and the
-coset form of a in K_s.  The case functions below each produce one
+coset form of a in K_s.  The four case functions below each produce one
 complete family, every item stated with its component dimension and
 the minimal polynomial the character sum already determines (see
-``_item``); ``build`` only dispatches.
+``_item``); ``build`` only dispatches.  The two that serve every depth
+(``thm2_case1`` for K = A, ``thm3_case3`` for a plain coset) average
+over the roots of unity up to t = min(s, m) or min(s, m-1) and add the
+blocks on squared generators only when s runs past that supply.
 
 Index conventions that completeness depends on (checked by the test
 suite, which drops the labels of the rejected narrower variants):
@@ -35,7 +38,6 @@ from .algebra import AlgebraElement, AlgebraSpec, Poly
 from .classify import (
     EPS_COSET,
     NEGATED,
-    PLAIN,
     TYPE_B,
     TYPE_D,
     TYPE_E,
@@ -144,54 +146,25 @@ def _item(
 
 
 # ---------------------------------------------------------------------------
-# the five construction cases
+# the construction cases
 # ---------------------------------------------------------------------------
 
 
 def thm2_case1(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[IdempotentItem]:
-    """All 2-power roots of unity needed are in K (s <= m): the 2^s
-    characters of <h> each give one idempotent of dimension 2^(n-s)."""
-    es = eps(spec.field, s)
-    return [_item((i,), spec, s, 0, b, es**-i) for i in range(1 << s)]
-
-
-def thm2_case2(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[IdempotentItem]:
-    """K = A but s exceeds m: the first 2^m characters are averaged at
-    full length, the rest collapse into one family per extra power of
-    two, built on the squared generators."""
+    """K = A, or depth s = 0: the 2^t characters of <h> over eps_t,
+    t = min(s, m), each give one idempotent averaged at full length.
+    When s exceeds m the rest collapse into one family per extra power
+    of two, r = 1..s-m, built on the squared generators."""
     K = spec.field
     m = K.root_level
-    assert s > m
-    em = eps(K, m)
-    items: List[IdempotentItem] = [
-        _item((i,), spec, s, 0, b, em**-i) for i in range(1 << m)
-    ]
-    em1 = eps(K, m - 1)
-    for r in range(1, s - m + 1):
-        for i in range(1 << (m - 1)):
-            chi = em**-1 * em1**-i
-            items.append(_item((r, i), spec, s, r, b, chi))
-    return items
-
-
-def thm3_case2(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[IdempotentItem]:
-    """a = b^(2^s) with 1 <= s <= m-1 and K != A: the characters of <h>
-    pair off under the involution; endpoints i = 0 and i = 2^(s-1) are
-    self-paired."""
-    K = spec.field
-    assert 1 <= s <= K.root_level - 1
-    es = eps(K, s)
-    one = K.one()
-    half = 1 << (s - 1)
-    items: List[IdempotentItem] = []
-    for i in range(half + 1):
-        if i == 0:
-            chis = (one,)
-        elif i == half:
-            chis = (-one,)
-        else:
-            chis = (es**i, es**-i)
-        items.append(_item((i,), spec, s, 0, b, *chis))
+    t = min(s, m)
+    et = eps(K, t)
+    items = [_item((i,), spec, s, 0, b, et**-i) for i in range(1 << t)]
+    if s > m:
+        em1 = eps(K, m - 1)
+        for r in range(1, s - m + 1):
+            for i in range(1 << (m - 1)):
+                items.append(_item((r, i), spec, s, r, b, et**-1 * em1**-i))
     return items
 
 
@@ -214,35 +187,38 @@ def thm3_case4(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[IdempotentI
 
 
 def thm3_case3(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[IdempotentItem]:
-    """a = b^(2^s) with s >= m and K != A: the low characters pair off
-    as in the shallow case (over eps_{m-1}); past the root-of-unity
-    supply a double-indexed block over the squared generators takes
-    over, starting at r = 0.  The sign lam in the double block is +1
-    for type D and -1 for type E."""
+    """a = b^(2^s) with s >= 1 and K != A: the characters of <h> over
+    eps_t, t = min(s, m-1), pair off under the involution; endpoints
+    i = 0 and i = 2^(t-1) are self-paired.  From s = m on, past the
+    root-of-unity supply, a double-indexed block over the squared
+    generators takes over, r = 0..s-m.  The sign lam in the double
+    block is +1 for type D and -1 for type E."""
     K = spec.field
     cls = classify(K)
     m = cls.m
-    assert s >= m and cls.field_type in (TYPE_D, TYPE_E)
-    lam = K.one() if cls.field_type == TYPE_D else -K.one()
+    assert s >= 1 and cls.field_type in (TYPE_D, TYPE_E)
     one = K.one()
-    em = eps(K, m)
-    em1 = eps(K, m - 1)
-    em2 = eps(K, m - 2)
-    quarter = 1 << (m - 2)
+    t = min(s, m - 1)
+    et = eps(K, t)
+    half = 1 << (t - 1)
     items: List[IdempotentItem] = []
-    for i in range(quarter + 1):
+    for i in range(half + 1):
         if i == 0:
             chis = (one,)
-        elif i == quarter:
+        elif i == half:
             chis = (-one,)
         else:
-            chis = (em1**i, em1**-i)
+            chis = (et**i, et**-i)
         items.append(_item((i,), spec, s, 0, b, *chis))
-    for r in range(s - m + 1):
-        for i in range(quarter):
-            chi1 = em**-1 * em2**-i
-            chi2 = lam * em * em2**i
-            items.append(_item((r, i), spec, s, r, b, chi1, chi2))
+    if s >= m:
+        lam = one if cls.field_type == TYPE_D else -one
+        em = eps(K, m)
+        em2 = eps(K, m - 2)
+        for r in range(s - m + 1):
+            for i in range(half):
+                chi1 = em**-1 * em2**-i
+                chi2 = lam * em * em2**i
+                items.append(_item((r, i), spec, s, r, b, chi1, chi2))
     return items
 
 
@@ -294,20 +270,12 @@ def _dispatch(
     spec: AlgebraSpec, cls: Classification, dec: CosetDecomposition
 ) -> List[IdempotentItem]:
     s = dec.s
-    if cls.field_type == TYPE_B:
-        assert dec.form == PLAIN
-        if s <= cls.m:
-            return thm2_case1(spec, s, dec.b)
-        return thm2_case2(spec, s, dec.b)
-    if s == 0:
-        return thm2_case1(spec, 0, dec.b)
+    if cls.field_type == TYPE_B or s == 0:
+        return thm2_case1(spec, s, dec.b)
     if dec.form == NEGATED:
         return thm3_case4(spec, s, dec.b)
     if dec.form == EPS_COSET:
         return thm3_case5(spec, s, dec.b)
-    assert dec.form == PLAIN
-    if s <= cls.m - 1:
-        return thm3_case2(spec, s, dec.b)
     return thm3_case3(spec, s, dec.b)
 
 

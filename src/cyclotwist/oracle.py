@@ -21,8 +21,10 @@ The structural checks and the Frobenius certificate share nothing with
 each other or with the construction: no roots of unity, coset forms or
 ``alg_mul``.  Pairing and the minimality certificate share
 the orbit sums: the primitive idempotents of K_t<g> are the orbit sums
-of those of A_t<g> (Galois descent), and over A every component is cut
-out by a 2-power binomial that the Capelli criterion decides exactly.
+of those of A_t<g> (Galois descent).  The ambient family is proved
+complete by ``verify_family`` itself, and over A every component is cut
+out by a 2-power binomial that the Capelli criterion decides with one
+square test, since i lies in A.
 """
 
 from __future__ import annotations
@@ -218,43 +220,6 @@ def _raw_key(e: AlgebraElement) -> tuple:
     return e.ints, e.den
 
 
-def _ambient_failures(ambient: IdempotentFamily) -> List[str]:
-    """Why ``ambient`` is not certified to be the complete family of
-    primitive idempotents of A_t<g>; empty when it is.
-
-    Each item e must be idempotent with a minimal polynomial x^d - c
-    that the Capelli criterion proves irreducible over A and that
-    (g*e)^d = g^d*e = c*e confirms; the items must sum to 1 and their
-    degrees to 2^n.  Orthogonality need not be checked: idempotents
-    that sum to 1 cover every primitive idempotent of A_t<g> at least
-    once, so their component dimensions, each at most its d, sum to at
-    least 2^n.  Degrees summing to 2^n then make every component the
-    field A[x]/(x^d - c) and leave no primitive idempotent under two
-    items.
-    """
-    spec = ambient.spec
-    out = []
-    total = spec.zero()
-    for it in ambient.items:
-        e, poly = it.element, it.min_poly
-        name = f"ambient e{it.label}"
-        if not certify_irreducible(spec.field, poly):
-            out.append(f"{name} has min poly {poly}, not certified irreducible")
-        elif e * e != e:
-            out.append(f"{name} is not idempotent")
-        else:
-            bino = poly.as_binomial()
-            if e.shift(bino.degree) != e.scale(bino.constant):
-                out.append(f"{name} is not annihilated by its min poly")
-        total = total + e
-    if total != spec.one():
-        out.append("ambient family does not sum to 1")
-    degrees = sum(it.min_poly.degree for it in ambient.items)
-    if degrees != spec.size:
-        out.append(f"ambient min poly degrees sum to {degrees}, expected {spec.size}")
-    return out
-
-
 def _orbit_sums(K: FieldDescriptor, ambient: IdempotentFamily) -> Optional[Set[tuple]]:
     """Raw keys of the sums of the orbits of K's involution on the
     ambient family, or None when the involution does not permute it."""
@@ -290,7 +255,9 @@ def _descent(
     sums (Curtis & Reiner, Methods of Representation Theory I, section
     7).  When K = A the family is its own ambient family; its
     completeness is then part of the checks ``verify_family`` makes, and
-    only the irreducibility of each minimal polynomial is left.
+    only the irreducibility of each minimal polynomial is left.  Any
+    other ambient family must pass ``verify_family`` as its own ambient
+    family: the same structural checks, and Capelli on every item.
     """
     if ambient is family:
         A = family.spec.field
@@ -299,7 +266,7 @@ def _descent(
             for it in family.items
             if certify_irreducible(A, it.min_poly)
         }, []
-    failures = _ambient_failures(ambient)
+    failures = ["ambient " + f for f in verify_family(ambient, ambient).failures]
     sums = _orbit_sums(family.spec.field, ambient)
     if sums is None:
         failures.append("the involution does not permute the ambient family")

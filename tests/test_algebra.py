@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from cyclotwist.algebra import (
     AlgebraElement,
     AlgebraSpec,
-    Binomial,
     Poly,
     _pack,
     _unpack,
-    binomial_irreducible,
     certify_irreducible,
 )
 from cyclotwist.builder import IdempotentItem, ambient_family, build
@@ -320,6 +318,11 @@ def test_poly_rendering_with_vector_coefficients():
 # -- irreducibility certificates ----------------------------------------------
 
 
+def binomial(K, degree, c):
+    """x^degree - c over K."""
+    return Poly((K.scalar(-c),) + (K.zero(),) * (degree - 1) + (K.one(),))
+
+
 # The criterion decides irreducibility over the ambient field A of K:
 # Q(i) for Q, F_9 and F_49 for F:3 and F:7, F_5 itself for F:5.
 @pytest.mark.parametrize(
@@ -335,16 +338,15 @@ def test_poly_rendering_with_vector_coefficients():
     ],
 )
 def test_binomial_criterion_over_q(c, degree, irreducible):
-    f = Binomial(degree, Q.scalar(c))
-    assert binomial_irreducible(Q, f) == irreducible
+    assert certify_irreducible(Q, binomial(Q, degree, c)) == irreducible
 
 
 def test_binomial_criterion_depends_on_field():
     # x^2 + 1 splits over the ambient Q(i); x^2 - 2 stays irreducible
     # over Q(i) but splits over Q(zeta_8), the ambient field of QR:3
-    assert not binomial_irreducible(Q, Binomial(2, Q.scalar(-1)))
-    assert binomial_irreducible(Q, Binomial(2, Q.scalar(2)))
-    assert not binomial_irreducible(QR3, Binomial(2, QR3.scalar(2)))
+    assert not certify_irreducible(Q, binomial(Q, 2, -1))
+    assert certify_irreducible(Q, binomial(Q, 2, 2))
+    assert not certify_irreducible(QR3, binomial(QR3, 2, 2))
 
 
 @pytest.mark.parametrize(
@@ -353,8 +355,7 @@ def test_binomial_criterion_depends_on_field():
 )
 def test_binomial_criterion_finite(qspec, c, irreducible):
     K = parse_field(qspec)
-    f = Binomial(2, K.scalar(c))
-    assert binomial_irreducible(K, f) == irreducible
+    assert certify_irreducible(K, binomial(K, 2, c)) == irreducible
 
 
 def test_certify_binomials_over_the_ambient_field():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclotwist.algebra import AlgebraSpec, Poly
+from cyclotwist.algebra import AlgebraSpec, Poly, certify_irreducible
 from cyclotwist.builder import (
     _char_sum,
     _item,
@@ -281,6 +281,12 @@ def test_level_one_ambient():
     for K, n, a in [(Q1, 3, 256), (F3, 2, 2), (F7, 3, 1), (Q1, 2, -4)]:
         with pytest.raises(ValueError, match="square root of -1"):
             AlgebraSpec(K, n, K.scalar(a))
+    # the certificate is one square test only because i is in A: over Q,
+    # x^4 + 4 = (x^2 + 2x + 2)(x^2 - 2x + 2) although -4 is no square,
+    # so it refuses rather than answer
+    x4_plus_4 = Poly((Q1.scalar(4), Q1.zero(), Q1.zero(), Q1.zero(), Q1.one()))
+    with pytest.raises(ValueError, match="square root of -1"):
+        certify_irreducible(Q1, x4_plus_4)
 
 
 # -- invariance properties ---------------------------------------------------------

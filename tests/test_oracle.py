@@ -74,13 +74,6 @@ def test_enumeration_rejects_infinite_fields():
         brute_enumerate_minimal(spec_of("Q", 1, "2"))
 
 
-@pytest.mark.parametrize("qspec, n", [("F:3", 2), ("F:3", 3), ("F:5", 2), ("F:7", 1)])
-def test_cross_check_small_grid(qspec, n):
-    K = parse_field(qspec)
-    for a0 in range(1, K.q):
-        assert cross_check(build(AlgebraSpec(K, n, K.scalar(a0)), checked=False))
-
-
 # -- the Frobenius certificate -------------------------------------------------------
 
 
@@ -329,6 +322,38 @@ def test_verify_flags_merged_components(field_spec, n, a, pair):
     assert report.orthogonal and report.sum_is_one
     assert any(str(pair[0]) in f for f in report.failures)
     assert [c.label for c in report.item_checks if not c.primitive] == [pair[0]]
+
+
+def corrupted_ambient(ambient, corruption):
+    """``ambient`` with its first item dropped, or with the constant c of
+    one stated x^d - c (c != 0, 1) replaced by c^2."""
+    if corruption == "dropped":
+        return replace(ambient, items=ambient.items[1:])
+    for k, it in enumerate(ambient.items):
+        c = -it.min_poly.coeffs[0]
+        if not c.is_zero() and c != c.owner.one():
+            p = Poly((-(c * c),) + it.min_poly.coeffs[1:])
+            items = list(ambient.items)
+            items[k] = replace(it, min_poly=p)
+            return replace(ambient, items=tuple(items))
+    raise AssertionError("no stated constant other than 0 and 1")
+
+
+@pytest.mark.parametrize("corruption", ["dropped", "squared constant"])
+@pytest.mark.parametrize(
+    "field_spec, n, a", [("Q", 3, "16"), ("QE:3", 2, "-1"), ("F:3", 2, "1")]
+)
+def test_verify_flags_corrupted_ambient_family(field_spec, n, a, corruption):
+    # a K-side item is certified minimal only by descent from a complete
+    # ambient family: a broken one fails in "ambient ..." lines and
+    # certifies no item, however sound the K-side family is
+    family = build(spec_of(field_spec, n, a), checked=False)
+    ambient = ambient_family(family)
+    assert ambient is not family and verified(family).ok
+    report = verify_family(family, corrupted_ambient(ambient, corruption))
+    assert any(f.startswith("ambient ") for f in report.failures)
+    assert not any(c.primitive for c in report.item_checks)
+    assert report.sum_is_one and report.orthogonal
 
 
 # -- conjugate pairing ----------------------------------------------------------------
