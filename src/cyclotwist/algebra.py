@@ -25,8 +25,8 @@ of length 2^(n-j).  Multiplying by a power of g is
 
 Also here: the monic polynomials over K that the construction states
 as minimal polynomials (it writes them in closed form, no factoring or
-linear algebra), and the irreducibility certificate for 2-power
-binomials over the ambient field, which is one square test.
+linear algebra), and the certificate that such a polynomial is
+irreducible over K, which takes at most two square roots in A.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .fields import (
     POWER_TEST_CAP,
     AmbientElement,
     AmbientError,
+    IDENTITY,
     FieldDescriptor,
     _new as _new_field_element,
     combine_coords,
@@ -481,27 +482,52 @@ class Poly:
 
 
 def certify_irreducible(K: FieldDescriptor, poly: Poly) -> bool:
-    """Is poly certified irreducible over the ambient field A of K?
+    """Is poly certified irreducible over K?
 
-    Over an A that contains i the minimal polynomial of every component
-    is linear or a 2-power binomial x^(2^k) - c, and Capelli's criterion
-    decides the binomial with one square test: it is irreducible iff c
-    is no square in A, since its other condition, c not in -4*A^4, is
-    implied once -4 = (1+i)^4 is a fourth power (Lang, *Algebra*, VI
-    Thm 9.1).  Any other polynomial has no certificate: the answer is a
-    definite False, never an open verdict.
+    Over an A that contains i, Capelli's criterion decides a 2-power
+    binomial x^(2^k) - c over A with one square test: it is
+    irreducible iff c is no square in A, since its other condition,
+    c not in -4*A^4, is implied once -4 = (1+i)^4 is a fourth power
+    (Lang, *Algebra*, VI Thm 9.1).  That settles K = A.
+
+    When A/K is quadratic with involution sigma, a monic K-rational p
+    is irreducible over K iff it is irreducible over A, or p = f*sigma(f)
+    with f irreducible over A and f != sigma(f): a K-rational factor is
+    sigma-stable, so it holds both of f and sigma(f) or neither
+    (Trager, "Algebraic factoring and rational function integration",
+    SYMSAC 1976).  The construction states q(x^S) for q = y - c or a
+    monic quadratic q = y^2 + beta*y + gamma, S a power of two.  One
+    square root of the discriminant splits q over A into y - c and
+    y - sigma(c); then p is irreducible iff c is not in K and x^S - c is
+    irreducible over A: S = 1, or c no square in A.  A binomial whose
+    constant is no square in A is irreducible over A already.  At most
+    two square roots in A per polynomial.
+
+    Any other polynomial has no certificate: the answer is a definite
+    False, never an open verdict.
     """
     if K.root_level < 2:
         raise ValueError(
             "the ambient field has no square root of -1; the square test "
             "needs i in A"
         )
-    if poly.degree < 1:
+    D = poly.degree
+    if D < 1:
         raise ValueError("constants have no irreducibility")
-    if poly.degree == 1:
+    if D == 1:
         return True
     c = poly.coeffs
-    if poly.degree & (poly.degree - 1) or any(c[1:-1]):
+    S = D // 2
+    if D & (D - 1) or any(c[k] for k in range(1, D) if k != S):
         return False
-    # looked up on the module, so that a traced run counts this root
-    return fields.sqrt_ambient(K, -c[0]) is None
+    beta, gamma = c[S], c[0]
+    # every root is looked up on the module, so that a traced run counts it
+    if K.involution == IDENTITY:
+        return not beta and fields.sqrt_ambient(K, -gamma) is None
+    if not poly.is_k_rational(K):
+        return False
+    delta = fields.sqrt_ambient(K, beta * beta - 4 * gamma)
+    if delta is None:
+        return not beta
+    root = (delta - beta) / 2
+    return not is_in_k(K, root) and (S == 1 or fields.sqrt_ambient(K, root) is None)

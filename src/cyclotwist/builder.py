@@ -282,10 +282,10 @@ def _dispatch(
 def build(spec: AlgebraSpec, checked: bool = True) -> IdempotentFamily:
     """Construct the complete family of minimal idempotents of K_t<g>.
 
-    With ``checked`` (the default) the family is handed to the oracle
-    together with its ambient family, and a VerificationError is raised
-    unless every check passes and every component is certified minimal;
-    use checked=False to obtain the raw construction.
+    With ``checked`` (the default) the family is handed to the oracle,
+    and a VerificationError is raised unless every check passes and
+    every component is certified minimal; use checked=False to obtain
+    the raw construction.
     """
     K = spec.field
     cls = classify(K, spec.n)
@@ -293,17 +293,15 @@ def build(spec: AlgebraSpec, checked: bool = True) -> IdempotentFamily:
     dec = ks_decompose(K, spec.a, s)
     items = tuple(_dispatch(spec, cls, dec))
     family = IdempotentFamily(spec, cls, dec, items)
-    if checked:
-        return verified(family, ambient_family(family))
-    return family
+    return verified(family) if checked else family
 
 
-def verified(family: IdempotentFamily, ambient: IdempotentFamily) -> IdempotentFamily:
-    """``family`` with the report of ``verify_family(family, ambient)``
-    attached; raises VerificationError unless the report passes."""
+def verified(family: IdempotentFamily) -> IdempotentFamily:
+    """``family`` with the report of ``verify_family`` attached; raises
+    VerificationError unless the report passes."""
     from .oracle import VerificationError, verify_family
 
-    report = verify_family(family, ambient)
+    report = verify_family(family)
     if not report.ok:
         raise VerificationError(report)
     return replace(family, report=report)
@@ -319,7 +317,8 @@ def ambient_spec(spec: AlgebraSpec) -> AlgebraSpec:
 
 def ambient_family(family: IdempotentFamily) -> IdempotentFamily:
     """The family of ``ambient_spec(family.spec)``: ``family`` itself
-    when K = A, else one unchecked build."""
+    when K = A, else one unchecked build.  ``conjugate_pairing_check``
+    compares it with ``family``."""
     if family.spec.field.involution == IDENTITY:
         return family
     return build(ambient_spec(family.spec), checked=False)

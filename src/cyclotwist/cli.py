@@ -145,8 +145,7 @@ def _cmd_idempotents(args) -> int:
 def _cmd_verify(args) -> int:
     spec = _spec_from_args(args)
     family = build(spec, checked=False)
-    ambient = ambient_family(family)
-    report = verify_family(family, ambient)
+    report = verify_family(family)
 
     if spec.field.kind != FINITE:
         enumeration = "skipped: enumeration needs a finite field"
@@ -161,7 +160,8 @@ def _cmd_verify(args) -> int:
     if spec.field.involution == IDENTITY:
         pairing = "skipped: trivial involution"
     else:
-        pairing = "pass" if conjugate_pairing_check(family, ambient) else "mismatch"
+        paired = conjugate_pairing_check(family, ambient_family(family))
+        pairing = "pass" if paired else "mismatch"
 
     passed = report.ok and "mismatch" not in (enumeration, pairing)
     if args.json:

@@ -3,10 +3,10 @@
 Three lines of evidence are kept separate:
 
 * ``verify_family``: structural checks inside the algebra itself
-  (idempotency, K-rationality, completeness, component dimensions,
-  minimal polynomials), plus the certificate that every item is
-  minimal; orthogonality follows from these checks and is not
-  multiplied out pair by pair;
+  (K-rationality, annihilation by the stated minimal polynomials,
+  completeness, component dimensions), plus the certificate that every
+  item is minimal; idempotency and orthogonality follow from these
+  checks and are not multiplied out;
 * ``cross_check``: over finite fields, a certificate that the family is
   exactly the set of primitive idempotents, read off the subalgebra
   fixed by Frobenius with its own product of residues, in time
@@ -18,13 +18,14 @@ Three lines of evidence are kept separate:
   the orbit sums against the K-side family.
 
 The structural checks and the Frobenius certificate share nothing with
-each other or with the construction: no roots of unity, coset forms or
-``alg_mul``.  Pairing and the minimality certificate share
-the orbit sums: the primitive idempotents of K_t<g> are the orbit sums
-of those of A_t<g> (Galois descent).  The ambient family is proved
-complete by ``verify_family`` itself, and over A every component is cut
-out by a 2-power binomial that the Capelli criterion decides with one
-square test, since i lies in A.
+each other or with the construction: no roots of unity or coset forms,
+and ``alg_mul`` only for a family that fails a check.  The minimality
+certificate reads only each item's stated polynomial: once the
+structural checks prove it the minimal polynomial, the item is
+primitive iff it is irreducible over K, which Capelli's criterion over
+A and quadratic descent from A to K decide with at most two square
+roots in A (``algebra.certify_irreducible``).  Only the pairing check
+builds the ambient family.
 """
 
 from __future__ import annotations
@@ -132,24 +133,25 @@ class VerificationReport:
         }
 
 
-def verify_family(
-    family: IdempotentFamily, ambient: IdempotentFamily
-) -> VerificationReport:
+def verify_family(family: IdempotentFamily) -> VerificationReport:
     """Run every structural check on a constructed family, and certify
-    each item minimal by descent from ``ambient``, the family of the
-    same algebra over A (see ``builder.ambient_family``).
+    each item minimal from its stated polynomial.
 
     The construction states each item's minimal polynomial p; these
-    checks prove it, and imply orthogonality rather than multiply it
-    out.  An idempotent e whose p annihilates g*e (p(g*e) = p(g)*e, the
-    sum of c_k * g^k * e over the nonzero coefficients c_k of p, each
-    term a shift) spans a component e*K_t<g> of dimension at most
-    deg p, since g*e generates it.  Idempotents that sum to 1 make
-    K_t<g> the sum of their components, so those dimensions sum to at
-    least 2^n.  Degrees summing to 2^n then force every dimension to
-    equal deg p, so p, which the minimal polynomial divides, is the
-    minimal polynomial; and they make the sum direct, so e*f, which
-    lies in e*K_t<g> and f*K_t<g>, is 0.
+    checks prove it, and imply idempotency and orthogonality rather
+    than multiply them out.  Let f = x^(2^n) - a and J = {y : p(g)*y = 0},
+    an ideal of dimension deg gcd(p, f) <= deg p; p(g)*e is the sum of
+    c_k * g^k * e over the nonzero coefficients c_k of p, each term a
+    shift.  When every p(g) annihilates its e and the items sum to 1,
+    the ideals J contain the items, so they add up to all of K_t<g> and
+    their dimensions sum to at least 2^n.  Degrees summing to 2^n then
+    make the sum direct, with dim J = deg p: e*e' lies in J and J', so
+    it is 0 for two different items, and e = e*(sum of the items) = e*e.
+    Only when one of these checks fails is e*e == e computed.  Each y
+    in J is then e*y, so J is the component e*K_t<g>; g*e generates it
+    and p(g*e) = 0, so p, of degree dim J, is the minimal polynomial of
+    g*e, and e is primitive iff p is irreducible over K
+    (``certify_irreducible``).
     """
     spec = family.spec
     K = spec.field
@@ -160,45 +162,44 @@ def verify_family(
     if len(set(labels)) != len(labels):
         failures.append("duplicate labels in family")
 
-    minimal, ambient_failures = _descent(family, ambient)
+    annihilated = []
     for it in family.items:
         e = it.element
-        # p(g*e) = p(g)*e for idempotent e, term by term: a stated
-        # prod_chi (x^S - c_chi) has at most three nonzero coefficients
+        # a stated prod_chi (x^S - c_chi) has at most three nonzero coefficients
         terms = [e.shift(k).scale(c) for k, c in enumerate(it.min_poly.coeffs) if c]
-        acc = sum(terms[1:], terms[0])
-        check = ItemCheck(
-            label=it.label,
-            nonzero=not e.is_zero(),
-            idempotent=e * e == e,
-            k_rational=e.is_k_rational(),
-            min_poly_annihilates=acc.is_zero(),
-            min_poly_k_rational=it.min_poly.is_k_rational(K),
-            dim_consistent=it.min_poly.degree == it.dim,
-            primitive=_raw_key(e) in minimal,
-        )
-        checks.append(check)
-        failures.extend(check.violations())
-
+        annihilated.append(sum(terms[1:], terms[0]).is_zero())
     total = spec.zero()
     for e in family.elements():
         total = total + e
     sum_is_one = total == spec.one()
+    orthogonal = (
+        all(annihilated)
+        and sum_is_one
+        and sum(it.min_poly.degree for it in family.items) == spec.size
+    )
+
+    for it, annihilates in zip(family.items, annihilated):
+        e = it.element
+        check = ItemCheck(
+            label=it.label,
+            nonzero=not e.is_zero(),
+            idempotent=orthogonal or e * e == e,  # a direct sum implies it
+            k_rational=e.is_k_rational(),
+            min_poly_annihilates=annihilates,
+            min_poly_k_rational=it.min_poly.is_k_rational(K),
+            dim_consistent=it.min_poly.degree == it.dim,
+            primitive=certify_irreducible(K, it.min_poly),
+        )
+        checks.append(check)
+        failures.extend(check.violations())
+
     if not sum_is_one:
         failures.append("family does not sum to 1")
-
     dim_total = sum(it.dim for it in family.items)
     if dim_total != spec.size:
         failures.append(
             f"component dimensions sum to {dim_total}, expected {spec.size}"
         )
-    failures.extend(ambient_failures)
-
-    orthogonal = (
-        all(c.idempotent and c.min_poly_annihilates for c in checks)
-        and sum_is_one
-        and sum(it.min_poly.degree for it in family.items) == spec.size
-    )
     return VerificationReport(
         item_checks=tuple(checks),
         orthogonal=orthogonal,
@@ -207,70 +208,6 @@ def verify_family(
         expected_dim=spec.size,
         failures=tuple(failures),
     )
-
-
-# ---------------------------------------------------------------------------
-# the minimality certificate: Galois descent plus Capelli
-# ---------------------------------------------------------------------------
-
-
-def _raw_key(e: AlgebraElement) -> tuple:
-    """The stored coordinates of ``e``, comparable across the K-side
-    and the ambient algebra."""
-    return e.ints, e.den
-
-
-def _orbit_sums(K: FieldDescriptor, ambient: IdempotentFamily) -> Optional[Set[tuple]]:
-    """Raw keys of the sums of the orbits of K's involution on the
-    ambient family, or None when the involution does not permute it."""
-    spec0 = ambient.spec
-
-    def conj(e: AlgebraElement) -> AlgebraElement:
-        return AlgebraElement(spec0, sigma_coords(K, e.ints), e.den)
-
-    remaining = {_raw_key(it.element): it.element for it in ambient.items}
-    sums = set()
-    while remaining:
-        _, e = remaining.popitem()
-        f = conj(e)
-        kf = _raw_key(f)
-        if kf == _raw_key(e):
-            sums.add(kf)
-            continue
-        if kf not in remaining:
-            return None
-        remaining.pop(kf)
-        sums.add(_raw_key(e + f))
-    return sums
-
-
-def _descent(
-    family: IdempotentFamily, ambient: IdempotentFamily
-) -> Tuple[Set[tuple], List[str]]:
-    """Raw keys of the items of ``family`` certified minimal, and the
-    failures of the ambient family that stop the certificate.
-
-    An item is certified when the ambient family is the complete family
-    of primitive idempotents over A and the item is one of its orbit
-    sums (Curtis & Reiner, Methods of Representation Theory I, section
-    7).  When K = A the family is its own ambient family; its
-    completeness is then part of the checks ``verify_family`` makes, and
-    only the irreducibility of each minimal polynomial is left.  Any
-    other ambient family must pass ``verify_family`` as its own ambient
-    family: the same structural checks, and Capelli on every item.
-    """
-    if ambient is family:
-        A = family.spec.field
-        return {
-            _raw_key(it.element)
-            for it in family.items
-            if certify_irreducible(A, it.min_poly)
-        }, []
-    failures = ["ambient " + f for f in verify_family(ambient, ambient).failures]
-    sums = _orbit_sums(family.spec.field, ambient)
-    if sums is None:
-        failures.append("the involution does not permute the ambient family")
-    return (sums if not failures else set()), failures
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +335,36 @@ def _square(x: tuple, q: int, a: int) -> tuple:
 # ---------------------------------------------------------------------------
 # conjugate pairing against the ambient family
 # ---------------------------------------------------------------------------
+
+
+def _raw_key(e: AlgebraElement) -> tuple:
+    """The stored coordinates of ``e``, comparable across the K-side
+    and the ambient algebra."""
+    return e.ints, e.den
+
+
+def _orbit_sums(K: FieldDescriptor, ambient: IdempotentFamily) -> Optional[Set[tuple]]:
+    """Raw keys of the sums of the orbits of K's involution on the
+    ambient family, or None when the involution does not permute it."""
+    spec0 = ambient.spec
+
+    def conj(e: AlgebraElement) -> AlgebraElement:
+        return AlgebraElement(spec0, sigma_coords(K, e.ints), e.den)
+
+    remaining = {_raw_key(it.element): it.element for it in ambient.items}
+    sums = set()
+    while remaining:
+        _, e = remaining.popitem()
+        f = conj(e)
+        kf = _raw_key(f)
+        if kf == _raw_key(e):
+            sums.add(kf)
+            continue
+        if kf not in remaining:
+            return None
+        remaining.pop(kf)
+        sums.add(_raw_key(e + f))
+    return sums
 
 
 def conjugate_pairing_check(

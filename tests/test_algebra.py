@@ -1,5 +1,6 @@
 """The twisted algebra K_t<g>, minimal polynomials, and irreducibility."""
 
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,8 +16,8 @@ from cyclotwist.algebra import (
     _unpack,
     certify_irreducible,
 )
-from cyclotwist.builder import IdempotentItem, ambient_family, build
-from cyclotwist.fields import FINITE, IDENTITY, INVERSE_CONJ, sigma
+from cyclotwist.builder import IdempotentItem, build
+from cyclotwist.fields import FINITE, IDENTITY, INVERSE_CONJ, FieldDescriptor, sigma
 from cyclotwist.grammar import parse_element, parse_field
 from cyclotwist.oracle import verify_family
 from test_builder import galois, min_poly_reference
@@ -296,7 +297,7 @@ def test_min_poly_refuses_non_rational_component():
     # stated as a family item with x^2 - i, verification rejects it
     family = build(spec, checked=False)
     item = IdempotentItem((0,), e, 2, Poly((-i, Q.zero(), Q.one())))
-    report = verify_family(replace(family, items=(item,)), ambient_family(family))
+    report = verify_family(replace(family, items=(item,)))
     [check] = report.item_checks
     assert check.idempotent and check.min_poly_annihilates
     assert not check.k_rational and not check.min_poly_k_rational
@@ -323,8 +324,13 @@ def binomial(K, degree, c):
     return Poly((K.scalar(-c),) + (K.zero(),) * (degree - 1) + (K.one(),))
 
 
-# The criterion decides irreducibility over the ambient field A of K:
-# Q(i) for Q, F_9 and F_49 for F:3 and F:7, F_5 itself for F:5.
+def over_a(K):
+    """The ambient field A of K, as a field with the trivial involution."""
+    return FieldDescriptor(K.kind, IDENTITY, level=K.level, q=K.q, d=K.d)
+
+
+# Over K = A the certificate is Capelli's square test: Q(i) for Q, F_9
+# and F_49 for F:3 and F:7, F_5 itself for F:5.
 @pytest.mark.parametrize(
     "c, degree, irreducible",
     [
@@ -338,14 +344,38 @@ def binomial(K, degree, c):
     ],
 )
 def test_binomial_criterion_over_q(c, degree, irreducible):
+    A = over_a(Q)
+    assert certify_irreducible(A, binomial(A, degree, c)) == irreducible
+
+
+# Over K = Q the certificate descends from A = Q(i): x^D - c is
+# irreducible when c is no square in Q(i), and otherwise iff c = d^2
+# with d not in Q and either D = 2 or d no square in Q(i).
+@pytest.mark.parametrize(
+    "c, degree, irreducible",
+    [
+        (-16, 4, True),  # d = 4i, no square in Q(i)
+        (-4, 4, False),  # x^4 + 4 = (x^2 - 2x + 2)(x^2 + 2x + 2): 2i = (1+i)^2
+        (-64, 4, False),  # x^4 + 64 = (x^2 - 4x + 8)(x^2 + 4x + 8)
+        (16, 4, False),  # d = 4 lies in Q
+        (2, 4, True),  # 2 is no square in Q(i)
+        (-1, 2, True),  # x^2 + 1: d = i, and D = 2
+        (-1, 4, True),  # x^4 + 1: i is no square in Q(i)
+        (4, 2, False),
+    ],
+)
+def test_quadratic_descent_over_q(c, degree, irreducible):
     assert certify_irreducible(Q, binomial(Q, degree, c)) == irreducible
 
 
 def test_binomial_criterion_depends_on_field():
-    # x^2 + 1 splits over the ambient Q(i); x^2 - 2 stays irreducible
-    # over Q(i) but splits over Q(zeta_8), the ambient field of QR:3
-    assert not certify_irreducible(Q, binomial(Q, 2, -1))
+    # x^2 + 1 splits over Q(i) but not over Q; x^2 - 2 stays
+    # irreducible over Q and Q(i), but splits over K = Q(sqrt(2)) of QR:3
+    QI = over_a(Q)
+    assert not certify_irreducible(QI, binomial(QI, 2, -1))
+    assert certify_irreducible(Q, binomial(Q, 2, -1))
     assert certify_irreducible(Q, binomial(Q, 2, 2))
+    assert certify_irreducible(QI, binomial(QI, 2, 2))
     assert not certify_irreducible(QR3, binomial(QR3, 2, 2))
 
 
@@ -354,8 +384,8 @@ def test_binomial_criterion_depends_on_field():
     [("F:3", -1, False), ("F:5", -1, False), ("F:5", 2, True), ("F:7", -1, False)],
 )
 def test_binomial_criterion_finite(qspec, c, irreducible):
-    K = parse_field(qspec)
-    assert certify_irreducible(K, binomial(K, 2, c)) == irreducible
+    A = over_a(parse_field(qspec))
+    assert certify_irreducible(A, binomial(A, 2, c)) == irreducible
 
 
 def test_certify_binomials_over_the_ambient_field():
@@ -366,9 +396,71 @@ def test_certify_binomials_over_the_ambient_field():
     assert certify_irreducible(QC2, x2_minus_3) is True
     x4_plus_4 = Poly((QC2.scalar(4),) + (QC2.zero(),) * 3 + (QC2.one(),))
     assert certify_irreducible(QC2, x4_plus_4) is False  # -4 = (2i)^2
-    # over Q the certificate still speaks about A = Q(i): x^2 + 1 splits
+    # over Q the certificate speaks about K: x^2 + 1 splits over A = Q(i)
+    # but not over Q
     x2_plus_1 = Poly((Q.scalar(1), Q.zero(), Q.one()))
-    assert certify_irreducible(Q, x2_plus_1) is False
+    assert certify_irreducible(Q, x2_plus_1) is True
+
+
+def stated(K, S, beta, gamma):
+    """x^(2S) + beta*x^S + gamma over K, from integers."""
+    gap = (K.zero(),) * (S - 1)
+    return Poly((K.scalar(gamma), *gap, K.scalar(beta), *gap, K.one()))
+
+
+def irreducible_mod(coeffs, q):
+    """Is the monic polynomial with these integer coefficients (low
+    degree first) irreducible over F_q?  By trial division by every
+    monic polynomial of at most half its degree."""
+    D = len(coeffs) - 1
+    for k in range(1, D // 2 + 1):
+        for tail in itertools.product(range(q), repeat=k):
+            rem = [c % q for c in coeffs]
+            for top in range(D, k - 1, -1):  # divide by x^k + tail
+                f = rem[top]
+                for j, t in enumerate(tail):
+                    rem[top - k + j] = (rem[top - k + j] - f * t) % q
+                rem[top] = 0
+            if not any(rem):
+                return False
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7, 11, 13]),
+    st.sampled_from([1, 2]),
+    st.integers(0, 12),
+    st.integers(0, 12),
+)
+def test_certificate_is_exact_over_finite_fields(q, S, beta, gamma):
+    # Over F_q with q = 3 mod 4 every discriminant is a square in
+    # A = F_q^2, so the certificate decides every binomial and every
+    # x^(2S) + beta*x^S + gamma; over F_q with q = 1 mod 4 (K = A) it
+    # decides the binomials and has no certificate for the rest.
+    K = parse_field(f"F:{q}")
+    p = stated(K, S, beta % q, gamma % q)
+    got = certify_irreducible(K, p)
+    if K.involution == IDENTITY and beta % q:
+        assert got is False
+    else:
+        assert got == irreducible_mod([c.ints[0] for c in p.coeffs], q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 4]), st.integers(-12, 12), st.integers(-40, 40))
+def test_certificate_over_q_matches_sympy(S, beta, gamma):
+    # exact on binomials and wherever the discriminant is a square in
+    # Q(i), i.e. +-r^2; a definite False everywhere else
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    got = certify_irreducible(Q, stated(Q, S, beta, gamma))
+    disc = abs(beta * beta - 4 * gamma)
+    if beta and sympy.sqrt(disc).is_rational is False:
+        assert got is False
+    else:
+        p = x ** (2 * S) + beta * x**S + gamma
+        assert got == sympy.Poly(p, x).is_irreducible
 
 
 def test_certify_non_binomial_is_a_definite_false():

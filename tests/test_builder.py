@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclotwist import builder
 from cyclotwist.algebra import AlgebraSpec, Poly, certify_irreducible
 from cyclotwist.builder import (
     _char_sum,
@@ -100,6 +101,31 @@ def test_checked_build_attaches_report():
     assert family.report is not None and family.report.ok
     assert family.labels() == [(0,), (1,)]
     assert sum(it.dim for it in family.items) == 4
+
+
+@pytest.mark.parametrize(
+    "field_spec, n, a",
+    [
+        ("QR:3", 4, "9232,6528,0,-6528"),
+        ("Q", 3, "16"),
+        ("QE:3", 3, "16"),
+        ("F:7", 3, "1"),
+    ],
+)
+def test_checked_build_makes_one_build(field_spec, n, a, monkeypatch):
+    # types D and E: the certificate needs no family over A
+    spec = spec_of(field_spec, n, a)
+    assert classify(spec.field).field_type != TYPE_B
+    calls = []
+    inner = builder.build
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(builder, "build", counted)
+    assert builder.build(spec).report.ok
+    assert len(calls) == 1
 
 
 def test_unchecked_build_has_no_report():
@@ -226,8 +252,8 @@ def test_flipped_lambda_loses_k_rationality():
 
 
 def test_deep_unit_coset_family_is_sound_but_uncertified():
-    # the octic components (below) are certified by descent: over the
-    # ambient field they split into binomial components
+    # the octic components (below) are certified by quadratic descent:
+    # over the ambient field each splits into two conjugate binomials
     family = build(spec_of("QR:3", 5, DEEP_A))
     assert tuple(sorted(it.dim for it in family.items)) == (
         2, 2, 2, 2, 2, 2, 4, 8, 8,

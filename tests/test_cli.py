@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cyclotwist import algebra
 from cyclotwist.cli import _build_parser, main
 
 DEEP_A = "170459392,120532992,0,-120532992"  # (1 + eps_3)^32 over QR:3
@@ -91,8 +92,8 @@ def test_idempotents_json_schema(capsys):
 
 
 def test_idempotents_refuses_uncertified(capsys):
-    # the octic components are certified by descent, so the checked
-    # build succeeds
+    # the octic components are certified by quadratic descent, so the
+    # checked build succeeds
     code, out, err = run(
         capsys, "idempotents", "QR:3", "5", DEEP_A, "--verify", "--json"
     )
@@ -153,6 +154,33 @@ def test_verify_uncertified_fails(capsys):
     assert "structural: PASS" in out
     assert "pairing: pass" in out
     assert "overall: PASS" in out
+
+
+@pytest.mark.parametrize(
+    "field_spec, n, a",
+    [
+        ("QR:3", "4", "9232,6528,0,-6528"),
+        ("Q", "3", "16"),
+        ("QE:3", "3", "16"),
+        ("F:7", "3", "1"),
+    ],
+)
+def test_passing_verify_multiplies_no_algebra_elements(
+    field_spec, n, a, capsys, monkeypatch
+):
+    # idempotency is implied by the other checks, and pairing, the
+    # certificate and the Frobenius certificate take no algebra product
+    calls = []
+    inner = algebra.alg_mul
+
+    def counted(x, y):
+        calls.append((x, y))
+        return inner(x, y)
+
+    monkeypatch.setattr(algebra, "alg_mul", counted)
+    code, out, _ = run(capsys, "verify", field_spec, n, a)
+    assert code == 0 and "overall: PASS" in out
+    assert calls == []
 
 
 def test_verify_json(capsys):

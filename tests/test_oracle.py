@@ -1,33 +1,34 @@
 """Verification oracles: structural checks, brute force, the Frobenius
 certificate, conjugate pairing."""
 
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cyclotwist import _enum_py
-from cyclotwist.algebra import AlgebraSpec, Poly
-from cyclotwist.builder import IdempotentItem, ambient_family, build
+from cyclotwist import _enum_py, cli
+from cyclotwist.algebra import AlgebraElement, AlgebraSpec, Poly, certify_irreducible
+from cyclotwist.builder import IdempotentItem, ambient_family, build, verified
+from cyclotwist.fields import IDENTITY, is_in_k, sigma, sigma_coords, sqrt_ambient
 from cyclotwist.grammar import parse_element, parse_field
 from cyclotwist.oracle import (
     EnumerationBudgetError,
+    VerificationError,
     brute_enumerate_minimal,
     conjugate_pairing_check,
     cross_check,
     verify_family,
 )
+from cyclotwist.selftest import MATRIX
 from test_builder import min_poly_reference
 
 
 def spec_of(field_spec, n, a_literal):
     K = parse_field(field_spec)
     return AlgebraSpec(K, n, parse_element(K, a_literal))
-
-
-def verified(family):
-    return verify_family(family, ambient_family(family))
 
 
 # -- brute-force enumeration -----------------------------------------------------
@@ -208,7 +209,7 @@ def test_unchecked_builds_certify(data):
 
 def test_verify_accepts_correct_family():
     spec = spec_of("F:3", 2, "1")
-    report = verified(build(spec, checked=False))
+    report = verify_family(build(spec, checked=False))
     assert report.ok
     assert report.orthogonal and report.sum_is_one
     assert report.dim_total == report.expected_dim == 4
@@ -219,7 +220,7 @@ def test_verify_flags_duplicate_items():
     spec = spec_of("F:3", 2, "1")
     family = build(spec, checked=False)
     dup = replace(family, items=family.items + (family.items[0],))
-    report = verified(dup)
+    report = verify_family(dup)
     assert not report.ok
     assert any("duplicate labels" in f for f in report.failures)
     assert not report.orthogonal  # e*e = e != 0 across the duplicate pair
@@ -230,7 +231,7 @@ def test_verify_flags_missing_item():
     spec = spec_of("F:3", 2, "1")
     family = build(spec, checked=False)
     short = replace(family, items=family.items[1:])
-    report = verified(short)
+    report = verify_family(short)
     assert not report.ok
     assert not report.sum_is_one
     assert report.dim_total < report.expected_dim
@@ -242,7 +243,7 @@ def test_verify_flags_corrupted_coefficient():
     item = family.items[0]
     bad_el = spec.element([c + spec.field.one() for c in item.element.coeffs])
     bad = replace(family, items=(replace(item, element=bad_el),) + family.items[1:])
-    report = verified(bad)
+    report = verify_family(bad)
     checks = {c.label: c for c in report.item_checks}
     assert not checks[item.label].idempotent
     assert not report.ok
@@ -253,10 +254,20 @@ def test_verify_flags_wrong_dim():
     family = build(spec, checked=False)
     item = family.items[0]
     bad = replace(family, items=(replace(item, dim=item.dim + 1),) + family.items[1:])
-    report = verified(bad)
+    report = verify_family(bad)
     checks = {c.label: c for c in report.item_checks}
     assert not checks[item.label].dim_consistent
     assert not report.ok
+
+
+def poly_product(p, r):
+    """p * r, coefficient by coefficient."""
+    zero = p.coeffs[0].owner.zero()
+    out = [zero] * (p.degree + r.degree + 1)
+    for i, x in enumerate(p.coeffs):
+        for j, y in enumerate(r.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return Poly(tuple(out))
 
 
 def with_stated_poly(family, label, poly):
@@ -273,7 +284,7 @@ def test_verify_flags_stated_poly_with_wrong_constant(field_spec, n, a):
     item = family.items[0]
     coeffs = item.min_poly.coeffs
     wrong = Poly((coeffs[0] + coeffs[-1],) + coeffs[1:])
-    report = verified(with_stated_poly(family, item.label, wrong))
+    report = verify_family(with_stated_poly(family, item.label, wrong))
     checks = {c.label: c for c in report.item_checks}
     assert not checks[item.label].min_poly_annihilates
     assert not report.orthogonal and not report.ok
@@ -284,13 +295,8 @@ def test_verify_flags_stated_poly_squared(field_spec, n, a):
     # p^2 annihilates g*e too, but the degrees no longer sum to 2^n
     family = build(spec_of(field_spec, n, a), checked=False)
     item = family.items[0]
-    p = item.min_poly.coeffs
-    zero = p[0].owner.zero()
-    square = [zero] * (2 * len(p) - 1)
-    for i, x in enumerate(p):
-        for j, y in enumerate(p):
-            square[i + j] = square[i + j] + x * y
-    report = verified(with_stated_poly(family, item.label, Poly(tuple(square))))
+    square = poly_product(item.min_poly, item.min_poly)
+    report = verify_family(with_stated_poly(family, item.label, square))
     checks = {c.label: c for c in report.item_checks}
     assert checks[item.label].min_poly_annihilates
     assert checks[item.label].dim_consistent
@@ -302,14 +308,21 @@ def test_verify_flags_stated_poly_squared(field_spec, n, a):
 @pytest.mark.parametrize(
     "field_spec, n, a, pair",
     [
-        # merged min poly x^4 + 2x^3 + 4x^2 + 4x + 4: no orbit sum of
-        # the ambient family equals the merged item
+        # merged min poly x^4 + 2x^3 + 4x^2 + 4x + 4: no shape the
+        # certificate proves irreducible
         ("Q", 3, "16", ((0,), (1, 0))),
-        # type B: the family is its own ambient family
+        # type B: x^2 + 2x + 2, no binomial
         ("F:5", 2, "1", ((0,), (1,))),
+        # x^D - d^2 with d in K: x^2 - 1 and x^4 - 4
+        ("F:3", 2, "1", ((0,), (2,))),
+        ("Q", 3, "16", ((1, 0), (1, 1))),
+        # x^4 + 1: d = i is no element of K = Q(sqrt(-2)), but a square in A
+        ("QE:3", 2, "-1", ((0,), (1,))),
     ],
 )
 def test_verify_flags_merged_components(field_spec, n, a, pair):
+    # two components merged into one item, stated with its true minimal
+    # polynomial: every check but the certificate passes
     spec = spec_of(field_spec, n, a)
     family = build(spec, checked=False)
     items = {it.label: it for it in family.items}
@@ -317,25 +330,49 @@ def test_verify_flags_merged_components(field_spec, n, a, pair):
     poly = min_poly_reference(merged)
     rest = tuple(it for it in family.items if it.label not in pair)
     item = IdempotentItem(pair[0], merged, poly.degree, poly)
-    report = verified(replace(family, items=(item,) + rest))
-    assert not report.ok
+    bad = replace(family, items=(item,) + rest)
+    report = verify_family(bad)
     assert report.orthogonal and report.sum_is_one
-    assert any(str(pair[0]) in f for f in report.failures)
+    assert report.failures == (f"e{pair[0]} is not certified minimal",)
     assert [c.label for c in report.item_checks if not c.primitive] == [pair[0]]
+    with pytest.raises(VerificationError):
+        verified(bad)
+
+
+@pytest.mark.parametrize(
+    "field_spec, n, a, other", [("F:7", 1, "1", 2), ("Q", 2, "16", 3)]
+)
+def test_verify_flags_stated_poly_with_a_root_in_k(field_spec, n, a, other):
+    # x - c stated as (x - c)(x - other): it still annihilates g*e, but it
+    # splits over K, so the item is not certified, and the degrees no
+    # longer sum to 2^n
+    family = build(spec_of(field_spec, n, a), checked=False)
+    item = family.items[0]
+    K = family.spec.field
+    c = -item.min_poly.coeffs[0]
+    assert item.min_poly.degree == 1 and c != -other
+    p = Poly((c * other, -(c + other), K.one()))
+    report = verify_family(with_stated_poly(family, item.label, p))
+    check = report.item_checks[0]
+    assert check.min_poly_annihilates and check.dim_consistent and check.idempotent
+    assert not check.primitive and not report.ok
+    with pytest.raises(VerificationError):
+        verified(with_stated_poly(family, item.label, p))
 
 
 def corrupted_ambient(ambient, corruption):
     """``ambient`` with its first item dropped, or with the constant c of
-    one stated x^d - c (c != 0, 1) replaced by c^2."""
+    one stated x^d - c (c != 0, 1) replaced by c^2; returns the label of
+    the corrupted item too."""
     if corruption == "dropped":
-        return replace(ambient, items=ambient.items[1:])
+        return replace(ambient, items=ambient.items[1:]), ambient.items[0].label
     for k, it in enumerate(ambient.items):
         c = -it.min_poly.coeffs[0]
         if not c.is_zero() and c != c.owner.one():
             p = Poly((-(c * c),) + it.min_poly.coeffs[1:])
             items = list(ambient.items)
             items[k] = replace(it, min_poly=p)
-            return replace(ambient, items=tuple(items))
+            return replace(ambient, items=tuple(items)), it.label
     raise AssertionError("no stated constant other than 0 and 1")
 
 
@@ -343,17 +380,30 @@ def corrupted_ambient(ambient, corruption):
 @pytest.mark.parametrize(
     "field_spec, n, a", [("Q", 3, "16"), ("QE:3", 2, "-1"), ("F:3", 2, "1")]
 )
-def test_verify_flags_corrupted_ambient_family(field_spec, n, a, corruption):
-    # a K-side item is certified minimal only by descent from a complete
-    # ambient family: a broken one fails in "ambient ..." lines and
-    # certifies no item, however sound the K-side family is
+def test_verify_flags_corrupted_ambient_family(
+    field_spec, n, a, corruption, monkeypatch, capsys
+):
+    # the certificate reads only the K-side items, so a broken ambient
+    # family leaves the structural report as it is; a dropped item is
+    # caught by pairing, a wrong stated constant by the ambient family's
+    # own structural checks
     family = build(spec_of(field_spec, n, a), checked=False)
     ambient = ambient_family(family)
-    assert ambient is not family and verified(family).ok
-    report = verify_family(family, corrupted_ambient(ambient, corruption))
-    assert any(f.startswith("ambient ") for f in report.failures)
-    assert not any(c.primitive for c in report.item_checks)
-    assert report.sum_is_one and report.orthogonal
+    assert ambient is not family and verify_family(family).ok
+    bad, label = corrupted_ambient(ambient, corruption)
+    assert not verify_family(bad).ok
+    monkeypatch.setattr(cli, "ambient_family", lambda f: bad)
+    code = cli.main(["verify", field_spec, str(n), a])
+    out = capsys.readouterr().out
+    assert "structural: PASS" in out
+    if corruption == "dropped":
+        assert not conjugate_pairing_check(family, bad)
+        assert "pairing: mismatch" in out and "overall: FAIL" in out and code == 1
+    else:
+        assert verify_family(bad).failures == (
+            f"e{label} is not annihilated by its min poly",
+        )
+        assert "pairing: pass" in out and code == 0
 
 
 # -- conjugate pairing ----------------------------------------------------------------
@@ -381,3 +431,119 @@ def test_pairing_needs_nontrivial_involution():
     family = build(spec_of("F:5", 1, "1"), checked=False)
     with pytest.raises(ValueError, match="involution"):
         conjugate_pairing_check(family, family)
+
+
+# -- the certificate against the descent it replaced -------------------------------
+
+
+def descent_reference(family):
+    """Labels of the items of ``family`` that the Galois-descent
+    certificate proves minimal, the certificate ``verify_family`` used
+    before quadratic descent, kept as a reference the way
+    ``min_poly_reference`` is.  When K = A an item is certified when its
+    stated polynomial is x^(2^k) - c with c no square in A (Capelli).
+    Otherwise the ambient family must pass ``verify_family``, and an item
+    is certified when it is the sum of an orbit of K's involution on
+    that family: the primitive idempotents over K are the orbit sums of
+    those over A (Curtis & Reiner, Methods of Representation Theory I,
+    section 7)."""
+    K = family.spec.field
+    if K.involution == IDENTITY:
+        certified = set()
+        for it in family.items:
+            c = it.min_poly.coeffs
+            D = it.min_poly.degree
+            binomial = not D & (D - 1) and not any(c[1:-1])
+            if D == 1 or (binomial and sqrt_ambient(K, -c[0]) is None):
+                certified.add(it.label)
+        return certified
+    ambient = ambient_family(family)
+    assert verify_family(ambient).ok
+    spec0 = ambient.spec
+    members = {(e.ints, e.den): e for e in ambient.elements()}
+    sums = set()
+    for e in members.values():
+        f = AlgebraElement(spec0, sigma_coords(K, e.ints), e.den)
+        assert (f.ints, f.den) in members  # the involution permutes the family
+        s = e if f == e else e + f
+        sums.add((s.ints, s.den))
+    return {
+        it.label for it in family.items if (it.element.ints, it.element.den) in sums
+    }
+
+
+def with_first_two_merged(family):
+    """``family`` with its first two items merged into their sum, stated
+    with the product of their polynomials: an idempotent that is not
+    primitive."""
+    a, b, *rest = family.items
+    p = poly_product(a.min_poly, b.min_poly)
+    merged = IdempotentItem(a.label, a.element + b.element, p.degree, p)
+    return replace(family, items=(merged, *rest))
+
+
+def golden_instances():
+    """(field, n, a) of every ``golden_cli.json`` call and every selftest
+    matrix case."""
+    keys = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+    out = {tuple(t for t in k.split() if not t.startswith("--"))[1:] for k in keys}
+    out |= {(c.field, str(c.n), c.a) for c in MATRIX}
+    return sorted(out)
+
+
+@pytest.mark.parametrize("field_spec, n, a", golden_instances(), ids=" ".join)
+def test_certificate_agrees_with_descent(field_spec, n, a):
+    # every item is certified by both, and a merged pair by neither
+    family = build(spec_of(field_spec, int(n), a), checked=False)
+    K = family.spec.field
+    assert len(descent_reference(family)) == len(family.items)
+    if len(family.items) > 1:
+        family = with_first_two_merged(family)
+    certified = {it.label for it in family.items if certify_irreducible(K, it.min_poly)}
+    assert certified == descent_reference(family)
+
+
+# -- the cyclotomic fields -------------------------------------------------------------
+
+
+@st.composite
+def cyclotomic_specs(draw):
+    """K_t<g> over QC:L, QR:L or QE:L with L <= 4 and n <= 4, for
+    a = +-c^(2^j) with c one of 1, 2, 3, u + sigma(u) and u*sigma(u)
+    for u = 1 + zeta, or one of the units (1 + eps_m)^(2^j) that lie
+    in K: every construction case of these fields."""
+    fields = ["QC:2", "QC:3", "QC:4", "QR:3", "QR:4", "QE:3", "QE:4"]
+    K = parse_field(draw(st.sampled_from(fields)))
+    n = draw(st.integers(min_value=0, max_value=4))
+    u = K.one() + K.zeta_pow(1)
+    j = draw(st.integers(min_value=0, max_value=6))
+    cosets = [x for x in ((u ** (1 << j)), (u * u) ** (1 << j)) if is_in_k(K, x)]
+    bases = [K.scalar(1), K.scalar(2), K.scalar(3), u + sigma(K, u), u * sigma(K, u)]
+    if cosets and draw(st.booleans()):
+        a = draw(st.sampled_from(cosets))
+    else:
+        a = draw(st.sampled_from(bases)) ** (1 << j)
+    return AlgebraSpec(K, n, a * draw(st.sampled_from([1, -1])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(cyclotomic_specs())
+@example(spec_of("QR:3", 4, "9232,6528,0,-6528"))  # the unit coset
+@example(spec_of("QE:4", 4, "-16"))  # negated at s = m - 1: type E flips lam
+def test_cyclotomic_families_verify_and_pair(spec):
+    family = build(spec, checked=False)
+    report = verify_family(family)
+    assert report.ok
+    if spec.field.involution != IDENTITY:
+        assert conjugate_pairing_check(family, ambient_family(family))
+    # the idempotent flag is implied on a passing family, and computed
+    # on one whose sum is not 1: both agree with a dense square
+    first = family.items[0]
+    doubled = replace(first, element=first.element + first.element)
+    mutant = replace(family, items=(doubled,) + family.items[1:])
+    mutant_report = verify_family(mutant)
+    assert not mutant_report.sum_is_one and not mutant_report.ok
+    for fam, rep in ((family, report), (mutant, mutant_report)):
+        for it, check in zip(fam.items, rep.item_checks):
+            assert check.idempotent == (it.element * it.element == it.element)
+    assert not mutant_report.item_checks[0].idempotent
