@@ -44,7 +44,6 @@ from .fields import (
     POWER_TEST_CAP,
     AmbientElement,
     AmbientError,
-    IDENTITY,
     FieldDescriptor,
     _new as _new_field_element,
     combine_coords,
@@ -488,7 +487,7 @@ def certify_irreducible(K: FieldDescriptor, poly: Poly) -> bool:
     binomial x^(2^k) - c over A with one square test: it is
     irreducible iff c is no square in A, since its other condition,
     c not in -4*A^4, is implied once -4 = (1+i)^4 is a fourth power
-    (Lang, *Algebra*, VI Thm 9.1).  That settles K = A.
+    (Lang, *Algebra*, VI Thm 9.1).
 
     When A/K is quadratic with involution sigma, a monic K-rational p
     is irreducible over K iff it is irreducible over A, or p = f*sigma(f)
@@ -501,7 +500,10 @@ def certify_irreducible(K: FieldDescriptor, poly: Poly) -> bool:
     y - sigma(c); then p is irreducible iff c is not in K and x^S - c is
     irreducible over A: S = 1, or c no square in A.  A binomial whose
     constant is no square in A is irreducible over A already.  At most
-    two square roots in A per polynomial.
+    two square roots in A per polynomial.  Over K = A the involution is
+    the identity and every root lies in K, so the same formula reduces
+    to Capelli's square test: x^D - c is irreducible iff 4c, so c, is
+    no square in A.
 
     Any other polynomial has no certificate: the answer is a definite
     False, never an open verdict.
@@ -522,8 +524,6 @@ def certify_irreducible(K: FieldDescriptor, poly: Poly) -> bool:
         return False
     beta, gamma = c[S], c[0]
     # every root is looked up on the module, so that a traced run counts it
-    if K.involution == IDENTITY:
-        return not beta and fields.sqrt_ambient(K, -gamma) is None
     if not poly.is_k_rational(K):
         return False
     delta = fields.sqrt_ambient(K, beta * beta - 4 * gamma)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from . import _enum_py
 from .algebra import AlgebraElement, AlgebraSpec, certify_irreducible
@@ -337,36 +337,6 @@ def _square(x: tuple, q: int, a: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _raw_key(e: AlgebraElement) -> tuple:
-    """The stored coordinates of ``e``, comparable across the K-side
-    and the ambient algebra."""
-    return e.ints, e.den
-
-
-def _orbit_sums(K: FieldDescriptor, ambient: IdempotentFamily) -> Optional[Set[tuple]]:
-    """Raw keys of the sums of the orbits of K's involution on the
-    ambient family, or None when the involution does not permute it."""
-    spec0 = ambient.spec
-
-    def conj(e: AlgebraElement) -> AlgebraElement:
-        return AlgebraElement(spec0, sigma_coords(K, e.ints), e.den)
-
-    remaining = {_raw_key(it.element): it.element for it in ambient.items}
-    sums = set()
-    while remaining:
-        _, e = remaining.popitem()
-        f = conj(e)
-        kf = _raw_key(f)
-        if kf == _raw_key(e):
-            sums.add(kf)
-            continue
-        if kf not in remaining:
-            return None
-        remaining.pop(kf)
-        sums.add(_raw_key(e + f))
-    return sums
-
-
 def conjugate_pairing_check(
     family: IdempotentFamily, ambient: IdempotentFamily
 ) -> bool:
@@ -381,4 +351,19 @@ def conjugate_pairing_check(
     K = family.spec.field
     if K.involution == IDENTITY:
         raise ValueError("pairing check needs a nontrivial involution")
-    return _orbit_sums(K, ambient) == {_raw_key(it.element) for it in family.items}
+    spec0 = ambient.spec
+    remaining = {(it.element.ints, it.element.den): it.element for it in ambient.items}
+    sums = set()
+    while remaining:
+        ke, e = remaining.popitem()
+        f = AlgebraElement(spec0, sigma_coords(K, e.ints), e.den)
+        kf = (f.ints, f.den)
+        if kf == ke:
+            sums.add(kf)
+            continue
+        if kf not in remaining:
+            return False
+        remaining.pop(kf)
+        g = e + f
+        sums.add((g.ints, g.den))
+    return sums == {(it.element.ints, it.element.den) for it in family.items}
