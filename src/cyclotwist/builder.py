@@ -6,12 +6,16 @@ Every minimal idempotent is an averaged character sum
 
 over powers of a unit u = b^(-2^r) g^(2^(n-s+r)), where the weights w_j
 are (sums of two) powers of roots of unity chosen so that the result is
-K-rational.  Which family of weights applies is decided entirely by the
-field type (B/D/E), the depth s of a in the 2-power filtration, and the
-coset form of a in K_s.  The four case functions below each produce one
-complete family, every item stated with its component dimension and
-the minimal polynomial the character sum already determines (see
-``_item``); ``build`` only dispatches.  The two that serve every depth
+K-rational.  As the powers of u never wrap, the sum is the T powers of
+one constant c = chi * b^(-2^r) per character, laid on the lattice
+g^(j * 2^(n-s+r)); ``_char_sum`` builds them as one flat integer list
+by doubling, with O(log T) products per character and none per
+coefficient.  Which family of weights applies is decided entirely by
+the field type (B/D/E), the depth s of a in the 2-power filtration,
+and the coset form of a in K_s.  The four case functions below each
+produce one complete family, every item stated with its component
+dimension and the minimal polynomial the character sum already
+determines (see ``_item``); ``build`` only dispatches.  The two that serve every depth
 (``thm2_case1`` for K = A, ``thm3_case3`` for a plain coset) average
 over the roots of unity up to t = min(s, m) or min(s, m-1) and add the
 blocks on squared generators only when s runs past that supply.
@@ -31,7 +35,9 @@ than 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate, repeat
 from math import lcm
+from operator import floordiv, mul
 from typing import List, Optional, Tuple
 
 from .algebra import AlgebraElement, AlgebraSpec, Poly
@@ -87,33 +93,43 @@ def _char_sum(
 ) -> AlgebraElement:
     """(1/T) * sum over chi of sum_{j<T} chi^j * u^j, T = 2^(s-r), for
     the monomial u = b^(-2^r) g^(2^(n-s+r)).  Since j * 2^(n-s+r) < 2^n
-    the powers of u never wrap, so the sum is written coefficient by
-    coefficient: (chi * b^(-2^r))^j / T lands on g^(j * 2^(n-s+r)).
-    With c = chi * b^(-2^r) = nums/D, the power c^j is kept as
-    integer coordinates over D^j and raised to the common denominator
-    T * lcm_chi D^(T-1) at the end."""
+    the powers of u never wrap: with c = chi * b^(-2^r) = nums/D, the
+    coefficient c^j / T lands on g^(j * 2^(n-s+r)).
+
+    The numerators of c^0, ..., c^(T-1), each over D^j, form one flat
+    list of T * d integers, built by doubling: with the first k powers
+    in place and high = nums^k, one ``times_coords`` call appends the
+    next k, and squaring high readies the next round, so a ladder takes
+    log2 T appends and log2 T - 1 squarings.  Power j is raised to the
+    common denominator top = lcm_chi D^(T-1) by one scale list (only
+    when some D > 1), the ladders are summed coordinate-wise, and d
+    strided slice assignments lay the T sums on the lattice g^(jS)."""
     K = spec.field
+    q = K.q
     d = K.ambient_dim
     T = 1 << (s - r)
     step = d << (spec.n - s + r)
     bi = b ** -(1 << r)
-    one = K.one().ints
-    sums = []
+    ladders = []
     for chi in chis:
         c = chi * bi
-        powers = [one]
-        for _ in range(T - 1):
-            powers.append(times_coords(powers[-1], c.ints, K.q))
-        sums.append((powers, c.den))
-    top = lcm(*(den ** (T - 1) for _, den in sums))
+        flat, high = list(K.one().ints), c.ints
+        for k in range(s - r):
+            if k:
+                high = times_coords(high, high, q)
+            flat += times_coords(flat, high, q)
+        ladders.append((flat, c.den))
+    top = lcm(*(den ** (T - 1) for _, den in ladders))
+    if top > 1:  # c^j = w_j / D^j = w_j * (top / D^j) / top
+        for flat, den in ladders:
+            scales = list(accumulate(repeat(den, T - 1), floordiv, initial=top))
+            for i in range(d):
+                flat[i::d] = map(mul, flat[i::d], scales)
+    flats = [flat for flat, _ in ladders]
+    total = flats[0] if len(flats) == 1 else list(map(sum, zip(*flats)))
     vals = [0] * (spec.size * d)
-    for powers, den in sums:
-        f = top  # c^j = w_j / D^j = w_j * (top / D^j) / top
-        for j, w in enumerate(powers):
-            base = j * step
-            for i, v in enumerate(w):
-                vals[base + i] += v * f
-            f //= den
+    for i in range(d):
+        vals[i : T * step : step] = total[i::d]
     return AlgebraElement(spec, vals, T * top)
 
 

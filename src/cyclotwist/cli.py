@@ -31,7 +31,13 @@ from .algebra import AlgebraSpec
 from .builder import IdempotentFamily, ambient_family, build
 from .classify import classify
 from .fields import IDENTITY, FINITE
-from .grammar import format_element, format_field, parse_element, parse_field
+from .grammar import (
+    format_coeffs,
+    format_element,
+    format_field,
+    parse_element,
+    parse_field,
+)
 from .oracle import (
     DEFAULT_ENUM_BUDGET,
     EnumerationBudgetError,
@@ -56,6 +62,11 @@ def _classification_dict(cls) -> dict:
     return {"type": cls.field_type, "m": cls.m, "emulates": cls.emulates}
 
 
+def _coeff_literals(e) -> list:
+    """One literal per coefficient of the algebra element ``e``."""
+    return format_coeffs(e.ints, e.den, e.spec.field.ambient_dim)
+
+
 def _family_dict(family: IdempotentFamily, verification: Optional[dict]) -> dict:
     spec = family.spec
     dec = family.decomposition
@@ -69,7 +80,7 @@ def _family_dict(family: IdempotentFamily, verification: Optional[dict]) -> dict
         "idempotents": [
             {
                 "label": list(it.label),
-                "coeffs": [format_element(c) for c in it.element.coeffs],
+                "coeffs": _coeff_literals(it.element),
                 "dim": it.dim,
                 "min_poly": {
                     "coeffs": [format_element(c) for c in it.min_poly.coeffs]
@@ -95,9 +106,9 @@ def _print_family_text(family: IdempotentFamily) -> None:
     print(f"idempotents ({len(family.items)}):")
     for it in family.items:
         print(f"  {_label_str(it.label)}: dim {it.dim}, min poly {it.min_poly}")
+        # a literal with a comma is a non-scalar coefficient
         coeffs = ", ".join(
-            f"({format_element(c)})" if not c.is_scalar() else format_element(c)
-            for c in it.element.coeffs
+            [f"({t})" if "," in t else t for t in _coeff_literals(it.element)]
         )
         print(f"    coeffs: {coeffs}")
 

@@ -606,32 +606,59 @@ def _fin_sylow_gen(q: int, d: int) -> tuple:
     return tuple(_fin_pow(_fin_nonresidue(q, d), odd, q))
 
 
-def _fin_sqrt(a: Sequence[int], q: int, d: int) -> Optional[list]:
-    """Tonelli-Shanks on coordinate vectors, so d=1 and d=2 share one
-    implementation."""
-    if not any(a):
-        return list(a)
-    big = q**d
-    one = [1] + [0] * (d - 1)
-    if _fin_pow(a, (big - 1) // 2, q) != one:
+def _fp_sqrt(a: int, q: int) -> Optional[int]:
+    """A square root of the residue a in F_q, or None: pow(a, (q+1)/4)
+    when q = 3 (mod 4), else Tonelli-Shanks, all on builtin ints."""
+    a %= q
+    if not a:
+        return 0
+    if pow(a, (q - 1) >> 1, q) != 1:
         return None
-    m = _v2(big - 1)
-    odd = (big - 1) >> m
-    c = _fin_sylow_gen(q, d)
-    x = _fin_pow(a, (odd + 1) // 2, q)
-    t = _fin_pow(a, odd, q)
-    while t != one:
+    if q & 3 == 3:
+        return pow(a, (q + 1) >> 2, q)
+    m = _v2(q - 1)
+    odd = (q - 1) >> m
+    c = pow(_fin_nonresidue(q, 1)[0], odd, q)
+    x = pow(a, (odd + 1) >> 1, q)
+    t = pow(a, odd, q)
+    while t != 1:
         i, tt = 0, t
-        while tt != one:
-            tt = times_coords(tt, tt, q)
+        while tt != 1:
+            tt = tt * tt % q
             i += 1
         assert i < m
-        b = _fin_pow(c, 1 << (m - i - 1), q)
-        x = times_coords(x, b, q)
-        c = times_coords(b, b, q)
-        t = times_coords(t, c, q)
+        b = pow(c, 1 << (m - i - 1), q)
+        x = x * b % q
+        c = b * b % q
+        t = t * c % q
         m = i
     return x
+
+
+def _fin_sqrt(a: Sequence[int], q: int, d: int) -> Optional[list]:
+    """A square root of a in F_q (d = 1) or F_q[i] (d = 2), or None.
+
+    Over F_q[i] this is the norm descent of ``_sqrt_coords``: a root
+    c + di of u + vi has c^2 - d^2 = u and 2cd = v.  With v = 0 the
+    root is sqrt(u) or i*sqrt(-u), one of u, -u being a square as -1 is
+    not.  Otherwise w = sqrt(u^2 + v^2) must exist in F_q, c^2 is
+    (u + w)/2 or (u - w)/2 (whose product -v^2/4 is a non-square, so
+    exactly one is a square), and d = v/(2c)."""
+    if d == 1:
+        r = _fp_sqrt(a[0], q)
+        return None if r is None else [r]
+    u, v = a
+    if not v:
+        r = _fp_sqrt(u, q)
+        return [r, 0] if r is not None else [0, _fp_sqrt(-u, q)]
+    w = _fp_sqrt(u * u + v * v, q)
+    if w is None:
+        return None
+    half = (q + 1) >> 1
+    c = _fp_sqrt((u + w) * half, q)
+    if c is None:
+        c = _fp_sqrt((u - w) * half, q)
+    return [c, v * pow(2 * c, -1, q) % q]
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,14 @@ fields, integers for finite fields.  A single token denotes a scalar
 (rational or residue); otherwise exactly ``ambient_dim`` tokens are
 required.  ``format_element`` emits the shortest faithful literal
 (scalars as one token) and round-trips through ``parse_element``.
+``format_coeffs`` prints the coefficients of a flat algebra element
+the same way, straight from its integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 
 from .fields import (
@@ -61,6 +64,7 @@ __all__ = [
     "format_field",
     "parse_element",
     "format_element",
+    "format_coeffs",
 ]
 
 
@@ -174,3 +178,27 @@ def format_element(x: AmbientElement) -> str:
         g = gcd(v, den)
         out.append(str(v // g) if g == den else f"{v // g}/{den // g}")
     return ",".join(out)
+
+
+def format_coeffs(ints, den: int, d: int) -> list:
+    """The literal of each run of ``d`` coordinates in ``ints`` (a flat
+    algebra element, numerators over ``den``): the string
+    ``format_element`` prints for that coefficient, each coordinate as
+    its ``Fraction`` (or residue) would, a scalar as one token.  The
+    work is on whole lists: a zero prints "0" and each nonzero
+    numerator takes one gcd with ``den``.  A run whose tail is zero
+    prints its head alone; only runs with a nonzero tail are joined.
+    No run needs reducing first, since every coordinate prints as its
+    own reduced fraction."""
+    nonzero = list(compress(range(len(ints)), ints))
+    toks = ["0"] * len(ints)
+    for k in nonzero:
+        v = ints[k]
+        g = gcd(v, den)
+        toks[k] = str(v // g) if g == den else f"{v // g}/{den // g}"
+    if d == 1:
+        return toks
+    out = toks[::d]
+    for run in {k // d for k in nonzero if k % d}:
+        out[run] = ",".join(toks[run * d : run * d + d])
+    return out

@@ -353,17 +353,22 @@ def conjugate_pairing_check(
         raise ValueError("pairing check needs a nontrivial involution")
     spec0 = ambient.spec
     remaining = {(it.element.ints, it.element.den): it.element for it in ambient.items}
-    sums = set()
+    # each orbit sum is looked up as soon as it forms and then dropped;
+    # ``hit`` holds only the indices of the items of ``family`` it met
+    want = {(it.element.ints, it.element.den): i for i, it in enumerate(family.items)}
+    hit = set()
     while remaining:
         ke, e = remaining.popitem()
         f = AlgebraElement(spec0, sigma_coords(K, e.ints), e.den)
         kf = (f.ints, f.den)
-        if kf == ke:
-            sums.add(kf)
-            continue
-        if kf not in remaining:
+        if kf != ke:
+            if kf not in remaining:
+                return False
+            remaining.pop(kf)
+            g = e + f
+            kf = (g.ints, g.den)
+        i = want.get(kf)
+        if i is None:
             return False
-        remaining.pop(kf)
-        g = e + f
-        sums.add((g.ints, g.den))
-    return sums == {(it.element.ints, it.element.den) for it in family.items}
+        hit.add(i)
+    return len(hit) == len(want)

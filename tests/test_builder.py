@@ -1,5 +1,7 @@
 """The closed-form construction: dispatch, completeness, and honest limits."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -178,24 +180,41 @@ def test_every_dispatch_branch_is_reachable():
 
 
 @pytest.mark.parametrize(
-    "field_spec, n, a", [("F:5", 3, "1"), ("QR:3", 4, "9232,6528,0,-6528")]
+    "field_spec, n, a",
+    [
+        ("F:5", 3, "1"),
+        ("QR:3", 4, "9232,6528,0,-6528"),
+        ("F:7", 5, "5"),  # F_q[i]
+        ("QC:4", 6, "16"),  # d = 8
+        ("Q", 3, "1"),  # b = 1: chi = 2/3 alone makes D = 3
+    ],
 )
 def test_char_sum_matches_dense_powers(field_spec, n, a):
-    # reference: average sum_chi chi^j * u^j over the dense powers of u
+    # reference: average sum_chi chi^j * u^j over the dense powers of u,
+    # for a root of unity, chis that are none (over Q(zeta) one with a
+    # denominator), and pairs; r = s is the length T = 1
     spec = spec_of(field_spec, n, a)
     K = spec.field
     s, dec = decomposed(spec)
-    chis = (eps(K, 2), K.scalar(3))
-    for r in range(s + 1):
-        T = 1 << (s - r)
-        u = spec.gbar(1 << (n - s + r)).scale(dec.b ** -(1 << r))
-        want, power = spec.zero(), spec.one()
-        for j in range(T):
-            for chi in chis:
-                want = want + power.scale(chi**j)
-            power = power * u
-        want = want.scale(K.scalar(T).inverse())
-        assert _char_sum(spec, s, r, dec.b, *chis) == want
+    root, others = eps(K, 2), [K.scalar(3)]
+    if K.kind == CYCLOTOMIC:
+        others.append(K.scalar(Fraction(2, 3)))
+    for chis in [(root,), *((c,) for c in others), *((root, c) for c in others)]:
+        for r in range(s + 1):
+            check_char_sum(spec, s, r, dec.b, chis)
+
+
+def check_char_sum(spec, s, r, b, chis):
+    n, K = spec.n, spec.field
+    T = 1 << (s - r)
+    u = spec.gbar(1 << (n - s + r)).scale(b ** -(1 << r))
+    want, power = spec.zero(), spec.one()
+    for j in range(T):
+        for chi in chis:
+            want = want + power.scale(chi**j)
+        power = power * u
+    want = want.scale(K.scalar(T).inverse())
+    assert _char_sum(spec, s, r, b, *chis) == want
 
 
 # -- index-convention regressions ----------------------------------------------

@@ -1,5 +1,6 @@
 """Ambient field arithmetic: cyclotomic towers and F_q / F_q[i]."""
 
+import random
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -22,6 +23,10 @@ from cyclotwist.fields import (
     AmbientError,
     FieldDescriptor,
     _fin_nonresidue,
+    _fin_pow,
+    _fin_sqrt,
+    _fin_sylow_gen,
+    _v2,
     _down_norm,
     _interleave,
     _inverse_coords,
@@ -549,3 +554,63 @@ def test_first_non_square_matches_the_full_scan():
     for q in primes:
         least = next(c for c in range(1, q) if pow(c, (q - 1) // 2, q) != 1)
         assert _fin_nonresidue(q, 1) == (least,)
+
+
+# -- finite-field square roots -------------------------------------------------
+
+
+def _tonelli_shanks_on_vectors(a, q, d):
+    """Tonelli-Shanks on coordinate vectors through ``times_coords``, for
+    d = 1 and d = 2 alike: the reference for ``_fin_sqrt``."""
+    if not any(a):
+        return list(a)
+    big = q**d
+    one = [1] + [0] * (d - 1)
+    if _fin_pow(a, (big - 1) // 2, q) != one:
+        return None
+    m = _v2(big - 1)
+    odd = (big - 1) >> m
+    c = _fin_sylow_gen(q, d)
+    x = _fin_pow(a, (odd + 1) // 2, q)
+    t = _fin_pow(a, odd, q)
+    while t != one:
+        i, tt = 0, t
+        while tt != one:
+            tt = times_coords(tt, tt, q)
+            i += 1
+        b = _fin_pow(c, 1 << (m - i - 1), q)
+        x = times_coords(x, b, q)
+        c = times_coords(b, b, q)
+        t = times_coords(t, c, q)
+        m = i
+    return x
+
+
+def _assert_sqrt_agrees(a, q, d):
+    want = _tonelli_shanks_on_vectors(list(a), q, d)
+    got = _fin_sqrt(list(a), q, d)
+    assert (got is None) == (want is None), (a, q, d)
+    if got is not None:
+        assert len(got) == d and all(0 <= v < q for v in got)
+        assert times_coords(got, got, q) == list(a)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_fin_sqrt_matches_vector_tonelli_shanks_everywhere(q):
+    # every element of F_q, and of F_q[i] where -1 is a non-square
+    for d in (1, 2) if q % 4 == 3 else (1,):
+        for x in FieldDescriptor(FINITE, IDENTITY, q=q, d=d).iter_ambient():
+            _assert_sqrt_agrees(x.ints, q, d)
+
+
+@pytest.mark.parametrize("q, d", [(65537, 1), (2**61 - 1, 1), (2**61 - 1, 2)])
+def test_fin_sqrt_matches_vector_tonelli_shanks_on_a_sample(q, d):
+    rng = random.Random(q + d)
+    samples = [[0] * d, [1] + [0] * (d - 1), [q - 1] + [0] * (d - 1)]
+    samples += [[rng.randrange(q) for _ in range(d)] for _ in range(60)]
+    # squares, so that the root-finding branch runs, not just the test
+    samples += [times_coords(x, x, q) for x in samples[3:33]]
+    if d == 2:
+        samples += [[rng.randrange(q), 0] for _ in range(10)]
+    for a in samples:
+        _assert_sqrt_agrees(a, q, d)

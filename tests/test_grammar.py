@@ -1,11 +1,15 @@
 """Field-spec and element-literal parsing and printing."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclotwist.algebra import AlgebraSpec
+from cyclotwist.builder import ambient_family, build
 from cyclotwist.fields import (
     CYCLOTOMIC,
     FINITE,
@@ -15,6 +19,7 @@ from cyclotwist.fields import (
     FieldDescriptor,
 )
 from cyclotwist.grammar import (
+    format_coeffs,
     format_element,
     format_field,
     parse_element,
@@ -130,3 +135,52 @@ def test_literal_roundtrip_property(spec, coords):
         coords = (coords * K.ambient_dim)[: K.ambient_dim]
     x = K.scalar(coords[0]) if len(coords) == 1 else K.element(coords)
     assert parse_element(K, format_element(x)) == x
+
+
+# -- coefficient literals straight from the flat integers ---------------------
+
+
+def _golden_instances():
+    """(field, n, a) of every instance in ``golden_cli.json``."""
+    keys = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
+    out = set()
+    for key in keys:
+        field, n, a = [t for t in key.split() if not t.startswith("--")][-3:]
+        out.add((field, int(n), a))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("field_spec, n, a", _golden_instances())
+def test_format_coeffs_matches_format_element_on_golden_items(field_spec, n, a):
+    K = parse_field(field_spec)
+    family = build(AlgebraSpec(K, n, parse_element(K, a)), checked=False)
+    for fam in (family, ambient_family(family)):
+        for it in fam.items:
+            e = it.element
+            want = [format_element(c) for c in e.coeffs]
+            assert format_coeffs(e.ints, e.den, e.spec.field.ambient_dim) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_format_coeffs_matches_format_element_on_flat_tuples(data):
+    d = data.draw(st.sampled_from([1, 2, 4, 8]))
+    K = FieldDescriptor(CYCLOTOMIC, IDENTITY, level=d.bit_length())
+    den = data.draw(st.integers(min_value=2, max_value=720))
+    coord = st.one_of(st.just(0), st.integers(min_value=-2000, max_value=2000))
+    run = st.one_of(
+        st.lists(coord, min_size=d, max_size=d),
+        coord.map(lambda v: [v] + [0] * (d - 1)),  # a scalar run
+    )
+    runs = data.draw(st.lists(run, min_size=1, max_size=6))
+    ints = tuple(v for r in runs for v in r)
+    want = [format_element(K.element([Fraction(v, den) for v in r])) for r in runs]
+    assert format_coeffs(ints, den, d) == want
+    # independently: each coordinate as its Fraction prints, a zero tail dropped
+    assert want == [
+        ",".join(str(Fraction(v, den)) for v in (r if any(r[1:]) else r[:1]))
+        for r in runs
+    ]
+    assert format_coeffs(ints, 1, d) == [
+        format_element(K.element(r)) for r in runs
+    ]

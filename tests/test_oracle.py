@@ -427,6 +427,67 @@ def test_pairing_across_types(field_spec, n, a):
     assert conjugate_pairing_check(family, ambient_family(family))
 
 
+def pairing_reference(family, ambient):
+    """The pairing verdict as a set equality: every orbit sum of the
+    involution on ``ambient``, collected, against the items of ``family``."""
+    K = family.spec.field
+    remaining = {(it.element.ints, it.element.den): it.element for it in ambient.items}
+    sums = set()
+    while remaining:
+        ke, e = remaining.popitem()
+        f = AlgebraElement(ambient.spec, sigma_coords(K, e.ints), e.den)
+        if (f.ints, f.den) == ke:
+            sums.add(ke)
+            continue
+        if (f.ints, f.den) not in remaining:
+            return False
+        remaining.pop((f.ints, f.den))
+        g = e + f
+        sums.add((g.ints, g.den))
+    return sums == {(it.element.ints, it.element.den) for it in family.items}
+
+
+PAIRING_CASES = [("Q", 2, "-4"), ("QE:3", 3, "16"), ("QR:3", 3, "16"), ("F:3", 3, "1")]
+
+
+@pytest.mark.parametrize("field_spec, n, a", PAIRING_CASES)
+def test_pairing_verdict_is_the_set_equality(field_spec, n, a):
+    # mutants whose orbit sums collide: a second orbit {e', sigma e'}
+    # with e' = e + y - sigma y, y = zeta (or i), sums to the same
+    # e + sigma e as {e, sigma e}
+    family = build(spec_of(field_spec, n, a), checked=False)
+    ambient = ambient_family(family)
+    K = family.spec.field
+
+    def conj(e):
+        return AlgebraElement(ambient.spec, sigma_coords(K, e.ints), e.den)
+
+    paired = [it for it in ambient.items if conj(it.element) != it.element]
+    assert paired
+    e = paired[0].element
+    A = ambient.spec.field
+    y = ambient.spec.scalar(A.element([0, 1] + [0] * (A.ambient_dim - 2)))
+    twin = e + y - conj(y)
+    assert conj(twin) not in (twin, e, conj(e)) and twin + conj(twin) == e + conj(e)
+    twins = [replace(paired[0], element=x) for x in (twin, conj(twin))]
+    rest = [it for it in ambient.items if it.element not in (e, conj(e))]
+    total = e + conj(e)  # over the ambient spec: compare coordinates
+    others = [it for it in family.items if it.element.ints != total.ints]
+    assert len(others) == len(family.items) - 1
+    mutants = [
+        (family, ambient),  # as built: True
+        (family, replace(ambient, items=ambient.items + tuple(twins))),  # True
+        (family, replace(ambient, items=tuple(rest + twins))),  # True
+        (family, replace(ambient, items=tuple(rest + twins + twins[:1]))),  # True
+        (replace(family, items=tuple(others)), ambient),  # one item short
+        (replace(family, items=family.items + family.items[:1]), ambient),  # True
+        (family, replace(ambient, items=tuple(rest))),  # one orbit short
+    ]
+    verdicts = [conjugate_pairing_check(k, amb) for k, amb in mutants]
+    assert verdicts == [pairing_reference(k, amb) for k, amb in mutants]
+    assert verdicts == [True, True, True, True, False, True, False]
+
+
 def test_pairing_needs_nontrivial_involution():
     family = build(spec_of("F:5", 1, "1"), checked=False)
     with pytest.raises(ValueError, match="involution"):
