@@ -34,7 +34,6 @@ from .fields import (
     FieldDescriptor,
     eps,
     is_in_k,
-    kth_power_test_branching,
     norm,
     sigma,
     sqrt_ambient,
@@ -77,7 +76,6 @@ __all__ = [
     "is_in_k",
     "ks_decompose",
     "ks_membership",
-    "kth_power_test_branching",
     "norm",
     "parse_element",
     "parse_field",

@@ -50,7 +50,6 @@ from .classify import (
     Classification,
     CosetDecomposition,
     classify,
-    h_n,
     ks_decompose,
 )
 from .fields import IDENTITY, AmbientElement, FieldDescriptor, eps, times_coords
@@ -298,6 +297,9 @@ def _dispatch(
 def build(spec: AlgebraSpec, checked: bool = True) -> IdempotentFamily:
     """Construct the complete family of minimal idempotents of K_t<g>.
 
+    One ``ks_decompose`` call gives the depth s = h_n(a) and the coset
+    form of a (one chain of square roots, two when s exceeds the root
+    level); the case functions then state every item in closed form.
     With ``checked`` (the default) the family is handed to the oracle,
     and a VerificationError is raised unless every check passes and
     every component is certified minimal; use checked=False to obtain
@@ -305,8 +307,7 @@ def build(spec: AlgebraSpec, checked: bool = True) -> IdempotentFamily:
     """
     K = spec.field
     cls = classify(K, spec.n)
-    s = h_n(K, spec.a, spec.n)
-    dec = ks_decompose(K, spec.a, s)
+    dec = ks_decompose(K, spec.a, spec.n)
     items = tuple(_dispatch(spec, cls, dec))
     family = IdempotentFamily(spec, cls, dec, items)
     return verified(family) if checked else family

@@ -9,9 +9,10 @@ Everything downstream hinges on two integers and one coset form:
 * the shape of a inside K_s = K* intersect (A*)^(2^s), which is always
   b^(2^s), -b^(2^s) or (1+eps_m)^(2^s) b^(2^s) for some b in K*.
 
-The decomposition is fully constructive: from an ambient witness
-alpha^(2^s) = a it manufactures the K-rational coset representative b
-by dividing out an explicit root of unity.
+The decomposition is fully constructive: one chain of square roots
+(``root_chain``) gives both the depth s and an ambient witness
+alpha^(2^s) = a, and from alpha it manufactures the K-rational coset
+representative b by dividing out an explicit root of unity.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .fields import (
     FieldDescriptor,
     eps,
     is_in_k,
-    kth_power_test_branching,
     norm,
     root_chain,
     sigma,
@@ -165,20 +165,26 @@ def _strip_root(K: FieldDescriptor, alpha: AmbientElement, t: int) -> AmbientEle
     return alpha * eps(K, 2) / eta
 
 
-def ks_decompose(K: FieldDescriptor, a: AmbientElement, s: int) -> CosetDecomposition:
-    """Write a in one of the three coset forms of K_s, constructively.
+def ks_decompose(K: FieldDescriptor, a: AmbientElement, n: int) -> CosetDecomposition:
+    """Write a in one of the three coset forms of K_s, s = h_n(a), for
+    the cap n, constructively; ``dec.s`` is that depth.
 
-    Raises ValueError when a is not in K_s.  The returned representative
-    b is always in K*; which form comes out is forced by the field type
-    and by s relative to m, and internal assertions check that the
-    arithmetic agrees with that bookkeeping.
+    One ``root_chain`` finds s and a 2^s-th root y of a.  Up to the
+    root level L, y is the witness alpha; for s > L the witness is the
+    canonical L-chain of y^(2^L), the same for every 2^s-th root of a
+    (this is the first leaf of the search over both signs of every
+    root).  The returned representative b is always in K*; which form
+    comes out is forced by the field type and by s relative to m, and
+    internal assertions check that the arithmetic agrees with that
+    bookkeeping.
     """
     _require_unit_in_k(K, a)
-    if not 0 <= s <= POWER_TEST_CAP:
-        raise ValueError(f"s must be in [0, {POWER_TEST_CAP}]")
-    alpha = kth_power_test_branching(K, a, 1 << s)
-    if alpha is None:
-        raise ValueError(f"a is not a 2^{s}-th power in the ambient field")
+    if not 0 <= n <= POWER_TEST_CAP:
+        raise ValueError(f"n must be in [0, {POWER_TEST_CAP}]")
+    s, alpha = root_chain(K, a, n)
+    L = K.root_level
+    if s > L:
+        alpha = root_chain(K, alpha ** (1 << L), L)[1]
     if K.involution == IDENTITY:
         return CosetDecomposition(s, PLAIN, alpha)
 

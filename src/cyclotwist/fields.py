@@ -17,10 +17,12 @@ and over Q(zeta) numerators over one positive denominator in lowest
 terms, so equality and hashing compare plain tuples.  Both kinds share
 one product, ``times_coords`` in Z[zeta]/(zeta^d + 1) (F_q[i] is
 d = 2, zeta = i), and one inverse by descent through the quadratic
-tower.  Square roots over Q(zeta) run on integers too, because Z[zeta]
-is the full ring of integers of Q(zeta).  ``fractions.Fraction``
-appears only at the boundary: ``FieldDescriptor.element`` accepts it and
-``AmbientElement.coeffs`` returns it.
+tower.  Square roots in every kind descend the same tower, to ``isqrt``
+over Z (Z[zeta] is the full ring of integers of Q(zeta), so roots over
+Q(zeta) run on integers too) or to Tonelli-Shanks mod q.
+``fractions.Fraction`` appears only at the boundary:
+``FieldDescriptor.element`` accepts it and ``AmbientElement.coeffs``
+returns it.
 
 The involution is one of: ``identity`` (K = A); ``inverse_conj``
 (zeta -> zeta^-1, cyclotomic, L >= 2); ``negated_inverse_conj``
@@ -502,23 +504,32 @@ def _inverse_coords(x: Sequence[int], q: int) -> Tuple[list, int]:
     return _interleave(times_coords(u, nums, q), times_coords(minus_v, nums, q)), nrm
 
 
-def _sqrt_coords(a: Sequence[int]) -> Optional[list]:
-    """An x in Z[zeta] with x^2 = a, or None; a in Z[zeta].
+def _sqrt_coords(a: Sequence[int], q: int) -> Optional[list]:
+    """An x with x^2 = a, or None: a and x in Z[zeta] when q = 0, in
+    F_q or F_q[i] (coordinates mod q) when q is nonzero.
 
-    Z[zeta] is the ring of integers of Q(zeta) (Washington,
-    *Introduction to Cyclotomic Fields*, Thm 2.6), so a root in Q(zeta)
-    of an element of Z[zeta] lies in Z[zeta] and the search runs on
-    integers.  Recursion over the quadratic tower Q(zeta_{2^L}) >
-    Q(zeta_{2^(L-1)}) > ... > Q.  Writing a = u + zeta*v, a root
+    One norm descent through the quadratic tower A > ... > prime field
+    (Lang, *Algebra*, VI 9).  Writing a = u + zeta*v, a root
     x = c + zeta*d must satisfy c^2 + zeta^2 d^2 = u and 2cd = v.  If
     v = 0 the root lies in the subfield or in zeta times it; otherwise
     c^2 = (u + w)/2 for one of the two square roots w of the subfield
-    norm u^2 - zeta^2 v^2, and d = v/(2c).  A branch whose halving or
+    norm u^2 - zeta^2 v^2, and d = v/(2c).  Only the prime field tells
+    the kinds apart: the leaf is ``isqrt`` over Z and Tonelli-Shanks
+    mod q, halving is a parity check over Z and a product by (q+1)/2
+    mod q, and d comes from an exact division over Z and a modular
+    inverse mod q.
+
+    Over Z, Z[zeta] is the ring of integers of Q(zeta) (Washington,
+    *Introduction to Cyclotomic Fields*, Thm 2.6), so a root in Q(zeta)
+    of an element of Z[zeta] lies in Z[zeta]; a branch whose halving or
     division is not exact has no integral root, hence no root.  Every
     branch point is tried, so the search is complete.
     """
     n = len(a)
     if n == 1:
+        if q:
+            r = _fp_sqrt(a[0], q)
+            return None if r is None else [r]
         if a[0] < 0:
             return None
         r = isqrt(a[0])
@@ -526,27 +537,34 @@ def _sqrt_coords(a: Sequence[int]) -> Optional[list]:
     u, v = a[0::2], a[1::2]
     m = n // 2
     if not any(v):
-        r = _sqrt_coords(u)
+        r = _sqrt_coords(u, q)
         if r is not None:
             return _interleave(r, [0] * m)
         # u / zeta^2, with zeta^-2 = -zeta^(2(m-1)) in the subfield
-        r = _sqrt_coords(times_coords(u, (0,) * (m - 1) + (-1,), 0))
+        r = _sqrt_coords(times_coords(u, (0,) * (m - 1) + (-1,), q), q)
         if r is not None:
             return _interleave([0] * m, r)
         return None
-    w = _sqrt_coords(_down_norm(u, v, 0))
+    w = _sqrt_coords(_down_norm(u, v, q), q)
     if w is None:
         return None
     for sign in (1, -1):
         twice = [x + sign * y for x, y in zip(u, w)]
-        if any(t & 1 for t in twice):
+        if q:
+            half = [t * ((q + 1) >> 1) % q for t in twice]
+        elif any(t & 1 for t in twice):
             continue
-        c = _sqrt_coords([t >> 1 for t in twice])
+        else:
+            half = [t >> 1 for t in twice]
+        c = _sqrt_coords(half, q)
         if c is None or not any(c):
             continue
         # d = v / (2c) = v * nums / (2 * nrm)
-        nums, nrm = _inverse_coords(c, 0)
-        top = times_coords(v, nums, 0)
+        nums, nrm = _inverse_coords(c, q)
+        top = times_coords(v, nums, q)
+        if q:
+            inv = pow(2 * nrm, -1, q)
+            return _interleave(c, [t * inv % q for t in top])
         if any(t % (2 * nrm) for t in top):
             continue
         return _interleave(c, [t // (2 * nrm) for t in top])
@@ -566,18 +584,8 @@ def _signed_perm(n: int, k: int) -> Tuple[Tuple[int, int], ...]:
 
 
 # ---------------------------------------------------------------------------
-# finite fields: the 2-Sylow subgroup and Tonelli-Shanks
+# finite fields: the first non-square and Tonelli-Shanks
 # ---------------------------------------------------------------------------
-
-
-def _fin_pow(a: Sequence[int], e: int, q: int) -> list:
-    acc, base = [1] + [0] * (len(a) - 1), a
-    while e:
-        if e & 1:
-            acc = times_coords(acc, base, q)
-        base = times_coords(base, base, q)
-        e >>= 1
-    return acc
 
 
 @functools.lru_cache(maxsize=None)
@@ -596,14 +604,6 @@ def _fin_nonresidue(q: int, d: int) -> tuple:
         if pow(norm, half, q) != 1:
             return (c,) if d == 1 else (1, c)
     raise AssertionError("no non-residue found in a field of odd order")
-
-
-@functools.lru_cache(maxsize=None)
-def _fin_sylow_gen(q: int, d: int) -> tuple:
-    """A generator of the 2-Sylow subgroup of F_{q^d}^*."""
-    big = q**d - 1
-    odd = big >> _v2(big)
-    return tuple(_fin_pow(_fin_nonresidue(q, d), odd, q))
 
 
 def _fp_sqrt(a: int, q: int) -> Optional[int]:
@@ -635,32 +635,6 @@ def _fp_sqrt(a: int, q: int) -> Optional[int]:
     return x
 
 
-def _fin_sqrt(a: Sequence[int], q: int, d: int) -> Optional[list]:
-    """A square root of a in F_q (d = 1) or F_q[i] (d = 2), or None.
-
-    Over F_q[i] this is the norm descent of ``_sqrt_coords``: a root
-    c + di of u + vi has c^2 - d^2 = u and 2cd = v.  With v = 0 the
-    root is sqrt(u) or i*sqrt(-u), one of u, -u being a square as -1 is
-    not.  Otherwise w = sqrt(u^2 + v^2) must exist in F_q, c^2 is
-    (u + w)/2 or (u - w)/2 (whose product -v^2/4 is a non-square, so
-    exactly one is a square), and d = v/(2c)."""
-    if d == 1:
-        r = _fp_sqrt(a[0], q)
-        return None if r is None else [r]
-    u, v = a
-    if not v:
-        r = _fp_sqrt(u, q)
-        return [r, 0] if r is not None else [0, _fp_sqrt(-u, q)]
-    w = _fp_sqrt(u * u + v * v, q)
-    if w is None:
-        return None
-    half = (q + 1) >> 1
-    c = _fp_sqrt((u + w) * half, q)
-    if c is None:
-        c = _fp_sqrt((u - w) * half, q)
-    return [c, v * pow(2 * c, -1, q) % q]
-
-
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
@@ -671,8 +645,9 @@ def eps(K: FieldDescriptor, t: int) -> AmbientElement:
     """The canonical primitive 2^t-th root of unity in the ambient field.
 
     Cyclotomic: the power zeta^(2^(L-t)) of the defining root.  Finite:
-    g^(2^(w-t)) for g the 2-Sylow generator derived from the first
-    non-square in coordinate order.  Raises if A has no such root.
+    the first non-square in coordinate order raised to (q^d - 1)/2^t,
+    which is g^(2^(w-t)) for g its power generating the 2-Sylow
+    subgroup.  Raises if A has no such root.
     """
     if t < 0 or t > K.root_level:
         raise AmbientError(
@@ -682,8 +657,7 @@ def eps(K: FieldDescriptor, t: int) -> AmbientElement:
         return K.one()
     if K.kind == CYCLOTOMIC:
         return K.zeta_pow(1 << (K.level - t))
-    g = _fin_sylow_gen(K.q, K.d)
-    return _new(K, tuple(_fin_pow(g, 1 << (K.root_level - t), K.q)), 1)
+    return _new(K, _fin_nonresidue(K.q, K.d), 1) ** ((K.q**K.d - 1) >> t)
 
 
 def sigma(K: FieldDescriptor, x: AmbientElement) -> AmbientElement:
@@ -733,16 +707,13 @@ def sqrt_ambient(K: FieldDescriptor, x: AmbientElement) -> Optional[AmbientEleme
 
     Of the two roots +-r the one with the lexicographically smaller
     coordinate vector is returned, making downstream searches
-    deterministic.  Over Q(zeta) the root of nums/den is
-    sqrt(nums * den) / den, with nums * den in Z[zeta]; under one
-    positive denominator the numerators order as the rationals do.
+    deterministic.  The root of nums/den is sqrt(nums * den) / den
+    (den = 1 over F_q), found by ``_sqrt_coords``; under one positive
+    denominator the numerators order as the rationals do.
     """
     if x.owner != K:
         raise AmbientError("element does not belong to this field")
-    if K.kind == CYCLOTOMIC:
-        r = _sqrt_coords([v * x.den for v in x.ints])
-    else:
-        r = _fin_sqrt(x.ints, K.q, K.d)
+    r = _sqrt_coords([v * x.den for v in x.ints], K.q)
     if r is None:
         return None
     cand = _new(K, *reduce_coords(K, r, x.den))
@@ -755,7 +726,12 @@ def root_chain(
     K: FieldDescriptor, x: AmbientElement, t: int
 ) -> Tuple[int, AmbientElement]:
     """(j, y) for the largest j <= t with x a 2^j-th power in A, and y a
-    2^j-th root of x, by at most 2t square roots (see ``classify.h_n``)."""
+    2^j-th root of x, by at most 2t square roots (see ``classify.h_n``).
+
+    Each step takes the canonical root; from j = L (the root level) on,
+    where the 2^j-th roots of x are y times mu_{2^L}, a non-square y is
+    first multiplied by eps_L.  ``classify.ks_decompose`` reads both the
+    depth and the representative of a off one such chain."""
     y = x
     for j in range(t):
         r = sqrt_ambient(K, y)
@@ -766,24 +742,3 @@ def root_chain(
         y = r
     return t, y
 
-
-def kth_power_test_branching(
-    K: FieldDescriptor, x: AmbientElement, k: int
-) -> Optional[AmbientElement]:
-    """Find y in A with y^k = x (k = 2^t), or None: the first leaf of the
-    search over both signs of each square root, canonical sign first.
-    For t <= L, the root level, -1 is a 2^(t-1)-th power and the search
-    keeps the canonical root throughout, as ``root_chain`` does.  For
-    t > L one sign survives at each level above L, so it passes through
-    alpha^(2^L), the same for every 2^t-th root alpha, and takes L
-    canonical roots from there."""
-    if k < 1 or k & (k - 1):
-        raise AmbientError("k must be a positive power of two")
-    depth = k.bit_length() - 1
-    if depth > POWER_TEST_CAP:
-        raise AmbientError(f"power test capped at 2^{POWER_TEST_CAP}")
-    j, y = root_chain(K, x, depth)
-    if j < depth:
-        return None
-    L = K.root_level
-    return root_chain(K, y ** (1 << L), L)[1] if depth > L else y

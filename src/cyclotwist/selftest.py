@@ -372,9 +372,8 @@ def criterion_index_regressions(max_enum: int = DEFAULT_ENUM_BUDGET) -> Criterio
     # family is empty and cannot sum to 1.
     case = _case("Q", 2, "-1")
     spec = case.spec()
-    s = h_n(spec.field, spec.a, spec.n)
-    dec = ks_decompose(spec.field, spec.a, s)
-    items = thm3_case4(spec, s, dec.b)
+    dec = ks_decompose(spec.field, spec.a, spec.n)
+    items = thm3_case4(spec, dec.s, dec.b)
     if family_sum(spec, [it for it in items if it.label != (0,)]):
         details.append(f"{case}: the rejected i=1 reading unexpectedly sums to 1")
     if not family_sum(spec, items):
@@ -384,9 +383,8 @@ def criterion_index_regressions(max_enum: int = DEFAULT_ENUM_BUDGET) -> Criterio
     # (F:3, 3, 1) family loses two components.
     case = _case("F:3", 3, "1")
     spec = case.spec()
-    s = h_n(spec.field, spec.a, spec.n)
-    dec = ks_decompose(spec.field, spec.a, s)
-    items = thm3_case3(spec, s, dec.b)
+    dec = ks_decompose(spec.field, spec.a, spec.n)
+    items = thm3_case3(spec, dec.s, dec.b)
     if family_sum(spec, [it for it in items if len(it.label) == 1 or it.label[0] >= 1]):
         details.append(f"{case}: the rejected r=1 reading unexpectedly sums to 1")
     if not family_sum(spec, items):

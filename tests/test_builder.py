@@ -1,12 +1,13 @@
 """The closed-form construction: dispatch, completeness, and honest limits."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclotwist import builder
+from cyclotwist import builder, fields
 from cyclotwist.algebra import AlgebraSpec, Poly, certify_irreducible
 from cyclotwist.builder import (
     _char_sum,
@@ -22,7 +23,6 @@ from cyclotwist.classify import (
     PLAIN,
     TYPE_B,
     classify,
-    h_n,
     ks_decompose,
 )
 from cyclotwist.fields import (
@@ -35,6 +35,9 @@ from cyclotwist.fields import (
 )
 from cyclotwist.grammar import parse_element, parse_field
 
+# the module, which the package's ``classify`` function shadows
+classify_module = importlib.import_module("cyclotwist.classify")
+
 DEEP_A = "170459392,120532992,0,-120532992"  # (1 + eps_3)^32 over QR:3
 
 
@@ -44,8 +47,8 @@ def spec_of(field_spec, n, a_literal):
 
 
 def decomposed(spec):
-    s = h_n(spec.field, spec.a, spec.n)
-    return s, ks_decompose(spec.field, spec.a, s)
+    dec = ks_decompose(spec.field, spec.a, spec.n)
+    return dec.s, dec
 
 
 def items_sum(spec, items):
@@ -128,6 +131,33 @@ def test_checked_build_makes_one_build(field_spec, n, a, monkeypatch):
     monkeypatch.setattr(builder, "build", counted)
     assert builder.build(spec).report.ok
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "field_spec, n, a, chains",
+    [
+        ("F:5", 2, "1", 1),  # s = 2 = L
+        ("F:7", 5, "3", 1),  # s = 3 < L = 4 over F_49
+        ("QC:2", 3, "6561", 2),  # s = 3 > L = 2
+        ("QR:3", 4, "9232,6528,0,-6528", 2),  # s = 4 > L = 3
+    ],
+)
+def test_build_runs_one_chain_of_square_roots(field_spec, n, a, chains, monkeypatch):
+    # the depth and the witness come from one chain; a second, of length
+    # L, only when s exceeds the root level
+    spec = spec_of(field_spec, n, a)
+    calls = []
+    inner = fields.root_chain
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(fields, "root_chain", counted)
+    monkeypatch.setattr(classify_module, "root_chain", counted)
+    family = build(spec, checked=False)
+    assert (family.decomposition.s > spec.field.root_level) == (chains == 2)
+    assert len(calls) == chains
 
 
 def test_unchecked_build_has_no_report():

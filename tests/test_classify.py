@@ -178,16 +178,17 @@ def test_unit_coset_instance():
     assert recompose(QR3, dec) == a
 
 
-@pytest.mark.parametrize("qspec", ["F:3", "F:5", "F:7"])
+@pytest.mark.parametrize("qspec", ["F:3", "F:5", "F:7", "F:13"])
 def test_decomposition_exhaustive_finite(qspec):
+    # ks_decompose takes the cap n and reports the depth h_n(a) itself
     K = parse_field(qspec)
     cls = classify(K)
     for a0 in range(1, K.q):
         a = K.scalar(a0)
-        for n in range(4):
-            s = h_n(K, a, n)
-            dec = ks_decompose(K, a, s)
-            assert dec.s == s
+        for n in range(5):
+            dec = ks_decompose(K, a, n)
+            s = dec.s
+            assert s == h_n(K, a, n)
             assert recompose(K, dec) == a
             if cls.field_type == TYPE_B:
                 assert dec.form == PLAIN

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclotwist.algebra import AlgebraSpec
+from cyclotwist.classify import ks_decompose
 from cyclotwist.fields import (
     CYCLOTOMIC,
     FINITE,
@@ -23,9 +24,6 @@ from cyclotwist.fields import (
     AmbientError,
     FieldDescriptor,
     _fin_nonresidue,
-    _fin_pow,
-    _fin_sqrt,
-    _fin_sylow_gen,
     _v2,
     _down_norm,
     _interleave,
@@ -33,7 +31,6 @@ from cyclotwist.fields import (
     _is_prime,
     eps,
     is_in_k,
-    kth_power_test_branching,
     norm,
     reduce_coords,
     root_chain,
@@ -392,18 +389,37 @@ def test_eps_beyond_supply_raises():
         eps(F5, 3)
 
 
+def test_finite_eps_is_the_sylow_generator_power():
+    # eps_t = g^(2^(w-t)) for g the 2-Sylow generator of F_{q^d}^*,
+    # 2^w || q^d - 1, and its order is exactly 2^t
+    for q in range(3, 300):
+        if not _prime_by_trial_division(q):
+            continue
+        for d in (1, 2) if q % 4 == 3 else (1,):
+            K = FieldDescriptor(FINITE, IDENTITY, q=q, d=d)
+            w = K.root_level
+            g = _sylow_generator(q, d)
+            one = [1] + [0] * (d - 1)
+            for t in range(w + 1):
+                e = eps(K, t)
+                assert list(e.ints) == _vector_pow(g, 1 << (w - t), q), (q, d, t)
+                assert _vector_pow(e.ints, 1 << t, q) == one
+                if t:
+                    assert _vector_pow(e.ints, 1 << (t - 1), q) != one
+
+
 # -- branching power tests ---------------------------------------------------
 
 
 def test_branching_explores_both_signs():
-    # 3^8 = 6561: the canonical roots 6561 -> -81 -> -9i end at a
-    # non-square, and the witness is reached through +81 -> -9 -> -3i.
-    w = kth_power_test_branching(Q, Q.scalar(6561), 8)
-    assert w == Q.element((0, -3))
-    assert kth_power_test_branching(Q, Q.scalar(6561), 16) is None
-    w = kth_power_test_branching(Q, Q.scalar(16), 8)
-    assert w is not None and w**8 == Q.scalar(16)
-    assert kth_power_test_branching(Q, Q.scalar(16), 16) is None
+    # 3^8 = 6561 over Q(i): the canonical roots 6561 -> -81 -> -9i end
+    # at a non-square, and the witness is reached through +81 -> -9 -> -3i.
+    dec = ks_decompose(QC2, QC2.scalar(6561), 3)
+    assert dec.s == 3 and dec.b == QC2.element((0, -3))
+    assert ks_decompose(QC2, QC2.scalar(6561), 4).s == 3
+    dec = ks_decompose(QC2, QC2.scalar(16), 3)
+    assert dec.s == 3 and dec.b**8 == QC2.scalar(16)
+    assert ks_decompose(QC2, QC2.scalar(16), 4).s == 3
 
 
 def test_branching_witness_domain():
@@ -411,26 +427,24 @@ def test_branching_witness_domain():
     # itself, while 4 has no 4th root even in Q(i): its square roots +-2
     # are both non-squares there.
     minus_four = Q.scalar(-4)
-    w = kth_power_test_branching(Q, minus_four, 4)
-    assert w is not None and w**4 == minus_four and not is_in_k(Q, w)
-    assert kth_power_test_branching(Q, Q.scalar(4), 4) is None
-    with pytest.raises(AmbientError):
-        kth_power_test_branching(Q, Q.scalar(4), 3)
+    depth, w = root_chain(Q, minus_four, 2)
+    assert depth == 2 and w**4 == minus_four and not is_in_k(Q, w)
+    assert root_chain(Q, Q.scalar(4), 2)[0] == 1
 
 
 @pytest.mark.parametrize("K", [F5, F7])
 def test_branching_agrees_with_exhaustion_finite(K):
     units = [x for x in K.iter_ambient() if x != K.zero()]
-    for k in (2, 4, 8):
-        powers = {x**k for x in units}
+    for t in (1, 2, 3):
+        powers = {x ** (1 << t) for x in units}
         for x in units:
-            assert (kth_power_test_branching(K, x, k) is not None) == (x in powers)
+            assert (root_chain(K, x, t)[0] == t) == (x in powers)
 
 
 def sign_tree_reference(K, x, k):
     """The depth-first search over both signs of every square root,
-    canonical sign first: up to k leaves.  Its first witness is the one
-    ``kth_power_test_branching`` must return."""
+    canonical sign first: up to k leaves.  Over K = A its first witness
+    is the representative ``ks_decompose`` must return."""
 
     def search(y, lvl):
         if lvl == 0:
@@ -488,10 +502,13 @@ def test_chain_witness_is_the_sign_tree_witness(data):
     x = c ** (1 << j) * eps(K, K.root_level) ** e * sign
     t = data.draw(st.integers(0, min(j + 1, 8)))
     want = sign_tree_reference(K, x, 1 << t)
-    assert kth_power_test_branching(K, x, 1 << t) == want
+    dec = ks_decompose(K, x, t)
+    assert (dec.s == t) == (want is not None)
+    if want is not None:
+        assert dec.b == want
     depth, y = root_chain(K, x, t)
     assert y ** (1 << depth) == x
-    assert (depth == t) == (want is not None)
+    assert depth == dec.s
 
 
 # -- primality and the first non-square ------------------------------------
@@ -559,26 +576,46 @@ def test_first_non_square_matches_the_full_scan():
 # -- finite-field square roots -------------------------------------------------
 
 
+def _vector_pow(a, e, q):
+    """a^e on coordinate vectors by square-and-multiply through
+    ``times_coords``."""
+    acc, base = [1] + [0] * (len(a) - 1), list(a)
+    while e:
+        if e & 1:
+            acc = times_coords(acc, base, q)
+        base = times_coords(base, base, q)
+        e >>= 1
+    return acc
+
+
+def _sylow_generator(q, d):
+    """The first non-square of F_{q^d} to the odd part of q^d - 1: a
+    generator of the 2-Sylow subgroup of the unit group."""
+    big = q**d - 1
+    return _vector_pow(_fin_nonresidue(q, d), big >> _v2(big), q)
+
+
 def _tonelli_shanks_on_vectors(a, q, d):
     """Tonelli-Shanks on coordinate vectors through ``times_coords``, for
-    d = 1 and d = 2 alike: the reference for ``_fin_sqrt``."""
+    d = 1 and d = 2 alike: the reference for ``sqrt_ambient`` over F_q
+    and F_q[i]."""
     if not any(a):
         return list(a)
     big = q**d
     one = [1] + [0] * (d - 1)
-    if _fin_pow(a, (big - 1) // 2, q) != one:
+    if _vector_pow(a, (big - 1) // 2, q) != one:
         return None
     m = _v2(big - 1)
     odd = (big - 1) >> m
-    c = _fin_sylow_gen(q, d)
-    x = _fin_pow(a, (odd + 1) // 2, q)
-    t = _fin_pow(a, odd, q)
+    c = _sylow_generator(q, d)
+    x = _vector_pow(a, (odd + 1) // 2, q)
+    t = _vector_pow(a, odd, q)
     while t != one:
         i, tt = 0, t
         while tt != one:
             tt = times_coords(tt, tt, q)
             i += 1
-        b = _fin_pow(c, 1 << (m - i - 1), q)
+        b = _vector_pow(c, 1 << (m - i - 1), q)
         x = times_coords(x, b, q)
         c = times_coords(b, b, q)
         t = times_coords(t, c, q)
@@ -587,12 +624,15 @@ def _tonelli_shanks_on_vectors(a, q, d):
 
 
 def _assert_sqrt_agrees(a, q, d):
+    K = FieldDescriptor(FINITE, IDENTITY, q=q, d=d)
     want = _tonelli_shanks_on_vectors(list(a), q, d)
-    got = _fin_sqrt(list(a), q, d)
+    got = sqrt_ambient(K, K.element(a))
     assert (got is None) == (want is None), (a, q, d)
     if got is not None:
-        assert len(got) == d and all(0 <= v < q for v in got)
-        assert times_coords(got, got, q) == list(a)
+        assert len(got.ints) == d and all(0 <= v < q for v in got.ints)
+        assert times_coords(got.ints, got.ints, q) == list(a)
+        # the canonical sign: the smaller of the two coordinate vectors
+        assert got.ints <= (-got).ints
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 17, 19, 23])
