@@ -450,7 +450,9 @@ class Poly:
         return len(self.coeffs) - 1
 
     def is_k_rational(self, K: FieldDescriptor) -> bool:
-        return all(is_in_k(K, c) for c in self.coeffs)
+        """Every coefficient lies in K; zero does, so only the nonzero
+        ones are tested."""
+        return all(is_in_k(K, c) for c in self.coeffs if c)
 
     def __str__(self):
         parts = []

@@ -10,15 +10,20 @@ K-rational.  As the powers of u never wrap, the sum is the T powers of
 one constant c = chi * b^(-2^r) per character, laid on the lattice
 g^(j * 2^(n-s+r)); ``_char_sum`` builds them as one flat integer list
 by doubling, with O(log T) products per character and none per
-coefficient.  Which family of weights applies is decided entirely by
-the field type (B/D/E), the depth s of a in the 2-power filtration,
-and the coset form of a in K_s.  The four case functions below each
-produce one complete family, every item stated with its component
-dimension and the minimal polynomial the character sum already
-determines (see ``_item``); ``build`` only dispatches.  The two that serve every depth
-(``thm2_case1`` for K = A, ``thm3_case3`` for a plain coset) average
-over the roots of unity up to t = min(s, m) or min(s, m-1) and add the
-blocks on squared generators only when s runs past that supply.
+coefficient.  Each case function forms b^(-2^r) once per depth r (one
+inverse of b, then one squaring per r) and its constants as running
+products by the roots of unity it holds, one product per character;
+``_item`` states the minimal polynomial from c^-1 = b^(2^r) / chi, the
+one inverse a character costs.  Which family of weights applies is
+decided entirely by the field type (B/D/E), the depth s of a in the
+2-power filtration, and the coset form of a in K_s.  The four case
+functions below each produce one complete family, every item stated
+with its component dimension and the minimal polynomial the character
+sum already determines (see ``_item``); ``build`` only dispatches.
+The two that serve every depth (``thm2_case1`` for K = A,
+``thm3_case3`` for a plain coset) average over the roots of unity up
+to t = min(s, m) or min(s, m-1) and add the blocks on squared
+generators only when s runs past that supply.
 
 Index conventions that completeness depends on (checked by the test
 suite, which drops the labels of the rejected narrower variants):
@@ -88,19 +93,21 @@ class IdempotentFamily:
 
 
 def _char_sum(
-    spec: AlgebraSpec, s: int, r: int, b: AmbientElement, *chis: AmbientElement
+    spec: AlgebraSpec, s: int, r: int, *cs: AmbientElement
 ) -> AlgebraElement:
-    """(1/T) * sum over chi of sum_{j<T} chi^j * u^j, T = 2^(s-r), for
-    the monomial u = b^(-2^r) g^(2^(n-s+r)).  Since j * 2^(n-s+r) < 2^n
-    the powers of u never wrap: with c = chi * b^(-2^r) = nums/D, the
-    coefficient c^j / T lands on g^(j * 2^(n-s+r)).
+    """(1/T) * sum over c in ``cs`` of sum_{j<T} c^j * g^(j * 2^(n-s+r)),
+    T = 2^(s-r): the averaged character sum over the powers of the unit
+    u = b^(-2^r) g^(2^(n-s+r)), given the constant c = chi * b^(-2^r)
+    of each character chi.  Since j * 2^(n-s+r) < 2^n the powers of u
+    never wrap, so with c = nums/D the coefficient c^j / T lands on
+    g^(j * 2^(n-s+r)).
 
     The numerators of c^0, ..., c^(T-1), each over D^j, form one flat
     list of T * d integers, built by doubling: with the first k powers
     in place and high = nums^k, one ``times_coords`` call appends the
     next k, and squaring high readies the next round, so a ladder takes
     log2 T appends and log2 T - 1 squarings.  Power j is raised to the
-    common denominator top = lcm_chi D^(T-1) by one scale list (only
+    common denominator top = lcm_c D^(T-1) by one scale list (only
     when some D > 1), the ladders are summed coordinate-wise, and d
     strided slice assignments lay the T sums on the lattice g^(jS)."""
     K = spec.field
@@ -108,10 +115,8 @@ def _char_sum(
     d = K.ambient_dim
     T = 1 << (s - r)
     step = d << (spec.n - s + r)
-    bi = b ** -(1 << r)
     ladders = []
-    for chi in chis:
-        c = chi * bi
+    for c in cs:
         flat, high = list(K.one().ints), c.ints
         for k in range(s - r):
             if k:
@@ -133,31 +138,42 @@ def _char_sum(
 
 
 def _item(
-    label: tuple,
-    spec: AlgebraSpec,
-    s: int,
-    r: int,
-    b: AmbientElement,
-    *chis: AmbientElement,
+    label: tuple, spec: AlgebraSpec, s: int, r: int, *cs: AmbientElement
 ) -> IdempotentItem:
-    """The item e = ``_char_sum(spec, s, r, b, *chis)`` with its
-    component, in closed form.  The part of e for one chi satisfies
-    g^S * e_chi = (b^(2^r) / chi) * e_chi, S = 2^(n-s+r) (idempotency
-    makes (chi * b^(-2^r))^T * a = 1), so g*e is cut out by
-    prod_chi (x^S - b^(2^r) / chi) of degree S * len(chis): x^S - c, or
-    x^(2S) - (c1 + c2) x^S + c1 c2 for a pair of characters.
-    ``verify_family`` proves that this is the minimal polynomial."""
+    """The item e = ``_char_sum(spec, s, r, *cs)`` with its component,
+    in closed form.  The part of e for one constant c = chi * b^(-2^r)
+    satisfies g^S * e_c = c^-1 * e_c, S = 2^(n-s+r) (idempotency makes
+    c^T * a = 1), so g*e is cut out by prod_c (x^S - c^-1) of degree
+    S * len(cs): x^S - k, or x^(2S) - (k1 + k2) x^S + k1 k2 for a pair
+    of characters, with k = c^-1 = b^(2^r) / chi.  ``verify_family``
+    proves that this is the minimal polynomial."""
     K = spec.field
     S = 1 << (spec.n - s + r)
-    br = b ** (1 << r)
-    cs = [br / chi for chi in chis]
+    ks = [c.inverse() for c in cs]
     gap = [K.zero()] * (S - 1)
-    if len(cs) == 1:
-        coeffs = [-cs[0], *gap, K.one()]
+    if len(ks) == 1:
+        coeffs = [-ks[0], *gap, K.one()]
     else:
-        coeffs = [cs[0] * cs[1], *gap, -(cs[0] + cs[1]), *gap, K.one()]
-    element = _char_sum(spec, s, r, b, *chis)
-    return IdempotentItem(label, element, S * len(chis), Poly(tuple(coeffs)))
+        coeffs = [ks[0] * ks[1], *gap, -(ks[0] + ks[1]), *gap, K.one()]
+    element = _char_sum(spec, s, r, *cs)
+    return IdempotentItem(label, element, S * len(cs), Poly(tuple(coeffs)))
+
+
+def _run(start: AmbientElement, step: AmbientElement, count: int) -> list:
+    """start * step^i for i = 0..count-1, by count - 1 products (none
+    for count 0)."""
+    out = [start]
+    for _ in range(count - 1):
+        out.append(out[-1] * step)
+    return out[:count]
+
+
+def _inverse_squares(b: AmbientElement, top: int) -> list:
+    """b^(-2^r) for r = 0..top: one inverse, then top squarings."""
+    out = [b.inverse()]
+    for _ in range(top):
+        out.append(out[-1] * out[-1])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +189,16 @@ def thm2_case1(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[IdempotentI
     K = spec.field
     m = K.root_level
     t = min(s, m)
-    et = eps(K, t)
-    items = [_item((i,), spec, s, 0, b, et**-i) for i in range(1 << t)]
+    bi = _inverse_squares(b, max(s - m, 0))
+    eti = eps(K, t).inverse()
+    items = [
+        _item((i,), spec, s, 0, c) for i, c in enumerate(_run(bi[0], eti, 1 << t))
+    ]
     if s > m:
-        em1 = eps(K, m - 1)
+        em1i = eps(K, m - 1).inverse()
         for r in range(1, s - m + 1):
-            for i in range(1 << (m - 1)):
-                items.append(_item((r, i), spec, s, r, b, et**-1 * em1**-i))
+            for i, c in enumerate(_run(eti * bi[r], em1i, 1 << (m - 1))):
+                items.append(_item((r, i), spec, s, r, c))
     return items
 
 
@@ -190,15 +209,14 @@ def thm3_case4(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[IdempotentI
     K = spec.field
     cls = classify(K)
     assert 1 <= s <= cls.m - 1 and cls.field_type in (TYPE_D, TYPE_E)
-    lam = -K.one() if (cls.field_type == TYPE_E and s == cls.m - 1) else K.one()
+    bi = b.inverse()
+    lam_bi = -bi if (cls.field_type == TYPE_E and s == cls.m - 1) else bi
     es1 = eps(K, s + 1)
     esm = eps(K, s - 1)
-    items: List[IdempotentItem] = []
-    for i in range(1 << (s - 1)):
-        chi1 = es1**-1 * esm**-i
-        chi2 = lam * es1 * esm**i
-        items.append(_item((i,), spec, s, 0, b, chi1, chi2))
-    return items
+    count = 1 << (s - 1)
+    c1s = _run(es1.inverse() * bi, esm.inverse(), count)
+    c2s = _run(es1 * lam_bi, esm, count)
+    return [_item((i,), spec, s, 0, *cs) for i, cs in enumerate(zip(c1s, c2s))]
 
 
 def thm3_case3(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[IdempotentItem]:
@@ -212,28 +230,26 @@ def thm3_case3(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[IdempotentI
     cls = classify(K)
     m = cls.m
     assert s >= 1 and cls.field_type in (TYPE_D, TYPE_E)
-    one = K.one()
     t = min(s, m - 1)
     et = eps(K, t)
     half = 1 << (t - 1)
-    items: List[IdempotentItem] = []
-    for i in range(half + 1):
-        if i == 0:
-            chis = (one,)
-        elif i == half:
-            chis = (-one,)
-        else:
-            chis = (et**i, et**-i)
-        items.append(_item((i,), spec, s, 0, b, *chis))
+    bi = _inverse_squares(b, max(s - m, 0))
+    ups = _run(bi[0], et, half + 1)
+    downs = _run(bi[0], et.inverse(), half)
+    items = [_item((0,), spec, s, 0, bi[0])]
+    for i in range(1, half):
+        items.append(_item((i,), spec, s, 0, ups[i], downs[i]))
+    items.append(_item((half,), spec, s, 0, ups[half]))
     if s >= m:
-        lam = one if cls.field_type == TYPE_D else -one
         em = eps(K, m)
         em2 = eps(K, m - 2)
+        emi, em2i = em.inverse(), em2.inverse()
         for r in range(s - m + 1):
-            for i in range(half):
-                chi1 = em**-1 * em2**-i
-                chi2 = lam * em * em2**i
-                items.append(_item((r, i), spec, s, r, b, chi1, chi2))
+            lam_bi = bi[r] if cls.field_type == TYPE_D else -bi[r]
+            c1s = _run(emi * bi[r], em2i, half)
+            c2s = _run(em * lam_bi, em2, half)
+            for i, cs in enumerate(zip(c1s, c2s)):
+                items.append(_item((r, i), spec, s, r, *cs))
     return items
 
 
@@ -247,32 +263,36 @@ def thm3_case5(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[IdempotentI
     cls = classify(K)
     m = cls.m
     assert s >= m and cls.field_type == TYPE_D
-    one = K.one()
     u = eps(K, m)
-    opu = one + u
+    ui = u.inverse()
     em1 = eps(K, m - 1)
-    items: List[IdempotentItem] = []
-    for i in range(1 << (m - 1)):
-        chi1 = opu**-1 * em1**-i
-        chi2 = opu**-1 * u * em1**i
-        items.append(_item((i,), spec, s, 0, b, chi1, chi2))
+    em1i = em1.inverse()
+    # (1+u)^(-2^r) b^(-2^r) for r = 0..s-m
+    wi = _inverse_squares((1 + u) * b, s - m)
+    count = 1 << (m - 1)
+    c1s = _run(wi[0], em1i, count)
+    c2s = _run(wi[0] * u, em1, count)
+    items = [_item((i,), spec, s, 0, *cs) for i, cs in enumerate(zip(c1s, c2s))]
     if s == m:
         return items
-    c0inv = (2 + u + u**-1) ** -1
+    # c0^-1 b^-2 with c0 = 2 + u + u^-1 = (1+u)^2 / u
+    c0b = wi[1] * u
     quarter = 1 << (m - 2)
-    for i in range(quarter - 1):
-        chi1 = c0inv * em1 ** -(1 + i)
-        chi2 = c0inv * em1 ** (1 + i)
-        items.append(_item((1, i), spec, s, 1, b, chi1, chi2))
-    items.append(_item((1, quarter - 1), spec, s, 1, b, -c0inv))
-    items.append(_item((1, (1 << (m - 1)) - 1), spec, s, 1, b, c0inv))
+    c1s = _run(c0b * em1i, em1i, quarter - 1)
+    c2s = _run(c0b * em1, em1, quarter - 1)
+    for i, cs in enumerate(zip(c1s, c2s)):
+        items.append(_item((1, i), spec, s, 1, *cs))
+    items.append(_item((1, quarter - 1), spec, s, 1, -c0b))
+    items.append(_item((1, count - 1), spec, s, 1, c0b))
     em2 = eps(K, m - 2)
+    em2i = em2.inverse()
+    shift = em2  # eps_(m-2)^(2^(r-2))
     for r in range(2, s - m + 1):
-        opur_inv = opu ** -(1 << r)
-        for i in range(quarter):
-            chi1 = opur_inv * u**-1 * em2**-i
-            chi2 = opur_inv * u * em2 ** (i + (1 << (r - 2)))
-            items.append(_item((r, i), spec, s, r, b, chi1, chi2))
+        c1s = _run(wi[r] * ui, em2i, quarter)
+        c2s = _run(wi[r] * u * shift, em2, quarter)
+        for i, cs in enumerate(zip(c1s, c2s)):
+            items.append(_item((r, i), spec, s, r, *cs))
+        shift = shift * shift
     return items
 
 

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .algebra import AlgebraSpec
@@ -51,7 +51,41 @@ __all__ = ["main"]
 
 
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    """Print ``obj`` exactly as ``print(json.dumps(obj, indent=2))``
+    would, for the values the CLI emits: dicts with str keys, lists,
+    str, int, bool and None.  ``json.dumps`` runs the generators of the
+    pure-Python encoder whenever it indents; ``_json_text`` writes the
+    same bytes in one recursive pass."""
+    print(_json_text(obj, "\n"))
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_text(obj, pad: str) -> str:
+    """The JSON text of ``obj`` with 2-space indent and the separators
+    "," and ": "; ``pad`` is a newline plus the indent of its line."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return _JSON_CONSTANTS[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        ends = "{}"
+        parts = [
+            encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+            for k, v in obj.items()
+        ]
+    elif isinstance(obj, list):
+        ends = "[]"
+        parts = [_json_text(v, inner) for v in obj]
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not parts:
+        return ends
+    return ends[0] + inner + ("," + inner).join(parts) + pad + ends[1]
 
 
 def _label_str(label: tuple) -> str:
@@ -83,7 +117,9 @@ def _family_dict(family: IdempotentFamily, verification: Optional[dict]) -> dict
                 "coeffs": _coeff_literals(it.element),
                 "dim": it.dim,
                 "min_poly": {
-                    "coeffs": [format_element(c) for c in it.min_poly.coeffs]
+                    "coeffs": [
+                        format_element(c) if c else "0" for c in it.min_poly.coeffs
+                    ]
                 },
             }
             for it in family.items

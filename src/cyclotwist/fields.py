@@ -346,13 +346,14 @@ class AmbientElement:
         base = self
         if e < 0:
             base, e = base.inverse(), -e
-        acc = self.owner.one()
+        acc = None
         while e:
             if e & 1:
-                acc = acc * base
-            base = base * base
+                acc = base if acc is None else acc * base
             e >>= 1
-        return acc
+            if e:  # square only while bits remain
+                base = base * base
+        return self.owner.one() if acc is None else acc
 
     def __eq__(self, other):
         if not isinstance(other, AmbientElement):
@@ -467,9 +468,13 @@ def times_coords(vals: Sequence[int], c: Sequence[int], q: int) -> list:
 
 def _down_norm(u: Sequence[int], v: Sequence[int], q: int) -> list:
     """u^2 - zeta^2 v^2, the norm of u + zeta*v to the index-2 subfield,
-    whose generator is zeta^2 (-1 when the subfield is the prime field)."""
+    whose generator is zeta^2 (-1 when the subfield is the prime field,
+    where the norm is one integer, u0^2 + v0^2)."""
     m = len(u)
-    gen = (-1,) if m == 1 else (0, 1) + (0,) * (m - 2)
+    if m == 1:
+        w = u[0] * u[0] + v[0] * v[0]
+        return [w % q if q else w]
+    gen = (0, 1) + (0,) * (m - 2)
     gvv = times_coords(times_coords(v, v, q), gen, q)
     return [x - y for x, y in zip(times_coords(u, u, q), gvv)]
 
@@ -559,9 +564,12 @@ def _sqrt_coords(a: Sequence[int], q: int) -> Optional[list]:
         c = _sqrt_coords(half, q)
         if c is None or not any(c):
             continue
-        # d = v / (2c) = v * nums / (2 * nrm)
-        nums, nrm = _inverse_coords(c, q)
-        top = times_coords(v, nums, q)
+        # d = v / (2c) = v * nums / (2 * nrm); a one-coordinate c is nrm
+        if m == 1:
+            top, nrm = v, c[0]
+        else:
+            nums, nrm = _inverse_coords(c, q)
+            top = times_coords(v, nums, q)
         if q:
             inv = pow(2 * nrm, -1, q)
             return _interleave(c, [t * inv % q for t in top])

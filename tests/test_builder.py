@@ -1,6 +1,7 @@
 """The closed-form construction: dispatch, completeness, and honest limits."""
 
 import importlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -244,7 +245,60 @@ def check_char_sum(spec, s, r, b, chis):
             want = want + power.scale(chi**j)
         power = power * u
     want = want.scale(K.scalar(T).inverse())
-    assert _char_sum(spec, s, r, b, *chis) == want
+    # _char_sum takes the constant c = chi * b^(-2^r) of each character
+    assert _char_sum(spec, s, r, *(chi * b ** -(1 << r) for chi in chis)) == want
+
+
+@pytest.mark.parametrize(
+    "field_spec, n, a",
+    [
+        ("F:7", 5, "1"),  # F_q[i], s = 5
+        ("F:13", 7, "3"),  # F_q, s = 7
+        ("QC:4", 6, "16"),
+        ("QR:3", 4, "9232,6528,0,-6528"),  # the unit coset
+    ],
+)
+def test_build_forms_each_constant_once(monkeypatch, field_spec, n, a):
+    # Each character costs one constant c = chi * b^(-2^r): b is inverted
+    # once and squared per depth r, the characters are running products
+    # of the roots of unity, and the stated constant is c^-1.  Not
+    # counting the chain of square roots in ks_decompose, a build makes
+    # at most s + 2 powers (the roots of unity themselves) and one
+    # inverse per character plus O(s), from caches emptied first.
+    spec = spec_of(field_spec, n, a)
+    fields.eps.cache_clear()
+    classify_module._classify_core.cache_clear()
+    calls = Counter()
+    counting = [True]
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += counting[0]
+            return fn(*args)
+
+        return wrapper
+
+    def uncounted(*args):
+        counting[0] = False
+        try:
+            return ks_decompose(*args)
+        finally:
+            counting[0] = True
+
+    def char_sum(spec, s, r, *cs):
+        calls["characters"] += len(cs)
+        return _char_sum(spec, s, r, *cs)
+
+    element = fields.AmbientElement
+    monkeypatch.setattr(element, "__pow__", counted("pow", element.__pow__))
+    monkeypatch.setattr(element, "inverse", counted("inverse", element.inverse))
+    monkeypatch.setattr(builder, "ks_decompose", uncounted)
+    monkeypatch.setattr(builder, "_char_sum", char_sum)
+    family = build(spec, checked=False)
+    s = family.decomposition.s
+    assert calls["characters"] >= len(family.items)
+    assert calls["pow"] <= s + 2
+    assert calls["inverse"] <= calls["characters"] + s + 2
 
 
 # -- index-convention regressions ----------------------------------------------
@@ -287,10 +341,12 @@ def test_flipped_lambda_loses_k_rationality():
     lam = -K.one()  # type E
     em, em2 = eps(K, m), eps(K, m - 2)
     singles = [it for it in thm3_case3(spec, s, dec.b) if len(it.label) == 1]
+    # _item takes the constant chi * b^(-2^r) of each character
     doubles = [
-        _item((r, i), spec, s, r, dec.b, em**-1 * em2**-i, -lam * em * em2**i)
+        _item((r, i), spec, s, r, *(chi * dec.b ** -(1 << r) for chi in chis))
         for r in range(s - m + 1)
         for i in range(1 << (m - 2))
+        for chis in [(em**-1 * em2**-i, -lam * em * em2**i)]
     ]
     assert items_sum(spec, singles + doubles) == spec.one()
     assert doubles and all(not it.element.is_k_rational() for it in doubles)

@@ -1,11 +1,16 @@
 """CLI contract: output shapes, JSON schema, determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_golden_cli import argvs
 
-from cyclotwist import algebra
+from cyclotwist import algebra, cli
 from cyclotwist.cli import _build_parser, main
 
 DEEP_A = "170459392,120532992,0,-120532992"  # (1 + eps_3)^32 over QR:3
@@ -330,3 +335,44 @@ def test_one_parser_serves_every_call_in_a_process(capsys):
     assert "the following arguments are required: a" in capsys.readouterr().err
     assert run(capsys, *argv) == first
     assert _build_parser() is _build_parser()
+
+
+# -- the JSON writer ---------------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+@example({"": [], "e\u00e9\u4e2d\U0001f600": {}, "\x00\x1f\"\\/\n\t": [[], {}]})
+@example([True, False, None, 0, -1, -(2**200), 2**200, "", "\x7f\ud800"])
+@example({"a": {"b": {"c": [[[]]]}}})
+def test_json_writer_matches_json_dumps(obj):
+    assert cli._json_text(obj, "\n") == json.dumps(obj, indent=2)
+
+
+def test_json_writer_refuses_other_types():
+    for obj in (1.5, (1, 2), {1: "a"}):
+        with pytest.raises(TypeError):
+            cli._json_text(obj, "\n")
+
+
+def test_json_writer_on_every_golden_json_call(monkeypatch):
+    # the objects the CLI prints on every golden --json call
+    printed = []
+    monkeypatch.setattr(cli, "_print_json", printed.append)
+    json_argvs = [argv for argv in argvs() if "--json" in argv]
+    for argv in json_argvs:
+        with contextlib.redirect_stderr(io.StringIO()):
+            main(argv)
+    assert len(printed) == len(json_argvs)
+    for obj in printed:
+        assert cli._json_text(obj, "\n") == json.dumps(obj, indent=2)
