@@ -57,7 +57,7 @@ from .classify import (
     classify,
     ks_decompose,
 )
-from .fields import IDENTITY, AmbientElement, FieldDescriptor, eps, times_coords
+from .fields import IDENTITY, AmbientElement, eps, times_coords
 
 @dataclass(frozen=True)
 class IdempotentItem:
@@ -347,8 +347,7 @@ def verified(family: IdempotentFamily) -> IdempotentFamily:
 def ambient_spec(spec: AlgebraSpec) -> AlgebraSpec:
     """The same algebra over the ambient field A, with the trivial
     involution; equal to ``spec`` when K = A."""
-    K = spec.field
-    A = FieldDescriptor(K.kind, IDENTITY, level=K.level, q=K.q, d=K.d)
+    A = replace(spec.field, involution=IDENTITY)
     return AlgebraSpec(A, spec.n, A.element(spec.a.coeffs))
 
 

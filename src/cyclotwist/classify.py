@@ -147,16 +147,18 @@ def _root_order_log2(K: FieldDescriptor, x: AmbientElement) -> int:
     return t
 
 
-def _strip_root(K: FieldDescriptor, alpha: AmbientElement, t: int) -> AmbientElement:
-    """Divide alpha by a square root of its unit part alpha^2/N(alpha).
+def _strip_root(
+    K: FieldDescriptor, alpha: AmbientElement, omega: AmbientElement
+) -> AmbientElement:
+    """Divide alpha by a square root of its unit part omega =
+    alpha^2/N(alpha), a 2^t-th root of unity.
 
     The quotient is fixed by the involution whenever the root eta has
     norm +1; when the norm is -1 (which forces t = m-1 and type E) an
     extra factor eps_2 repairs it.
     """
-    if t == 0:
+    if omega == K.one():
         return alpha
-    omega = alpha * alpha / norm(K, alpha)
     eta = sqrt_ambient(K, omega)
     assert eta is not None, "2-power roots of unity are squares up to the top"
     if norm(K, eta) == K.one():
@@ -171,12 +173,10 @@ def ks_decompose(K: FieldDescriptor, a: AmbientElement, n: int) -> CosetDecompos
 
     One ``root_chain`` finds s and a 2^s-th root y of a.  Up to the
     root level L, y is the witness alpha; for s > L the witness is the
-    canonical L-chain of y^(2^L), the same for every 2^s-th root of a
-    (this is the first leaf of the search over both signs of every
-    root).  The returned representative b is always in K*; which form
-    comes out is forced by the field type and by s relative to m, and
-    internal assertions check that the arithmetic agrees with that
-    bookkeeping.
+    canonical L-chain of y^(2^L), the same for every 2^s-th root of a.
+    The returned representative b is always in K*; which form comes out
+    is forced by the field type and by s relative to m, and internal
+    assertions check that the arithmetic agrees with that bookkeeping.
     """
     _require_unit_in_k(K, a)
     if not 0 <= n <= POWER_TEST_CAP:
@@ -199,14 +199,13 @@ def ks_decompose(K: FieldDescriptor, a: AmbientElement, n: int) -> CosetDecompos
         em = eps(K, m)
         alpha2 = alpha / (one + em)
         omega2 = alpha2 * alpha2 / norm(K, alpha2)
-        t2 = _root_order_log2(K, omega2)
-        assert t2 < m
-        b = _strip_root(K, alpha2, t2)
+        assert _root_order_log2(K, omega2) < m
+        b = _strip_root(K, alpha2, omega2)
         assert is_in_k(K, b)
         assert a == ((one + em) * b) ** (1 << s)
         return CosetDecomposition(s, EPS_COSET, b)
 
-    b = _strip_root(K, alpha, t)
+    b = _strip_root(K, alpha, omega)
     assert is_in_k(K, b)
     resid = a / b ** (1 << s)
     if resid == one:

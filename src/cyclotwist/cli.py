@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 from .algebra import AlgebraSpec
 from .builder import IdempotentFamily, ambient_family, build
 from .classify import classify
-from .fields import IDENTITY, FINITE
+from .fields import IDENTITY
 from .grammar import (
     format_coeffs,
     format_element,
@@ -194,7 +194,7 @@ def _cmd_verify(args) -> int:
     family = build(spec, checked=False)
     report = verify_family(family)
 
-    if spec.field.kind != FINITE:
+    if not spec.field.q:
         enumeration = "skipped: enumeration needs a finite field"
     else:
         try:

@@ -1,33 +1,30 @@
 """Exact arithmetic in the ambient fields that carry every computation.
 
 A base field K of characteristic != 2 is presented through an *ambient*
-field A together with an involution sigma whose fixed field is K.  Two
-ambient kinds are supported:
+field A together with an involution sigma whose fixed field is K.  Every
+ambient field is one ring, Z[zeta] for zeta a primitive 2^L-th root of
+unity (1 <= L <= LEVEL_BOUND), reduced mod q, with the power basis
+1, zeta, ..., zeta^(2^(L-1) - 1) reduced by zeta^(2^(L-1)) = -1:
 
-* ``cyclotomic``: A = Q(zeta) for zeta a primitive 2^L-th root of unity,
-  1 <= L <= LEVEL_BOUND, with the power basis 1, zeta, ...,
-  zeta^(2^(L-1) - 1) reduced by zeta^(2^(L-1)) = -1.  Level L = 1 is Q
-  itself (zeta = -1).
-* ``finite``: A = F_q (d = 1) or A = F_q[i] with i^2 = -1 (d = 2, which
+* q = 0: A = Q(zeta); level L = 1 is Q itself (zeta = -1);
+* q an odd prime: A = F_q (L = 1) or A = F_q[i] (L = 2, zeta = i, which
   requires q = 3 mod 4 so that -1 is a non-square).
 
 An element is stored as integer coordinates over that basis, in the
 same reduced form as a flat algebra element: residues mod q over F_q,
 and over Q(zeta) numerators over one positive denominator in lowest
-terms, so equality and hashing compare plain tuples.  Both kinds share
-one product, ``times_coords`` in Z[zeta]/(zeta^d + 1) (F_q[i] is
-d = 2, zeta = i), and one inverse by descent through the quadratic
-tower.  Square roots in every kind descend the same tower, to ``isqrt``
-over Z (Z[zeta] is the full ring of integers of Q(zeta), so roots over
-Q(zeta) run on integers too) or to Tonelli-Shanks mod q.
-``fractions.Fraction`` appears only at the boundary:
-``FieldDescriptor.element`` accepts it and ``AmbientElement.coeffs``
-returns it.
+terms, so equality and hashing compare plain tuples.  Every field has
+one product, ``times_coords`` in Z[zeta]/(zeta^d + 1), and one inverse
+by descent through the quadratic tower.  Square roots descend the same
+tower, to ``isqrt`` over Z (Z[zeta] is the full ring of integers of
+Q(zeta), so roots over Q(zeta) run on integers too) or to
+Tonelli-Shanks mod q.  ``fractions.Fraction`` appears only at the
+boundary: ``FieldDescriptor.element`` accepts it and
+``AmbientElement.coeffs`` returns it.
 
 The involution is one of: ``identity`` (K = A); ``inverse_conj``
-(zeta -> zeta^-1, cyclotomic, L >= 2); ``negated_inverse_conj``
-(zeta -> -zeta^-1, cyclotomic, L >= 3); ``frobenius`` (x -> x^q on
-F_q[i], i.e. i -> -i).
+(zeta -> zeta^-1, L >= 2; on F_q[i] this is Frobenius x -> x^q, as
+i^q = -i); ``negated_inverse_conj`` (zeta -> -zeta^-1, L >= 3).
 
 All arithmetic is exact; there is no floating point anywhere, and
 ``element`` refuses it.
@@ -38,17 +35,14 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd, isqrt, lcm
 from numbers import Number
 from typing import Iterator, Optional, Sequence, Tuple, Union
 
-CYCLOTOMIC = "cyclotomic"
-FINITE = "finite"
-
 IDENTITY = "identity"
 INVERSE_CONJ = "inverse_conj"
 NEGATED_INVERSE_CONJ = "negated_inverse_conj"
-FROBENIUS = "frobenius"
 
 # The bound on n, the exponent of the group order 2^n, and so on the
 # depth of every 2-power test.
@@ -103,42 +97,21 @@ def _v2(x: int) -> int:
 
 @dataclass(frozen=True)
 class FieldDescriptor:
-    """An ambient field A plus the involution that cuts out K inside it.
+    """An ambient field A = Z[zeta_{2^level}] mod q plus the involution
+    that cuts out K inside it; q = 0 is characteristic 0, A = Q(zeta)."""
 
-    ``level`` is the cyclotomic level L (A = Q(zeta_{2^L})); ``q`` and
-    ``d`` describe the finite case A = F_{q^d}.  Unused parameters stay 0.
-    """
-
-    kind: str
     involution: str
-    level: int = 0
+    level: int
     q: int = 0
-    d: int = 0
 
     def __post_init__(self):
-        if self.kind == CYCLOTOMIC:
-            if self.level < 1:
-                raise AmbientError("cyclotomic level must be >= 1")
-            if self.level > LEVEL_BOUND:
-                raise AmbientError(
-                    f"cyclotomic level must be at most {LEVEL_BOUND}, got {self.level}"
-                )
-            if self.q or self.d:
-                raise AmbientError("cyclotomic descriptor must not set q or d")
-            if self.involution == INVERSE_CONJ:
-                if self.level < 2:
-                    raise AmbientError("inverse_conj needs level >= 2")
-            elif self.involution == NEGATED_INVERSE_CONJ:
-                if self.level < 3:
-                    raise AmbientError("negated_inverse_conj needs level >= 3")
-            elif self.involution != IDENTITY:
-                raise AmbientError(
-                    "cyclotomic involution must be identity, inverse_conj "
-                    "or negated_inverse_conj"
-                )
-        elif self.kind == FINITE:
-            if self.level:
-                raise AmbientError("finite descriptor must not set level")
+        if self.level < 1:
+            raise AmbientError("cyclotomic level must be >= 1")
+        if self.level > LEVEL_BOUND:
+            raise AmbientError(
+                f"cyclotomic level must be at most {LEVEL_BOUND}, got {self.level}"
+            )
+        if self.q:
             if self.q >= PRIME_TEST_BOUND:
                 raise AmbientError(
                     f"finite modulus must be below {PRIME_TEST_BOUND}, the "
@@ -146,38 +119,38 @@ class FieldDescriptor:
                 )
             if self.q < 3 or self.q % 2 == 0 or not _is_prime(self.q):
                 raise AmbientError("finite modulus must be an odd prime")
-            if self.d not in (1, 2):
-                raise AmbientError("finite extension degree must be 1 or 2")
-            if self.d == 2 and self.q % 4 != 3:
+            if self.level > 2:
+                raise AmbientError(f"finite level must be 1 or 2, got {self.level}")
+            if self.level == 2 and self.q % 4 != 3:
                 raise AmbientError("F_q[i] needs q = 3 mod 4")
-            if self.involution == FROBENIUS:
-                if self.d != 2:
-                    raise AmbientError("frobenius needs extension degree 2")
-            elif self.involution != IDENTITY:
-                raise AmbientError("finite involution must be identity or frobenius")
-        else:
-            raise AmbientError(f"unknown ambient kind {self.kind!r}")
+        if self.involution == INVERSE_CONJ:
+            if self.level < 2:
+                raise AmbientError("inverse_conj needs level >= 2")
+        elif self.involution == NEGATED_INVERSE_CONJ:
+            if self.level < 3:
+                raise AmbientError("negated_inverse_conj needs level >= 3")
+        elif self.involution != IDENTITY:
+            raise AmbientError(
+                "involution must be identity, inverse_conj or negated_inverse_conj"
+            )
 
     # -- basic shape ---------------------------------------------------
 
     @property
     def ambient_dim(self) -> int:
         """Dimension of A over its prime field."""
-        if self.kind == CYCLOTOMIC:
-            return 1 << (self.level - 1)
-        return self.d
+        return 1 << (self.level - 1)
 
     @property
     def root_level(self) -> int:
         """Largest t such that A contains a primitive 2^t-th root of unity."""
-        if self.kind == CYCLOTOMIC:
-            return self.level
-        return _v2(self.q**self.d - 1)
+        if self.q:
+            return _v2(self.q**self.ambient_dim - 1)
+        return self.level
 
     def __str__(self) -> str:
-        if self.kind == CYCLOTOMIC:
-            return f"cyclotomic(level={self.level}, {self.involution})"
-        return f"finite(q={self.q}, d={self.d}, {self.involution})"
+        tail = f" mod {self.q}" if self.q else ""
+        return f"cyclotomic(level={self.level}, {self.involution}){tail}"
 
     # -- element construction ------------------------------------------
 
@@ -209,7 +182,7 @@ class FieldDescriptor:
     def _refuse_inexact(self, vals) -> None:
         """Refuse any coordinate but an int, or over Q(zeta) a Fraction."""
         exact, names = int, "int"
-        if self.kind == CYCLOTOMIC:
+        if not self.q:
             exact, names = (int, Fraction), "int or Fraction"
         for c in vals:
             if not isinstance(c, exact):
@@ -233,26 +206,20 @@ class FieldDescriptor:
         return self.scalar(1)
 
     def zeta_pow(self, e: int) -> "AmbientElement":
-        """zeta^e for the defining root of unity (cyclotomic only)."""
-        if self.kind != CYCLOTOMIC:
-            raise AmbientError("zeta_pow is only defined for cyclotomic fields")
+        """zeta^e for the defining root of unity zeta (i over F_q[i],
+        -1 at level 1)."""
         n = self.ambient_dim
         e %= 2 * n
         ints = [0] * n
         ints[e % n] = 1 if e < n else -1
-        return _new(self, tuple(ints), 1)
+        return _new(self, *reduce_coords(self, ints, 1))
 
     def iter_ambient(self) -> Iterator["AmbientElement"]:
         """All elements of a finite ambient field, in coordinate order."""
-        if self.kind != FINITE:
+        if not self.q:
             raise AmbientError("cannot enumerate an infinite field")
-        if self.d == 1:
-            for c0 in range(self.q):
-                yield _new(self, (c0,), 1)
-        else:
-            for c0 in range(self.q):
-                for c1 in range(self.q):
-                    yield _new(self, (c0, c1), 1)
+        for ints in product(range(self.q), repeat=self.ambient_dim):
+            yield _new(self, ints, 1)
 
 
 class AmbientElement:
@@ -270,7 +237,7 @@ class AmbientElement:
     def coeffs(self) -> tuple:
         """The coordinates as Fractions over Q(zeta), as residues mod q
         over F_q (read-only)."""
-        if self.owner.kind != CYCLOTOMIC:
+        if self.owner.q:
             return self.ints
         den = self.den
         return tuple(Fraction(v, den) for v in self.ints)
@@ -384,9 +351,9 @@ def _new(owner: FieldDescriptor, ints: tuple, den: int) -> AmbientElement:
 
 
 # ---------------------------------------------------------------------------
-# integer kernel, shared by both kinds and by flat algebra elements:
-# coordinates in Z[zeta]/(zeta^d + 1), reduced mod q over F_q (where
-# d <= 2 and zeta = i)
+# integer kernel, shared by every ambient field and by flat algebra
+# elements: coordinates in Z[zeta]/(zeta^d + 1), reduced mod q when q is
+# nonzero (where d <= 2)
 # ---------------------------------------------------------------------------
 
 
@@ -395,8 +362,8 @@ def reduce_coords(
 ) -> Tuple[tuple, int]:
     """(vals, den) in the stored form: residues mod q over F_q (den 1),
     lowest terms with den > 0 over Q(zeta)."""
-    if K.kind != CYCLOTOMIC:
-        q = K.q
+    q = K.q
+    if q:
         if den != 1:
             inv = pow(den, -1, q)
             return tuple(v * inv % q for v in vals), 1
@@ -414,8 +381,8 @@ def combine_coords(
 ) -> Tuple[tuple, int]:
     """x/dx + y/dy (sign 1) or x/dx - y/dy (sign -1), coordinate by
     coordinate, in the stored form."""
-    if K.kind != CYCLOTOMIC:
-        q = K.q
+    q = K.q
+    if q:
         return tuple((u + sign * v) % q for u, v in zip(x, y)), 1
     if dx == dy:
         vals = [u + sign * v for u, v in zip(x, y)]
@@ -438,8 +405,8 @@ def times_coords(vals: Sequence[int], c: Sequence[int], q: int) -> list:
     """Each run of d = len(c) coordinates in ``vals`` (an ambient
     element, or an algebra element stored flat) times the ambient
     element with integer coordinates ``c``, in Z[zeta]/(zeta^d + 1),
-    which is also F_q[i] for d = 2; reduced mod q when q is nonzero.
-    The one product of both ambient kinds."""
+    reduced mod q when q is nonzero.  The one product of every ambient
+    field."""
     d = len(c)
     if not any(c[1:]):  # a scalar
         c0 = c[0]
@@ -519,7 +486,7 @@ def _sqrt_coords(a: Sequence[int], q: int) -> Optional[list]:
     v = 0 the root lies in the subfield or in zeta times it; otherwise
     c^2 = (u + w)/2 for one of the two square roots w of the subfield
     norm u^2 - zeta^2 v^2, and d = v/(2c).  Only the prime field tells
-    the kinds apart: the leaf is ``isqrt`` over Z and Tonelli-Shanks
+    q = 0 from q prime: the leaf is ``isqrt`` over Z and Tonelli-Shanks
     mod q, halving is a parity check over Z and a product by (q+1)/2
     mod q, and d comes from an exact division over Z and a modular
     inverse mod q.
@@ -598,7 +565,8 @@ def _signed_perm(n: int, k: int) -> Tuple[Tuple[int, int], ...]:
 
 @functools.lru_cache(maxsize=None)
 def _fin_nonresidue(q: int, d: int) -> tuple:
-    """First non-square of F_{q^d} in coordinate order.
+    """First non-square of F_{q^d} (d = ``ambient_dim``, 1 or 2) in
+    coordinate order.
 
     x is a square iff its norm to F_q is (Euler's criterion, since
     x^((q^d-1)/2) = N(x)^((q-1)/2)).  In F_q[i] every element of the
@@ -652,10 +620,10 @@ def _fp_sqrt(a: int, q: int) -> Optional[int]:
 def eps(K: FieldDescriptor, t: int) -> AmbientElement:
     """The canonical primitive 2^t-th root of unity in the ambient field.
 
-    Cyclotomic: the power zeta^(2^(L-t)) of the defining root.  Finite:
-    the first non-square in coordinate order raised to (q^d - 1)/2^t,
-    which is g^(2^(w-t)) for g its power generating the 2-Sylow
-    subgroup.  Raises if A has no such root.
+    Over Q(zeta): the power zeta^(2^(L-t)) of the defining root.  Mod q:
+    the first non-square in coordinate order raised to (q^d - 1)/2^t
+    (d = ``ambient_dim``), which is g^(2^(w-t)) for g its power
+    generating the 2-Sylow subgroup.  Raises if A has no such root.
     """
     if t < 0 or t > K.root_level:
         raise AmbientError(
@@ -663,9 +631,10 @@ def eps(K: FieldDescriptor, t: int) -> AmbientElement:
         )
     if t == 0:
         return K.one()
-    if K.kind == CYCLOTOMIC:
+    if not K.q:
         return K.zeta_pow(1 << (K.level - t))
-    return _new(K, _fin_nonresidue(K.q, K.d), 1) ** ((K.q**K.d - 1) >> t)
+    d = K.ambient_dim
+    return _new(K, _fin_nonresidue(K.q, d), 1) ** ((K.q**d - 1) >> t)
 
 
 def sigma(K: FieldDescriptor, x: AmbientElement) -> AmbientElement:
@@ -680,16 +649,20 @@ def sigma(K: FieldDescriptor, x: AmbientElement) -> AmbientElement:
 def sigma_coords(K: FieldDescriptor, vals: Sequence) -> list:
     """The involution on a run of prime-field coordinates, one ambient
     element after another (an algebra element stored flat): a signed
-    permutation of the zeta-coordinates of each, or negating the
-    i-coordinate over F_q[i].  Residues stay reduced mod q; over Q(zeta)
-    the coordinates may be numerators over any common denominator."""
+    permutation of the zeta-coordinates of each.  At level 2 the one
+    involution is i -> -i, which negates every second coordinate; that
+    is Frobenius x -> x^q over F_q[i], and complex conjugation over
+    Q(i).  Residues stay reduced mod q (q is nonzero only up to level
+    2); over Q(zeta) the coordinates may be numerators over any common
+    denominator."""
     if K.involution == IDENTITY:
         return list(vals)
-    if K.involution == FROBENIUS:
-        out = list(vals)
-        out[1::2] = [-v % K.q for v in vals[1::2]]
-        return out
     n = K.ambient_dim
+    if n == 2:
+        q = K.q
+        out = list(vals)
+        out[1::2] = [-v % q for v in vals[1::2]] if q else [-v for v in vals[1::2]]
+        return out
     perm = _signed_perm(n, 2 * n - 1 if K.involution == INVERSE_CONJ else n - 1)
     out = [0] * len(vals)
     for base in range(0, len(vals), n):

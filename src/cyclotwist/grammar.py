@@ -22,8 +22,8 @@ fields together with its ambient presentation:
 ``F:q`` (q an odd prime)
     the prime field F_q.  When q = 1 (mod 4) the ambient field is F_q
     itself; when q = 3 (mod 4) the ambient field is F_q[i] with the
-    Frobenius involution, so that a square root of -1 is always
-    available upstairs.
+    Frobenius involution i -> -i (``inverse_conj`` at level 2), so
+    that a square root of -1 is always available upstairs.
 
 ``parse_field`` and ``format_field`` are mutually inverse on valid
 descriptors: ``parse_field(format_field(K)) == K`` always, and
@@ -49,9 +49,6 @@ from itertools import compress
 from math import gcd
 
 from .fields import (
-    CYCLOTOMIC,
-    FINITE,
-    FROBENIUS,
     IDENTITY,
     INVERSE_CONJ,
     NEGATED_INVERSE_CONJ,
@@ -86,7 +83,7 @@ def parse_field(spec: str) -> FieldDescriptor:
     """Parse a field spec string into a :class:`FieldDescriptor`."""
     text = spec.strip()
     if text == "Q":
-        return FieldDescriptor(CYCLOTOMIC, INVERSE_CONJ, level=2)
+        return FieldDescriptor(INVERSE_CONJ, 2)
     head, sep, tail = text.partition(":")
     if not sep:
         raise ValueError(
@@ -94,13 +91,13 @@ def parse_field(spec: str) -> FieldDescriptor:
         )
     if head == "QC":
         level = _parse_level(tail, spec, 2)
-        return FieldDescriptor(CYCLOTOMIC, IDENTITY, level=level)
+        return FieldDescriptor(IDENTITY, level)
     if head == "QR":
         level = _parse_level(tail, spec, 2)
-        return FieldDescriptor(CYCLOTOMIC, INVERSE_CONJ, level=level)
+        return FieldDescriptor(INVERSE_CONJ, level)
     if head == "QE":
         level = _parse_level(tail, spec, 3)
-        return FieldDescriptor(CYCLOTOMIC, NEGATED_INVERSE_CONJ, level=level)
+        return FieldDescriptor(NEGATED_INVERSE_CONJ, level)
     if head == "F":
         try:
             q = int(tail)
@@ -109,10 +106,13 @@ def parse_field(spec: str) -> FieldDescriptor:
                 f"bad field spec {spec!r}: modulus {tail!r} is not an integer"
             ) from None
         # FieldDescriptor validates primality/oddness and raises with a
-        # diagnostic naming the violated constraint.
+        # diagnostic naming the violated constraint; q = 0 would be
+        # characteristic 0.
+        if not q:
+            raise ValueError("finite modulus must be an odd prime")
         if q % 4 == 1:
-            return FieldDescriptor(FINITE, IDENTITY, q=q, d=1)
-        return FieldDescriptor(FINITE, FROBENIUS, q=q, d=2)
+            return FieldDescriptor(IDENTITY, 1, q)
+        return FieldDescriptor(INVERSE_CONJ, 2, q)
     raise ValueError(
         f"unknown field spec {spec!r}: expected Q, QC:L, QR:L, QE:L, or F:q"
     )
@@ -120,35 +120,32 @@ def parse_field(spec: str) -> FieldDescriptor:
 
 def format_field(field: FieldDescriptor) -> str:
     """Canonical field spec for ``field`` (inverse of :func:`parse_field`)."""
-    if field.kind == CYCLOTOMIC:
-        if field.involution == IDENTITY:
-            if field.level < 2:
-                raise ValueError("field has no spec string: QC levels start at 2")
-            return f"QC:{field.level}"
-        if field.involution == INVERSE_CONJ:
-            return "Q" if field.level == 2 else f"QR:{field.level}"
-        return f"QE:{field.level}"
-    if field.d == 2 and field.involution != FROBENIUS:
-        raise ValueError(
-            "field has no spec string: quadratic ambient without Frobenius"
-        )
-    if field.d == 1 and field.q % 4 != 1:
-        raise ValueError(
-            "field has no spec string: F:q with q = 3 (mod 4) is presented in F_q[i]"
-        )
-    return f"F:{field.q}"
+    if field.q:
+        if field != parse_field(f"F:{field.q}"):
+            raise ValueError(
+                "field has no spec string: F:q is F_q when q = 1 (mod 4), "
+                "else the fixed field of Frobenius on F_q[i]"
+            )
+        return f"F:{field.q}"
+    if field.involution == IDENTITY:
+        if field.level < 2:
+            raise ValueError("field has no spec string: QC levels start at 2")
+        return f"QC:{field.level}"
+    if field.involution == INVERSE_CONJ:
+        return "Q" if field.level == 2 else f"QR:{field.level}"
+    return f"QE:{field.level}"
 
 
 def _coordinate(field: FieldDescriptor, token: str):
     token = token.strip()
     try:
-        if field.kind == CYCLOTOMIC:
-            return Fraction(token)
-        return int(token)
+        if field.q:
+            return int(token)
+        return Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ValueError(
             f"bad coordinate {token!r}: expected "
-            + ("a rational like -3/2" if field.kind == CYCLOTOMIC else "an integer")
+            + ("an integer" if field.q else "a rational like -3/2")
         ) from None
 
 

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from . import _enum_py
 from .algebra import AlgebraElement, AlgebraSpec, certify_irreducible
-from .fields import FINITE, FROBENIUS, IDENTITY, FieldDescriptor, sigma_coords
+from .fields import IDENTITY, sigma_coords
 
 if TYPE_CHECKING:
     from .builder import IdempotentFamily
@@ -224,9 +224,9 @@ def brute_enumerate_minimal(
     truth of selftest criterion 2 and of the tests; ``cross_check``
     does not call it."""
     K = spec.field
-    if K.kind != FINITE:
+    if not K.q:
         raise ValueError("brute-force enumeration needs a finite field")
-    if K.d == 2 and K.involution != FROBENIUS:
+    if K.level == 2 and K.involution == IDENTITY:
         raise ValueError("enumeration is over K; need |K| = q")
     count = K.q**spec.size
     if count > max_count:
@@ -246,9 +246,9 @@ def cross_check(family: IdempotentFamily, max_count: int = DEFAULT_ENUM_BUDGET) 
     bounds its work, 2^n coefficients times the number of items."""
     spec = family.spec
     K = spec.field
-    if K.kind != FINITE:
+    if not K.q:
         raise ValueError("the Frobenius certificate needs a finite field")
-    if K.d == 2 and K.involution != FROBENIUS:
+    if K.level == 2 and K.involution == IDENTITY:
         raise ValueError("the certificate is over K; need |K| = q")
     items = len(family.items)
     work = spec.size * items

@@ -32,7 +32,7 @@ from .builder import (
     verified,
 )
 from .classify import classify, h_n, ks_decompose, ks_membership
-from .fields import FINITE, IDENTITY, FieldDescriptor
+from .fields import IDENTITY, FieldDescriptor
 from .grammar import parse_element, parse_field
 from .oracle import (
     DEFAULT_ENUM_BUDGET,
@@ -187,7 +187,7 @@ def criterion_ground_truth(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionResu
         instances.extend((field_spec, n, str(a)) for a in range(1, q))
     for case in MATRIX:
         K = parse_field(case.field)
-        if K.kind == FINITE and (case.field, case.n, case.a) not in instances:
+        if K.q and (case.field, case.n, case.a) not in instances:
             instances.append((case.field, case.n, case.a))
     skipped = 0
     for field_spec, n, a in instances:

@@ -13,9 +13,6 @@ from hypothesis import strategies as st
 from cyclotwist.algebra import AlgebraSpec
 from cyclotwist.classify import ks_decompose
 from cyclotwist.fields import (
-    CYCLOTOMIC,
-    FINITE,
-    FROBENIUS,
     IDENTITY,
     INVERSE_CONJ,
     LEVEL_BOUND,
@@ -41,7 +38,7 @@ from cyclotwist.fields import (
 from cyclotwist.grammar import parse_field
 
 Q = parse_field("Q")
-QC2 = FieldDescriptor(CYCLOTOMIC, IDENTITY, level=2)
+QC2 = FieldDescriptor(IDENTITY, 2)
 QC3 = parse_field("QC:3")
 QR3 = parse_field("QR:3")
 QE3 = parse_field("QE:3")
@@ -56,7 +53,7 @@ def small_fractions():
 
 
 def elements_of(K):
-    if K.kind == CYCLOTOMIC:
+    if not K.q:
         coord = small_fractions()
     else:
         coord = st.integers(min_value=0, max_value=K.q - 1)
@@ -69,20 +66,19 @@ def elements_of(K):
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        (dict(kind=CYCLOTOMIC, involution=IDENTITY, level=0), "level must be >= 1"),
-        (dict(kind=CYCLOTOMIC, involution=INVERSE_CONJ, level=1), "level >= 2"),
-        (
-            dict(kind=CYCLOTOMIC, involution=NEGATED_INVERSE_CONJ, level=2),
-            "level >= 3",
-        ),
-        (dict(kind=CYCLOTOMIC, involution=IDENTITY, level=2, q=5), "not set q"),
-        (dict(kind=FINITE, involution=IDENTITY, q=9, d=1), "odd prime"),
-        (dict(kind=FINITE, involution=IDENTITY, q=2, d=1), "odd prime"),
-        (dict(kind=FINITE, involution=IDENTITY, q=5, d=2), "q = 3 mod 4"),
-        (dict(kind=FINITE, involution=FROBENIUS, q=5, d=1), "degree 2"),
-        (dict(kind="padic", involution=IDENTITY), "unknown ambient kind"),
-        (dict(kind=CYCLOTOMIC, involution=IDENTITY, level=17), "at most 16"),
-        (dict(kind=CYCLOTOMIC, involution=INVERSE_CONJ, level=30), "at most 16"),
+        (dict(involution=IDENTITY, level=0), "level must be >= 1"),
+        (dict(involution=INVERSE_CONJ, level=1), "level >= 2"),
+        (dict(involution=NEGATED_INVERSE_CONJ, level=2), "level >= 3"),
+        (dict(involution=IDENTITY, level=3, q=7), "finite level must be 1 or 2"),
+        (dict(involution=IDENTITY, level=1, q=9), "odd prime"),
+        (dict(involution=IDENTITY, level=1, q=2), "odd prime"),
+        (dict(involution=IDENTITY, level=2, q=5), "q = 3 mod 4"),
+        (dict(involution=NEGATED_INVERSE_CONJ, level=3, q=7), "finite level"),
+        (dict(involution=NEGATED_INVERSE_CONJ, level=2, q=7), "level >= 3"),
+        (dict(involution=IDENTITY, level=17), "at most 16"),
+        (dict(involution=INVERSE_CONJ, level=30), "at most 16"),
+        (dict(involution=IDENTITY, level=17, q=7), "at most 16"),
+        (dict(involution="frobenius", level=2, q=7), "involution must be"),
     ],
 )
 def test_descriptor_validation(kwargs, message):
@@ -92,7 +88,7 @@ def test_descriptor_validation(kwargs, message):
 
 def test_level_bound_is_the_power_test_cap():
     assert LEVEL_BOUND == 16
-    assert FieldDescriptor(CYCLOTOMIC, IDENTITY, level=16).ambient_dim == 1 << 15
+    assert FieldDescriptor(IDENTITY, 16).ambient_dim == 1 << 15
 
 
 def test_ambient_dimensions():
@@ -106,8 +102,8 @@ def test_ambient_dimensions():
 
 
 def test_zeta_relation():
-    # zeta^(2^(L-1)) = -1 in every level
-    for K in (QC2, Q, QC3, QR3, QE3):
+    # zeta^(2^(L-1)) = -1 in every level, mod q too
+    for K in (QC2, Q, QC3, QR3, QE3, F5, F7):
         z = K.zeta_pow(1)
         half = K.ambient_dim
         assert z**half == -K.one()
@@ -141,7 +137,7 @@ def inverse_descent_reference(x, q):
     return _interleave(times_coords(u, nums, q), times_coords(minus_v, nums, q)), nrm
 
 
-MONOMIAL_FIELDS = [FieldDescriptor(CYCLOTOMIC, IDENTITY, level=L) for L in range(1, 7)]
+MONOMIAL_FIELDS = [FieldDescriptor(IDENTITY, L) for L in range(1, 7)]
 MONOMIAL_FIELDS += [parse_field(f"F:{q}") for q in (3, 7, 11, 19)]  # F_q[i]
 
 
@@ -218,14 +214,14 @@ def schoolbook_inverse(x, q):
     return tuple(row[d] for row in rows)
 
 
-REFERENCE_FIELDS = [FieldDescriptor(CYCLOTOMIC, IDENTITY, level=L) for L in range(1, 7)]
+REFERENCE_FIELDS = [FieldDescriptor(IDENTITY, L) for L in range(1, 7)]
 REFERENCE_FIELDS += [parse_field(f"F:{q}") for q in (3, 5, 7, 11, 13, 19)]
 
 
 def sparse_elements_of(K):
     """Elements with about half their coordinates zero, so that level-6
     references stay cheap."""
-    if K.kind == CYCLOTOMIC:
+    if not K.q:
         coord = st.one_of(st.just(0), small_fractions())
     else:
         coord = st.integers(min_value=0, max_value=K.q - 1)
@@ -264,16 +260,16 @@ def test_equal_elements_from_other_denominators_are_equal(data):
     xs = data.draw(sparse_elements_of(K))
     w = K.element(data.draw(sparse_elements_of(K)))
     m = data.draw(st.sampled_from([2, 3, 5**7, -6, 2**70 + 1]))
-    if K.kind == FINITE and m % K.q == 0:
+    if K.q and m % K.q == 0:
         m += 1
     x = K.element(xs)
     rebuilt = K.element(c * m for c in xs) / m
     for y in (rebuilt, (x + w) - w, x * m * K.scalar(m).inverse()):
         assert y == x and hash(y) == hash(x)
         assert (y.ints, y.den) == (x.ints, x.den)
-    assert x.den > 0 and (K.kind == CYCLOTOMIC or x.den == 1)
+    assert x.den > 0 and (not K.q or x.den == 1)
     # .coeffs is the boundary view, and it round-trips
-    if K.kind == CYCLOTOMIC:
+    if not K.q:
         assert x.coeffs == tuple(Fraction(c) for c in xs)
     else:
         assert x.coeffs == tuple(c % K.q for c in xs)
@@ -302,14 +298,14 @@ def test_inexact_numbers_are_refused():
     assert Q.scalar(Fraction(1, 10)) == Fraction(1, 10)
 
 
-QC16 = FieldDescriptor(CYCLOTOMIC, IDENTITY, level=16)
-F31I = FieldDescriptor(FINITE, FROBENIUS, q=31, d=2)
+QC16 = FieldDescriptor(IDENTITY, 16)
+F31I = FieldDescriptor(INVERSE_CONJ, 2, 31)
 
 
 @pytest.mark.parametrize("K", [Q, QC3, QE3, QC16, F5, F7, F31I])
 def test_scalar_equals_the_padded_element(K):
     values = [0, 1, -1, 7, -40, 2**70 + 3, True]
-    if K.kind == CYCLOTOMIC:
+    if not K.q:
         values += [Fraction(-3, 4), Fraction(12, 8), Fraction(0, 5)]
     pad = (0,) * (K.ambient_dim - 1)
     for c in values:
@@ -331,9 +327,19 @@ def test_scalar_equals_the_padded_element(K):
 
 @pytest.mark.parametrize("K", [Q, QC3, QR3, QE3, F5, F7])
 def test_sigma_is_an_involution(K):
-    xs = [K.one(), -K.one(), K.zeta_pow(1) if K.kind == CYCLOTOMIC else eps(K, 1)]
+    xs = [K.one(), -K.one(), K.zeta_pow(1) if not K.q else eps(K, 1)]
     for x in xs:
         assert sigma(K, sigma(K, x)) == x
+
+
+@pytest.mark.parametrize("q", [3, 7, 11, 19, 23])
+def test_sigma_on_f_q_i_is_frobenius(q):
+    # F:q for q = 3 (mod 4) is inverse_conj at level 2, i -> i^-1 = -i,
+    # which is x -> x^q on all of F_q[i]
+    K = parse_field(f"F:{q}")
+    assert (K.involution, K.level, K.q) == (INVERSE_CONJ, 2, q)
+    for x in K.iter_ambient():
+        assert sigma(K, x) == x**q
 
 
 def test_sigma_images_of_zeta():
@@ -396,7 +402,7 @@ def test_finite_eps_is_the_sylow_generator_power():
         if not _prime_by_trial_division(q):
             continue
         for d in (1, 2) if q % 4 == 3 else (1,):
-            K = FieldDescriptor(FINITE, IDENTITY, q=q, d=d)
+            K = FieldDescriptor(IDENTITY, d, q)
             w = K.root_level
             g = _sylow_generator(q, d)
             one = [1] + [0] * (d - 1)
@@ -461,9 +467,9 @@ def sign_tree_reference(K, x, k):
     return search(x, k.bit_length() - 1)
 
 
-CHAIN_FIELDS = [FieldDescriptor(CYCLOTOMIC, IDENTITY, level=L) for L in range(1, 6)]
+CHAIN_FIELDS = [FieldDescriptor(IDENTITY, L) for L in range(1, 6)]
 CHAIN_FIELDS += [
-    FieldDescriptor(FINITE, IDENTITY, q=q, d=d)
+    FieldDescriptor(IDENTITY, d, q)
     for q in (3, 5, 7, 13, 17, 31, 41, 97, 257)
     for d in (1, 2)
     if d == 1 or q % 4 == 3
@@ -473,7 +479,7 @@ CHAIN_FIELDS += [
 def sparse_units_of(K):
     """Nonzero elements with few nonzero coordinates, fractional over
     Q(zeta), so that their 2^8-th powers stay small."""
-    if K.kind == CYCLOTOMIC:
+    if not K.q:
         coord = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     else:
         coord = st.integers(min_value=1, max_value=K.q - 1)
@@ -545,7 +551,7 @@ def test_primality_matches_trial_division():
 
 def test_large_prime_modulus_is_accepted_fast():
     start = time.perf_counter()
-    K = FieldDescriptor(FINITE, FROBENIUS, q=2**61 - 1, d=2)
+    K = FieldDescriptor(INVERSE_CONJ, 2, 2**61 - 1)
     assert time.perf_counter() - start < 1
     assert K.q == 2**61 - 1
 
@@ -553,13 +559,13 @@ def test_large_prime_modulus_is_accepted_fast():
 def test_strong_pseudoprime_is_refused():
     # 3215031751 = 151 * 751 * 28351 passes Miller-Rabin to the bases 2, 3, 5, 7
     with pytest.raises(AmbientError, match="odd prime"):
-        FieldDescriptor(FINITE, FROBENIUS, q=3215031751, d=2)
+        FieldDescriptor(INVERSE_CONJ, 2, 3215031751)
 
 
 def test_modulus_beyond_the_primality_bound_is_refused():
     assert PRIME_TEST_BOUND == 3317044064679887385961981
     with pytest.raises(AmbientError, match=f"below {PRIME_TEST_BOUND}"):
-        FieldDescriptor(FINITE, IDENTITY, q=PRIME_TEST_BOUND + 2, d=1)
+        FieldDescriptor(IDENTITY, 1, PRIME_TEST_BOUND + 2)
 
 
 def test_first_non_square_matches_the_full_scan():
@@ -624,7 +630,7 @@ def _tonelli_shanks_on_vectors(a, q, d):
 
 
 def _assert_sqrt_agrees(a, q, d):
-    K = FieldDescriptor(FINITE, IDENTITY, q=q, d=d)
+    K = FieldDescriptor(IDENTITY, d, q)
     want = _tonelli_shanks_on_vectors(list(a), q, d)
     got = sqrt_ambient(K, K.element(a))
     assert (got is None) == (want is None), (a, q, d)
@@ -639,7 +645,7 @@ def _assert_sqrt_agrees(a, q, d):
 def test_fin_sqrt_matches_vector_tonelli_shanks_everywhere(q):
     # every element of F_q, and of F_q[i] where -1 is a non-square
     for d in (1, 2) if q % 4 == 3 else (1,):
-        for x in FieldDescriptor(FINITE, IDENTITY, q=q, d=d).iter_ambient():
+        for x in FieldDescriptor(IDENTITY, d, q).iter_ambient():
             _assert_sqrt_agrees(x.ints, q, d)
 
 

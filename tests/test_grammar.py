@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 from cyclotwist.algebra import AlgebraSpec
 from cyclotwist.builder import ambient_family, build
 from cyclotwist.fields import (
-    CYCLOTOMIC,
-    FINITE,
-    FROBENIUS,
     IDENTITY,
     INVERSE_CONJ,
+    NEGATED_INVERSE_CONJ,
     FieldDescriptor,
 )
 from cyclotwist.grammar import (
@@ -43,10 +41,31 @@ def test_qr2_is_a_synonym_for_q():
 
 
 def test_finite_presentations():
-    K = parse_field("F:5")
-    assert (K.kind, K.involution, K.d) == (FINITE, IDENTITY, 1)
-    K = parse_field("F:7")
-    assert (K.kind, K.involution, K.d) == (FINITE, FROBENIUS, 2)
+    # F:q is F_q itself when q = 1 (mod 4), else Frobenius on F_q[i],
+    # which is inverse_conj at level 2 mod q
+    for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 65537, 2**61 - 1):
+        K = parse_field(f"F:{q}")
+        want = (IDENTITY, 1, q) if q % 4 == 1 else (INVERSE_CONJ, 2, q)
+        assert (K.involution, K.level, K.q) == want
+        assert parse_field(format_field(K)) == K
+
+
+@pytest.mark.parametrize(
+    "spec, want",
+    [
+        ("Q", (INVERSE_CONJ, 2, 0)),
+        ("QC:2", (IDENTITY, 2, 0)),
+        ("QC:16", (IDENTITY, 16, 0)),
+        ("QR:3", (INVERSE_CONJ, 3, 0)),
+        ("QR:16", (INVERSE_CONJ, 16, 0)),
+        ("QE:3", (NEGATED_INVERSE_CONJ, 3, 0)),
+        ("QE:16", (NEGATED_INVERSE_CONJ, 16, 0)),
+    ],
+)
+def test_cyclotomic_presentations(spec, want):
+    K = parse_field(spec)
+    assert (K.involution, K.level, K.q) == want
+    assert format_field(K) == spec
 
 
 @pytest.mark.parametrize(
@@ -58,6 +77,8 @@ def test_finite_presentations():
         ("QE:x", "not an integer"),
         ("F:9", "odd prime"),
         ("F:2", "odd prime"),
+        ("F:0", "odd prime"),
+        ("F:-7", "odd prime"),
         ("F:", "not an integer"),
         ("R", "unknown field spec"),
         ("QQ:4", "unknown field spec"),
@@ -71,12 +92,13 @@ def test_rejected_specs_name_the_constraint(bad, message):
 def test_nameless_descriptors_are_refused():
     # level-1 cyclotomic and finite presentations outside the grammar
     # have no canonical spelling
-    K = FieldDescriptor(CYCLOTOMIC, IDENTITY, level=1)
-    with pytest.raises(ValueError, match="no spec string"):
-        format_field(K)
-    K = FieldDescriptor(FINITE, IDENTITY, q=7, d=2)
-    with pytest.raises(ValueError, match="no spec string"):
-        format_field(K)
+    for K in (
+        FieldDescriptor(IDENTITY, 1),
+        FieldDescriptor(IDENTITY, 2, 7),
+        FieldDescriptor(IDENTITY, 1, 7),
+    ):
+        with pytest.raises(ValueError, match="no spec string"):
+            format_field(K)
 
 
 # -- element literals -----------------------------------------------------------
@@ -129,7 +151,7 @@ def test_finite_literals_are_integers_only():
 )
 def test_literal_roundtrip_property(spec, coords):
     K = parse_field(spec)
-    if K.kind == FINITE:
+    if K.q:
         coords = [int(c) % K.q for c in coords]
     if len(coords) != 1:
         coords = (coords * K.ambient_dim)[: K.ambient_dim]
@@ -165,7 +187,7 @@ def test_format_coeffs_matches_format_element_on_golden_items(field_spec, n, a):
 @given(st.data())
 def test_format_coeffs_matches_format_element_on_flat_tuples(data):
     d = data.draw(st.sampled_from([1, 2, 4, 8]))
-    K = FieldDescriptor(CYCLOTOMIC, IDENTITY, level=d.bit_length())
+    K = FieldDescriptor(IDENTITY, d.bit_length())
     den = data.draw(st.integers(min_value=2, max_value=720))
     coord = st.one_of(st.just(0), st.integers(min_value=-2000, max_value=2000))
     run = st.one_of(
