@@ -141,7 +141,12 @@ MONOMIAL_FIELDS = [FieldDescriptor(IDENTITY, L) for L in range(1, 7)]
 MONOMIAL_FIELDS += [parse_field(f"F:{q}") for q in (3, 7, 11, 19)]  # F_q[i]
 
 
-@pytest.mark.parametrize("K", MONOMIAL_FIELDS, ids=str)
+def _monomial_id(K):
+    # F_q[i] is F_{q^2}, where inverse_conj (i -> -i = i^q) is the Frobenius
+    return f"finite(q={K.q}, d=2, frobenius)" if K.q else str(K)
+
+
+@pytest.mark.parametrize("K", MONOMIAL_FIELDS, ids=_monomial_id)
 def test_monomial_inverse_matches_the_descent(K):
     # c * zeta^k is inverted in closed form
     d, q = K.ambient_dim, K.q
