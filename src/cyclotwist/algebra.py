@@ -31,7 +31,6 @@ irreducible over K, which takes at most two square roots in A.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -50,6 +49,7 @@ from .fields import (
     is_in_k,
     negate_coords,
     reduce_coords,
+    require_unit_in_k,
     sigma_coords,
     times_coords,
 )
@@ -74,12 +74,7 @@ class AlgebraSpec:
                 "the ambient field has no square root of -1; the construction "
                 "needs i in A"
             )
-        if self.a.owner != self.field:
-            raise AmbientError("a does not belong to the given field")
-        if self.a.is_zero():
-            raise ValueError("a must be nonzero")
-        if not is_in_k(self.field, self.a):
-            raise ValueError("a must lie in the fixed field K")
+        require_unit_in_k(self.field, self.a)
 
     @property
     def size(self) -> int:
@@ -310,9 +305,8 @@ def alg_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     one int each, 2d-1 slots per power of u for an ambient field of
     dimension d, so the product's coordinates land in separate slots.
     Each slot is wide enough for the largest coordinate a product can
-    have, with a sign bit, rounded up to whole bytes; up to 8 bytes one
-    struct call packs or unpacks every slot.  The product is then
-    folded back: zeta^d = -1 (i^2 = -1) in the ambient index, and
+    have, with a sign bit, rounded up to whole bytes.  The product is
+    then folded back: zeta^d = -1 (i^2 = -1) in the ambient index, and
     u^M = a in the exponent.
     """
     if x.spec is not y.spec and x.spec != y.spec:
@@ -367,10 +361,6 @@ def _on_lattice(ints: tuple, d: int, step: int) -> Sequence[int]:
     return [v for base in range(0, len(ints), step * d) for v in ints[base : base + d]]
 
 
-# struct codes of unsigned lanes of 1, 2, 4 and 8 bytes
-_LANES = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-
 def _pack(vals: Sequence[int], d: int, width: int) -> int:
     """Digits ``vals`` (d per power of u) at slots m*(2d-1) + j, each
     ``width`` bytes, as one signed int: every slot holds digit + half
@@ -381,7 +371,7 @@ def _pack(vals: Sequence[int], d: int, width: int) -> int:
     slots = [half] * (len(vals) // d * stride)
     for m, base in enumerate(range(0, len(vals), d)):
         slots[m * stride : m * stride + d] = [v + half for v in vals[base : base + d]]
-    raw = _slot_bytes(slots, width)
+    raw = b"".join(v.to_bytes(width, "little") for v in slots)
     return int.from_bytes(raw, "little") - _bias(len(slots), width)
 
 
@@ -391,34 +381,10 @@ def _unpack(prod: int, slots: int, width: int) -> List[int]:
     bias makes every slot digit + half with no carries."""
     half = 1 << (8 * width - 1)
     raw = (prod + _bias(slots, width)).to_bytes(slots * width, "little")
-    if width > 8:
-        return [
-            int.from_bytes(raw[t : t + width], "little") - half
-            for t in range(0, slots * width, width)
-        ]
-    lane = next(w for w in _LANES if w >= width)
-    if lane != width:  # spread each slot over a lane, high bytes zero
-        wide = bytearray(lane * slots)
-        for j in range(width):
-            wide[j::lane] = raw[j::width]
-        raw = wide
-    return [u - half for u in struct.unpack(f"<{slots}{_LANES[lane]}", raw)]
-
-
-def _slot_bytes(slots: List[int], width: int) -> bytes:
-    """Nonnegative ints below 2^(8*width), ``width`` bytes each, little
-    endian.  Up to 8 bytes one struct call writes them into lanes, and
-    the low ``width`` bytes of each lane are kept."""
-    if width > 8:
-        return b"".join(v.to_bytes(width, "little") for v in slots)
-    lane = next(w for w in _LANES if w >= width)
-    wide = struct.pack(f"<{len(slots)}{_LANES[lane]}", *slots)
-    if lane == width:
-        return wide
-    raw = bytearray(width * len(slots))
-    for j in range(width):
-        raw[j::width] = wide[j::lane]
-    return raw
+    return [
+        int.from_bytes(raw[t : t + width], "little") - half
+        for t in range(0, slots * width, width)
+    ]
 
 
 def _bias(slots: int, width: int) -> int:

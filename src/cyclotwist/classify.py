@@ -25,11 +25,11 @@ from .fields import (
     IDENTITY,
     POWER_TEST_CAP,
     AmbientElement,
-    AmbientError,
     FieldDescriptor,
     eps,
     is_in_k,
     norm,
+    require_unit_in_k,
     root_chain,
     sigma,
     sqrt_ambient,
@@ -106,15 +106,6 @@ def classify(K: FieldDescriptor, n: Optional[int] = None) -> Classification:
     return Classification(field_type, m, emulates)
 
 
-def _require_unit_in_k(K: FieldDescriptor, a: AmbientElement) -> None:
-    if a.owner != K:
-        raise AmbientError("element does not belong to this field")
-    if a.is_zero():
-        raise ValueError("a must be nonzero")
-    if not is_in_k(K, a):
-        raise ValueError("a must lie in the fixed field K")
-
-
 def h_n(K: FieldDescriptor, a: AmbientElement, n: int) -> int:
     """The largest s in [0, n] with a in (A*)^(2^s).
 
@@ -123,7 +114,7 @@ def h_n(K: FieldDescriptor, a: AmbientElement, n: int) -> int:
     eps_m is no square in A, so modulo squares that coset is the class of
     y and, from j = m on, that of y * eps_m (Lang, *Algebra*, VI 9).
     """
-    _require_unit_in_k(K, a)
+    require_unit_in_k(K, a)
     if not 0 <= n <= POWER_TEST_CAP:
         raise ValueError(f"n must be in [0, {POWER_TEST_CAP}]")
     return root_chain(K, a, n)[0]
@@ -178,7 +169,7 @@ def ks_decompose(K: FieldDescriptor, a: AmbientElement, n: int) -> CosetDecompos
     is forced by the field type and by s relative to m, and internal
     assertions check that the arithmetic agrees with that bookkeeping.
     """
-    _require_unit_in_k(K, a)
+    require_unit_in_k(K, a)
     if not 0 <= n <= POWER_TEST_CAP:
         raise ValueError(f"n must be in [0, {POWER_TEST_CAP}]")
     s, alpha = root_chain(K, a, n)

@@ -678,6 +678,17 @@ def is_in_k(K: FieldDescriptor, x: AmbientElement) -> bool:
     return sigma(K, x) == x
 
 
+def require_unit_in_k(K: FieldDescriptor, a: AmbientElement) -> None:
+    """Refuse an ``a`` that is not a unit of the fixed field K: it must
+    belong to K's ambient field, be nonzero and be fixed by sigma."""
+    if a.owner != K:
+        raise AmbientError("element does not belong to this field")
+    if a.is_zero():
+        raise ValueError("a must be nonzero")
+    if not is_in_k(K, a):
+        raise ValueError("a must lie in the fixed field K")
+
+
 def norm(K: FieldDescriptor, x: AmbientElement) -> AmbientElement:
     """The product x * sigma(x); lands in K."""
     return x * sigma(K, x)

@@ -166,15 +166,9 @@ def parse_element(field: FieldDescriptor, literal: str) -> AmbientElement:
 
 
 def format_element(x: AmbientElement) -> str:
-    """Shortest literal that parses back to ``x`` (scalars as one token).
-    Each coordinate prints as its ``Fraction`` (or residue) would, from
-    the stored numerator and denominator."""
-    den = x.den
-    out = []
-    for v in x.ints[:1] if x.is_scalar() else x.ints:
-        g = gcd(v, den)
-        out.append(str(v // g) if g == den else f"{v // g}/{den // g}")
-    return ",".join(out)
+    """Shortest literal that parses back to ``x`` (scalars as one token):
+    ``x`` as the one coefficient of a flat element (``format_coeffs``)."""
+    return format_coeffs(x.ints, x.den, len(x.ints))[0]
 
 
 def format_coeffs(ints, den: int, d: int) -> list:

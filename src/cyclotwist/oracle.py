@@ -30,6 +30,7 @@ builds the ambient family.
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Sequence, Tuple
@@ -57,32 +58,33 @@ class EnumerationBudgetError(ValueError):
     enumeration) would be too large."""
 
 
+def _flag(fails: str):
+    """A pass/fail field of ``ItemCheck`` and the text its failure reports."""
+    return dataclasses.field(metadata={"fails": fails})
+
+
 @dataclass(frozen=True)
 class ItemCheck:
+    """The checks on one item, in report order."""
+
     label: tuple
-    nonzero: bool
-    idempotent: bool
-    k_rational: bool
-    min_poly_annihilates: bool
-    min_poly_k_rational: bool
-    dim_consistent: bool
-    primitive: bool
+    nonzero: bool = _flag("is zero")
+    idempotent: bool = _flag("is not idempotent")
+    k_rational: bool = _flag("has coefficients outside K")
+    min_poly_annihilates: bool = _flag("is not annihilated by its min poly")
+    min_poly_k_rational: bool = _flag("has a min poly outside K[x]")
+    dim_consistent: bool = _flag("has dim != deg(min poly)")
+    primitive: bool = _flag("is not certified minimal")
 
     def violations(self) -> List[str]:
-        out = []
-        name = f"e{self.label}"
-        for flag, what in (
-            (self.nonzero, "is zero"),
-            (self.idempotent, "is not idempotent"),
-            (self.k_rational, "has coefficients outside K"),
-            (self.min_poly_annihilates, "is not annihilated by its min poly"),
-            (self.min_poly_k_rational, "has a min poly outside K[x]"),
-            (self.dim_consistent, "has dim != deg(min poly)"),
-            (self.primitive, "is not certified minimal"),
-        ):
-            if not flag:
-                out.append(f"{name} {what}")
-        return out
+        return [
+            f"e{self.label} {f.metadata['fails']}"
+            for f in _FLAGS
+            if not getattr(self, f.name)
+        ]
+
+
+_FLAGS = dataclasses.fields(ItemCheck)[1:]
 
 
 @dataclass(frozen=True)
@@ -118,16 +120,7 @@ class VerificationReport:
             "failures": list(self.failures),
             "uncertified": [],
             "items": [
-                {
-                    "label": list(c.label),
-                    "nonzero": c.nonzero,
-                    "idempotent": c.idempotent,
-                    "k_rational": c.k_rational,
-                    "min_poly_annihilates": c.min_poly_annihilates,
-                    "min_poly_k_rational": c.min_poly_k_rational,
-                    "dim_consistent": c.dim_consistent,
-                    "primitive": c.primitive,
-                }
+                {"label": list(c.label), **{f.name: getattr(c, f.name) for f in _FLAGS}}
                 for c in self.item_checks
             ],
         }

@@ -20,6 +20,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from math import isqrt
 from typing import Callable, List, Optional, Tuple
 
 from .algebra import AlgebraSpec, Poly
@@ -305,7 +306,7 @@ def _v2(x: int) -> int:
 
 def _odd_primes(bound: int):
     for q in range(3, bound, 2):
-        if all(q % p for p in range(3, int(q**0.5) + 1, 2)):
+        if all(q % p for p in range(3, isqrt(q) + 1, 2)):
             yield q
 
 

@@ -147,8 +147,7 @@ def test_packed_product_matches_schoolbook(data):
 
 @pytest.mark.parametrize("width", range(1, 11))
 def test_slot_packing_round_trips_at_every_width(width):
-    # widths 1, 2, 4 and 8 fill struct lanes exactly, 3, 5, 6 and 7 are
-    # spread over wider lanes, and beyond 8 every slot is converted alone
+    # every slot is its own width-byte int, from one byte to past eight
     half = 1 << (8 * width - 1)
     vals = [0, 1, -1, half - 1, -(half - 1), half // 3, -(half // 5)] * 3
     for d in (1, 3):

@@ -323,6 +323,49 @@ def test_selftest_corruption_hook(capsys, monkeypatch):
     assert out.rstrip().endswith("selftest: FAIL")
 
 
+SELFTEST_TAIL = """\
+criterion 2 (brute-force ground truth): PASS
+    27 instances cross-checked
+criterion 3 (exact decompositions reproduced): PASS
+criterion 4 (depth computation regressions): PASS
+criterion 5 (finite-field structure law): PASS
+criterion 6 (conjugate-pairing equivalence): PASS
+criterion 7 (index-convention regressions): PASS
+"""
+
+
+@pytest.mark.parametrize(
+    "corrupt, code, expected",
+    [
+        (
+            None,
+            0,
+            "criterion 1 (case-coverage matrix verifies): PASS\n"
+            + SELFTEST_TAIL
+            + "selftest: PASS\n",
+        ),
+        (
+            "1",
+            1,
+            "criterion 1 (case-coverage matrix verifies): FAIL\n"
+            "    (F:5, n=2, a=1): deliberate corruption detected by: family does "
+            "not sum to 1; component dimensions sum to 3, expected 4\n"
+            "    reproduce with: cyclotwist verify F:5 2 1\n"
+            + SELFTEST_TAIL
+            + "selftest: FAIL\n",
+        ),
+    ],
+)
+def test_selftest_stdout_is_pinned(capsys, monkeypatch, corrupt, code, expected):
+    # the whole default report, byte for byte, with and without the
+    # deliberate corruption
+    if corrupt is None:
+        monkeypatch.delenv("CYCLOTWIST_CORRUPT", raising=False)
+    else:
+        monkeypatch.setenv("CYCLOTWIST_CORRUPT", corrupt)
+    assert run(capsys, "selftest") == (code, expected, "")
+
+
 def test_one_parser_serves_every_call_in_a_process(capsys):
     # the parser is built once and reused: a usage error in between
     # leaves no state behind for the next call

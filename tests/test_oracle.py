@@ -237,6 +237,18 @@ def test_verify_flags_missing_item():
     assert report.dim_total < report.expected_dim
 
 
+@pytest.mark.parametrize("field_spec, n, a", [("F:3", 10, "1"), ("QR:6", 8, "-1")])
+def test_missing_item_at_real_sizes_multiplies_each_item_out(field_spec, n, a):
+    # a short family fails the sum, so e*e == e is computed for every
+    # item: packed products of 1024 and 256 coefficients
+    family = build(spec_of(field_spec, n, a), checked=False)
+    report = verify_family(replace(family, items=family.items[1:]))
+    assert "family does not sum to 1" in report.failures
+    assert not report.orthogonal
+    assert len(report.item_checks) == len(family.items) - 1
+    assert all(c.idempotent for c in report.item_checks)
+
+
 def test_verify_flags_corrupted_coefficient():
     spec = spec_of("F:3", 2, "1")
     family = build(spec, checked=False)
