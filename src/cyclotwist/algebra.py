@@ -13,10 +13,12 @@ one change of denominator, with no conversion.  The coordinates are
 *ambient* ones, so the same code serves K-rational elements and
 ambient-side constructions; K-rationality is a property tested after
 the fact.  ``AlgebraSpec.element``/``scalar``/``gbar`` take field
-elements (or ints and Fractions), the read-only
-``AlgebraElement.coeffs`` returns them, and ``Poly`` holds them.
+elements (or ints and Fractions), and the read-only
+``AlgebraElement.coeffs`` returns them.
 
-Addition, scaling and equality run on the integer tuples.  Products
+``AlgebraElement`` keeps the one element protocol of ``fields.Element``
+(immutability, zero tests, sums, negation, equality, hashing on the
+integer tuples); scaling, shifts and products are its own.  Products
 are one big-integer multiplication each (Kronecker substitution, see
 ``alg_mul``), taken on the sublattice of exponents the operands occupy,
 so an idempotent supported on every 2^j-th power of g costs a product
@@ -25,8 +27,10 @@ of length 2^(n-j).  Multiplying by a power of g is
 
 Also here: the monic polynomials over K that the construction states
 as minimal polynomials (it writes them in closed form, no factoring or
-linear algebra), and the certificate that such a polynomial is
-irreducible over K, which takes at most two square roots in A.
+linear algebra), held as their nonzero (degree, coefficient) terms,
+at most three for a stated one, and the certificate that such a
+polynomial is irreducible over K, which takes at most two square roots
+in A.
 """
 
 from __future__ import annotations
@@ -43,11 +47,10 @@ from .fields import (
     POWER_TEST_CAP,
     AmbientElement,
     AmbientError,
+    Element,
     FieldDescriptor,
     _new as _new_field_element,
-    combine_coords,
     is_in_k,
-    negate_coords,
     reduce_coords,
     require_unit_in_k,
     sigma_coords,
@@ -124,16 +127,17 @@ def _field_element(K: FieldDescriptor, c: Coeffish) -> AmbientElement:
     return x
 
 
-class AlgebraElement:
-    """An element of K_t<g> over ``spec``, stored flat: ``ints`` holds
-    the ambient coordinates of the coefficient of g^k at
+class AlgebraElement(Element):
+    """An element of K_t<g> over ``spec``, its owner, stored flat:
+    ``ints`` holds the ambient coordinates of the coefficient of g^k at
     [k*d, (k+1)*d), as numerators over ``den`` (see the module
-    docstring).  The constructor reduces what it is given; the
-    arithmetic keeps every result reduced."""
+    docstring).  The constructor reduces what it is given."""
 
-    __slots__ = ("spec", "ints", "den")
+    __slots__ = ()
 
-    def __init__(self, spec: AlgebraSpec, ints: Sequence[int], den: int = 1):
+    spec = Element.owner  # an algebra owns its elements
+
+    def __new__(cls, spec: AlgebraSpec, ints: Sequence[int], den: int = 1):
         K = spec.field
         if len(ints) != spec.size * K.ambient_dim:
             raise ValueError(
@@ -143,10 +147,11 @@ class AlgebraElement:
         if not den:
             raise ZeroDivisionError("zero denominator")
         # index() refuses anything but integers
-        _set(self, spec, *reduce_coords(K, list(map(index, ints)), index(den)))
+        return _new(spec, *reduce_coords(K, list(map(index, ints)), index(den)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("algebra elements are immutable")
+    @property
+    def field(self) -> FieldDescriptor:
+        return self.owner.field
 
     @property
     def coeffs(self) -> Tuple[AmbientElement, ...]:
@@ -174,37 +179,8 @@ class AlgebraElement:
         c = self.spec.field.coerce(other)
         return None if c is None else self.spec.scalar(c)
 
-    def is_zero(self) -> bool:
-        return not any(self.ints)
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
     def is_k_rational(self) -> bool:
         return sigma_coords(self.spec.field, self.ints) == list(self.ints)
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return _combine(self, o, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _new(self.spec, negate_coords(self.ints, self.spec.field.q), self.den)
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return _combine(self, o, -1)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def scale(self, c: Coeffish) -> "AlgebraElement":
         K = self.spec.field
@@ -252,21 +228,6 @@ class AlgebraElement:
             e >>= 1
         return acc
 
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            c = self.spec.field.coerce(other)
-            if c is None:
-                return NotImplemented
-            other = self.spec.scalar(c)
-        return (
-            self.ints == other.ints
-            and self.den == other.den
-            and (self.spec is other.spec or self.spec == other.spec)
-        )
-
-    def __hash__(self):
-        return hash((self.spec, self.ints, self.den))
-
     def __repr__(self):
         body = " + ".join(
             f"({c!r})*g^{k}" for k, c in enumerate(self.coeffs) if not c.is_zero()
@@ -274,23 +235,7 @@ class AlgebraElement:
         return f"<{body or '0'}>"
 
 
-def _set(x: AlgebraElement, spec: AlgebraSpec, ints: tuple, den: int) -> None:
-    object.__setattr__(x, "spec", spec)
-    object.__setattr__(x, "ints", ints)
-    object.__setattr__(x, "den", den)
-
-
-def _new(spec: AlgebraSpec, ints: tuple, den: int) -> AlgebraElement:
-    """An element from coordinates that are already reduced."""
-    x = object.__new__(AlgebraElement)
-    _set(x, spec, ints, den)
-    return x
-
-
-def _combine(x: AlgebraElement, y: AlgebraElement, sign: int) -> AlgebraElement:
-    """x + y (sign 1) or x - y (sign -1)."""
-    K = x.spec.field
-    return _new(x.spec, *combine_coords(K, x.ints, x.den, y.ints, y.den, sign))
+_new = AlgebraElement._make
 
 
 def alg_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -393,39 +338,42 @@ def _bias(slots: int, width: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over K (stored with ambient coefficients, low degree first)
+# polynomials over K (stored as their nonzero terms, ambient coefficients)
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Poly:
-    """A monic polynomial with coefficients in the ambient field,
-    low degree first; coeffs[-1] == 1."""
+    """A monic polynomial with coefficients in the ambient field, stated
+    as its nonzero terms: (degree, coefficient) pairs, degrees strictly
+    increasing, the last coefficient 1 (Johnson, "Sparse polynomial
+    arithmetic", SIGSAM Bull. 8(3), 1974)."""
 
-    coeffs: tuple
+    terms: tuple
 
     def __post_init__(self):
-        if not self.coeffs:
+        if not self.terms:
             raise ValueError("empty polynomial")
-        one = self.coeffs[-1].owner.one()
-        if self.coeffs[-1] != one:
+        degrees = [k for k, _ in self.terms]
+        if degrees[0] < 0 or any(j >= k for j, k in zip(degrees, degrees[1:])):
+            raise ValueError("term degrees must be >= 0 and strictly increasing")
+        if not all(c for _, c in self.terms):
+            raise ValueError("a stated term has a zero coefficient")
+        top = self.terms[-1][1]
+        if top != top.owner.one():
             raise ValueError("polynomial must be monic")
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return self.terms[-1][0]
 
     def is_k_rational(self, K: FieldDescriptor) -> bool:
-        """Every coefficient lies in K; zero does, so only the nonzero
-        ones are tested."""
-        return all(is_in_k(K, c) for c in self.coeffs if c)
+        """Every coefficient lies in K."""
+        return all(is_in_k(K, c) for _, c in self.terms)
 
     def __str__(self):
         parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c.is_zero():
-                continue
+        for k, c in reversed(self.terms):
             mono = "1" if k == 0 else ("x" if k == 1 else f"x^{k}")
             if k == self.degree:
                 parts.append(mono)
@@ -486,11 +434,11 @@ def certify_irreducible(K: FieldDescriptor, poly: Poly) -> bool:
         raise ValueError("constants have no irreducibility")
     if D == 1:
         return True
-    c = poly.coeffs
     S = D // 2
-    if D & (D - 1) or any(c[k] for k in range(1, D) if k != S):
+    c = dict(poly.terms)
+    if D & (D - 1) or c.keys() - {0, S, D}:
         return False
-    beta, gamma = c[S], c[0]
+    beta, gamma = c.get(S, K.zero()), c.get(0, K.zero())
     # every root is looked up on the module, so that a traced run counts it
     if not poly.is_k_rational(K):
         return False

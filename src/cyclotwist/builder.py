@@ -145,18 +145,20 @@ def _item(
     satisfies g^S * e_c = c^-1 * e_c, S = 2^(n-s+r) (idempotency makes
     c^T * a = 1), so g*e is cut out by prod_c (x^S - c^-1) of degree
     S * len(cs): x^S - k, or x^(2S) - (k1 + k2) x^S + k1 k2 for a pair
-    of characters, with k = c^-1 = b^(2^r) / chi.  ``verify_family``
-    proves that this is the minimal polynomial."""
-    K = spec.field
+    of characters, with k = c^-1 = b^(2^r) / chi.  It is stated as its
+    nonzero terms: a middle coefficient that cancels (k2 = -k1) is
+    dropped.  ``verify_family`` proves that this is the minimal
+    polynomial."""
+    one = spec.field.one()
     S = 1 << (spec.n - s + r)
     ks = [c.inverse() for c in cs]
-    gap = [K.zero()] * (S - 1)
     if len(ks) == 1:
-        coeffs = [-ks[0], *gap, K.one()]
+        terms = [(0, -ks[0]), (S, one)]
     else:
-        coeffs = [ks[0] * ks[1], *gap, -(ks[0] + ks[1]), *gap, K.one()]
+        terms = [(0, ks[0] * ks[1]), (S, -(ks[0] + ks[1])), (2 * S, one)]
     element = _char_sum(spec, s, r, *cs)
-    return IdempotentItem(label, element, S * len(cs), Poly(tuple(coeffs)))
+    poly = Poly(tuple((k, c) for k, c in terms if c))
+    return IdempotentItem(label, element, S * len(cs), poly)
 
 
 def _run(start: AmbientElement, step: AmbientElement, count: int) -> list:

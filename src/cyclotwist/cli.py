@@ -101,6 +101,15 @@ def _coeff_literals(e) -> list:
     return format_coeffs(e.ints, e.den, e.spec.field.ambient_dim)
 
 
+def _poly_literals(p) -> list:
+    """One literal per coefficient of the polynomial ``p``, dense, low
+    degree first: "0" where ``p`` states no term."""
+    out = ["0"] * (p.degree + 1)
+    for k, c in p.terms:
+        out[k] = format_element(c)
+    return out
+
+
 def _family_dict(family: IdempotentFamily, verification: Optional[dict]) -> dict:
     spec = family.spec
     dec = family.decomposition
@@ -116,11 +125,7 @@ def _family_dict(family: IdempotentFamily, verification: Optional[dict]) -> dict
                 "label": list(it.label),
                 "coeffs": _coeff_literals(it.element),
                 "dim": it.dim,
-                "min_poly": {
-                    "coeffs": [
-                        format_element(c) if c else "0" for c in it.min_poly.coeffs
-                    ]
-                },
+                "min_poly": {"coeffs": _poly_literals(it.min_poly)},
             }
             for it in family.items
         ],

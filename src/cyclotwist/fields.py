@@ -13,14 +13,17 @@ unity (1 <= L <= LEVEL_BOUND), reduced mod q, with the power basis
 An element is stored as integer coordinates over that basis, in the
 same reduced form as a flat algebra element: residues mod q over F_q,
 and over Q(zeta) numerators over one positive denominator in lowest
-terms, so equality and hashing compare plain tuples.  Every field has
-one product, ``times_coords`` in Z[zeta]/(zeta^d + 1), and one inverse
-by descent through the quadratic tower.  Square roots descend the same
-tower, to ``isqrt`` over Z (Z[zeta] is the full ring of integers of
-Q(zeta), so roots over Q(zeta) run on integers too) or to
-Tonelli-Shanks mod q.  ``fractions.Fraction`` appears only at the
-boundary: ``FieldDescriptor.element`` accepts it and
-``AmbientElement.coeffs`` returns it.
+terms, so equality and hashing compare plain tuples.  Both kinds keep
+one element protocol, ``Element``: immutability, zero tests, sums,
+differences, negation, equality and hashing, written once on those
+integers.  Every field has one product, ``times_coords`` in
+Z[zeta]/(zeta^d + 1), and one inverse by descent through the quadratic
+tower.  Square roots descend the same tower, to ``isqrt`` over Z
+(Z[zeta] is the full ring of integers of Q(zeta), so roots over
+Q(zeta) run on integers too) or to Tonelli-Shanks mod q.
+``fractions.Fraction`` appears only at the boundary:
+``FieldDescriptor.element`` accepts it and ``AmbientElement.coeffs``
+returns it.
 
 The involution is one of: ``identity`` (K = A); ``inverse_conj``
 (zeta -> zeta^-1, L >= 2; on F_q[i] this is Frobenius x -> x^q, as
@@ -222,16 +225,83 @@ class FieldDescriptor:
             yield _new(self, ints, 1)
 
 
-class AmbientElement:
-    """One element of an ambient field: ``ints`` holds its coordinates
-    over the power basis as numerators over ``den`` (see the module
-    docstring).  ``FieldDescriptor.element`` builds elements; the
-    arithmetic keeps every result reduced."""
+class Element:
+    """The protocol every field and algebra element keeps: an immutable
+    value stored as integer coordinates ``ints`` over one denominator
+    ``den``, reduced (see the module docstring), and owned by ``owner``,
+    a field or an algebra.  Zero tests, ``+``, ``-``, negation, ``==``
+    and ``hash`` run on the integers alone.  A subclass supplies
+    ``field``, the ambient field of its coordinates, and ``_lift``,
+    which turns an operand into an element of the same owner (None for
+    one it cannot use); its products stay its own."""
 
     __slots__ = ("owner", "ints", "den")
 
     def __setattr__(self, name, value):
-        raise AttributeError("field elements are immutable")
+        raise AttributeError(f"{type(self).__name__} objects are immutable")
+
+    @classmethod
+    def _make(cls, owner, ints: tuple, den: int):
+        """An element from coordinates that are already reduced."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "owner", owner)
+        object.__setattr__(x, "ints", ints)
+        object.__setattr__(x, "den", den)
+        return x
+
+    def is_zero(self) -> bool:
+        return not any(self.ints)
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+    def __add__(self, other, sign: int = 1):  # sign -1 is ``__sub__``
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        K = self.field
+        vals = combine_coords(K, self.ints, self.den, o.ints, o.den, sign)
+        return self._make(self.owner, *vals)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self.__add__(other, -1)
+
+    def __rsub__(self, other):
+        o = self._lift(other)
+        return NotImplemented if o is None else o - self
+
+    def __neg__(self):
+        ints = negate_coords(self.ints, self.field.q)
+        return self._make(self.owner, ints, self.den)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
+        return (
+            self.ints == other.ints
+            and self.den == other.den
+            and (self.owner is other.owner or self.owner == other.owner)
+        )
+
+    def __hash__(self):
+        return hash((self.owner, self.ints, self.den))
+
+
+class AmbientElement(Element):
+    """One element of an ambient field, its ``owner``: ``ints`` holds its
+    coordinates over the power basis as numerators over ``den``.
+    ``FieldDescriptor.element`` builds elements."""
+
+    __slots__ = ()
+
+    field = Element.owner  # an ambient field owns its elements
+
+    def _lift(self, other) -> Optional["AmbientElement"]:
+        return self.owner.coerce(other)
 
     @property
     def coeffs(self) -> tuple:
@@ -242,41 +312,10 @@ class AmbientElement:
         den = self.den
         return tuple(Fraction(v, den) for v in self.ints)
 
-    def is_zero(self) -> bool:
-        return not any(self.ints)
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
     def is_scalar(self) -> bool:
         return not any(self.ints[1:])
 
-    # -- ring operations -------------------------------------------------
-
-    def __add__(self, other):
-        o = self.owner.coerce(other)
-        if o is None:
-            return NotImplemented
-        K = self.owner
-        return _new(K, *combine_coords(K, self.ints, self.den, o.ints, o.den, 1))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _new(self.owner, negate_coords(self.ints, self.owner.q), self.den)
-
-    def __sub__(self, other):
-        o = self.owner.coerce(other)
-        if o is None:
-            return NotImplemented
-        K = self.owner
-        return _new(K, *combine_coords(K, self.ints, self.den, o.ints, o.den, -1))
-
-    def __rsub__(self, other):
-        o = self.owner.coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    # -- products ----------------------------------------------------------
 
     def __mul__(self, other):
         o = self.owner.coerce(other)
@@ -322,32 +361,12 @@ class AmbientElement:
                 base = base * base
         return self.owner.one() if acc is None else acc
 
-    def __eq__(self, other):
-        if not isinstance(other, AmbientElement):
-            other = self.owner.coerce(other)
-            if other is None:
-                return NotImplemented
-        return (
-            self.ints == other.ints
-            and self.den == other.den
-            and (self.owner is other.owner or self.owner == other.owner)
-        )
-
-    def __hash__(self):
-        return hash((self.owner, self.ints, self.den))
-
     def __repr__(self):
         body = ", ".join(str(c) for c in self.coeffs)
         return f"<[{body}] in {self.owner}>"
 
 
-def _new(owner: FieldDescriptor, ints: tuple, den: int) -> AmbientElement:
-    """An element from coordinates that are already reduced."""
-    x = object.__new__(AmbientElement)
-    object.__setattr__(x, "owner", owner)
-    object.__setattr__(x, "ints", ints)
-    object.__setattr__(x, "den", den)
-    return x
+_new = AmbientElement._make
 
 
 # ---------------------------------------------------------------------------

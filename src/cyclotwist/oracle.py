@@ -134,9 +134,9 @@ def verify_family(family: IdempotentFamily) -> VerificationReport:
     checks prove it, and imply idempotency and orthogonality rather
     than multiply them out.  Let f = x^(2^n) - a and J = {y : p(g)*y = 0},
     an ideal of dimension deg gcd(p, f) <= deg p; p(g)*e is the sum of
-    c_k * g^k * e over the nonzero coefficients c_k of p, each term a
-    shift.  When every p(g) annihilates its e and the items sum to 1,
-    the ideals J contain the items, so they add up to all of K_t<g> and
+    c_k * g^k * e over the stated terms (k, c_k) of p, each a shift.
+    When every p(g) annihilates its e and the items sum to 1, the
+    ideals J contain the items, so they add up to all of K_t<g> and
     their dimensions sum to at least 2^n.  Degrees summing to 2^n then
     make the sum direct, with dim J = deg p: e*e' lies in J and J', so
     it is 0 for two different items, and e = e*(sum of the items) = e*e.
@@ -158,8 +158,8 @@ def verify_family(family: IdempotentFamily) -> VerificationReport:
     annihilated = []
     for it in family.items:
         e = it.element
-        # a stated prod_chi (x^S - c_chi) has at most three nonzero coefficients
-        terms = [e.shift(k).scale(c) for k, c in enumerate(it.min_poly.coeffs) if c]
+        # a stated prod_chi (x^S - c_chi) has at most three terms
+        terms = [e.shift(k).scale(c) for k, c in it.min_poly.terms]
         annihilated.append(sum(terms[1:], terms[0]).is_zero())
     total = spec.zero()
     for e in family.elements():

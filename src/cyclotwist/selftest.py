@@ -222,7 +222,8 @@ def criterion_ground_truth(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionResu
 
 
 def _expected_poly(K: FieldDescriptor, ints: Tuple[int, ...]) -> Poly:
-    return Poly(tuple(K.scalar(c) for c in ints))
+    """The Poly with these integer coefficients, low degree first."""
+    return Poly(tuple((k, K.scalar(c)) for k, c in enumerate(ints) if c))
 
 
 def criterion_exact_decompositions(

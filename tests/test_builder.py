@@ -45,6 +45,13 @@ def spec_of(field_spec, n, a_literal):
     return AlgebraSpec(K, n, parse_element(K, a_literal))
 
 
+def poly_of(coeffs):
+    """The Poly with these coefficients, a sequence low degree first or
+    a {degree: coefficient} dict: its nonzero terms."""
+    pairs = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
+    return Poly(tuple((k, c) for k, c in sorted(pairs) if c))
+
+
 def decomposed(spec):
     dec = ks_decompose(spec.field, spec.a, spec.n)
     return dec.s, dec
@@ -83,7 +90,7 @@ def min_poly_reference(e):
             small = [f * c for c in rcombo] + [zero] * (len(combo) - len(rcombo))
             combo = [c - s for c, s in zip(combo, small)]
         if all(v.is_zero() for v in vec):
-            poly = Poly(tuple(combo))
+            poly = poly_of(combo)
             if not poly.is_k_rational(K):
                 raise ValueError("g*e does not generate a K-rational component")
             return poly
@@ -365,24 +372,37 @@ def test_deep_unit_coset_family_is_sound_but_uncertified():
     assert all(c.primitive for c in family.report.item_checks)
 
 
+def test_cancelled_middle_terms_are_not_stated():
+    # x^8 - 16: the pairs of characters +-sqrt(2) and +-sqrt(-2) state
+    # x^2 - 2 and x^2 + 2, their middle coefficient -(k1 + k2) being 0
+    family = build(spec_of("Q", 3, "16"))
+    terms = {str(it.min_poly): it.min_poly.terms for it in family.items}
+    assert sorted(terms) == ["x^2 + 2", "x^2 + 2*x + 2", "x^2 - 2", "x^2 - 2*x + 2"]
+    Q = family.spec.field
+    assert terms["x^2 - 2"] == ((0, Q.scalar(-2)), (2, Q.one()))
+    assert terms["x^2 + 2"] == ((0, Q.scalar(2)), (2, Q.one()))
+
+
 def test_deep_unit_coset_octics():
     # The two depth-2 components have the conjugate non-binomial minimal
     # polynomials x^8 +- (8 + 6*sqrt2) x^4 + (68 + 48*sqrt2).
     spec = spec_of("QR:3", 5, DEEP_A)
     family = build(spec, checked=False)
-    K = spec.field
     octics = {
-        it.label: [c.coeffs for c in it.min_poly.coeffs]
+        it.label: [(k, c.coeffs) for k, c in it.min_poly.terms]
         for it in family.items
         if it.dim == 8
     }
-    zeros = [K.zero().coeffs] * 3
-    assert octics[(2, 0)] == (
-        [(68, 48, 0, -48)] + zeros + [(8, 6, 0, -6)] + zeros + [(1, 0, 0, 0)]
-    )
-    assert octics[(2, 1)] == (
-        [(68, 48, 0, -48)] + zeros + [(-8, -6, 0, 6)] + zeros + [(1, 0, 0, 0)]
-    )
+    assert octics[(2, 0)] == [
+        (0, (68, 48, 0, -48)),
+        (4, (8, 6, 0, -6)),
+        (8, (1, 0, 0, 0)),
+    ]
+    assert octics[(2, 1)] == [
+        (0, (68, 48, 0, -48)),
+        (4, (-8, -6, 0, 6)),
+        (8, (1, 0, 0, 0)),
+    ]
 
 
 # -- emulation edges -------------------------------------------------------------
@@ -413,7 +433,7 @@ def test_level_one_ambient():
     # the certificate is one square test only because i is in A: over Q,
     # x^4 + 4 = (x^2 + 2x + 2)(x^2 - 2x + 2) although -4 is no square,
     # so it refuses rather than answer
-    x4_plus_4 = Poly((Q1.scalar(4), Q1.zero(), Q1.zero(), Q1.zero(), Q1.one()))
+    x4_plus_4 = poly_of((Q1.scalar(4), Q1.zero(), Q1.zero(), Q1.zero(), Q1.one()))
     with pytest.raises(ValueError, match="square root of -1"):
         certify_irreducible(Q1, x4_plus_4)
 

@@ -162,6 +162,14 @@ def test_verify_finite_all_oracles(capsys):
     assert "overall: PASS" in out
 
 
+def test_verify_enumerates_over_a_61_bit_prime(capsys):
+    # the Frobenius certificate squares in slots wider than 8 bytes
+    code, out, _ = run(capsys, "verify", "F:2305843009213693951", "6", "5")
+    assert code == 0
+    assert "enumeration: pass" in out
+    assert "overall: PASS" in out
+
+
 def test_verify_skips_are_reported(capsys):
     code, out, _ = run(capsys, "verify", "QC:3", "2", "4")
     assert code == 0

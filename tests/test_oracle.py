@@ -2,6 +2,7 @@
 certificate, conjugate pairing."""
 
 import json
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,20 +11,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclotwist import _enum_py, cli
-from cyclotwist.algebra import AlgebraElement, AlgebraSpec, Poly, certify_irreducible
+from cyclotwist.algebra import AlgebraElement, AlgebraSpec, certify_irreducible
 from cyclotwist.builder import IdempotentItem, ambient_family, build, verified
 from cyclotwist.fields import IDENTITY, is_in_k, sigma, sigma_coords, sqrt_ambient
 from cyclotwist.grammar import parse_element, parse_field
 from cyclotwist.oracle import (
     EnumerationBudgetError,
     VerificationError,
+    _square,
     brute_enumerate_minimal,
     conjugate_pairing_check,
     cross_check,
     verify_family,
 )
 from cyclotwist.selftest import MATRIX
-from test_builder import min_poly_reference
+from test_builder import min_poly_reference, poly_of
 
 
 def spec_of(field_spec, n, a_literal):
@@ -168,6 +170,16 @@ def test_certificate_rejects_mutants(field_spec, n, a):
     assert kinds >= {"dropped", "duplicated", "negated", "complemented", "shifted", "merged"}
 
 
+@pytest.mark.parametrize("N", [1, 2, 8, 64])
+def test_square_with_slots_wider_than_eight_bytes(N):
+    # residues mod 2^61 - 1 square to 122 bits, past any struct lane
+    q = 2**61 - 1
+    rng = random.Random(N)
+    for x in [tuple(rng.randrange(q) for _ in range(N)), (q - 1,) * N]:
+        a = rng.randrange(1, q)
+        assert _square(x, q, a) == _enum_py._mul(x, x, q, N, a)
+
+
 def test_certificate_rejects_items_outside_k():
     # e0 + i*e1 has the residues of e0 in its K-coordinates
     family = build(spec_of("F:7", 2, "1"), checked=False)
@@ -273,13 +285,12 @@ def test_verify_flags_wrong_dim():
 
 
 def poly_product(p, r):
-    """p * r, coefficient by coefficient."""
-    zero = p.coeffs[0].owner.zero()
-    out = [zero] * (p.degree + r.degree + 1)
-    for i, x in enumerate(p.coeffs):
-        for j, y in enumerate(r.coeffs):
-            out[i + j] = out[i + j] + x * y
-    return Poly(tuple(out))
+    """p * r, term by term."""
+    out = {}
+    for i, x in p.terms:
+        for j, y in r.terms:
+            out[i + j] = out.get(i + j, 0) + x * y
+    return poly_of(out)
 
 
 def with_stated_poly(family, label, poly):
@@ -294,8 +305,9 @@ def with_stated_poly(family, label, poly):
 def test_verify_flags_stated_poly_with_wrong_constant(field_spec, n, a):
     family = build(spec_of(field_spec, n, a), checked=False)
     item = family.items[0]
-    coeffs = item.min_poly.coeffs
-    wrong = Poly((coeffs[0] + coeffs[-1],) + coeffs[1:])
+    coeffs = dict(item.min_poly.terms)
+    coeffs[0] = coeffs[0] + 1
+    wrong = poly_of(coeffs)
     report = verify_family(with_stated_poly(family, item.label, wrong))
     checks = {c.label: c for c in report.item_checks}
     assert not checks[item.label].min_poly_annihilates
@@ -361,9 +373,9 @@ def test_verify_flags_stated_poly_with_a_root_in_k(field_spec, n, a, other):
     family = build(spec_of(field_spec, n, a), checked=False)
     item = family.items[0]
     K = family.spec.field
-    c = -item.min_poly.coeffs[0]
+    c = -dict(item.min_poly.terms)[0]
     assert item.min_poly.degree == 1 and c != -other
-    p = Poly((c * other, -(c + other), K.one()))
+    p = poly_of((c * other, -(c + other), K.one()))
     report = verify_family(with_stated_poly(family, item.label, p))
     check = report.item_checks[0]
     assert check.min_poly_annihilates and check.dim_consistent and check.idempotent
@@ -379,9 +391,11 @@ def corrupted_ambient(ambient, corruption):
     if corruption == "dropped":
         return replace(ambient, items=ambient.items[1:]), ambient.items[0].label
     for k, it in enumerate(ambient.items):
-        c = -it.min_poly.coeffs[0]
+        coeffs = dict(it.min_poly.terms)
+        c = -coeffs[0]
         if not c.is_zero() and c != c.owner.one():
-            p = Poly((-(c * c),) + it.min_poly.coeffs[1:])
+            coeffs[0] = -(c * c)
+            p = poly_of(coeffs)
             items = list(ambient.items)
             items[k] = replace(it, min_poly=p)
             return replace(ambient, items=tuple(items)), it.label
@@ -524,10 +538,10 @@ def descent_reference(family):
     if K.involution == IDENTITY:
         certified = set()
         for it in family.items:
-            c = it.min_poly.coeffs
+            c = dict(it.min_poly.terms)
             D = it.min_poly.degree
-            binomial = not D & (D - 1) and not any(c[1:-1])
-            if D == 1 or (binomial and sqrt_ambient(K, -c[0]) is None):
+            binomial = not D & (D - 1) and c.keys() <= {0, D}
+            if D == 1 or (binomial and sqrt_ambient(K, -c.get(0, K.zero())) is None):
                 certified.add(it.label)
         return certified
     ambient = ambient_family(family)
@@ -562,6 +576,19 @@ def golden_instances():
     out = {tuple(t for t in k.split() if not t.startswith("--"))[1:] for k in keys}
     out |= {(c.field, str(c.n), c.a) for c in MATRIX}
     return sorted(out)
+
+
+@pytest.mark.parametrize("field_spec, n, a", golden_instances(), ids=" ".join)
+def test_stated_polys_are_their_nonzero_terms(field_spec, n, a):
+    # prod_chi (x^S - c_chi) over at most two characters: at most three
+    # terms, nonzero, by increasing degree, monic
+    family = build(spec_of(field_spec, int(n), a), checked=False)
+    for it in family.items + ambient_family(family).items:
+        degrees = [k for k, _ in it.min_poly.terms]
+        assert 2 <= len(degrees) <= 3 and degrees == sorted(set(degrees))
+        assert all(not c.is_zero() for _, c in it.min_poly.terms)
+        top = it.min_poly.terms[-1][1]
+        assert top == top.owner.one() and degrees[-1] == it.dim
 
 
 @pytest.mark.parametrize("field_spec, n, a", golden_instances(), ids=" ".join)
