@@ -17,8 +17,9 @@ elements (or ints and Fractions), and the read-only
 ``AlgebraElement.coeffs`` returns them.
 
 ``AlgebraElement`` keeps the one element protocol of ``fields.Element``
-(immutability, zero tests, sums, negation, equality, hashing on the
-integer tuples); scaling, shifts and products are its own.  Products
+(immutability, zero tests, sums, negation, equality, hashing, powers,
+the product by a field element and the fixed-field test, on the
+integer tuples); shifts and products of two elements are its own.  Products
 are one big-integer multiplication each (Kronecker substitution, see
 ``alg_mul``), taken on the sublattice of exponents the operands occupy,
 so an idempotent supported on every 2^j-th power of g costs a product
@@ -53,7 +54,6 @@ from .fields import (
     is_in_k,
     reduce_coords,
     require_unit_in_k,
-    sigma_coords,
     times_coords,
 )
 from .grammar import format_element
@@ -101,7 +101,7 @@ class AlgebraSpec:
         return _new(self, (0,) * (self.size * self.field.ambient_dim), 1)
 
     def one(self) -> "AlgebraElement":
-        return self.gbar(0)
+        return self.scalar(1)
 
     def scalar(self, c: Coeffish) -> "AlgebraElement":
         x = _field_element(self.field, c)
@@ -109,13 +109,18 @@ class AlgebraSpec:
 
     def gbar(self, e: int = 1) -> "AlgebraElement":
         """The basis monomial g^e, reduced by g^(2^n) = a.  e >= 0."""
-        if e < 0:
-            raise ValueError("exponent must be >= 0")
-        wraps, r = divmod(e, self.size)
-        w = self.a**wraps
-        d = len(w.ints)
-        zeros = self._zero.ints
-        return _new(self, zeros[: r * d] + w.ints + zeros[(r + 1) * d :], w.den)
+        return self.one().shift(e)
+
+    def coerce(self, c) -> Optional["AlgebraElement"]:
+        """``c`` as an element of this algebra: an element of it as is, a
+        field element or any other number as a scalar
+        (``FieldDescriptor.coerce``), None for anything else."""
+        if isinstance(c, AlgebraElement):
+            if c.owner is not self and c.owner != self:
+                raise AmbientError("operands live in different algebras")
+            return c
+        x = self.field.coerce(c)
+        return None if x is None else self.scalar(x)
 
 
 def _field_element(K: FieldDescriptor, c: Coeffish) -> AmbientElement:
@@ -171,62 +176,35 @@ class AlgebraElement(Element):
                 out.append(_new_field_element(K, *reduce_coords(K, chunk, den)))
         return tuple(out)
 
-    def _lift(self, other) -> Optional["AlgebraElement"]:
-        if isinstance(other, AlgebraElement):
-            if other.spec is not self.spec and other.spec != self.spec:
-                raise AmbientError("operands live in different algebras")
-            return other
-        c = self.spec.field.coerce(other)
-        return None if c is None else self.spec.scalar(c)
-
-    def is_k_rational(self) -> bool:
-        return sigma_coords(self.spec.field, self.ints) == list(self.ints)
-
     def scale(self, c: Coeffish) -> "AlgebraElement":
-        K = self.spec.field
-        x = _field_element(K, c)
+        x = _field_element(self.field, c)
         if x.den == 1 and x.ints[0] == 1 and x.is_scalar():
             return self
-        vals = times_coords(self.ints, x.ints, K.q)
-        return _new(self.spec, *reduce_coords(K, vals, self.den * x.den))
+        return self._times(x)
 
     def shift(self, k: int) -> "AlgebraElement":
         """g^k * self for k >= 0: the coefficients rotate by k, and each
         one that wraps past g^(2^n) picks up a factor of a per wrap."""
         if k < 0:
             raise ValueError("shift must be >= 0")
-        if k == 0:
-            return self
         spec = self.spec
-        K = spec.field
         wraps, r = divmod(k, spec.size)
-        cut = (spec.size - r) * K.ambient_dim
-        head, tail = self.ints[cut:], self.ints[:cut]
-        low = spec.a**wraps
-        high = low * spec.a
-        den = lcm(low.den, high.den)
-        vals = times_coords(head, [v * (den // high.den) for v in high.ints], K.q)
-        vals += times_coords(tail, [v * (den // low.den) for v in low.ints], K.q)
-        return _new(spec, *reduce_coords(K, vals, self.den * den))
+        x = self
+        if r:  # g^r * self: the last r coefficients wrap once
+            a = spec.a
+            cut = (spec.size - r) * spec.field.ambient_dim
+            vals = times_coords(self.ints[cut:], a.ints, 0)
+            vals += [v * a.den for v in self.ints[:cut]]
+            x = _new(spec, *reduce_coords(spec.field, vals, self.den * a.den))
+        return x._times(spec.a**wraps) if wraps else x
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             return alg_mul(self, other)
-        c = self.spec.field.coerce(other)
+        c = self.field.coerce(other)
         return NotImplemented if c is None else self.scale(c)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            return NotImplemented
-        acc, base = self.spec.one(), self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
 
     def __repr__(self):
         body = " + ".join(
@@ -367,10 +345,6 @@ class Poly:
     def degree(self) -> int:
         return self.terms[-1][0]
 
-    def is_k_rational(self, K: FieldDescriptor) -> bool:
-        """Every coefficient lies in K."""
-        return all(is_in_k(K, c) for _, c in self.terms)
-
     def __str__(self):
         parts = []
         for k, c in reversed(self.terms):
@@ -440,7 +414,7 @@ def certify_irreducible(K: FieldDescriptor, poly: Poly) -> bool:
         return False
     beta, gamma = c.get(S, K.zero()), c.get(0, K.zero())
     # every root is looked up on the module, so that a traced run counts it
-    if not poly.is_k_rational(K):
+    if not all(is_in_k(K, c) for _, c in poly.terms):
         return False
     delta = fields.sqrt_ambient(K, beta * beta - 4 * gamma)
     if delta is None:

@@ -350,7 +350,7 @@ def ambient_spec(spec: AlgebraSpec) -> AlgebraSpec:
     """The same algebra over the ambient field A, with the trivial
     involution; equal to ``spec`` when K = A."""
     A = replace(spec.field, involution=IDENTITY)
-    return AlgebraSpec(A, spec.n, A.element(spec.a.coeffs))
+    return AlgebraSpec(A, spec.n, AmbientElement._make(A, spec.a.ints, spec.a.den))
 
 
 def ambient_family(family: IdempotentFamily) -> IdempotentFamily:

@@ -15,8 +15,9 @@ same reduced form as a flat algebra element: residues mod q over F_q,
 and over Q(zeta) numerators over one positive denominator in lowest
 terms, so equality and hashing compare plain tuples.  Both kinds keep
 one element protocol, ``Element``: immutability, zero tests, sums,
-differences, negation, equality and hashing, written once on those
-integers.  Every field has one product, ``times_coords`` in
+differences, negation, equality, hashing, powers, operand coercion,
+the product by a field element and the fixed-field test, written once
+on those integers.  Every field has one product, ``times_coords`` in
 Z[zeta]/(zeta^d + 1), and one inverse by descent through the quadratic
 tower.  Square roots descend the same tower, to ``isqrt`` over Z
 (Z[zeta] is the full ring of integers of Q(zeta), so roots over
@@ -36,9 +37,10 @@ All arithmetic is exact; there is no floating point anywhere, and
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from math import gcd, isqrt, lcm
 from numbers import Number
 from typing import Iterator, Optional, Sequence, Tuple, Union
@@ -229,11 +231,12 @@ class Element:
     """The protocol every field and algebra element keeps: an immutable
     value stored as integer coordinates ``ints`` over one denominator
     ``den``, reduced (see the module docstring), and owned by ``owner``,
-    a field or an algebra.  Zero tests, ``+``, ``-``, negation, ``==``
-    and ``hash`` run on the integers alone.  A subclass supplies
-    ``field``, the ambient field of its coordinates, and ``_lift``,
-    which turns an operand into an element of the same owner (None for
-    one it cannot use); its products stay its own."""
+    a field or an algebra whose ``coerce`` turns an operand into one of
+    its elements (None for one it cannot use).  Zero tests, ``+``,
+    ``-``, negation, ``==``, ``hash``, ``**``, the product by an ambient
+    element and the fixed-field test run on the integers alone.  A
+    subclass supplies ``field``, the ambient field of its coordinates;
+    products of two algebra elements are the algebra's own."""
 
     __slots__ = ("owner", "ints", "den")
 
@@ -249,11 +252,19 @@ class Element:
         object.__setattr__(x, "den", den)
         return x
 
+    def _lift(self, other):
+        return self.owner.coerce(other)
+
     def is_zero(self) -> bool:
         return not any(self.ints)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
+
+    def is_k_rational(self) -> bool:
+        """Is every ambient coordinate run fixed by the involution: does
+        the element lie in K, or have all its coefficients there?"""
+        return sigma_coords(self.field, self.ints) == list(self.ints)
 
     def __add__(self, other, sign: int = 1):  # sign -1 is ``__sub__``
         o = self._lift(other)
@@ -276,8 +287,35 @@ class Element:
         ints = negate_coords(self.ints, self.field.q)
         return self._make(self.owner, ints, self.den)
 
+    def _times(self, c: "AmbientElement"):
+        """self times the ambient element c: each run of coordinates by
+        ``times_coords``, then one reduction (mod q included)."""
+        vals = times_coords(self.ints, c.ints, 0)
+        den = self.den * c.den
+        return self._make(self.owner, *reduce_coords(self.field, vals, den))
+
+    def inverse(self):
+        raise TypeError(f"{type(self).__name__} has no inverse")
+
+    def __pow__(self, e: int):
+        if not isinstance(e, int):
+            return NotImplemented
+        base = self
+        if e < 0:
+            base, e = base.inverse(), -e
+        acc = None
+        while e:
+            if e & 1:
+                acc = base if acc is None else acc * base
+            e >>= 1
+            if e:  # square only while bits remain
+                base = base * base
+        return self.owner.one() if acc is None else acc
+
     def __eq__(self, other):
         if type(other) is not type(self):
+            if isinstance(other, Element) and other.field != self.field:
+                return False  # over another field: unequal, not an error
             other = self._lift(other)
             if other is None:
                 return NotImplemented
@@ -288,7 +326,24 @@ class Element:
         )
 
     def __hash__(self):
-        return hash((self.owner, self.ints, self.den))
+        # equal elements hash alike across kinds: a scalar as the number
+        # it equals, any other element as its coordinates up to the last
+        # nonzero one (an algebra scalar's tail is zero)
+        ints = self.ints
+        if not any(ints[1:]):
+            return _rational_hash(ints[0], self.den)
+        last = max(compress(range(len(ints)), ints))
+        return hash((ints[: last + 1], self.den))
+
+
+def _rational_hash(num: int, den: int) -> int:
+    """hash(num/den) as Python hashes every rational, an int or a
+    Fraction ("Hashing of numeric types" in the Python docs), for
+    num/den in lowest terms with den > 0."""
+    P = sys.hash_info.modulus
+    h = abs(num) % P * pow(den, -1, P) % P if den % P else sys.hash_info.inf
+    h = -h if num < 0 else h
+    return -2 if h == -1 else h
 
 
 class AmbientElement(Element):
@@ -299,9 +354,6 @@ class AmbientElement(Element):
     __slots__ = ()
 
     field = Element.owner  # an ambient field owns its elements
-
-    def _lift(self, other) -> Optional["AmbientElement"]:
-        return self.owner.coerce(other)
 
     @property
     def coeffs(self) -> tuple:
@@ -318,12 +370,8 @@ class AmbientElement(Element):
     # -- products ----------------------------------------------------------
 
     def __mul__(self, other):
-        o = self.owner.coerce(other)
-        if o is None:
-            return NotImplemented
-        K = self.owner
-        vals = times_coords(self.ints, o.ints, 0)
-        return _new(K, *reduce_coords(K, vals, self.den * o.den))
+        o = self._lift(other)
+        return NotImplemented if o is None else self._times(o)
 
     __rmul__ = __mul__
 
@@ -335,31 +383,12 @@ class AmbientElement(Element):
         return _new(K, *reduce_coords(K, [v * self.den for v in nums], nrm))
 
     def __truediv__(self, other):
-        o = self.owner.coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        o = self._lift(other)
+        return NotImplemented if o is None else self * o.inverse()
 
     def __rtruediv__(self, other):
-        o = self.owner.coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int):
-            return NotImplemented
-        base = self
-        if e < 0:
-            base, e = base.inverse(), -e
-        acc = None
-        while e:
-            if e & 1:
-                acc = base if acc is None else acc * base
-            e >>= 1
-            if e:  # square only while bits remain
-                base = base * base
-        return self.owner.one() if acc is None else acc
+        o = self._lift(other)
+        return NotImplemented if o is None else o * self.inverse()
 
     def __repr__(self):
         body = ", ".join(str(c) for c in self.coeffs)
@@ -694,18 +723,18 @@ def sigma_coords(K: FieldDescriptor, vals: Sequence) -> list:
 
 def is_in_k(K: FieldDescriptor, x: AmbientElement) -> bool:
     """Test membership in the fixed field K of the involution."""
-    return sigma(K, x) == x
+    if x.owner != K:
+        raise AmbientError("element does not belong to this field")
+    return x.is_k_rational()
 
 
 def require_unit_in_k(K: FieldDescriptor, a: AmbientElement) -> None:
     """Refuse an ``a`` that is not a unit of the fixed field K: it must
-    belong to K's ambient field, be nonzero and be fixed by sigma."""
-    if a.owner != K:
-        raise AmbientError("element does not belong to this field")
-    if a.is_zero():
-        raise ValueError("a must be nonzero")
+    belong to K's ambient field, be fixed by sigma and be nonzero."""
     if not is_in_k(K, a):
         raise ValueError("a must lie in the fixed field K")
+    if a.is_zero():
+        raise ValueError("a must be nonzero")
 
 
 def norm(K: FieldDescriptor, x: AmbientElement) -> AmbientElement:

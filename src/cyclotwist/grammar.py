@@ -65,6 +65,14 @@ __all__ = [
 ]
 
 
+# the cyclotomic spec heads: the involution each names, and its least level
+_CYCLOTOMIC = {
+    "QC": (IDENTITY, 2),
+    "QR": (INVERSE_CONJ, 2),
+    "QE": (NEGATED_INVERSE_CONJ, 3),
+}
+
+
 def _parse_level(tail: str, spec: str, minimum: int) -> int:
     try:
         level = int(tail)
@@ -89,15 +97,9 @@ def parse_field(spec: str) -> FieldDescriptor:
         raise ValueError(
             f"unknown field spec {spec!r}: expected Q, QC:L, QR:L, QE:L, or F:q"
         )
-    if head == "QC":
-        level = _parse_level(tail, spec, 2)
-        return FieldDescriptor(IDENTITY, level)
-    if head == "QR":
-        level = _parse_level(tail, spec, 2)
-        return FieldDescriptor(INVERSE_CONJ, level)
-    if head == "QE":
-        level = _parse_level(tail, spec, 3)
-        return FieldDescriptor(NEGATED_INVERSE_CONJ, level)
+    if head in _CYCLOTOMIC:
+        involution, least = _CYCLOTOMIC[head]
+        return FieldDescriptor(involution, _parse_level(tail, spec, least))
     if head == "F":
         try:
             q = int(tail)
@@ -127,13 +129,13 @@ def format_field(field: FieldDescriptor) -> str:
                 "else the fixed field of Frobenius on F_q[i]"
             )
         return f"F:{field.q}"
-    if field.involution == IDENTITY:
-        if field.level < 2:
-            raise ValueError("field has no spec string: QC levels start at 2")
-        return f"QC:{field.level}"
-    if field.involution == INVERSE_CONJ:
-        return "Q" if field.level == 2 else f"QR:{field.level}"
-    return f"QE:{field.level}"
+    for head, (involution, least) in _CYCLOTOMIC.items():
+        if field.involution == involution:
+            if field.level < least:
+                raise ValueError(
+                    f"field has no spec string: {head} levels start at {least}"
+                )
+            return "Q" if (head, field.level) == ("QR", 2) else f"{head}:{field.level}"
 
 
 def _coordinate(field: FieldDescriptor, token: str):

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from . import _enum_py
 from .algebra import AlgebraElement, AlgebraSpec, certify_irreducible
-from .fields import IDENTITY, sigma_coords
+from .fields import IDENTITY, is_in_k, sigma_coords
 
 if TYPE_CHECKING:
     from .builder import IdempotentFamily
@@ -179,7 +179,7 @@ def verify_family(family: IdempotentFamily) -> VerificationReport:
             idempotent=orthogonal or e * e == e,  # a direct sum implies it
             k_rational=e.is_k_rational(),
             min_poly_annihilates=annihilates,
-            min_poly_k_rational=it.min_poly.is_k_rational(K),
+            min_poly_k_rational=all(is_in_k(K, c) for _, c in it.min_poly.terms),
             dim_consistent=it.min_poly.degree == it.dim,
             primitive=certify_irreducible(K, it.min_poly),
         )

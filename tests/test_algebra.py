@@ -207,6 +207,8 @@ def test_flat_storage_matches_the_coefficient_reference(data):
     for f in (c, K.one(), K.element([1] * K.ambient_dim)):
         assert x.scale(f).coeffs == tuple(f * u for u in xs)
     assert x.shift(k).coeffs == tuple(reference_shift(spec, xs, k))
+    unit = [K.one()] + [K.zero()] * (spec.size - 1)
+    assert spec.gbar(k).coeffs == tuple(reference_shift(spec, unit, k))
     assert x.is_zero() == all(u.is_zero() for u in xs)
     assert x.is_k_rational() == all(reference_in_k(K, u) for u in xs)
     # an element of K_t<g> whose coefficients lie in K
@@ -242,6 +244,26 @@ def test_shift_refuses_negative_exponents():
     spec = spec_of("Q", 2, "2")
     with pytest.raises(ValueError, match="shift"):
         spec.one().shift(-1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_powers_are_repeated_products(data):
+    spec = data.draw(kernel_specs(max_n=3))
+    c = data.draw(ambient_elements(spec.field))
+    x = data.draw(algebra_elements(spec))
+    for y in (c, x):
+        product = y.owner.one()
+        for e in range(7):
+            assert y**e == product
+            product = product * y
+    if c:
+        product = c.inverse()
+        for e in range(1, 7):
+            assert c**-e == product
+            product = product * c.inverse()
+    with pytest.raises(TypeError):
+        x**-1
 
 
 @settings(max_examples=40, deadline=None)
@@ -282,6 +304,19 @@ def test_element_protocol(x):
     assert -(-x) == x and not (x + -x) and (x - x).is_zero()
     rebuilt = (x + x) - x
     assert rebuilt is not x and rebuilt == x and hash(rebuilt) == hash(x)
+    # x == y implies hash(x) == hash(y), across kinds and with numbers
+    # (over F_q only a residue in 0..q-1 shares its element's hash)
+    K = x.field
+    algebra = AlgebraSpec(K, 1, K.one())
+    pool = [x, rebuilt, -x, x + 1, one, 0, 1, 3, K.zero(), K.one(), K.scalar(3)]
+    pool += [K.zeta_pow(1), algebra.one(), algebra.scalar(K.zeta_pow(1))]
+    if x.owner is K:
+        pool.append(algebra.scalar(x))
+    if not K.q:
+        pool += [Fraction(3, 2), -1, algebra.scalar(Fraction(3, 2))]
+    for u, v in itertools.product(pool, repeat=2):
+        if u == v:
+            assert hash(u) == hash(v), (u, v)
 
 
 @pytest.mark.parametrize(
@@ -293,6 +328,9 @@ def test_mixed_comparisons(field_spec, n, a, other_a):
     K = spec.field
     assert spec.one() == K.one() and K.one() == spec.one()
     assert spec.one() == 1 and K.one() == 1
+    assert len({spec.one(), K.one(), 1}) == 1
+    i = K.zeta_pow(1)
+    assert spec.scalar(i) == i and hash(spec.scalar(i)) == hash(i)
     assert spec.gbar(1) != K.one() and K.one() != spec.gbar(1)
     # elements of two different algebras are unequal, even with equal
     # coordinates, and comparing them raises nothing
@@ -301,6 +339,9 @@ def test_mixed_comparisons(field_spec, n, a, other_a):
         assert (spec.one() == other.one()) is False
         assert spec.one() != other.one()
     assert twisted.zero().ints == spec.zero().ints and spec.zero() != twisted.zero()
+    # so are a field and an algebra element over two different fields
+    x, y = spec.scalar(3), F5.scalar(3)
+    assert x != y and y != x and len({x, y}) == 2
 
 
 # -- minimal polynomials -------------------------------------------------------

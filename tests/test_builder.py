@@ -91,7 +91,7 @@ def min_poly_reference(e):
             combo = [c - s for c, s in zip(combo, small)]
         if all(v.is_zero() for v in vec):
             poly = poly_of(combo)
-            if not poly.is_k_rational(K):
+            if not all(fields.is_in_k(K, c) for _, c in poly.terms):
                 raise ValueError("g*e does not generate a K-rational component")
             return poly
         pivot = next(i for i, v in enumerate(vec) if not v.is_zero())
