@@ -5,25 +5,27 @@ Every minimal idempotent is an averaged character sum
     (1/T) * sum_{j<T} w_j * u^j
 
 over powers of a unit u = b^(-2^r) g^(2^(n-s+r)), where the weights w_j
-are (sums of two) powers of roots of unity chosen so that the result is
-K-rational.  As the powers of u never wrap, the sum is the T powers of
-one constant c = chi * b^(-2^r) per character, laid on the lattice
-g^(j * 2^(n-s+r)); ``_char_sum`` builds them as one flat integer list
-by doubling, with O(log T) products per character and none per
-coefficient.  Each case function forms b^(-2^r) once per depth r (one
-inverse of b, then one squaring per r) and its constants as running
-products by the roots of unity it holds, one product per character;
-``_item`` states the minimal polynomial from c^-1 = b^(2^r) / chi, the
-one inverse a character costs.  Which family of weights applies is
-decided entirely by the field type (B/D/E), the depth s of a in the
-2-power filtration, and the coset form of a in K_s.  The four case
-functions below each produce one complete family, every item stated
-with its component dimension and the minimal polynomial the character
-sum already determines (see ``_item``); ``build`` only dispatches.
-The two that serve every depth (``thm2_case1`` for K = A,
-``thm3_case3`` for a plain coset) average over the roots of unity up
-to t = min(s, m) or min(s, m-1) and add the blocks on squared
-generators only when s runs past that supply.
+are the powers of one character chi, or of a character and its image
+under the involution, so that the result is K-rational.  Each item is
+given by one constant c = chi * b^(-2^r): its partner, when it has one,
+is sigma(c), and there is none exactly when c lies in K.  As the powers
+of u never wrap, the sum is the T powers of c (and their sigma images)
+laid on the lattice g^(j * 2^(n-s+r)); ``_char_sum`` builds them as one
+flat integer list by doubling, with O(log T) products per item and none
+per coefficient.  Each case function forms b^(-2^r) once per depth r
+(one inverse of b, then one squaring per r) and enumerates its constants
+block by block (``_block``) as running products by the roots of unity it
+holds, one product per item; ``_item`` states the minimal polynomial
+from k = c^-1 = b^(2^r) / chi, the one inverse an item costs.  Which
+family of weights applies is decided entirely by the field type (B/D/E),
+the depth s of a in the 2-power filtration, and the coset form of a in
+K_s.  The four case functions below each produce one complete family,
+every item stated with its component dimension and the minimal
+polynomial the character sum already determines (see ``_item``);
+``build`` only dispatches.  The two that serve every depth
+(``thm2_case1`` for K = A, ``thm3_case3`` for a plain coset) average
+over the roots of unity up to t = min(s, m) or min(s, m-1) and add the
+blocks on squared generators only when s runs past that supply.
 
 Index conventions that completeness depends on (checked by the test
 suite, which drops the labels of the rejected narrower variants):
@@ -41,8 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import accumulate, repeat
-from math import lcm
-from operator import floordiv, mul
+from operator import add, floordiv, mul
 from typing import List, Optional, Tuple
 
 from .algebra import AlgebraElement, AlgebraSpec, Poly
@@ -57,7 +58,7 @@ from .classify import (
     classify,
     ks_decompose,
 )
-from .fields import IDENTITY, AmbientElement, eps, times_coords
+from .fields import IDENTITY, AmbientElement, eps, sigma, sigma_coords, times_coords
 
 @dataclass(frozen=True)
 class IdempotentItem:
@@ -93,81 +94,82 @@ class IdempotentFamily:
 
 
 def _char_sum(
-    spec: AlgebraSpec, s: int, r: int, *cs: AmbientElement
+    spec: AlgebraSpec, s: int, r: int, c: AmbientElement, paired: bool
 ) -> AlgebraElement:
-    """(1/T) * sum over c in ``cs`` of sum_{j<T} c^j * g^(j * 2^(n-s+r)),
-    T = 2^(s-r): the averaged character sum over the powers of the unit
-    u = b^(-2^r) g^(2^(n-s+r)), given the constant c = chi * b^(-2^r)
-    of each character chi.  Since j * 2^(n-s+r) < 2^n the powers of u
-    never wrap, so with c = nums/D the coefficient c^j / T lands on
-    g^(j * 2^(n-s+r)).
+    """(1/T) * sum_{j<T} c^j * g^(j * 2^(n-s+r)), plus the same sum over
+    sigma(c) when ``paired``, T = 2^(s-r): the averaged character sum
+    over the powers of the unit u = b^(-2^r) g^(2^(n-s+r)), given the
+    constant c = chi * b^(-2^r) of its character chi.  Since
+    j * 2^(n-s+r) < 2^n the powers of u never wrap, so with c = nums/D
+    the coefficient c^j / T lands on g^(j * 2^(n-s+r)).
 
     The numerators of c^0, ..., c^(T-1), each over D^j, form one flat
     list of T * d integers, built by doubling: with the first k powers
     in place and high = nums^k, one ``times_coords`` call appends the
-    next k, and squaring high readies the next round, so a ladder takes
-    log2 T appends and log2 T - 1 squarings.  Power j is raised to the
-    common denominator top = lcm_c D^(T-1) by one scale list (only
-    when some D > 1), the ladders are summed coordinate-wise, and d
-    strided slice assignments lay the T sums on the lattice g^(jS)."""
+    next k, and squaring high readies the next round, so the ladder
+    takes log2 T appends and log2 T - 1 squarings.  Power j is raised
+    to the common denominator top = D^(T-1) by one scale list (only
+    when D > 1).  The partner's powers are the ladder's
+    ``sigma_coords`` image, as sigma(c)^j = sigma(c^j) and sigma fixes
+    D.  Then d strided slice assignments lay the T sums on the lattice
+    g^(jS)."""
     K = spec.field
     q = K.q
     d = K.ambient_dim
     T = 1 << (s - r)
     step = d << (spec.n - s + r)
-    ladders = []
-    for c in cs:
-        flat, high = list(K.one().ints), c.ints
-        for k in range(s - r):
-            if k:
-                high = times_coords(high, high, q)
-            flat += times_coords(flat, high, q)
-        ladders.append((flat, c.den))
-    top = lcm(*(den ** (T - 1) for _, den in ladders))
+    flat, high = list(K.one().ints), c.ints
+    for k in range(s - r):
+        if k:
+            high = times_coords(high, high, q)
+        flat += times_coords(flat, high, q)
+    top = c.den ** (T - 1)
     if top > 1:  # c^j = w_j / D^j = w_j * (top / D^j) / top
-        for flat, den in ladders:
-            scales = list(accumulate(repeat(den, T - 1), floordiv, initial=top))
-            for i in range(d):
-                flat[i::d] = map(mul, flat[i::d], scales)
-    flats = [flat for flat, _ in ladders]
-    total = flats[0] if len(flats) == 1 else list(map(sum, zip(*flats)))
+        scales = list(accumulate(repeat(c.den, T - 1), floordiv, initial=top))
+        for i in range(d):
+            flat[i::d] = map(mul, flat[i::d], scales)
+    if paired:
+        flat = list(map(add, flat, sigma_coords(K, flat)))
     vals = [0] * (spec.size * d)
     for i in range(d):
-        vals[i : T * step : step] = total[i::d]
+        vals[i : T * step : step] = flat[i::d]
     return AlgebraElement(spec, vals, T * top)
 
 
 def _item(
-    label: tuple, spec: AlgebraSpec, s: int, r: int, *cs: AmbientElement
+    label: tuple, spec: AlgebraSpec, s: int, r: int, c: AmbientElement
 ) -> IdempotentItem:
-    """The item e = ``_char_sum(spec, s, r, *cs)`` with its component,
-    in closed form.  The part of e for one constant c = chi * b^(-2^r)
-    satisfies g^S * e_c = c^-1 * e_c, S = 2^(n-s+r) (idempotency makes
-    c^T * a = 1), so g*e is cut out by prod_c (x^S - c^-1) of degree
-    S * len(cs): x^S - k, or x^(2S) - (k1 + k2) x^S + k1 k2 for a pair
-    of characters, with k = c^-1 = b^(2^r) / chi.  It is stated as its
-    nonzero terms: a middle coefficient that cancels (k2 = -k1) is
-    dropped.  ``verify_family`` proves that this is the minimal
-    polynomial."""
-    one = spec.field.one()
+    """The item of the constant c = chi * b^(-2^r), in closed form.  Its
+    part for c satisfies g^S * e_c = k * e_c with k = c^-1 = b^(2^r) /
+    chi, S = 2^(n-s+r) (idempotency makes c^T * a = 1).  For k in K
+    the item is ``_char_sum`` over c alone and g*e is cut out by
+    x^S - k; otherwise the involution pairs c with sigma(c), and
+    (x^S - k)(x^S - sigma(k)) = x^(2S) - (k + sigma k) x^S + k sigma k
+    is K-rational.  It is stated as its nonzero terms: a middle
+    coefficient that cancels (sigma k = -k) is dropped.
+    ``verify_family`` proves that this is the minimal polynomial."""
+    K = spec.field
     S = 1 << (spec.n - s + r)
-    ks = [c.inverse() for c in cs]
-    if len(ks) == 1:
-        terms = [(0, -ks[0]), (S, one)]
+    k = c.inverse()
+    sk = sigma(K, k)
+    paired = sk != k
+    if paired:
+        terms = [(0, k * sk), (S, -(k + sk)), (2 * S, K.one())]
     else:
-        terms = [(0, ks[0] * ks[1]), (S, -(ks[0] + ks[1])), (2 * S, one)]
-    element = _char_sum(spec, s, r, *cs)
-    poly = Poly(tuple((k, c) for k, c in terms if c))
-    return IdempotentItem(label, element, S * len(cs), poly)
+        terms = [(0, -k), (S, K.one())]
+    element = _char_sum(spec, s, r, c, paired)
+    poly = Poly(tuple((e, v) for e, v in terms if v))
+    return IdempotentItem(label, element, S << paired, poly)
 
 
-def _run(start: AmbientElement, step: AmbientElement, count: int) -> list:
-    """start * step^i for i = 0..count-1, by count - 1 products (none
-    for count 0)."""
-    out = [start]
-    for _ in range(count - 1):
-        out.append(out[-1] * step)
-    return out[:count]
+def _block(
+    spec: AlgebraSpec, s: int, r: int, head: tuple,
+    start: AmbientElement, step: AmbientElement, count: int
+) -> List[IdempotentItem]:
+    """The items labelled head + (i,) for i < count, of the constants
+    start * step^i: count - 1 products."""
+    cs = accumulate(repeat(step, count - 1), mul, initial=start)
+    return [_item(head + (i,), spec, s, r, c) for i, c in enumerate(cs)]
 
 
 def _inverse_squares(b: AmbientElement, top: int) -> list:
@@ -193,32 +195,23 @@ def thm2_case1(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[IdempotentI
     t = min(s, m)
     bi = _inverse_squares(b, max(s - m, 0))
     eti = eps(K, t).inverse()
-    items = [
-        _item((i,), spec, s, 0, c) for i, c in enumerate(_run(bi[0], eti, 1 << t))
-    ]
+    items = _block(spec, s, 0, (), bi[0], eti, 1 << t)
     if s > m:
         em1i = eps(K, m - 1).inverse()
         for r in range(1, s - m + 1):
-            for i, c in enumerate(_run(eti * bi[r], em1i, 1 << (m - 1))):
-                items.append(_item((r, i), spec, s, r, c))
+            items += _block(spec, s, r, (r,), eti * bi[r], em1i, 1 << (m - 1))
     return items
 
 
 def thm3_case4(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[IdempotentItem]:
     """a = -b^(2^s) with 1 <= s <= m-1: weights mix eps_{s+1} with the
-    characters of <h>.  The sign lam flips exactly for type E at
-    s = m-1, where the involution negates odd powers of eps_{s+1}."""
+    characters of <h>, each paired with its image under the
+    involution."""
     K = spec.field
     cls = classify(K)
     assert 1 <= s <= cls.m - 1 and cls.field_type in (TYPE_D, TYPE_E)
-    bi = b.inverse()
-    lam_bi = -bi if (cls.field_type == TYPE_E and s == cls.m - 1) else bi
-    es1 = eps(K, s + 1)
-    esm = eps(K, s - 1)
-    count = 1 << (s - 1)
-    c1s = _run(es1.inverse() * bi, esm.inverse(), count)
-    c2s = _run(es1 * lam_bi, esm, count)
-    return [_item((i,), spec, s, 0, *cs) for i, cs in enumerate(zip(c1s, c2s))]
+    start = eps(K, s + 1).inverse() * b.inverse()
+    return _block(spec, s, 0, (), start, eps(K, s - 1).inverse(), 1 << (s - 1))
 
 
 def thm3_case3(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[IdempotentItem]:
@@ -226,75 +219,49 @@ def thm3_case3(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[IdempotentI
     eps_t, t = min(s, m-1), pair off under the involution; endpoints
     i = 0 and i = 2^(t-1) are self-paired.  From s = m on, past the
     root-of-unity supply, a double-indexed block over the squared
-    generators takes over, r = 0..s-m.  The sign lam in the double
-    block is +1 for type D and -1 for type E."""
+    generators takes over, r = 0..s-m."""
     K = spec.field
     cls = classify(K)
     m = cls.m
     assert s >= 1 and cls.field_type in (TYPE_D, TYPE_E)
     t = min(s, m - 1)
-    et = eps(K, t)
     half = 1 << (t - 1)
     bi = _inverse_squares(b, max(s - m, 0))
-    ups = _run(bi[0], et, half + 1)
-    downs = _run(bi[0], et.inverse(), half)
-    items = [_item((0,), spec, s, 0, bi[0])]
-    for i in range(1, half):
-        items.append(_item((i,), spec, s, 0, ups[i], downs[i]))
-    items.append(_item((half,), spec, s, 0, ups[half]))
+    items = _block(spec, s, 0, (), bi[0], eps(K, t), half + 1)
     if s >= m:
-        em = eps(K, m)
-        em2 = eps(K, m - 2)
-        emi, em2i = em.inverse(), em2.inverse()
+        emi, em2i = eps(K, m).inverse(), eps(K, m - 2).inverse()
         for r in range(s - m + 1):
-            lam_bi = bi[r] if cls.field_type == TYPE_D else -bi[r]
-            c1s = _run(emi * bi[r], em2i, half)
-            c2s = _run(em * lam_bi, em2, half)
-            for i, cs in enumerate(zip(c1s, c2s)):
-                items.append(_item((r, i), spec, s, r, *cs))
+            items += _block(spec, s, r, (r,), emi * bi[r], em2i, half)
     return items
 
 
 def thm3_case5(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[IdempotentItem]:
     """a = (1+eps_m)^(2^s) b^(2^s), type D, s >= m.  The unit 1+eps_m
     threads through every weight.  At s = m the first family is already
-    complete; deeper s add two self-paired idempotents, a paired block
-    on the squared generator, and (from s >= m+2 on) double-indexed
-    blocks whose second character picks up the shift 2^(r-2)."""
+    complete; deeper s add a block on the squared generator that ends
+    in two self-paired idempotents and (from s >= m+2 on) one block per
+    further squaring."""
     K = spec.field
     cls = classify(K)
     m = cls.m
     assert s >= m and cls.field_type == TYPE_D
     u = eps(K, m)
-    ui = u.inverse()
-    em1 = eps(K, m - 1)
-    em1i = em1.inverse()
+    em1i = eps(K, m - 1).inverse()
     # (1+u)^(-2^r) b^(-2^r) for r = 0..s-m
     wi = _inverse_squares((1 + u) * b, s - m)
     count = 1 << (m - 1)
-    c1s = _run(wi[0], em1i, count)
-    c2s = _run(wi[0] * u, em1, count)
-    items = [_item((i,), spec, s, 0, *cs) for i, cs in enumerate(zip(c1s, c2s))]
+    items = _block(spec, s, 0, (), wi[0], em1i, count)
     if s == m:
         return items
-    # c0^-1 b^-2 with c0 = 2 + u + u^-1 = (1+u)^2 / u
+    # c0^-1 b^-2 with c0 = 2 + u + u^-1 = (1+u)^2 / u; the block's
+    # last constant, c0b * eps_(m-1)^(-2^(m-2)), is -c0b
     c0b = wi[1] * u
     quarter = 1 << (m - 2)
-    c1s = _run(c0b * em1i, em1i, quarter - 1)
-    c2s = _run(c0b * em1, em1, quarter - 1)
-    for i, cs in enumerate(zip(c1s, c2s)):
-        items.append(_item((1, i), spec, s, 1, *cs))
-    items.append(_item((1, quarter - 1), spec, s, 1, -c0b))
+    items += _block(spec, s, 1, (1,), c0b * em1i, em1i, quarter)
     items.append(_item((1, count - 1), spec, s, 1, c0b))
-    em2 = eps(K, m - 2)
-    em2i = em2.inverse()
-    shift = em2  # eps_(m-2)^(2^(r-2))
+    ui, em2i = u.inverse(), eps(K, m - 2).inverse()
     for r in range(2, s - m + 1):
-        c1s = _run(wi[r] * ui, em2i, quarter)
-        c2s = _run(wi[r] * u * shift, em2, quarter)
-        for i, cs in enumerate(zip(c1s, c2s)):
-            items.append(_item((r, i), spec, s, r, *cs))
-        shift = shift * shift
+        items += _block(spec, s, r, (r,), wi[r] * ui, em2i, quarter)
     return items
 
 

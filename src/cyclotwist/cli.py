@@ -13,7 +13,9 @@ that begin with ``-`` but are not plain integers must follow a ``--``
 separator, e.g. ``cyclotwist idempotents QE:3 2 -- -1/2,1,0,1`` for
 a = -1/2 + sqrt(-2).
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
+141 (128 + SIGPIPE) when the reader closes stdout early, as
+``| head`` does; nothing is then written to stderr.
 All output is deterministic: identical invocations produce identical
 bytes.  JSON output keeps a stable key order and serializes every
 number as an exact string — never a float.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
@@ -315,7 +318,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader left: send what is still buffered to os.devnull, so
+        # that the interpreter's final flush stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except VerificationError as err:
         print(f"verification failed: {err}", file=sys.stderr)
         return 1

@@ -2,8 +2,8 @@
 
 The matrix below pins one instance of every construction branch
 (root-supplied shallow and deep, depth 0, paired shallow, paired deep
-with both signs of lam, negated with both signs, and the unit-coset
-family including its double-indexed blocks), with the component
+and negated over both types D and E, and the unit-coset family
+including its double-indexed blocks), with the component
 dimensions frozen as regression values.  The criterion functions are
 shared verbatim by the CLI ``selftest`` subcommand and by the pytest
 acceptance tests, so a red criterion reproduces identically in both.

@@ -12,7 +12,6 @@ from cyclotwist import builder, fields
 from cyclotwist.algebra import AlgebraSpec, Poly, certify_irreducible
 from cyclotwist.builder import (
     _char_sum,
-    _item,
     ambient_family,
     build,
     thm3_case3,
@@ -226,32 +225,35 @@ def test_every_dispatch_branch_is_reachable():
     ],
 )
 def test_char_sum_matches_dense_powers(field_spec, n, a):
-    # reference: average sum_chi chi^j * u^j over the dense powers of u,
-    # for a root of unity, chis that are none (over Q(zeta) one with a
-    # denominator), and pairs; r = s is the length T = 1
+    # constants c = chi * b^(-2^r) for a root of unity chi and for chis
+    # that are none (over Q(zeta) one with a denominator), alone and
+    # paired with sigma(c); r = s is the length T = 1
     spec = spec_of(field_spec, n, a)
     K = spec.field
     s, dec = decomposed(spec)
-    root, others = eps(K, 2), [K.scalar(3)]
+    chis = [eps(K, 2), K.scalar(3)]
     if not K.q:
-        others.append(K.scalar(Fraction(2, 3)))
-    for chis in [(root,), *((c,) for c in others), *((root, c) for c in others)]:
+        chis.append(K.scalar(Fraction(2, 3)))
+    for chi in chis:
         for r in range(s + 1):
-            check_char_sum(spec, s, r, dec.b, chis)
+            c = chi * dec.b ** -(1 << r)
+            assert _char_sum(spec, s, r, c, False) == dense_char_sum(spec, s, r, [c])
+            both = [c, sigma(K, c)]
+            assert _char_sum(spec, s, r, c, True) == dense_char_sum(spec, s, r, both)
 
 
-def check_char_sum(spec, s, r, b, chis):
-    n, K = spec.n, spec.field
+def dense_char_sum(spec, s, r, cs):
+    """(1/T) * sum over c in cs of sum_{j<T} c^j * g^(jS), T = 2^(s-r),
+    S = 2^(n-s+r), from the dense powers of each c and of g^S."""
     T = 1 << (s - r)
-    u = spec.gbar(1 << (n - s + r)).scale(b ** -(1 << r))
-    want, power = spec.zero(), spec.one()
-    for j in range(T):
-        for chi in chis:
-            want = want + power.scale(chi**j)
-        power = power * u
-    want = want.scale(K.scalar(T).inverse())
-    # _char_sum takes the constant c = chi * b^(-2^r) of each character
-    assert _char_sum(spec, s, r, *(chi * b ** -(1 << r) for chi in chis)) == want
+    gS = spec.gbar(1 << (spec.n - s + r))
+    total = spec.zero()
+    for c in cs:
+        power = spec.one()
+        for _ in range(T):
+            total = total + power
+            power = (power * gS).scale(c)
+    return total.scale(spec.field.scalar(T).inverse())
 
 
 @pytest.mark.parametrize(
@@ -264,12 +266,13 @@ def check_char_sum(spec, s, r, b, chis):
     ],
 )
 def test_build_forms_each_constant_once(monkeypatch, field_spec, n, a):
-    # Each character costs one constant c = chi * b^(-2^r): b is inverted
-    # once and squared per depth r, the characters are running products
-    # of the roots of unity, and the stated constant is c^-1.  Not
-    # counting the chain of square roots in ks_decompose, a build makes
-    # at most s + 2 powers (the roots of unity themselves) and one
-    # inverse per character plus O(s), from caches emptied first.
+    # Each item costs one constant c = chi * b^(-2^r): b is inverted
+    # once and squared per depth r, the constants are running products
+    # of the roots of unity, and the stated constant is c^-1; a paired
+    # item takes its second character's constant from the involution.
+    # Not counting the chain of square roots in ks_decompose, a build
+    # makes at most s + 2 powers (the roots of unity themselves) and
+    # one inverse per item plus O(s), from caches emptied first.
     spec = spec_of(field_spec, n, a)
     fields.eps.cache_clear()
     classify_module._classify_core.cache_clear()
@@ -290,9 +293,9 @@ def test_build_forms_each_constant_once(monkeypatch, field_spec, n, a):
         finally:
             counting[0] = True
 
-    def char_sum(spec, s, r, *cs):
-        calls["characters"] += len(cs)
-        return _char_sum(spec, s, r, *cs)
+    def char_sum(spec, s, r, c, paired):
+        calls["characters"] += 1 + paired
+        return _char_sum(spec, s, r, c, paired)
 
     element = fields.AmbientElement
     monkeypatch.setattr(element, "__pow__", counted("pow", element.__pow__))
@@ -303,7 +306,7 @@ def test_build_forms_each_constant_once(monkeypatch, field_spec, n, a):
     s = family.decomposition.s
     assert calls["characters"] >= len(family.items)
     assert calls["pow"] <= s + 2
-    assert calls["inverse"] <= calls["characters"] + s + 2
+    assert calls["inverse"] <= len(family.items) + s + 2
 
 
 # -- index-convention regressions ----------------------------------------------
@@ -336,26 +339,34 @@ def test_deep_paired_family_needs_r0_block():
 
 
 def test_flipped_lambda_loses_k_rationality():
-    # With the sign of lam flipped the double-indexed items recombine
+    # Type E negates the involution's image of eps_m, so the partner of
+    # the double-indexed constant c = eps_m^-1 eps_(m-2)^-i b^(-2^r) is
+    # sigma(c) = -eps_m eps_(m-2)^i b^(-2^r).  With the type-D partner,
+    # +eps_m eps_(m-2)^i b^(-2^r), the double-indexed items recombine
     # into idempotents of the ambient algebra: still idempotent, still
     # summing to 1, but no longer K-rational - verification rejects.
     spec = spec_of("F:3", 3, "1")
     K = spec.field
     s, dec = decomposed(spec)
     m = classify(K).m
-    lam = -K.one()  # type E
     em, em2 = eps(K, m), eps(K, m - 2)
     singles = [it for it in thm3_case3(spec, s, dec.b) if len(it.label) == 1]
-    # _item takes the constant chi * b^(-2^r) of each character
     doubles = [
-        _item((r, i), spec, s, r, *(chi * dec.b ** -(1 << r) for chi in chis))
+        dense_char_sum(spec, s, r, [em**-1 * em2**-i * bi, em * em2**i * bi])
         for r in range(s - m + 1)
         for i in range(1 << (m - 2))
-        for chis in [(em**-1 * em2**-i, -lam * em * em2**i)]
+        for bi in [dec.b ** -(1 << r)]
     ]
-    assert items_sum(spec, singles + doubles) == spec.one()
-    assert doubles and all(not it.element.is_k_rational() for it in doubles)
-    assert all(it.element * it.element == it.element for it in doubles)
+    assert items_sum(spec, singles) + sum(doubles, spec.zero()) == spec.one()
+    assert doubles and all(not e.is_k_rational() for e in doubles)
+    assert all(e * e == e for e in doubles)
+    # the involution's partner gives the K-rational items the build states
+    assert all(
+        dense_char_sum(spec, s, r, [c, sigma(K, c)]).is_k_rational()
+        for r in range(s - m + 1)
+        for i in range(1 << (m - 2))
+        for c in [em**-1 * em2**-i * dec.b ** -(1 << r)]
+    )
 
 
 # -- certification of non-binomial components -----------------------------------

@@ -58,7 +58,7 @@ def test_classification_table(spec, field_type, m):
         ("Q", 1, "C"),
         ("Q", 2, "none"),
         ("QR:4", 3, "C"),
-        ("QE:3", 1, "none"),  # E never emulates C: lam flips at s = m-1
+        ("QE:3", 1, "none"),  # E never emulates C: sigma(eps_m) = -eps_m^-1
         ("QE:3", 2, "none"),
         ("F:5", 1, "A"),
         ("F:3", 2, "none"),

@@ -4,6 +4,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -266,6 +270,26 @@ def test_documented_example_runs(capsys):
     code, out, err = run(capsys, "idempotents", "QE:3", "2", "--", "-1/2,1,0,1")
     assert code == 0 and err == ""
     assert "idempotents (1):" in out
+
+
+def test_closed_pipe_exits_141_quietly():
+    # as `cyclotwist idempotents QC:6 6 -1 | head -2`: the reader takes
+    # two lines and closes the pipe while about 77 kB are still to come,
+    # more than the pipe holds, so the writer meets the closed pipe
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = ["idempotents", "QC:6", "6", "-1"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "cyclotwist.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        bufsize=0,  # readline takes no byte past the line
+        env=env,
+    ) as proc:
+        head = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert head == [b"field: QC:6\n", b"type: B (m=6, emulates none)\n"]
+    assert (proc.returncode, err) == (141, b"")
 
 
 @pytest.mark.parametrize("q", ["1000000007", "2305843009213693951"])

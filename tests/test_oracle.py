@@ -629,7 +629,7 @@ def cyclotomic_specs(draw):
 @settings(max_examples=40, deadline=None)
 @given(cyclotomic_specs())
 @example(spec_of("QR:3", 4, "9232,6528,0,-6528"))  # the unit coset
-@example(spec_of("QE:4", 4, "-16"))  # negated at s = m - 1: type E flips lam
+@example(spec_of("QE:4", 4, "-16"))  # negated at s = m - 1: sigma(eps_m) = -eps_m^-1
 def test_cyclotomic_families_verify_and_pair(spec):
     family = build(spec, checked=False)
     report = verify_family(family)
