@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 from operator import index
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -222,7 +222,8 @@ def alg_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     One big-integer product does the work (Kronecker substitution).
     Both operands live on the lattice of exponents divisible by
     ``step``, the gcd of 2^n and every exponent where x or y is
-    nonzero: they are polynomials in u = g^step with u^M = a,
+    nonzero: the smaller of the two ``lattice_step``s, both powers of
+    two.  They are polynomials in u = g^step with u^M = a,
     M = 2^n/step.  Their stored integer coordinates (residues mod q,
     or numerators over each operand's denominator) go into slots of
     one int each, 2d-1 slots per power of u for an ambient field of
@@ -240,16 +241,12 @@ def alg_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
         return spec.zero()
     size = spec.size
     d = K.ambient_dim
-    step = size
-    for z in (x, y):
-        for i, v in enumerate(z.ints):
-            if v:
-                step = gcd(step, i // d)
-                if step == 1:
-                    break
+    step = lattice_step(x.ints, d)
+    if y is not x:
+        step = min(step, lattice_step(y.ints, d))
     M = size // step
-    xs = _on_lattice(x.ints, d, step)
-    ys = xs if y is x else _on_lattice(y.ints, d, step)
+    xs = on_lattice(x.ints, d, step)
+    ys = xs if y is x else on_lattice(y.ints, d, step)
     stride = 2 * d - 1
     bound = max(map(abs, xs)) * max(map(abs, ys)) * M * d
     width = ((bound.bit_length() + 2) + 7) // 8
@@ -277,11 +274,31 @@ def alg_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     return _new(spec, *reduce_coords(K, vals, den))
 
 
-def _on_lattice(ints: tuple, d: int, step: int) -> Sequence[int]:
+def lattice_step(ints: Sequence[int], d: int) -> int:
+    """The coarsest power of two that divides 2^n and every exponent
+    where the flat element ``ints`` (d coordinates per power of g) is
+    nonzero; 2^n for zero.  Read off the coordinates level by level:
+    once every nonzero exponent is a multiple of h, they are all
+    multiples of 2h exactly when the odd multiples of h hold only
+    zeros, which d strided slices test."""
+    size = len(ints) // d
+    h = 1
+    while h < size:
+        stride = 2 * h * d
+        if any(any(ints[h * d + j :: stride]) for j in range(d)):
+            return h
+        h *= 2
+    return size
+
+
+def on_lattice(ints: Sequence[int], d: int, step: int) -> Sequence[int]:
     """The coordinates of the coefficients of g^0, g^step, g^(2*step), ..."""
     if step == 1:
         return ints
-    return [v for base in range(0, len(ints), step * d) for v in ints[base : base + d]]
+    out = [0] * (len(ints) // step)
+    for j in range(d):
+        out[j::d] = ints[j :: step * d]
+    return out
 
 
 def _pack(vals: Sequence[int], d: int, width: int) -> int:

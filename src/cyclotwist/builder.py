@@ -58,7 +58,15 @@ from .classify import (
     classify,
     ks_decompose,
 )
-from .fields import IDENTITY, AmbientElement, eps, sigma, sigma_coords, times_coords
+from .fields import (
+    IDENTITY,
+    AmbientElement,
+    eps,
+    reduce_coords,
+    sigma,
+    sigma_coords,
+    times_coords,
+)
 
 @dataclass(frozen=True)
 class IdempotentItem:
@@ -111,8 +119,9 @@ def _char_sum(
     to the common denominator top = D^(T-1) by one scale list (only
     when D > 1).  The partner's powers are the ladder's
     ``sigma_coords`` image, as sigma(c)^j = sigma(c^j) and sigma fixes
-    D.  Then d strided slice assignments lay the T sums on the lattice
-    g^(jS)."""
+    D.  The T * d sums over T * top are reduced (the zeros off the
+    lattice change neither the gcd nor a residue), then d strided slice
+    assignments lay them on the lattice g^(jS)."""
     K = spec.field
     q = K.q
     d = K.ambient_dim
@@ -130,10 +139,11 @@ def _char_sum(
             flat[i::d] = map(mul, flat[i::d], scales)
     if paired:
         flat = list(map(add, flat, sigma_coords(K, flat)))
+    flat, den = reduce_coords(K, flat, T * top)
     vals = [0] * (spec.size * d)
     for i in range(d):
         vals[i : T * step : step] = flat[i::d]
-    return AlgebraElement(spec, vals, T * top)
+    return AlgebraElement._make(spec, tuple(vals), den)
 
 
 def _item(

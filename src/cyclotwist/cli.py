@@ -332,6 +332,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # the job is too large for this machine, which is no verdict on
+        # the family: exit 1 is kept for a verification failure
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

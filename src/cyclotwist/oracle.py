@@ -33,11 +33,19 @@ from __future__ import annotations
 import dataclasses
 import struct
 from dataclasses import dataclass
+from math import gcd, lcm
+from operator import add
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from . import _enum_py
-from .algebra import AlgebraElement, AlgebraSpec, certify_irreducible
-from .fields import IDENTITY, is_in_k, sigma_coords
+from .algebra import (
+    AlgebraElement,
+    AlgebraSpec,
+    certify_irreducible,
+    lattice_step,
+    on_lattice,
+)
+from .fields import IDENTITY, is_in_k, sigma_coords, times_coords
 
 if TYPE_CHECKING:
     from .builder import IdempotentFamily
@@ -145,6 +153,17 @@ def verify_family(family: IdempotentFamily) -> VerificationReport:
     and p(g*e) = 0, so p, of degree dim J, is the minimal polynomial of
     g*e, and e is primitive iff p is irreducible over K
     (``certify_irreducible``).
+
+    The two coefficient checks build no intermediate element, and their
+    arithmetic follows the support, not 2^n.  Each e is read on its own
+    lattice: step(e), the coarsest power of two dividing every exponent
+    where e is nonzero (``lattice_step``, read off e's coordinates).
+    With h = gcd(step(e), every stated degree), every power of g in
+    p(g)*e is a multiple of h, wrapped ones included since h divides
+    2^n, so p(g)*e = 0 is one integer combination of e's coefficients
+    on that lattice, tested once (``_annihilates``).  The sum to 1 adds
+    each item's numerators on its own lattice, over the lcm of the
+    denominators (``_sums_to_one``).
     """
     spec = family.spec
     K = spec.field
@@ -155,16 +174,13 @@ def verify_family(family: IdempotentFamily) -> VerificationReport:
     if len(set(labels)) != len(labels):
         failures.append("duplicate labels in family")
 
-    annihilated = []
-    for it in family.items:
-        e = it.element
-        # a stated prod_chi (x^S - c_chi) has at most three terms
-        terms = [e.shift(k).scale(c) for k, c in it.min_poly.terms]
-        annihilated.append(sum(terms[1:], terms[0]).is_zero())
-    total = spec.zero()
-    for e in family.elements():
-        total = total + e
-    sum_is_one = total == spec.one()
+    elements = family.elements()
+    steps = [lattice_step(e.ints, K.ambient_dim) for e in elements]
+    annihilated = [
+        _annihilates(spec, it.element, step, it.min_poly.terms)
+        for it, step in zip(family.items, steps)
+    ]
+    sum_is_one = _sums_to_one(spec, elements, steps)
     orthogonal = (
         all(annihilated)
         and sum_is_one
@@ -201,6 +217,62 @@ def verify_family(family: IdempotentFamily) -> VerificationReport:
         expected_dim=spec.size,
         failures=tuple(failures),
     )
+
+
+def _annihilates(spec: AlgebraSpec, e: AlgebraElement, step: int, terms) -> bool:
+    """Is p(g)*e = 0, for p stated by its nonzero terms (k, c_k) and e
+    on the lattice of exponents divisible by ``step``?
+
+    Every power of g in p(g)*e = sum c_k * g^k * e is then a multiple of
+    h = gcd(step, every k), and so is every wrapped one, since h divides
+    2^n: the sum lives on the lattice of stride h, as a polynomial in
+    u = g^h with u^M = a, M = 2^n/h, and is 0 off it.  On the lattice,
+    g^k sends u^i to u^(i + k/h) with one factor of a per wrap past u^M,
+    so each term is two runs of e's numerators times c_k * a^w, w wraps,
+    each run by ``times_coords``.  The runs are brought to one common
+    denominator (e's own denominator is common to all and left out) and
+    added, and the sum is tested for zero once, mod q over F_q."""
+    K = spec.field
+    q = K.q
+    d = K.ambient_dim
+    h = gcd(step, *(k for k, _ in terms))
+    M = spec.size // h
+    xs = on_lattice(e.ints, d, h)
+    runs = []  # (first power of u, numerators, ambient factor)
+    for k, c in terms:
+        w, r = divmod(k // h, M)
+        cut = (M - r) * d
+        runs.append((r, xs[:cut], c * spec.a**w if w else c))
+        if r:
+            runs.append((0, xs[cut:], c * spec.a ** (w + 1)))
+    den = lcm(*(x.den for _, _, x in runs))
+    acc = [0] * (M * d)
+    for r, vals, x in runs:
+        vals = times_coords(vals, x.ints, 0)
+        f = den // x.den
+        lo, hi = r * d, r * d + len(vals)
+        acc[lo:hi] = map(add, acc[lo:hi], vals if f == 1 else map(f.__mul__, vals))
+    return not any(v % q for v in acc) if q else not any(acc)
+
+
+def _sums_to_one(spec: AlgebraSpec, elements: Sequence[AlgebraElement], steps) -> bool:
+    """Do ``elements``, each on the lattice of exponents divisible by its
+    step, sum to 1?  Their numerators are added over the lcm D of their
+    denominators, each on its own lattice only, and the sum must be
+    (D, 0, ..., 0); over F_q every denominator is 1 and the running sum
+    is kept reduced."""
+    q = spec.field.q
+    d = spec.field.ambient_dim
+    D = lcm(*(e.den for e in elements))
+    total = [0] * (spec.size * d)
+    for e, step in zip(elements, steps):
+        f = D // e.den
+        for j in range(d):
+            lane = slice(j, None, step * d)
+            vals = e.ints[lane] if f == 1 else map(f.__mul__, e.ints[lane])
+            run = map(add, total[lane], vals)
+            total[lane] = [v % q for v in run] if q else run
+    return total[0] == D and not any(total[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +416,6 @@ def conjugate_pairing_check(
     K = family.spec.field
     if K.involution == IDENTITY:
         raise ValueError("pairing check needs a nontrivial involution")
-    spec0 = ambient.spec
     remaining = {(it.element.ints, it.element.den): it.element for it in ambient.items}
     # each orbit sum is looked up as soon as it forms and then dropped;
     # ``hit`` holds only the indices of the items of ``family`` it met
@@ -352,12 +423,12 @@ def conjugate_pairing_check(
     hit = set()
     while remaining:
         ke, e = remaining.popitem()
-        f = AlgebraElement(spec0, sigma_coords(K, e.ints), e.den)
-        kf = (f.ints, f.den)
+        # a signed permutation keeps lowest terms and reduced residues
+        kf = (tuple(sigma_coords(K, e.ints)), e.den)
         if kf != ke:
-            if kf not in remaining:
+            f = remaining.pop(kf, None)
+            if f is None:
                 return False
-            remaining.pop(kf)
             g = e + f
             kf = (g.ints, g.den)
         i = want.get(kf)

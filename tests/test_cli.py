@@ -265,6 +265,16 @@ def test_level_bound_is_named(capsys):
     assert code == 0 and err == "" and "m: 16" in out
 
 
+def test_memory_error_exits_2(capsys, monkeypatch):
+    # a job too large for the machine is no verification failure (exit 1)
+    def exhausted(spec, checked=True):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build", exhausted)
+    for argv in (["verify", "QR:12", "12", "-1"], ["idempotents", "Q", "2", "1"]):
+        assert run(capsys, *argv) == (2, "", "error: out of memory\n")
+
+
 def test_documented_example_runs(capsys):
     # the example of the module docstring and the README: -1/2 + sqrt(-2)
     code, out, err = run(capsys, "idempotents", "QE:3", "2", "--", "-1/2,1,0,1")

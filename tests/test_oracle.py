@@ -4,6 +4,7 @@ certificate, conjugate pairing."""
 import json
 import random
 from dataclasses import replace
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -11,20 +12,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclotwist import _enum_py, cli
-from cyclotwist.algebra import AlgebraElement, AlgebraSpec, certify_irreducible
+from cyclotwist.algebra import (
+    AlgebraElement,
+    AlgebraSpec,
+    certify_irreducible,
+    lattice_step,
+)
 from cyclotwist.builder import IdempotentItem, ambient_family, build, verified
 from cyclotwist.fields import IDENTITY, is_in_k, sigma, sigma_coords, sqrt_ambient
 from cyclotwist.grammar import parse_element, parse_field
 from cyclotwist.oracle import (
     EnumerationBudgetError,
     VerificationError,
+    _annihilates,
     _square,
+    _sums_to_one,
     brute_enumerate_minimal,
     conjugate_pairing_check,
     cross_check,
     verify_family,
 )
 from cyclotwist.selftest import MATRIX
+from test_algebra import ambient_elements, kernel_specs
 from test_builder import min_poly_reference, poly_of
 
 
@@ -430,6 +439,104 @@ def test_verify_flags_corrupted_ambient_family(
             f"e{label} is not annihilated by its min poly",
         )
         assert "pairing: pass" in out and code == 0
+
+
+# -- the fused coefficient checks ----------------------------------------------------
+
+
+@st.composite
+def lattice_elements(draw, spec):
+    """Elements on the lattice of every 2^j-th power of g, j <= n, or
+    a coarser one where some coefficients drawn are zero."""
+    K = spec.field
+    stride = 1 << draw(st.integers(0, spec.n))
+    on = st.one_of(st.just(K.zero()), ambient_elements(K))
+    return spec.element(
+        [draw(on) if k % stride == 0 else K.zero() for k in range(spec.size)]
+    )
+
+
+@st.composite
+def stated_polys(draw, spec, e):
+    """(e, p) for a monic p with degrees up to 2^n, some on a coarser
+    lattice; x^j * (x^k - 1), which a check that misplaces a degree
+    reads as (x^k - 1) or 0; x^j * (x^(2^n) - a), which annihilates
+    every element; or an item of e's algebra and its stated
+    polynomial."""
+    K, N = spec.field, spec.size
+    kind = draw(st.sampled_from(["random", "binomial", "wrap", "item"]))
+    if kind == "item":
+        item = draw(st.sampled_from(build(spec, checked=False).items))
+        return item.element, item.min_poly
+    j = draw(st.integers(0, N))
+    if kind == "binomial":
+        return e, poly_of({j: -K.one(), j + draw(st.integers(1, N)): K.one()})
+    if kind == "wrap":
+        return e, poly_of({j: -spec.a, N + j: K.one()})
+    stride = 1 << draw(st.integers(0, spec.n))
+    degrees = draw(st.sets(st.integers(0, N // stride), min_size=1, max_size=4))
+    top, *rest = sorted((stride * k for k in degrees), reverse=True)
+    coeffs = {k: draw(ambient_elements(K)) for k in rest}
+    return e, poly_of({**coeffs, top: K.one()})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_fused_checks_match_the_dense_sums(data):
+    spec = data.draw(kernel_specs())
+    d, one = spec.field.ambient_dim, spec.one()
+    e, poly = data.draw(stated_polys(spec, data.draw(lattice_elements(spec))))
+    step = lattice_step(e.ints, d)
+    assert step == gcd(spec.size, *(i // d for i, v in enumerate(e.ints) if v))
+    terms = [e.shift(k).scale(c) for k, c in poly.terms]
+    dense = sum(terms[1:], terms[0]).is_zero()
+    assert _annihilates(spec, e, step, poly.terms) == dense
+    rest = one - e
+    steps = [step, lattice_step(rest.ints, d)]
+    assert _sums_to_one(spec, [e, rest], steps)
+    assert _sums_to_one(spec, [e], steps) == (e == one)
+    assert _sums_to_one(spec, [e, e], [step, step]) == (e + e == one)
+
+
+@pytest.mark.parametrize("field_spec, n, a", [("QC:4", 6, "16"), ("F:7", 5, "3")])
+def test_a_changed_coordinate_fails_annihilation(field_spec, n, a):
+    # one more in any coordinate of an item, on its lattice or off it,
+    # adds g^k * zeta^j / den to it, and no stated p of degree < 2^n
+    # annihilates a unit
+    family = build(spec_of(field_spec, n, a), checked=False)
+    spec = family.spec
+    d = spec.field.ambient_dim
+    for i, it in enumerate(family.items):
+        e = it.element
+        assert it.min_poly.degree < spec.size
+        for j in range(len(e.ints)):
+            ints = list(e.ints)
+            ints[j] += 1
+            bad = AlgebraElement(spec, ints, e.den)
+            step = lattice_step(bad.ints, d)
+            assert not _annihilates(spec, bad, step, it.min_poly.terms)
+        # and through verify_family, for the last coordinate of each item
+        items = list(family.items)
+        items[i] = replace(it, element=bad)
+        check = verify_family(replace(family, items=tuple(items))).item_checks[i]
+        assert not check.min_poly_annihilates
+
+
+@pytest.mark.parametrize(
+    "field_spec, n, a",
+    [("F:7", 5, "3"), ("QC:4", 6, "16"), ("QR:3", 4, "9232,6528,0,-6528"), ("Q", 4, "1")],
+)
+def test_passing_family_is_verified_without_dense_arithmetic(
+    field_spec, n, a, monkeypatch
+):
+    family = build(spec_of(field_spec, n, a), checked=False)
+
+    def refuse(*args):
+        raise AssertionError("verify_family built an intermediate element")
+
+    for name in ("shift", "scale", "__add__"):
+        monkeypatch.setattr(AlgebraElement, name, refuse)
+    assert verify_family(family).ok
 
 
 # -- conjugate pairing ----------------------------------------------------------------
