@@ -40,12 +40,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import index
+from operator import index, sub
 from typing import List, Optional, Sequence, Tuple, Union
 
 from . import fields
 from .fields import (
-    POWER_TEST_CAP,
     AmbientElement,
     AmbientError,
     Element,
@@ -53,6 +52,7 @@ from .fields import (
     _new as _new_field_element,
     is_in_k,
     reduce_coords,
+    require_depth,
     require_unit_in_k,
     times_coords,
 )
@@ -70,8 +70,7 @@ class AlgebraSpec:
     a: AmbientElement
 
     def __post_init__(self):
-        if not 0 <= self.n <= POWER_TEST_CAP:
-            raise ValueError(f"n must be in [0, {POWER_TEST_CAP}]")
+        require_depth(self.n, "n")
         if self.field.root_level < 2:
             raise ValueError(
                 "the ambient field has no square root of -1; the construction "
@@ -230,8 +229,10 @@ def alg_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     dimension d, so the product's coordinates land in separate slots.
     Each slot is wide enough for the largest coordinate a product can
     have, with a sign bit, rounded up to whole bytes.  The product is
-    then folded back: zeta^d = -1 (i^2 = -1) in the ambient index, and
-    u^M = a in the exponent.
+    read back as 2M powers of u, the top one zero, and folded a lane
+    (one slot of every power) at a time: zeta^d = -1 (i^2 = -1)
+    subtracts lane j + d from lane j, and u^M = a adds the upper M
+    powers times a to the lower ones in one ``times_coords`` call.
     """
     if x.spec is not y.spec and x.spec != y.spec:
         raise AmbientError("operands live in different algebras")
@@ -239,12 +240,11 @@ def alg_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     K = spec.field
     if x.is_zero() or y.is_zero():
         return spec.zero()
-    size = spec.size
     d = K.ambient_dim
     step = lattice_step(x.ints, d)
     if y is not x:
         step = min(step, lattice_step(y.ints, d))
-    M = size // step
+    M = spec.size // step
     xs = on_lattice(x.ints, d, step)
     ys = xs if y is x else on_lattice(y.ints, d, step)
     stride = 2 * d - 1
@@ -252,26 +252,16 @@ def alg_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     width = ((bound.bit_length() + 2) + 7) // 8
     px = _pack(xs, d, width)
     prod = px * px if y is x else px * _pack(ys, d, width)
-    digits = _unpack(prod, (2 * M - 1) * stride, width)
-    rows = [
-        [u - v for u, v in zip(digits[b : b + d - 1], digits[b + d : b + stride])]
-        + [digits[b + d - 1]]
-        for b in range(0, len(digits), stride)
-    ]
-    den = x.den * y.den
-    if M > 1:
-        a_num, da = spec.a.ints, spec.a.den
-        if da != 1:
-            den *= da
-            rows[:M] = [[v * da for v in row] for row in rows[:M]]
-        for m in range(M - 1):
-            wrapped = times_coords(rows[M + m], a_num, 0)
-            rows[m] = [u + v for u, v in zip(rows[m], wrapped)]
-
-    vals = [0] * (size * d)
-    for m in range(M):
-        vals[m * step * d : m * step * d + d] = rows[m]
-    return _new(spec, *reduce_coords(K, vals, den))
+    digits = _unpack(prod, 2 * M * stride, width)
+    folded = [0] * (2 * M * d)
+    for j in range(d - 1):
+        folded[j::d] = map(sub, digits[j::stride], digits[j + d :: stride])
+    folded[d - 1 :: d] = digits[d - 1 :: stride]
+    a = spec.a
+    wrapped = times_coords(folded[M * d :], a.ints, 0)
+    vals = [v * a.den + w for v, w in zip(folded[: M * d], wrapped)]
+    den = x.den * y.den * a.den
+    return _new(spec, *reduce_coords(K, off_lattice(vals, d, step, spec.size), den))
 
 
 def lattice_step(ints: Sequence[int], d: int) -> int:
@@ -292,12 +282,21 @@ def lattice_step(ints: Sequence[int], d: int) -> int:
 
 
 def on_lattice(ints: Sequence[int], d: int, step: int) -> Sequence[int]:
-    """The coordinates of the coefficients of g^0, g^step, g^(2*step), ..."""
+    """The coordinates of g^0, g^step, g^(2*step), ..., d per power."""
     if step == 1:
         return ints
     out = [0] * (len(ints) // step)
     for j in range(d):
         out[j::d] = ints[j :: step * d]
+    return out
+
+
+def off_lattice(xs: Sequence[int], d: int, step: int, size: int) -> list:
+    """The inverse of ``on_lattice``: ``xs`` laid on g^0, g^step, ...
+    in 2^n = ``size`` flat coefficients, zero off the lattice."""
+    out = [0] * (size * d)
+    for j in range(d):
+        out[j :: step * d] = xs[j::d]
     return out
 
 
@@ -309,8 +308,8 @@ def _pack(vals: Sequence[int], d: int, width: int) -> int:
     stride = 2 * d - 1
     half = 1 << (8 * width - 1)
     slots = [half] * (len(vals) // d * stride)
-    for m, base in enumerate(range(0, len(vals), d)):
-        slots[m * stride : m * stride + d] = [v + half for v in vals[base : base + d]]
+    for j in range(d):
+        slots[j::stride] = [v + half for v in vals[j::d]]
     raw = b"".join(v.to_bytes(width, "little") for v in slots)
     return int.from_bytes(raw, "little") - _bias(len(slots), width)
 

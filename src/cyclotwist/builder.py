@@ -46,7 +46,7 @@ from itertools import accumulate, repeat
 from operator import add, floordiv, mul
 from typing import List, Optional, Tuple
 
-from .algebra import AlgebraElement, AlgebraSpec, Poly
+from .algebra import AlgebraElement, AlgebraSpec, Poly, off_lattice
 from .classify import (
     EPS_COSET,
     NEGATED,
@@ -120,13 +120,12 @@ def _char_sum(
     when D > 1).  The partner's powers are the ladder's
     ``sigma_coords`` image, as sigma(c)^j = sigma(c^j) and sigma fixes
     D.  The T * d sums over T * top are reduced (the zeros off the
-    lattice change neither the gcd nor a residue), then d strided slice
-    assignments lay them on the lattice g^(jS)."""
+    lattice change neither the gcd nor a residue), then ``off_lattice``
+    lays them on the lattice g^(jS)."""
     K = spec.field
     q = K.q
     d = K.ambient_dim
     T = 1 << (s - r)
-    step = d << (spec.n - s + r)
     flat, high = list(K.one().ints), c.ints
     for k in range(s - r):
         if k:
@@ -140,9 +139,7 @@ def _char_sum(
     if paired:
         flat = list(map(add, flat, sigma_coords(K, flat)))
     flat, den = reduce_coords(K, flat, T * top)
-    vals = [0] * (spec.size * d)
-    for i in range(d):
-        vals[i : T * step : step] = flat[i::d]
+    vals = off_lattice(flat, d, 1 << (spec.n - s + r), spec.size)
     return AlgebraElement._make(spec, tuple(vals), den)
 
 

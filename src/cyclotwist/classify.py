@@ -23,12 +23,12 @@ from typing import Optional
 
 from .fields import (
     IDENTITY,
-    POWER_TEST_CAP,
     AmbientElement,
     FieldDescriptor,
     eps,
     is_in_k,
     norm,
+    require_depth,
     require_unit_in_k,
     root_chain,
     sigma,
@@ -115,15 +115,13 @@ def h_n(K: FieldDescriptor, a: AmbientElement, n: int) -> int:
     y and, from j = m on, that of y * eps_m (Lang, *Algebra*, VI 9).
     """
     require_unit_in_k(K, a)
-    if not 0 <= n <= POWER_TEST_CAP:
-        raise ValueError(f"n must be in [0, {POWER_TEST_CAP}]")
+    require_depth(n, "n")
     return root_chain(K, a, n)[0]
 
 
 def ks_membership(K: FieldDescriptor, a: AmbientElement, s: int) -> bool:
     """Is a in K_s = K* intersect (A*)^(2^s)?  The witness may be ambient."""
-    if not 0 <= s <= POWER_TEST_CAP:
-        raise ValueError(f"s must be in [0, {POWER_TEST_CAP}]")
+    require_depth(s, "s")
     return h_n(K, a, s) == s
 
 
@@ -170,8 +168,7 @@ def ks_decompose(K: FieldDescriptor, a: AmbientElement, n: int) -> CosetDecompos
     assertions check that the arithmetic agrees with that bookkeeping.
     """
     require_unit_in_k(K, a)
-    if not 0 <= n <= POWER_TEST_CAP:
-        raise ValueError(f"n must be in [0, {POWER_TEST_CAP}]")
+    require_depth(n, "n")
     s, alpha = root_chain(K, a, n)
     L = K.root_level
     if s > L:

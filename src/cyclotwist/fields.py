@@ -50,7 +50,7 @@ INVERSE_CONJ = "inverse_conj"
 NEGATED_INVERSE_CONJ = "negated_inverse_conj"
 
 # The bound on n, the exponent of the group order 2^n, and so on the
-# depth of every 2-power test.
+# depth of every 2-power test; ``require_depth`` is its one reader.
 POWER_TEST_CAP = 16
 
 Scalar = Union[int, Fraction]
@@ -685,10 +685,16 @@ def eps(K: FieldDescriptor, t: int) -> AmbientElement:
     return _new(K, _fin_nonresidue(K.q, d), 1) ** ((K.q**d - 1) >> t)
 
 
+def _require_owner(K: FieldDescriptor, x: AmbientElement) -> None:
+    """Refuse an ``x`` of another field; the identity test first spares
+    the common call a dataclass comparison."""
+    if x.owner is not K and x.owner != K:
+        raise AmbientError("element does not belong to this field")
+
+
 def sigma(K: FieldDescriptor, x: AmbientElement) -> AmbientElement:
     """Apply the descriptor's involution."""
-    if x.owner != K:
-        raise AmbientError("element does not belong to this field")
+    _require_owner(K, x)
     if K.involution == IDENTITY:
         return x
     return _new(K, tuple(sigma_coords(K, x.ints)), x.den)
@@ -723,9 +729,14 @@ def sigma_coords(K: FieldDescriptor, vals: Sequence) -> list:
 
 def is_in_k(K: FieldDescriptor, x: AmbientElement) -> bool:
     """Test membership in the fixed field K of the involution."""
-    if x.owner != K:
-        raise AmbientError("element does not belong to this field")
+    _require_owner(K, x)
     return x.is_k_rational()
+
+
+def require_depth(n: int, name: str) -> None:
+    """Refuse a depth ``name`` = n outside [0, POWER_TEST_CAP]."""
+    if not 0 <= n <= POWER_TEST_CAP:
+        raise ValueError(f"{name} must be in [0, {POWER_TEST_CAP}]")
 
 
 def require_unit_in_k(K: FieldDescriptor, a: AmbientElement) -> None:
@@ -751,8 +762,7 @@ def sqrt_ambient(K: FieldDescriptor, x: AmbientElement) -> Optional[AmbientEleme
     (den = 1 over F_q), found by ``_sqrt_coords``; under one positive
     denominator the numerators order as the rationals do.
     """
-    if x.owner != K:
-        raise AmbientError("element does not belong to this field")
+    _require_owner(K, x)
     r = _sqrt_coords([v * x.den for v in x.ints], K.q)
     if r is None:
         return None

@@ -7,6 +7,10 @@ including its double-indexed blocks), with the component
 dimensions frozen as regression values.  The criterion functions are
 shared verbatim by the CLI ``selftest`` subcommand and by the pytest
 acceptance tests, so a red criterion reproduces identically in both.
+Criteria 1, 2, 3 and 6 walk their cases through one loop
+(``_each_case``): a check that returns a failure text or raises gives
+one detail line, and the first failing case names the ``reproduce
+with`` command.
 
 Setting the environment variable ``CYCLOTWIST_CORRUPT`` makes
 criterion 1 deliberately tamper with the first verified family and
@@ -141,29 +145,31 @@ def _checked_family(case: MatrixCase) -> IdempotentFamily:
     return verified(_family(case.spec()))
 
 
-def _family_or_error(case: MatrixCase):
-    """(family, None) on success, (None, message) on any failure."""
-    try:
-        return _checked_family(case), None
-    except VerificationError as err:
-        return None, f"verification failed: {err}"
-    except Exception as err:  # construction itself blew up
-        return None, f"{type(err).__name__}: {err}"
+def _each_case(cases, check, name) -> Tuple[List[str], Optional[str]]:
+    """(details, repro) of ``check`` over ``cases``: one detail
+    ``name(case): text`` for each case whose check returns a failure
+    text or raises, and the repro of the first such case."""
+    details: List[str] = []
+    repro = None
+    for case in cases:
+        try:
+            failure = check(case)
+        except VerificationError as err:
+            failure = f"verification failed: {err}"
+        except Exception as err:  # construction itself blew up
+            failure = f"{type(err).__name__}: {err}"
+        if failure is not None:
+            details.append(f"{name(case)}: {failure}")
+            repro = repro or case.repro()
+    return details, repro
 
 
 def criterion_case_matrix(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionResult:
-    details: List[str] = []
-    repro = None
-    for case in MATRIX:
-        family, err = _family_or_error(case)
-        if err is not None:
-            details.append(f"{case} [{case.tag}]: {err}")
-        else:
-            dims = tuple(sorted(it.dim for it in family.items))
-            if dims != case.dims:
-                details.append(f"{case} [{case.tag}]: dims {dims} != {case.dims}")
-        if details and repro is None:
-            repro = case.repro()
+    def check(case: MatrixCase) -> Optional[str]:
+        dims = tuple(sorted(it.dim for it in _checked_family(case).items))
+        return None if dims == case.dims else f"dims {dims} != {case.dims}"
+
+    details, repro = _each_case(MATRIX, check, lambda c: f"{c} [{c.tag}]")
     if not details and os.environ.get("CYCLOTWIST_CORRUPT"):
         case = MATRIX[0]
         family = _checked_family(case)
@@ -180,34 +186,21 @@ def criterion_case_matrix(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionResul
 
 
 def criterion_ground_truth(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionResult:
-    details: List[str] = []
-    repro = None
-    instances: List[Tuple[str, int, str]] = []
-    for field_spec, n in GROUND_TRUTH_GRID:
-        q = parse_field(field_spec).q
-        instances.extend((field_spec, n, str(a)) for a in range(1, q))
-    for case in MATRIX:
-        K = parse_field(case.field)
-        if K.q and (case.field, case.n, case.a) not in instances:
-            instances.append((case.field, case.n, case.a))
-    skipped = 0
-    for field_spec, n, a in instances:
-        K = parse_field(field_spec)
-        if K.q ** (1 << n) > max_enum:
-            skipped += 1
-            continue
-        spec = AlgebraSpec(K, n, parse_element(K, a))
-        try:
-            enumerated = brute_enumerate_minimal(spec, max_enum)
-            agree = set(enumerated) == set(_family(spec).elements())
-        except Exception as err:
-            agree = False
-            details.append(f"({field_spec}, n={n}, a={a}): {type(err).__name__}: {err}")
-        else:
-            if not agree:
-                details.append(f"({field_spec}, n={n}, a={a}): enumeration mismatch")
-        if details and repro is None:
-            repro = f"cyclotwist verify {field_spec} {n} {a}"
+    keys = [
+        (f, n, str(a)) for f, n in GROUND_TRUTH_GRID for a in range(1, parse_field(f).q)
+    ]
+    keys += [(c.field, c.n, c.a) for c in MATRIX if parse_field(c.field).q]
+    instances = [MatrixCase("ground-truth", *key, ()) for key in dict.fromkeys(keys)]
+    within = [c for c in instances if parse_field(c.field).q ** (1 << c.n) <= max_enum]
+    skipped = len(instances) - len(within)
+
+    def check(case: MatrixCase) -> Optional[str]:
+        spec = case.spec()
+        if set(brute_enumerate_minimal(spec, max_enum)) != set(_family(spec).elements()):
+            return "enumeration mismatch"
+        return None
+
+    details, repro = _each_case(within, check, str)
     if skipped == len(instances):
         details.append(
             f"no instance cross-checked: all {skipped} are over the "
@@ -229,47 +222,32 @@ def _expected_poly(K: FieldDescriptor, ints: Tuple[int, ...]) -> Poly:
 def criterion_exact_decompositions(
     max_enum: int = DEFAULT_ENUM_BUDGET,
 ) -> CriterionResult:
-    details: List[str] = []
-    repro = None
     Q = parse_field("Q")
+    expected = {
+        # x^4 + 4 = (x^2 - 2x + 2)(x^2 + 2x + 2)
+        _case("Q", 2, "-4"): (
+            {_expected_poly(Q, (2, -2, 1)), _expected_poly(Q, (2, 2, 1))},
+            "x^2-2x+2, x^2+2x+2",
+        ),
+        # x^8 - 16 = (x^2 - 2)(x^2 + 2)(x^2 - 2x + 2)(x^2 + 2x + 2)
+        _case("Q", 3, "16"): (
+            {
+                _expected_poly(Q, (-2, 0, 1)),
+                _expected_poly(Q, (2, 0, 1)),
+                _expected_poly(Q, (2, -2, 1)),
+                _expected_poly(Q, (2, 2, 1)),
+            },
+            "the factors of x^8-16",
+        ),
+    }
 
-    def check_polys(case: MatrixCase, expected: set, what: str) -> None:
-        nonlocal repro
-        family, err = _family_or_error(case)
-        if err is not None:
-            details.append(f"{case}: {err}")
-        else:
-            got = {it.min_poly for it in family.items}
-            if got != expected:
-                details.append(f"{case}: minimal polynomials differ from {what}")
-        if details and repro is None:
-            repro = case.repro()
+    def check(case: MatrixCase) -> Optional[str]:
+        polys, what = expected[case]
+        if {it.min_poly for it in _checked_family(case).items} != polys:
+            return f"minimal polynomials differ from {what}"
+        return None
 
-    # x^4 + 4 = (x^2 - 2x + 2)(x^2 + 2x + 2)
-    check_polys(
-        _case("Q", 2, "-4"),
-        {_expected_poly(Q, (2, -2, 1)), _expected_poly(Q, (2, 2, 1))},
-        "x^2-2x+2, x^2+2x+2",
-    )
-    # x^8 - 16 = (x^2 - 2)(x^2 + 2)(x^2 - 2x + 2)(x^2 + 2x + 2)
-    check_polys(
-        _case("Q", 3, "16"),
-        {
-            _expected_poly(Q, (-2, 0, 1)),
-            _expected_poly(Q, (2, 0, 1)),
-            _expected_poly(Q, (2, -2, 1)),
-            _expected_poly(Q, (2, 2, 1)),
-        },
-        "the factors of x^8-16",
-    )
-    case = _case("F:3", 2, "1")  # dims {1, 1, 2}
-    family, err = _family_or_error(case)
-    if err is not None:
-        details.append(f"{case}: {err}")
-        repro = repro or case.repro()
-    elif tuple(sorted(it.dim for it in family.items)) != (1, 1, 2):
-        details.append(f"{case}: dims differ from (1, 1, 2)")
-        repro = repro or case.repro()
+    details, repro = _each_case(expected, check, str)
     return CriterionResult(
         3, "exact decompositions reproduced", not details, details, repro
     )
@@ -341,21 +319,14 @@ def criterion_structure_law(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionRes
 
 
 def criterion_conjugate_pairing(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionResult:
-    details: List[str] = []
-    repro = None
-    for case in MATRIX:
-        if parse_field(case.field).involution == IDENTITY:
-            continue
-        try:
-            spec = case.spec()
-            agree = conjugate_pairing_check(_family(spec), _family(ambient_spec(spec)))
-        except Exception as err:
-            details.append(f"{case}: {type(err).__name__}: {err}")
-        else:
-            if not agree:
-                details.append(f"{case}: orbit sums of the ambient family differ")
-        if details and repro is None:
-            repro = case.repro()
+    def check(case: MatrixCase) -> Optional[str]:
+        spec = case.spec()
+        if conjugate_pairing_check(_family(spec), _family(ambient_spec(spec))):
+            return None
+        return "orbit sums of the ambient family differ"
+
+    paired = [c for c in MATRIX if parse_field(c.field).involution != IDENTITY]
+    details, repro = _each_case(paired, check, str)
     return CriterionResult(
         6, "conjugate-pairing equivalence", not details, details, repro
     )
@@ -363,34 +334,30 @@ def criterion_conjugate_pairing(max_enum: int = DEFAULT_ENUM_BUDGET) -> Criterio
 
 def criterion_index_regressions(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionResult:
     details: List[str] = []
-
-    def family_sum(spec: AlgebraSpec, items) -> bool:
-        total = spec.zero()
-        for it in items:
-            total = total + it.element
-        return total == spec.one()
-
-    # Negated family must start at i = 0: with i = 1 the (Q, 2, -1)
-    # family is empty and cannot sum to 1.
-    case = _case("Q", 2, "-1")
-    spec = case.spec()
-    dec = ks_decompose(spec.field, spec.a, spec.n)
-    items = thm3_case4(spec, dec.s, dec.b)
-    if family_sum(spec, [it for it in items if it.label != (0,)]):
-        details.append(f"{case}: the rejected i=1 reading unexpectedly sums to 1")
-    if not family_sum(spec, items):
-        details.append(f"{case}: the adopted i=0 reading fails to sum to 1")
-
-    # Deep paired family must include the r = 0 block: without it the
-    # (F:3, 3, 1) family loses two components.
-    case = _case("F:3", 3, "1")
-    spec = case.spec()
-    dec = ks_decompose(spec.field, spec.a, spec.n)
-    items = thm3_case3(spec, dec.s, dec.b)
-    if family_sum(spec, [it for it in items if len(it.label) == 1 or it.label[0] >= 1]):
-        details.append(f"{case}: the rejected r=1 reading unexpectedly sums to 1")
-    if not family_sum(spec, items):
-        details.append(f"{case}: the adopted r=0 reading fails to sum to 1")
+    # (case, case function, the items of the rejected narrower reading,
+    # the rejected and the adopted index).  The negated family must
+    # start at i = 0: with i = 1 the (Q, 2, -1) family is empty and
+    # cannot sum to 1.  The deep paired family must include the r = 0
+    # block: without it the (F:3, 3, 1) family loses two components.
+    conventions = (
+        (_case("Q", 2, "-1"), thm3_case4, lambda it: it.label != (0,), "i=1", "i=0"),
+        (
+            _case("F:3", 3, "1"),
+            thm3_case3,
+            lambda it: len(it.label) == 1 or it.label[0] >= 1,
+            "r=1",
+            "r=0",
+        ),
+    )
+    for case, construct, narrowed, rejected, adopted in conventions:
+        spec = case.spec()
+        dec = ks_decompose(spec.field, spec.a, spec.n)
+        items = construct(spec, dec.s, dec.b)
+        zero, one = spec.zero(), spec.one()
+        if sum((it.element for it in items if narrowed(it)), zero) == one:
+            details.append(f"{case}: the rejected {rejected} reading unexpectedly sums to 1")
+        if sum((it.element for it in items), zero) != one:
+            details.append(f"{case}: the adopted {adopted} reading fails to sum to 1")
     return CriterionResult(
         7,
         "index-convention regressions",

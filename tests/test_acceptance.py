@@ -9,6 +9,7 @@ stated runtime bound assert it.
 
 import io
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -94,3 +95,99 @@ def test_selftest_builds_each_algebra_once(monkeypatch):
     assert selftest.run_selftest(stream=out) == 0
     assert out.getvalue().rstrip().endswith("selftest: PASS")
     assert len(calls) == len(set(calls)) == 52
+
+
+# the originals that the replacements below wrap
+_BRUTE_ENUMERATE = selftest.brute_enumerate_minimal
+_EXPECTED_POLY = selftest._expected_poly
+_THM3_CASE3 = selftest.thm3_case3
+
+
+def _matrix_with_two_faults(matrix):
+    # QR:5 loses a dimension; the second F:5 case gets a = 0, which
+    # AlgebraSpec refuses
+    out = []
+    for case in matrix:
+        if case.field == "QR:5":
+            case = replace(case, dims=case.dims[1:])
+        elif (case.field, case.n, case.a) == ("F:5", 3, "1"):
+            case = replace(case, a="0")
+        out.append(case)
+    return tuple(out)
+
+
+def _pairing_with_two_faults(family, ambient):
+    K, n = family.spec.field, family.spec.n
+    if K.q and n == 3:
+        return False
+    if K.q and n == 1:
+        raise ValueError("deliberate")
+    return True
+
+
+def _enumeration_with_two_faults(spec, max_count):
+    key = (spec.field.q, spec.n, spec.a.ints[0])
+    if key == (7, 2, 3):
+        return []
+    if key == (5, 3, 1):
+        raise ValueError("deliberate")
+    return _BRUTE_ENUMERATE(spec, max_count)
+
+
+FORCED_FAILURES = {
+    "case matrix": (
+        criterion_case_matrix,
+        "MATRIX",
+        _matrix_with_two_faults(selftest.MATRIX),
+        "criterion 1 (case-coverage matrix verifies): FAIL\n"
+        "    (F:5, n=3, a=0) [split-deep]: ValueError: a must be nonzero\n"
+        "    (QR:5, n=2, a=16) [paired-shallow]: dims (1, 1, 2) != (1, 2)\n"
+        "    reproduce with: cyclotwist verify F:5 3 0\n",
+    ),
+    "ground truth": (
+        criterion_ground_truth,
+        "brute_enumerate_minimal",
+        _enumeration_with_two_faults,
+        "criterion 2 (brute-force ground truth): FAIL\n"
+        "    (F:7, n=2, a=3): enumeration mismatch\n"
+        "    (F:5, n=3, a=1): ValueError: deliberate\n"
+        "    reproduce with: cyclotwist verify F:7 2 3\n",
+    ),
+    "exact decompositions": (
+        criterion_exact_decompositions,
+        "_expected_poly",
+        lambda K, ints: _EXPECTED_POLY(K, (2, 0, 1) if ints == (-2, 0, 1) else ints),
+        "criterion 3 (exact decompositions reproduced): FAIL\n"
+        "    (Q, n=3, a=16): minimal polynomials differ from the factors of "
+        "x^8-16\n"
+        "    reproduce with: cyclotwist verify Q 3 16\n",
+    ),
+    "conjugate pairing": (
+        criterion_conjugate_pairing,
+        "conjugate_pairing_check",
+        _pairing_with_two_faults,
+        "criterion 6 (conjugate-pairing equivalence): FAIL\n"
+        "    (F:3, n=3, a=1): orbit sums of the ambient family differ\n"
+        "    (F:3, n=1, a=2): ValueError: deliberate\n"
+        "    reproduce with: cyclotwist verify F:3 3 1\n",
+    ),
+    "index conventions": (
+        criterion_index_regressions,
+        "thm3_case3",
+        lambda spec, s, b: _THM3_CASE3(spec, s, b)[:-1],
+        "criterion 7 (index-convention regressions): FAIL\n"
+        "    (F:3, n=3, a=1): the adopted r=0 reading fails to sum to 1\n"
+        "    reproduce with: cyclotwist verify Q 2 -1\n",
+    ),
+}
+@pytest.mark.parametrize("what", FORCED_FAILURES)
+def test_forced_failure_lines_are_pinned(monkeypatch, what):
+    # failures forced in each criterion that walks a list of cases or
+    # the index conventions: every detail line and the reproduce line,
+    # byte for byte
+    criterion, name, replacement, expected = FORCED_FAILURES[what]
+    monkeypatch.setattr(selftest, name, replacement)
+    monkeypatch.setattr(selftest, "CRITERIA", (criterion,))
+    out = io.StringIO()
+    assert selftest.run_selftest(stream=out) == 1
+    assert out.getvalue() == expected + "selftest: FAIL\n"

@@ -5,7 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclotwist.algebra import (
@@ -135,12 +135,27 @@ def algebra_elements(spec):
     return coefficient_lists(spec).map(spec.element)
 
 
+def operand_pairs(spec):
+    return st.tuples(algebra_elements(spec), algebra_elements(spec))
+
+
+# n = 0, where M = 1 and nothing wraps; and an a with a denominator, on
+# dense operands over QR:3 whose product wraps at every power of g
+_N0 = spec_of("Q", 0, "-2/3")
+_QR3 = spec_of("QR:3", 2, "1/6,5/7,0,-5/7")
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_packed_product_matches_schoolbook(data):
-    spec = data.draw(kernel_specs())
-    x = data.draw(algebra_elements(spec))
-    y = data.draw(algebra_elements(spec))
+@given(kernel_specs().flatmap(operand_pairs))
+@example((_N0.scalar(Fraction(5, 7)), _N0.scalar(-3)))
+@example(
+    (
+        _QR3.element([QR3.element((k, Fraction(1, k + 2), 0, -k)) for k in range(4)]),
+        _QR3.element([QR3.element((Fraction(3, 5), k, -1, 2)) for k in range(4)]),
+    )
+)
+def test_packed_product_matches_schoolbook(operands):
+    x, y = operands
     assert x * y == schoolbook_mul(x, y)
     assert x * x == schoolbook_mul(x, x)
 

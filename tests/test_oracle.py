@@ -17,6 +17,8 @@ from cyclotwist.algebra import (
     AlgebraSpec,
     certify_irreducible,
     lattice_step,
+    off_lattice,
+    on_lattice,
 )
 from cyclotwist.builder import IdempotentItem, ambient_family, build, verified
 from cyclotwist.fields import IDENTITY, is_in_k, sigma, sigma_coords, sqrt_ambient
@@ -488,6 +490,9 @@ def test_fused_checks_match_the_dense_sums(data):
     e, poly = data.draw(stated_polys(spec, data.draw(lattice_elements(spec))))
     step = lattice_step(e.ints, d)
     assert step == gcd(spec.size, *(i // d for i, v in enumerate(e.ints) if v))
+    for h in (1 << j for j in range(spec.n + 1) if step % (1 << j) == 0):
+        xs = on_lattice(e.ints, d, h)
+        assert tuple(off_lattice(xs, d, h, spec.size)) == e.ints
     terms = [e.shift(k).scale(c) for k, c in poly.terms]
     dense = sum(terms[1:], terms[0]).is_zero()
     assert _annihilates(spec, e, step, poly.terms) == dense

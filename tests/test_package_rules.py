@@ -138,3 +138,17 @@ def test_traced_names_exist(name):
     for attr in attrs:
         obj = getattr(obj, attr)
     assert callable(obj)
+
+
+def test_the_depth_cap_is_read_only_in_fields():
+    # the bound on n is checked by fields.require_depth alone, so that
+    # replacing the cap changes one function
+    readers = [
+        f"{path.name}: line {node.lineno}"
+        for path in MODULES
+        if path.name != "fields.py"
+        for node in ast.walk(_parsed(path))
+        if "POWER_TEST_CAP"
+        in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+    ]
+    assert not readers
