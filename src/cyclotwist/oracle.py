@@ -45,7 +45,7 @@ from .algebra import (
     lattice_step,
     on_lattice,
 )
-from .fields import IDENTITY, is_in_k, sigma_coords, times_coords
+from .fields import IDENTITY, FieldDescriptor, is_in_k, sigma_coords, times_coords
 
 if TYPE_CHECKING:
     from .builder import IdempotentFamily
@@ -280,6 +280,15 @@ def _sums_to_one(spec: AlgebraSpec, elements: Sequence[AlgebraElement], steps) -
 # ---------------------------------------------------------------------------
 
 
+def _require_prime_field(K: FieldDescriptor, what: str, over: str) -> None:
+    """Refuse K unless it is finite of size q: ``what`` needs a finite
+    field, and ``over`` works over K itself."""
+    if not K.q:
+        raise ValueError(f"{what} needs a finite field")
+    if K.level == 2 and K.involution == IDENTITY:
+        raise ValueError(f"{over} is over K; need |K| = q")
+
+
 def brute_enumerate_minimal(
     spec: AlgebraSpec, max_count: int = DEFAULT_ENUM_BUDGET
 ) -> List[AlgebraElement]:
@@ -289,10 +298,7 @@ def brute_enumerate_minimal(
     truth of selftest criterion 2 and of the tests; ``cross_check``
     does not call it."""
     K = spec.field
-    if not K.q:
-        raise ValueError("brute-force enumeration needs a finite field")
-    if K.level == 2 and K.involution == IDENTITY:
-        raise ValueError("enumeration is over K; need |K| = q")
+    _require_prime_field(K, "brute-force enumeration", "enumeration")
     count = K.q**spec.size
     if count > max_count:
         raise EnumerationBudgetError(
@@ -311,10 +317,7 @@ def cross_check(family: IdempotentFamily, max_count: int = DEFAULT_ENUM_BUDGET) 
     bounds its work, 2^n coefficients times the number of items."""
     spec = family.spec
     K = spec.field
-    if not K.q:
-        raise ValueError("the Frobenius certificate needs a finite field")
-    if K.level == 2 and K.involution == IDENTITY:
-        raise ValueError("the certificate is over K; need |K| = q")
+    _require_prime_field(K, "the Frobenius certificate", "the certificate")
     items = len(family.items)
     work = spec.size * items
     if work > max_count:

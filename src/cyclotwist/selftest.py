@@ -7,10 +7,11 @@ including its double-indexed blocks), with the component
 dimensions frozen as regression values.  The criterion functions are
 shared verbatim by the CLI ``selftest`` subcommand and by the pytest
 acceptance tests, so a red criterion reproduces identically in both.
-Criteria 1, 2, 3 and 6 walk their cases through one loop
-(``_each_case``): a check that returns a failure text or raises gives
-one detail line, and the first failing case names the ``reproduce
-with`` command.
+All seven criteria walk their cases through one loop (``_each_case``):
+a check that returns a failure text or raises gives one detail line, so
+no case hides another and no criterion stops the run, and the first
+failing case names the ``reproduce with`` command, a CLI call that
+shows the failing value.
 
 Setting the environment variable ``CYCLOTWIST_CORRUPT`` makes
 criterion 1 deliberately tamper with the first verified family and
@@ -47,13 +48,7 @@ from .oracle import (
     verify_family,
 )
 
-__all__ = [
-    "MATRIX",
-    "MatrixCase",
-    "CriterionResult",
-    "CRITERIA",
-    "run_selftest",
-]
+__all__ = ["MATRIX", "MatrixCase", "CriterionResult", "CRITERIA", "run_selftest"]
 
 
 @dataclass(frozen=True)
@@ -105,13 +100,7 @@ MATRIX: Tuple[MatrixCase, ...] = (
 # expanded over every residue a in F_q*; plus any finite matrix
 # instance within budget (covered below by construction).
 GROUND_TRUTH_GRID: Tuple[Tuple[str, int], ...] = (
-    ("F:3", 1),
-    ("F:3", 2),
-    ("F:3", 3),
-    ("F:5", 1),
-    ("F:5", 2),
-    ("F:7", 1),
-    ("F:7", 2),
+    ("F:3", 1), ("F:3", 2), ("F:3", 3), ("F:5", 1), ("F:5", 2), ("F:7", 1), ("F:7", 2)
 )
 
 
@@ -145,23 +134,30 @@ def _checked_family(case: MatrixCase) -> IdempotentFamily:
     return verified(_family(case.spec()))
 
 
-def _each_case(cases, check, name) -> Tuple[List[str], Optional[str]]:
-    """(details, repro) of ``check`` over ``cases``: one detail
+def _each_case(
+    number: int, title: str, cases, check, name=str, repro=MatrixCase.repro
+) -> CriterionResult:
+    """Criterion ``number`` of ``check`` over ``cases``: one detail
     ``name(case): text`` for each case whose check returns a failure
-    text or raises, and the repro of the first such case."""
-    details: List[str] = []
-    repro = None
+    text or raises, and the ``repro`` of the first such case."""
+    result = CriterionResult(number, title, True, [])
     for case in cases:
         try:
             failure = check(case)
         except VerificationError as err:
             failure = f"verification failed: {err}"
-        except Exception as err:  # construction itself blew up
+        except Exception as err:  # the check itself blew up
             failure = f"{type(err).__name__}: {err}"
         if failure is not None:
-            details.append(f"{name(case)}: {failure}")
-            repro = repro or case.repro()
-    return details, repro
+            result.details.append(f"{name(case)}: {failure}")
+            result.repro = result.repro or repro(case)
+    result.passed = not result.details
+    return result
+
+
+def _unchecked(field: str, n: int, a) -> str:
+    """The CLI call whose ``s:`` line prints h_n(a) over the field."""
+    return f"cyclotwist idempotents --unchecked {field} {n} {a}"
 
 
 def criterion_case_matrix(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionResult:
@@ -169,20 +165,19 @@ def criterion_case_matrix(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionResul
         dims = tuple(sorted(it.dim for it in _checked_family(case).items))
         return None if dims == case.dims else f"dims {dims} != {case.dims}"
 
-    details, repro = _each_case(MATRIX, check, lambda c: f"{c} [{c.tag}]")
-    if not details and os.environ.get("CYCLOTWIST_CORRUPT"):
+    title = "case-coverage matrix verifies"
+    result = _each_case(1, title, MATRIX, check, lambda c: f"{c} [{c.tag}]")
+    if result.passed and os.environ.get("CYCLOTWIST_CORRUPT"):
         case = MATRIX[0]
         family = _checked_family(case)
         tampered = replace(family, items=family.items[:-1], report=None)
         report = verify_family(tampered)
-        details.append(
+        result.details.append(
             f"{case}: deliberate corruption detected by: "
             + "; ".join(report.failures)
         )
-        repro = case.repro()
-    return CriterionResult(
-        1, "case-coverage matrix verifies", not details, details, repro
-    )
+        result.passed, result.repro = False, case.repro()
+    return result
 
 
 def criterion_ground_truth(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionResult:
@@ -200,18 +195,20 @@ def criterion_ground_truth(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionResu
             return "enumeration mismatch"
         return None
 
-    details, repro = _each_case(within, check, str)
-    if skipped == len(instances):
-        details.append(
+    result = _each_case(2, "brute-force ground truth", within, check)
+    if not within:
+        result.passed = False
+        result.details.append(
             f"no instance cross-checked: all {skipped} are over the "
             f"enumeration budget {max_enum}"
         )
-    notes = [f"{len(instances) - skipped} instances cross-checked"]
-    if skipped:
-        notes.append(f"{skipped} skipped (over enumeration budget {max_enum})")
-    return CriterionResult(
-        2, "brute-force ground truth", not details, details or notes, repro
-    )
+    elif result.passed:
+        result.details.append(f"{len(within)} instances cross-checked")
+        if skipped:
+            result.details.append(
+                f"{skipped} skipped (over enumeration budget {max_enum})"
+            )
+    return result
 
 
 def _expected_poly(K: FieldDescriptor, ints: Tuple[int, ...]) -> Poly:
@@ -225,62 +222,44 @@ def criterion_exact_decompositions(
     Q = parse_field("Q")
     expected = {
         # x^4 + 4 = (x^2 - 2x + 2)(x^2 + 2x + 2)
-        _case("Q", 2, "-4"): (
-            {_expected_poly(Q, (2, -2, 1)), _expected_poly(Q, (2, 2, 1))},
-            "x^2-2x+2, x^2+2x+2",
-        ),
+        _case("Q", 2, "-4"): (((2, -2, 1), (2, 2, 1)), "x^2-2x+2, x^2+2x+2"),
         # x^8 - 16 = (x^2 - 2)(x^2 + 2)(x^2 - 2x + 2)(x^2 + 2x + 2)
         _case("Q", 3, "16"): (
-            {
-                _expected_poly(Q, (-2, 0, 1)),
-                _expected_poly(Q, (2, 0, 1)),
-                _expected_poly(Q, (2, -2, 1)),
-                _expected_poly(Q, (2, 2, 1)),
-            },
+            ((-2, 0, 1), (2, 0, 1), (2, -2, 1), (2, 2, 1)),
             "the factors of x^8-16",
         ),
     }
 
     def check(case: MatrixCase) -> Optional[str]:
-        polys, what = expected[case]
+        factors, what = expected[case]
+        polys = {_expected_poly(Q, ints) for ints in factors}
         if {it.min_poly for it in _checked_family(case).items} != polys:
             return f"minimal polynomials differ from {what}"
         return None
 
-    details, repro = _each_case(expected, check, str)
-    return CriterionResult(
-        3, "exact decompositions reproduced", not details, details, repro
-    )
+    return _each_case(3, "exact decompositions reproduced", expected, check)
 
 
 def criterion_depth_regression(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionResult:
-    details: List[str] = []
-    Q = parse_field("Q")
-    checks = [
-        ("h_3(16) over Q", h_n(Q, Q.scalar(16), 3), 3),
-        ("h_2(4) over Q", h_n(Q, Q.scalar(4), 2), 1),
-    ]
-    for field_spec in sorted({case.field for case in MATRIX}):
-        K = parse_field(field_spec)
-        checks.append((f"h_3(1) over {field_spec}", h_n(K, K.one(), 3), 3))
-    for label, got, want in checks:
-        if got != want:
-            details.append(f"{label} = {got}, expected {want}")
-    return CriterionResult(
-        4,
-        "depth computation regressions",
-        not details,
-        details,
-        "cyclotwist classify Q --n 3" if details else None,
-    )
+    # (field, n, a, h_n(a))
+    cases = [("Q", 3, "16", 3), ("Q", 2, "4", 1)]
+    cases += [(field, 3, "1", 3) for field in sorted({c.field for c in MATRIX})]
+
+    def check(case) -> Optional[str]:
+        field, n, a, want = case
+        K = parse_field(field)
+        got = h_n(K, parse_element(K, a), n)
+        return None if got == want else f"depth {got}, expected {want}"
+
+    def name(case) -> str:
+        return f"h_{case[1]}({case[2]}) over {case[0]}"
+
+    title = "depth computation regressions"
+    return _each_case(4, title, cases, check, name, lambda c: _unchecked(*c[:3]))
 
 
 def _v2(x: int) -> int:
-    t = 0
-    while x % 2 == 0:
-        x //= 2
-        t += 1
-    return t
+    return (x & -x).bit_length() - 1
 
 
 def _odd_primes(bound: int):
@@ -289,33 +268,41 @@ def _odd_primes(bound: int):
             yield q
 
 
+@lru_cache(maxsize=None)
+def _powers(field: str, s: int) -> frozenset:
+    """The 2^s-th powers of the units of the finite field."""
+    K = parse_field(field)
+    return frozenset(x ** (1 << s) for x in K.iter_ambient() if x != K.zero())
+
+
 def criterion_structure_law(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionResult:
-    details: List[str] = []
-    for q in _odd_primes(200):
-        K = parse_field(f"F:{q}")
-        cls = classify(K)
-        if q % 4 == 1:
-            want = ("B", _v2(q - 1))
-        else:
-            want = ("E", 1 + _v2(q + 1))
-        if (cls.field_type, cls.m) != want:
-            details.append(f"F:{q} classified {cls.field_type}, m={cls.m}; expected {want}")
-    for q in _odd_primes(32):
-        K = parse_field(f"F:{q}")
-        units = [x for x in K.iter_ambient() if x != K.zero()]
-        for s in range(4):
-            table = {x ** (1 << s) for x in units}
-            for a0 in range(1, q):
-                a = K.scalar(a0)
-                if ks_membership(K, a, s) != (a in table):
-                    details.append(f"F:{q}: membership of {a0} at s={s} disagrees with power table")
-    return CriterionResult(
-        5,
-        "finite-field structure law",
-        not details,
-        details,
-        "cyclotwist classify F:199" if details else None,
-    )
+    # (F:q, None, None): the type and m of F_q; (F:q, s, a0): is a0 in K_s?
+    cases = [(f"F:{q}", None, None) for q in _odd_primes(200)]
+    cases += [
+        (f"F:{q}", s, a) for q in _odd_primes(32) for s in range(4) for a in range(1, q)
+    ]
+
+    def check(case) -> Optional[str]:
+        field, s, a0 = case
+        K = parse_field(field)
+        if s is None:
+            cls, q = classify(K), K.q
+            want = ("B", _v2(q - 1)) if q % 4 == 1 else ("E", 1 + _v2(q + 1))
+            if (cls.field_type, cls.m) != want:
+                return f"classified {cls.field_type}, m={cls.m}; expected {want}"
+        elif ks_membership(K, K.scalar(a0), s) != (K.scalar(a0) in _powers(field, s)):
+            return "membership disagrees with the power table"
+        return None
+
+    def name(case) -> str:
+        field, s, a0 = case
+        return field if s is None else f"{a0} in K_{s} over {field}"
+
+    def repro(case) -> str:
+        field, s, a0 = case
+        return f"cyclotwist classify {field}" if s is None else _unchecked(*case)
+
+    return _each_case(5, "finite-field structure law", cases, check, name, repro)
 
 
 def criterion_conjugate_pairing(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionResult:
@@ -326,44 +313,39 @@ def criterion_conjugate_pairing(max_enum: int = DEFAULT_ENUM_BUDGET) -> Criterio
         return "orbit sums of the ambient family differ"
 
     paired = [c for c in MATRIX if parse_field(c.field).involution != IDENTITY]
-    details, repro = _each_case(paired, check, str)
-    return CriterionResult(
-        6, "conjugate-pairing equivalence", not details, details, repro
-    )
+    return _each_case(6, "conjugate-pairing equivalence", paired, check)
 
 
 def criterion_index_regressions(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionResult:
-    details: List[str] = []
-    # (case, case function, the items of the rejected narrower reading,
-    # the rejected and the adopted index).  The negated family must
-    # start at i = 0: with i = 1 the (Q, 2, -1) family is empty and
-    # cannot sum to 1.  The deep paired family must include the r = 0
-    # block: without it the (F:3, 3, 1) family loses two components.
+    # (case, case function, the length of the labels (0, ...) that the
+    # rejected narrower reading drops, the rejected and the adopted
+    # index).  The negated family must start at i = 0: with i = 1 the
+    # (Q, 2, -1) family is empty and cannot sum to 1.  The deep paired
+    # family must include the r = 0 block (0, j): without it the
+    # (F:3, 3, 1) family loses two components.  Built per call, so it
+    # holds the case functions bound on this module when the criterion runs.
     conventions = (
-        (_case("Q", 2, "-1"), thm3_case4, lambda it: it.label != (0,), "i=1", "i=0"),
-        (
-            _case("F:3", 3, "1"),
-            thm3_case3,
-            lambda it: len(it.label) == 1 or it.label[0] >= 1,
-            "r=1",
-            "r=0",
-        ),
+        (_case("Q", 2, "-1"), thm3_case4, 1, "i=1", "i=0"),
+        (_case("F:3", 3, "1"), thm3_case3, 2, "r=1", "r=0"),
     )
-    for case, construct, narrowed, rejected, adopted in conventions:
+
+    def check(convention) -> Optional[str]:
+        case, construct, dropped, rejected, adopted = convention
         spec = case.spec()
         dec = ks_decompose(spec.field, spec.a, spec.n)
         items = construct(spec, dec.s, dec.b)
+        narrowed = [it for it in items if it.label[0] or len(it.label) != dropped]
         zero, one = spec.zero(), spec.one()
-        if sum((it.element for it in items if narrowed(it)), zero) == one:
-            details.append(f"{case}: the rejected {rejected} reading unexpectedly sums to 1")
+        failures = []
+        if sum((it.element for it in narrowed), zero) == one:
+            failures.append(f"the rejected {rejected} reading unexpectedly sums to 1")
         if sum((it.element for it in items), zero) != one:
-            details.append(f"{case}: the adopted {adopted} reading fails to sum to 1")
-    return CriterionResult(
-        7,
-        "index-convention regressions",
-        not details,
-        details,
-        _case("Q", 2, "-1").repro() if details else None,
+            failures.append(f"the adopted {adopted} reading fails to sum to 1")
+        return "; ".join(failures) or None
+
+    title = "index-convention regressions"
+    return _each_case(
+        7, title, conventions, check, lambda c: str(c[0]), lambda c: c[0].repro()
     )
 
 

@@ -13,7 +13,8 @@ from dataclasses import replace
 
 import pytest
 
-from cyclotwist import builder, selftest
+from cyclotwist import builder, cli, selftest
+from cyclotwist.grammar import parse_field
 from cyclotwist.oracle import DEFAULT_ENUM_BUDGET
 from cyclotwist.selftest import (
     criterion_case_matrix,
@@ -101,6 +102,9 @@ def test_selftest_builds_each_algebra_once(monkeypatch):
 _BRUTE_ENUMERATE = selftest.brute_enumerate_minimal
 _EXPECTED_POLY = selftest._expected_poly
 _THM3_CASE3 = selftest.thm3_case3
+_H_N = selftest.h_n
+_CLASSIFY = selftest.classify
+_KS_MEMBERSHIP = selftest.ks_membership
 
 
 def _matrix_with_two_faults(matrix):
@@ -134,11 +138,28 @@ def _enumeration_with_two_faults(spec, max_count):
     return _BRUTE_ENUMERATE(spec, max_count)
 
 
+def _depth_with_two_faults(K, a, n):
+    if (K, a, n) == (parse_field("Q"), K.scalar(16), 3):
+        return 2
+    if (K, n) == (parse_field("F:5"), 3):
+        raise RuntimeError("deliberate")
+    return _H_N(K, a, n)
+
+
+def _classification_with_a_fault(K, n=None):
+    cls = _CLASSIFY(K, n)
+    return replace(cls, m=cls.m + 1) if K == parse_field("F:13") else cls
+
+
+def _membership_with_a_fault(K, a, s):
+    member = _KS_MEMBERSHIP(K, a, s)
+    return not member if (K, a, s) == (parse_field("F:7"), K.scalar(2), 1) else member
+
+
 FORCED_FAILURES = {
     "case matrix": (
         criterion_case_matrix,
-        "MATRIX",
-        _matrix_with_two_faults(selftest.MATRIX),
+        {"MATRIX": _matrix_with_two_faults(selftest.MATRIX)},
         "criterion 1 (case-coverage matrix verifies): FAIL\n"
         "    (F:5, n=3, a=0) [split-deep]: ValueError: a must be nonzero\n"
         "    (QR:5, n=2, a=16) [paired-shallow]: dims (1, 1, 2) != (1, 2)\n"
@@ -146,8 +167,7 @@ FORCED_FAILURES = {
     ),
     "ground truth": (
         criterion_ground_truth,
-        "brute_enumerate_minimal",
-        _enumeration_with_two_faults,
+        {"brute_enumerate_minimal": _enumeration_with_two_faults},
         "criterion 2 (brute-force ground truth): FAIL\n"
         "    (F:7, n=2, a=3): enumeration mismatch\n"
         "    (F:5, n=3, a=1): ValueError: deliberate\n"
@@ -155,17 +175,45 @@ FORCED_FAILURES = {
     ),
     "exact decompositions": (
         criterion_exact_decompositions,
-        "_expected_poly",
-        lambda K, ints: _EXPECTED_POLY(K, (2, 0, 1) if ints == (-2, 0, 1) else ints),
+        {
+            "_expected_poly": lambda K, ints: _EXPECTED_POLY(
+                K, (2, 0, 1) if ints == (-2, 0, 1) else ints
+            )
+        },
         "criterion 3 (exact decompositions reproduced): FAIL\n"
         "    (Q, n=3, a=16): minimal polynomials differ from the factors of "
         "x^8-16\n"
         "    reproduce with: cyclotwist verify Q 3 16\n",
     ),
+    "depth": (
+        criterion_depth_regression,
+        {"h_n": _depth_with_two_faults},
+        "criterion 4 (depth computation regressions): FAIL\n"
+        "    h_3(16) over Q: depth 2, expected 3\n"
+        "    h_3(1) over F:5: RuntimeError: deliberate\n"
+        "    reproduce with: cyclotwist idempotents --unchecked Q 3 16\n",
+    ),
+    "structure law": (
+        criterion_structure_law,
+        {
+            "classify": _classification_with_a_fault,
+            "ks_membership": _membership_with_a_fault,
+        },
+        "criterion 5 (finite-field structure law): FAIL\n"
+        "    F:13: classified B, m=3; expected ('B', 2)\n"
+        "    2 in K_1 over F:7: membership disagrees with the power table\n"
+        "    reproduce with: cyclotwist classify F:13\n",
+    ),
+    "membership": (
+        criterion_structure_law,
+        {"ks_membership": _membership_with_a_fault},
+        "criterion 5 (finite-field structure law): FAIL\n"
+        "    2 in K_1 over F:7: membership disagrees with the power table\n"
+        "    reproduce with: cyclotwist idempotents --unchecked F:7 1 2\n",
+    ),
     "conjugate pairing": (
         criterion_conjugate_pairing,
-        "conjugate_pairing_check",
-        _pairing_with_two_faults,
+        {"conjugate_pairing_check": _pairing_with_two_faults},
         "criterion 6 (conjugate-pairing equivalence): FAIL\n"
         "    (F:3, n=3, a=1): orbit sums of the ambient family differ\n"
         "    (F:3, n=1, a=2): ValueError: deliberate\n"
@@ -173,21 +221,47 @@ FORCED_FAILURES = {
     ),
     "index conventions": (
         criterion_index_regressions,
-        "thm3_case3",
-        lambda spec, s, b: _THM3_CASE3(spec, s, b)[:-1],
+        {"thm3_case3": lambda spec, s, b: _THM3_CASE3(spec, s, b)[:-1]},
         "criterion 7 (index-convention regressions): FAIL\n"
         "    (F:3, n=3, a=1): the adopted r=0 reading fails to sum to 1\n"
-        "    reproduce with: cyclotwist verify Q 2 -1\n",
+        "    reproduce with: cyclotwist verify F:3 3 1\n",
     ),
 }
 @pytest.mark.parametrize("what", FORCED_FAILURES)
 def test_forced_failure_lines_are_pinned(monkeypatch, what):
-    # failures forced in each criterion that walks a list of cases or
-    # the index conventions: every detail line and the reproduce line,
-    # byte for byte
-    criterion, name, replacement, expected = FORCED_FAILURES[what]
-    monkeypatch.setattr(selftest, name, replacement)
+    # failures forced in each criterion: every detail line and the
+    # reproduce line, byte for byte
+    criterion, replacements, expected = FORCED_FAILURES[what]
+    for name, replacement in replacements.items():
+        monkeypatch.setattr(selftest, name, replacement)
     monkeypatch.setattr(selftest, "CRITERIA", (criterion,))
     out = io.StringIO()
     assert selftest.run_selftest(stream=out) == 1
     assert out.getvalue() == expected + "selftest: FAIL\n"
+
+
+@pytest.mark.parametrize("error", [RuntimeError, ValueError])
+def test_no_criterion_stops_the_run(monkeypatch, capsys, error):
+    # a raising depth computation fails criterion 4 case by case; the
+    # later criteria still run and the CLI reports no usage error
+    def raising(K, a, n):
+        raise error("deliberate")
+
+    monkeypatch.setattr(selftest, "h_n", raising)
+    assert cli.main(["selftest"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    fields = sorted({case.field for case in selftest.MATRIX})
+    names = ["h_3(16) over Q", "h_2(4) over Q"] + [f"h_3(1) over {f}" for f in fields]
+    block = (
+        "criterion 4 (depth computation regressions): FAIL\n"
+        + "".join(f"    {name}: {error.__name__}: deliberate\n" for name in names)
+        + "    reproduce with: cyclotwist idempotents --unchecked Q 3 16\n"
+    )
+    assert len(names) == 10 and block in out
+    assert out.endswith(
+        "criterion 5 (finite-field structure law): PASS\n"
+        "criterion 6 (conjugate-pairing equivalence): PASS\n"
+        "criterion 7 (index-convention regressions): PASS\n"
+        "selftest: FAIL\n"
+    )

@@ -21,7 +21,14 @@ from cyclotwist.algebra import (
     on_lattice,
 )
 from cyclotwist.builder import IdempotentItem, ambient_family, build, verified
-from cyclotwist.fields import IDENTITY, is_in_k, sigma, sigma_coords, sqrt_ambient
+from cyclotwist.fields import (
+    IDENTITY,
+    FieldDescriptor,
+    is_in_k,
+    sigma,
+    sigma_coords,
+    sqrt_ambient,
+)
 from cyclotwist.grammar import parse_element, parse_field
 from cyclotwist.oracle import (
     EnumerationBudgetError,
@@ -216,6 +223,19 @@ def test_certificate_rejects_families_that_sum_to_one(field_spec, n, a, kind):
 def test_certificate_needs_a_finite_field():
     with pytest.raises(ValueError, match="finite field"):
         cross_check(build(spec_of("Q", 1, "2"), checked=False))
+
+
+def test_oracles_refuse_a_field_larger_than_its_prime():
+    # F_49 as K: the level-2 presentation mod 7 with no involution
+    K = FieldDescriptor(IDENTITY, 2, 7)
+    spec = AlgebraSpec(K, 1, K.one())
+    with pytest.raises(ValueError, match=r"^enumeration is over K; need \|K\| = q$"):
+        brute_enumerate_minimal(spec)
+    family = build(spec, checked=False)
+    with pytest.raises(
+        ValueError, match=r"^the certificate is over K; need \|K\| = q$"
+    ):
+        cross_check(family)
 
 
 @settings(max_examples=40, deadline=None)

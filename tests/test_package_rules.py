@@ -152,3 +152,15 @@ def test_the_depth_cap_is_read_only_in_fields():
         in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
     ]
     assert not readers
+
+
+def test_the_ci_workflow_parses_and_every_step_acts():
+    # a workflow that is not valid YAML runs none of its steps, and a
+    # step with neither ``run`` nor ``uses`` does nothing
+    import yaml
+
+    workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tier1.yml"
+    jobs = yaml.safe_load(workflow.read_text())["jobs"]
+    steps = [step for job in jobs.values() for step in job["steps"]]
+    assert steps
+    assert [s for s in steps if not ("run" in s or "uses" in s)] == []
