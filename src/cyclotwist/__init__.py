@@ -19,7 +19,8 @@ Typical use::
 """
 
 from .algebra import AlgebraElement, AlgebraSpec, Poly
-from .builder import IdempotentFamily, IdempotentItem, ambient_family, build
+from .builder import IdempotentFamily, IdempotentItem, build
+from .builder import ambient_constants, ambient_family
 from .classify import (
     Classification,
     CosetDecomposition,
@@ -63,6 +64,7 @@ __all__ = [
     "Poly",
     "VerificationError",
     "VerificationReport",
+    "ambient_constants",
     "ambient_family",
     "brute_enumerate_minimal",
     "build",

@@ -15,14 +15,13 @@ flat integer list by doubling, with O(log T) products per item and none
 per coefficient.  Each case function forms b^(-2^r) once per depth r
 (one inverse of b, then one squaring per r) and enumerates its constants
 block by block (``_block``) as running products by the roots of unity it
-holds, one product per item; ``_item`` states the minimal polynomial
-from k = c^-1 = b^(2^r) / chi, the one inverse an item costs.  Which
-family of weights applies is decided entirely by the field type (B/D/E),
-the depth s of a in the 2-power filtration, and the coset form of a in
-K_s.  The four case functions below each produce one complete family,
-every item stated with its component dimension and the minimal
-polynomial the character sum already determines (see ``_item``);
-``build`` only dispatches.  The two that serve every depth
+holds, one product per item, as closed forms (label, r, c); ``_item``
+builds each and states its minimal polynomial from k = c^-1 =
+b^(2^r) / chi, the one inverse an item costs.  Which family of weights
+applies is decided entirely by the field type (B/D/E), the depth s of
+a in the 2-power filtration, and the coset form of a in K_s.  The four
+case functions below each state one complete family in closed form;
+``build`` dispatches and builds each item.  The two that serve every depth
 (``thm2_case1`` for K = A, ``thm3_case3`` for a plain coset) average
 over the roots of unity up to t = min(s, m) or min(s, m-1) and add the
 blocks on squared generators only when s runs past that supply.
@@ -73,12 +72,15 @@ class IdempotentItem:
     """One minimal idempotent with its component data, as the
     construction states them: ``dim`` is the K-dimension of the
     component e*K_t<g> and ``min_poly`` the minimal polynomial of g*e,
-    of degree ``dim``.  ``verify_family`` proves both."""
+    of degree ``dim``.  ``verify_family`` proves both.  e is the
+    character sum of ``c`` (and sigma(c), if c is not in K) on g^S."""
 
     label: tuple
     element: AlgebraElement
     dim: int
     min_poly: Poly
+    S: int
+    c: AmbientElement
 
 
 @dataclass(frozen=True)
@@ -166,17 +168,16 @@ def _item(
         terms = [(0, -k), (S, K.one())]
     element = _char_sum(spec, s, r, c, paired)
     poly = Poly(tuple((e, v) for e, v in terms if v))
-    return IdempotentItem(label, element, S << paired, poly)
+    return IdempotentItem(label, element, S << paired, poly, S, c)
 
 
 def _block(
-    spec: AlgebraSpec, s: int, r: int, head: tuple,
-    start: AmbientElement, step: AmbientElement, count: int
-) -> List[IdempotentItem]:
-    """The items labelled head + (i,) for i < count, of the constants
-    start * step^i: count - 1 products."""
+    r: int, head: tuple, start: AmbientElement, step: AmbientElement, count: int
+) -> list:
+    """(label, r, c) of the items labelled head + (i,), i < count, of the
+    constants c = start * step^i: count - 1 products."""
     cs = accumulate(repeat(step, count - 1), mul, initial=start)
-    return [_item(head + (i,), spec, s, r, c) for i, c in enumerate(cs)]
+    return [(head + (i,), r, c) for i, c in enumerate(cs)]
 
 
 def _inverse_squares(b: AmbientElement, top: int) -> list:
@@ -192,7 +193,7 @@ def _inverse_squares(b: AmbientElement, top: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def thm2_case1(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[IdempotentItem]:
+def thm2_case1(spec: AlgebraSpec, s: int, b: AmbientElement) -> list:
     """K = A, or depth s = 0: the 2^t characters of <h> over eps_t,
     t = min(s, m), each give one idempotent averaged at full length.
     When s exceeds m the rest collapse into one family per extra power
@@ -202,15 +203,15 @@ def thm2_case1(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[IdempotentI
     t = min(s, m)
     bi = _inverse_squares(b, max(s - m, 0))
     eti = eps(K, t).inverse()
-    items = _block(spec, s, 0, (), bi[0], eti, 1 << t)
+    items = _block(0, (), bi[0], eti, 1 << t)
     if s > m:
         em1i = eps(K, m - 1).inverse()
         for r in range(1, s - m + 1):
-            items += _block(spec, s, r, (r,), eti * bi[r], em1i, 1 << (m - 1))
+            items += _block(r, (r,), eti * bi[r], em1i, 1 << (m - 1))
     return items
 
 
-def thm3_case4(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[IdempotentItem]:
+def thm3_case4(spec: AlgebraSpec, s: int, b: AmbientElement) -> list:
     """a = -b^(2^s) with 1 <= s <= m-1: weights mix eps_{s+1} with the
     characters of <h>, each paired with its image under the
     involution."""
@@ -218,10 +219,10 @@ def thm3_case4(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[IdempotentI
     cls = classify(K)
     assert 1 <= s <= cls.m - 1 and cls.field_type in (TYPE_D, TYPE_E)
     start = eps(K, s + 1).inverse() * b.inverse()
-    return _block(spec, s, 0, (), start, eps(K, s - 1).inverse(), 1 << (s - 1))
+    return _block(0, (), start, eps(K, s - 1).inverse(), 1 << (s - 1))
 
 
-def thm3_case3(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[IdempotentItem]:
+def thm3_case3(spec: AlgebraSpec, s: int, b: AmbientElement) -> list:
     """a = b^(2^s) with s >= 1 and K != A: the characters of <h> over
     eps_t, t = min(s, m-1), pair off under the involution; endpoints
     i = 0 and i = 2^(t-1) are self-paired.  From s = m on, past the
@@ -234,15 +235,15 @@ def thm3_case3(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[IdempotentI
     t = min(s, m - 1)
     half = 1 << (t - 1)
     bi = _inverse_squares(b, max(s - m, 0))
-    items = _block(spec, s, 0, (), bi[0], eps(K, t), half + 1)
+    items = _block(0, (), bi[0], eps(K, t), half + 1)
     if s >= m:
         emi, em2i = eps(K, m).inverse(), eps(K, m - 2).inverse()
         for r in range(s - m + 1):
-            items += _block(spec, s, r, (r,), emi * bi[r], em2i, half)
+            items += _block(r, (r,), emi * bi[r], em2i, half)
     return items
 
 
-def thm3_case5(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[IdempotentItem]:
+def thm3_case5(spec: AlgebraSpec, s: int, b: AmbientElement) -> list:
     """a = (1+eps_m)^(2^s) b^(2^s), type D, s >= m.  The unit 1+eps_m
     threads through every weight.  At s = m the first family is already
     complete; deeper s add a block on the squared generator that ends
@@ -257,18 +258,18 @@ def thm3_case5(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[IdempotentI
     # (1+u)^(-2^r) b^(-2^r) for r = 0..s-m
     wi = _inverse_squares((1 + u) * b, s - m)
     count = 1 << (m - 1)
-    items = _block(spec, s, 0, (), wi[0], em1i, count)
+    items = _block(0, (), wi[0], em1i, count)
     if s == m:
         return items
     # c0^-1 b^-2 with c0 = 2 + u + u^-1 = (1+u)^2 / u; the block's
     # last constant, c0b * eps_(m-1)^(-2^(m-2)), is -c0b
     c0b = wi[1] * u
     quarter = 1 << (m - 2)
-    items += _block(spec, s, 1, (1,), c0b * em1i, em1i, quarter)
-    items.append(_item((1, count - 1), spec, s, 1, c0b))
+    items += _block(1, (1,), c0b * em1i, em1i, quarter)
+    items.append(((1, count - 1), 1, c0b))
     ui, em2i = u.inverse(), eps(K, m - 2).inverse()
     for r in range(2, s - m + 1):
-        items += _block(spec, s, r, (r,), wi[r] * ui, em2i, quarter)
+        items += _block(r, (r,), wi[r] * ui, em2i, quarter)
     return items
 
 
@@ -279,7 +280,7 @@ def thm3_case5(spec: AlgebraSpec, s: int, b: AmbientElement) -> List[IdempotentI
 
 def _dispatch(
     spec: AlgebraSpec, cls: Classification, dec: CosetDecomposition
-) -> List[IdempotentItem]:
+) -> list:
     s = dec.s
     if cls.field_type == TYPE_B or s == 0:
         return thm2_case1(spec, s, dec.b)
@@ -295,16 +296,17 @@ def build(spec: AlgebraSpec, checked: bool = True) -> IdempotentFamily:
 
     One ``ks_decompose`` call gives the depth s = h_n(a) and the coset
     form of a (one chain of square roots, two when s exceeds the root
-    level); the case functions then state every item in closed form.
-    With ``checked`` (the default) the family is handed to the oracle,
-    and a VerificationError is raised unless every check passes and
-    every component is certified minimal; use checked=False to obtain
-    the raw construction.
+    level); the case functions then state every item in closed form,
+    and ``_item`` builds each one.  With ``checked`` (the default) the
+    family is handed to the oracle, and a VerificationError is raised
+    unless every check passes and every component is certified minimal;
+    use checked=False to obtain the raw construction.
     """
     K = spec.field
     cls = classify(K, spec.n)
     dec = ks_decompose(K, spec.a, spec.n)
-    items = tuple(_dispatch(spec, cls, dec))
+    closed = _dispatch(spec, cls, dec)
+    items = tuple(_item(label, spec, dec.s, r, c) for label, r, c in closed)
     family = IdempotentFamily(spec, cls, dec, items)
     return verified(family) if checked else family
 
@@ -328,9 +330,17 @@ def ambient_spec(spec: AlgebraSpec) -> AlgebraSpec:
 
 
 def ambient_family(family: IdempotentFamily) -> IdempotentFamily:
-    """The family of ``ambient_spec(family.spec)``: ``family`` itself
-    when K = A, else one unchecked build.  ``conjugate_pairing_check``
-    compares it with ``family``."""
+    """The family of ``ambient_spec(family.spec)``, coefficients and all:
+    ``family`` itself when K = A, else one unchecked build."""
     if family.spec.field.involution == IDENTITY:
         return family
     return build(ambient_spec(family.spec), checked=False)
+
+
+def ambient_constants(spec: AlgebraSpec) -> List[Tuple[int, AmbientElement]]:
+    """(S, c) of every item over the ambient field, as the case functions
+    state them, for ``conjugate_pairing_check``: no item is built."""
+    A = ambient_spec(spec)
+    dec = ks_decompose(A.field, A.a, A.n)
+    closed = _dispatch(A, classify(A.field, A.n), dec)
+    return [(1 << (A.n - dec.s + r), c) for _, r, c in closed]

@@ -31,7 +31,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .algebra import AlgebraSpec
-from .builder import IdempotentFamily, ambient_family, build
+from .builder import IdempotentFamily, ambient_constants, build
 from .classify import classify
 from .fields import IDENTITY
 from .grammar import (
@@ -215,7 +215,7 @@ def _cmd_verify(args) -> int:
     if spec.field.involution == IDENTITY:
         pairing = "skipped: trivial involution"
     else:
-        paired = conjugate_pairing_check(family, ambient_family(family))
+        paired = conjugate_pairing_check(family, ambient_constants(spec))
         pairing = "pass" if paired else "mismatch"
 
     passed = report.ok and "mismatch" not in (enumeration, pairing)

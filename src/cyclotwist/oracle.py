@@ -13,9 +13,9 @@ Three lines of evidence are kept separate:
   polynomial in 2^n; ``brute_enumerate_minimal``, which exhausts all
   q^(2^n) coefficient vectors, stays as the ground truth that the
   selftest and the tests compare against;
-* ``conjugate_pairing_check``: let the involution act on the family
-  built over the full ambient field (trivial involution) and compare
-  the orbit sums against the K-side family.
+* ``conjugate_pairing_check``: the involution's orbits on the
+  constants the construction states over the full ambient field
+  (trivial involution), against the K-side items' constants.
 
 The structural checks and the Frobenius certificate share nothing with
 each other or with the construction: no roots of unity or coset forms,
@@ -24,8 +24,9 @@ certificate reads only each item's stated polynomial: once the
 structural checks prove it the minimal polynomial, the item is
 primitive iff it is irreducible over K, which Capelli's criterion over
 A and quadratic descent from A to K decide with at most two square
-roots in A (``algebra.certify_irreducible``).  Only the pairing check
-builds the ambient family.
+roots in A (``algebra.certify_irreducible``).  ``verify_family`` is the
+one check of the coefficients ``builder._char_sum`` expands; pairing
+reads each item's constants (S, c) alone.
 """
 
 from __future__ import annotations
@@ -401,41 +402,26 @@ def _square(x: tuple, q: int, a: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# conjugate pairing against the ambient family
+# conjugate pairing against the ambient constants
 # ---------------------------------------------------------------------------
 
 
-def conjugate_pairing_check(
-    family: IdempotentFamily, ambient: IdempotentFamily
-) -> bool:
-    """Galois-descent consistency of the K-side family.
+def conjugate_pairing_check(family: IdempotentFamily, ambient: Sequence[tuple]) -> bool:
+    """Galois-descent consistency of the K-side family, on constants.
 
-    Apply the involution coefficient-wise to ``ambient``, the family
-    built over the ambient field with the trivial involution, and sum
-    each orbit.  The orbit sums must be exactly the K-side family.
-    This exercises a completely different construction path (the
-    trivial-involution cases) against the paired ones.
+    ``ambient`` holds (S, c) for every item the case functions state
+    over the ambient field (trivial involution): the idempotent e(S, c)
+    cut out by x^S - c^-1.  The items over K are the involution's orbit
+    sums of those, and sigma(e(S, c)) = e(S, sigma(c)), so ``ambient``
+    must be, as a set, the K items' (S, c) and (S, sigma(c)).  This is
+    sound because ``verify_family`` proves each K item to be the
+    idempotent cut out by its stated x^S - c^-1 (or that factor times
+    its sigma image), so (S, c) determines the item.
     """
     K = family.spec.field
     if K.involution == IDENTITY:
         raise ValueError("pairing check needs a nontrivial involution")
-    remaining = {(it.element.ints, it.element.den): it.element for it in ambient.items}
-    # each orbit sum is looked up as soon as it forms and then dropped;
-    # ``hit`` holds only the indices of the items of ``family`` it met
-    want = {(it.element.ints, it.element.den): i for i, it in enumerate(family.items)}
-    hit = set()
-    while remaining:
-        ke, e = remaining.popitem()
-        # a signed permutation keeps lowest terms and reduced residues
-        kf = (tuple(sigma_coords(K, e.ints)), e.den)
-        if kf != ke:
-            f = remaining.pop(kf, None)
-            if f is None:
-                return False
-            g = e + f
-            kf = (g.ints, g.den)
-        i = want.get(kf)
-        if i is None:
-            return False
-        hit.add(i)
-    return len(hit) == len(want)
+    # a signed permutation keeps lowest terms and reduced residues
+    want = {(it.S, it.c.ints, it.c.den) for it in family.items}
+    want |= {(it.S, tuple(sigma_coords(K, it.c.ints)), it.c.den) for it in family.items}
+    return {(S, c.ints, c.den) for S, c in ambient} == want

@@ -31,7 +31,8 @@ from typing import Callable, List, Optional, Tuple
 from .algebra import AlgebraSpec, Poly
 from .builder import (
     IdempotentFamily,
-    ambient_spec,
+    _item,
+    ambient_constants,
     build,
     thm3_case3,
     thm3_case4,
@@ -122,8 +123,7 @@ class CriterionResult:
 
 
 # Every criterion reads its families from this cache, so each algebra
-# is built once per process, also where two fields share an ambient
-# algebra (QR:3 and QE:3 over Q(zeta_8)).
+# is built once per process.
 @lru_cache(maxsize=None)
 def _family(spec: AlgebraSpec) -> IdempotentFamily:
     return build(spec, checked=False)
@@ -308,7 +308,7 @@ def criterion_structure_law(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionRes
 def criterion_conjugate_pairing(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionResult:
     def check(case: MatrixCase) -> Optional[str]:
         spec = case.spec()
-        if conjugate_pairing_check(_family(spec), _family(ambient_spec(spec))):
+        if conjugate_pairing_check(_family(spec), ambient_constants(spec)):
             return None
         return "orbit sums of the ambient family differ"
 
@@ -333,7 +333,8 @@ def criterion_index_regressions(max_enum: int = DEFAULT_ENUM_BUDGET) -> Criterio
         case, construct, dropped, rejected, adopted = convention
         spec = case.spec()
         dec = ks_decompose(spec.field, spec.a, spec.n)
-        items = construct(spec, dec.s, dec.b)
+        closed = construct(spec, dec.s, dec.b)
+        items = [_item(label, spec, dec.s, r, c) for label, r, c in closed]
         narrowed = [it for it in items if it.label[0] or len(it.label) != dropped]
         zero, one = spec.zero(), spec.one()
         failures = []

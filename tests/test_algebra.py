@@ -397,9 +397,10 @@ def test_min_poly_refuses_non_rational_component():
     assert e * e == e
     with pytest.raises(ValueError, match="K-rational component"):
         min_poly_reference(e)
-    # stated as a family item with x^2 - i, verification rejects it
+    # stated as a family item with x^2 - i (e is the character sum of
+    # c = -i on the powers of g^2), verification rejects it
     family = build(spec, checked=False)
-    item = IdempotentItem((0,), e, 2, poly_of((-i, Q.zero(), Q.one())))
+    item = IdempotentItem((0,), e, 2, poly_of((-i, Q.zero(), Q.one())), 2, -i)
     report = verify_family(replace(family, items=(item,)))
     [check] = report.item_checks
     assert check.idempotent and check.min_poly_annihilates

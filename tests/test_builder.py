@@ -12,6 +12,7 @@ from cyclotwist import builder, fields
 from cyclotwist.algebra import AlgebraSpec, Poly, certify_irreducible
 from cyclotwist.builder import (
     _char_sum,
+    _item,
     ambient_family,
     build,
     thm3_case3,
@@ -54,6 +55,11 @@ def poly_of(coeffs):
 def decomposed(spec):
     dec = ks_decompose(spec.field, spec.a, spec.n)
     return dec.s, dec
+
+
+def items_of(spec, s, closed):
+    """The items of the closed forms (label, r, c) a case function states."""
+    return [_item(label, spec, s, r, c) for label, r, c in closed]
 
 
 def items_sum(spec, items):
@@ -259,6 +265,30 @@ def dense_char_sum(spec, s, r, cs):
 @pytest.mark.parametrize(
     "field_spec, n, a",
     [
+        ("F:5", 3, "1"),
+        ("F:3", 3, "1"),
+        ("F:7", 3, "5"),
+        ("Q", 3, "16"),
+        ("QC:3", 2, "4"),
+        ("QE:3", 2, "-1"),
+        ("QR:3", 4, "9232,6528,0,-6528"),
+    ],
+)
+def test_items_carry_their_closed_form(field_spec, n, a):
+    # each item is the character sum of its stated c on the powers of
+    # g^S, with sigma(c)'s when c is not in K: what pairing reads
+    spec = spec_of(field_spec, n, a)
+    K = spec.field
+    for it in build(spec).items:
+        cs = [it.c] if sigma(K, it.c) == it.c else [it.c, sigma(K, it.c)]
+        s = n - it.S.bit_length() + 1  # with r = 0, S = 2^(n-s)
+        assert it.element == dense_char_sum(spec, s, 0, cs)
+        assert it.dim == it.S * len(cs)
+
+
+@pytest.mark.parametrize(
+    "field_spec, n, a",
+    [
         ("F:7", 5, "1"),  # F_q[i], s = 5
         ("F:13", 7, "3"),  # F_q, s = 7
         ("QC:4", 6, "16"),
@@ -316,13 +346,14 @@ def test_negated_family_must_start_at_zero():
     # the family that starts at i = 1 is the one without e(0,)
     spec = spec_of("Q", 2, "-1")
     s, dec = decomposed(spec)
-    full = thm3_case4(spec, s, dec.b)
+    full = items_of(spec, s, thm3_case4(spec, s, dec.b))
     assert items_sum(spec, full) == spec.one()
     assert [it.label for it in full] == [(0,)]  # i = 1 leaves nothing
 
     spec = spec_of("QE:3", 2, "-1")
     s, dec = decomposed(spec)
-    narrowed = [it for it in thm3_case4(spec, s, dec.b) if it.label != (0,)]
+    full = items_of(spec, s, thm3_case4(spec, s, dec.b))
+    narrowed = [it for it in full if it.label != (0,)]
     assert len(narrowed) == 1
     assert items_sum(spec, narrowed) != spec.one()
 
@@ -331,7 +362,7 @@ def test_deep_paired_family_needs_r0_block():
     # the block that starts at r = 1 is the family without e(0, i)
     spec = spec_of("F:3", 3, "1")
     s, dec = decomposed(spec)
-    full = thm3_case3(spec, s, dec.b)
+    full = items_of(spec, s, thm3_case3(spec, s, dec.b))
     assert items_sum(spec, full) == spec.one()
     narrowed = [it for it in full if len(it.label) == 1 or it.label[0] >= 1]
     assert len(narrowed) == len(full) - 2
@@ -350,7 +381,8 @@ def test_flipped_lambda_loses_k_rationality():
     s, dec = decomposed(spec)
     m = classify(K).m
     em, em2 = eps(K, m), eps(K, m - 2)
-    singles = [it for it in thm3_case3(spec, s, dec.b) if len(it.label) == 1]
+    full = items_of(spec, s, thm3_case3(spec, s, dec.b))
+    singles = [it for it in full if len(it.label) == 1]
     doubles = [
         dense_char_sum(spec, s, r, [em**-1 * em2**-i * bi, em * em2**i * bi])
         for r in range(s - m + 1)

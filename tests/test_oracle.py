@@ -20,7 +20,8 @@ from cyclotwist.algebra import (
     off_lattice,
     on_lattice,
 )
-from cyclotwist.builder import IdempotentItem, ambient_family, build, verified
+from cyclotwist import builder
+from cyclotwist.builder import ambient_constants, ambient_family, build, verified
 from cyclotwist.fields import (
     IDENTITY,
     FieldDescriptor,
@@ -384,7 +385,7 @@ def test_verify_flags_merged_components(field_spec, n, a, pair):
     merged = items[pair[0]].element + items[pair[1]].element
     poly = min_poly_reference(merged)
     rest = tuple(it for it in family.items if it.label not in pair)
-    item = IdempotentItem(pair[0], merged, poly.degree, poly)
+    item = replace(items[pair[0]], element=merged, dim=poly.degree, min_poly=poly)
     bad = replace(family, items=(item,) + rest)
     report = verify_family(bad)
     assert report.orthogonal and report.sum_is_one
@@ -413,54 +414,6 @@ def test_verify_flags_stated_poly_with_a_root_in_k(field_spec, n, a, other):
     assert not check.primitive and not report.ok
     with pytest.raises(VerificationError):
         verified(with_stated_poly(family, item.label, p))
-
-
-def corrupted_ambient(ambient, corruption):
-    """``ambient`` with its first item dropped, or with the constant c of
-    one stated x^d - c (c != 0, 1) replaced by c^2; returns the label of
-    the corrupted item too."""
-    if corruption == "dropped":
-        return replace(ambient, items=ambient.items[1:]), ambient.items[0].label
-    for k, it in enumerate(ambient.items):
-        coeffs = dict(it.min_poly.terms)
-        c = -coeffs[0]
-        if not c.is_zero() and c != c.owner.one():
-            coeffs[0] = -(c * c)
-            p = poly_of(coeffs)
-            items = list(ambient.items)
-            items[k] = replace(it, min_poly=p)
-            return replace(ambient, items=tuple(items)), it.label
-    raise AssertionError("no stated constant other than 0 and 1")
-
-
-@pytest.mark.parametrize("corruption", ["dropped", "squared constant"])
-@pytest.mark.parametrize(
-    "field_spec, n, a", [("Q", 3, "16"), ("QE:3", 2, "-1"), ("F:3", 2, "1")]
-)
-def test_verify_flags_corrupted_ambient_family(
-    field_spec, n, a, corruption, monkeypatch, capsys
-):
-    # the certificate reads only the K-side items, so a broken ambient
-    # family leaves the structural report as it is; a dropped item is
-    # caught by pairing, a wrong stated constant by the ambient family's
-    # own structural checks
-    family = build(spec_of(field_spec, n, a), checked=False)
-    ambient = ambient_family(family)
-    assert ambient is not family and verify_family(family).ok
-    bad, label = corrupted_ambient(ambient, corruption)
-    assert not verify_family(bad).ok
-    monkeypatch.setattr(cli, "ambient_family", lambda f: bad)
-    code = cli.main(["verify", field_spec, str(n), a])
-    out = capsys.readouterr().out
-    assert "structural: PASS" in out
-    if corruption == "dropped":
-        assert not conjugate_pairing_check(family, bad)
-        assert "pairing: mismatch" in out and "overall: FAIL" in out and code == 1
-    else:
-        assert verify_family(bad).failures == (
-            f"e{label} is not annihilated by its min poly",
-        )
-        assert "pairing: pass" in out and code == 0
 
 
 # -- the fused coefficient checks ----------------------------------------------------
@@ -582,27 +535,61 @@ def test_passing_family_is_verified_without_dense_arithmetic(
 )
 def test_pairing_across_types(field_spec, n, a):
     family = build(spec_of(field_spec, n, a), checked=False)
-    assert conjugate_pairing_check(family, ambient_family(family))
+    assert conjugate_pairing_check(family, ambient_constants(family.spec))
+
+
+def conj(K, c):
+    """The involution of K on the coordinates of c, over c's own field."""
+    return type(c)._make(c.owner, tuple(sigma_coords(K, c.ints)), c.den)
 
 
 def pairing_reference(family, ambient):
-    """The pairing verdict as a set equality: every orbit sum of the
-    involution on ``ambient``, collected, against the items of ``family``."""
+    """The pairing verdict as a set equality over constants: the
+    ambient (S, c) are closed under the involution, and their orbits,
+    each written as its sorted pair of coordinate keys, are the K
+    items' (S, {c, sigma c})."""
     K = family.spec.field
-    remaining = {(it.element.ints, it.element.den): it.element for it in ambient.items}
-    sums = set()
-    while remaining:
-        ke, e = remaining.popitem()
-        f = AlgebraElement(ambient.spec, sigma_coords(K, e.ints), e.den)
-        if (f.ints, f.den) == ke:
-            sums.add(ke)
-            continue
-        if (f.ints, f.den) not in remaining:
-            return False
-        remaining.pop((f.ints, f.den))
-        g = e + f
-        sums.add((g.ints, g.den))
-    return sums == {(it.element.ints, it.element.den) for it in family.items}
+
+    def keys(S, c):
+        pair = sorted([(c.ints, c.den), (conj(K, c).ints, c.den)])
+        return S, pair[0], pair[1]
+
+    stated = {(S, c.ints, c.den) for S, c in ambient}
+    if any((S, conj(K, c).ints, c.den) not in stated for S, c in ambient):
+        return False
+    want = {keys(it.S, it.c) for it in family.items}
+    return {keys(S, c) for S, c in ambient} == want
+
+
+def first_orbit(family, ambient):
+    """The first ambient orbit {(S, c), (S, sigma c)} with sigma c != c,
+    and the ambient constants without it."""
+    K = family.spec.field
+    S, c = next((S, c) for S, c in ambient if conj(K, c) != c)
+    orbit = [(S, c), (S, conj(K, c))]
+    return orbit, [x for x in ambient if x not in orbit]
+
+
+def wrong_ambients(family, ambient):
+    """Ambient constants that pairing must reject, by corruption: the
+    first paired orbit {(S, c), (S, sigma c)} dropped, or replaced by the
+    orbit of c^2, or added again at another S, or replaced by the orbit
+    of zeta^j * c, one mutant for each root of unity zeta^j of the
+    ambient field other than 1 and sigma(c) / c."""
+    K = family.spec.field
+    orbit, rest = first_orbit(family, ambient)
+    S, c = orbit[0]
+    other = S * 2 if S < family.spec.size else S // 2
+    A = c.owner
+    zetas = [A.zeta_pow(j) * c for j in range(1, 1 << A.level)]
+    return {
+        "dropped": [rest],
+        "squared constant": [rest + [(S, c * c), (S, conj(K, c * c))]],
+        "at another S": [ambient + [(other, x) for _, x in orbit]],
+        "times a root of unity": [
+            rest + [(S, z), (S, conj(K, z))] for z in zetas if z != conj(K, c)
+        ],
+    }
 
 
 PAIRING_CASES = [("Q", 2, "-4"), ("QE:3", 3, "16"), ("QR:3", 3, "16"), ("F:3", 3, "1")]
@@ -610,46 +597,122 @@ PAIRING_CASES = [("Q", 2, "-4"), ("QE:3", 3, "16"), ("QR:3", 3, "16"), ("F:3", 3
 
 @pytest.mark.parametrize("field_spec, n, a", PAIRING_CASES)
 def test_pairing_verdict_is_the_set_equality(field_spec, n, a):
-    # mutants whose orbit sums collide: a second orbit {e', sigma e'}
-    # with e' = e + y - sigma y, y = zeta (or i), sums to the same
-    # e + sigma e as {e, sigma e}
+    # set semantics: a constant or an orbit stated twice, or every
+    # constant stated as its partner, is still the same set of orbits
     family = build(spec_of(field_spec, n, a), checked=False)
-    ambient = ambient_family(family)
+    ambient = ambient_constants(family.spec)
     K = family.spec.field
-
-    def conj(e):
-        return AlgebraElement(ambient.spec, sigma_coords(K, e.ints), e.den)
-
-    paired = [it for it in ambient.items if conj(it.element) != it.element]
-    assert paired
-    e = paired[0].element
-    A = ambient.spec.field
-    y = ambient.spec.scalar(A.element([0, 1] + [0] * (A.ambient_dim - 2)))
-    twin = e + y - conj(y)
-    assert conj(twin) not in (twin, e, conj(e)) and twin + conj(twin) == e + conj(e)
-    twins = [replace(paired[0], element=x) for x in (twin, conj(twin))]
-    rest = [it for it in ambient.items if it.element not in (e, conj(e))]
-    total = e + conj(e)  # over the ambient spec: compare coordinates
-    others = [it for it in family.items if it.element.ints != total.ints]
-    assert len(others) == len(family.items) - 1
+    orbit, rest = first_orbit(family, ambient)
     mutants = [
         (family, ambient),  # as built: True
-        (family, replace(ambient, items=ambient.items + tuple(twins))),  # True
-        (family, replace(ambient, items=tuple(rest + twins))),  # True
-        (family, replace(ambient, items=tuple(rest + twins + twins[:1]))),  # True
-        (replace(family, items=tuple(others)), ambient),  # one item short
+        (family, ambient + orbit[:1]),  # a constant twice: True
+        (family, ambient + orbit),  # an orbit twice: True
+        (family, [(S, conj(K, c)) for S, c in ambient]),  # partners: True
+        (replace(family, items=family.items[1:]), ambient),  # one item short
         (replace(family, items=family.items + family.items[:1]), ambient),  # True
-        (family, replace(ambient, items=tuple(rest))),  # one orbit short
+        (family, rest),  # one orbit short
     ]
     verdicts = [conjugate_pairing_check(k, amb) for k, amb in mutants]
     assert verdicts == [pairing_reference(k, amb) for k, amb in mutants]
     assert verdicts == [True, True, True, True, False, True, False]
+    # every wrong constant is rejected, and so is a missing partner
+    wrong = [amb for ambs in wrong_ambients(family, ambient).values() for amb in ambs]
+    assert len(wrong) >= 4
+    for amb in wrong + [rest + orbit[:1]]:
+        assert not conjugate_pairing_check(family, amb)
+        assert not pairing_reference(family, amb)
+
+
+@pytest.mark.parametrize(
+    "corruption",
+    ["dropped", "squared constant", "at another S", "times a root of unity"],
+)
+@pytest.mark.parametrize(
+    "field_spec, n, a",
+    [("Q", 3, "16"), ("QE:3", 2, "-1"), ("F:3", 2, "1")] + PAIRING_CASES,
+)
+def test_verify_flags_corrupted_ambient_family(
+    field_spec, n, a, corruption, monkeypatch, capsys
+):
+    # the certificate reads only the K-side items, so wrong ambient
+    # constants leave the structural report as it is, and pairing alone
+    # rejects them
+    family = build(spec_of(field_spec, n, a), checked=False)
+    mutants = wrong_ambients(family, ambient_constants(family.spec))[corruption]
+    assert mutants
+    for bad in mutants:
+        monkeypatch.setattr(cli, "ambient_constants", lambda spec: bad)
+        code = cli.main(["verify", field_spec, str(n), a])
+        out = capsys.readouterr().out
+        assert "structural: PASS" in out
+        assert "pairing: mismatch" in out and "overall: FAIL" in out and code == 1
+
+
+def first_dropped(closed):
+    return closed[1:]
+
+
+def last_dropped(closed):
+    return closed[:-1]
+
+
+def last_negated(closed):
+    label, r, c = closed[-1]
+    return closed[:-1] + [(label, r, -c)]
+
+
+# instances that dispatch to the plain and to the negated paired case
+CASE3 = [("F:3", 3, "1"), ("QR:3", 3, "16"), ("QE:3", 3, "16")]
+CASE4 = [("Q", 2, "-1"), ("QE:3", 2, "-1")]
+
+
+@pytest.mark.parametrize(
+    "case, mutate, touched, untouched",
+    [
+        ("thm3_case3", first_dropped, CASE3, CASE4),
+        ("thm3_case3", last_negated, CASE3, CASE4),
+        ("thm3_case4", last_dropped, CASE4, CASE3),
+    ],
+    ids=["case3 first dropped", "case3 last negated", "case4 last dropped"],
+)
+def test_pairing_flags_a_mutated_case_function(
+    case, mutate, touched, untouched, monkeypatch
+):
+    # a K-side case function that states a wrong family no longer meets
+    # the ambient constants, which the trivial-involution case states:
+    # pairing rejects every instance of that case, and no other
+    original = getattr(builder, case)
+    monkeypatch.setattr(builder, case, lambda spec, s, b: mutate(original(spec, s, b)))
+    for instance in touched + untouched:
+        family = build(spec_of(*instance), checked=False)
+        paired = conjugate_pairing_check(family, ambient_constants(family.spec))
+        assert paired == (instance in untouched)
+
+
+@pytest.mark.parametrize(
+    "field_spec, n, a", [("QR:3", 3, "16"), ("F:7", 5, "1"), ("QE:6", 8, "-1")]
+)
+def test_verify_builds_no_ambient_coefficient(field_spec, n, a, monkeypatch, capsys):
+    # one character sum and one stated item per K item: the ambient side
+    # is read as constants alone
+    items = len(build(spec_of(field_spec, n, a), checked=False).items)
+    calls = {"_char_sum": 0, "_item": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _fn=getattr(builder, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(builder, name, counted)
+    assert cli.main(["verify", field_spec, str(n), a]) == 0
+    assert "pairing: pass" in capsys.readouterr().out
+    assert calls == {"_char_sum": items, "_item": items}
 
 
 def test_pairing_needs_nontrivial_involution():
     family = build(spec_of("F:5", 1, "1"), checked=False)
     with pytest.raises(ValueError, match="involution"):
-        conjugate_pairing_check(family, family)
+        conjugate_pairing_check(family, ambient_constants(family.spec))
 
 
 # -- the certificate against the descent it replaced -------------------------------
@@ -697,7 +760,7 @@ def with_first_two_merged(family):
     primitive."""
     a, b, *rest = family.items
     p = poly_product(a.min_poly, b.min_poly)
-    merged = IdempotentItem(a.label, a.element + b.element, p.degree, p)
+    merged = replace(a, element=a.element + b.element, dim=p.degree, min_poly=p)
     return replace(family, items=(merged, *rest))
 
 
@@ -767,7 +830,7 @@ def test_cyclotomic_families_verify_and_pair(spec):
     report = verify_family(family)
     assert report.ok
     if spec.field.involution != IDENTITY:
-        assert conjugate_pairing_check(family, ambient_family(family))
+        assert conjugate_pairing_check(family, ambient_constants(spec))
     # the idempotent flag is implied on a passing family, and computed
     # on one whose sum is not 1: both agree with a dense square
     first = family.items[0]
