@@ -30,15 +30,14 @@ Also here: the monic polynomials over K that the construction states
 as minimal polynomials (it writes them in closed form, no factoring or
 linear algebra), held as their nonzero (degree, coefficient) terms,
 at most three for a stated one, and the certificate that such a
-polynomial is irreducible over K, which takes at most two square roots
-in A.
+polynomial is irreducible over K, which takes one square root and one
+square test in A.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from operator import index, sub
 from typing import List, Optional, Sequence, Tuple, Union
@@ -93,18 +92,15 @@ class AlgebraSpec:
         )
 
     def zero(self) -> "AlgebraElement":
-        return self._zero
-
-    @cached_property
-    def _zero(self) -> "AlgebraElement":
-        return _new(self, (0,) * (self.size * self.field.ambient_dim), 1)
+        return self.scalar(0)
 
     def one(self) -> "AlgebraElement":
         return self.scalar(1)
 
     def scalar(self, c: Coeffish) -> "AlgebraElement":
         x = _field_element(self.field, c)
-        return _new(self, x.ints + self._zero.ints[len(x.ints) :], x.den)
+        pad = (self.size - 1) * self.field.ambient_dim
+        return _new(self, x.ints + (0,) * pad, x.den)
 
     def gbar(self, e: int = 1) -> "AlgebraElement":
         """The basis monomial g^e, reduced by g^(2^n) = a.  e >= 0."""
@@ -402,14 +398,16 @@ def certify_irreducible(K: FieldDescriptor, poly: Poly) -> bool:
     (Trager, "Algebraic factoring and rational function integration",
     SYMSAC 1976).  The construction states q(x^S) for q = y - c or a
     monic quadratic q = y^2 + beta*y + gamma, S a power of two.  One
-    square root of the discriminant splits q over A into y - c and
-    y - sigma(c); then p is irreducible iff c is not in K and x^S - c is
-    irreducible over A: S = 1, or c no square in A.  A binomial whose
-    constant is no square in A is irreducible over A already.  At most
-    two square roots in A per polynomial.  Over K = A the involution is
-    the identity and every root lies in K, so the same formula reduces
-    to Capelli's square test: x^D - c is irreducible iff 4c, so c, is
-    no square in A.
+    square root splits q over A into y - c and y - sigma(c): of -gamma
+    for a binomial, else of beta^2 - 4*gamma, formed by sums and halved
+    by one product.  Then p is irreducible iff c is not in K and x^S - c
+    is irreducible over A: S = 1, or c no square in A (``is_square``).
+    A binomial whose constant is no square in A is irreducible over A
+    already.  The root's sign does not matter: -c lies in K iff c does,
+    and is a square iff c is, as -1 = i^2; the other root of the
+    discriminant gives sigma(c), a square iff c is.  Over K = A every
+    root lies in K, so the formula reduces to Capelli's square test:
+    x^D - c is irreducible iff c is no square in A.
 
     Any other polynomial has no certificate: the answer is a definite
     False, never an open verdict.
@@ -428,12 +426,18 @@ def certify_irreducible(K: FieldDescriptor, poly: Poly) -> bool:
     c = dict(poly.terms)
     if D & (D - 1) or c.keys() - {0, S, D}:
         return False
-    beta, gamma = c.get(S, K.zero()), c.get(0, K.zero())
+    beta, gamma = c.get(S), c.get(0, K.zero())
     # every root is looked up on the module, so that a traced run counts it
     if not all(is_in_k(K, c) for _, c in poly.terms):
         return False
-    delta = fields.sqrt_ambient(K, beta * beta - 4 * gamma)
-    if delta is None:
-        return not beta
-    root = (delta - beta) / 2
-    return not is_in_k(K, root) and (S == 1 or fields.sqrt_ambient(K, root) is None)
+    if beta is None:
+        root = fields.sqrt_ambient(K, -gamma)
+        if root is None:
+            return True
+    else:
+        twice = gamma + gamma
+        delta = fields.sqrt_ambient(K, beta * beta - twice - twice)
+        if delta is None:
+            return False
+        root = (delta - beta) * K.half
+    return not is_in_k(K, root) and (S == 1 or not fields.is_square(K, root))

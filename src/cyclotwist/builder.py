@@ -49,6 +49,7 @@ from .algebra import AlgebraElement, AlgebraSpec, Poly, off_lattice
 from .classify import (
     EPS_COSET,
     NEGATED,
+    PLAIN,
     TYPE_B,
     TYPE_D,
     TYPE_E,
@@ -61,6 +62,7 @@ from .fields import (
     IDENTITY,
     AmbientElement,
     eps,
+    interned,
     reduce_coords,
     sigma,
     sigma_coords,
@@ -202,10 +204,10 @@ def thm2_case1(spec: AlgebraSpec, s: int, b: AmbientElement) -> list:
     m = K.root_level
     t = min(s, m)
     bi = _inverse_squares(b, max(s - m, 0))
-    eti = eps(K, t).inverse()
+    eti = eps(K, t, -1)
     items = _block(0, (), bi[0], eti, 1 << t)
     if s > m:
-        em1i = eps(K, m - 1).inverse()
+        em1i = eps(K, m - 1, -1)
         for r in range(1, s - m + 1):
             items += _block(r, (r,), eti * bi[r], em1i, 1 << (m - 1))
     return items
@@ -218,8 +220,8 @@ def thm3_case4(spec: AlgebraSpec, s: int, b: AmbientElement) -> list:
     K = spec.field
     cls = classify(K)
     assert 1 <= s <= cls.m - 1 and cls.field_type in (TYPE_D, TYPE_E)
-    start = eps(K, s + 1).inverse() * b.inverse()
-    return _block(0, (), start, eps(K, s - 1).inverse(), 1 << (s - 1))
+    start = eps(K, s + 1, -1) * b.inverse()
+    return _block(0, (), start, eps(K, s - 1, -1), 1 << (s - 1))
 
 
 def thm3_case3(spec: AlgebraSpec, s: int, b: AmbientElement) -> list:
@@ -237,7 +239,7 @@ def thm3_case3(spec: AlgebraSpec, s: int, b: AmbientElement) -> list:
     bi = _inverse_squares(b, max(s - m, 0))
     items = _block(0, (), bi[0], eps(K, t), half + 1)
     if s >= m:
-        emi, em2i = eps(K, m).inverse(), eps(K, m - 2).inverse()
+        emi, em2i = eps(K, m, -1), eps(K, m - 2, -1)
         for r in range(s - m + 1):
             items += _block(r, (r,), emi * bi[r], em2i, half)
     return items
@@ -254,7 +256,7 @@ def thm3_case5(spec: AlgebraSpec, s: int, b: AmbientElement) -> list:
     m = cls.m
     assert s >= m and cls.field_type == TYPE_D
     u = eps(K, m)
-    em1i = eps(K, m - 1).inverse()
+    em1i = eps(K, m - 1, -1)
     # (1+u)^(-2^r) b^(-2^r) for r = 0..s-m
     wi = _inverse_squares((1 + u) * b, s - m)
     count = 1 << (m - 1)
@@ -267,7 +269,7 @@ def thm3_case5(spec: AlgebraSpec, s: int, b: AmbientElement) -> list:
     quarter = 1 << (m - 2)
     items += _block(1, (1,), c0b * em1i, em1i, quarter)
     items.append(((1, count - 1), 1, c0b))
-    ui, em2i = u.inverse(), eps(K, m - 2).inverse()
+    ui, em2i = eps(K, m, -1), eps(K, m - 2, -1)
     for r in range(2, s - m + 1):
         items += _block(r, (r,), wi[r] * ui, em2i, quarter)
     return items
@@ -323,9 +325,9 @@ def verified(family: IdempotentFamily) -> IdempotentFamily:
 
 
 def ambient_spec(spec: AlgebraSpec) -> AlgebraSpec:
-    """The same algebra over the ambient field A, with the trivial
-    involution; equal to ``spec`` when K = A."""
-    A = replace(spec.field, involution=IDENTITY)
+    """The same algebra over the ambient field A (interned, with the
+    trivial involution); equal to ``spec`` when K = A."""
+    A = interned(IDENTITY, spec.field.level, spec.field.q)
     return AlgebraSpec(A, spec.n, AmbientElement._make(A, spec.a.ints, spec.a.den))
 
 
@@ -337,10 +339,12 @@ def ambient_family(family: IdempotentFamily) -> IdempotentFamily:
     return build(ambient_spec(family.spec), checked=False)
 
 
-def ambient_constants(spec: AlgebraSpec) -> List[Tuple[int, AmbientElement]]:
+def ambient_constants(family: IdempotentFamily) -> List[Tuple[int, AmbientElement]]:
     """(S, c) of every item over the ambient field, as the case functions
-    state them, for ``conjugate_pairing_check``: no item is built."""
-    A = ambient_spec(spec)
-    dec = ks_decompose(A.field, A.a, A.n)
-    closed = _dispatch(A, classify(A.field, A.n), dec)
+    state them, for ``conjugate_pairing_check``: no item is built, and
+    no second ``ks_decompose`` runs (``CosetDecomposition.root``)."""
+    A = ambient_spec(family.spec)
+    dec = family.decomposition
+    root = AmbientElement._make(A.field, dec.root.ints, dec.root.den)
+    closed = _dispatch(A, classify(A.field, A.n), replace(dec, form=PLAIN, b=root))
     return [(1 << (A.n - dec.s + r), c) for _, r, c in closed]

@@ -64,11 +64,13 @@ class Classification:
 @dataclass(frozen=True)
 class CosetDecomposition:
     """a = b^(2^s) (plain), -b^(2^s) (negated) or (1+eps_m)^(2^s) b^(2^s)
-    (eps_coset), with b in K*."""
+    (eps_coset), with b in K*.  ``root``, alpha^(2^s) = a, ends the root
+    chain, which never reads the involution: it is the b of a over A."""
 
     s: int
     form: str
     b: AmbientElement
+    root: AmbientElement
 
 
 @functools.lru_cache(maxsize=None)
@@ -78,10 +80,10 @@ def _classify_core(K: FieldDescriptor) -> tuple:
         return TYPE_B, m
     em = eps(K, m)
     img = sigma(K, em)
-    if img == em**-1:
+    if img == eps(K, m, -1):
         assert m >= 2
         return TYPE_D, m
-    assert img == -(em**-1) and m >= 3
+    assert img == -eps(K, m, -1) and m >= 3
     return TYPE_E, m
 
 
@@ -174,7 +176,7 @@ def ks_decompose(K: FieldDescriptor, a: AmbientElement, n: int) -> CosetDecompos
     if s > L:
         alpha = root_chain(K, alpha ** (1 << L), L)[1]
     if K.involution == IDENTITY:
-        return CosetDecomposition(s, PLAIN, alpha)
+        return CosetDecomposition(s, PLAIN, alpha, alpha)
 
     field_type, m = _classify_core(K)
     one = K.one()
@@ -191,15 +193,15 @@ def ks_decompose(K: FieldDescriptor, a: AmbientElement, n: int) -> CosetDecompos
         b = _strip_root(K, alpha2, omega2)
         assert is_in_k(K, b)
         assert a == ((one + em) * b) ** (1 << s)
-        return CosetDecomposition(s, EPS_COSET, b)
+        return CosetDecomposition(s, EPS_COSET, b, alpha)
 
     b = _strip_root(K, alpha, omega)
     assert is_in_k(K, b)
     resid = a / b ** (1 << s)
     if resid == one:
-        return CosetDecomposition(s, PLAIN, b)
+        return CosetDecomposition(s, PLAIN, b, alpha)
     assert resid == -one and 1 <= s <= m - 1
-    return CosetDecomposition(s, NEGATED, b)
+    return CosetDecomposition(s, NEGATED, b, alpha)
 
 
 def recompose(K: FieldDescriptor, dec: CosetDecomposition) -> AmbientElement:

@@ -27,6 +27,7 @@ import argparse
 import functools
 import os
 import sys
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
@@ -62,32 +63,34 @@ def _print_json(obj) -> None:
     print(_json_text(obj, "\n"))
 
 
-_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+# the text of each leaf type, written inside a container with no recursion
+_JSON_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
 
 
 def _json_text(obj, pad: str) -> str:
     """The JSON text of ``obj`` with 2-space indent and the separators
     "," and ": "; ``pad`` is a newline plus the indent of its line."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None or obj is True or obj is False:
-        return _JSON_CONSTANTS[obj]
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    inner = pad + "  "
     if isinstance(obj, dict):
-        ends = "{}"
-        parts = [
-            encode_basestring_ascii(k) + ": " + _json_text(v, inner)
-            for k, v in obj.items()
-        ]
+        ends, values = "{}", obj.values()
+        heads = [encode_basestring_ascii(k) + ": " for k in obj]
     elif isinstance(obj, list):
-        ends = "[]"
-        parts = [_json_text(v, inner) for v in obj]
+        ends, heads, values = "[]", repeat(""), obj
+    elif type(obj) in _JSON_LEAVES:
+        return _JSON_LEAVES[type(obj)](obj)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    if not parts:
+    if not obj:
         return ends
+    inner = pad + "  "
+    parts = []
+    for head, v in zip(heads, values):
+        leaf = _JSON_LEAVES.get(type(v))
+        parts.append(head + (leaf(v) if leaf else _json_text(v, inner)))
     return ends[0] + inner + ("," + inner).join(parts) + pad + ends[1]
 
 
@@ -215,7 +218,7 @@ def _cmd_verify(args) -> int:
     if spec.field.involution == IDENTITY:
         pairing = "skipped: trivial involution"
     else:
-        paired = conjugate_pairing_check(family, ambient_constants(spec))
+        paired = conjugate_pairing_check(family, ambient_constants(family))
         pairing = "pass" if paired else "mismatch"
 
     passed = report.ok and "mismatch" not in (enumeration, pairing)

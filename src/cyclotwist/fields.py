@@ -26,6 +26,11 @@ Q(zeta) run on integers too) or to Tonelli-Shanks mod q.
 ``FieldDescriptor.element`` accepts it and ``AmbientElement.coeffs``
 returns it.
 
+Each field is one object (``interned``): it is validated once, computes
+its shape, 0, 1 and roots of unity once, and owner tests succeed on
+identity.  A descriptor built directly is equal and hashes alike; it
+only misses that fast path.
+
 The involution is one of: ``identity`` (K = A); ``inverse_conj``
 (zeta -> zeta^-1, L >= 2; on F_q[i] this is Frobenius x -> x^q, as
 i^q = -i); ``negated_inverse_conj`` (zeta -> -zeta^-1, L >= 3).
@@ -139,19 +144,33 @@ class FieldDescriptor:
                 "involution must be identity, inverse_conj or negated_inverse_conj"
             )
 
-    # -- basic shape ---------------------------------------------------
+    # -- basic shape, computed once per descriptor ----------------------
 
-    @property
+    @functools.cached_property
     def ambient_dim(self) -> int:
         """Dimension of A over its prime field."""
         return 1 << (self.level - 1)
 
-    @property
+    @functools.cached_property
     def root_level(self) -> int:
         """Largest t such that A contains a primitive 2^t-th root of unity."""
         if self.q:
             return _v2(self.q**self.ambient_dim - 1)
         return self.level
+
+    @functools.cached_property
+    def _roots(self) -> Tuple[tuple, tuple]:
+        """(eps_t, eps_t^-1) for t = 0..root_level: eps_(t-1) = eps_t^2."""
+        L, q, d = self.root_level, self.q, self.ambient_dim
+        if q:
+            top = _new(self, _fin_nonresidue(q, d), 1) ** ((q**d - 1) >> L)
+        else:
+            top = self.zeta_pow(1)
+        roots, inverses = [top], [top.inverse()]
+        for _ in range(L):
+            roots.append(roots[-1] * roots[-1])
+            inverses.append(inverses[-1] * inverses[-1])
+        return tuple(reversed(roots)), tuple(reversed(inverses))
 
     def __str__(self) -> str:
         tail = f" mod {self.q}" if self.q else ""
@@ -202,13 +221,18 @@ class FieldDescriptor:
         nums, den = reduce_coords(self, [c.numerator], c.denominator)
         return _new(self, nums + (0,) * (self.ambient_dim - 1), den)
 
-    @functools.lru_cache(maxsize=None)
     def zero(self) -> "AmbientElement":
-        return self.scalar(0)
+        return self._scalars[0]
 
-    @functools.lru_cache(maxsize=None)
     def one(self) -> "AmbientElement":
-        return self.scalar(1)
+        return self._scalars[1]
+
+    @functools.cached_property
+    def _scalars(self) -> tuple:
+        """0, 1 and 1/2 (``half``, for halving by one product)."""
+        return self.scalar(0), self.scalar(1), self.scalar(2).inverse()
+
+    half = property(lambda self: self._scalars[2])
 
     def zeta_pow(self, e: int) -> "AmbientElement":
         """zeta^e for the defining root of unity zeta (i over F_q[i],
@@ -225,6 +249,12 @@ class FieldDescriptor:
             raise AmbientError("cannot enumerate an infinite field")
         for ints in product(range(self.q), repeat=self.ambient_dim):
             yield _new(self, ints, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def interned(involution: str, level: int, q: int, /) -> FieldDescriptor:
+    """The one descriptor of these values (all positional: one key each)."""
+    return FieldDescriptor(involution, level, q)
 
 
 class Element:
@@ -247,9 +277,9 @@ class Element:
     def _make(cls, owner, ints: tuple, den: int):
         """An element from coordinates that are already reduced."""
         x = object.__new__(cls)
-        object.__setattr__(x, "owner", owner)
-        object.__setattr__(x, "ints", ints)
-        object.__setattr__(x, "den", den)
+        _set_owner(x, owner)
+        _set_ints(x, ints)
+        _set_den(x, den)
         return x
 
     def _lift(self, other):
@@ -264,7 +294,8 @@ class Element:
     def is_k_rational(self) -> bool:
         """Is every ambient coordinate run fixed by the involution: does
         the element lie in K, or have all its coefficients there?"""
-        return sigma_coords(self.field, self.ints) == list(self.ints)
+        K = self.field
+        return K.involution == IDENTITY or sigma_coords(K, self.ints) == list(self.ints)
 
     def __add__(self, other, sign: int = 1):  # sign -1 is ``__sub__``
         o = self._lift(other)
@@ -289,10 +320,13 @@ class Element:
 
     def _times(self, c: "AmbientElement"):
         """self times the ambient element c: each run of coordinates by
-        ``times_coords``, then one reduction (mod q included)."""
-        vals = times_coords(self.ints, c.ints, 0)
-        den = self.den * c.den
-        return self._make(self.owner, *reduce_coords(self.field, vals, den))
+        ``times_coords``, which reduces mod q, then over Q(zeta) one
+        reduction to lowest terms."""
+        K = self.field
+        vals = times_coords(self.ints, c.ints, K.q)
+        if K.q:
+            return self._make(self.owner, tuple(vals), 1)
+        return self._make(self.owner, *reduce_coords(K, vals, self.den * c.den))
 
     def inverse(self):
         raise TypeError(f"{type(self).__name__} has no inverse")
@@ -334,6 +368,12 @@ class Element:
             return _rational_hash(ints[0], self.den)
         last = max(compress(range(len(ints)), ints))
         return hash((ints[: last + 1], self.den))
+
+
+# the slot setters, which bypass the refusing ``__setattr__``
+_set_owner, _set_ints, _set_den = (
+    Element.owner.__set__, Element.ints.__set__, Element.den.__set__
+)
 
 
 def _rational_hash(num: int, den: int) -> int:
@@ -664,9 +704,9 @@ def _fp_sqrt(a: int, q: int) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def eps(K: FieldDescriptor, t: int) -> AmbientElement:
-    """The canonical primitive 2^t-th root of unity in the ambient field.
+def eps(K: FieldDescriptor, t: int, power: int = 1) -> AmbientElement:
+    """The canonical primitive 2^t-th root of unity in the ambient field,
+    or with ``power`` -1 its inverse; the descriptor holds them.
 
     Over Q(zeta): the power zeta^(2^(L-t)) of the defining root.  Mod q:
     the first non-square in coordinate order raised to (q^d - 1)/2^t
@@ -677,12 +717,7 @@ def eps(K: FieldDescriptor, t: int) -> AmbientElement:
         raise AmbientError(
             f"no primitive 2^{t}-th root of unity in this ambient field"
         )
-    if t == 0:
-        return K.one()
-    if not K.q:
-        return K.zeta_pow(1 << (K.level - t))
-    d = K.ambient_dim
-    return _new(K, _fin_nonresidue(K.q, d), 1) ** ((K.q**d - 1) >> t)
+    return K._roots[power < 0][t]
 
 
 def _require_owner(K: FieldDescriptor, x: AmbientElement) -> None:
@@ -770,6 +805,17 @@ def sqrt_ambient(K: FieldDescriptor, x: AmbientElement) -> Optional[AmbientEleme
     cand = min(cand, -cand, key=lambda e: e.ints)
     assert cand * cand == x
     return cand
+
+
+def is_square(K: FieldDescriptor, x: AmbientElement) -> bool:
+    """``sqrt_ambient(K, x) is not None``, forming no root mod q: there x
+    is a square iff its norm to F_q, x or u^2 + v^2 for x = u + iv, is
+    (Euler's criterion).  Over Q(zeta), ``_sqrt_coords`` with no sign."""
+    _require_owner(K, x)
+    if K.q:
+        nrm = sum(v * v for v in x.ints) if K.level == 2 else x.ints[0]
+        return pow(nrm, (K.q - 1) >> 1, K.q) != K.q - 1
+    return _sqrt_coords([v * x.den for v in x.ints], 0) is not None
 
 
 def root_chain(

@@ -54,6 +54,7 @@ from .fields import (
     NEGATED_INVERSE_CONJ,
     AmbientElement,
     FieldDescriptor,
+    interned,
 )
 
 __all__ = [
@@ -88,10 +89,10 @@ def _parse_level(tail: str, spec: str, minimum: int) -> int:
 
 
 def parse_field(spec: str) -> FieldDescriptor:
-    """Parse a field spec string into a :class:`FieldDescriptor`."""
+    """Parse a field spec string into its interned :class:`FieldDescriptor`."""
     text = spec.strip()
     if text == "Q":
-        return FieldDescriptor(INVERSE_CONJ, 2)
+        return interned(INVERSE_CONJ, 2, 0)
     head, sep, tail = text.partition(":")
     if not sep:
         raise ValueError(
@@ -99,7 +100,7 @@ def parse_field(spec: str) -> FieldDescriptor:
         )
     if head in _CYCLOTOMIC:
         involution, least = _CYCLOTOMIC[head]
-        return FieldDescriptor(involution, _parse_level(tail, spec, least))
+        return interned(involution, _parse_level(tail, spec, least), 0)
     if head == "F":
         try:
             q = int(tail)
@@ -113,8 +114,8 @@ def parse_field(spec: str) -> FieldDescriptor:
         if not q:
             raise ValueError("finite modulus must be an odd prime")
         if q % 4 == 1:
-            return FieldDescriptor(IDENTITY, 1, q)
-        return FieldDescriptor(INVERSE_CONJ, 2, q)
+            return interned(IDENTITY, 1, q)
+        return interned(INVERSE_CONJ, 2, q)
     raise ValueError(
         f"unknown field spec {spec!r}: expected Q, QC:L, QR:L, QE:L, or F:q"
     )

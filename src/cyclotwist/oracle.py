@@ -23,8 +23,8 @@ and ``alg_mul`` only for a family that fails a check.  The minimality
 certificate reads only each item's stated polynomial: once the
 structural checks prove it the minimal polynomial, the item is
 primitive iff it is irreducible over K, which Capelli's criterion over
-A and quadratic descent from A to K decide with at most two square
-roots in A (``algebra.certify_irreducible``).  ``verify_family`` is the
+A and quadratic descent from A to K decide with one square root and
+one square test in A (``algebra.certify_irreducible``).  ``verify_family`` is the
 one check of the coefficients ``builder._char_sum`` expands; pairing
 reads each item's constants (S, c) alone.
 """

@@ -307,8 +307,8 @@ def criterion_structure_law(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionRes
 
 def criterion_conjugate_pairing(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionResult:
     def check(case: MatrixCase) -> Optional[str]:
-        spec = case.spec()
-        if conjugate_pairing_check(_family(spec), ambient_constants(spec)):
+        family = _family(case.spec())
+        if conjugate_pairing_check(family, ambient_constants(family)):
             return None
         return "orbit sums of the ambient family differ"
 

@@ -16,11 +16,11 @@ from cyclotwist.algebra import (
     _unpack,
     certify_irreducible,
 )
-from cyclotwist.builder import IdempotentItem, build
-from cyclotwist.fields import IDENTITY, INVERSE_CONJ, sigma
+from cyclotwist.builder import IdempotentItem, ambient_family, build
+from cyclotwist.fields import IDENTITY, INVERSE_CONJ, is_in_k, sigma, sqrt_ambient
 from cyclotwist.grammar import parse_element, parse_field
 from cyclotwist.oracle import verify_family
-from test_builder import galois, min_poly_reference, poly_of
+from test_builder import galois, golden_instances, min_poly_reference, poly_of
 
 Q = parse_field("Q")
 QR3 = parse_field("QR:3")
@@ -593,3 +593,47 @@ def test_certify_non_binomial_is_a_definite_false():
     assert certify_irreducible(QC2, p) is False
     p = poly_of((F5.scalar(2), F5.one(), F5.one()))
     assert certify_irreducible(F5, p) is False
+
+
+def certify_reference(K, poly):
+    """The certificate as it was stated with two square roots: a root of
+    the discriminant beta^2 - 4*gamma (an integer 4), halved by the
+    integer 2, and a second root for the last test."""
+    D = poly.degree
+    if D == 1:
+        return True
+    S = D // 2
+    c = dict(poly.terms)
+    if D & (D - 1) or c.keys() - {0, S, D}:
+        return False
+    beta, gamma = c.get(S, K.zero()), c.get(0, K.zero())
+    if not all(is_in_k(K, c) for _, c in poly.terms):
+        return False
+    delta = sqrt_ambient(K, beta * beta - 4 * gamma)
+    if delta is None:
+        return not beta
+    root = (delta - beta) / 2
+    return not is_in_k(K, root) and (S == 1 or sqrt_ambient(K, root) is None)
+
+
+def certificate_mutants(poly):
+    """poly, and poly with gamma negated, gamma times 4, beta doubled."""
+    c = dict(poly.terms)
+    S = poly.degree // 2
+    changed = []
+    if 0 in c:
+        changed += [{0: -c[0]}, {0: 4 * c[0]}]
+    if S in c and S != poly.degree:
+        changed.append({S: 2 * c[S]})
+    return [poly] + [poly_of({**c, **change}) for change in changed]
+
+
+@pytest.mark.parametrize("field_spec, n, a", golden_instances(), ids=" ".join)
+def test_certificate_agrees_with_two_square_roots(field_spec, n, a):
+    # on every stated polynomial, over K and over A, and on its mutants
+    family = build(spec_of(field_spec, int(n), a), checked=False)
+    for fam in (family, ambient_family(family)):
+        K = fam.spec.field
+        for it in fam.items:
+            for p in certificate_mutants(it.min_poly):
+                assert certify_irreducible(K, p) == certify_reference(K, p), str(p)

@@ -1,8 +1,11 @@
 """The closed-form construction: dispatch, completeness, and honest limits."""
 
 import importlib
+import json
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +36,7 @@ from cyclotwist.fields import (
     sigma,
 )
 from cyclotwist.grammar import parse_element, parse_field
+from cyclotwist.selftest import MATRIX
 
 # the module, which the package's ``classify`` function shadows
 classify_module = importlib.import_module("cyclotwist.classify")
@@ -43,6 +47,15 @@ DEEP_A = "170459392,120532992,0,-120532992"  # (1 + eps_3)^32 over QR:3
 def spec_of(field_spec, n, a_literal):
     K = parse_field(field_spec)
     return AlgebraSpec(K, n, parse_element(K, a_literal))
+
+
+def golden_instances():
+    """(field, n, a) of every ``golden_cli.json`` call and every selftest
+    matrix case."""
+    keys = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+    out = {tuple(t for t in k.split() if not t.startswith("--"))[1:] for k in keys}
+    out |= {(c.field, str(c.n), c.a) for c in MATRIX}
+    return sorted(out)
 
 
 def poly_of(coeffs):
@@ -302,9 +315,10 @@ def test_build_forms_each_constant_once(monkeypatch, field_spec, n, a):
     # item takes its second character's constant from the involution.
     # Not counting the chain of square roots in ks_decompose, a build
     # makes at most s + 2 powers (the roots of unity themselves) and
-    # one inverse per item plus O(s), from caches emptied first.
-    spec = spec_of(field_spec, n, a)
-    fields.eps.cache_clear()
+    # one inverse per item plus O(s), from caches emptied first: a
+    # descriptor built directly computes its roots of unity anew.
+    K = replace(parse_field(field_spec))
+    spec = AlgebraSpec(K, n, parse_element(K, a))
     classify_module._classify_core.cache_clear()
     calls = Counter()
     counting = [True]

@@ -1,5 +1,6 @@
 """Ambient field arithmetic: cyclotomic towers and F_q / F_q[i]."""
 
+import itertools
 import random
 import time
 from decimal import Decimal
@@ -28,6 +29,7 @@ from cyclotwist.fields import (
     _is_prime,
     eps,
     is_in_k,
+    is_square,
     norm,
     reduce_coords,
     root_chain,
@@ -181,6 +183,51 @@ def test_cyclotomic_sqrt_of_squares(x):
     r = sqrt_ambient(QC3, x * x)
     assert r is not None and r * r == x * x
     assert min(r.coeffs, (-r).coeffs) == r.coeffs
+
+
+# -- the square test -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 19, 23])
+def test_is_square_is_sqrt_found_on_every_finite_element(q):
+    # F_q itself, and F_q[i] where q = 3 mod 4
+    fields = [FieldDescriptor(IDENTITY, 1, q)]
+    if q % 4 == 3:
+        fields.append(parse_field(f"F:{q}"))
+    for K in fields:
+        for x in K.iter_ambient():
+            assert is_square(K, x) == (sqrt_ambient(K, x) is not None), x
+
+
+# Q itself and Q(zeta) up to level 4, where zeta is no square: A holds no
+# primitive 2^(L+1)-th root of unity
+CYCLOTOMIC_LEVELS = [FieldDescriptor(IDENTITY, L) for L in (1, 2, 3, 4)]
+
+
+def _square_test_agrees(K, x):
+    zeta = K.zeta_pow(1)
+    for y in (x, x * x, x * x * zeta):
+        assert is_square(K, y) == (sqrt_ambient(K, y) is not None), y
+    assert is_square(K, x * x)
+    assert x.is_zero() or not is_square(K, x * x * zeta)
+
+
+@pytest.mark.parametrize("K", CYCLOTOMIC_LEVELS[:3], ids=lambda K: f"level {K.level}")
+def test_is_square_is_sqrt_found_on_small_cyclotomic_elements(K):
+    for coords in itertools.product(range(-2, 3), repeat=K.ambient_dim):
+        _square_test_agrees(K, K.element(coords))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_is_square_is_sqrt_found_over_cyclotomic_fields(data):
+    K = data.draw(st.sampled_from(CYCLOTOMIC_LEVELS))
+    _square_test_agrees(K, data.draw(elements_of(K)))
+
+
+def test_is_square_refuses_an_element_of_another_field():
+    with pytest.raises(AmbientError):
+        is_square(F5, F7.one())
 
 
 # -- the integer form against a Fraction schoolbook reference ------------------
@@ -391,6 +438,9 @@ def test_eps_has_exact_order(K, max_t):
         assert e ** (1 << t) == K.one()
         if t:
             assert e ** (1 << (t - 1)) == -K.one()
+        assert e * eps(K, t, -1) == K.one()
+        if not K.q:  # the power zeta^(2^(L-t)) of the defining root
+            assert e == K.zeta_pow(1 << (K.level - t))
 
 
 def test_eps_beyond_supply_raises():

@@ -1,17 +1,19 @@
 """Verification oracles: structural checks, brute force, the Frobenius
 certificate, conjugate pairing."""
 
-import json
+import importlib
 import random
+from collections import Counter
 from dataclasses import replace
 from math import gcd
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cyclotwist import _enum_py, cli
+from cyclotwist import _enum_py, cli, fields
+from cyclotwist import algebra as algebra_module
+from cyclotwist import oracle as oracle_module
 from cyclotwist.algebra import (
     AlgebraElement,
     AlgebraSpec,
@@ -21,6 +23,7 @@ from cyclotwist.algebra import (
     on_lattice,
 )
 from cyclotwist import builder
+from cyclotwist.classify import classify, ks_decompose
 from cyclotwist.builder import ambient_constants, ambient_family, build, verified
 from cyclotwist.fields import (
     IDENTITY,
@@ -42,9 +45,11 @@ from cyclotwist.oracle import (
     cross_check,
     verify_family,
 )
-from cyclotwist.selftest import MATRIX
 from test_algebra import ambient_elements, kernel_specs
-from test_builder import min_poly_reference, poly_of
+from test_builder import golden_instances, min_poly_reference, poly_of
+
+# the module, which the package's ``classify`` function shadows
+classify_module = importlib.import_module("cyclotwist.classify")
 
 
 def spec_of(field_spec, n, a_literal):
@@ -535,7 +540,7 @@ def test_passing_family_is_verified_without_dense_arithmetic(
 )
 def test_pairing_across_types(field_spec, n, a):
     family = build(spec_of(field_spec, n, a), checked=False)
-    assert conjugate_pairing_check(family, ambient_constants(family.spec))
+    assert conjugate_pairing_check(family, ambient_constants(family))
 
 
 def conj(K, c):
@@ -600,7 +605,7 @@ def test_pairing_verdict_is_the_set_equality(field_spec, n, a):
     # set semantics: a constant or an orbit stated twice, or every
     # constant stated as its partner, is still the same set of orbits
     family = build(spec_of(field_spec, n, a), checked=False)
-    ambient = ambient_constants(family.spec)
+    ambient = ambient_constants(family)
     K = family.spec.field
     orbit, rest = first_orbit(family, ambient)
     mutants = [
@@ -638,10 +643,10 @@ def test_verify_flags_corrupted_ambient_family(
     # constants leave the structural report as it is, and pairing alone
     # rejects them
     family = build(spec_of(field_spec, n, a), checked=False)
-    mutants = wrong_ambients(family, ambient_constants(family.spec))[corruption]
+    mutants = wrong_ambients(family, ambient_constants(family))[corruption]
     assert mutants
     for bad in mutants:
-        monkeypatch.setattr(cli, "ambient_constants", lambda spec: bad)
+        monkeypatch.setattr(cli, "ambient_constants", lambda family: bad)
         code = cli.main(["verify", field_spec, str(n), a])
         out = capsys.readouterr().out
         assert "structural: PASS" in out
@@ -685,7 +690,7 @@ def test_pairing_flags_a_mutated_case_function(
     monkeypatch.setattr(builder, case, lambda spec, s, b: mutate(original(spec, s, b)))
     for instance in touched + untouched:
         family = build(spec_of(*instance), checked=False)
-        paired = conjugate_pairing_check(family, ambient_constants(family.spec))
+        paired = conjugate_pairing_check(family, ambient_constants(family))
         assert paired == (instance in untouched)
 
 
@@ -709,10 +714,112 @@ def test_verify_builds_no_ambient_coefficient(field_spec, n, a, monkeypatch, cap
     assert calls == {"_char_sum": items, "_item": items}
 
 
+def ambient_constants_reference(spec):
+    """(S, c) of the ambient items from a second ``ks_decompose``, over
+    ``ambient_spec``, as ``ambient_constants`` computed them before it
+    read the family's own root chain."""
+    A = builder.ambient_spec(spec)
+    dec = ks_decompose(A.field, A.a, A.n)
+    closed = builder._dispatch(A, classify(A.field, A.n), dec)
+    return [(1 << (A.n - dec.s + r), c) for _, r, c in closed]
+
+
+CONSTANT_MATRIX_FIELDS = ["F:3", "F:7", "F:11", "F:19", "Q", "QR:3", "QR:4", "QE:3", "QE:4"]
+
+
+def constant_matrix(field_spec):
+    q = parse_field(field_spec).q
+    units = [a for a in ("1", "-1", "2", "3", "16") if not q or int(a) % q]
+    return [(field_spec, str(n), a) for n in range(7) for a in units]
+
+
+@pytest.mark.parametrize(
+    "instances",
+    [[x for x in golden_instances() if parse_field(x[0]).involution != IDENTITY]]
+    + [constant_matrix(f) for f in CONSTANT_MATRIX_FIELDS],
+    ids=["golden"] + CONSTANT_MATRIX_FIELDS,
+)
+def test_ambient_constants_need_no_second_chain(instances):
+    for field_spec, n, a in instances:
+        family = build(spec_of(field_spec, int(n), a), checked=False)
+        got = [(S, c.owner, c.ints, c.den) for S, c in ambient_constants(family)]
+        want = ambient_constants_reference(family.spec)
+        assert got == [(S, c.owner, c.ints, c.den) for S, c in want], (field_spec, n, a)
+
+
+@pytest.mark.parametrize(
+    "field_spec, n, a, chains",
+    [("F:7", 5, "4", 2), ("QE:6", 8, "-1", 1), ("QR:3", 3, "16", 1)],
+)
+def test_verify_runs_one_root_chain(field_spec, n, a, chains, monkeypatch, capsys):
+    # the chains of the one ks_decompose over K: one, or two when the
+    # depth s runs past the root level (F:7 5 4, s = 5 over F_49, L = 4);
+    # the ambient constants take no chain of their own
+    calls = []
+    original = classify_module.root_chain
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(classify_module, "root_chain", counted)
+    assert cli.main(["verify", field_spec, str(n), a]) == 0
+    assert "pairing: pass" in capsys.readouterr().out
+    assert len(calls) == chains
+
+
+def test_verify_memoises_no_answer(monkeypatch, capsys):
+    # the benchmark reruns identical inputs: once the per-field values
+    # are in place, identical calls do identical work
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for module in (fields, algebra_module, builder, oracle_module):
+        monkeypatch.setattr(module, "times_coords", counted("times", module.times_coords))
+    for module in (fields, classify_module):
+        monkeypatch.setattr(module, "sqrt_ambient", counted("sqrt", module.sqrt_ambient))
+    for argv in (["F:7", "3", "4"], ["QR:3", "3", "16"], ["F:13", "3", "2"], ["Q", "3", "16"]):
+        seen = []
+        for _ in range(3):
+            counts.clear()
+            assert cli.main(["verify", "--json", *argv]) == 0
+            seen.append(dict(counts))
+        capsys.readouterr()
+        assert seen[1] == seen[2] and seen[1]["times"] and seen[1]["sqrt"], argv
+
+
+@pytest.mark.parametrize("field_spec", sorted({x[0] for x in golden_instances()}))
+def test_one_descriptor_per_field(field_spec):
+    K = parse_field(field_spec)
+    assert parse_field(field_spec) is K
+    assert parse_field(f" {field_spec} ") is K
+    A = builder.ambient_spec(spec_of(field_spec, 1, "1")).field
+    assert A is builder.ambient_spec(spec_of(field_spec, 2, "1")).field
+    assert A == FieldDescriptor(IDENTITY, K.level, K.q)
+    assert A is K or K.involution != IDENTITY
+    # a descriptor built directly is equal, hashes alike and combines
+    # with the interned one's elements
+    H = FieldDescriptor(K.involution, K.level, K.q)
+    assert H is not K and H == K and hash(H) == hash(K)
+    x, y = K.one() + K.zeta_pow(1), H.one() + H.zeta_pow(1)
+    assert x == y and hash(x) == hash(y)
+    assert x * y == y * x == K.element((x * x).coeffs)
+    assert (y - x).is_zero() and is_in_k(H, x * sigma(K, x))
+    assert sqrt_ambient(H, x * x) in (x, -x)
+    family = build(AlgebraSpec(H, 2, K.one()))
+    assert family.report.ok and family.spec.field is H
+
+
 def test_pairing_needs_nontrivial_involution():
     family = build(spec_of("F:5", 1, "1"), checked=False)
     with pytest.raises(ValueError, match="involution"):
-        conjugate_pairing_check(family, ambient_constants(family.spec))
+        conjugate_pairing_check(family, ambient_constants(family))
 
 
 # -- the certificate against the descent it replaced -------------------------------
@@ -762,15 +869,6 @@ def with_first_two_merged(family):
     p = poly_product(a.min_poly, b.min_poly)
     merged = replace(a, element=a.element + b.element, dim=p.degree, min_poly=p)
     return replace(family, items=(merged, *rest))
-
-
-def golden_instances():
-    """(field, n, a) of every ``golden_cli.json`` call and every selftest
-    matrix case."""
-    keys = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
-    out = {tuple(t for t in k.split() if not t.startswith("--"))[1:] for k in keys}
-    out |= {(c.field, str(c.n), c.a) for c in MATRIX}
-    return sorted(out)
 
 
 @pytest.mark.parametrize("field_spec, n, a", golden_instances(), ids=" ".join)
@@ -830,7 +928,7 @@ def test_cyclotomic_families_verify_and_pair(spec):
     report = verify_family(family)
     assert report.ok
     if spec.field.involution != IDENTITY:
-        assert conjugate_pairing_check(family, ambient_constants(spec))
+        assert conjugate_pairing_check(family, ambient_constants(family))
     # the idempotent flag is implied on a passing family, and computed
     # on one whose sum is not 1: both agree with a dense square
     first = family.items[0]

@@ -164,3 +164,99 @@ def test_the_ci_workflow_parses_and_every_step_acts():
     steps = [step for job in jobs.values() for step in job["steps"]]
     assert steps
     assert [s for s in steps if not ("run" in s or "uses" in s)] == []
+
+
+# every cache in the package, and what it is keyed by.  The benchmark
+# reruns identical inputs, so outside the selftest no cache may be keyed
+# by an algebra spec, an element or a: each holds what one field (or one
+# process) computes once, never an answer
+CACHES = {
+    "fields.interned": "(involution, level, q): the one descriptor per field",
+    "fields.FieldDescriptor.ambient_dim": "the interned descriptor",
+    "fields.FieldDescriptor.root_level": "the interned descriptor",
+    "fields.FieldDescriptor._roots": "the interned descriptor",
+    "fields.FieldDescriptor._scalars": "the interned descriptor",
+    "fields._signed_perm": "(n, k), a permutation of the power basis",
+    "fields._fin_nonresidue": "(q, d), the first non-square",
+    "classify._classify_core": "a field descriptor",
+    "cli._build_parser": "nothing: the one argument parser",
+    "selftest._family": "a matrix spec, each algebra built once per selftest",
+    "selftest._checked_family": "a matrix case",
+    "selftest._powers": "(field, s), a ground-truth table",
+}
+CACHE_DECORATORS = {"lru_cache", "cache", "cached_property"}
+# parameters that would key a cache by an input's answer
+INPUT_PARAMS = {"spec", "a", "x", "family", "dec"}
+INPUT_TYPES = {"AlgebraSpec", "AlgebraElement", "AmbientElement", "Element"}
+
+
+def _decorator_name(node):
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _cached_functions():
+    """(dotted name, function node, enclosing class name or None) of
+    every cached function in the package."""
+    out = []
+    for path in MODULES:
+        tree = _parsed(path)
+        scopes = [(None, tree)] + [
+            (n.name, n) for n in ast.walk(tree) if isinstance(n, ast.ClassDef)
+        ]
+        for owner, scope in scopes:
+            for fn in scope.body:
+                if isinstance(fn, ast.FunctionDef) and any(
+                    _decorator_name(d) in CACHE_DECORATORS for d in fn.decorator_list
+                ):
+                    name = ".".join(filter(None, (path.stem, owner, fn.name)))
+                    out.append((name, fn, owner))
+    return out
+
+
+def test_every_cache_is_on_the_allowlist():
+    assert sorted(name for name, _, _ in _cached_functions()) == sorted(CACHES)
+
+
+def _keyed_caches():
+    """Each cache outside the selftest that is keyed by an input."""
+    keyed = []
+    for name, fn, owner in _cached_functions():
+        if name.startswith("selftest."):
+            continue
+        if owner not in (None, "FieldDescriptor"):
+            keyed.append(f"{name}: cached on a {owner}")
+        for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs:
+            annotation = ast.unparse(arg.annotation) if arg.annotation else ""
+            if arg.arg in INPUT_PARAMS or annotation.strip("'\"") in INPUT_TYPES:
+                keyed.append(f"{name}: parameter {arg.arg}")
+    return keyed
+
+
+def test_no_cache_is_keyed_by_an_input():
+    assert not _keyed_caches()
+
+
+def test_the_cache_rules_catch_what_they_name(tmp_path, monkeypatch):
+    src = (
+        "import functools\n"
+        "from functools import cached_property, lru_cache\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def by_spec(spec): ...\n"
+        "@lru_cache\n"
+        "def by_element(y: 'AmbientElement'): ...\n"
+        "class AlgebraSpec:\n"
+        "    @cached_property\n"
+        "    def zero(self): ...\n"
+        "def plain(spec): ...\n"
+    )
+    path = tmp_path / "probe.py"
+    path.write_text(src)
+    monkeypatch.setattr(sys.modules[__name__], "MODULES", [path])
+    found = {name for name, _, _ in _cached_functions()}
+    assert found == {"probe.by_spec", "probe.by_element", "probe.AlgebraSpec.zero"}
+    assert sorted(_keyed_caches()) == [
+        "probe.AlgebraSpec.zero: cached on a AlgebraSpec",
+        "probe.by_element: parameter y",
+        "probe.by_spec: parameter spec",
+    ]
