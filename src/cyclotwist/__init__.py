@@ -19,8 +19,7 @@ Typical use::
 """
 
 from .algebra import AlgebraElement, AlgebraSpec, Poly
-from .builder import IdempotentFamily, IdempotentItem, build
-from .builder import ambient_constants, ambient_family
+from .builder import IdempotentFamily, IdempotentItem, ambient_constants, build
 from .classify import (
     Classification,
     CosetDecomposition,
@@ -65,7 +64,6 @@ __all__ = [
     "VerificationError",
     "VerificationReport",
     "ambient_constants",
-    "ambient_family",
     "brute_enumerate_minimal",
     "build",
     "classify",

@@ -12,19 +12,18 @@ end, so a field element enters or leaves the flat tuple by slicing and
 one change of denominator, with no conversion.  The coordinates are
 *ambient* ones, so the same code serves K-rational elements and
 ambient-side constructions; K-rationality is a property tested after
-the fact.  ``AlgebraSpec.element``/``scalar``/``gbar`` take field
-elements (or ints and Fractions), and the read-only
+the fact.  ``AlgebraSpec.element``/``scalar`` take field elements (or
+ints and Fractions), ``gbar`` an exponent, and the read-only
 ``AlgebraElement.coeffs`` returns them.
 
 ``AlgebraElement`` keeps the one element protocol of ``fields.Element``
 (immutability, zero tests, sums, negation, equality, hashing, powers,
 the product by a field element and the fixed-field test, on the
-integer tuples); shifts and products of two elements are its own.  Products
-are one big-integer multiplication each (Kronecker substitution, see
+integer tuples); only products of two elements are its own.  Each is
+one big-integer multiplication (Kronecker substitution, see
 ``alg_mul``), taken on the sublattice of exponents the operands occupy,
 so an idempotent supported on every 2^j-th power of g costs a product
-of length 2^(n-j).  Multiplying by a power of g is
-``AlgebraElement.shift``, a rotation of the coefficients.
+of length 2^(n-j), and g^k * x is ``spec.gbar(k) * x``.
 
 Also here: the monic polynomials over K that the construction states
 as minimal polynomials (it writes them in closed form, no factoring or
@@ -52,6 +51,7 @@ from .fields import (
     is_in_k,
     reduce_coords,
     require_depth,
+    require_i,
     require_unit_in_k,
     times_coords,
 )
@@ -70,11 +70,7 @@ class AlgebraSpec:
 
     def __post_init__(self):
         require_depth(self.n, "n")
-        if self.field.root_level < 2:
-            raise ValueError(
-                "the ambient field has no square root of -1; the construction "
-                "needs i in A"
-            )
+        require_i(self.field, "the construction")
         require_unit_in_k(self.field, self.a)
 
     @property
@@ -103,8 +99,15 @@ class AlgebraSpec:
         return _new(self, x.ints + (0,) * pad, x.den)
 
     def gbar(self, e: int = 1) -> "AlgebraElement":
-        """The basis monomial g^e, reduced by g^(2^n) = a.  e >= 0."""
-        return self.one().shift(e)
+        """The basis monomial g^e for e >= 0, reduced by g^(2^n) = a:
+        a^(e div 2^n) as the coefficient of g^(e mod 2^n)."""
+        if e < 0:
+            raise ValueError("exponent must be >= 0")
+        wraps, r = divmod(e, self.size)
+        c = self.a**wraps
+        d = self.field.ambient_dim
+        pad = (0,) * d
+        return _new(self, pad * r + c.ints + pad * (self.size - r - 1), c.den)
 
     def coerce(self, c) -> Optional["AlgebraElement"]:
         """``c`` as an element of this algebra: an element of it as is, a
@@ -156,48 +159,19 @@ class AlgebraElement(Element):
     @property
     def coeffs(self) -> Tuple[AmbientElement, ...]:
         """The 2^n coefficients as ambient field elements (read-only)."""
-        K = self.spec.field
+        K = self.field
         d = K.ambient_dim
-        zero = K.zero()
         ints, den = self.ints, self.den
-        out = []
-        for base in range(0, len(ints), d):
-            chunk = ints[base : base + d]
-            if not any(chunk):
-                out.append(zero)
-            elif den == 1:  # residues, or integers: already reduced
-                out.append(_new_field_element(K, chunk, 1))
-            else:
-                out.append(_new_field_element(K, *reduce_coords(K, chunk, den)))
-        return tuple(out)
-
-    def scale(self, c: Coeffish) -> "AlgebraElement":
-        x = _field_element(self.field, c)
-        if x.den == 1 and x.ints[0] == 1 and x.is_scalar():
-            return self
-        return self._times(x)
-
-    def shift(self, k: int) -> "AlgebraElement":
-        """g^k * self for k >= 0: the coefficients rotate by k, and each
-        one that wraps past g^(2^n) picks up a factor of a per wrap."""
-        if k < 0:
-            raise ValueError("shift must be >= 0")
-        spec = self.spec
-        wraps, r = divmod(k, spec.size)
-        x = self
-        if r:  # g^r * self: the last r coefficients wrap once
-            a = spec.a
-            cut = (spec.size - r) * spec.field.ambient_dim
-            vals = times_coords(self.ints[cut:], a.ints, 0)
-            vals += [v * a.den for v in self.ints[:cut]]
-            x = _new(spec, *reduce_coords(spec.field, vals, self.den * a.den))
-        return x._times(spec.a**wraps) if wraps else x
+        return tuple(
+            _new_field_element(K, *reduce_coords(K, ints[base : base + d], den))
+            for base in range(0, len(ints), d)
+        )
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             return alg_mul(self, other)
         c = self.field.coerce(other)
-        return NotImplemented if c is None else self.scale(c)
+        return NotImplemented if c is None else self._times(c)
 
     __rmul__ = __mul__
 
@@ -412,11 +386,7 @@ def certify_irreducible(K: FieldDescriptor, poly: Poly) -> bool:
     Any other polynomial has no certificate: the answer is a definite
     False, never an open verdict.
     """
-    if K.root_level < 2:
-        raise ValueError(
-            "the ambient field has no square root of -1; the square test "
-            "needs i in A"
-        )
+    require_i(K, "the square test")
     D = poly.degree
     if D < 1:
         raise ValueError("constants have no irreducibility")

@@ -326,17 +326,10 @@ def verified(family: IdempotentFamily) -> IdempotentFamily:
 
 def ambient_spec(spec: AlgebraSpec) -> AlgebraSpec:
     """The same algebra over the ambient field A (interned, with the
-    trivial involution); equal to ``spec`` when K = A."""
+    trivial involution); equal to ``spec`` when K = A.  Its unchecked
+    ``build`` is the ambient family, coefficients and all."""
     A = interned(IDENTITY, spec.field.level, spec.field.q)
     return AlgebraSpec(A, spec.n, AmbientElement._make(A, spec.a.ints, spec.a.den))
-
-
-def ambient_family(family: IdempotentFamily) -> IdempotentFamily:
-    """The family of ``ambient_spec(family.spec)``, coefficients and all:
-    ``family`` itself when K = A, else one unchecked build."""
-    if family.spec.field.involution == IDENTITY:
-        return family
-    return build(ambient_spec(family.spec), checked=False)
 
 
 def ambient_constants(family: IdempotentFamily) -> List[Tuple[int, AmbientElement]]:

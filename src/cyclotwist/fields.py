@@ -721,9 +721,14 @@ def eps(K: FieldDescriptor, t: int, power: int = 1) -> AmbientElement:
 
 
 def _require_owner(K: FieldDescriptor, x: AmbientElement) -> None:
-    """Refuse an ``x`` of another field; the identity test first spares
-    the common call a dataclass comparison."""
-    if x.owner is not K and x.owner != K:
+    """Refuse an ``x`` of another field, or no element at all (an int,
+    a Fraction); the identity test first spares the common call a
+    dataclass comparison."""
+    try:
+        owner = x.owner
+    except AttributeError:
+        owner = None
+    if owner is not K and owner != K:
         raise AmbientError("element does not belong to this field")
 
 
@@ -769,9 +774,21 @@ def is_in_k(K: FieldDescriptor, x: AmbientElement) -> bool:
 
 
 def require_depth(n: int, name: str) -> None:
-    """Refuse a depth ``name`` = n outside [0, POWER_TEST_CAP]."""
+    """Refuse a depth ``name`` = n that is no int, or outside
+    [0, POWER_TEST_CAP]."""
+    if not isinstance(n, int):
+        raise TypeError(f"{name} must be an int, not {type(n).__name__}")
     if not 0 <= n <= POWER_TEST_CAP:
         raise ValueError(f"{name} must be in [0, {POWER_TEST_CAP}]")
+
+
+def require_i(K: FieldDescriptor, needs: str) -> None:
+    """Refuse an ambient field with no square root of -1, which ``needs``
+    (the construction, the square test) cannot do without."""
+    if K.root_level < 2:
+        raise ValueError(
+            f"the ambient field has no square root of -1; {needs} needs i in A"
+        )
 
 
 def require_unit_in_k(K: FieldDescriptor, a: AmbientElement) -> None:

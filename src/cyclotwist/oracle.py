@@ -143,7 +143,7 @@ def verify_family(family: IdempotentFamily) -> VerificationReport:
     checks prove it, and imply idempotency and orthogonality rather
     than multiply them out.  Let f = x^(2^n) - a and J = {y : p(g)*y = 0},
     an ideal of dimension deg gcd(p, f) <= deg p; p(g)*e is the sum of
-    c_k * g^k * e over the stated terms (k, c_k) of p, each a shift.
+    c_k * g^k * e over the stated terms (k, c_k) of p.
     When every p(g) annihilates its e and the items sum to 1, the
     ideals J contain the items, so they add up to all of K_t<g> and
     their dimensions sum to at least 2^n.  Degrees summing to 2^n then

@@ -12,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclotwist.algebra import AlgebraSpec
-from cyclotwist.classify import ks_decompose
+from cyclotwist.classify import h_n, ks_decompose, ks_membership
 from cyclotwist.fields import (
     IDENTITY,
     INVERSE_CONJ,
     LEVEL_BOUND,
     NEGATED_INVERSE_CONJ,
+    POWER_TEST_CAP,
     PRIME_TEST_BOUND,
     AmbientError,
     FieldDescriptor,
@@ -32,6 +33,7 @@ from cyclotwist.fields import (
     is_square,
     norm,
     reduce_coords,
+    require_i,
     root_chain,
     times_coords,
     sigma,
@@ -230,6 +232,55 @@ def test_is_square_refuses_an_element_of_another_field():
         is_square(F5, F7.one())
 
 
+NEEDS_AN_ELEMENT = {
+    "AlgebraSpec": lambda K, x: AlgebraSpec(K, 2, x),
+    "h_n": lambda K, x: h_n(K, x, 2),
+    "ks_decompose": lambda K, x: ks_decompose(K, x, 2),
+    "ks_membership": lambda K, x: ks_membership(K, x, 2),
+    "sigma": sigma,
+    "is_in_k": is_in_k,
+    "sqrt_ambient": sqrt_ambient,
+    "is_square": is_square,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NEEDS_AN_ELEMENT))
+@pytest.mark.parametrize("x", [-4, Fraction(1, 2)], ids=["int", "Fraction"])
+def test_a_number_is_refused_where_an_element_is_required(entry, x):
+    # the refusal an element of another field gets, not an AttributeError
+    with pytest.raises(AmbientError, match="does not belong to this field"):
+        NEEDS_AN_ELEMENT[entry](Q, x)
+
+
+NEEDS_A_DEPTH = {
+    "AlgebraSpec": lambda n: AlgebraSpec(Q, n, Q.scalar(4)),
+    "h_n": lambda n: h_n(Q, Q.scalar(4), n),
+    "ks_decompose": lambda n: ks_decompose(Q, Q.scalar(4), n),
+    "ks_membership": lambda n: ks_membership(Q, Q.scalar(4), n),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NEEDS_A_DEPTH))
+def test_a_depth_that_is_no_int_is_refused_up_front(entry):
+    for n, name in [(2.0, "float"), (Fraction(2), "Fraction"), ("2", "str")]:
+        with pytest.raises(TypeError, match=f"must be an int, not {name}"):
+            NEEDS_A_DEPTH[entry](n)
+    for n in (-1, POWER_TEST_CAP + 1):
+        with pytest.raises(ValueError, match=rf"must be in \[0, {POWER_TEST_CAP}\]"):
+            NEEDS_A_DEPTH[entry](n)
+
+
+def test_a_field_without_i_is_refused_in_one_message():
+    Q1 = FieldDescriptor(IDENTITY, 1)
+    assert Q1.root_level < 2 <= Q.root_level
+    require_i(Q, "anything")  # i is in Q(i)
+    for needs in ("the construction", "the square test"):
+        want = f"the ambient field has no square root of -1; {needs} needs i in A"
+        with pytest.raises(ValueError) as refused:
+            require_i(Q1, needs)
+        assert str(refused.value) == want
+
+
 # -- the integer form against a Fraction schoolbook reference ------------------
 
 
@@ -344,7 +395,7 @@ def test_inexact_numbers_are_refused():
     with pytest.raises(AmbientError, match="float"):
         Q.one() == 1.0
     with pytest.raises(AmbientError, match="float"):
-        AlgebraSpec(Q, 1, Q.scalar(2)).one().scale(0.5)
+        AlgebraSpec(Q, 1, Q.scalar(2)).one() * 0.5
     with pytest.raises(TypeError):
         Q.one() * "2"  # not a number: the operator declines
     assert Q.scalar(Fraction(1, 10)) == Fraction(1, 10)
