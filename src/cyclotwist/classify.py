@@ -97,8 +97,7 @@ def classify(K: FieldDescriptor, n: Optional[int] = None) -> Classification:
     field_type, m = _classify_core(K)
     emulates: Optional[str] = None
     if n is not None:
-        if n < 0:
-            raise ValueError("n must be >= 0")
+        require_depth(n, "n")
         if m >= n + 1 and field_type == TYPE_B:
             emulates = "A"
         elif m >= n + 1 and field_type == TYPE_D:

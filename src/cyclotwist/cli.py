@@ -18,7 +18,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 ``| head`` does; nothing is then written to stderr.
 All output is deterministic: identical invocations produce identical
 bytes.  JSON output keeps a stable key order and serializes every
-number as an exact string — never a float.
+number as an exact string — never a float.  Its bytes are those of
+``json.dumps(obj, indent=2)``: ``_json_text`` writes them for any
+object, and ``idempotents --json`` writes each item's text directly,
+one join per coefficient list (``_item_json``).
 """
 
 from __future__ import annotations
@@ -56,10 +59,12 @@ __all__ = ["main"]
 
 def _print_json(obj) -> None:
     """Print ``obj`` exactly as ``print(json.dumps(obj, indent=2))``
-    would, for the values the CLI emits: dicts with str keys, lists,
-    str, int, bool and None.  ``json.dumps`` runs the generators of the
-    pure-Python encoder whenever it indents; ``_json_text`` writes the
-    same bytes in one recursive pass."""
+    would, for the objects of ``verify --json`` and ``classify --json``:
+    dicts with str keys, lists, str, int, bool and None.  ``json.dumps``
+    runs the generators of the pure-Python encoder whenever it indents;
+    ``_json_text`` writes the same bytes in one recursive pass.  The
+    family of ``idempotents --json`` is printed by
+    ``_print_family_json``."""
     print(_json_text(obj, "\n"))
 
 
@@ -116,27 +121,47 @@ def _poly_literals(p) -> list:
     return out
 
 
-def _family_dict(family: IdempotentFamily, verification: Optional[dict]) -> dict:
+def _item_json(it) -> str:
+    """The text of one item of the ``idempotents --json`` document, at
+    its place in ``json.dumps(obj, indent=2)``: each list is one join.
+    The label, ``format_coeffs`` and ``_poly_literals`` tokens are made
+    of ``str(int)``, "/" and "," alone, so none needs JSON escaping."""
+    label = ",\n        ".join(map(str, it.label))
+    coeffs = '",\n        "'.join(_coeff_literals(it.element))
+    poly = '",\n          "'.join(_poly_literals(it.min_poly))
+    return (
+        f'{{\n      "label": [\n        {label}\n      ],'
+        f'\n      "coeffs": [\n        "{coeffs}"\n      ],'
+        f'\n      "dim": {it.dim},'
+        f'\n      "min_poly": {{\n        "coeffs": [\n          "{poly}"'
+        "\n        ]\n      }\n    }"
+    )
+
+
+def _print_family_json(family: IdempotentFamily, verification: Optional[dict]) -> None:
+    """Print the family as ``print(json.dumps(obj, indent=2))`` would,
+    with ``obj`` the keys field, classification, n, a, s, coset,
+    idempotents and verification.  The header and ``verification`` go
+    through ``_json_text``; the items, which hold nearly all the bytes,
+    are written by ``_item_json``."""
     spec = family.spec
     dec = family.decomposition
-    return {
+    header = {
         "field": format_field(spec.field),
         "classification": _classification_dict(family.classification),
         "n": spec.n,
         "a": format_element(spec.a),
         "s": dec.s,
         "coset": {"form": dec.form, "b": format_element(dec.b)},
-        "idempotents": [
-            {
-                "label": list(it.label),
-                "coeffs": _coeff_literals(it.element),
-                "dim": it.dim,
-                "min_poly": {"coeffs": _poly_literals(it.min_poly)},
-            }
-            for it in family.items
-        ],
-        "verification": verification,
     }
+    # the header object without its closing "\n}", so the list follows it
+    head = _json_text(header, "\n")[:-2]
+    items = ",\n    ".join(map(_item_json, family.items))
+    tail = _json_text(verification, "\n  ")
+    print(
+        f'{head},\n  "idempotents": [\n    {items}\n  ],'
+        f'\n  "verification": {tail}\n}}'
+    )
 
 
 def _print_family_text(family: IdempotentFamily) -> None:
@@ -192,7 +217,7 @@ def _cmd_idempotents(args) -> int:
     if args.verify:
         verification = family.report.as_dict()
     if args.json:
-        _print_json(_family_dict(family, verification))
+        _print_family_json(family, verification)
     else:
         _print_family_text(family)
         if args.verify:

@@ -68,6 +68,16 @@ def test_emulation_annotation(spec, n, emulates):
     assert classify(parse_field(spec), n).emulates == emulates
 
 
+def test_classify_refuses_a_depth_the_algebra_refuses():
+    # the same bound as AlgebraSpec and h_n; n = None stays allowed
+    with pytest.raises(TypeError):
+        classify(Q, 2.5)
+    for n in (-1, 10**6):
+        with pytest.raises(ValueError, match=r"n must be in \[0, "):
+            classify(Q, n)
+    assert classify(Q).emulates is None
+
+
 # -- depth -------------------------------------------------------------------
 
 

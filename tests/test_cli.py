@@ -1,8 +1,6 @@
 """CLI contract: output shapes, JSON schema, determinism, exit codes."""
 
-import contextlib
 import hashlib
-import io
 import json
 import os
 import subprocess
@@ -15,7 +13,9 @@ from hypothesis import strategies as st
 from test_golden_cli import argvs
 
 from cyclotwist import algebra, cli
+from cyclotwist.builder import build
 from cyclotwist.cli import _build_parser, main
+from cyclotwist.grammar import format_element, format_field
 
 DEEP_A = "170459392,120532992,0,-120532992"  # (1 + eps_3)^32 over QR:3
 
@@ -250,6 +250,7 @@ def test_verify_json(capsys):
         ["idempotents", "QE:3", "2", "7,x"],
         ["classify", "F:3317044064679887385961983"],  # beyond the primality test
         ["classify", "QR:30"],  # beyond the level bound, 2^29 coordinates
+        ["classify", "Q", "--n", "40"],  # beyond the depth bound
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -450,14 +451,51 @@ def test_json_writer_refuses_other_types():
             cli._json_text(obj, "\n")
 
 
-def test_json_writer_on_every_golden_json_call(monkeypatch):
-    # the objects the CLI prints on every golden --json call
+def _family_dict(family, verification):
+    """The ``idempotents --json`` document as an object: the reference
+    whose ``json.dumps(obj, indent=2)`` the CLI writes as text."""
+    spec = family.spec
+    dec = family.decomposition
+    return {
+        "field": format_field(spec.field),
+        "classification": cli._classification_dict(family.classification),
+        "n": spec.n,
+        "a": format_element(spec.a),
+        "s": dec.s,
+        "coset": {"form": dec.form, "b": format_element(dec.b)},
+        "idempotents": [
+            {
+                "label": list(it.label),
+                "coeffs": cli._coeff_literals(it.element),
+                "dim": it.dim,
+                "min_poly": {"coeffs": cli._poly_literals(it.min_poly)},
+            }
+            for it in family.items
+        ],
+        "verification": verification,
+    }
+
+
+def test_json_writer_on_every_golden_json_call(monkeypatch, capsys):
+    # verify prints its object through _print_json; idempotents writes
+    # its document item by item, which must be the bytes json.dumps
+    # writes for the reference object, checked and unchecked alike
     printed = []
     monkeypatch.setattr(cli, "_print_json", printed.append)
     json_argvs = [argv for argv in argvs() if "--json" in argv]
-    for argv in json_argvs:
-        with contextlib.redirect_stderr(io.StringIO()):
-            main(argv)
-    assert len(printed) == len(json_argvs)
+    family_argvs = [argv for argv in json_argvs if argv[0] == "idempotents"]
+    flags = {flag for argv in family_argvs for flag in argv}
+    assert {"--verify", "--unchecked"} <= flags
+    for argv in family_argvs:
+        code, out, _ = run(capsys, *argv)
+        args = _build_parser().parse_args(argv)
+        family = build(cli._spec_from_args(args), checked=not args.unchecked)
+        verification = family.report.as_dict() if args.verify else None
+        reference = _family_dict(family, verification)
+        assert (code, out) == (0, json.dumps(reference, indent=2) + "\n")
+    verify_argvs = [argv for argv in json_argvs if argv not in family_argvs]
+    for argv in verify_argvs:
+        run(capsys, *argv)
+    assert len(printed) == len(verify_argvs)
     for obj in printed:
         assert cli._json_text(obj, "\n") == json.dumps(obj, indent=2)

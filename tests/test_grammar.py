@@ -1,12 +1,14 @@
 """Field-spec and element-literal parsing and printing."""
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_algebra import algebra_elements, kernel_specs
 
 from cyclotwist.algebra import AlgebraSpec
 from cyclotwist.builder import ambient_spec, build
@@ -206,3 +208,24 @@ def test_format_coeffs_matches_format_element_on_flat_tuples(data):
     assert format_coeffs(ints, 1, d) == [
         format_element(K.element(r)) for r in runs
     ]
+
+
+# signed integers and fractions joined by ",": what `idempotents --json`
+# writes between quotes without escaping
+COEFF_TOKEN = re.compile(r"-?[0-9]+(/[0-9]+)?(,-?[0-9]+(/[0-9]+)?)*")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_coeff_tokens_need_no_json_escaping(data):
+    spec = data.draw(kernel_specs())
+    d = spec.field.ambient_dim
+    e = data.draw(algebra_elements(spec))
+    # and raw numerators of either sign over a denominator > 1
+    size = len(e.ints)
+    numerator = st.integers(-(10**30), 10**30)
+    ints = data.draw(st.lists(numerator, min_size=size, max_size=size))
+    den = data.draw(st.integers(min_value=2, max_value=10**30))
+    for flat, over in ((e.ints, e.den), (ints, den)):
+        for token in format_coeffs(flat, over, d):
+            assert COEFF_TOKEN.fullmatch(token), token
