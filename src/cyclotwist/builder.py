@@ -15,13 +15,15 @@ flat integer list by doubling, with O(log T) products per item and none
 per coefficient.  Each case function forms b^(-2^r) once per depth r
 (one inverse of b, then one squaring per r) and enumerates its constants
 block by block (``_block``) as running products by the roots of unity it
-holds, one product per item, as closed forms (label, r, c); ``_item``
-builds each and states its minimal polynomial from k = c^-1 =
+holds, one product per item, as closed forms (label, r, c) from K, s
+and b alone.  ``_item`` builds each, n entering only there through
+S = 2^(n-s+r), and states its minimal polynomial from k = c^-1 =
 b^(2^r) / chi, the one inverse an item costs.  Which family of weights
 applies is decided entirely by the field type (B/D/E), the depth s of
-a in the 2-power filtration, and the coset form of a in K_s.  The four
-case functions below each state one complete family in closed form;
-``build`` dispatches and builds each item.  The two that serve every depth
+a in the 2-power filtration, and the coset form of a in K_s, which
+``_dispatch`` alone reads.  The four case functions below each state
+one complete family in closed form; ``build`` dispatches and builds
+each item.  The two that serve every depth
 (``thm2_case1`` for K = A, ``thm3_case3`` for a plain coset) average
 over the roots of unity up to t = min(s, m) or min(s, m-1) and add the
 blocks on squared generators only when s runs past that supply.
@@ -49,7 +51,6 @@ from .algebra import AlgebraElement, AlgebraSpec, Poly, off_lattice
 from .classify import (
     EPS_COSET,
     NEGATED,
-    PLAIN,
     TYPE_B,
     TYPE_D,
     TYPE_E,
@@ -61,6 +62,7 @@ from .classify import (
 from .fields import (
     IDENTITY,
     AmbientElement,
+    FieldDescriptor,
     eps,
     interned,
     reduce_coords,
@@ -195,12 +197,11 @@ def _inverse_squares(b: AmbientElement, top: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def thm2_case1(spec: AlgebraSpec, s: int, b: AmbientElement) -> list:
+def thm2_case1(K: FieldDescriptor, s: int, b: AmbientElement) -> list:
     """K = A, or depth s = 0: the 2^t characters of <h> over eps_t,
     t = min(s, m), each give one idempotent averaged at full length.
     When s exceeds m the rest collapse into one family per extra power
     of two, r = 1..s-m, built on the squared generators."""
-    K = spec.field
     m = K.root_level
     t = min(s, m)
     bi = _inverse_squares(b, max(s - m, 0))
@@ -213,24 +214,22 @@ def thm2_case1(spec: AlgebraSpec, s: int, b: AmbientElement) -> list:
     return items
 
 
-def thm3_case4(spec: AlgebraSpec, s: int, b: AmbientElement) -> list:
+def thm3_case4(K: FieldDescriptor, s: int, b: AmbientElement) -> list:
     """a = -b^(2^s) with 1 <= s <= m-1: weights mix eps_{s+1} with the
     characters of <h>, each paired with its image under the
     involution."""
-    K = spec.field
     cls = classify(K)
     assert 1 <= s <= cls.m - 1 and cls.field_type in (TYPE_D, TYPE_E)
     start = eps(K, s + 1, -1) * b.inverse()
     return _block(0, (), start, eps(K, s - 1, -1), 1 << (s - 1))
 
 
-def thm3_case3(spec: AlgebraSpec, s: int, b: AmbientElement) -> list:
+def thm3_case3(K: FieldDescriptor, s: int, b: AmbientElement) -> list:
     """a = b^(2^s) with s >= 1 and K != A: the characters of <h> over
     eps_t, t = min(s, m-1), pair off under the involution; endpoints
     i = 0 and i = 2^(t-1) are self-paired.  From s = m on, past the
     root-of-unity supply, a double-indexed block over the squared
     generators takes over, r = 0..s-m."""
-    K = spec.field
     cls = classify(K)
     m = cls.m
     assert s >= 1 and cls.field_type in (TYPE_D, TYPE_E)
@@ -245,13 +244,12 @@ def thm3_case3(spec: AlgebraSpec, s: int, b: AmbientElement) -> list:
     return items
 
 
-def thm3_case5(spec: AlgebraSpec, s: int, b: AmbientElement) -> list:
+def thm3_case5(K: FieldDescriptor, s: int, b: AmbientElement) -> list:
     """a = (1+eps_m)^(2^s) b^(2^s), type D, s >= m.  The unit 1+eps_m
     threads through every weight.  At s = m the first family is already
     complete; deeper s add a block on the squared generator that ends
     in two self-paired idempotents and (from s >= m+2 on) one block per
     further squaring."""
-    K = spec.field
     cls = classify(K)
     m = cls.m
     assert s >= m and cls.field_type == TYPE_D
@@ -281,16 +279,16 @@ def thm3_case5(spec: AlgebraSpec, s: int, b: AmbientElement) -> list:
 
 
 def _dispatch(
-    spec: AlgebraSpec, cls: Classification, dec: CosetDecomposition
+    K: FieldDescriptor, cls: Classification, dec: CosetDecomposition
 ) -> list:
     s = dec.s
     if cls.field_type == TYPE_B or s == 0:
-        return thm2_case1(spec, s, dec.b)
+        return thm2_case1(K, s, dec.b)
     if dec.form == NEGATED:
-        return thm3_case4(spec, s, dec.b)
+        return thm3_case4(K, s, dec.b)
     if dec.form == EPS_COSET:
-        return thm3_case5(spec, s, dec.b)
-    return thm3_case3(spec, s, dec.b)
+        return thm3_case5(K, s, dec.b)
+    return thm3_case3(K, s, dec.b)
 
 
 def build(spec: AlgebraSpec, checked: bool = True) -> IdempotentFamily:
@@ -307,7 +305,7 @@ def build(spec: AlgebraSpec, checked: bool = True) -> IdempotentFamily:
     K = spec.field
     cls = classify(K, spec.n)
     dec = ks_decompose(K, spec.a, spec.n)
-    closed = _dispatch(spec, cls, dec)
+    closed = _dispatch(K, cls, dec)
     items = tuple(_item(label, spec, dec.s, r, c) for label, r, c in closed)
     family = IdempotentFamily(spec, cls, dec, items)
     return verified(family) if checked else family
@@ -333,11 +331,12 @@ def ambient_spec(spec: AlgebraSpec) -> AlgebraSpec:
 
 
 def ambient_constants(family: IdempotentFamily) -> List[Tuple[int, AmbientElement]]:
-    """(S, c) of every item over the ambient field, as the case functions
-    state them, for ``conjugate_pairing_check``: no item is built, and
-    no second ``ks_decompose`` runs (``CosetDecomposition.root``)."""
-    A = ambient_spec(family.spec)
+    """(S, c) of every item over the ambient field A, for
+    ``conjugate_pairing_check``: A has the identity involution, so one
+    ``thm2_case1`` call on the family's root (``CosetDecomposition.root``)
+    states them; no item, second algebra or ``ks_decompose`` is built."""
+    K, n = family.spec.field, family.spec.n
+    A = interned(IDENTITY, K.level, K.q)
     dec = family.decomposition
-    root = AmbientElement._make(A.field, dec.root.ints, dec.root.den)
-    closed = _dispatch(A, classify(A.field, A.n), replace(dec, form=PLAIN, b=root))
-    return [(1 << (A.n - dec.s + r), c) for _, r, c in closed]
+    root = AmbientElement._make(A, dec.root.ints, dec.root.den)
+    return [(1 << (n - dec.s + r), c) for _, r, c in thm2_case1(A, dec.s, root)]

@@ -202,15 +202,3 @@ def ks_decompose(K: FieldDescriptor, a: AmbientElement, n: int) -> CosetDecompos
     assert resid == -one and 1 <= s <= m - 1
     return CosetDecomposition(s, NEGATED, b, alpha)
 
-
-def recompose(K: FieldDescriptor, dec: CosetDecomposition) -> AmbientElement:
-    """Inverse of ks_decompose: rebuild a from (s, form, b)."""
-    base = dec.b ** (1 << dec.s)
-    if dec.form == PLAIN:
-        return base
-    if dec.form == NEGATED:
-        return -base
-    if dec.form == EPS_COSET:
-        em = eps(K, _classify_core(K)[1])
-        return (K.one() + em) ** (1 << dec.s) * base
-    raise ValueError(f"unknown coset form {dec.form!r}")

@@ -333,7 +333,7 @@ def criterion_index_regressions(max_enum: int = DEFAULT_ENUM_BUDGET) -> Criterio
         case, construct, dropped, rejected, adopted = convention
         spec = case.spec()
         dec = ks_decompose(spec.field, spec.a, spec.n)
-        closed = construct(spec, dec.s, dec.b)
+        closed = construct(spec.field, dec.s, dec.b)
         items = [_item(label, spec, dec.s, r, c) for label, r, c in closed]
         narrowed = [it for it in items if it.label[0] or len(it.label) != dropped]
         zero, one = spec.zero(), spec.one()

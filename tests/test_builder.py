@@ -299,6 +299,44 @@ def test_items_carry_their_closed_form(field_spec, n, a):
         assert it.dim == it.S * len(cs)
 
 
+N_FREE_FIELDS = ["F:3", "F:7", "Q", "QR:3", "QE:3", "QC:3"]
+
+
+def unit_matrix(field_spec):
+    """(field, n, a) for n <= 6 and each a in 1, -1, 2, 3, 16 that is a
+    unit of the field."""
+    q = parse_field(field_spec).q
+    units = [a for a in ("1", "-1", "2", "3", "16") if not q or int(a) % q]
+    return [(field_spec, str(n), a) for n in range(7) for a in units]
+
+
+def closed_form(family):
+    dec = family.decomposition
+    head = (dec.s, dec.form, dec.b.owner, dec.b.ints, dec.b.den)
+    items = [(it.label, it.c.owner, it.c.ints, it.c.den) for it in family.items]
+    return head, items, [(it.S, it.dim) for it in family.items]
+
+
+@pytest.mark.parametrize(
+    "instances",
+    [golden_instances()] + [unit_matrix(f) for f in N_FREE_FIELDS],
+    ids=["golden"] + N_FREE_FIELDS,
+)
+def test_constants_do_not_depend_on_n(instances):
+    # the case functions state (label, r, c) from K, s and b; n enters
+    # only through S = 2^(n-s+r), so once a's depth s is below n one
+    # more doubling of the group doubles every S and dim, and no more
+    for field_spec, n, a in instances:
+        spec = spec_of(field_spec, int(n), a)
+        if spec.n >= 16 or ks_decompose(spec.field, spec.a, spec.n).s >= spec.n:
+            continue
+        deeper = AlgebraSpec(spec.field, spec.n + 1, spec.a)
+        head, items, sizes = closed_form(build(spec, checked=False))
+        head1, items1, sizes1 = closed_form(build(deeper, checked=False))
+        assert (head1, items1) == (head, items), (field_spec, n, a)
+        assert sizes1 == [(2 * S, 2 * dim) for S, dim in sizes], (field_spec, n, a)
+
+
 @pytest.mark.parametrize(
     "field_spec, n, a",
     [
@@ -360,13 +398,13 @@ def test_negated_family_must_start_at_zero():
     # the family that starts at i = 1 is the one without e(0,)
     spec = spec_of("Q", 2, "-1")
     s, dec = decomposed(spec)
-    full = items_of(spec, s, thm3_case4(spec, s, dec.b))
+    full = items_of(spec, s, thm3_case4(spec.field, s, dec.b))
     assert items_sum(spec, full) == spec.one()
     assert [it.label for it in full] == [(0,)]  # i = 1 leaves nothing
 
     spec = spec_of("QE:3", 2, "-1")
     s, dec = decomposed(spec)
-    full = items_of(spec, s, thm3_case4(spec, s, dec.b))
+    full = items_of(spec, s, thm3_case4(spec.field, s, dec.b))
     narrowed = [it for it in full if it.label != (0,)]
     assert len(narrowed) == 1
     assert items_sum(spec, narrowed) != spec.one()
@@ -376,7 +414,7 @@ def test_deep_paired_family_needs_r0_block():
     # the block that starts at r = 1 is the family without e(0, i)
     spec = spec_of("F:3", 3, "1")
     s, dec = decomposed(spec)
-    full = items_of(spec, s, thm3_case3(spec, s, dec.b))
+    full = items_of(spec, s, thm3_case3(spec.field, s, dec.b))
     assert items_sum(spec, full) == spec.one()
     narrowed = [it for it in full if len(it.label) == 1 or it.label[0] >= 1]
     assert len(narrowed) == len(full) - 2
@@ -395,7 +433,7 @@ def test_flipped_lambda_loses_k_rationality():
     s, dec = decomposed(spec)
     m = classify(K).m
     em, em2 = eps(K, m), eps(K, m - 2)
-    full = items_of(spec, s, thm3_case3(spec, s, dec.b))
+    full = items_of(spec, s, thm3_case3(spec.field, s, dec.b))
     singles = [it for it in full if len(it.label) == 1]
     doubles = [
         dense_char_sum(spec, s, r, [em**-1 * em2**-i * bi, em * em2**i * bi])
@@ -418,7 +456,7 @@ def test_flipped_lambda_loses_k_rationality():
 # -- certification of non-binomial components -----------------------------------
 
 
-def test_deep_unit_coset_family_is_sound_but_uncertified():
+def test_deep_unit_coset_family_is_certified():
     # the octic components (below) are certified by quadratic descent:
     # over the ambient field each splits into two conjugate binomials
     family = build(spec_of("QR:3", 5, DEEP_A))

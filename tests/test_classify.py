@@ -15,14 +15,24 @@ from cyclotwist.classify import (
     h_n,
     ks_decompose,
     ks_membership,
-    recompose,
 )
-from cyclotwist.fields import is_in_k
+from cyclotwist.fields import eps, is_in_k
 from cyclotwist.grammar import parse_field
 
 Q = parse_field("Q")
 QR3 = parse_field("QR:3")
 QE3 = parse_field("QE:3")
+
+
+def recompose(K, dec):
+    """The inverse of ks_decompose: a rebuilt from (s, form, b)."""
+    base = dec.b ** (1 << dec.s)
+    if dec.form == PLAIN:
+        return base
+    if dec.form == NEGATED:
+        return -base
+    assert dec.form == EPS_COSET, dec.form
+    return (K.one() + eps(K, classify(K).m)) ** (1 << dec.s) * base
 
 
 @pytest.mark.parametrize(

@@ -101,7 +101,7 @@ def test_idempotents_json_schema(capsys):
     assert "." not in out
 
 
-def test_idempotents_refuses_uncertified(capsys):
+def test_idempotents_certifies_the_octic_unit_coset(capsys):
     # the octic components are certified by quadratic descent, so the
     # checked build succeeds
     code, out, err = run(
@@ -192,7 +192,7 @@ def test_verify_budget_skip(capsys):
     assert "pairing: pass" in out
 
 
-def test_verify_uncertified_fails(capsys):
+def test_verify_passes_the_octic_unit_coset(capsys):
     code, out, _ = run(capsys, "verify", "QR:3", "5", DEEP_A)
     assert code == 0
     assert "structural: PASS" in out

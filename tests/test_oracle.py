@@ -46,7 +46,7 @@ from cyclotwist.oracle import (
     verify_family,
 )
 from test_algebra import ambient_elements, kernel_specs
-from test_builder import golden_instances, min_poly_reference, poly_of
+from test_builder import golden_instances, min_poly_reference, poly_of, unit_matrix
 
 # the module, which the package's ``classify`` function shadows
 classify_module = importlib.import_module("cyclotwist.classify")
@@ -720,23 +720,17 @@ def ambient_constants_reference(spec):
     read the family's own root chain."""
     A = builder.ambient_spec(spec)
     dec = ks_decompose(A.field, A.a, A.n)
-    closed = builder._dispatch(A, classify(A.field, A.n), dec)
+    closed = builder._dispatch(A.field, classify(A.field, A.n), dec)
     return [(1 << (A.n - dec.s + r), c) for _, r, c in closed]
 
 
 CONSTANT_MATRIX_FIELDS = ["F:3", "F:7", "F:11", "F:19", "Q", "QR:3", "QR:4", "QE:3", "QE:4"]
 
 
-def constant_matrix(field_spec):
-    q = parse_field(field_spec).q
-    units = [a for a in ("1", "-1", "2", "3", "16") if not q or int(a) % q]
-    return [(field_spec, str(n), a) for n in range(7) for a in units]
-
-
 @pytest.mark.parametrize(
     "instances",
     [[x for x in golden_instances() if parse_field(x[0]).involution != IDENTITY]]
-    + [constant_matrix(f) for f in CONSTANT_MATRIX_FIELDS],
+    + [unit_matrix(f) for f in CONSTANT_MATRIX_FIELDS],
     ids=["golden"] + CONSTANT_MATRIX_FIELDS,
 )
 def test_ambient_constants_need_no_second_chain(instances):
@@ -754,18 +748,25 @@ def test_ambient_constants_need_no_second_chain(instances):
 def test_verify_runs_one_root_chain(field_spec, n, a, chains, monkeypatch, capsys):
     # the chains of the one ks_decompose over K: one, or two when the
     # depth s runs past the root level (F:7 5 4, s = 5 over F_49, L = 4);
-    # the ambient constants take no chain of their own
-    calls = []
-    original = classify_module.root_chain
+    # the ambient constants take no chain of their own, validate no
+    # second algebra and dispatch no second time
+    calls = Counter()
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(owner, name):
+        original = getattr(owner, name)
 
-    monkeypatch.setattr(classify_module, "root_chain", counted)
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(classify_module, "root_chain")
+    counted(AlgebraSpec, "__post_init__")
+    counted(builder, "_dispatch")
     assert cli.main(["verify", field_spec, str(n), a]) == 0
     assert "pairing: pass" in capsys.readouterr().out
-    assert len(calls) == chains
+    assert calls == {"root_chain": chains, "__post_init__": 1, "_dispatch": 1}
 
 
 def test_verify_memoises_no_answer(monkeypatch, capsys):
