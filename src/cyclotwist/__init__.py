@@ -24,6 +24,7 @@ from .classify import (
     Classification,
     CosetDecomposition,
     classify,
+    emulates,
     h_n,
     ks_decompose,
     ks_membership,
@@ -69,6 +70,7 @@ __all__ = [
     "classify",
     "conjugate_pairing_check",
     "cross_check",
+    "emulates",
     "eps",
     "format_element",
     "format_field",

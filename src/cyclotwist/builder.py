@@ -16,10 +16,12 @@ per coefficient.  Each case function forms b^(-2^r) once per depth r
 (one inverse of b, then one squaring per r) and enumerates its constants
 block by block (``_block``) as running products by the roots of unity it
 holds, one product per item, as closed forms (label, r, c) from K, s
-and b alone.  ``_item`` builds each, n entering only there through
-S = 2^(n-s+r), and states its minimal polynomial from k = c^-1 =
-b^(2^r) / chi, the one inverse an item costs.  Which family of weights
-applies is decided entirely by the field type (B/D/E), the depth s of
+and b alone.  ``_item`` builds each: it derives S = 2^(n-s+r) from
+the algebra's size 2^n, hands it to ``_char_sum``, and states the
+minimal polynomial from k = c^-1 = b^(2^r) / chi, the one inverse an
+item costs.  Beyond that size, n enters only as the cap that ``build``
+hands ``ks_decompose``.  Which family of weights applies is decided
+entirely by the field type (B/D/E) of ``classify(K)``, the depth s of
 a in the 2-power filtration, and the coset form of a in K_s, which
 ``_dispatch`` alone reads.  The four case functions below each state
 one complete family in closed form; ``build`` dispatches and builds
@@ -54,7 +56,6 @@ from .classify import (
     TYPE_B,
     TYPE_D,
     TYPE_E,
-    Classification,
     CosetDecomposition,
     classify,
     ks_decompose,
@@ -90,7 +91,6 @@ class IdempotentItem:
 @dataclass(frozen=True)
 class IdempotentFamily:
     spec: AlgebraSpec
-    classification: Classification
     decomposition: CosetDecomposition
     items: Tuple[IdempotentItem, ...]
     report: Optional[object] = None
@@ -108,14 +108,14 @@ class IdempotentFamily:
 
 
 def _char_sum(
-    spec: AlgebraSpec, s: int, r: int, c: AmbientElement, paired: bool
+    spec: AlgebraSpec, S: int, c: AmbientElement, paired: bool
 ) -> AlgebraElement:
-    """(1/T) * sum_{j<T} c^j * g^(j * 2^(n-s+r)), plus the same sum over
-    sigma(c) when ``paired``, T = 2^(s-r): the averaged character sum
-    over the powers of the unit u = b^(-2^r) g^(2^(n-s+r)), given the
-    constant c = chi * b^(-2^r) of its character chi.  Since
-    j * 2^(n-s+r) < 2^n the powers of u never wrap, so with c = nums/D
-    the coefficient c^j / T lands on g^(j * 2^(n-s+r)).
+    """(1/T) * sum_{j<T} c^j * g^(jS), plus the same sum over sigma(c)
+    when ``paired``, T = 2^n/S: the averaged character sum over the
+    powers of the unit u = b^(-2^r) g^S, given the constant
+    c = chi * b^(-2^r) of its character chi and the exponent S that
+    ``_item`` states.  Since jS < 2^n the powers of u never wrap, so
+    with c = nums/D the coefficient c^j / T lands on g^(jS).
 
     The numerators of c^0, ..., c^(T-1), each over D^j, form one flat
     list of T * d integers, built by doubling: with the first k powers
@@ -131,9 +131,9 @@ def _char_sum(
     K = spec.field
     q = K.q
     d = K.ambient_dim
-    T = 1 << (s - r)
+    T = spec.size // S
     flat, high = list(K.one().ints), c.ints
-    for k in range(s - r):
+    for k in range(T.bit_length() - 1):
         if k:
             high = times_coords(high, high, q)
         flat += times_coords(flat, high, q)
@@ -145,7 +145,7 @@ def _char_sum(
     if paired:
         flat = list(map(add, flat, sigma_coords(K, flat)))
     flat, den = reduce_coords(K, flat, T * top)
-    vals = off_lattice(flat, d, 1 << (spec.n - s + r), spec.size)
+    vals = off_lattice(flat, d, S, spec.size)
     return AlgebraElement._make(spec, tuple(vals), den)
 
 
@@ -154,15 +154,16 @@ def _item(
 ) -> IdempotentItem:
     """The item of the constant c = chi * b^(-2^r), in closed form.  Its
     part for c satisfies g^S * e_c = k * e_c with k = c^-1 = b^(2^r) /
-    chi, S = 2^(n-s+r) (idempotency makes c^T * a = 1).  For k in K
-    the item is ``_char_sum`` over c alone and g*e is cut out by
+    chi, S = 2^(n-s+r) (idempotency makes c^T * a = 1), derived here
+    from 2^n alone and handed to ``_char_sum``.  For k in K the item
+    is ``_char_sum`` over c alone and g*e is cut out by
     x^S - k; otherwise the involution pairs c with sigma(c), and
     (x^S - k)(x^S - sigma(k)) = x^(2S) - (k + sigma k) x^S + k sigma k
     is K-rational.  It is stated as its nonzero terms: a middle
     coefficient that cancels (sigma k = -k) is dropped.
     ``verify_family`` proves that this is the minimal polynomial."""
     K = spec.field
-    S = 1 << (spec.n - s + r)
+    S = spec.size >> (s - r)
     k = c.inverse()
     sk = sigma(K, k)
     paired = sk != k
@@ -170,7 +171,7 @@ def _item(
         terms = [(0, k * sk), (S, -(k + sk)), (2 * S, K.one())]
     else:
         terms = [(0, -k), (S, K.one())]
-    element = _char_sum(spec, s, r, c, paired)
+    element = _char_sum(spec, S, c, paired)
     poly = Poly(tuple((e, v) for e, v in terms if v))
     return IdempotentItem(label, element, S << paired, poly, S, c)
 
@@ -278,11 +279,9 @@ def thm3_case5(K: FieldDescriptor, s: int, b: AmbientElement) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _dispatch(
-    K: FieldDescriptor, cls: Classification, dec: CosetDecomposition
-) -> list:
+def _dispatch(K: FieldDescriptor, dec: CosetDecomposition) -> list:
     s = dec.s
-    if cls.field_type == TYPE_B or s == 0:
+    if classify(K).field_type == TYPE_B or s == 0:
         return thm2_case1(K, s, dec.b)
     if dec.form == NEGATED:
         return thm3_case4(K, s, dec.b)
@@ -303,11 +302,10 @@ def build(spec: AlgebraSpec, checked: bool = True) -> IdempotentFamily:
     use checked=False to obtain the raw construction.
     """
     K = spec.field
-    cls = classify(K, spec.n)
     dec = ks_decompose(K, spec.a, spec.n)
-    closed = _dispatch(K, cls, dec)
+    closed = _dispatch(K, dec)
     items = tuple(_item(label, spec, dec.s, r, c) for label, r, c in closed)
-    family = IdempotentFamily(spec, cls, dec, items)
+    family = IdempotentFamily(spec, dec, items)
     return verified(family) if checked else family
 
 
@@ -335,8 +333,8 @@ def ambient_constants(family: IdempotentFamily) -> List[Tuple[int, AmbientElemen
     ``conjugate_pairing_check``: A has the identity involution, so one
     ``thm2_case1`` call on the family's root (``CosetDecomposition.root``)
     states them; no item, second algebra or ``ks_decompose`` is built."""
-    K, n = family.spec.field, family.spec.n
+    K, size = family.spec.field, family.spec.size
     A = interned(IDENTITY, K.level, K.q)
     dec = family.decomposition
     root = AmbientElement._make(A, dec.root.ints, dec.root.den)
-    return [(1 << (n - dec.s + r), c) for _, r, c in thm2_case1(A, dec.s, root)]
+    return [(size >> (dec.s - r), c) for _, r, c in thm2_case1(A, dec.s, root)]

@@ -3,7 +3,8 @@
 Everything downstream hinges on two integers and one coset form:
 
 * the field constant m: the ambient field contains primitive 2^t-th
-  roots of unity exactly for t <= m;
+  roots of unity exactly for t <= m; with the type B, D or E it is the
+  field's ``classify(K)``, computed once per field and free of n;
 * the depth s = h_n(a): the largest s <= n such that a has a 2^s-th
   root somewhere in the ambient field;
 * the shape of a inside K_s = K* intersect (A*)^(2^s), which is always
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
 
 from .fields import (
     IDENTITY,
@@ -46,19 +46,11 @@ TYPE_E = "E"
 
 @dataclass(frozen=True)
 class Classification:
-    """Symmetry type of K inside A, plus the root-of-unity bound m.
-
-    ``emulates`` is an annotation only: when m >= n+1 the finite supply
-    of 2-power roots can never run out within the group, so the field
-    behaves exactly like one with unbounded supply ("A" for identity
-    symmetry, "C" for inverse-conjugation symmetry).  It is None when no
-    group size n was provided and "none" when the bound does not apply.
-    No construction dispatches on it.
-    """
+    """Symmetry type of K inside A, plus the root-of-unity bound m; both
+    belong to the field alone, never to n."""
 
     field_type: str
     m: int
-    emulates: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -74,37 +66,35 @@ class CosetDecomposition:
 
 
 @functools.lru_cache(maxsize=None)
-def _classify_core(K: FieldDescriptor) -> tuple:
-    m = K.root_level
-    if K.involution == IDENTITY:
-        return TYPE_B, m
-    em = eps(K, m)
-    img = sigma(K, em)
-    if img == eps(K, m, -1):
-        assert m >= 2
-        return TYPE_D, m
-    assert img == -eps(K, m, -1) and m >= 3
-    return TYPE_E, m
-
-
-def classify(K: FieldDescriptor, n: Optional[int] = None) -> Classification:
-    """Determine the symmetry type of K and the constant m.
+def classify(K: FieldDescriptor) -> Classification:
+    """Determine the symmetry type of K and the constant m, once per field.
 
     Type B: the involution is trivial (K = A).  Otherwise the type is
     read off the involution's action on the top root of unity eps_m:
     eps_m -> eps_m^-1 is type D, eps_m -> -eps_m^-1 is type E.
     """
-    field_type, m = _classify_core(K)
-    emulates: Optional[str] = None
-    if n is not None:
-        require_depth(n, "n")
-        if m >= n + 1 and field_type == TYPE_B:
-            emulates = "A"
-        elif m >= n + 1 and field_type == TYPE_D:
-            emulates = "C"
-        else:
-            emulates = "none"
-    return Classification(field_type, m, emulates)
+    m = K.root_level
+    if K.involution == IDENTITY:
+        return Classification(TYPE_B, m)
+    img = sigma(K, eps(K, m))
+    if img == eps(K, m, -1):
+        assert m >= 2
+        return Classification(TYPE_D, m)
+    assert img == -eps(K, m, -1) and m >= 3
+    return Classification(TYPE_E, m)
+
+
+def emulates(cls: Classification, n: int) -> str:
+    """The emulation annotation of a field of classification ``cls`` for
+    the group size n.  When m >= n+1 the finite supply of 2-power roots
+    can never run out within the group, so the field behaves exactly
+    like one with unbounded supply: "A" for identity symmetry, "C" for
+    inverse-conjugation symmetry, and "none" otherwise.  No construction
+    dispatches on it."""
+    require_depth(n, "n")
+    if cls.m < n + 1:
+        return "none"
+    return {TYPE_B: "A", TYPE_D: "C"}.get(cls.field_type, "none")
 
 
 def h_n(K: FieldDescriptor, a: AmbientElement, n: int) -> int:
@@ -162,28 +152,29 @@ def ks_decompose(K: FieldDescriptor, a: AmbientElement, n: int) -> CosetDecompos
     the cap n, constructively; ``dec.s`` is that depth.
 
     One ``root_chain`` finds s and a 2^s-th root y of a.  Up to the
-    root level L, y is the witness alpha; for s > L the witness is the
-    canonical L-chain of y^(2^L), the same for every 2^s-th root of a.
+    root level m of ``classify(K)``, y is the witness alpha; for s > m
+    the witness is the canonical m-chain of y^(2^m), the same for every
+    2^s-th root of a.
     The returned representative b is always in K*; which form comes out
     is forced by the field type and by s relative to m, and internal
     assertions check that the arithmetic agrees with that bookkeeping.
     """
     require_unit_in_k(K, a)
     require_depth(n, "n")
+    cls = classify(K)
+    m = cls.m
     s, alpha = root_chain(K, a, n)
-    L = K.root_level
-    if s > L:
-        alpha = root_chain(K, alpha ** (1 << L), L)[1]
-    if K.involution == IDENTITY:
+    if s > m:
+        alpha = root_chain(K, alpha ** (1 << m), m)[1]
+    if cls.field_type == TYPE_B:
         return CosetDecomposition(s, PLAIN, alpha, alpha)
 
-    field_type, m = _classify_core(K)
     one = K.one()
     omega = alpha * alpha / norm(K, alpha)
     t = _root_order_log2(K, omega)
     assert t <= min(s, m)
 
-    if field_type == TYPE_D and t == m:
+    if cls.field_type == TYPE_D and t == m:
         # the unit part has full order; only the coset of (1+eps_m) absorbs it
         em = eps(K, m)
         alpha2 = alpha / (one + em)

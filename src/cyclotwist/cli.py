@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 from .algebra import AlgebraSpec
 from .builder import IdempotentFamily, ambient_constants, build
-from .classify import classify
+from .classify import classify, emulates
 from .fields import IDENTITY
 from .grammar import (
     format_coeffs,
@@ -103,8 +103,10 @@ def _label_str(label: tuple) -> str:
     return "e[" + ",".join(str(i) for i in label) + "]"
 
 
-def _classification_dict(cls) -> dict:
-    return {"type": cls.field_type, "m": cls.m, "emulates": cls.emulates}
+def _classification_dict(cls, n: Optional[int]) -> dict:
+    """The ``classification`` object; "emulates" is null without n."""
+    emu = None if n is None else emulates(cls, n)
+    return {"type": cls.field_type, "m": cls.m, "emulates": emu}
 
 
 def _coeff_literals(e) -> list:
@@ -148,7 +150,7 @@ def _print_family_json(family: IdempotentFamily, verification: Optional[dict]) -
     dec = family.decomposition
     header = {
         "field": format_field(spec.field),
-        "classification": _classification_dict(family.classification),
+        "classification": _classification_dict(classify(spec.field), spec.n),
         "n": spec.n,
         "a": format_element(spec.a),
         "s": dec.s,
@@ -166,11 +168,10 @@ def _print_family_json(family: IdempotentFamily, verification: Optional[dict]) -
 
 def _print_family_text(family: IdempotentFamily) -> None:
     spec = family.spec
-    cls = family.classification
+    cls = classify(spec.field)
     dec = family.decomposition
     print(f"field: {format_field(spec.field)}")
-    emu = f", emulates {cls.emulates}" if cls.emulates else ""
-    print(f"type: {cls.field_type} (m={cls.m}{emu})")
+    print(f"type: {cls.field_type} (m={cls.m}, emulates {emulates(cls, spec.n)})")
     print(f"n: {spec.n}")
     print(f"a: {format_element(spec.a)}")
     print(f"s: {dec.s}")
@@ -187,21 +188,17 @@ def _print_family_text(family: IdempotentFamily) -> None:
 
 def _cmd_classify(args) -> int:
     K = parse_field(args.field)
-    cls = classify(K, args.n)
+    classification = _classification_dict(classify(K), args.n)
     if args.json:
         _print_json(
-            {
-                "field": format_field(K),
-                "classification": _classification_dict(cls),
-                "n": args.n,
-            }
+            {"field": format_field(K), "classification": classification, "n": args.n}
         )
         return 0
     print(f"field: {format_field(K)}")
-    print(f"type: {cls.field_type}")
-    print(f"m: {cls.m}")
+    print(f"type: {classification['type']}")
+    print(f"m: {classification['m']}")
     if args.n is not None:
-        print(f"emulates: {cls.emulates}")
+        print(f"emulates: {classification['emulates']}")
     return 0
 
 

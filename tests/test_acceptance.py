@@ -147,8 +147,8 @@ def _depth_with_two_faults(K, a, n):
     return _H_N(K, a, n)
 
 
-def _classification_with_a_fault(K, n=None):
-    cls = _CLASSIFY(K, n)
+def _classification_with_a_fault(K):
+    cls = _CLASSIFY(K)
     return replace(cls, m=cls.m + 1) if K == parse_field("F:13") else cls
 
 

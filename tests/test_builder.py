@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclotwist import builder, fields
-from cyclotwist.algebra import AlgebraSpec, Poly, certify_irreducible
+from cyclotwist.algebra import AlgebraSpec, Poly, certify_irreducible, lattice_step
 from cyclotwist.builder import (
     _char_sum,
     _item,
@@ -208,7 +208,7 @@ def test_every_dispatch_branch_is_reachable():
         ("Q", 2, "-4"),
     ]:
         spec = spec_of(field_spec, n, a)
-        cls = classify(spec.field, n)
+        cls = classify(spec.field)
         s, dec = decomposed(spec)
         if cls.field_type == TYPE_B:
             fired.add("split-shallow" if s <= cls.m else "split-deep")
@@ -256,9 +256,10 @@ def test_char_sum_matches_dense_powers(field_spec, n, a):
     for chi in chis:
         for r in range(s + 1):
             c = chi * dec.b ** -(1 << r)
-            assert _char_sum(spec, s, r, c, False) == dense_char_sum(spec, s, r, [c])
+            S = spec.size >> (s - r)
+            assert _char_sum(spec, S, c, False) == dense_char_sum(spec, s, r, [c])
             both = [c, sigma(K, c)]
-            assert _char_sum(spec, s, r, c, True) == dense_char_sum(spec, s, r, both)
+            assert _char_sum(spec, S, c, True) == dense_char_sum(spec, s, r, both)
 
 
 def dense_char_sum(spec, s, r, cs):
@@ -338,6 +339,26 @@ def test_constants_do_not_depend_on_n(instances):
 
 
 @pytest.mark.parametrize(
+    "instances",
+    [golden_instances()] + [unit_matrix(f) for f in N_FREE_FIELDS],
+    ids=["golden"] + N_FREE_FIELDS,
+)
+def test_each_item_lies_on_the_lattice_of_its_S(instances):
+    # verify_family reads an item's lattice off its coefficients, never
+    # from S, and _char_sum lays it on the S that _item states: the two
+    # agree, except that a paired item with no x^S term (sigma(k) = -k)
+    # cancels every odd power of g^S and lies on the lattice of 2S
+    for field_spec, n, a in instances:
+        family = build(spec_of(field_spec, int(n), a), checked=False)
+        d = family.spec.field.ambient_dim
+        for it in family.items:
+            no_middle = it.S not in dict(it.min_poly.terms)
+            step = 2 * it.S if it.dim == 2 * it.S and no_middle else it.S
+            where = (field_spec, n, a, it.label)
+            assert lattice_step(it.element.ints, d) == step, where
+
+
+@pytest.mark.parametrize(
     "field_spec, n, a",
     [
         ("F:7", 5, "1"),  # F_q[i], s = 5
@@ -357,7 +378,7 @@ def test_build_forms_each_constant_once(monkeypatch, field_spec, n, a):
     # descriptor built directly computes its roots of unity anew.
     K = replace(parse_field(field_spec))
     spec = AlgebraSpec(K, n, parse_element(K, a))
-    classify_module._classify_core.cache_clear()
+    classify.cache_clear()
     calls = Counter()
     counting = [True]
 
@@ -375,9 +396,9 @@ def test_build_forms_each_constant_once(monkeypatch, field_spec, n, a):
         finally:
             counting[0] = True
 
-    def char_sum(spec, s, r, c, paired):
+    def char_sum(spec, S, c, paired):
         calls["characters"] += 1 + paired
-        return _char_sum(spec, s, r, c, paired)
+        return _char_sum(spec, S, c, paired)
 
     element = fields.AmbientElement
     monkeypatch.setattr(element, "__pow__", counted("pow", element.__pow__))

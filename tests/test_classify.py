@@ -12,6 +12,7 @@ from cyclotwist.classify import (
     TYPE_D,
     TYPE_E,
     classify,
+    emulates,
     h_n,
     ks_decompose,
     ks_membership,
@@ -54,13 +55,14 @@ def recompose(K, dec):
     ],
 )
 def test_classification_table(spec, field_type, m):
-    cls = classify(parse_field(spec))
+    K = parse_field(spec)
+    cls = classify(K)
     assert (cls.field_type, cls.m) == (field_type, m)
-    assert cls.emulates is None  # n not supplied
+    assert classify(K) is cls  # one classification per field
 
 
 @pytest.mark.parametrize(
-    "spec, n, emulates",
+    "spec, n, expected",
     [
         ("QC:3", 1, "A"),
         ("QC:3", 2, "A"),
@@ -74,18 +76,19 @@ def test_classification_table(spec, field_type, m):
         ("F:3", 2, "none"),
     ],
 )
-def test_emulation_annotation(spec, n, emulates):
-    assert classify(parse_field(spec), n).emulates == emulates
+def test_emulation_annotation(spec, n, expected):
+    assert emulates(classify(parse_field(spec)), n) == expected
 
 
 def test_classify_refuses_a_depth_the_algebra_refuses():
-    # the same bound as AlgebraSpec and h_n; n = None stays allowed
+    # the same bound as AlgebraSpec and h_n; the classification itself
+    # takes no n
+    cls = classify(Q)
     with pytest.raises(TypeError):
-        classify(Q, 2.5)
+        emulates(cls, 2.5)
     for n in (-1, 10**6):
         with pytest.raises(ValueError, match=r"n must be in \[0, "):
-            classify(Q, n)
-    assert classify(Q).emulates is None
+            emulates(cls, n)
 
 
 # -- depth -------------------------------------------------------------------

@@ -14,6 +14,7 @@ from test_golden_cli import argvs
 
 from cyclotwist import algebra, cli
 from cyclotwist.builder import build
+from cyclotwist.classify import classify
 from cyclotwist.cli import _build_parser, main
 from cyclotwist.grammar import format_element, format_field
 
@@ -256,6 +257,7 @@ def test_verify_json(capsys):
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
+    assert out == ""  # a refused call prints nothing
     assert err.startswith("error: ") and "Traceback" not in err
 
 
@@ -458,7 +460,7 @@ def _family_dict(family, verification):
     dec = family.decomposition
     return {
         "field": format_field(spec.field),
-        "classification": cli._classification_dict(family.classification),
+        "classification": cli._classification_dict(classify(spec.field), spec.n),
         "n": spec.n,
         "a": format_element(spec.a),
         "s": dec.s,

@@ -23,7 +23,7 @@ from cyclotwist.algebra import (
     on_lattice,
 )
 from cyclotwist import builder
-from cyclotwist.classify import classify, ks_decompose
+from cyclotwist.classify import ks_decompose
 from cyclotwist.builder import ambient_constants, ambient_spec, build, verified
 from cyclotwist.fields import (
     IDENTITY,
@@ -720,7 +720,7 @@ def ambient_constants_reference(spec):
     read the family's own root chain."""
     A = builder.ambient_spec(spec)
     dec = ks_decompose(A.field, A.a, A.n)
-    closed = builder._dispatch(A.field, classify(A.field, A.n), dec)
+    closed = builder._dispatch(A.field, dec)
     return [(1 << (A.n - dec.s + r), c) for _, r, c in closed]
 
 

@@ -11,6 +11,7 @@ its report, so those names are pinned here.
 
 import ast
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -154,6 +155,28 @@ def test_the_depth_cap_is_read_only_in_fields():
     assert not readers
 
 
+def test_the_construction_reads_n_only_as_the_cap():
+    # the classification belongs to the field alone, and the builder
+    # reads n only where build hands the cap to ks_decompose and where
+    # ambient_spec copies a spec: every S comes from the size 2^n
+    classify = importlib.import_module("cyclotwist.classify").classify
+    assert len(inspect.signature(classify).parameters) == 1
+    tree = _parsed(PACKAGE / "builder.py")
+    allowed = {
+        id(node)
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("build", "ambient_spec")
+        for node in ast.walk(fn)
+    }
+    readers = [
+        f"builder.py: line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "n"
+        if id(node) not in allowed
+    ]
+    assert not readers
+
+
 def test_the_ci_workflow_parses_and_every_step_acts():
     # a workflow that is not valid YAML runs none of its steps, and a
     # step with neither ``run`` nor ``uses`` does nothing
@@ -178,7 +201,7 @@ CACHES = {
     "fields.FieldDescriptor._scalars": "the interned descriptor",
     "fields._signed_perm": "(n, k), a permutation of the power basis",
     "fields._fin_nonresidue": "(q, d), the first non-square",
-    "classify._classify_core": "a field descriptor",
+    "classify.classify": "a field descriptor",
     "cli._build_parser": "nothing: the one argument parser",
     "selftest._family": "a matrix spec, each algebra built once per selftest",
     "selftest._checked_family": "a matrix case",
