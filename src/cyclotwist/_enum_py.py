@@ -2,8 +2,11 @@
 
 Enumerates every coefficient vector of F_q[g]/(g^(2^n) - a), keeps the
 idempotents, and filters those down to the minimal ones.  It shares no
-code with the closed-form construction.
+code with the closed-form construction: it imports only the standard
+library, whose ``itertools.product`` walks the vectors.
 """
+
+from itertools import product
 
 
 def _mul(x, y, q, size, a):
@@ -45,18 +48,9 @@ def atoms(q, n, a):
     every idempotent f."""
     size = 1 << n
     a %= q
-    idems = []
-    v = [0] * size
-    while True:
-        if _is_idempotent(v, q, size, a):
-            idems.append(tuple(v))
-        pos = 0
-        while pos < size and v[pos] == q - 1:
-            v[pos] = 0
-            pos += 1
-        if pos == size:
-            break
-        v[pos] += 1
+    idems = [
+        v for v in product(range(q), repeat=size) if _is_idempotent(v, q, size, a)
+    ]
     zero = (0,) * size
     out = []
     for e in idems:

@@ -13,7 +13,7 @@ of u never wrap, the sum is the T powers of c (and their sigma images)
 laid on the lattice g^(j * 2^(n-s+r)); ``_char_sum`` builds them as one
 flat integer list by doubling, with O(log T) products per item and none
 per coefficient.  Each case function forms b^(-2^r) once per depth r
-(one inverse of b, then one squaring per r) and enumerates its constants
+(one inverse of b, then one ``squarings`` ladder) and enumerates its constants
 block by block (``_block``) as running products by the roots of unity it
 holds, one product per item, as closed forms (label, r, c) from K, s
 and b alone.  ``_item`` builds each: it derives S = 2^(n-s+r) from
@@ -69,6 +69,7 @@ from .fields import (
     reduce_coords,
     sigma,
     sigma_coords,
+    squarings,
     times_coords,
 )
 
@@ -185,14 +186,6 @@ def _block(
     return [(head + (i,), r, c) for i, c in enumerate(cs)]
 
 
-def _inverse_squares(b: AmbientElement, top: int) -> list:
-    """b^(-2^r) for r = 0..top: one inverse, then top squarings."""
-    out = [b.inverse()]
-    for _ in range(top):
-        out.append(out[-1] * out[-1])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the construction cases
 # ---------------------------------------------------------------------------
@@ -205,7 +198,7 @@ def thm2_case1(K: FieldDescriptor, s: int, b: AmbientElement) -> list:
     of two, r = 1..s-m, built on the squared generators."""
     m = K.root_level
     t = min(s, m)
-    bi = _inverse_squares(b, max(s - m, 0))
+    bi = squarings(b.inverse(), max(s - m, 0))
     eti = eps(K, t, -1)
     items = _block(0, (), bi[0], eti, 1 << t)
     if s > m:
@@ -236,7 +229,7 @@ def thm3_case3(K: FieldDescriptor, s: int, b: AmbientElement) -> list:
     assert s >= 1 and cls.field_type in (TYPE_D, TYPE_E)
     t = min(s, m - 1)
     half = 1 << (t - 1)
-    bi = _inverse_squares(b, max(s - m, 0))
+    bi = squarings(b.inverse(), max(s - m, 0))
     items = _block(0, (), bi[0], eps(K, t), half + 1)
     if s >= m:
         emi, em2i = eps(K, m, -1), eps(K, m - 2, -1)
@@ -257,7 +250,7 @@ def thm3_case5(K: FieldDescriptor, s: int, b: AmbientElement) -> list:
     u = eps(K, m)
     em1i = eps(K, m - 1, -1)
     # (1+u)^(-2^r) b^(-2^r) for r = 0..s-m
-    wi = _inverse_squares((1 + u) * b, s - m)
+    wi = squarings(((1 + u) * b).inverse(), s - m)
     count = 1 << (m - 1)
     items = _block(0, (), wi[0], em1i, count)
     if s == m:

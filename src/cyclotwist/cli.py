@@ -42,6 +42,7 @@ from .grammar import (
     format_coeffs,
     format_element,
     format_field,
+    format_label,
     parse_element,
     parse_field,
 )
@@ -97,10 +98,6 @@ def _json_text(obj, pad: str) -> str:
         leaf = _JSON_LEAVES.get(type(v))
         parts.append(head + (leaf(v) if leaf else _json_text(v, inner)))
     return ends[0] + inner + ("," + inner).join(parts) + pad + ends[1]
-
-
-def _label_str(label: tuple) -> str:
-    return "e[" + ",".join(str(i) for i in label) + "]"
 
 
 def _classification_dict(cls, n: Optional[int]) -> dict:
@@ -178,7 +175,7 @@ def _print_family_text(family: IdempotentFamily) -> None:
     print(f"coset: {dec.form}, b = {format_element(dec.b)}")
     print(f"idempotents ({len(family.items)}):")
     for it in family.items:
-        print(f"  {_label_str(it.label)}: dim {it.dim}, min poly {it.min_poly}")
+        print(f"  {format_label(it.label)}: dim {it.dim}, min poly {it.min_poly}")
         # a literal with a comma is a non-scalar coefficient
         coeffs = ", ".join(
             [f"({t})" if "," in t else t for t in _coeff_literals(it.element)]

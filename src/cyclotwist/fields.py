@@ -42,7 +42,6 @@ All arithmetic is exact; there is no floating point anywhere, and
 from __future__ import annotations
 
 import functools
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product
@@ -160,16 +159,14 @@ class FieldDescriptor:
 
     @functools.cached_property
     def _roots(self) -> Tuple[tuple, tuple]:
-        """(eps_t, eps_t^-1) for t = 0..root_level: eps_(t-1) = eps_t^2."""
+        """(eps_t, eps_t^-1) for t = 0..root_level: eps_(t-1) = eps_t^2,
+        each a ``squarings`` ladder from t = root_level down."""
         L, q, d = self.root_level, self.q, self.ambient_dim
         if q:
             top = _new(self, _fin_nonresidue(q, d), 1) ** ((q**d - 1) >> L)
         else:
             top = self.zeta_pow(1)
-        roots, inverses = [top], [top.inverse()]
-        for _ in range(L):
-            roots.append(roots[-1] * roots[-1])
-            inverses.append(inverses[-1] * inverses[-1])
+        roots, inverses = squarings(top, L), squarings(top.inverse(), L)
         return tuple(reversed(roots)), tuple(reversed(inverses))
 
     def __str__(self) -> str:
@@ -360,12 +357,13 @@ class Element:
         )
 
     def __hash__(self):
-        # equal elements hash alike across kinds: a scalar as the number
-        # it equals, any other element as its coordinates up to the last
-        # nonzero one (an algebra scalar's tail is zero)
+        # equal elements hash alike across kinds: a scalar as the
+        # Fraction it equals (which hashes as the int or Fraction does),
+        # any other element as its coordinates up to the last nonzero one
+        # (an algebra scalar's tail is zero)
         ints = self.ints
         if not any(ints[1:]):
-            return _rational_hash(ints[0], self.den)
+            return hash(Fraction(ints[0], self.den))
         last = max(compress(range(len(ints)), ints))
         return hash((ints[: last + 1], self.den))
 
@@ -374,16 +372,6 @@ class Element:
 _set_owner, _set_ints, _set_den = (
     Element.owner.__set__, Element.ints.__set__, Element.den.__set__
 )
-
-
-def _rational_hash(num: int, den: int) -> int:
-    """hash(num/den) as Python hashes every rational, an int or a
-    Fraction ("Hashing of numeric types" in the Python docs), for
-    num/den in lowest terms with den > 0."""
-    P = sys.hash_info.modulus
-    h = abs(num) % P * pow(den, -1, P) % P if den % P else sys.hash_info.inf
-    h = -h if num < 0 else h
-    return -2 if h == -1 else h
 
 
 class AmbientElement(Element):
@@ -702,6 +690,15 @@ def _fp_sqrt(a: int, q: int) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
+
+
+def squarings(x: Element, count: int) -> list:
+    """[x, x^2, x^4, ..., x^(2^count)]: count squarings, the one ladder
+    behind the roots of unity and the case functions' b^(-2^r)."""
+    out = [x]
+    for _ in range(count):
+        out.append(out[-1] * out[-1])
+    return out
 
 
 def eps(K: FieldDescriptor, t: int, power: int = 1) -> AmbientElement:

@@ -39,7 +39,9 @@ fields, integers for finite fields.  A single token denotes a scalar
 required.  ``format_element`` emits the shortest faithful literal
 (scalars as one token) and round-trips through ``parse_element``.
 ``format_coeffs`` prints the coefficients of a flat algebra element
-the same way, straight from its integers.
+the same way, straight from its integers.  ``format_label`` writes an
+item's name, ``e[0]`` or ``e[1,3]``, for the family listing and the
+oracle's failure lines alike.
 """
 
 from __future__ import annotations
@@ -172,6 +174,11 @@ def format_element(x: AmbientElement) -> str:
     """Shortest literal that parses back to ``x`` (scalars as one token):
     ``x`` as the one coefficient of a flat element (``format_coeffs``)."""
     return format_coeffs(x.ints, x.den, len(x.ints))[0]
+
+
+def format_label(label: tuple) -> str:
+    """The name of the item with this label: ``e[0]``, ``e[1,3]``."""
+    return "e[" + ",".join(map(str, label)) + "]"
 
 
 def format_coeffs(ints, den: int, d: int) -> list:

@@ -47,6 +47,7 @@ from .algebra import (
     on_lattice,
 )
 from .fields import IDENTITY, FieldDescriptor, is_in_k, sigma_coords, times_coords
+from .grammar import format_label
 
 if TYPE_CHECKING:
     from .builder import IdempotentFamily
@@ -86,8 +87,10 @@ class ItemCheck:
     primitive: bool = _flag("is not certified minimal")
 
     def violations(self) -> List[str]:
+        """One line per failed check, naming the item as the family
+        listing does (``format_label``)."""
         return [
-            f"e{self.label} {f.metadata['fails']}"
+            f"{format_label(self.label)} {f.metadata['fails']}"
             for f in _FLAGS
             if not getattr(self, f.name)
         ]
@@ -306,8 +309,6 @@ def brute_enumerate_minimal(
             f"enumeration of {K.q}^{spec.size} = {count} vectors exceeds "
             f"the budget of {max_count}"
         )
-    if not spec.a.is_scalar():
-        raise ValueError("a must be a scalar residue")
     a_int = spec.a.ints[0]
     return [spec.element(vec) for vec in _enum_py.atoms(K.q, spec.n, a_int)]
 

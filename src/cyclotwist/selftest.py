@@ -22,7 +22,6 @@ failure reporting works end to end.
 from __future__ import annotations
 
 import os
-import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import isqrt
@@ -361,17 +360,18 @@ CRITERIA: Tuple[Callable[[int], CriterionResult], ...] = (
 )
 
 
-def run_selftest(max_enum: int = DEFAULT_ENUM_BUDGET, stream=None) -> int:
-    stream = stream or sys.stdout
+def run_selftest(max_enum: int = DEFAULT_ENUM_BUDGET) -> int:
+    """Run every criterion, print its report to stdout, and return the
+    exit status: 0 if all pass, else 1."""
     failed = False
     for criterion in CRITERIA:
         result = criterion(max_enum)
-        print(result.line(), file=stream)
+        print(result.line())
         for line in result.details:
-            print(f"    {line}", file=stream)
+            print(f"    {line}")
         if not result.passed:
             failed = True
             if result.repro:
-                print(f"    reproduce with: {result.repro}", file=stream)
-    print("selftest: " + ("FAIL" if failed else "PASS"), file=stream)
+                print(f"    reproduce with: {result.repro}")
+    print("selftest: " + ("FAIL" if failed else "PASS"))
     return 1 if failed else 0

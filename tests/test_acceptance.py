@@ -7,6 +7,7 @@ the collected details if the criterion does not hold.  Criteria with a
 stated runtime bound assert it.
 """
 
+import contextlib
 import io
 import time
 from dataclasses import replace
@@ -15,7 +16,7 @@ import pytest
 
 from cyclotwist import builder, cli, selftest
 from cyclotwist.grammar import parse_field
-from cyclotwist.oracle import DEFAULT_ENUM_BUDGET
+from cyclotwist.oracle import DEFAULT_ENUM_BUDGET, VerificationError, verify_family
 from cyclotwist.selftest import (
     criterion_case_matrix,
     criterion_conjugate_pairing,
@@ -94,7 +95,8 @@ def test_selftest_builds_each_algebra_once(monkeypatch):
     selftest._family.cache_clear()
     selftest._checked_family.cache_clear()
     out = io.StringIO()
-    assert selftest.run_selftest(stream=out) == 0
+    with contextlib.redirect_stdout(out):
+        assert selftest.run_selftest() == 0
     assert out.getvalue().rstrip().endswith("selftest: PASS")
     assert len(calls) == len(set(calls)) == 40
 
@@ -106,6 +108,8 @@ _THM3_CASE3 = selftest.thm3_case3
 _H_N = selftest.h_n
 _CLASSIFY = selftest.classify
 _KS_MEMBERSHIP = selftest.ks_membership
+_CHECKED_FAMILY = selftest._checked_family
+_THM3_CASE4 = selftest.thm3_case4
 
 
 def _matrix_with_two_faults(matrix):
@@ -152,6 +156,20 @@ def _classification_with_a_fault(K):
     return replace(cls, m=cls.m + 1) if K == parse_field("F:13") else cls
 
 
+def _checked_family_with_a_fault(case):
+    # the first matrix case loses its last item, so its checked build
+    # raises VerificationError
+    if case is not selftest.MATRIX[0]:
+        return _CHECKED_FAMILY(case)
+    family = selftest._family(case.spec())
+    raise VerificationError(verify_family(replace(family, items=family.items[:-1])))
+
+
+def _relabelled_case4(K, s, b):
+    # no label (0,): the rejected i=1 reading drops nothing
+    return [((i + 1,), r, c) for (i,), r, c in _THM3_CASE4(K, s, b)]
+
+
 def _membership_with_a_fault(K, a, s):
     member = _KS_MEMBERSHIP(K, a, s)
     return not member if (K, a, s) == (parse_field("F:7"), K.scalar(2), 1) else member
@@ -165,6 +183,14 @@ FORCED_FAILURES = {
         "    (F:5, n=3, a=0) [split-deep]: ValueError: a must be nonzero\n"
         "    (QR:5, n=2, a=16) [paired-shallow]: dims (1, 1, 2) != (1, 2)\n"
         "    reproduce with: cyclotwist verify F:5 3 0\n",
+    ),
+    "verification error": (
+        criterion_case_matrix,
+        {"_checked_family": _checked_family_with_a_fault},
+        "criterion 1 (case-coverage matrix verifies): FAIL\n"
+        "    (F:5, n=2, a=1) [split-shallow]: verification failed: FAIL: family "
+        "does not sum to 1; component dimensions sum to 3, expected 4\n"
+        "    reproduce with: cyclotwist verify F:5 2 1\n",
     ),
     "ground truth": (
         criterion_ground_truth,
@@ -227,6 +253,13 @@ FORCED_FAILURES = {
         "    (F:3, n=3, a=1): the adopted r=0 reading fails to sum to 1\n"
         "    reproduce with: cyclotwist verify F:3 3 1\n",
     ),
+    "rejected reading": (
+        criterion_index_regressions,
+        {"thm3_case4": _relabelled_case4},
+        "criterion 7 (index-convention regressions): FAIL\n"
+        "    (Q, n=2, a=-1): the rejected i=1 reading unexpectedly sums to 1\n"
+        "    reproduce with: cyclotwist verify Q 2 -1\n",
+    ),
 }
 @pytest.mark.parametrize("what", FORCED_FAILURES)
 def test_forced_failure_lines_are_pinned(monkeypatch, what):
@@ -237,7 +270,8 @@ def test_forced_failure_lines_are_pinned(monkeypatch, what):
         monkeypatch.setattr(selftest, name, replacement)
     monkeypatch.setattr(selftest, "CRITERIA", (criterion,))
     out = io.StringIO()
-    assert selftest.run_selftest(stream=out) == 1
+    with contextlib.redirect_stdout(out):
+        assert selftest.run_selftest() == 1
     assert out.getvalue() == expected + "selftest: FAIL\n"
 
 

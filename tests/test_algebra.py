@@ -14,6 +14,7 @@ from cyclotwist.algebra import (
     Poly,
     _pack,
     _unpack,
+    alg_mul,
     certify_irreducible,
 )
 from cyclotwist.builder import IdempotentItem, ambient_spec, build
@@ -261,6 +262,45 @@ def test_gbar_refuses_negative_exponents():
         spec.gbar(-1)
 
 
+TWO_ALGEBRAS = (spec_of("Q", 1, "2"), spec_of("Q", 1, "3"))
+
+# refusals of malformed operands and inputs, each as its own message
+REFUSALS = {
+    "coerce across algebras": (
+        lambda: TWO_ALGEBRAS[0].coerce(TWO_ALGEBRAS[1].one()),
+        ValueError,
+        "operands live in different algebras",
+    ),
+    "alg_mul across algebras": (
+        lambda: alg_mul(TWO_ALGEBRAS[0].one(), TWO_ALGEBRAS[1].one()),
+        ValueError,
+        "operands live in different algebras",
+    ),
+    "str coefficient": (
+        lambda: TWO_ALGEBRAS[0].element(["x", 1]),
+        TypeError,
+        "cannot use str as a field element",
+    ),
+    "zero denominator": (
+        lambda: AlgebraElement(TWO_ALGEBRAS[0], [0] * 4, 0),
+        ZeroDivisionError,
+        "zero denominator",
+    ),
+    "constant polynomial": (
+        lambda: certify_irreducible(Q, Poly(((0, Q.one()),))),
+        ValueError,
+        "constants have no irreducibility",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_malformed_input_is_refused_with_its_message(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_powers_are_repeated_products(data):
@@ -319,6 +359,9 @@ def test_element_protocol(x):
     assert -(-x) == x and not (x + -x) and (x - x).is_zero()
     rebuilt = (x + x) - x
     assert rebuilt is not x and rebuilt == x and hash(rebuilt) == hash(x)
+    for op in (lambda: x + "a", lambda: x**1.5):  # no number: declined
+        with pytest.raises(TypeError):
+            op()
     # x == y implies hash(x) == hash(y), across kinds and with numbers
     # (over F_q only a residue in 0..q-1 shares its element's hash)
     K = x.field

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,8 @@ from cyclotwist import algebra, cli
 from cyclotwist.builder import build
 from cyclotwist.classify import classify
 from cyclotwist.cli import _build_parser, main
-from cyclotwist.grammar import format_element, format_field
+from cyclotwist.grammar import format_element, format_field, parse_field
+from cyclotwist.oracle import VerificationError, verify_family
 
 DEEP_A = "170459392,120532992,0,-120532992"  # (1 + eps_3)^32 over QR:3
 
@@ -278,6 +280,22 @@ def test_memory_error_exits_2(capsys, monkeypatch):
         assert run(capsys, *argv) == (2, "", "error: out of memory\n")
 
 
+def test_verification_error_exits_1(capsys, monkeypatch):
+    # a checked build that fails reports on stderr and prints nothing
+    F5 = parse_field("F:5")
+    family = build(algebra.AlgebraSpec(F5, 2, F5.one()), checked=False)
+    report = verify_family(replace(family, items=family.items[1:]))
+
+    def failing(spec, checked=True):
+        raise VerificationError(report)
+
+    monkeypatch.setattr(cli, "build", failing)
+    code, out, err = run(capsys, "idempotents", "F:5", "2", "1")
+    assert (code, out) == (1, "")
+    assert err == f"verification failed: {report.headline()}\n"
+    assert err.startswith("verification failed: FAIL: ")
+
+
 def test_documented_example_runs(capsys):
     # the example of the module docstring and the README: -1/2 + sqrt(-2)
     code, out, err = run(capsys, "idempotents", "QE:3", "2", "--", "-1/2,1,0,1")
@@ -347,6 +365,15 @@ def test_negative_enumeration_budget_is_a_usage_error(capsys, argv):
     assert exc.value.code == 2
     _, err = capsys.readouterr()
     assert "argument --max-enum: must be a nonnegative integer" in err
+
+
+def test_non_integer_enumeration_budget_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "F:7", "2", "3", "--max-enum", "x"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("argument --max-enum: invalid int value: 'x'\n")
 
 
 def test_selftest_with_an_empty_budget_fails(capsys):

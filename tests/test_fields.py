@@ -379,6 +379,24 @@ def test_equal_elements_from_other_denominators_are_equal(data):
     assert K.element(x.coeffs) == x
 
 
+# refusals of malformed operands, each as its own message
+FIELD_REFUSALS = {
+    "coordinate count": (lambda: Q.element((1, 2, 3)), "expected 2 coordinates, got 3"),
+    "fields differ": (lambda: Q.one() + QC3.one(), "operands live in different fields"),
+    "infinite field": (
+        lambda: next(Q.iter_ambient()),
+        "cannot enumerate an infinite field",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FIELD_REFUSALS)
+def test_malformed_field_input_is_refused_with_its_message(case):
+    call, message = FIELD_REFUSALS[case]
+    with pytest.raises(AmbientError, match=f"^{message}$"):
+        call()
+
+
 def test_inexact_numbers_are_refused():
     with pytest.raises(AmbientError, match="float"):
         Q.scalar(0.1)

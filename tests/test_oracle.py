@@ -33,7 +33,7 @@ from cyclotwist.fields import (
     sigma_coords,
     sqrt_ambient,
 )
-from cyclotwist.grammar import parse_element, parse_field
+from cyclotwist.grammar import format_label, parse_element, parse_field
 from cyclotwist.oracle import (
     EnumerationBudgetError,
     VerificationError,
@@ -310,6 +310,21 @@ def test_verify_flags_corrupted_coefficient():
     assert not report.ok
 
 
+def test_failure_lines_name_items_as_the_listing_does():
+    # g added to e[0]: the headline names the item e[0], as the family
+    # listing prints it, not as the label tuple's repr
+    spec = spec_of("QC:3", 2, "4")
+    family = build(spec, checked=False)
+    item = family.items[0]
+    assert item.label == (0,)
+    bad = replace(item, element=item.element + spec.gbar())
+    report = verify_family(replace(family, items=(bad,) + family.items[1:]))
+    assert report.headline() == (
+        "FAIL: e[0] is not idempotent; e[0] is not annihilated by its min poly; "
+        "family does not sum to 1"
+    )
+
+
 def test_verify_flags_wrong_dim():
     spec = spec_of("F:3", 2, "1")
     family = build(spec, checked=False)
@@ -394,7 +409,7 @@ def test_verify_flags_merged_components(field_spec, n, a, pair):
     bad = replace(family, items=(item,) + rest)
     report = verify_family(bad)
     assert report.orthogonal and report.sum_is_one
-    assert report.failures == (f"e{pair[0]} is not certified minimal",)
+    assert report.failures == (f"{format_label(pair[0])} is not certified minimal",)
     assert [c.label for c in report.item_checks if not c.primitive] == [pair[0]]
     with pytest.raises(VerificationError):
         verified(bad)

@@ -59,6 +59,19 @@ def test_imports_are_standard_library(path):
     assert not outside
 
 
+def test_the_reference_enumerator_imports_nothing_from_the_package():
+    # the ground truth shares no code with the construction: every
+    # import of _enum_py names a standard-library module, and a
+    # relative one (".", ".fields") names none
+    modules = []
+    for node in ast.walk(_parsed(PACKAGE / "_enum_py.py")):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append("." * node.level + (node.module or ""))
+    assert all(m.partition(".")[0] in sys.stdlib_module_names for m in modules), modules
+
+
 def _inexact(node):
     if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
         return f"{node.value!r} literal"
