@@ -17,11 +17,14 @@ terms, so equality and hashing compare plain tuples.  Both kinds keep
 one element protocol, ``Element``: immutability, zero tests, sums,
 differences, negation, equality, hashing, powers, operand coercion,
 the product by a field element and the fixed-field test, written once
-on those integers.  Every field has one product, ``times_coords`` in
-Z[zeta]/(zeta^d + 1), and one inverse by descent through the quadratic
-tower.  Square roots descend the same tower, to ``isqrt`` over Z
-(Z[zeta] is the full ring of integers of Q(zeta), so roots over
-Q(zeta) run on integers too) or to Tonelli-Shanks mod q.
+on those integers.  A single element over F_q or F_q[i] holds one or
+two residues, and its products, sums and inverse are closed forms on
+them; flat algebra elements and characteristic 0 use the general
+kernel, one product ``times_coords`` in Z[zeta]/(zeta^d + 1) and one
+inverse by descent through the quadratic tower.  Square roots descend
+the same tower, to ``isqrt`` over Z (Z[zeta] is the full ring of
+integers of Q(zeta), so roots over Q(zeta) run on integers too) or to
+Tonelli-Shanks mod q.
 ``fractions.Fraction`` appears only at the boundary:
 ``FieldDescriptor.element`` accepts it and ``AmbientElement.coeffs``
 returns it.
@@ -295,10 +298,16 @@ class Element:
         return K.involution == IDENTITY or sigma_coords(K, self.ints) == list(self.ints)
 
     def __add__(self, other, sign: int = 1):  # sign -1 is ``__sub__``
-        o = self._lift(other)
+        # an element of this kind and of this very owner needs no lift
+        same = type(other) is type(self) and other.owner is self.owner
+        o = other if same else self._lift(other)
         if o is None:
             return NotImplemented
         K = self.field
+        q = K.q
+        if q:  # residues: one comprehension, no denominators
+            ints = tuple([(u + sign * v) % q for u, v in zip(self.ints, o.ints)])
+            return self._make(self.owner, ints, 1)
         vals = combine_coords(K, self.ints, self.den, o.ints, o.den, sign)
         return self._make(self.owner, *vals)
 
@@ -398,16 +407,35 @@ class AmbientElement(Element):
     # -- products ----------------------------------------------------------
 
     def __mul__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is None else self._times(o)
+        same = type(other) is type(self) and other.owner is self.owner
+        o = other if same else self._lift(other)
+        if o is None:
+            return NotImplemented
+        K = self.owner
+        q = K.q
+        if not q:
+            return self._times(o)
+        # F_q or F_q[i] (i^2 = -1): the product in closed form
+        x, y = self.ints, o.ints
+        if len(x) == 1:
+            return _new(K, (x[0] * y[0] % q,), 1)
+        (x0, x1), (y0, y1) = x, y
+        return _new(K, ((x0 * y0 - x1 * y1) % q, (x0 * y1 + x1 * y0) % q), 1)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "AmbientElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        K = self.owner
-        nums, nrm = _inverse_coords(self.ints, K.q)
+        K, x, q = self.owner, self.ints, self.owner.q
+        if q:  # 1/x mod q, or 1/(u + iv) = (u - iv)/(u^2 + v^2), the
+            # norm nonzero as -1 is a non-square when q = 3 mod 4
+            if len(x) == 1:
+                return _new(K, (pow(x[0], -1, q),), 1)
+            u, v = x
+            n = pow(u * u + v * v, -1, q)
+            return _new(K, (u * n % q, -v * n % q), 1)
+        nums, nrm = _inverse_coords(x, 0)
         return _new(K, *reduce_coords(K, [v * self.den for v in nums], nrm))
 
     def __truediv__(self, other):
@@ -442,8 +470,8 @@ def reduce_coords(
     if q:
         if den != 1:
             inv = pow(den, -1, q)
-            return tuple(v * inv % q for v in vals), 1
-        return tuple(v % q for v in vals), 1
+            return tuple([v * inv % q for v in vals]), 1
+        return tuple([v % q for v in vals]), 1
     if den < 0:
         vals, den = [-v for v in vals], -den
     g = gcd(den, *vals)
@@ -456,10 +484,8 @@ def combine_coords(
     K: FieldDescriptor, x: Sequence[int], dx: int, y: Sequence[int], dy: int, sign: int
 ) -> Tuple[tuple, int]:
     """x/dx + y/dy (sign 1) or x/dx - y/dy (sign -1), coordinate by
-    coordinate, in the stored form."""
-    q = K.q
-    if q:
-        return tuple((u + sign * v) % q for u, v in zip(x, y)), 1
+    coordinate, in the stored form (``Element.__add__`` sums residues
+    mod q itself)."""
     if dx == dy:
         vals = [u + sign * v for u, v in zip(x, y)]
         den = dx
@@ -472,27 +498,30 @@ def combine_coords(
 
 def negate_coords(vals: Sequence[int], q: int) -> tuple:
     """-vals, reduced mod q when q is nonzero."""
-    return tuple(-v % q for v in vals) if q else tuple(-v for v in vals)
-
-
+    return tuple([-v % q for v in vals] if q else [-v for v in vals])
 
 
 def times_coords(vals: Sequence[int], c: Sequence[int], q: int) -> list:
     """Each run of d = len(c) coordinates in ``vals`` (an ambient
     element, or an algebra element stored flat) times the ambient
     element with integer coordinates ``c``, in Z[zeta]/(zeta^d + 1),
-    reduced mod q when q is nonzero.  The one product of every ambient
-    field."""
+    reduced mod q when q is nonzero.  The product of flat elements and
+    of characteristic 0; a single element over F_q or F_q[i] multiplies
+    in closed form (``AmbientElement.__mul__``)."""
     d = len(c)
-    if not any(c[1:]):  # a scalar
+    if d == 1 or not any(c[1:]):  # a scalar
         c0 = c[0]
         if q:
             return [v * c0 % q for v in vals]
         return list(vals) if c0 == 1 else [v * c0 for v in vals]
     if d == 2:  # (x + yi)(c0 + c1 i), run by run
         c0, c1 = c
-        it = iter(vals)
-        out = [w for x, y in zip(it, it) for w in (x * c0 - y * c1, x * c1 + y * c0)]
+        if len(vals) == 2:
+            x, y = vals
+            out = [x * c0 - y * c1, x * c1 + y * c0]
+        else:
+            it = iter(vals)
+            out = [w for x, y in zip(it, it) for w in (x * c0 - y * c1, x * c1 + y * c0)]
     else:
         terms = [(j, cj) for j, cj in enumerate(c) if cj]
         out = [0] * len(vals)
@@ -815,8 +844,8 @@ def sqrt_ambient(K: FieldDescriptor, x: AmbientElement) -> Optional[AmbientEleme
     r = _sqrt_coords([v * x.den for v in x.ints], K.q)
     if r is None:
         return None
-    cand = _new(K, *reduce_coords(K, r, x.den))
-    cand = min(cand, -cand, key=lambda e: e.ints)
+    nums, den = reduce_coords(K, r, x.den)
+    cand = _new(K, min(nums, negate_coords(nums, K.q)), den)
     assert cand * cand == x
     return cand
 

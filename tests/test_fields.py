@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclotwist.algebra import AlgebraSpec
+from cyclotwist.algebra import AlgebraElement, AlgebraSpec
 from cyclotwist.classify import h_n, ks_decompose, ks_membership
 from cyclotwist.fields import (
     IDENTITY,
@@ -28,9 +28,12 @@ from cyclotwist.fields import (
     _interleave,
     _inverse_coords,
     _is_prime,
+    combine_coords,
     eps,
+    interned,
     is_in_k,
     is_square,
+    negate_coords,
     norm,
     reduce_coords,
     require_i,
@@ -441,6 +444,92 @@ def test_scalar_equals_the_padded_element(K):
         with pytest.raises(AmbientError) as from_element:
             K.element((bad,) + pad)
         assert str(from_scalar.value) == str(from_element.value)
+
+
+# -- closed forms over F_q and F_q[i] ------------------------------------------
+
+M61 = 2**61 - 1
+CLOSED_FORM_FIELDS = [interned(IDENTITY, 1, q) for q in (3, 5, 7, 13, M61)]
+CLOSED_FORM_FIELDS += [interned(INVERSE_CONJ, 2, q) for q in (3, 7, M61)]
+
+
+def closed_form_operands(K):
+    """0, 1, -1 and seeded random elements of K."""
+    rng = random.Random(K.q + K.level)
+    drawn = [K.element([rng.randrange(K.q) for _ in range(K.ambient_dim)]) for _ in range(10)]
+    return [K.zero(), K.one(), -K.one()] + drawn
+
+
+def stored(x):
+    return x.ints, x.den
+
+
+@pytest.mark.parametrize("K", CLOSED_FORM_FIELDS, ids=str)
+def test_closed_forms_agree_with_the_general_kernel(K):
+    # a single element's product, sum, negation, inverse and equality
+    # are closed forms on its residues; the list kernel is the reference
+    q = K.q
+    xs = closed_form_operands(K)
+    for x in xs:
+        assert stored(-x) == reduce_coords(K, negate_coords(x.ints, q), 1)
+        if x.is_zero():
+            with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
+                x.inverse()
+        else:
+            assert stored(x.inverse()) == reduce_coords(K, *_inverse_coords(x.ints, q))
+        for y in xs:
+            product = reduce_coords(K, times_coords(x.ints, y.ints, q), 1)
+            assert stored(x * y) == product
+            for sign, total in ((1, x + y), (-1, x - y)):
+                assert stored(total) == combine_coords(K, x.ints, 1, y.ints, 1, sign)
+            assert (x == y) == (x.ints == y.ints)
+            assert all(z.owner is K for z in (x * y, x + y, x - y))
+
+
+@pytest.mark.parametrize("field", ["F:5", "F:7", "F:2305843009213693951"])
+def test_flat_sums_agree_with_the_general_kernel(field):
+    K = parse_field(field)
+    spec = AlgebraSpec(K, 2, K.one())
+    rng = random.Random(K.q)
+    width = spec.size * K.ambient_dim
+    xs = [spec.zero(), spec.one(), -spec.one()]
+    xs += [AlgebraElement(spec, [rng.randrange(K.q) for _ in range(width)]) for _ in range(6)]
+    for x in xs:
+        assert stored(-x) == reduce_coords(K, negate_coords(x.ints, K.q), 1)
+        for y in xs:
+            for sign, total in ((1, x + y), (-1, x - y)):
+                assert stored(total) == combine_coords(K, x.ints, 1, y.ints, 1, sign)
+
+
+@pytest.mark.parametrize("K", CLOSED_FORM_FIELDS, ids=str)
+def test_closed_forms_lift_mixed_operands(K):
+    two = K.scalar(2)
+    for x in closed_form_operands(K):
+        assert stored(x * 2) == stored(2 * x) == stored(x * two)
+        assert stored(x + 1) == stored(1 + x) == stored(x + K.one())
+        assert stored(1 - x) == stored(K.one() - x)
+        assert stored(x - 1) == stored(x - K.one())
+        assert (x == 1) == (1 == x) == (x.ints == K.one().ints)
+
+
+def test_closed_forms_refuse_another_field():
+    for x, y in [(F5.one(), F7.one()), (F7.one(), F5.one()), (F7.one(), Q.one())]:
+        for op in (lambda: x * y, lambda: x + y, lambda: x - y):
+            with pytest.raises(AmbientError, match="^operands live in different fields$"):
+                op()
+        assert x != y
+
+
+def test_a_directly_built_descriptor_meets_the_interned_one():
+    # the owners are equal but not the same object: no identity shortcut
+    direct = FieldDescriptor(INVERSE_CONJ, 2, 7)
+    assert direct is not F7 and direct == F7
+    x, y, z = direct.element((3, 5)), F7.element((3, 5)), F7.element((2, 6))
+    assert x == y and y == x and hash(x) == hash(y)
+    assert stored(x * z) == stored(y * z) == stored(z * x)
+    assert stored(x + z) == stored(y + z) and stored(z - x) == stored(z - y)
+    assert stored(x.inverse()) == stored(y.inverse())
+    assert (x * z).owner is direct and (z * x).owner is F7
 
 
 # -- involutions -------------------------------------------------------------

@@ -171,6 +171,14 @@ def test_certificate_agrees_with_enumeration(q, n, a):
         assert cross_check(wrong) == (residues(wrong) == atoms), kind
 
 
+def test_enumeration_atoms_of_f5_at_n1():
+    # the ground truth on its own: the minimal idempotents (1 -+ g)/2
+    # of F_5[g]/(g^2 - 1), as residue vectors of length 2^n
+    atoms = _enum_py.atoms(5, 1, 1)
+    assert atoms == [(3, 2), (3, 3)]
+    assert all(len(v) == 2 for v in atoms)
+
+
 @pytest.mark.parametrize(
     "field_spec, n, a",
     [
