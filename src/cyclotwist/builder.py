@@ -7,28 +7,31 @@ Every minimal idempotent is an averaged character sum
 over powers of a unit u = b^(-2^r) g^(2^(n-s+r)), where the weights w_j
 are the powers of one character chi, or of a character and its image
 under the involution, so that the result is K-rational.  Each item is
-given by one constant c = chi * b^(-2^r): its partner, when it has one,
-is sigma(c), and there is none exactly when c lies in K.  As the powers
-of u never wrap, the sum is the T powers of c (and their sigma images)
+given by one constant k = b^(2^r) / chi, the constant of its minimal
+polynomial x^S - k: its partner, when it has one, is sigma(k), and
+there is none exactly when k lies in K.  The sum is over the powers of
+c = k^-1, and as k^T = a, c^j = k^(T-j) / a, so ``build`` inverts a
+once and the construction inverts nothing it states.  As the powers of
+u never wrap, the sum is the T powers of c (and their sigma images)
 laid on the lattice g^(j * 2^(n-s+r)); ``_char_sum`` builds them as one
-flat integer list by doubling, with O(log T) products per item and none
-per coefficient.  Each case function forms b^(-2^r) once per depth r
-(one inverse of b, then one ``squarings`` ladder) and enumerates its constants
-block by block (``_block``) as running products by the roots of unity it
-holds, one product per item, as closed forms (label, r, c) from K, s
-and b alone.  ``_item`` builds each: it derives S = 2^(n-s+r) from
-the algebra's size 2^n, hands it to ``_char_sum``, and states the
-minimal polynomial from k = c^-1 = b^(2^r) / chi, the one inverse an
-item costs.  Beyond that size, n enters only as the cap that ``build``
-hands ``ks_decompose``.  Which family of weights applies is decided
-entirely by the field type (B/D/E) of ``classify(K)``, the depth s of
-a in the 2-power filtration, and the coset form of a in K_s, which
-``_dispatch`` alone reads.  The four case functions below each state
-one complete family in closed form; ``build`` dispatches and builds
-each item.  The two that serve every depth
-(``thm2_case1`` for K = A, ``thm3_case3`` for a plain coset) average
-over the roots of unity up to t = min(s, m) or min(s, m-1) and add the
-blocks on squared generators only when s runs past that supply.
+flat integer list by doubling k's ladder down from k/a, with O(log T)
+products per item and none per coefficient.  Each case function forms
+b^(2^r) once per depth r (one ``squarings`` ladder) and enumerates its
+constants block by block (``_block``) as running products by the roots
+of unity it holds, one product per item, as closed forms (label, r, k)
+from K, s and b alone.  ``_item`` builds each: it derives
+S = 2^(n-s+r) from the algebra's size 2^n, hands it to ``_char_sum``,
+and states the minimal polynomial from k.  Beyond that size, n enters
+only as the cap that ``build`` hands ``ks_decompose``.  Which family of
+weights applies is decided entirely by the field type (B/D/E) of
+``classify(K)``, the depth s of a in the 2-power filtration, and the
+coset form of a in K_s, which ``_dispatch`` alone reads.  The four case
+functions below each state one complete family in closed form;
+``build`` dispatches and builds each item.  The two that serve every
+depth (``thm2_case1`` for K = A, ``thm3_case3`` for a plain coset)
+average over the roots of unity up to t = min(s, m) or min(s, m-1) and
+add the blocks on squared generators only when s runs past that
+supply.
 
 Index conventions that completeness depends on (checked by the test
 suite, which drops the labels of the rejected narrower variants):
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import accumulate, repeat
-from operator import add, floordiv, mul
+from operator import add, mul
 from typing import List, Optional, Tuple
 
 from .algebra import AlgebraElement, AlgebraSpec, Poly, off_lattice
@@ -79,14 +82,15 @@ class IdempotentItem:
     construction states them: ``dim`` is the K-dimension of the
     component e*K_t<g> and ``min_poly`` the minimal polynomial of g*e,
     of degree ``dim``.  ``verify_family`` proves both.  e is the
-    character sum of ``c`` (and sigma(c), if c is not in K) on g^S."""
+    character sum of c = k^-1 (and sigma(c), if k is not in K) on g^S,
+    and ``min_poly`` is x^S - k (times x^S - sigma(k))."""
 
     label: tuple
     element: AlgebraElement
     dim: int
     min_poly: Poly
     S: int
-    c: AmbientElement
+    k: AmbientElement
 
 
 @dataclass(frozen=True)
@@ -109,38 +113,44 @@ class IdempotentFamily:
 
 
 def _char_sum(
-    spec: AlgebraSpec, S: int, c: AmbientElement, paired: bool
+    spec: AlgebraSpec, S: int, k: AmbientElement, paired: bool, ainv: AmbientElement
 ) -> AlgebraElement:
-    """(1/T) * sum_{j<T} c^j * g^(jS), plus the same sum over sigma(c)
-    when ``paired``, T = 2^n/S: the averaged character sum over the
-    powers of the unit u = b^(-2^r) g^S, given the constant
-    c = chi * b^(-2^r) of its character chi and the exponent S that
-    ``_item`` states.  Since jS < 2^n the powers of u never wrap, so
-    with c = nums/D the coefficient c^j / T lands on g^(jS).
+    """(1/T) * sum_{j<T} c^j * g^(jS) for c = k^-1, plus the same sum
+    over sigma(c) when ``paired``, T = 2^n/S: the averaged character sum
+    over the powers of the unit u = b^(-2^r) g^S, given the constant
+    k = b^(2^r) / chi of its character chi, the exponent S that
+    ``_item`` states and ``ainv`` = a^-1.  Since jS < 2^n the powers of
+    u never wrap, so the coefficient c^j / T lands on g^(jS).
 
-    The numerators of c^0, ..., c^(T-1), each over D^j, form one flat
-    list of T * d integers, built by doubling: with the first k powers
-    in place and high = nums^k, one ``times_coords`` call appends the
-    next k, and squaring high readies the next round, so the ladder
-    takes log2 T appends and log2 T - 1 squarings.  Power j is raised
-    to the common denominator top = D^(T-1) by one scale list (only
-    when D > 1).  The partner's powers are the ladder's
-    ``sigma_coords`` image, as sigma(c)^j = sigma(c^j) and sigma fixes
-    D.  The T * d sums over T * top are reduced (the zeros off the
-    lattice change neither the gcd nor a residue), then ``off_lattice``
-    lays them on the lattice g^(jS)."""
+    Nothing here inverts: k^T = a makes c^j = k^(T-j) / a, so the
+    coefficients are k's powers times 1/a, read downward from
+    c^(T-1) = k/a to c^0 = k^T/a = 1.  With k/a = w/E and k = nums/D,
+    the numerators of c^0, ..., c^(T-1), c^j over E * D^(T-1-j), form
+    one flat list of T * d integers, built by doubling: with the last
+    m powers c^(T-m), ..., c^(T-1) in place and high = nums^m, one
+    ``times_coords`` call gives the m before them, which go in front,
+    and squaring high readies the next round, so past the one product
+    k * a^-1 the ladder takes log2 T products by high and log2 T - 1
+    squarings.  Power j is
+    raised to the common denominator top = E * D^(T-1) by one scale
+    list (only when D > 1).  The partner's powers are the ladder's
+    ``sigma_coords`` image, as sigma(c)^j = sigma(c^j) (sigma fixes a)
+    and sigma fixes E and D.  The T * d sums over T * top are reduced
+    (the zeros off the lattice change neither the gcd nor a residue),
+    then ``off_lattice`` lays them on the lattice g^(jS)."""
     K = spec.field
     q = K.q
     d = K.ambient_dim
     T = spec.size // S
-    flat, high = list(K.one().ints), c.ints
-    for k in range(T.bit_length() - 1):
-        if k:
+    last = k * ainv  # c^(T-1)
+    flat, high = list(last.ints), k.ints
+    for i in range(T.bit_length() - 1):
+        if i:
             high = times_coords(high, high, q)
-        flat += times_coords(flat, high, q)
-    top = c.den ** (T - 1)
-    if top > 1:  # c^j = w_j / D^j = w_j * (top / D^j) / top
-        scales = list(accumulate(repeat(c.den, T - 1), floordiv, initial=top))
+        flat = times_coords(flat, high, q) + flat
+    top = last.den * k.den ** (T - 1)
+    if k.den > 1:  # c^j = w_j / (E * D^(T-1-j)) = w_j * D^j / top
+        scales = list(accumulate(repeat(k.den, T - 1), mul, initial=1))
         for i in range(d):
             flat[i::d] = map(mul, flat[i::d], scales)
     if paired:
@@ -151,39 +161,43 @@ def _char_sum(
 
 
 def _item(
-    label: tuple, spec: AlgebraSpec, s: int, r: int, c: AmbientElement
+    label: tuple,
+    spec: AlgebraSpec,
+    s: int,
+    r: int,
+    k: AmbientElement,
+    ainv: AmbientElement,
 ) -> IdempotentItem:
-    """The item of the constant c = chi * b^(-2^r), in closed form.  Its
-    part for c satisfies g^S * e_c = k * e_c with k = c^-1 = b^(2^r) /
-    chi, S = 2^(n-s+r) (idempotency makes c^T * a = 1), derived here
-    from 2^n alone and handed to ``_char_sum``.  For k in K the item
-    is ``_char_sum`` over c alone and g*e is cut out by
-    x^S - k; otherwise the involution pairs c with sigma(c), and
+    """The item of the constant k = b^(2^r) / chi, in closed form.  Its
+    part for k satisfies g^S * e_k = k * e_k, S = 2^(n-s+r)
+    (idempotency makes k^T = a), derived here from 2^n alone and handed
+    to ``_char_sum`` with ``ainv`` = a^-1.  For k in K the item is
+    ``_char_sum`` over k alone and g*e is cut out by x^S - k; otherwise
+    the involution pairs k with sigma(k), and
     (x^S - k)(x^S - sigma(k)) = x^(2S) - (k + sigma k) x^S + k sigma k
     is K-rational.  It is stated as its nonzero terms: a middle
     coefficient that cancels (sigma k = -k) is dropped.
     ``verify_family`` proves that this is the minimal polynomial."""
     K = spec.field
     S = spec.size >> (s - r)
-    k = c.inverse()
     sk = sigma(K, k)
     paired = sk != k
     if paired:
         terms = [(0, k * sk), (S, -(k + sk)), (2 * S, K.one())]
     else:
         terms = [(0, -k), (S, K.one())]
-    element = _char_sum(spec, S, c, paired)
+    element = _char_sum(spec, S, k, paired, ainv)
     poly = Poly(tuple((e, v) for e, v in terms if v))
-    return IdempotentItem(label, element, S << paired, poly, S, c)
+    return IdempotentItem(label, element, S << paired, poly, S, k)
 
 
 def _block(
     r: int, head: tuple, start: AmbientElement, step: AmbientElement, count: int
 ) -> list:
-    """(label, r, c) of the items labelled head + (i,), i < count, of the
-    constants c = start * step^i: count - 1 products."""
-    cs = accumulate(repeat(step, count - 1), mul, initial=start)
-    return [(head + (i,), r, c) for i, c in enumerate(cs)]
+    """(label, r, k) of the items labelled head + (i,), i < count, of the
+    constants k = start * step^i: count - 1 products."""
+    ks = accumulate(repeat(step, count - 1), mul, initial=start)
+    return [(head + (i,), r, k) for i, k in enumerate(ks)]
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +212,13 @@ def thm2_case1(K: FieldDescriptor, s: int, b: AmbientElement) -> list:
     of two, r = 1..s-m, built on the squared generators."""
     m = K.root_level
     t = min(s, m)
-    bi = squarings(b.inverse(), max(s - m, 0))
-    eti = eps(K, t, -1)
-    items = _block(0, (), bi[0], eti, 1 << t)
+    bs = squarings(b, max(s - m, 0))
+    et = eps(K, t)
+    items = _block(0, (), bs[0], et, 1 << t)
     if s > m:
-        em1i = eps(K, m - 1, -1)
+        em1 = eps(K, m - 1)
         for r in range(1, s - m + 1):
-            items += _block(r, (r,), eti * bi[r], em1i, 1 << (m - 1))
+            items += _block(r, (r,), et * bs[r], em1, 1 << (m - 1))
     return items
 
 
@@ -214,8 +228,8 @@ def thm3_case4(K: FieldDescriptor, s: int, b: AmbientElement) -> list:
     involution."""
     cls = classify(K)
     assert 1 <= s <= cls.m - 1 and cls.field_type in (TYPE_D, TYPE_E)
-    start = eps(K, s + 1, -1) * b.inverse()
-    return _block(0, (), start, eps(K, s - 1, -1), 1 << (s - 1))
+    start = eps(K, s + 1) * b
+    return _block(0, (), start, eps(K, s - 1), 1 << (s - 1))
 
 
 def thm3_case3(K: FieldDescriptor, s: int, b: AmbientElement) -> list:
@@ -229,12 +243,12 @@ def thm3_case3(K: FieldDescriptor, s: int, b: AmbientElement) -> list:
     assert s >= 1 and cls.field_type in (TYPE_D, TYPE_E)
     t = min(s, m - 1)
     half = 1 << (t - 1)
-    bi = squarings(b.inverse(), max(s - m, 0))
-    items = _block(0, (), bi[0], eps(K, t), half + 1)
+    bs = squarings(b, max(s - m, 0))
+    items = _block(0, (), bs[0], eps(K, t, -1), half + 1)
     if s >= m:
-        emi, em2i = eps(K, m, -1), eps(K, m - 2, -1)
+        em, em2 = eps(K, m), eps(K, m - 2)
         for r in range(s - m + 1):
-            items += _block(r, (r,), emi * bi[r], em2i, half)
+            items += _block(r, (r,), em * bs[r], em2, half)
     return items
 
 
@@ -248,22 +262,22 @@ def thm3_case5(K: FieldDescriptor, s: int, b: AmbientElement) -> list:
     m = cls.m
     assert s >= m and cls.field_type == TYPE_D
     u = eps(K, m)
-    em1i = eps(K, m - 1, -1)
-    # (1+u)^(-2^r) b^(-2^r) for r = 0..s-m
-    wi = squarings(((1 + u) * b).inverse(), s - m)
+    em1 = eps(K, m - 1)
+    # (1+u)^(2^r) b^(2^r) for r = 0..s-m
+    w = squarings((1 + u) * b, s - m)
     count = 1 << (m - 1)
-    items = _block(0, (), wi[0], em1i, count)
+    items = _block(0, (), w[0], em1, count)
     if s == m:
         return items
-    # c0^-1 b^-2 with c0 = 2 + u + u^-1 = (1+u)^2 / u; the block's
-    # last constant, c0b * eps_(m-1)^(-2^(m-2)), is -c0b
-    c0b = wi[1] * u
+    # c0 b^2 with c0 = 2 + u + u^-1 = (1+u)^2 / u; the block's
+    # last constant, c0b * eps_(m-1)^(2^(m-2)), is -c0b
+    c0b = w[1] * eps(K, m, -1)
     quarter = 1 << (m - 2)
-    items += _block(1, (1,), c0b * em1i, em1i, quarter)
+    items += _block(1, (1,), c0b * em1, em1, quarter)
     items.append(((1, count - 1), 1, c0b))
-    ui, em2i = eps(K, m, -1), eps(K, m - 2, -1)
+    em2 = eps(K, m - 2)
     for r in range(2, s - m + 1):
-        items += _block(r, (r,), wi[r] * ui, em2i, quarter)
+        items += _block(r, (r,), w[r] * u, em2, quarter)
     return items
 
 
@@ -289,7 +303,8 @@ def build(spec: AlgebraSpec, checked: bool = True) -> IdempotentFamily:
     One ``ks_decompose`` call gives the depth s = h_n(a) and the coset
     form of a (one chain of square roots, two when s exceeds the root
     level); the case functions then state every item in closed form,
-    and ``_item`` builds each one.  With ``checked`` (the default) the
+    and ``_item`` builds each one from its constant k and a^-1, the one
+    inverse a build forms.  With ``checked`` (the default) the
     family is handed to the oracle, and a VerificationError is raised
     unless every check passes and every component is certified minimal;
     use checked=False to obtain the raw construction.
@@ -297,7 +312,8 @@ def build(spec: AlgebraSpec, checked: bool = True) -> IdempotentFamily:
     K = spec.field
     dec = ks_decompose(K, spec.a, spec.n)
     closed = _dispatch(K, dec)
-    items = tuple(_item(label, spec, dec.s, r, c) for label, r, c in closed)
+    ainv = spec.a.inverse()
+    items = tuple(_item(label, spec, dec.s, r, k, ainv) for label, r, k in closed)
     family = IdempotentFamily(spec, dec, items)
     return verified(family) if checked else family
 
@@ -322,12 +338,13 @@ def ambient_spec(spec: AlgebraSpec) -> AlgebraSpec:
 
 
 def ambient_constants(family: IdempotentFamily) -> List[Tuple[int, AmbientElement]]:
-    """(S, c) of every item over the ambient field A, for
+    """(S, k) of every item over the ambient field A, for
     ``conjugate_pairing_check``: A has the identity involution, so one
     ``thm2_case1`` call on the family's root (``CosetDecomposition.root``)
-    states them; no item, second algebra or ``ks_decompose`` is built."""
+    states them, each k the constant of its x^S - k; no item, second
+    algebra, inverse or ``ks_decompose`` is built."""
     K, size = family.spec.field, family.spec.size
     A = interned(IDENTITY, K.level, K.q)
     dec = family.decomposition
     root = AmbientElement._make(A, dec.root.ints, dec.root.den)
-    return [(size >> (dec.s - r), c) for _, r, c in thm2_case1(A, dec.s, root)]
+    return [(size >> (dec.s - r), k) for _, r, k in thm2_case1(A, dec.s, root)]

@@ -338,6 +338,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # exact coordinates may run past the interpreter's 4,300 digits for
+    # int <-> str, both in a literal and in what is printed
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = _build_parser().parse_args(argv)
     try:
         code = args.handler(args)

@@ -26,7 +26,7 @@ primitive iff it is irreducible over K, which Capelli's criterion over
 A and quadratic descent from A to K decide with one square root and
 one square test in A (``algebra.certify_irreducible``).  ``verify_family`` is the
 one check of the coefficients ``builder._char_sum`` expands; pairing
-reads each item's constants (S, c) alone.
+reads each item's constants (S, k) alone.
 """
 
 from __future__ import annotations
@@ -410,19 +410,19 @@ def _square(x: tuple, q: int, a: int) -> tuple:
 def conjugate_pairing_check(family: IdempotentFamily, ambient: Sequence[tuple]) -> bool:
     """Galois-descent consistency of the K-side family, on constants.
 
-    ``ambient`` holds (S, c) for every item the case functions state
-    over the ambient field (trivial involution): the idempotent e(S, c)
-    cut out by x^S - c^-1.  The items over K are the involution's orbit
-    sums of those, and sigma(e(S, c)) = e(S, sigma(c)), so ``ambient``
-    must be, as a set, the K items' (S, c) and (S, sigma(c)).  This is
+    ``ambient`` holds (S, k) for every item the case functions state
+    over the ambient field (trivial involution): the idempotent e(S, k)
+    cut out by x^S - k.  The items over K are the involution's orbit
+    sums of those, and sigma(e(S, k)) = e(S, sigma(k)), so ``ambient``
+    must be, as a set, the K items' (S, k) and (S, sigma(k)).  This is
     sound because ``verify_family`` proves each K item to be the
-    idempotent cut out by its stated x^S - c^-1 (or that factor times
-    its sigma image), so (S, c) determines the item.
+    idempotent cut out by its stated x^S - k (or that factor times its
+    sigma image), so (S, k) determines the item.
     """
     K = family.spec.field
     if K.involution == IDENTITY:
         raise ValueError("pairing check needs a nontrivial involution")
     # a signed permutation keeps lowest terms and reduced residues
-    want = {(it.S, it.c.ints, it.c.den) for it in family.items}
-    want |= {(it.S, tuple(sigma_coords(K, it.c.ints)), it.c.den) for it in family.items}
-    return {(S, c.ints, c.den) for S, c in ambient} == want
+    want = {(it.S, it.k.ints, it.k.den) for it in family.items}
+    want |= {(it.S, tuple(sigma_coords(K, it.k.ints)), it.k.den) for it in family.items}
+    return {(S, k.ints, k.den) for S, k in ambient} == want

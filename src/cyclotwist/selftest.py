@@ -333,7 +333,8 @@ def criterion_index_regressions(max_enum: int = DEFAULT_ENUM_BUDGET) -> Criterio
         spec = case.spec()
         dec = ks_decompose(spec.field, spec.a, spec.n)
         closed = construct(spec.field, dec.s, dec.b)
-        items = [_item(label, spec, dec.s, r, c) for label, r, c in closed]
+        ainv = spec.a.inverse()
+        items = [_item(label, spec, dec.s, r, k, ainv) for label, r, k in closed]
         narrowed = [it for it in items if it.label[0] or len(it.label) != dropped]
         zero, one = spec.zero(), spec.one()
         failures = []

@@ -71,8 +71,9 @@ def decomposed(spec):
 
 
 def items_of(spec, s, closed):
-    """The items of the closed forms (label, r, c) a case function states."""
-    return [_item(label, spec, s, r, c) for label, r, c in closed]
+    """The items of the closed forms (label, r, k) a case function states."""
+    ainv = spec.a.inverse()
+    return [_item(label, spec, s, r, k, ainv) for label, r, k in closed]
 
 
 def items_sum(spec, items):
@@ -240,26 +241,29 @@ def test_every_dispatch_branch_is_reachable():
         ("QR:3", 4, "9232,6528,0,-6528"),
         ("F:7", 5, "5"),  # F_q[i]
         ("QC:4", 6, "16"),  # d = 8
-        ("Q", 3, "1"),  # b = 1: chi = 2/3 alone makes D = 3
+        ("Q", 3, "1"),
+        ("Q", 3, "16"),  # a^-1 = 1/16
+        ("Q", 3, "1/16"),  # k = +-2^(-2^r) makes D > 1
     ],
 )
 def test_char_sum_matches_dense_powers(field_spec, n, a):
-    # constants c = chi * b^(-2^r) for a root of unity chi and for chis
-    # that are none (over Q(zeta) one with a denominator), alone and
-    # paired with sigma(c); r = s is the length T = 1
+    # item constants k = chi^-1 * alpha^(2^r) for alpha^(2^s) = a and
+    # each 2^t-th root of unity chi, t = min(s - r, L), so that k^T = a,
+    # alone and paired with sigma(k); r = s is the length T = 1
     spec = spec_of(field_spec, n, a)
     K = spec.field
     s, dec = decomposed(spec)
-    chis = [eps(K, 2), K.scalar(3)]
-    if not K.q:
-        chis.append(K.scalar(Fraction(2, 3)))
-    for chi in chis:
-        for r in range(s + 1):
-            c = chi * dec.b ** -(1 << r)
+    ainv = spec.a.inverse()
+    for r in range(s + 1):
+        t = min(s - r, K.root_level)
+        for i in range(1 << t):
+            k = eps(K, t) ** i * dec.root ** (1 << r)
+            assert k ** (1 << (s - r)) == spec.a
             S = spec.size >> (s - r)
-            assert _char_sum(spec, S, c, False) == dense_char_sum(spec, s, r, [c])
+            c = k.inverse()
+            assert _char_sum(spec, S, k, False, ainv) == dense_char_sum(spec, s, r, [c])
             both = [c, sigma(K, c)]
-            assert _char_sum(spec, S, c, True) == dense_char_sum(spec, s, r, both)
+            assert _char_sum(spec, S, k, True, ainv) == dense_char_sum(spec, s, r, both)
 
 
 def dense_char_sum(spec, s, r, cs):
@@ -289,12 +293,14 @@ def dense_char_sum(spec, s, r, cs):
     ],
 )
 def test_items_carry_their_closed_form(field_spec, n, a):
-    # each item is the character sum of its stated c on the powers of
-    # g^S, with sigma(c)'s when c is not in K: what pairing reads
+    # each item is the character sum of c = k^-1 for its stated k on
+    # the powers of g^S, with sigma(c)'s when k is not in K: what
+    # pairing reads
     spec = spec_of(field_spec, n, a)
     K = spec.field
     for it in build(spec).items:
-        cs = [it.c] if sigma(K, it.c) == it.c else [it.c, sigma(K, it.c)]
+        c = it.k.inverse()
+        cs = [c] if sigma(K, it.k) == it.k else [c, sigma(K, c)]
         s = n - it.S.bit_length() + 1  # with r = 0, S = 2^(n-s)
         assert it.element == dense_char_sum(spec, s, 0, cs)
         assert it.dim == it.S * len(cs)
@@ -314,7 +320,7 @@ def unit_matrix(field_spec):
 def closed_form(family):
     dec = family.decomposition
     head = (dec.s, dec.form, dec.b.owner, dec.b.ints, dec.b.den)
-    items = [(it.label, it.c.owner, it.c.ints, it.c.den) for it in family.items]
+    items = [(it.label, it.k.owner, it.k.ints, it.k.den) for it in family.items]
     return head, items, [(it.S, it.dim) for it in family.items]
 
 
@@ -324,7 +330,7 @@ def closed_form(family):
     ids=["golden"] + N_FREE_FIELDS,
 )
 def test_constants_do_not_depend_on_n(instances):
-    # the case functions state (label, r, c) from K, s and b; n enters
+    # the case functions state (label, r, k) from K, s and b; n enters
     # only through S = 2^(n-s+r), so once a's depth s is below n one
     # more doubling of the group doubles every S and dim, and no more
     for field_spec, n, a in instances:
@@ -368,14 +374,14 @@ def test_each_item_lies_on_the_lattice_of_its_S(instances):
     ],
 )
 def test_build_forms_each_constant_once(monkeypatch, field_spec, n, a):
-    # Each item costs one constant c = chi * b^(-2^r): b is inverted
-    # once and squared per depth r, the constants are running products
-    # of the roots of unity, and the stated constant is c^-1; a paired
-    # item takes its second character's constant from the involution.
-    # Not counting the chain of square roots in ks_decompose, a build
-    # makes at most s + 2 powers (the roots of unity themselves) and
-    # one inverse per item plus O(s), from caches emptied first: a
-    # descriptor built directly computes its roots of unity anew.
+    # Each item costs one constant k = b^(2^r) / chi: b is squared per
+    # depth r, and the constants are running products of the roots of
+    # unity; a paired item takes its second character's constant from
+    # the involution.  Not counting the chain of square roots in
+    # ks_decompose, a build makes at most s + 2 powers (the roots of
+    # unity themselves) and three inverses, from caches emptied first:
+    # a descriptor built directly computes its roots of unity and 1/2
+    # anew, each with one inverse, and the build inverts a.
     K = replace(parse_field(field_spec))
     spec = AlgebraSpec(K, n, parse_element(K, a))
     classify.cache_clear()
@@ -396,9 +402,9 @@ def test_build_forms_each_constant_once(monkeypatch, field_spec, n, a):
         finally:
             counting[0] = True
 
-    def char_sum(spec, S, c, paired):
+    def char_sum(spec, S, k, paired, ainv):
         calls["characters"] += 1 + paired
-        return _char_sum(spec, S, c, paired)
+        return _char_sum(spec, S, k, paired, ainv)
 
     element = fields.AmbientElement
     monkeypatch.setattr(element, "__pow__", counted("pow", element.__pow__))
@@ -409,7 +415,32 @@ def test_build_forms_each_constant_once(monkeypatch, field_spec, n, a):
     s = family.decomposition.s
     assert calls["characters"] >= len(family.items)
     assert calls["pow"] <= s + 2
-    assert calls["inverse"] <= len(family.items) + s + 2
+    assert calls["inverse"] <= 3
+
+
+def test_build_inverts_a_alone(monkeypatch):
+    # the case functions state each k = b^(2^r) / chi on b and the
+    # roots of unity, and _char_sum reads c^j = k^(T-j) / a: after
+    # ks_decompose, and once the field holds its roots of unity and 1/2,
+    # a build inverts a and nothing else, whatever its item count
+    inverted = []
+    inverse = fields.AmbientElement.inverse
+
+    def recorded(x):
+        inverted.append(x)
+        return inverse(x)
+
+    for field_spec, n, a in golden_instances():
+        spec = spec_of(field_spec, int(n), a)
+        K = spec.field
+        dec = ks_decompose(K, spec.a, spec.n)
+        eps(K, K.root_level), K.half
+        with monkeypatch.context() as m:
+            m.setattr(builder, "ks_decompose", lambda *args: dec)
+            m.setattr(fields.AmbientElement, "inverse", recorded)
+            inverted.clear()
+            build(spec, checked=False)
+        assert inverted == [spec.a], (field_spec, n, a)
 
 
 # -- index-convention regressions ----------------------------------------------

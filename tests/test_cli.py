@@ -177,6 +177,24 @@ def test_verify_enumerates_over_a_61_bit_prime(capsys):
     assert "overall: PASS" in out
 
 
+def test_verify_reads_a_literal_past_4300_digits(capsys):
+    # the interpreter refuses int(str) past 4,300 digits by default
+    code, out, err = run(capsys, "verify", "Q", "2", "1" + "0" * 4399 + "7")
+    assert (code, err) == (0, "")
+    assert "overall: PASS" in out
+
+
+def test_json_prints_coefficients_past_4300_digits(capsys):
+    # a = (10^1500 + 7)^4 reads 6,001 digits, and c = b^-1 puts a
+    # 4,501-digit denominator into the coefficients
+    a = str((10**1500 + 7) ** 4)
+    code, out, err = run(capsys, "idempotents", "--unchecked", "--json", "Q", "2", a)
+    assert (code, err) == (0, "")
+    items = json.loads(out)["idempotents"]
+    assert len(items) == 3
+    assert max(len(c) for it in items for c in it["coeffs"]) == 4504
+
+
 def test_verify_skips_are_reported(capsys):
     code, out, _ = run(capsys, "verify", "QC:3", "2", "4")
     assert code == 0

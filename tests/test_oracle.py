@@ -566,56 +566,56 @@ def test_pairing_across_types(field_spec, n, a):
     assert conjugate_pairing_check(family, ambient_constants(family))
 
 
-def conj(K, c):
-    """The involution of K on the coordinates of c, over c's own field."""
-    return type(c)._make(c.owner, tuple(sigma_coords(K, c.ints)), c.den)
+def conj(K, k):
+    """The involution of K on the coordinates of k, over k's own field."""
+    return type(k)._make(k.owner, tuple(sigma_coords(K, k.ints)), k.den)
 
 
 def pairing_reference(family, ambient):
     """The pairing verdict as a set equality over constants: the
-    ambient (S, c) are closed under the involution, and their orbits,
+    ambient (S, k) are closed under the involution, and their orbits,
     each written as its sorted pair of coordinate keys, are the K
-    items' (S, {c, sigma c})."""
+    items' (S, {k, sigma k})."""
     K = family.spec.field
 
-    def keys(S, c):
-        pair = sorted([(c.ints, c.den), (conj(K, c).ints, c.den)])
+    def keys(S, k):
+        pair = sorted([(k.ints, k.den), (conj(K, k).ints, k.den)])
         return S, pair[0], pair[1]
 
-    stated = {(S, c.ints, c.den) for S, c in ambient}
-    if any((S, conj(K, c).ints, c.den) not in stated for S, c in ambient):
+    stated = {(S, k.ints, k.den) for S, k in ambient}
+    if any((S, conj(K, k).ints, k.den) not in stated for S, k in ambient):
         return False
-    want = {keys(it.S, it.c) for it in family.items}
-    return {keys(S, c) for S, c in ambient} == want
+    want = {keys(it.S, it.k) for it in family.items}
+    return {keys(S, k) for S, k in ambient} == want
 
 
 def first_orbit(family, ambient):
-    """The first ambient orbit {(S, c), (S, sigma c)} with sigma c != c,
+    """The first ambient orbit {(S, k), (S, sigma k)} with sigma k != k,
     and the ambient constants without it."""
     K = family.spec.field
-    S, c = next((S, c) for S, c in ambient if conj(K, c) != c)
-    orbit = [(S, c), (S, conj(K, c))]
+    S, k = next((S, k) for S, k in ambient if conj(K, k) != k)
+    orbit = [(S, k), (S, conj(K, k))]
     return orbit, [x for x in ambient if x not in orbit]
 
 
 def wrong_ambients(family, ambient):
     """Ambient constants that pairing must reject, by corruption: the
-    first paired orbit {(S, c), (S, sigma c)} dropped, or replaced by the
-    orbit of c^2, or added again at another S, or replaced by the orbit
-    of zeta^j * c, one mutant for each root of unity zeta^j of the
-    ambient field other than 1 and sigma(c) / c."""
+    first paired orbit {(S, k), (S, sigma k)} dropped, or replaced by the
+    orbit of k^2, or added again at another S, or replaced by the orbit
+    of zeta^j * k, one mutant for each root of unity zeta^j of the
+    ambient field other than 1 and sigma(k) / k."""
     K = family.spec.field
     orbit, rest = first_orbit(family, ambient)
-    S, c = orbit[0]
+    S, k = orbit[0]
     other = S * 2 if S < family.spec.size else S // 2
-    A = c.owner
-    zetas = [A.zeta_pow(j) * c for j in range(1, 1 << A.level)]
+    A = k.owner
+    zetas = [A.zeta_pow(j) * k for j in range(1, 1 << A.level)]
     return {
         "dropped": [rest],
-        "squared constant": [rest + [(S, c * c), (S, conj(K, c * c))]],
+        "squared constant": [rest + [(S, k * k), (S, conj(K, k * k))]],
         "at another S": [ambient + [(other, x) for _, x in orbit]],
         "times a root of unity": [
-            rest + [(S, z), (S, conj(K, z))] for z in zetas if z != conj(K, c)
+            rest + [(S, z), (S, conj(K, z))] for z in zetas if z != conj(K, k)
         ],
     }
 
@@ -685,8 +685,8 @@ def last_dropped(closed):
 
 
 def last_negated(closed):
-    label, r, c = closed[-1]
-    return closed[:-1] + [(label, r, -c)]
+    label, r, k = closed[-1]
+    return closed[:-1] + [(label, r, -k)]
 
 
 # instances that dispatch to the plain and to the negated paired case
@@ -738,13 +738,13 @@ def test_verify_builds_no_ambient_coefficient(field_spec, n, a, monkeypatch, cap
 
 
 def ambient_constants_reference(spec):
-    """(S, c) of the ambient items from a second ``ks_decompose``, over
+    """(S, k) of the ambient items from a second ``ks_decompose``, over
     ``ambient_spec``, as ``ambient_constants`` computed them before it
     read the family's own root chain."""
     A = builder.ambient_spec(spec)
     dec = ks_decompose(A.field, A.a, A.n)
     closed = builder._dispatch(A.field, dec)
-    return [(1 << (A.n - dec.s + r), c) for _, r, c in closed]
+    return [(1 << (A.n - dec.s + r), k) for _, r, k in closed]
 
 
 CONSTANT_MATRIX_FIELDS = ["F:3", "F:7", "F:11", "F:19", "Q", "QR:3", "QR:4", "QE:3", "QE:4"]
@@ -964,3 +964,27 @@ def test_cyclotomic_families_verify_and_pair(spec):
         for it, check in zip(fam.items, rep.item_checks):
             assert check.idempotent == (it.element * it.element == it.element)
     assert not mutant_report.item_checks[0].idempotent
+
+
+# -- high heights ------------------------------------------------------------------------
+
+
+def test_checked_families_at_64_bit_heights(capsys):
+    # a = B^(2^s), B = x + sigma(x) in K for x of 64-bit coordinates,
+    # n = s + 1: an item's c = k^-1 has coordinates about 2^(L-1) times
+    # as long as k's, and the construction forms no such inverse
+    rng = random.Random(3)
+    cases = [(f"{t}:6", s) for t in ("QC", "QR", "QE") for s in range(3)]
+    cases += [(f"{t}:7", 1) for t in ("QC", "QR", "QE")]
+    for field_spec, s in cases:
+        K = parse_field(field_spec)
+        x = K.element([rng.getrandbits(64) - 2**63 for _ in range(K.ambient_dim)])
+        B = x + sigma(K, x)
+        family = build(AlgebraSpec(K, s + 1, B ** (1 << s)))
+        assert family.report.ok, (field_spec, s)
+        if K.involution != IDENTITY:
+            assert conjugate_pairing_check(family, ambient_constants(family))
+    rng = random.Random(5)
+    A = ",".join(str(rng.getrandbits(64) - 2**63) for _ in range(128))
+    assert cli.main(["verify", "QC:8", "4", "--", A]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
