@@ -13,7 +13,7 @@ Typical use::
     from cyclotwist import AlgebraSpec, build, parse_element, parse_field
 
     K = parse_field("Q")
-    family = build(AlgebraSpec(K, 2, parse_element(K, "-4")))
+    family = build(AlgebraSpec(2, parse_element(K, "-4")))
     for item in family.items:
         print(item.label, item.dim, item.min_poly)
 """
@@ -34,7 +34,6 @@ from .fields import (
     AmbientError,
     FieldDescriptor,
     eps,
-    is_in_k,
     norm,
     sigma,
     sqrt_ambient,
@@ -75,7 +74,6 @@ __all__ = [
     "format_element",
     "format_field",
     "h_n",
-    "is_in_k",
     "ks_decompose",
     "ks_membership",
     "norm",

@@ -12,9 +12,9 @@ end, so a field element enters or leaves the flat tuple by slicing and
 one change of denominator, with no conversion.  The coordinates are
 *ambient* ones, so the same code serves K-rational elements and
 ambient-side constructions; K-rationality is a property tested after
-the fact.  ``AlgebraSpec.element``/``scalar`` take field elements (or
-ints and Fractions), ``gbar`` an exponent, and the read-only
-``AlgebraElement.coeffs`` returns them.
+the fact.  ``AlgebraSpec(n, a)`` reads K off a; its ``element`` and
+``scalar`` take field elements (or ints and Fractions), ``gbar`` an
+exponent, and the read-only ``AlgebraElement.coeffs`` returns them.
 
 ``AlgebraElement`` keeps the one element protocol of ``fields.Element``
 (immutability, zero tests, sums, negation, equality, hashing, powers,
@@ -30,7 +30,7 @@ as minimal polynomials (it writes them in closed form, no factoring or
 linear algebra), held as their nonzero (degree, coefficient) terms,
 at most three for a stated one, and the certificate that such a
 polynomial is irreducible over K, which takes one square root and one
-square test in A.
+square test in A over the field of its monic top coefficient.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .fields import (
     Element,
     FieldDescriptor,
     _new as _new_field_element,
-    is_in_k,
+    field_of,
     reduce_coords,
     require_depth,
     require_i,
@@ -62,16 +62,17 @@ Coeffish = Union["AmbientElement", int, Fraction]
 
 @dataclass(frozen=True)
 class AlgebraSpec:
-    """K_t<g> = K[g]/(g^(2^n) - a) for a unit a of K."""
+    """K_t<g> = K[g]/(g^(2^n) - a) for a unit a of K; ``field`` is a's."""
 
-    field: FieldDescriptor
     n: int
     a: AmbientElement
 
     def __post_init__(self):
         require_depth(self.n, "n")
-        require_i(self.field, "the construction")
-        require_unit_in_k(self.field, self.a)
+        require_i(field_of(self.a), "the construction")
+        require_unit_in_k(self.a)
+
+    field = property(lambda self: self.a.owner)
 
     @property
     def size(self) -> int:
@@ -139,6 +140,7 @@ class AlgebraElement(Element):
     __slots__ = ()
 
     spec = Element.owner  # an algebra owns its elements
+    field = property(lambda self: self.owner.a.owner)  # the field of spec.a
 
     def __new__(cls, spec: AlgebraSpec, ints: Sequence[int], den: int = 1):
         K = spec.field
@@ -151,10 +153,6 @@ class AlgebraElement(Element):
             raise ZeroDivisionError("zero denominator")
         # index() refuses anything but integers
         return _new(spec, *reduce_coords(K, list(map(index, ints)), index(den)))
-
-    @property
-    def field(self) -> FieldDescriptor:
-        return self.owner.field
 
     @property
     def coeffs(self) -> Tuple[AmbientElement, ...]:
@@ -356,8 +354,9 @@ class Poly:
 # ---------------------------------------------------------------------------
 
 
-def certify_irreducible(K: FieldDescriptor, poly: Poly) -> bool:
-    """Is poly certified irreducible over K?
+def certify_irreducible(poly: Poly) -> bool:
+    """Is poly certified irreducible over K, the field of its monic top
+    coefficient?
 
     Over an A that contains i, Capelli's criterion decides a 2-power
     binomial x^(2^k) - c over A with one square test: it is
@@ -386,6 +385,7 @@ def certify_irreducible(K: FieldDescriptor, poly: Poly) -> bool:
     Any other polynomial has no certificate: the answer is a definite
     False, never an open verdict.
     """
+    K = poly.terms[-1][1].owner
     require_i(K, "the square test")
     D = poly.degree
     if D < 1:
@@ -398,16 +398,16 @@ def certify_irreducible(K: FieldDescriptor, poly: Poly) -> bool:
         return False
     beta, gamma = c.get(S), c.get(0, K.zero())
     # every root is looked up on the module, so that a traced run counts it
-    if not all(is_in_k(K, c) for _, c in poly.terms):
+    if not all(c.is_k_rational() for _, c in poly.terms):
         return False
     if beta is None:
-        root = fields.sqrt_ambient(K, -gamma)
+        root = fields.sqrt_ambient(-gamma)
         if root is None:
             return True
     else:
         twice = gamma + gamma
-        delta = fields.sqrt_ambient(K, beta * beta - twice - twice)
+        delta = fields.sqrt_ambient(beta * beta - twice - twice)
         if delta is None:
             return False
         root = (delta - beta) * K.half
-    return not is_in_k(K, root) and (S == 1 or not fields.is_square(K, root))
+    return not root.is_k_rational() and (S == 1 or not fields.is_square(root))

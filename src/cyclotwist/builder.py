@@ -19,7 +19,7 @@ products per item and none per coefficient.  Each case function forms
 b^(2^r) once per depth r (one ``squarings`` ladder) and enumerates its
 constants block by block (``_block``) as running products by the roots
 of unity it holds, one product per item, as closed forms (label, r, k)
-from K, s and b alone.  ``_item`` builds each: it derives
+from s and b alone (K is b's field).  ``_item`` builds each: it derives
 S = 2^(n-s+r) from the algebra's size 2^n, hands it to ``_char_sum``,
 and states the minimal polynomial from k.  Beyond that size, n enters
 only as the cap that ``build`` hands ``ks_decompose``.  Which family of
@@ -66,7 +66,6 @@ from .classify import (
 from .fields import (
     IDENTITY,
     AmbientElement,
-    FieldDescriptor,
     eps,
     interned,
     reduce_coords,
@@ -178,14 +177,14 @@ def _item(
     is K-rational.  It is stated as its nonzero terms: a middle
     coefficient that cancels (sigma k = -k) is dropped.
     ``verify_family`` proves that this is the minimal polynomial."""
-    K = spec.field
     S = spec.size >> (s - r)
-    sk = sigma(K, k)
+    sk = sigma(k)
     paired = sk != k
+    one = k.owner.one()
     if paired:
-        terms = [(0, k * sk), (S, -(k + sk)), (2 * S, K.one())]
+        terms = [(0, k * sk), (S, -(k + sk)), (2 * S, one)]
     else:
-        terms = [(0, -k), (S, K.one())]
+        terms = [(0, -k), (S, one)]
     element = _char_sum(spec, S, k, paired, ainv)
     poly = Poly(tuple((e, v) for e, v in terms if v))
     return IdempotentItem(label, element, S << paired, poly, S, k)
@@ -205,11 +204,12 @@ def _block(
 # ---------------------------------------------------------------------------
 
 
-def thm2_case1(K: FieldDescriptor, s: int, b: AmbientElement) -> list:
+def thm2_case1(s: int, b: AmbientElement) -> list:
     """K = A, or depth s = 0: the 2^t characters of <h> over eps_t,
     t = min(s, m), each give one idempotent averaged at full length.
     When s exceeds m the rest collapse into one family per extra power
     of two, r = 1..s-m, built on the squared generators."""
+    K = b.owner
     m = K.root_level
     t = min(s, m)
     bs = squarings(b, max(s - m, 0))
@@ -222,22 +222,24 @@ def thm2_case1(K: FieldDescriptor, s: int, b: AmbientElement) -> list:
     return items
 
 
-def thm3_case4(K: FieldDescriptor, s: int, b: AmbientElement) -> list:
+def thm3_case4(s: int, b: AmbientElement) -> list:
     """a = -b^(2^s) with 1 <= s <= m-1: weights mix eps_{s+1} with the
     characters of <h>, each paired with its image under the
     involution."""
+    K = b.owner
     cls = classify(K)
     assert 1 <= s <= cls.m - 1 and cls.field_type in (TYPE_D, TYPE_E)
     start = eps(K, s + 1) * b
     return _block(0, (), start, eps(K, s - 1), 1 << (s - 1))
 
 
-def thm3_case3(K: FieldDescriptor, s: int, b: AmbientElement) -> list:
+def thm3_case3(s: int, b: AmbientElement) -> list:
     """a = b^(2^s) with s >= 1 and K != A: the characters of <h> over
     eps_t, t = min(s, m-1), pair off under the involution; endpoints
     i = 0 and i = 2^(t-1) are self-paired.  From s = m on, past the
     root-of-unity supply, a double-indexed block over the squared
     generators takes over, r = 0..s-m."""
+    K = b.owner
     cls = classify(K)
     m = cls.m
     assert s >= 1 and cls.field_type in (TYPE_D, TYPE_E)
@@ -252,12 +254,13 @@ def thm3_case3(K: FieldDescriptor, s: int, b: AmbientElement) -> list:
     return items
 
 
-def thm3_case5(K: FieldDescriptor, s: int, b: AmbientElement) -> list:
+def thm3_case5(s: int, b: AmbientElement) -> list:
     """a = (1+eps_m)^(2^s) b^(2^s), type D, s >= m.  The unit 1+eps_m
     threads through every weight.  At s = m the first family is already
     complete; deeper s add a block on the squared generator that ends
     in two self-paired idempotents and (from s >= m+2 on) one block per
     further squaring."""
+    K = b.owner
     cls = classify(K)
     m = cls.m
     assert s >= m and cls.field_type == TYPE_D
@@ -286,15 +289,15 @@ def thm3_case5(K: FieldDescriptor, s: int, b: AmbientElement) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _dispatch(K: FieldDescriptor, dec: CosetDecomposition) -> list:
-    s = dec.s
-    if classify(K).field_type == TYPE_B or s == 0:
-        return thm2_case1(K, s, dec.b)
+def _dispatch(dec: CosetDecomposition) -> list:
+    s, b = dec.s, dec.b
+    if classify(b.owner).field_type == TYPE_B or s == 0:
+        return thm2_case1(s, b)
     if dec.form == NEGATED:
-        return thm3_case4(K, s, dec.b)
+        return thm3_case4(s, b)
     if dec.form == EPS_COSET:
-        return thm3_case5(K, s, dec.b)
-    return thm3_case3(K, s, dec.b)
+        return thm3_case5(s, b)
+    return thm3_case3(s, b)
 
 
 def build(spec: AlgebraSpec, checked: bool = True) -> IdempotentFamily:
@@ -309,9 +312,8 @@ def build(spec: AlgebraSpec, checked: bool = True) -> IdempotentFamily:
     unless every check passes and every component is certified minimal;
     use checked=False to obtain the raw construction.
     """
-    K = spec.field
-    dec = ks_decompose(K, spec.a, spec.n)
-    closed = _dispatch(K, dec)
+    dec = ks_decompose(spec.a, spec.n)
+    closed = _dispatch(dec)
     ainv = spec.a.inverse()
     items = tuple(_item(label, spec, dec.s, r, k, ainv) for label, r, k in closed)
     family = IdempotentFamily(spec, dec, items)
@@ -334,7 +336,7 @@ def ambient_spec(spec: AlgebraSpec) -> AlgebraSpec:
     trivial involution); equal to ``spec`` when K = A.  Its unchecked
     ``build`` is the ambient family, coefficients and all."""
     A = interned(IDENTITY, spec.field.level, spec.field.q)
-    return AlgebraSpec(A, spec.n, AmbientElement._make(A, spec.a.ints, spec.a.den))
+    return AlgebraSpec(spec.n, AmbientElement._make(A, spec.a.ints, spec.a.den))
 
 
 def ambient_constants(family: IdempotentFamily) -> List[Tuple[int, AmbientElement]]:
@@ -347,4 +349,4 @@ def ambient_constants(family: IdempotentFamily) -> List[Tuple[int, AmbientElemen
     A = interned(IDENTITY, K.level, K.q)
     dec = family.decomposition
     root = AmbientElement._make(A, dec.root.ints, dec.root.den)
-    return [(size >> (dec.s - r), k) for _, r, k in thm2_case1(A, dec.s, root)]
+    return [(size >> (dec.s - r), k) for _, r, k in thm2_case1(dec.s, root)]

@@ -10,7 +10,8 @@ Everything downstream hinges on two integers and one coset form:
 * the shape of a inside K_s = K* intersect (A*)^(2^s), which is always
   b^(2^s), -b^(2^s) or (1+eps_m)^(2^s) b^(2^s) for some b in K*.
 
-The decomposition is fully constructive: one chain of square roots
+``h_n`` and ``ks_decompose`` read K off a (``a.owner``).  The
+decomposition is fully constructive: one chain of square roots
 (``root_chain``) gives both the depth s and an ambient witness
 alpha^(2^s) = a, and from alpha it manufactures the K-rational coset
 representative b by dividing out an explicit root of unity.
@@ -26,7 +27,6 @@ from .fields import (
     AmbientElement,
     FieldDescriptor,
     eps,
-    is_in_k,
     norm,
     require_depth,
     require_unit_in_k,
@@ -76,7 +76,7 @@ def classify(K: FieldDescriptor) -> Classification:
     m = K.root_level
     if K.involution == IDENTITY:
         return Classification(TYPE_B, m)
-    img = sigma(K, eps(K, m))
+    img = sigma(eps(K, m))
     if img == eps(K, m, -1):
         assert m >= 2
         return Classification(TYPE_D, m)
@@ -97,7 +97,7 @@ def emulates(cls: Classification, n: int) -> str:
     return {TYPE_B: "A", TYPE_D: "C"}.get(cls.field_type, "none")
 
 
-def h_n(K: FieldDescriptor, a: AmbientElement, n: int) -> int:
+def h_n(a: AmbientElement, n: int) -> int:
     """The largest s in [0, n] with a in (A*)^(2^s).
 
     One chain of square roots decides it (``root_chain``): the 2^j-th
@@ -105,31 +105,28 @@ def h_n(K: FieldDescriptor, a: AmbientElement, n: int) -> int:
     eps_m is no square in A, so modulo squares that coset is the class of
     y and, from j = m on, that of y * eps_m (Lang, *Algebra*, VI 9).
     """
-    require_unit_in_k(K, a)
+    require_unit_in_k(a)
     require_depth(n, "n")
-    return root_chain(K, a, n)[0]
+    return root_chain(a, n)[0]
 
 
-def ks_membership(K: FieldDescriptor, a: AmbientElement, s: int) -> bool:
+def ks_membership(a: AmbientElement, s: int) -> bool:
     """Is a in K_s = K* intersect (A*)^(2^s)?  The witness may be ambient."""
     require_depth(s, "s")
-    return h_n(K, a, s) == s
+    return h_n(a, s) == s
 
 
-def _root_order_log2(K: FieldDescriptor, x: AmbientElement) -> int:
+def _root_order_log2(x: AmbientElement) -> int:
     """t such that x has multiplicative order 2^t; x must be such a root."""
-    t, y = 0, x
-    one = K.one()
+    t, y, one = 0, x, x.owner.one()
     while y != one:
         y = y * y
         t += 1
-        assert t <= K.root_level, "not a 2-power root of unity"
+        assert t <= x.owner.root_level, "not a 2-power root of unity"
     return t
 
 
-def _strip_root(
-    K: FieldDescriptor, alpha: AmbientElement, omega: AmbientElement
-) -> AmbientElement:
+def _strip_root(alpha: AmbientElement, omega: AmbientElement) -> AmbientElement:
     """Divide alpha by a square root of its unit part omega =
     alpha^2/N(alpha), a 2^t-th root of unity.
 
@@ -137,17 +134,18 @@ def _strip_root(
     norm +1; when the norm is -1 (which forces t = m-1 and type E) an
     extra factor eps_2 repairs it.
     """
+    K = alpha.owner
     if omega == K.one():
         return alpha
-    eta = sqrt_ambient(K, omega)
+    eta = sqrt_ambient(omega)
     assert eta is not None, "2-power roots of unity are squares up to the top"
-    if norm(K, eta) == K.one():
+    if norm(eta) == K.one():
         return alpha / eta
-    assert norm(K, eta) == -K.one()
+    assert norm(eta) == -K.one()
     return alpha * eps(K, 2) / eta
 
 
-def ks_decompose(K: FieldDescriptor, a: AmbientElement, n: int) -> CosetDecomposition:
+def ks_decompose(a: AmbientElement, n: int) -> CosetDecomposition:
     """Write a in one of the three coset forms of K_s, s = h_n(a), for
     the cap n, constructively; ``dec.s`` is that depth.
 
@@ -159,34 +157,35 @@ def ks_decompose(K: FieldDescriptor, a: AmbientElement, n: int) -> CosetDecompos
     is forced by the field type and by s relative to m, and internal
     assertions check that the arithmetic agrees with that bookkeeping.
     """
-    require_unit_in_k(K, a)
+    require_unit_in_k(a)
     require_depth(n, "n")
+    K = a.owner
     cls = classify(K)
     m = cls.m
-    s, alpha = root_chain(K, a, n)
+    s, alpha = root_chain(a, n)
     if s > m:
-        alpha = root_chain(K, alpha ** (1 << m), m)[1]
+        alpha = root_chain(alpha ** (1 << m), m)[1]
     if cls.field_type == TYPE_B:
         return CosetDecomposition(s, PLAIN, alpha, alpha)
 
     one = K.one()
-    omega = alpha * alpha / norm(K, alpha)
-    t = _root_order_log2(K, omega)
+    omega = alpha * alpha / norm(alpha)
+    t = _root_order_log2(omega)
     assert t <= min(s, m)
 
     if cls.field_type == TYPE_D and t == m:
         # the unit part has full order; only the coset of (1+eps_m) absorbs it
         em = eps(K, m)
         alpha2 = alpha / (one + em)
-        omega2 = alpha2 * alpha2 / norm(K, alpha2)
-        assert _root_order_log2(K, omega2) < m
-        b = _strip_root(K, alpha2, omega2)
-        assert is_in_k(K, b)
+        omega2 = alpha2 * alpha2 / norm(alpha2)
+        assert _root_order_log2(omega2) < m
+        b = _strip_root(alpha2, omega2)
+        assert b.is_k_rational()
         assert a == ((one + em) * b) ** (1 << s)
         return CosetDecomposition(s, EPS_COSET, b, alpha)
 
-    b = _strip_root(K, alpha, omega)
-    assert is_in_k(K, b)
+    b = _strip_root(alpha, omega)
+    assert b.is_k_rational()
     resid = a / b ** (1 << s)
     if resid == one:
         return CosetDecomposition(s, PLAIN, b, alpha)

@@ -200,8 +200,7 @@ def _cmd_classify(args) -> int:
 
 
 def _spec_from_args(args) -> AlgebraSpec:
-    K = parse_field(args.field)
-    return AlgebraSpec(K, args.n, parse_element(K, args.a))
+    return AlgebraSpec(args.n, parse_element(parse_field(args.field), args.a))
 
 
 def _cmd_idempotents(args) -> int:

@@ -32,7 +32,9 @@ returns it.
 Each field is one object (``interned``): it is validated once, computes
 its shape, 0, 1 and roots of unity once, and owner tests succeed on
 identity.  A descriptor built directly is equal and hashes alike; it
-only misses that fast path.
+only misses that fast path.  An element holds its field (``owner``),
+and each operation on it reads the field there; ``field_of`` refuses a
+number in an element's place.
 
 The involution is one of: ``identity`` (K = A); ``inverse_conj``
 (zeta -> zeta^-1, L >= 2; on F_q[i] this is Frobenius x -> x^q, as
@@ -746,21 +748,17 @@ def eps(K: FieldDescriptor, t: int, power: int = 1) -> AmbientElement:
     return K._roots[power < 0][t]
 
 
-def _require_owner(K: FieldDescriptor, x: AmbientElement) -> None:
-    """Refuse an ``x`` of another field, or no element at all (an int,
-    a Fraction); the identity test first spares the common call a
-    dataclass comparison."""
-    try:
-        owner = x.owner
-    except AttributeError:
-        owner = None
-    if owner is not K and owner != K:
-        raise AmbientError("element does not belong to this field")
+def field_of(x: AmbientElement) -> FieldDescriptor:
+    """The field that owns x, where an element is required: an int or a
+    Fraction, which names no field, is refused."""
+    if not isinstance(x, AmbientElement):
+        raise AmbientError(f"expected a field element, not {type(x).__name__}")
+    return x.owner
 
 
-def sigma(K: FieldDescriptor, x: AmbientElement) -> AmbientElement:
-    """Apply the descriptor's involution."""
-    _require_owner(K, x)
+def sigma(x: AmbientElement) -> AmbientElement:
+    """Apply the involution of x's field."""
+    K = field_of(x)
     if K.involution == IDENTITY:
         return x
     return _new(K, tuple(sigma_coords(K, x.ints)), x.den)
@@ -793,12 +791,6 @@ def sigma_coords(K: FieldDescriptor, vals: Sequence) -> list:
     return out
 
 
-def is_in_k(K: FieldDescriptor, x: AmbientElement) -> bool:
-    """Test membership in the fixed field K of the involution."""
-    _require_owner(K, x)
-    return x.is_k_rational()
-
-
 def require_depth(n: int, name: str) -> None:
     """Refuse a depth ``name`` = n that is no int, or outside
     [0, POWER_TEST_CAP]."""
@@ -817,21 +809,22 @@ def require_i(K: FieldDescriptor, needs: str) -> None:
         )
 
 
-def require_unit_in_k(K: FieldDescriptor, a: AmbientElement) -> None:
-    """Refuse an ``a`` that is not a unit of the fixed field K: it must
-    belong to K's ambient field, be fixed by sigma and be nonzero."""
-    if not is_in_k(K, a):
+def require_unit_in_k(a: AmbientElement) -> None:
+    """Refuse an ``a`` that is no unit of K: no field element, not fixed
+    by sigma, or zero."""
+    field_of(a)
+    if not a.is_k_rational():
         raise ValueError("a must lie in the fixed field K")
     if a.is_zero():
         raise ValueError("a must be nonzero")
 
 
-def norm(K: FieldDescriptor, x: AmbientElement) -> AmbientElement:
+def norm(x: AmbientElement) -> AmbientElement:
     """The product x * sigma(x); lands in K."""
-    return x * sigma(K, x)
+    return x * sigma(x)
 
 
-def sqrt_ambient(K: FieldDescriptor, x: AmbientElement) -> Optional[AmbientElement]:
+def sqrt_ambient(x: AmbientElement) -> Optional[AmbientElement]:
     """A square root of x in A with a canonical sign, or None.
 
     Of the two roots +-r the one with the lexicographically smaller
@@ -840,7 +833,7 @@ def sqrt_ambient(K: FieldDescriptor, x: AmbientElement) -> Optional[AmbientEleme
     (den = 1 over F_q), found by ``_sqrt_coords``; under one positive
     denominator the numerators order as the rationals do.
     """
-    _require_owner(K, x)
+    K = field_of(x)
     r = _sqrt_coords([v * x.den for v in x.ints], K.q)
     if r is None:
         return None
@@ -850,20 +843,18 @@ def sqrt_ambient(K: FieldDescriptor, x: AmbientElement) -> Optional[AmbientEleme
     return cand
 
 
-def is_square(K: FieldDescriptor, x: AmbientElement) -> bool:
-    """``sqrt_ambient(K, x) is not None``, forming no root mod q: there x
+def is_square(x: AmbientElement) -> bool:
+    """``sqrt_ambient(x) is not None``, forming no root mod q: there x
     is a square iff its norm to F_q, x or u^2 + v^2 for x = u + iv, is
     (Euler's criterion).  Over Q(zeta), ``_sqrt_coords`` with no sign."""
-    _require_owner(K, x)
+    K = field_of(x)
     if K.q:
         nrm = sum(v * v for v in x.ints) if K.level == 2 else x.ints[0]
         return pow(nrm, (K.q - 1) >> 1, K.q) != K.q - 1
     return _sqrt_coords([v * x.den for v in x.ints], 0) is not None
 
 
-def root_chain(
-    K: FieldDescriptor, x: AmbientElement, t: int
-) -> Tuple[int, AmbientElement]:
+def root_chain(x: AmbientElement, t: int) -> Tuple[int, AmbientElement]:
     """(j, y) for the largest j <= t with x a 2^j-th power in A, and y a
     2^j-th root of x, by at most 2t square roots (see ``classify.h_n``).
 
@@ -871,11 +862,12 @@ def root_chain(
     where the 2^j-th roots of x are y times mu_{2^L}, a non-square y is
     first multiplied by eps_L.  ``classify.ks_decompose`` reads both the
     depth and the representative of a off one such chain."""
+    K = field_of(x)
     y = x
     for j in range(t):
-        r = sqrt_ambient(K, y)
+        r = sqrt_ambient(y)
         if r is None and j >= K.root_level:
-            r = sqrt_ambient(K, y * eps(K, K.root_level))
+            r = sqrt_ambient(y * eps(K, K.root_level))
         if r is None:
             return j, y
         y = r

@@ -46,7 +46,7 @@ from .algebra import (
     lattice_step,
     on_lattice,
 )
-from .fields import IDENTITY, FieldDescriptor, is_in_k, sigma_coords, times_coords
+from .fields import IDENTITY, FieldDescriptor, sigma_coords, times_coords
 from .grammar import format_label
 
 if TYPE_CHECKING:
@@ -167,7 +167,7 @@ def verify_family(family: IdempotentFamily) -> VerificationReport:
     2^n, so p(g)*e = 0 is one integer combination of e's coefficients
     on that lattice, tested once (``_annihilates``).  The sum to 1 adds
     each item's numerators on its own lattice, over the lcm of the
-    denominators (``_sums_to_one``).
+    denominators (``_sums_to_one``), as is K-rationality (``_k_rational``).
     """
     spec = family.spec
     K = spec.field
@@ -191,17 +191,17 @@ def verify_family(family: IdempotentFamily) -> VerificationReport:
         and sum(it.min_poly.degree for it in family.items) == spec.size
     )
 
-    for it, annihilates in zip(family.items, annihilated):
+    for it, step, annihilates in zip(family.items, steps, annihilated):
         e = it.element
         check = ItemCheck(
             label=it.label,
             nonzero=not e.is_zero(),
             idempotent=orthogonal or e * e == e,  # a direct sum implies it
-            k_rational=e.is_k_rational(),
+            k_rational=_k_rational(e, step),
             min_poly_annihilates=annihilates,
-            min_poly_k_rational=all(is_in_k(K, c) for _, c in it.min_poly.terms),
+            min_poly_k_rational=all(c.is_k_rational() for _, c in it.min_poly.terms),
             dim_consistent=it.min_poly.degree == it.dim,
-            primitive=certify_irreducible(K, it.min_poly),
+            primitive=certify_irreducible(it.min_poly),
         )
         checks.append(check)
         failures.extend(check.violations())
@@ -221,6 +221,16 @@ def verify_family(family: IdempotentFamily) -> VerificationReport:
         expected_dim=spec.size,
         failures=tuple(failures),
     )
+
+
+def _k_rational(e: AlgebraElement, step: int) -> bool:
+    """``e.is_k_rational()`` read on e's lattice of exponents divisible
+    by ``step``: the involution fixes the zeros off it."""
+    K = e.field
+    if K.involution == IDENTITY:
+        return True
+    xs = on_lattice(e.ints, K.ambient_dim, step)
+    return sigma_coords(K, xs) == list(xs)
 
 
 def _annihilates(spec: AlgebraSpec, e: AlgebraElement, step: int, terms) -> bool:

@@ -60,8 +60,7 @@ class MatrixCase:
     dims: Tuple[int, ...]  # sorted component dimensions, frozen as regression
 
     def spec(self) -> AlgebraSpec:
-        K = parse_field(self.field)
-        return AlgebraSpec(K, self.n, parse_element(K, self.a))
+        return AlgebraSpec(self.n, parse_element(parse_field(self.field), self.a))
 
     def repro(self) -> str:
         return f"cyclotwist verify {self.field} {self.n} {self.a}"
@@ -247,7 +246,7 @@ def criterion_depth_regression(max_enum: int = DEFAULT_ENUM_BUDGET) -> Criterion
     def check(case) -> Optional[str]:
         field, n, a, want = case
         K = parse_field(field)
-        got = h_n(K, parse_element(K, a), n)
+        got = h_n(parse_element(K, a), n)
         return None if got == want else f"depth {got}, expected {want}"
 
     def name(case) -> str:
@@ -289,7 +288,7 @@ def criterion_structure_law(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionRes
             want = ("B", _v2(q - 1)) if q % 4 == 1 else ("E", 1 + _v2(q + 1))
             if (cls.field_type, cls.m) != want:
                 return f"classified {cls.field_type}, m={cls.m}; expected {want}"
-        elif ks_membership(K, K.scalar(a0), s) != (K.scalar(a0) in _powers(field, s)):
+        elif ks_membership(K.scalar(a0), s) != (K.scalar(a0) in _powers(field, s)):
             return "membership disagrees with the power table"
         return None
 
@@ -331,8 +330,8 @@ def criterion_index_regressions(max_enum: int = DEFAULT_ENUM_BUDGET) -> Criterio
     def check(convention) -> Optional[str]:
         case, construct, dropped, rejected, adopted = convention
         spec = case.spec()
-        dec = ks_decompose(spec.field, spec.a, spec.n)
-        closed = construct(spec.field, dec.s, dec.b)
+        dec = ks_decompose(spec.a, spec.n)
+        closed = construct(dec.s, dec.b)
         ainv = spec.a.inverse()
         items = [_item(label, spec, dec.s, r, k, ainv) for label, r, k in closed]
         narrowed = [it for it in items if it.label[0] or len(it.label) != dropped]

@@ -143,12 +143,13 @@ def _enumeration_with_two_faults(spec, max_count):
     return _BRUTE_ENUMERATE(spec, max_count)
 
 
-def _depth_with_two_faults(K, a, n):
+def _depth_with_two_faults(a, n):
+    K = a.owner
     if (K, a, n) == (parse_field("Q"), K.scalar(16), 3):
         return 2
     if (K, n) == (parse_field("F:5"), 3):
         raise RuntimeError("deliberate")
-    return _H_N(K, a, n)
+    return _H_N(a, n)
 
 
 def _classification_with_a_fault(K):
@@ -165,14 +166,14 @@ def _checked_family_with_a_fault(case):
     raise VerificationError(verify_family(replace(family, items=family.items[:-1])))
 
 
-def _relabelled_case4(K, s, b):
+def _relabelled_case4(s, b):
     # no label (0,): the rejected i=1 reading drops nothing
-    return [((i + 1,), r, c) for (i,), r, c in _THM3_CASE4(K, s, b)]
+    return [((i + 1,), r, c) for (i,), r, c in _THM3_CASE4(s, b)]
 
 
-def _membership_with_a_fault(K, a, s):
-    member = _KS_MEMBERSHIP(K, a, s)
-    return not member if (K, a, s) == (parse_field("F:7"), K.scalar(2), 1) else member
+def _membership_with_a_fault(a, s):
+    member = _KS_MEMBERSHIP(a, s)
+    return not member if (a, s) == (parse_field("F:7").scalar(2), 1) else member
 
 
 FORCED_FAILURES = {
@@ -248,7 +249,7 @@ FORCED_FAILURES = {
     ),
     "index conventions": (
         criterion_index_regressions,
-        {"thm3_case3": lambda K, s, b: _THM3_CASE3(K, s, b)[:-1]},
+        {"thm3_case3": lambda s, b: _THM3_CASE3(s, b)[:-1]},
         "criterion 7 (index-convention regressions): FAIL\n"
         "    (F:3, n=3, a=1): the adopted r=0 reading fails to sum to 1\n"
         "    reproduce with: cyclotwist verify F:3 3 1\n",
@@ -279,7 +280,7 @@ def test_forced_failure_lines_are_pinned(monkeypatch, what):
 def test_no_criterion_stops_the_run(monkeypatch, capsys, error):
     # a raising depth computation fails criterion 4 case by case; the
     # later criteria still run and the CLI reports no usage error
-    def raising(K, a, n):
+    def raising(a, n):
         raise error("deliberate")
 
     monkeypatch.setattr(selftest, "h_n", raising)

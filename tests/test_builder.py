@@ -46,7 +46,7 @@ DEEP_A = "170459392,120532992,0,-120532992"  # (1 + eps_3)^32 over QR:3
 
 def spec_of(field_spec, n, a_literal):
     K = parse_field(field_spec)
-    return AlgebraSpec(K, n, parse_element(K, a_literal))
+    return AlgebraSpec(n, parse_element(K, a_literal))
 
 
 def golden_instances():
@@ -66,7 +66,7 @@ def poly_of(coeffs):
 
 
 def decomposed(spec):
-    dec = ks_decompose(spec.field, spec.a, spec.n)
+    dec = ks_decompose(spec.a, spec.n)
     return dec.s, dec
 
 
@@ -110,7 +110,7 @@ def min_poly_reference(e):
             combo = [c - s for c, s in zip(combo, small)]
         if all(v.is_zero() for v in vec):
             poly = poly_of(combo)
-            if not all(fields.is_in_k(K, c) for _, c in poly.terms):
+            if not all(c.is_k_rational() for _, c in poly.terms):
                 raise ValueError("g*e does not generate a K-rational component")
             return poly
         pivot = next(i for i, v in enumerate(vec) if not v.is_zero())
@@ -262,7 +262,7 @@ def test_char_sum_matches_dense_powers(field_spec, n, a):
             S = spec.size >> (s - r)
             c = k.inverse()
             assert _char_sum(spec, S, k, False, ainv) == dense_char_sum(spec, s, r, [c])
-            both = [c, sigma(K, c)]
+            both = [c, sigma(c)]
             assert _char_sum(spec, S, k, True, ainv) == dense_char_sum(spec, s, r, both)
 
 
@@ -300,7 +300,7 @@ def test_items_carry_their_closed_form(field_spec, n, a):
     K = spec.field
     for it in build(spec).items:
         c = it.k.inverse()
-        cs = [c] if sigma(K, it.k) == it.k else [c, sigma(K, c)]
+        cs = [c] if sigma(it.k) == it.k else [c, sigma(c)]
         s = n - it.S.bit_length() + 1  # with r = 0, S = 2^(n-s)
         assert it.element == dense_char_sum(spec, s, 0, cs)
         assert it.dim == it.S * len(cs)
@@ -335,9 +335,9 @@ def test_constants_do_not_depend_on_n(instances):
     # more doubling of the group doubles every S and dim, and no more
     for field_spec, n, a in instances:
         spec = spec_of(field_spec, int(n), a)
-        if spec.n >= 16 or ks_decompose(spec.field, spec.a, spec.n).s >= spec.n:
+        if spec.n >= 16 or ks_decompose(spec.a, spec.n).s >= spec.n:
             continue
-        deeper = AlgebraSpec(spec.field, spec.n + 1, spec.a)
+        deeper = AlgebraSpec(spec.n + 1, spec.a)
         head, items, sizes = closed_form(build(spec, checked=False))
         head1, items1, sizes1 = closed_form(build(deeper, checked=False))
         assert (head1, items1) == (head, items), (field_spec, n, a)
@@ -383,7 +383,7 @@ def test_build_forms_each_constant_once(monkeypatch, field_spec, n, a):
     # a descriptor built directly computes its roots of unity and 1/2
     # anew, each with one inverse, and the build inverts a.
     K = replace(parse_field(field_spec))
-    spec = AlgebraSpec(K, n, parse_element(K, a))
+    spec = AlgebraSpec(n, parse_element(K, a))
     classify.cache_clear()
     calls = Counter()
     counting = [True]
@@ -433,7 +433,7 @@ def test_build_inverts_a_alone(monkeypatch):
     for field_spec, n, a in golden_instances():
         spec = spec_of(field_spec, int(n), a)
         K = spec.field
-        dec = ks_decompose(K, spec.a, spec.n)
+        dec = ks_decompose(spec.a, spec.n)
         eps(K, K.root_level), K.half
         with monkeypatch.context() as m:
             m.setattr(builder, "ks_decompose", lambda *args: dec)
@@ -450,13 +450,13 @@ def test_negated_family_must_start_at_zero():
     # the family that starts at i = 1 is the one without e(0,)
     spec = spec_of("Q", 2, "-1")
     s, dec = decomposed(spec)
-    full = items_of(spec, s, thm3_case4(spec.field, s, dec.b))
+    full = items_of(spec, s, thm3_case4(s, dec.b))
     assert items_sum(spec, full) == spec.one()
     assert [it.label for it in full] == [(0,)]  # i = 1 leaves nothing
 
     spec = spec_of("QE:3", 2, "-1")
     s, dec = decomposed(spec)
-    full = items_of(spec, s, thm3_case4(spec.field, s, dec.b))
+    full = items_of(spec, s, thm3_case4(s, dec.b))
     narrowed = [it for it in full if it.label != (0,)]
     assert len(narrowed) == 1
     assert items_sum(spec, narrowed) != spec.one()
@@ -466,7 +466,7 @@ def test_deep_paired_family_needs_r0_block():
     # the block that starts at r = 1 is the family without e(0, i)
     spec = spec_of("F:3", 3, "1")
     s, dec = decomposed(spec)
-    full = items_of(spec, s, thm3_case3(spec.field, s, dec.b))
+    full = items_of(spec, s, thm3_case3(s, dec.b))
     assert items_sum(spec, full) == spec.one()
     narrowed = [it for it in full if len(it.label) == 1 or it.label[0] >= 1]
     assert len(narrowed) == len(full) - 2
@@ -485,7 +485,7 @@ def test_flipped_lambda_loses_k_rationality():
     s, dec = decomposed(spec)
     m = classify(K).m
     em, em2 = eps(K, m), eps(K, m - 2)
-    full = items_of(spec, s, thm3_case3(spec.field, s, dec.b))
+    full = items_of(spec, s, thm3_case3(s, dec.b))
     singles = [it for it in full if len(it.label) == 1]
     doubles = [
         dense_char_sum(spec, s, r, [em**-1 * em2**-i * bi, em * em2**i * bi])
@@ -498,7 +498,7 @@ def test_flipped_lambda_loses_k_rationality():
     assert all(e * e == e for e in doubles)
     # the involution's partner gives the K-rational items the build states
     assert all(
-        dense_char_sum(spec, s, r, [c, sigma(K, c)]).is_k_rational()
+        dense_char_sum(spec, s, r, [c, sigma(c)]).is_k_rational()
         for r in range(s - m + 1)
         for i in range(1 << (m - 2))
         for c in [em**-1 * em2**-i * dec.b ** -(1 << r)]
@@ -576,13 +576,13 @@ def test_level_one_ambient():
     F7 = FieldDescriptor(IDENTITY, 1, 7)
     for K, n, a in [(Q1, 3, 256), (F3, 2, 2), (F7, 3, 1), (Q1, 2, -4)]:
         with pytest.raises(ValueError, match="square root of -1"):
-            AlgebraSpec(K, n, K.scalar(a))
+            AlgebraSpec(n, K.scalar(a))
     # the certificate is one square test only because i is in A: over Q,
     # x^4 + 4 = (x^2 + 2x + 2)(x^2 - 2x + 2) although -4 is no square,
     # so it refuses rather than answer
     x4_plus_4 = poly_of((Q1.scalar(4), Q1.zero(), Q1.zero(), Q1.zero(), Q1.one()))
     with pytest.raises(ValueError, match="square root of -1"):
-        certify_irreducible(Q1, x4_plus_4)
+        certify_irreducible(x4_plus_4)
 
 
 # -- invariance properties ---------------------------------------------------------
@@ -609,8 +609,8 @@ def test_scaling_by_full_powers_preserves_dims(
         c = K.scalar(1 + c_seed % (K.q - 1))
     else:
         a, c = K.scalar(a_rational), K.scalar(c_rational)
-    base = build(AlgebraSpec(K, n, a), checked=False)
-    spec = AlgebraSpec(K, n, a * c ** (1 << n))
+    base = build(AlgebraSpec(n, a), checked=False)
+    spec = AlgebraSpec(n, a * c ** (1 << n))
     scaled = build(spec, checked=False)
     image = {
         spec.element(e_k * c**-k for k, e_k in enumerate(it.element.coeffs)): it.dim
@@ -651,12 +651,12 @@ def test_galois_conjugate_constant_conjugates_the_family(
     d = K.ambient_dim
     k = 2 * (j % d) + 1
     x = K.element(coords[:d])
-    c = x if K.involution == IDENTITY else x + sigma(K, x)
+    c = x if K.involution == IDENTITY else x + sigma(x)
     if c.is_zero():
         c = K.one()
     a = c ** (1 << min(depth, n)) * sign
-    spec = AlgebraSpec(K, n, galois(K, a, k))
-    family = build(AlgebraSpec(K, n, a), checked=False)
+    spec = AlgebraSpec(n, galois(K, a, k))
+    family = build(AlgebraSpec(n, a), checked=False)
     image = {
         spec.element(galois(K, e_k, k) for e_k in it.element.coeffs)
         for it in family.items
@@ -680,7 +680,7 @@ def test_random_finite_builds_verify(field_spec, n, a_seed, a_rational):
         a = K.scalar(1 + a_seed % (K.q - 1))
     else:
         a = K.scalar(a_rational)
-    family = build(AlgebraSpec(K, n, a))  # checked: raises on any failure
+    family = build(AlgebraSpec(n, a))  # checked: raises on any failure
     assert sum(it.dim for it in family.items) == 1 << n
 
 
@@ -692,7 +692,7 @@ def test_random_finite_builds_verify(field_spec, n, a_seed, a_rational):
 )
 def test_random_cyclotomic_builds_verify_to_depth_five(field_spec, n, a_rational):
     K = parse_field(field_spec)
-    family = build(AlgebraSpec(K, n, K.scalar(a_rational)))  # checked
+    family = build(AlgebraSpec(n, K.scalar(a_rational)))  # checked
     assert sum(it.dim for it in family.items) == 1 << n
 
 
@@ -712,7 +712,7 @@ def test_stated_min_poly_matches_gaussian_reference(field_spec, n, a_seed, a_rat
         a = K.scalar(1 + a_seed % (K.q - 1))
     else:
         a = K.scalar(a_rational)
-    family = build(AlgebraSpec(K, n, a))  # checked
+    family = build(AlgebraSpec(n, a))  # checked
     for it in family.items + build(ambient_spec(family.spec), checked=False).items:
         assert it.min_poly == min_poly_reference(it.element)
         assert it.dim == it.min_poly.degree
@@ -735,11 +735,11 @@ def test_non_rational_constants_build_and_verify(field_spec, n, coords, depth, s
     # and coset form, with denominators in every coordinate
     K = parse_field(field_spec)
     x = K.element(coords[: K.ambient_dim])
-    c = x if K.involution == IDENTITY else x + sigma(K, x)
+    c = x if K.involution == IDENTITY else x + sigma(x)
     if c.is_zero():
         c = K.one()
     a = c ** (1 << min(depth, n)) * sign
-    family = build(AlgebraSpec(K, n, a))  # checked: raises on any failure
+    family = build(AlgebraSpec(n, a))  # checked: raises on any failure
     assert sum(it.dim for it in family.items) == 1 << n
 
 
@@ -752,7 +752,7 @@ def sympy_degrees(n, a, **domain):
 
 
 def family_degrees(K, n, a):
-    return sorted(it.dim for it in build(AlgebraSpec(K, n, a), checked=False).items)
+    return sorted(it.dim for it in build(AlgebraSpec(n, a), checked=False).items)
 
 
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")

@@ -301,7 +301,7 @@ def test_memory_error_exits_2(capsys, monkeypatch):
 def test_verification_error_exits_1(capsys, monkeypatch):
     # a checked build that fails reports on stderr and prints nothing
     F5 = parse_field("F:5")
-    family = build(algebra.AlgebraSpec(F5, 2, F5.one()), checked=False)
+    family = build(algebra.AlgebraSpec(2, F5.one()), checked=False)
     report = verify_family(replace(family, items=family.items[1:]))
 
     def failing(spec, checked=True):

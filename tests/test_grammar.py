@@ -177,7 +177,7 @@ def _golden_instances():
 @pytest.mark.parametrize("field_spec, n, a", _golden_instances())
 def test_format_coeffs_matches_format_element_on_golden_items(field_spec, n, a):
     K = parse_field(field_spec)
-    family = build(AlgebraSpec(K, n, parse_element(K, a)), checked=False)
+    family = build(AlgebraSpec(n, parse_element(K, a)), checked=False)
     for fam in (family, build(ambient_spec(family.spec), checked=False)):
         for it in fam.items:
             e = it.element

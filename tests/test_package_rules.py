@@ -6,10 +6,12 @@ module writes a float or complex literal or calls ``float``,
 ``complex`` or ``math.sqrt``.  The per-layer benchmark traces a run by
 rebinding module-level names from outside the package
 (``perfbench/layers.py``); a rename would silently drop a layer from
-its report, so those names are pinned here.
+its report, so those names are pinned here.  Every element holds its
+field, so no function takes an element and its field both.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import sys
@@ -296,3 +298,43 @@ def test_the_cache_rules_catch_what_they_name(tmp_path, monkeypatch):
         "probe.by_element: parameter y",
         "probe.by_spec: parameter spec",
     ]
+
+
+# an element holds its field (``x.owner``), so a function that takes an
+# element reads the field off it and takes no second copy
+ELEMENT_TYPES = {"AmbientElement", "AlgebraElement", "Element"}
+
+
+def _field_beside_an_element(paths):
+    """Each function of ``paths`` with a parameter annotated
+    ``FieldDescriptor`` beside one annotated with an element type."""
+    found = []
+    for path in paths:
+        for fn in ast.walk(_parsed(path)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+            types = {
+                ast.unparse(arg.annotation).strip("'\"") for arg in args if arg.annotation
+            }
+            if "FieldDescriptor" in types and types & ELEMENT_TYPES:
+                found.append(f"{path.stem}.{fn.name}")
+    return found
+
+
+def test_no_function_takes_the_field_of_its_element():
+    assert _field_beside_an_element(MODULES) == []
+    spec = importlib.import_module("cyclotwist.algebra").AlgebraSpec
+    assert tuple(f.name for f in dataclasses.fields(spec)) == ("n", "a")
+
+
+def test_the_field_rule_catches_what_it_names(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "def both(K: FieldDescriptor, x: 'AmbientElement'): ...\n"
+        "def algebra(e: AlgebraElement, K: 'FieldDescriptor', step: int): ...\n"
+        "def field_only(K: FieldDescriptor, t: int): ...\n"
+        "def element_only(x: Element, n: int): ...\n"
+        "def bare(K, x): ...\n"
+    )
+    assert _field_beside_an_element([path]) == ["probe.both", "probe.algebra"]
