@@ -10,8 +10,8 @@ under the involution, so that the result is K-rational.  Each item is
 given by one constant k = b^(2^r) / chi, the constant of its minimal
 polynomial x^S - k: its partner, when it has one, is sigma(k), and
 there is none exactly when k lies in K.  The sum is over the powers of
-c = k^-1, and as k^T = a, c^j = k^(T-j) / a, so ``build`` inverts a
-once and the construction inverts nothing it states.  As the powers of
+c = k^-1, and as k^T = a, c^j = k^(T-j) / a, so the family's
+``elements`` inverts a once and nothing it states.  As the powers of
 u never wrap, the sum is the T powers of c (and their sigma images)
 laid on the lattice g^(j * 2^(n-s+r)); ``_char_sum`` builds them as one
 flat integer list by doubling k's ladder down from k/a, with O(log T)
@@ -19,19 +19,19 @@ products per item and none per coefficient.  Each case function forms
 b^(2^r) once per depth r (one ``squarings`` ladder) and enumerates its
 constants block by block (``_block``) as running products by the roots
 of unity it holds, one product per item, as closed forms (label, r, k)
-from s and b alone (K is b's field).  ``_item`` builds each: it derives
-S = 2^(n-s+r) from the algebra's size 2^n, hands it to ``_char_sum``,
-and states the minimal polynomial from k.  Beyond that size, n enters
-only as the cap that ``build`` hands ``ks_decompose``.  Which family of
-weights applies is decided entirely by the field type (B/D/E) of
-``classify(K)``, the depth s of a in the 2-power filtration, and the
-coset form of a in K_s, which ``_dispatch`` alone reads.  The four case
-functions below each state one complete family in closed form;
-``build`` dispatches and builds each item.  The two that serve every
-depth (``thm2_case1`` for K = A, ``thm3_case3`` for a plain coset)
-average over the roots of unity up to t = min(s, m) or min(s, m-1) and
-add the blocks on squared generators only when s runs past that
-supply.
+from s and b alone (K is b's field).  An item is its label and (S, k),
+S = 2^(n-s+r) read off the algebra's size 2^n (``_stated``), and no
+family holds a coefficient: ``IdempotentFamily.elements`` builds them
+in small batches.  Beyond that size, n enters only as the cap that
+``build`` hands ``ks_decompose``.  Which family of weights applies is
+decided entirely by the field type (B/D/E) of ``classify(K)``, the
+depth s of a in the 2-power filtration, and the coset form of a in
+K_s, which ``_dispatch`` alone reads.  The four case functions below
+each state one complete family in closed form; ``build`` dispatches
+and states each item.  The two that serve every depth (``thm2_case1``
+for K = A, ``thm3_case3`` for a plain coset) average over the roots of
+unity up to t = min(s, m) or min(s, m-1) and add the blocks on squared
+generators only when s runs past that supply.
 
 Index conventions that completeness depends on (checked by the test
 suite, which drops the labels of the rejected narrower variants):
@@ -48,9 +48,9 @@ than 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import add, mul
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .algebra import AlgebraElement, AlgebraSpec, Poly, off_lattice
 from .classify import (
@@ -75,21 +75,41 @@ from .fields import (
     times_coords,
 )
 
+# the most coordinates, items x 2^n x d, that a family's ``elements`` builds,
+# and the most it builds at once, so that a consumer's loops run together
+MAX_COORDS = 1 << 30
+BATCH_COORDS = 1 << 12
+
+
 @dataclass(frozen=True)
 class IdempotentItem:
-    """One minimal idempotent with its component data, as the
-    construction states them: ``dim`` is the K-dimension of the
-    component e*K_t<g> and ``min_poly`` the minimal polynomial of g*e,
-    of degree ``dim``.  ``verify_family`` proves both.  e is the
-    character sum of c = k^-1 (and sigma(c), if k is not in K) on g^S,
-    and ``min_poly`` is x^S - k (times x^S - sigma(k))."""
+    """One minimal idempotent e by its constants: g^S * e_k = k * e_k for
+    its part e_k.  ``dim`` (of e*K_t<g>) and ``min_poly`` (of g*e) follow
+    from (S, k), and ``verify_family`` proves both; ``elements`` builds e."""
 
     label: tuple
-    element: AlgebraElement
-    dim: int
-    min_poly: Poly
     S: int
     k: AmbientElement
+
+    @property
+    def paired(self) -> bool:
+        """Does the involution pair k with sigma(k) != k: is k outside K?"""
+        return not self.k.is_k_rational()
+
+    @property
+    def dim(self) -> int:
+        return self.S << self.paired
+
+    @property
+    def min_poly(self) -> Poly:
+        """x^S - k, or x^(2S) - (k + sigma k) x^S + k sigma k if paired."""
+        S, k, one = self.S, self.k, self.k.owner.one()
+        sk = sigma(k)
+        if sk != k:
+            terms = [(0, k * sk), (S, -(k + sk)), (2 * S, one)]
+        else:
+            terms = [(0, -k), (S, one)]
+        return Poly(tuple((e, v) for e, v in terms if v))
 
 
 @dataclass(frozen=True)
@@ -99,11 +119,23 @@ class IdempotentFamily:
     items: Tuple[IdempotentItem, ...]
     report: Optional[object] = None
 
-    def labels(self) -> list:
-        return [it.label for it in self.items]
-
-    def elements(self) -> list:
-        return [it.element for it in self.items]
+    def elements(self) -> Iterator[AlgebraElement]:
+        """The items' elements, built as the stream reaches them; the call
+        inverts a, or refuses (ValueError) over ``MAX_COORDS`` coordinates."""
+        spec, items = self.spec, self.items
+        d = spec.field.ambient_dim
+        coords = len(items) * spec.size * d
+        if coords > MAX_COORDS:
+            raise ValueError(
+                f"a family of {len(items)} items x {spec.size} coefficients x {d} "
+                f"coordinates = {coords} exceeds the limit of {MAX_COORDS}"
+            )
+        ainv = spec.a.inverse()
+        n = max(1, BATCH_COORDS // (spec.size * d))
+        return chain.from_iterable(
+            [_char_sum(spec, it.S, it.k, it.paired, ainv) for it in items[i : i + n]]
+            for i in range(0, len(items), n)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +149,8 @@ def _char_sum(
     """(1/T) * sum_{j<T} c^j * g^(jS) for c = k^-1, plus the same sum
     over sigma(c) when ``paired``, T = 2^n/S: the averaged character sum
     over the powers of the unit u = b^(-2^r) g^S, given the constant
-    k = b^(2^r) / chi of its character chi, the exponent S that
-    ``_item`` states and ``ainv`` = a^-1.  Since jS < 2^n the powers of
+    k = b^(2^r) / chi of its character chi, the item's exponent S and
+    ``ainv`` = a^-1.  Since jS < 2^n the powers of
     u never wrap, so the coefficient c^j / T lands on g^(jS).
 
     Nothing here inverts: k^T = a makes c^j = k^(T-j) / a, so the
@@ -157,37 +189,6 @@ def _char_sum(
     flat, den = reduce_coords(K, flat, T * top)
     vals = off_lattice(flat, d, S, spec.size)
     return AlgebraElement._make(spec, tuple(vals), den)
-
-
-def _item(
-    label: tuple,
-    spec: AlgebraSpec,
-    s: int,
-    r: int,
-    k: AmbientElement,
-    ainv: AmbientElement,
-) -> IdempotentItem:
-    """The item of the constant k = b^(2^r) / chi, in closed form.  Its
-    part for k satisfies g^S * e_k = k * e_k, S = 2^(n-s+r)
-    (idempotency makes k^T = a), derived here from 2^n alone and handed
-    to ``_char_sum`` with ``ainv`` = a^-1.  For k in K the item is
-    ``_char_sum`` over k alone and g*e is cut out by x^S - k; otherwise
-    the involution pairs k with sigma(k), and
-    (x^S - k)(x^S - sigma(k)) = x^(2S) - (k + sigma k) x^S + k sigma k
-    is K-rational.  It is stated as its nonzero terms: a middle
-    coefficient that cancels (sigma k = -k) is dropped.
-    ``verify_family`` proves that this is the minimal polynomial."""
-    S = spec.size >> (s - r)
-    sk = sigma(k)
-    paired = sk != k
-    one = k.owner.one()
-    if paired:
-        terms = [(0, k * sk), (S, -(k + sk)), (2 * S, one)]
-    else:
-        terms = [(0, -k), (S, one)]
-    element = _char_sum(spec, S, k, paired, ainv)
-    poly = Poly(tuple((e, v) for e, v in terms if v))
-    return IdempotentItem(label, element, S << paired, poly, S, k)
 
 
 def _block(
@@ -306,26 +307,29 @@ def build(spec: AlgebraSpec, checked: bool = True) -> IdempotentFamily:
     One ``ks_decompose`` call gives the depth s = h_n(a) and the coset
     form of a (one chain of square roots, two when s exceeds the root
     level); the case functions then state every item in closed form,
-    and ``_item`` builds each one from its constant k and a^-1, the one
-    inverse a build forms.  With ``checked`` (the default) the
-    family is handed to the oracle, and a VerificationError is raised
-    unless every check passes and every component is certified minimal;
-    use checked=False to obtain the raw construction.
+    by its constants, and no element is built.  With ``checked`` (the
+    default) the family is handed to the oracle, and a VerificationError
+    is raised unless every check passes and every component is certified
+    minimal; use checked=False to obtain the raw construction.
     """
     dec = ks_decompose(spec.a, spec.n)
-    closed = _dispatch(dec)
-    ainv = spec.a.inverse()
-    items = tuple(_item(label, spec, dec.s, r, k, ainv) for label, r, k in closed)
-    family = IdempotentFamily(spec, dec, items)
-    return verified(family) if checked else family
+    family = _stated(spec, dec, _dispatch(dec))
+    return verified(family, family.elements) if checked else family
 
 
-def verified(family: IdempotentFamily) -> IdempotentFamily:
-    """``family`` with the report of ``verify_family`` attached; raises
-    VerificationError unless the report passes."""
+def _stated(spec: AlgebraSpec, dec: CosetDecomposition, closed) -> IdempotentFamily:
+    """The family of the closed forms (label, r, k): S = 2^(n-s+r)."""
+    S = spec.size >> dec.s  # s <= n
+    items = tuple(IdempotentItem(label, S << r, k) for label, r, k in closed)
+    return IdempotentFamily(spec, dec, items)
+
+
+def verified(family: IdempotentFamily, elements) -> IdempotentFamily:
+    """``family`` with the report of ``verify_family`` on ``elements``
+    attached; raises VerificationError unless the report passes."""
     from .oracle import VerificationError, verify_family
 
-    report = verify_family(family)
+    report = verify_family(family, elements)
     if not report.ok:
         raise VerificationError(report)
     return replace(family, report=report)

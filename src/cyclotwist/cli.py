@@ -35,7 +35,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .algebra import AlgebraSpec
-from .builder import IdempotentFamily, ambient_constants, build
+from .builder import IdempotentFamily, ambient_constants, build, verified
 from .classify import classify, emulates
 from .fields import IDENTITY
 from .grammar import (
@@ -50,6 +50,7 @@ from .oracle import (
     DEFAULT_ENUM_BUDGET,
     EnumerationBudgetError,
     VerificationError,
+    certificate_work,
     conjugate_pairing_check,
     cross_check,
     verify_family,
@@ -120,29 +121,30 @@ def _poly_literals(p) -> list:
     return out
 
 
-def _item_json(it) -> str:
-    """The text of one item of the ``idempotents --json`` document, at
-    its place in ``json.dumps(obj, indent=2)``: each list is one join.
+def _item_json(it, e) -> str:
+    """The text of item ``it`` of element ``e`` in ``idempotents --json``,
+    at its place in ``json.dumps(obj, indent=2)``: each list is one join.
     The label, ``format_coeffs`` and ``_poly_literals`` tokens are made
     of ``str(int)``, "/" and "," alone, so none needs JSON escaping."""
     label = ",\n        ".join(map(str, it.label))
-    coeffs = '",\n        "'.join(_coeff_literals(it.element))
-    poly = '",\n          "'.join(_poly_literals(it.min_poly))
+    coeffs = '",\n        "'.join(_coeff_literals(e))
+    p = it.min_poly  # deg p = dim
+    poly = '",\n          "'.join(_poly_literals(p))
     return (
         f'{{\n      "label": [\n        {label}\n      ],'
         f'\n      "coeffs": [\n        "{coeffs}"\n      ],'
-        f'\n      "dim": {it.dim},'
+        f'\n      "dim": {p.degree},'
         f'\n      "min_poly": {{\n        "coeffs": [\n          "{poly}"'
         "\n        ]\n      }\n    }"
     )
 
 
-def _print_family_json(family: IdempotentFamily, verification: Optional[dict]) -> None:
-    """Print the family as ``print(json.dumps(obj, indent=2))`` would,
-    with ``obj`` the keys field, classification, n, a, s, coset,
-    idempotents and verification.  The header and ``verification`` go
-    through ``_json_text``; the items, which hold nearly all the bytes,
-    are written by ``_item_json``."""
+def _print_family_json(family: IdempotentFamily, elements, verification) -> None:
+    """Print the family and its ``elements`` as ``print(json.dumps(obj,
+    indent=2))`` would, with ``obj`` the keys field, classification, n, a,
+    s, coset, idempotents and verification.  The header and
+    ``verification`` go through ``_json_text``; the items, which hold
+    nearly all the bytes, by ``_item_json``, each as its element comes."""
     spec = family.spec
     dec = family.decomposition
     header = {
@@ -154,16 +156,15 @@ def _print_family_json(family: IdempotentFamily, verification: Optional[dict]) -
         "coset": {"form": dec.form, "b": format_element(dec.b)},
     }
     # the header object without its closing "\n}", so the list follows it
-    head = _json_text(header, "\n")[:-2]
-    items = ",\n    ".join(map(_item_json, family.items))
+    sep = _json_text(header, "\n")[:-2] + ',\n  "idempotents": [\n    '
+    for it, e in zip(family.items, elements, strict=True):
+        print(sep + _item_json(it, e), end="")
+        sep = ",\n    "
     tail = _json_text(verification, "\n  ")
-    print(
-        f'{head},\n  "idempotents": [\n    {items}\n  ],'
-        f'\n  "verification": {tail}\n}}'
-    )
+    print(f'\n  ],\n  "verification": {tail}\n}}')
 
 
-def _print_family_text(family: IdempotentFamily) -> None:
+def _print_family_text(family: IdempotentFamily, elements) -> None:
     spec = family.spec
     cls = classify(spec.field)
     dec = family.decomposition
@@ -174,12 +175,11 @@ def _print_family_text(family: IdempotentFamily) -> None:
     print(f"s: {dec.s}")
     print(f"coset: {dec.form}, b = {format_element(dec.b)}")
     print(f"idempotents ({len(family.items)}):")
-    for it in family.items:
-        print(f"  {format_label(it.label)}: dim {it.dim}, min poly {it.min_poly}")
+    for it, e in zip(family.items, elements, strict=True):
+        p = it.min_poly  # deg p = dim
+        print(f"  {format_label(it.label)}: dim {p.degree}, min poly {p}")
         # a literal with a comma is a non-scalar coefficient
-        coeffs = ", ".join(
-            [f"({t})" if "," in t else t for t in _coeff_literals(it.element)]
-        )
+        coeffs = ", ".join([f"({t})" if "," in t else t for t in _coeff_literals(e)])
         print(f"    coeffs: {coeffs}")
 
 
@@ -205,14 +205,16 @@ def _spec_from_args(args) -> AlgebraSpec:
 
 def _cmd_idempotents(args) -> int:
     spec = _spec_from_args(args)
-    family = build(spec, checked=not args.unchecked)
-    verification = None
-    if args.verify:
-        verification = family.report.as_dict()
+    family = build(spec, checked=False)
+    elements = family.elements()  # refuses an oversized family here
+    if not args.unchecked:  # nothing is printed before the verdict
+        elements = list(elements)
+        family = verified(family, elements.__iter__)
+    verification = family.report.as_dict() if args.verify else None
     if args.json:
-        _print_family_json(family, verification)
+        _print_family_json(family, elements, verification)
     else:
-        _print_family_text(family)
+        _print_family_text(family, elements)
         if args.verify:
             print(f"verification: {family.report.headline()}")
     return 0
@@ -221,15 +223,17 @@ def _cmd_idempotents(args) -> int:
 def _cmd_verify(args) -> int:
     spec = _spec_from_args(args)
     family = build(spec, checked=False)
-    report = verify_family(family)
+    elements = family.elements
+    if spec.field.q and certificate_work(family) <= args.max_enum:
+        elements = list(elements()).__iter__  # the certificate reads them too
+    report = verify_family(family, elements)
 
     if not spec.field.q:
         enumeration = "skipped: enumeration needs a finite field"
     else:
         try:
-            enumeration = (
-                "pass" if cross_check(family, args.max_enum) else "mismatch"
-            )
+            verdict = cross_check(family, elements, args.max_enum)
+            enumeration = "pass" if verdict else "mismatch"
         except EnumerationBudgetError as err:
             enumeration = f"skipped: {err}"
 

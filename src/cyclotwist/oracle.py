@@ -25,8 +25,8 @@ structural checks prove it the minimal polynomial, the item is
 primitive iff it is irreducible over K, which Capelli's criterion over
 A and quadratic descent from A to K decide with one square root and
 one square test in A (``algebra.certify_irreducible``).  ``verify_family`` is the
-one check of the coefficients ``builder._char_sum`` expands; pairing
-reads each item's constants (S, k) alone.
+one check of the coefficients ``builder._char_sum`` expands, in one pass
+over their stream; pairing reads each item's constants (S, k) alone.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import struct
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd, lcm
 from operator import add
 from typing import TYPE_CHECKING, List, Sequence, Tuple
@@ -138,9 +139,10 @@ class VerificationReport:
         }
 
 
-def verify_family(family: IdempotentFamily) -> VerificationReport:
+def verify_family(family: IdempotentFamily, elements) -> VerificationReport:
     """Run every structural check on a constructed family, and certify
-    each item minimal from its stated polynomial.
+    each item minimal from its stated polynomial.  ``elements()`` yields
+    the elements in item order, once, and again only if the family fails.
 
     The construction states each item's minimal polynomial p; these
     checks prove it, and imply idempotency and orthogonality rather
@@ -158,53 +160,57 @@ def verify_family(family: IdempotentFamily) -> VerificationReport:
     g*e, and e is primitive iff p is irreducible over K
     (``certify_irreducible``).
 
-    The two coefficient checks build no intermediate element, and their
+    The coefficient checks build no intermediate element, and their
     arithmetic follows the support, not 2^n.  Each e is read on its own
     lattice: step(e), the coarsest power of two dividing every exponent
     where e is nonzero (``lattice_step``, read off e's coordinates).
     With h = gcd(step(e), every stated degree), every power of g in
     p(g)*e is a multiple of h, wrapped ones included since h divides
     2^n, so p(g)*e = 0 is one integer combination of e's coefficients
-    on that lattice, tested once (``_annihilates``).  The sum to 1 adds
-    each item's numerators on its own lattice, over the lcm of the
-    denominators (``_sums_to_one``), as is K-rationality (``_k_rational``).
+    on that lattice, tested once (``_annihilates``), as is K-rationality
+    (``_k_rational``).  There e joins the running sum, kept over the lcm
+    of the denominators seen so far (``_add_on_lattice``).
     """
     spec = family.spec
     K = spec.field
     failures: List[str] = []
-    checks: List[ItemCheck] = []
 
     labels = [it.label for it in family.items]
     if len(set(labels)) != len(labels):
         failures.append("duplicate labels in family")
 
-    elements = family.elements()
-    steps = [lattice_step(e.ints, K.ambient_dim) for e in elements]
-    annihilated = [
-        _annihilates(spec, it.element, step, it.min_poly.terms)
-        for it, step in zip(family.items, steps)
-    ]
-    sum_is_one = _sums_to_one(spec, elements, steps)
-    orthogonal = (
-        all(annihilated)
-        and sum_is_one
-        and sum(it.min_poly.degree for it in family.items) == spec.size
-    )
-
-    for it, step, annihilates in zip(family.items, steps, annihilated):
-        e = it.element
-        check = ItemCheck(
+    # the elements in one pass, the constants apart: each loop's work together
+    stream = elements()  # first: the family may be refused
+    polys = [it.min_poly for it in family.items]
+    read = []  # nonzero, k_rational and min_poly_annihilates of each element
+    total, D, fine = [0] * (spec.size * K.ambient_dim), 1, spec.size
+    for p, e in zip(polys, stream, strict=True):
+        step = lattice_step(e.ints, K.ambient_dim)
+        D = _add_on_lattice(total, D, fine, e, step)
+        fine = min(fine, step)
+        annihilates = _annihilates(spec, e, step, p.terms)
+        read.append((not e.is_zero(), _k_rational(e, step), annihilates))
+    sum_is_one = total[0] == D and not any(total[1:])
+    degrees = sum(p.degree for p in polys)
+    orthogonal = all(r[2] for r in read) and sum_is_one and degrees == spec.size
+    # a direct sum implies idempotency; else e*e is formed, in a second pass
+    squares = repeat(True) if orthogonal else (e * e == e for e in elements())
+    checks = [
+        ItemCheck(
             label=it.label,
-            nonzero=not e.is_zero(),
-            idempotent=orthogonal or e * e == e,  # a direct sum implies it
-            k_rational=_k_rational(e, step),
+            nonzero=nonzero,
+            idempotent=square,
+            k_rational=k_rational,
             min_poly_annihilates=annihilates,
-            min_poly_k_rational=all(c.is_k_rational() for _, c in it.min_poly.terms),
-            dim_consistent=it.min_poly.degree == it.dim,
-            primitive=certify_irreducible(it.min_poly),
+            min_poly_k_rational=all(c.is_k_rational() for _, c in p.terms),
+            dim_consistent=p.degree == it.dim,
+            primitive=certify_irreducible(p),
         )
-        checks.append(check)
-        failures.extend(check.violations())
+        for it, p, (nonzero, k_rational, annihilates), square in zip(
+            family.items, polys, read, squares
+        )
+    ]
+    failures += [line for check in checks for line in check.violations()]
 
     if not sum_is_one:
         failures.append("family does not sum to 1")
@@ -221,6 +227,22 @@ def verify_family(family: IdempotentFamily) -> VerificationReport:
         expected_dim=spec.size,
         failures=tuple(failures),
     )
+
+
+def _add_on_lattice(total, D: int, fine: int, e: AlgebraElement, step: int) -> int:
+    """Add e on its lattice (``step``) to the sum ``total`` over D, zero off
+    the lattice of ``fine``, and return the sum's new denominator lcm(D, den e)."""
+    q, d = e.field.q, e.field.ambient_dim
+    L = lcm(D, e.den)
+    f, raised = L // e.den, L // D
+    for j in range(d):
+        if raised > 1:
+            total[j :: fine * d] = map(raised.__mul__, total[j :: fine * d])
+        lane = slice(j, None, step * d)
+        vals = e.ints[lane] if f == 1 else map(f.__mul__, e.ints[lane])
+        run = map(add, total[lane], vals)
+        total[lane] = [v % q for v in run] if q else run
+    return L
 
 
 def _k_rational(e: AlgebraElement, step: int) -> bool:
@@ -269,26 +291,6 @@ def _annihilates(spec: AlgebraSpec, e: AlgebraElement, step: int, terms) -> bool
     return not any(v % q for v in acc) if q else not any(acc)
 
 
-def _sums_to_one(spec: AlgebraSpec, elements: Sequence[AlgebraElement], steps) -> bool:
-    """Do ``elements``, each on the lattice of exponents divisible by its
-    step, sum to 1?  Their numerators are added over the lcm D of their
-    denominators, each on its own lattice only, and the sum must be
-    (D, 0, ..., 0); over F_q every denominator is 1 and the running sum
-    is kept reduced."""
-    q = spec.field.q
-    d = spec.field.ambient_dim
-    D = lcm(*(e.den for e in elements))
-    total = [0] * (spec.size * d)
-    for e, step in zip(elements, steps):
-        f = D // e.den
-        for j in range(d):
-            lane = slice(j, None, step * d)
-            vals = e.ints[lane] if f == 1 else map(f.__mul__, e.ints[lane])
-            run = map(add, total[lane], vals)
-            total[lane] = [v % q for v in run] if q else run
-    return total[0] == D and not any(total[1:])
-
-
 # ---------------------------------------------------------------------------
 # finite fields: brute force, and the Frobenius certificate
 # ---------------------------------------------------------------------------
@@ -323,23 +325,29 @@ def brute_enumerate_minimal(
     return [spec.element(vec) for vec in _enum_py.atoms(K.q, spec.n, a_int)]
 
 
-def cross_check(family: IdempotentFamily, max_count: int = DEFAULT_ENUM_BUDGET) -> bool:
+def certificate_work(family: IdempotentFamily) -> int:
+    """What ``cross_check``'s ``max_count`` bounds: 2^n times the items."""
+    return family.spec.size * len(family.items)
+
+
+def cross_check(
+    family: IdempotentFamily, elements, max_count: int = DEFAULT_ENUM_BUDGET
+) -> bool:
     """Is the family over a finite K exactly the set of primitive
-    idempotents?  Decided by ``_frobenius_certificate``; ``max_count``
-    bounds its work, 2^n coefficients times the number of items."""
+    idempotents?  Decided by ``_frobenius_certificate`` on ``elements``,
+    which is called only when ``max_count`` bounds ``certificate_work``."""
     spec = family.spec
     K = spec.field
     _require_prime_field(K, "the Frobenius certificate", "the certificate")
-    items = len(family.items)
-    work = spec.size * items
+    work = certificate_work(family)
     if work > max_count:
         raise EnumerationBudgetError(
-            f"certificate work of {spec.size} coefficients x {items} items = "
-            f"{work} exceeds the budget of {max_count}"
+            f"certificate work of {spec.size} coefficients x {len(family.items)} "
+            f"items = {work} exceeds the budget of {max_count}"
         )
     d = K.ambient_dim
     vecs = []
-    for e in family.elements():
+    for e in elements():
         if d == 2 and any(e.ints[1::2]):  # an i-coordinate: e is not over K
             return False
         vecs.append(e.ints[::d])

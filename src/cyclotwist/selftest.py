@@ -30,7 +30,7 @@ from typing import Callable, List, Optional, Tuple
 from .algebra import AlgebraSpec, Poly
 from .builder import (
     IdempotentFamily,
-    _item,
+    _stated,
     ambient_constants,
     build,
     thm3_case3,
@@ -129,7 +129,8 @@ def _family(spec: AlgebraSpec) -> IdempotentFamily:
 
 @lru_cache(maxsize=None)
 def _checked_family(case: MatrixCase) -> IdempotentFamily:
-    return verified(_family(case.spec()))
+    family = _family(case.spec())
+    return verified(family, family.elements)
 
 
 def _each_case(
@@ -169,7 +170,7 @@ def criterion_case_matrix(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionResul
         case = MATRIX[0]
         family = _checked_family(case)
         tampered = replace(family, items=family.items[:-1], report=None)
-        report = verify_family(tampered)
+        report = verify_family(tampered, tampered.elements)
         result.details.append(
             f"{case}: deliberate corruption detected by: "
             + "; ".join(report.failures)
@@ -331,15 +332,14 @@ def criterion_index_regressions(max_enum: int = DEFAULT_ENUM_BUDGET) -> Criterio
         case, construct, dropped, rejected, adopted = convention
         spec = case.spec()
         dec = ks_decompose(spec.a, spec.n)
-        closed = construct(dec.s, dec.b)
-        ainv = spec.a.inverse()
-        items = [_item(label, spec, dec.s, r, k, ainv) for label, r, k in closed]
-        narrowed = [it for it in items if it.label[0] or len(it.label) != dropped]
+        family = _stated(spec, dec, construct(dec.s, dec.b))
+        elements = list(zip(family.items, family.elements()))
+        narrowed = [e for it, e in elements if it.label[0] or len(it.label) != dropped]
         zero, one = spec.zero(), spec.one()
         failures = []
-        if sum((it.element for it in narrowed), zero) == one:
+        if sum(narrowed, zero) == one:
             failures.append(f"the rejected {rejected} reading unexpectedly sums to 1")
-        if sum((it.element for it in items), zero) != one:
+        if sum((e for _, e in elements), zero) != one:
             failures.append(f"the adopted {adopted} reading fails to sum to 1")
         return "; ".join(failures) or None
 

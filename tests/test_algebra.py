@@ -17,11 +17,17 @@ from cyclotwist.algebra import (
     alg_mul,
     certify_irreducible,
 )
-from cyclotwist.builder import IdempotentItem, ambient_spec, build
+from cyclotwist.builder import ambient_spec, build
 from cyclotwist.fields import IDENTITY, INVERSE_CONJ, sigma, sqrt_ambient
 from cyclotwist.grammar import parse_element, parse_field
 from cyclotwist.oracle import verify_family
-from test_builder import galois, golden_instances, min_poly_reference, poly_of
+from test_builder import (
+    StatedItem,
+    galois,
+    golden_instances,
+    min_poly_reference,
+    poly_of,
+)
 
 Q = parse_field("Q")
 QR3 = parse_field("QR:3")
@@ -409,7 +415,7 @@ def test_min_poly_of_identity_component():
     # x^4 - 2 is irreducible over Q: one component, cut out by 1
     family = build(spec_of("Q", 2, "2"))
     [item] = family.items
-    assert item.element == family.spec.one()
+    assert list(family.elements()) == [family.spec.one()]
     assert item.dim == 4
     assert str(item.min_poly) == "x^4 - 2"
 
@@ -420,7 +426,7 @@ def test_min_poly_golden_quartic_split():
     spec = spec_of("Q", 2, "-4")
     family = build(spec)
     half, quarter, eighth = Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)
-    assert [it.element for it in family.items] == [
+    assert list(family.elements()) == [
         spec.element([half, -quarter, 0, eighth]),
         spec.element([half, quarter, 0, -eighth]),
     ]
@@ -441,10 +447,11 @@ def test_min_poly_refuses_non_rational_component():
     with pytest.raises(ValueError, match="K-rational component"):
         min_poly_reference(e)
     # stated as a family item with x^2 - i (e is the character sum of
-    # c = -i on the powers of g^2), verification rejects it
+    # c = -i on the powers of g^2), verification rejects it: a stand-in,
+    # as the constants (2, -i) state x^4 + 1
     family = build(spec, checked=False)
-    item = IdempotentItem((0,), e, 2, poly_of((-i, Q.zero(), Q.one())), 2, -i)
-    report = verify_family(replace(family, items=(item,)))
+    item = StatedItem((0,), 2, -i, 2, poly_of((-i, Q.zero(), Q.one())))
+    report = verify_family(replace(family, items=(item,)), [e].__iter__)
     [check] = report.item_checks
     assert check.idempotent and check.min_poly_annihilates
     assert not check.k_rational and not check.min_poly_k_rational

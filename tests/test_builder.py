@@ -3,7 +3,7 @@
 import importlib
 import json
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclotwist import builder, fields
+from cyclotwist import builder, cli, fields
 from cyclotwist.algebra import AlgebraSpec, Poly, certify_irreducible, lattice_step
 from cyclotwist.builder import (
     _char_sum,
-    _item,
+    _stated,
     ambient_spec,
     build,
     thm3_case3,
@@ -70,17 +70,33 @@ def decomposed(spec):
     return dec.s, dec
 
 
-def items_of(spec, s, closed):
-    """The items of the closed forms (label, r, k) a case function states."""
-    ainv = spec.a.inverse()
-    return [_item(label, spec, s, r, k, ainv) for label, r, k in closed]
+def items_of(spec, dec, closed):
+    """(item, element) of each closed form (label, r, k) a case function
+    states."""
+    family = _stated(spec, dec, closed)
+    return list(zip(family.items, family.elements()))
 
 
 def items_sum(spec, items):
-    total = spec.zero()
-    for it in items:
-        total = total + it.element
-    return total
+    return sum((e for _, e in items), spec.zero())
+
+
+@dataclass(frozen=True)
+class StatedItem:
+    """A mutant's stand-in for an item: it states its ``dim`` and
+    ``min_poly`` outright, as no constants (S, k) can."""
+
+    label: tuple
+    S: int
+    k: object
+    dim: int
+    min_poly: Poly
+
+
+def stand_in(item, **changes):
+    """``item`` as a ``StatedItem``, with ``changes``."""
+    stated = StatedItem(item.label, item.S, item.k, item.dim, item.min_poly)
+    return replace(stated, **changes)
 
 
 def min_poly_reference(e):
@@ -129,7 +145,7 @@ def min_poly_reference(e):
 def test_checked_build_attaches_report():
     family = build(spec_of("Q", 2, "-4"))
     assert family.report is not None and family.report.ok
-    assert family.labels() == [(0,), (1,)]
+    assert [it.label for it in family.items] == [(0,), (1,)]
     assert sum(it.dim for it in family.items) == 4
 
 
@@ -153,9 +169,19 @@ def test_checked_build_makes_one_build(field_spec, n, a, monkeypatch):
         calls.append(args)
         return inner(*args, **kwargs)
 
+    char_sums = Counter()
+
+    def char_sum(*args):
+        char_sums[args[1:3]] += 1
+        return _char_sum(*args)
+
     monkeypatch.setattr(builder, "build", counted)
-    assert builder.build(spec).report.ok
+    monkeypatch.setattr(builder, "_char_sum", char_sum)
+    family = builder.build(spec)
+    assert family.report.ok
     assert len(calls) == 1
+    # and each element once: a passing family takes one pass
+    assert char_sums == Counter((it.S, it.k) for it in family.items)
 
 
 @pytest.mark.parametrize(
@@ -192,9 +218,10 @@ def test_unchecked_build_has_no_report():
 
 def test_labels_single_and_double_indexed():
     family = build(spec_of("Q", 3, "16"))
-    assert family.labels() == [(0,), (1,), (1, 0), (1, 1)]
+    assert [it.label for it in family.items] == [(0,), (1,), (1, 0), (1, 1)]
     family = build(spec_of("F:5", 3, "1"))
-    assert [l for l in family.labels() if len(l) == 2] == [(1, 0), (1, 1)]
+    labels = [it.label for it in family.items]
+    assert [l for l in labels if len(l) == 2] == [(1, 0), (1, 1)]
 
 
 def test_every_dispatch_branch_is_reachable():
@@ -298,11 +325,13 @@ def test_items_carry_their_closed_form(field_spec, n, a):
     # pairing reads
     spec = spec_of(field_spec, n, a)
     K = spec.field
-    for it in build(spec).items:
+    family = build(spec)
+    for it, e in zip(family.items, family.elements()):
         c = it.k.inverse()
         cs = [c] if sigma(it.k) == it.k else [c, sigma(c)]
         s = n - it.S.bit_length() + 1  # with r = 0, S = 2^(n-s)
-        assert it.element == dense_char_sum(spec, s, 0, cs)
+        assert it.paired == (len(cs) == 2)
+        assert e == dense_char_sum(spec, s, 0, cs)
         assert it.dim == it.S * len(cs)
 
 
@@ -351,17 +380,17 @@ def test_constants_do_not_depend_on_n(instances):
 )
 def test_each_item_lies_on_the_lattice_of_its_S(instances):
     # verify_family reads an item's lattice off its coefficients, never
-    # from S, and _char_sum lays it on the S that _item states: the two
+    # from S, and _char_sum lays it on the item's S: the two
     # agree, except that a paired item with no x^S term (sigma(k) = -k)
     # cancels every odd power of g^S and lies on the lattice of 2S
     for field_spec, n, a in instances:
         family = build(spec_of(field_spec, int(n), a), checked=False)
         d = family.spec.field.ambient_dim
-        for it in family.items:
+        for it, e in zip(family.items, family.elements()):
             no_middle = it.S not in dict(it.min_poly.terms)
             step = 2 * it.S if it.dim == 2 * it.S and no_middle else it.S
             where = (field_spec, n, a, it.label)
-            assert lattice_step(it.element.ints, d) == step, where
+            assert lattice_step(e.ints, d) == step, where
 
 
 @pytest.mark.parametrize(
@@ -381,7 +410,7 @@ def test_build_forms_each_constant_once(monkeypatch, field_spec, n, a):
     # ks_decompose, a build makes at most s + 2 powers (the roots of
     # unity themselves) and three inverses, from caches emptied first:
     # a descriptor built directly computes its roots of unity and 1/2
-    # anew, each with one inverse, and the build inverts a.
+    # anew, each with one inverse, and the family's elements invert a.
     K = replace(parse_field(field_spec))
     spec = AlgebraSpec(n, parse_element(K, a))
     classify.cache_clear()
@@ -412,8 +441,11 @@ def test_build_forms_each_constant_once(monkeypatch, field_spec, n, a):
     monkeypatch.setattr(builder, "ks_decompose", uncounted)
     monkeypatch.setattr(builder, "_char_sum", char_sum)
     family = build(spec, checked=False)
+    assert calls["characters"] == 0
+    elements = list(family.elements())
     s = family.decomposition.s
-    assert calls["characters"] >= len(family.items)
+    assert len(elements) == len(family.items)
+    assert calls["characters"] == sum(1 + it.paired for it in family.items)
     assert calls["pow"] <= s + 2
     assert calls["inverse"] <= 3
 
@@ -422,7 +454,8 @@ def test_build_inverts_a_alone(monkeypatch):
     # the case functions state each k = b^(2^r) / chi on b and the
     # roots of unity, and _char_sum reads c^j = k^(T-j) / a: after
     # ks_decompose, and once the field holds its roots of unity and 1/2,
-    # a build inverts a and nothing else, whatever its item count
+    # a build inverts nothing, and the stream of its elements inverts a
+    # and nothing else, whatever its item count
     inverted = []
     inverse = fields.AmbientElement.inverse
 
@@ -439,8 +472,48 @@ def test_build_inverts_a_alone(monkeypatch):
             m.setattr(builder, "ks_decompose", lambda *args: dec)
             m.setattr(fields.AmbientElement, "inverse", recorded)
             inverted.clear()
-            build(spec, checked=False)
+            family = build(spec, checked=False)
+            assert inverted == [], (field_spec, n, a)
+            list(family.elements())
         assert inverted == [spec.a], (field_spec, n, a)
+
+
+@pytest.mark.parametrize("field_spec, n, a", golden_instances(), ids=" ".join)
+def test_each_call_builds_each_element_once(field_spec, n, a, monkeypatch, capsys):
+    # an unchecked build states constants alone; verify, idempotents
+    # --unchecked and the checked idempotents build each item's element
+    # once on a passing family, however many oracles or writers read it
+    built = Counter()
+
+    def char_sum(*args):
+        built[args[1:3]] += 1  # (S, k)
+        return _char_sum(*args)
+
+    monkeypatch.setattr(builder, "_char_sum", char_sum)
+    family = build(spec_of(field_spec, int(n), a), checked=False)
+    assert not built
+    items = Counter((it.S, it.k) for it in family.items)
+    for command in (["verify"], ["idempotents", "--unchecked"], ["idempotents"]):
+        built.clear()
+        assert cli.main([*command, field_spec, n, "--", a]) == 0
+        capsys.readouterr()
+        assert built == items, command
+
+
+def test_an_oversized_family_is_refused_before_any_element(monkeypatch):
+    # the limit counts items x 2^n x d coordinates: F:7 3 1 has 5 items
+    # of 8 coefficients of 2 coordinates, 80 in all
+    family = build(spec_of("F:7", 3, "1"), checked=False)
+    assert len(family.items) * family.spec.size * family.spec.field.ambient_dim == 80
+    built = []
+    monkeypatch.setattr(builder, "_char_sum", lambda *args: built.append(args))
+    monkeypatch.setattr(builder, "MAX_COORDS", 79)
+    refusal = "^a family of 5 items x 8 coefficients x 2 coordinates = 80 exceeds"
+    with pytest.raises(ValueError, match=refusal + " the limit of 79$"):
+        family.elements()
+    assert built == []
+    monkeypatch.setattr(builder, "MAX_COORDS", 80)
+    assert len(list(family.elements())) == len(built) == 5
 
 
 # -- index-convention regressions ----------------------------------------------
@@ -450,14 +523,14 @@ def test_negated_family_must_start_at_zero():
     # the family that starts at i = 1 is the one without e(0,)
     spec = spec_of("Q", 2, "-1")
     s, dec = decomposed(spec)
-    full = items_of(spec, s, thm3_case4(s, dec.b))
+    full = items_of(spec, dec, thm3_case4(s, dec.b))
     assert items_sum(spec, full) == spec.one()
-    assert [it.label for it in full] == [(0,)]  # i = 1 leaves nothing
+    assert [it.label for it, _ in full] == [(0,)]  # i = 1 leaves nothing
 
     spec = spec_of("QE:3", 2, "-1")
     s, dec = decomposed(spec)
-    full = items_of(spec, s, thm3_case4(s, dec.b))
-    narrowed = [it for it in full if it.label != (0,)]
+    full = items_of(spec, dec, thm3_case4(s, dec.b))
+    narrowed = [(it, e) for it, e in full if it.label != (0,)]
     assert len(narrowed) == 1
     assert items_sum(spec, narrowed) != spec.one()
 
@@ -466,9 +539,9 @@ def test_deep_paired_family_needs_r0_block():
     # the block that starts at r = 1 is the family without e(0, i)
     spec = spec_of("F:3", 3, "1")
     s, dec = decomposed(spec)
-    full = items_of(spec, s, thm3_case3(s, dec.b))
+    full = items_of(spec, dec, thm3_case3(s, dec.b))
     assert items_sum(spec, full) == spec.one()
-    narrowed = [it for it in full if len(it.label) == 1 or it.label[0] >= 1]
+    narrowed = [(it, e) for it, e in full if len(it.label) == 1 or it.label[0] >= 1]
     assert len(narrowed) == len(full) - 2
     assert items_sum(spec, narrowed) != spec.one()
 
@@ -485,8 +558,8 @@ def test_flipped_lambda_loses_k_rationality():
     s, dec = decomposed(spec)
     m = classify(K).m
     em, em2 = eps(K, m), eps(K, m - 2)
-    full = items_of(spec, s, thm3_case3(s, dec.b))
-    singles = [it for it in full if len(it.label) == 1]
+    full = items_of(spec, dec, thm3_case3(s, dec.b))
+    singles = [(it, e) for it, e in full if len(it.label) == 1]
     doubles = [
         dense_char_sum(spec, s, r, [em**-1 * em2**-i * bi, em * em2**i * bi])
         for r in range(s - m + 1)
@@ -613,10 +686,10 @@ def test_scaling_by_full_powers_preserves_dims(
     spec = AlgebraSpec(n, a * c ** (1 << n))
     scaled = build(spec, checked=False)
     image = {
-        spec.element(e_k * c**-k for k, e_k in enumerate(it.element.coeffs)): it.dim
-        for it in base.items
+        spec.element(e_k * c**-k for k, e_k in enumerate(e.coeffs)): it.dim
+        for it, e in zip(base.items, base.elements())
     }
-    assert image == {it.element: it.dim for it in scaled.items}
+    assert image == {e: it.dim for it, e in zip(scaled.items, scaled.elements())}
 
 
 def galois(K, x, k):
@@ -658,8 +731,7 @@ def test_galois_conjugate_constant_conjugates_the_family(
     spec = AlgebraSpec(n, galois(K, a, k))
     family = build(AlgebraSpec(n, a), checked=False)
     image = {
-        spec.element(galois(K, e_k, k) for e_k in it.element.coeffs)
-        for it in family.items
+        spec.element(galois(K, e_k, k) for e_k in e.coeffs) for e in family.elements()
     }
     assert image == set(build(spec, checked=False).elements())
 
@@ -713,9 +785,10 @@ def test_stated_min_poly_matches_gaussian_reference(field_spec, n, a_seed, a_rat
     else:
         a = K.scalar(a_rational)
     family = build(AlgebraSpec(n, a))  # checked
-    for it in family.items + build(ambient_spec(family.spec), checked=False).items:
-        assert it.min_poly == min_poly_reference(it.element)
-        assert it.dim == it.min_poly.degree
+    for fam in (family, build(ambient_spec(family.spec), checked=False)):
+        for it, e in zip(fam.items, fam.elements()):
+            assert it.min_poly == min_poly_reference(e)
+            assert it.dim == it.min_poly.degree
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,10 +1,13 @@
 """CLI contract: output shapes, JSON schema, determinism, exit codes."""
 
+import contextlib
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -298,11 +301,43 @@ def test_memory_error_exits_2(capsys, monkeypatch):
         assert run(capsys, *argv) == (2, "", "error: out of memory\n")
 
 
+@pytest.mark.parametrize("command", [["verify"], ["idempotents", "--unchecked"]])
+def test_an_oversized_family_is_refused_at_once(capsys, command):
+    # F:65537 16 1 splits fully: 2^16 items of 2^16 residues, 2^32 in
+    # all, which no storage or run time allows; it is refused before its
+    # first element is built, with nothing printed
+    start = time.perf_counter()
+    code, out, err = run(capsys, *command, "F:65537", "16", "1")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: a family of 65536 items x 65536 coefficients x 1 coordinates"
+        " = 4294967296 exceeds the limit of 1073741824\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify"], ["idempotents", "--unchecked", "--json"]], ids=" ".join
+)
+def test_a_call_holds_one_element_at_a_time(argv):
+    # QC:7 7 -1 has 64 items of 128 x 64 coordinates: held at once they
+    # peak past 4 MiB, streamed one at a time under 2 MiB
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert main([*argv, "QC:7", "7", "-1"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 << 20, peak
+
+
 def test_verification_error_exits_1(capsys, monkeypatch):
     # a checked build that fails reports on stderr and prints nothing
     F5 = parse_field("F:5")
     family = build(algebra.AlgebraSpec(2, F5.one()), checked=False)
-    report = verify_family(replace(family, items=family.items[1:]))
+    short = replace(family, items=family.items[1:])
+    report = verify_family(short, short.elements)
 
     def failing(spec, checked=True):
         raise VerificationError(report)
@@ -513,11 +548,11 @@ def _family_dict(family, verification):
         "idempotents": [
             {
                 "label": list(it.label),
-                "coeffs": cli._coeff_literals(it.element),
+                "coeffs": cli._coeff_literals(e),
                 "dim": it.dim,
                 "min_poly": {"coeffs": cli._poly_literals(it.min_poly)},
             }
-            for it in family.items
+            for it, e in zip(family.items, family.elements())
         ],
         "verification": verification,
     }

@@ -179,8 +179,7 @@ def test_format_coeffs_matches_format_element_on_golden_items(field_spec, n, a):
     K = parse_field(field_spec)
     family = build(AlgebraSpec(n, parse_element(K, a)), checked=False)
     for fam in (family, build(ambient_spec(family.spec), checked=False)):
-        for it in fam.items:
-            e = it.element
+        for e in fam.elements():
             want = [format_element(c) for c in e.coeffs]
             assert format_coeffs(e.ints, e.den, e.spec.field.ambient_dim) == want
 

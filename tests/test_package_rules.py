@@ -328,6 +328,14 @@ def test_no_function_takes_the_field_of_its_element():
     assert tuple(f.name for f in dataclasses.fields(spec)) == ("n", "a")
 
 
+def test_an_item_is_its_label_and_constants():
+    # dim and min_poly are read off (S, k), and IdempotentFamily.elements
+    # builds the element on demand: an item stores no derived fact (and
+    # the cache rules above keep any cache off it)
+    item = importlib.import_module("cyclotwist.builder").IdempotentItem
+    assert tuple(f.name for f in dataclasses.fields(item)) == ("label", "S", "k")
+
+
 def test_the_field_rule_catches_what_it_names(tmp_path):
     path = tmp_path / "probe.py"
     path.write_text(
