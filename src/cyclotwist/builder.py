@@ -19,10 +19,12 @@ products per item and none per coefficient.  Each case function forms
 b^(2^r) once per depth r (one ``squarings`` ladder) and enumerates its
 constants block by block (``_block``) as running products by the roots
 of unity it holds, one product per item, as closed forms (label, r, k)
-from s and b alone (K is b's field).  An item is its label and (S, k),
-S = 2^(n-s+r) read off the algebra's size 2^n (``_stated``), and no
-family holds a coefficient: ``IdempotentFamily.elements`` builds them
-in small batches.  Beyond that size, n enters only as the cap that
+from s and b alone (K is b's field), each as ``_stated`` reads it.  An
+item is its label and (S, k), S = 2^(n-s+r) read off the algebra's size
+2^n; ``_stated`` refuses a family past ``MAX_COORDS`` coordinates before
+it forms one constant more, so a family that exists fits, and none holds
+a coefficient: ``IdempotentFamily.elements`` builds them in small
+batches.  Beyond that size, n enters only as the cap that
 ``build`` hands ``ks_decompose``.  Which family of weights applies is
 decided entirely by the field type (B/D/E) of ``classify(K)``, the
 depth s of a in the 2-power filtration, and the coset form of a in
@@ -47,10 +49,10 @@ than 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import accumulate, chain, repeat
+from dataclasses import dataclass
+from itertools import accumulate, chain, islice, repeat
 from operator import add, mul
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 from .algebra import AlgebraElement, AlgebraSpec, Poly, off_lattice
 from .classify import (
@@ -74,9 +76,10 @@ from .fields import (
     squarings,
     times_coords,
 )
+from .oracle import VerificationError, VerificationReport, verify_family
 
-# the most coordinates, items x 2^n x d, that a family's ``elements`` builds,
-# and the most it builds at once, so that a consumer's loops run together
+# the most coordinates, items x 2^n x d, that a stated family may hold, and
+# the most its ``elements`` builds at once, so that a consumer's loops run together
 MAX_COORDS = 1 << 30
 BATCH_COORDS = 1 << 12
 
@@ -117,21 +120,13 @@ class IdempotentFamily:
     spec: AlgebraSpec
     decomposition: CosetDecomposition
     items: Tuple[IdempotentItem, ...]
-    report: Optional[object] = None
 
     def elements(self) -> Iterator[AlgebraElement]:
         """The items' elements, built as the stream reaches them; the call
-        inverts a, or refuses (ValueError) over ``MAX_COORDS`` coordinates."""
+        inverts a.  A stated family is within ``MAX_COORDS`` (``_stated``)."""
         spec, items = self.spec, self.items
-        d = spec.field.ambient_dim
-        coords = len(items) * spec.size * d
-        if coords > MAX_COORDS:
-            raise ValueError(
-                f"a family of {len(items)} items x {spec.size} coefficients x {d} "
-                f"coordinates = {coords} exceeds the limit of {MAX_COORDS}"
-            )
         ainv = spec.a.inverse()
-        n = max(1, BATCH_COORDS // (spec.size * d))
+        n = max(1, BATCH_COORDS // (spec.size * spec.field.ambient_dim))
         return chain.from_iterable(
             [_char_sum(spec, it.S, it.k, it.paired, ainv) for it in items[i : i + n]]
             for i in range(0, len(items), n)
@@ -193,11 +188,12 @@ def _char_sum(
 
 def _block(
     r: int, head: tuple, start: AmbientElement, step: AmbientElement, count: int
-) -> list:
+) -> Iterator[tuple]:
     """(label, r, k) of the items labelled head + (i,), i < count, of the
-    constants k = start * step^i: count - 1 products."""
+    constants k = start * step^i, each formed as the stream reaches it:
+    count - 1 products."""
     ks = accumulate(repeat(step, count - 1), mul, initial=start)
-    return [(head + (i,), r, k) for i, k in enumerate(ks)]
+    return ((head + (i,), r, k) for i, k in enumerate(ks))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +201,7 @@ def _block(
 # ---------------------------------------------------------------------------
 
 
-def thm2_case1(s: int, b: AmbientElement) -> list:
+def thm2_case1(s: int, b: AmbientElement) -> Iterator[tuple]:
     """K = A, or depth s = 0: the 2^t characters of <h> over eps_t,
     t = min(s, m), each give one idempotent averaged at full length.
     When s exceeds m the rest collapse into one family per extra power
@@ -217,13 +213,13 @@ def thm2_case1(s: int, b: AmbientElement) -> list:
     et = eps(K, t)
     items = _block(0, (), bs[0], et, 1 << t)
     if s > m:
-        em1 = eps(K, m - 1)
-        for r in range(1, s - m + 1):
-            items += _block(r, (r,), et * bs[r], em1, 1 << (m - 1))
+        em1, count = eps(K, m - 1), 1 << (m - 1)
+        blocks = (_block(r, (r,), et * bs[r], em1, count) for r in range(1, s - m + 1))
+        items = chain(items, *blocks)
     return items
 
 
-def thm3_case4(s: int, b: AmbientElement) -> list:
+def thm3_case4(s: int, b: AmbientElement) -> Iterator[tuple]:
     """a = -b^(2^s) with 1 <= s <= m-1: weights mix eps_{s+1} with the
     characters of <h>, each paired with its image under the
     involution."""
@@ -234,7 +230,7 @@ def thm3_case4(s: int, b: AmbientElement) -> list:
     return _block(0, (), start, eps(K, s - 1), 1 << (s - 1))
 
 
-def thm3_case3(s: int, b: AmbientElement) -> list:
+def thm3_case3(s: int, b: AmbientElement) -> Iterator[tuple]:
     """a = b^(2^s) with s >= 1 and K != A: the characters of <h> over
     eps_t, t = min(s, m-1), pair off under the involution; endpoints
     i = 0 and i = 2^(t-1) are self-paired.  From s = m on, past the
@@ -250,12 +246,12 @@ def thm3_case3(s: int, b: AmbientElement) -> list:
     items = _block(0, (), bs[0], eps(K, t, -1), half + 1)
     if s >= m:
         em, em2 = eps(K, m), eps(K, m - 2)
-        for r in range(s - m + 1):
-            items += _block(r, (r,), em * bs[r], em2, half)
+        blocks = (_block(r, (r,), em * bs[r], em2, half) for r in range(s - m + 1))
+        items = chain(items, *blocks)
     return items
 
 
-def thm3_case5(s: int, b: AmbientElement) -> list:
+def thm3_case5(s: int, b: AmbientElement) -> Iterator[tuple]:
     """a = (1+eps_m)^(2^s) b^(2^s), type D, s >= m.  The unit 1+eps_m
     threads through every weight.  At s = m the first family is already
     complete; deeper s add a block on the squared generator that ends
@@ -277,12 +273,13 @@ def thm3_case5(s: int, b: AmbientElement) -> list:
     # last constant, c0b * eps_(m-1)^(2^(m-2)), is -c0b
     c0b = w[1] * eps(K, m, -1)
     quarter = 1 << (m - 2)
-    items += _block(1, (1,), c0b * em1, em1, quarter)
-    items.append(((1, count - 1), 1, c0b))
     em2 = eps(K, m - 2)
-    for r in range(2, s - m + 1):
-        items += _block(r, (r,), w[r] * u, em2, quarter)
-    return items
+    return chain(
+        items,
+        _block(1, (1,), c0b * em1, em1, quarter),
+        [((1, count - 1), 1, c0b)],
+        *(_block(r, (r,), w[r] * u, em2, quarter) for r in range(2, s - m + 1)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +287,7 @@ def thm3_case5(s: int, b: AmbientElement) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _dispatch(dec: CosetDecomposition) -> list:
+def _dispatch(dec: CosetDecomposition) -> Iterator[tuple]:
     s, b = dec.s, dec.b
     if classify(b.owner).field_type == TYPE_B or s == 0:
         return thm2_case1(s, b)
@@ -307,40 +304,55 @@ def build(spec: AlgebraSpec, checked: bool = True) -> IdempotentFamily:
     One ``ks_decompose`` call gives the depth s = h_n(a) and the coset
     form of a (one chain of square roots, two when s exceeds the root
     level); the case functions then state every item in closed form,
-    by its constants, and no element is built.  With ``checked`` (the
-    default) the family is handed to the oracle, and a VerificationError
-    is raised unless every check passes and every component is certified
-    minimal; use checked=False to obtain the raw construction.
+    by its constants, and no element is built; an oversized family is
+    refused (ValueError) as it is stated (``_stated``).  With ``checked``
+    (the default) the family is handed to the oracle (``verified``), and
+    a VerificationError is raised unless every check passes and every
+    component is certified minimal; use checked=False to obtain the raw
+    construction.  Either way the bare family is returned.
     """
     dec = ks_decompose(spec.a, spec.n)
     family = _stated(spec, dec, _dispatch(dec))
-    return verified(family, family.elements) if checked else family
+    if checked:
+        verified(family, family.elements)
+    return family
 
 
 def _stated(spec: AlgebraSpec, dec: CosetDecomposition, closed) -> IdempotentFamily:
-    """The family of the closed forms (label, r, k): S = 2^(n-s+r)."""
-    S = spec.size >> dec.s  # s <= n
+    """The family of the closed forms (label, r, k): S = 2^(n-s+r).
+    ``closed`` is read at most one item past ``MAX_COORDS`` coordinates,
+    2^n x d per item, and refused (ValueError) if it gets there."""
+    S, d = spec.size >> dec.s, spec.field.ambient_dim  # s <= n
+    closed = islice(closed, MAX_COORDS // (spec.size * d) + 1)
     items = tuple(IdempotentItem(label, S << r, k) for label, r, k in closed)
+    if len(items) * spec.size * d > MAX_COORDS:
+        raise ValueError(
+            f"at {spec.size} coefficients x {d} coordinates per item, the family"
+            f" exceeds the limit of {MAX_COORDS} coordinates"
+        )
     return IdempotentFamily(spec, dec, items)
 
 
-def verified(family: IdempotentFamily, elements) -> IdempotentFamily:
-    """``family`` with the report of ``verify_family`` on ``elements``
-    attached; raises VerificationError unless the report passes."""
-    from .oracle import VerificationError, verify_family
-
+def verified(family: IdempotentFamily, elements) -> VerificationReport:
+    """The report of ``verify_family`` on ``elements``; raises
+    VerificationError unless it passes."""
     report = verify_family(family, elements)
     if not report.ok:
         raise VerificationError(report)
-    return replace(family, report=report)
+    return report
+
+
+def _ambient(x: AmbientElement) -> AmbientElement:
+    """``x`` re-homed in A, its field's ambient field (interned, trivial involution)."""
+    K = x.owner
+    return AmbientElement._make(interned(IDENTITY, K.level, K.q), x.ints, x.den)
 
 
 def ambient_spec(spec: AlgebraSpec) -> AlgebraSpec:
     """The same algebra over the ambient field A (interned, with the
     trivial involution); equal to ``spec`` when K = A.  Its unchecked
     ``build`` is the ambient family, coefficients and all."""
-    A = interned(IDENTITY, spec.field.level, spec.field.q)
-    return AlgebraSpec(spec.n, AmbientElement._make(A, spec.a.ints, spec.a.den))
+    return AlgebraSpec(spec.n, _ambient(spec.a))
 
 
 def ambient_constants(family: IdempotentFamily) -> List[Tuple[int, AmbientElement]]:
@@ -349,8 +361,6 @@ def ambient_constants(family: IdempotentFamily) -> List[Tuple[int, AmbientElemen
     ``thm2_case1`` call on the family's root (``CosetDecomposition.root``)
     states them, each k the constant of its x^S - k; no item, second
     algebra, inverse or ``ks_decompose`` is built."""
-    K, size = family.spec.field, family.spec.size
-    A = interned(IDENTITY, K.level, K.q)
-    dec = family.decomposition
-    root = AmbientElement._make(A, dec.root.ints, dec.root.den)
-    return [(size >> (dec.s - r), k) for _, r, k in thm2_case1(dec.s, root)]
+    size, dec = family.spec.size, family.decomposition
+    closed = thm2_case1(dec.s, _ambient(dec.root))
+    return [(size >> (dec.s - r), k) for _, r, k in closed]

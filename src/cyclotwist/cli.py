@@ -205,18 +205,18 @@ def _spec_from_args(args) -> AlgebraSpec:
 
 def _cmd_idempotents(args) -> int:
     spec = _spec_from_args(args)
-    family = build(spec, checked=False)
-    elements = family.elements()  # refuses an oversized family here
+    family = build(spec, checked=False)  # refuses an oversized family
+    elements = family.elements()
     if not args.unchecked:  # nothing is printed before the verdict
         elements = list(elements)
-        family = verified(family, elements.__iter__)
-    verification = family.report.as_dict() if args.verify else None
+        report = verified(family, elements.__iter__)
+    verification = report.as_dict() if args.verify else None
     if args.json:
         _print_family_json(family, elements, verification)
     else:
         _print_family_text(family, elements)
         if args.verify:
-            print(f"verification: {family.report.headline()}")
+            print(f"verification: {report.headline()}")
     return 0
 
 

@@ -161,15 +161,16 @@ def verify_family(family: IdempotentFamily, elements) -> VerificationReport:
     (``certify_irreducible``).
 
     The coefficient checks build no intermediate element, and their
-    arithmetic follows the support, not 2^n.  Each e is read on its own
-    lattice: step(e), the coarsest power of two dividing every exponent
-    where e is nonzero (``lattice_step``, read off e's coordinates).
-    With h = gcd(step(e), every stated degree), every power of g in
-    p(g)*e is a multiple of h, wrapped ones included since h divides
-    2^n, so p(g)*e = 0 is one integer combination of e's coefficients
-    on that lattice, tested once (``_annihilates``), as is K-rationality
-    (``_k_rational``).  There e joins the running sum, kept over the lcm
-    of the denominators seen so far (``_add_on_lattice``).
+    arithmetic follows the support, not 2^n.  Each e is read once, on
+    the lattice of h = gcd(step(e), every stated degree), with step(e)
+    the coarsest power of two dividing every exponent where e is nonzero
+    (``lattice_step``): h divides step(e), so e's coefficients there
+    (``on_lattice``) hold all of e.  Every power of g in p(g)*e is a
+    multiple of h, wrapped ones included since h divides 2^n, so
+    p(g)*e = 0 is one integer combination of them, tested once
+    (``_annihilates``); the zero and K-rationality tests read them too,
+    and there e joins the running sum, kept over the lcm of the
+    denominators seen so far (``_add_on_lattice``).
     """
     spec = family.spec
     K = spec.field
@@ -180,16 +181,17 @@ def verify_family(family: IdempotentFamily, elements) -> VerificationReport:
         failures.append("duplicate labels in family")
 
     # the elements in one pass, the constants apart: each loop's work together
-    stream = elements()  # first: the family may be refused
     polys = [it.min_poly for it in family.items]
     read = []  # nonzero, k_rational and min_poly_annihilates of each element
-    total, D, fine = [0] * (spec.size * K.ambient_dim), 1, spec.size
-    for p, e in zip(polys, stream, strict=True):
-        step = lattice_step(e.ints, K.ambient_dim)
-        D = _add_on_lattice(total, D, fine, e, step)
-        fine = min(fine, step)
-        annihilates = _annihilates(spec, e, step, p.terms)
-        read.append((not e.is_zero(), _k_rational(e, step), annihilates))
+    d, fixed = K.ambient_dim, K.involution == IDENTITY
+    total, D, fine = [0] * (spec.size * d), 1, spec.size
+    for p, e in zip(polys, elements(), strict=True):
+        h = gcd(lattice_step(e.ints, d), *(k for k, _ in p.terms))
+        xs = on_lattice(e.ints, d, h)
+        D = _add_on_lattice(total, D, fine, xs, e.den, h, K)
+        fine = min(fine, h)
+        k_rational = fixed or sigma_coords(K, xs) == list(xs)
+        read.append((any(xs), k_rational, _annihilates(spec, xs, h, p.terms)))
     sum_is_one = total[0] == D and not any(total[1:])
     degrees = sum(p.degree for p in polys)
     orthogonal = all(r[2] for r in read) and sum_is_one and degrees == spec.size
@@ -229,51 +231,38 @@ def verify_family(family: IdempotentFamily, elements) -> VerificationReport:
     )
 
 
-def _add_on_lattice(total, D: int, fine: int, e: AlgebraElement, step: int) -> int:
-    """Add e on its lattice (``step``) to the sum ``total`` over D, zero off
-    the lattice of ``fine``, and return the sum's new denominator lcm(D, den e)."""
-    q, d = e.field.q, e.field.ambient_dim
-    L = lcm(D, e.den)
-    f, raised = L // e.den, L // D
+def _add_on_lattice(total, D, fine, xs, den, h, K: FieldDescriptor) -> int:
+    """Add the element of numerators ``xs`` on the lattice of ``h``
+    (``on_lattice``) over ``den`` to the sum ``total`` over D, zero off
+    the lattice of ``fine``, and return the sum's new denominator lcm(D, den)."""
+    q, d = K.q, K.ambient_dim
+    L = lcm(D, den)
+    f, raised = L // den, L // D
     for j in range(d):
         if raised > 1:
             total[j :: fine * d] = map(raised.__mul__, total[j :: fine * d])
-        lane = slice(j, None, step * d)
-        vals = e.ints[lane] if f == 1 else map(f.__mul__, e.ints[lane])
+        lane = slice(j, None, h * d)
+        vals = xs[j::d] if f == 1 else map(f.__mul__, xs[j::d])
         run = map(add, total[lane], vals)
         total[lane] = [v % q for v in run] if q else run
     return L
 
 
-def _k_rational(e: AlgebraElement, step: int) -> bool:
-    """``e.is_k_rational()`` read on e's lattice of exponents divisible
-    by ``step``: the involution fixes the zeros off it."""
-    K = e.field
-    if K.involution == IDENTITY:
-        return True
-    xs = on_lattice(e.ints, K.ambient_dim, step)
-    return sigma_coords(K, xs) == list(xs)
-
-
-def _annihilates(spec: AlgebraSpec, e: AlgebraElement, step: int, terms) -> bool:
-    """Is p(g)*e = 0, for p stated by its nonzero terms (k, c_k) and e
-    on the lattice of exponents divisible by ``step``?
+def _annihilates(spec: AlgebraSpec, xs, h: int, terms) -> bool:
+    """Is p(g)*e = 0, for p stated by its nonzero terms (k, c_k) and e by
+    its numerators ``xs`` on the lattice of ``h`` (``on_lattice``), h | k?
 
     Every power of g in p(g)*e = sum c_k * g^k * e is then a multiple of
-    h = gcd(step, every k), and so is every wrapped one, since h divides
-    2^n: the sum lives on the lattice of stride h, as a polynomial in
-    u = g^h with u^M = a, M = 2^n/h, and is 0 off it.  On the lattice,
-    g^k sends u^i to u^(i + k/h) with one factor of a per wrap past u^M,
-    so each term is two runs of e's numerators times c_k * a^w, w wraps,
-    each run by ``times_coords``.  The runs are brought to one common
+    h, and so is every wrapped one, since h divides 2^n: the sum lives on
+    the lattice of stride h, as a polynomial in u = g^h with u^M = a,
+    M = 2^n/h, and is 0 off it.  On the lattice, g^k sends u^i to
+    u^(i + k/h) with one factor of a per wrap past u^M, so each term is
+    two runs of e's numerators times c_k * a^w, w wraps, each run by
+    ``times_coords``.  The runs are brought to one common
     denominator (e's own denominator is common to all and left out) and
     added, and the sum is tested for zero once, mod q over F_q."""
-    K = spec.field
-    q = K.q
-    d = K.ambient_dim
-    h = gcd(step, *(k for k, _ in terms))
+    q, d = spec.field.q, spec.field.ambient_dim
     M = spec.size // h
-    xs = on_lattice(e.ints, d, h)
     runs = []  # (first power of u, numerators, ambient factor)
     for k, c in terms:
         w, r = divmod(k // h, M)

@@ -130,7 +130,8 @@ def _family(spec: AlgebraSpec) -> IdempotentFamily:
 @lru_cache(maxsize=None)
 def _checked_family(case: MatrixCase) -> IdempotentFamily:
     family = _family(case.spec())
-    return verified(family, family.elements)
+    verified(family, family.elements)
+    return family
 
 
 def _each_case(
@@ -169,7 +170,7 @@ def criterion_case_matrix(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionResul
     if result.passed and os.environ.get("CYCLOTWIST_CORRUPT"):
         case = MATRIX[0]
         family = _checked_family(case)
-        tampered = replace(family, items=family.items[:-1], report=None)
+        tampered = replace(family, items=family.items[:-1])
         report = verify_family(tampered, tampered.elements)
         result.details.append(
             f"{case}: deliberate corruption detected by: "

@@ -250,7 +250,7 @@ FORCED_FAILURES = {
     ),
     "index conventions": (
         criterion_index_regressions,
-        {"thm3_case3": lambda s, b: _THM3_CASE3(s, b)[:-1]},
+        {"thm3_case3": lambda s, b: list(_THM3_CASE3(s, b))[:-1]},
         "criterion 7 (index-convention regressions): FAIL\n"
         "    (F:3, n=3, a=1): the adopted r=0 reading fails to sum to 1\n"
         "    reproduce with: cyclotwist verify F:3 3 1\n",

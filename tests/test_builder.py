@@ -36,6 +36,7 @@ from cyclotwist.fields import (
     sigma,
 )
 from cyclotwist.grammar import parse_element, parse_field
+from cyclotwist.oracle import verify_family
 from cyclotwist.selftest import MATRIX
 
 # the module, which the package's ``classify`` function shadows
@@ -142,9 +143,10 @@ def min_poly_reference(e):
 # -- structure of built families ----------------------------------------------
 
 
-def test_checked_build_attaches_report():
+def test_checked_build_returns_the_stated_family():
     family = build(spec_of("Q", 2, "-4"))
-    assert family.report is not None and family.report.ok
+    assert family == build(family.spec, checked=False)
+    assert verify_family(family, family.elements).ok
     assert [it.label for it in family.items] == [(0,), (1,)]
     assert sum(it.dim for it in family.items) == 4
 
@@ -175,10 +177,18 @@ def test_checked_build_makes_one_build(field_spec, n, a, monkeypatch):
         char_sums[args[1:3]] += 1
         return _char_sum(*args)
 
+    reports = []
+
+    def verified(*args, _fn=builder.verified):
+        reports.append(_fn(*args))
+        return reports[-1]
+
     monkeypatch.setattr(builder, "build", counted)
     monkeypatch.setattr(builder, "_char_sum", char_sum)
+    monkeypatch.setattr(builder, "verified", verified)
     family = builder.build(spec)
-    assert family.report.ok
+    [report] = reports
+    assert report.ok
     assert len(calls) == 1
     # and each element once: a passing family takes one pass
     assert char_sums == Counter((it.S, it.k) for it in family.items)
@@ -213,7 +223,7 @@ def test_build_runs_one_chain_of_square_roots(field_spec, n, a, chains, monkeypa
 
 def test_unchecked_build_has_no_report():
     family = build(spec_of("Q", 2, "-4"), checked=False)
-    assert family.report is None
+    assert not hasattr(family, "report")
 
 
 def test_labels_single_and_double_indexed():
@@ -502,18 +512,39 @@ def test_each_call_builds_each_element_once(field_spec, n, a, monkeypatch, capsy
 
 def test_an_oversized_family_is_refused_before_any_element(monkeypatch):
     # the limit counts items x 2^n x d coordinates: F:7 3 1 has 5 items
-    # of 8 coefficients of 2 coordinates, 80 in all
-    family = build(spec_of("F:7", 3, "1"), checked=False)
-    assert len(family.items) * family.spec.size * family.spec.field.ambient_dim == 80
+    # of 8 coefficients of 2 coordinates, 80 in all; build refuses it as
+    # it is stated, checked or not
+    spec = spec_of("F:7", 3, "1")
     built = []
     monkeypatch.setattr(builder, "_char_sum", lambda *args: built.append(args))
     monkeypatch.setattr(builder, "MAX_COORDS", 79)
-    refusal = "^a family of 5 items x 8 coefficients x 2 coordinates = 80 exceeds"
-    with pytest.raises(ValueError, match=refusal + " the limit of 79$"):
-        family.elements()
+    refusal = "^at 8 coefficients x 2 coordinates per item, the family exceeds"
+    for checked in (False, True):
+        with pytest.raises(ValueError, match=refusal + " the limit of 79 coordinates$"):
+            build(spec, checked=checked)
     assert built == []
     monkeypatch.setattr(builder, "MAX_COORDS", 80)
+    family = build(spec, checked=False)
+    assert len(family.items) * spec.size * spec.field.ambient_dim == 80
+    assert built == []
     assert len(list(family.elements())) == len(built) == 5
+
+
+def test_a_refused_family_forms_no_further_constant(monkeypatch):
+    # with room for two items of F:7 3 1 (16 coordinates each), the
+    # statement stops at the third constant, of five
+    read = []
+
+    def dispatch(dec, _fn=builder._dispatch):
+        for closed in _fn(dec):
+            read.append(closed)
+            yield closed
+
+    monkeypatch.setattr(builder, "_dispatch", dispatch)
+    monkeypatch.setattr(builder, "MAX_COORDS", 47)
+    with pytest.raises(ValueError, match="the limit of 47 coordinates$"):
+        build(spec_of("F:7", 3, "1"), checked=False)
+    assert len(read) == 3
 
 
 # -- index-convention regressions ----------------------------------------------
@@ -588,8 +619,9 @@ def test_deep_unit_coset_family_is_certified():
     assert tuple(sorted(it.dim for it in family.items)) == (
         2, 2, 2, 2, 2, 2, 4, 8, 8,
     )
-    assert family.report.ok
-    assert all(c.primitive for c in family.report.item_checks)
+    report = verify_family(family, family.elements)
+    assert report.ok
+    assert all(c.primitive for c in report.item_checks)
 
 
 def test_cancelled_middle_terms_are_not_stated():

@@ -304,16 +304,49 @@ def test_memory_error_exits_2(capsys, monkeypatch):
 @pytest.mark.parametrize("command", [["verify"], ["idempotents", "--unchecked"]])
 def test_an_oversized_family_is_refused_at_once(capsys, command):
     # F:65537 16 1 splits fully: 2^16 items of 2^16 residues, 2^32 in
-    # all, which no storage or run time allows; it is refused before its
-    # first element is built, with nothing printed
+    # all, which no storage or run time allows; it is refused while it is
+    # stated, before its first element is built, with nothing printed
     start = time.perf_counter()
     code, out, err = run(capsys, *command, "F:65537", "16", "1")
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert err == (
-        "error: a family of 65536 items x 65536 coefficients x 1 coordinates"
-        " = 4294967296 exceeds the limit of 1073741824\n"
+        "error: at 65536 coefficients x 1 coordinates per item, the family"
+        " exceeds the limit of 1073741824 coordinates\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "QC:15", "15", "-1"],
+        ["verify", "QC:16", "16", "-1"],
+        ["idempotents", "--unchecked", "QC:16", "16", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_a_family_past_the_limit_is_refused_before_its_constants(capsys, argv):
+    # QC:15 15 -1 has 2^15 items of 2^15 x 2^14 coordinates; at QC:16 not
+    # one item of 2^16 x 2^15 fits: each is refused after at most
+    # 2^30 / (2^n x d) + 1 constants, not after all 2^n of them
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err.startswith("error: at ") and "per item, the family exceeds" in err
+
+
+def test_a_refusal_holds_little_memory(capsys):
+    # all 2^16 constants of QC:16 16 -1, each of 2^15 coordinates, take
+    # gigabytes; the refusal forms one
+    tracemalloc.start()
+    try:
+        code = main(["verify", "QC:16", "16", "-1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, capsys.readouterr().out) == (2, "")
+    assert peak < 16 << 20, peak
 
 
 @pytest.mark.parametrize(
@@ -572,7 +605,9 @@ def test_json_writer_on_every_golden_json_call(monkeypatch, capsys):
         code, out, _ = run(capsys, *argv)
         args = _build_parser().parse_args(argv)
         family = build(cli._spec_from_args(args), checked=not args.unchecked)
-        verification = family.report.as_dict() if args.verify else None
+        verification = None
+        if args.verify:
+            verification = verify_family(family, family.elements).as_dict()
         reference = _family_dict(family, verification)
         assert (code, out) == (0, json.dumps(reference, indent=2) + "\n")
     verify_argvs = [argv for argv in json_argvs if argv not in family_argvs]

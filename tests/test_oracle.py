@@ -509,7 +509,7 @@ def test_fused_checks_match_the_dense_sums(data):
         assert tuple(off_lattice(xs, d, h, spec.size)) == e.ints
     terms = [spec.gbar(k) * e * c for k, c in poly.terms]
     dense = sum(terms[1:], terms[0]).is_zero()
-    assert _annihilates(spec, e, step, poly.terms) == dense
+    assert annihilates(spec, e, poly.terms) == dense
     rest = one - e
     assert sums_to_one(spec, [e, rest])
     assert sums_to_one(spec, [e]) == (e == one)
@@ -531,14 +531,23 @@ def test_a_raised_denominator_reaches_every_slot_of_the_sum():
     assert not sums_to_one(spec, [x, half, half])
 
 
+def annihilates(spec, e, terms):
+    """``_annihilates`` on e read as ``verify_family`` reads it: on the
+    lattice of gcd(step(e), every stated degree)."""
+    d = spec.field.ambient_dim
+    h = gcd(lattice_step(e.ints, d), *(k for k, _ in terms))
+    return _annihilates(spec, on_lattice(e.ints, d, h), h, terms)
+
+
 def sums_to_one(spec, elements):
     """Does the running sum of ``_add_on_lattice``, each element on its
     own lattice, end as 1, as ``verify_family`` reads it?"""
-    d = spec.field.ambient_dim
+    K, d = spec.field, spec.field.ambient_dim
     total, D, fine = [0] * (spec.size * d), 1, spec.size
     for e in elements:
         step = lattice_step(e.ints, d)
-        D = _add_on_lattice(total, D, fine, e, step)
+        xs = on_lattice(e.ints, d, step)
+        D = _add_on_lattice(total, D, fine, xs, e.den, step, K)
         fine = min(fine, step)
     return total[0] == D and not any(total[1:])
 
@@ -558,12 +567,32 @@ def test_a_changed_coordinate_fails_annihilation(field_spec, n, a):
             ints = list(e.ints)
             ints[j] += 1
             bad = AlgebraElement(spec, ints, e.den)
-            step = lattice_step(bad.ints, d)
-            assert not _annihilates(spec, bad, step, it.min_poly.terms)
+            assert not annihilates(spec, bad, it.min_poly.terms)
         # and through verify_family, for the last coordinate of each item
         mutant = es[:i] + [bad] + es[i + 1 :]
         check = verify_family(family, mutant.__iter__).item_checks[i]
         assert not check.min_poly_annihilates
+
+
+def test_each_element_is_read_on_its_lattice_once(monkeypatch):
+    # the nonzero test, K-rationality, annihilation and the running sum
+    # read one gathering of each element, on the lattice of
+    # gcd(step(e), every stated degree)
+    calls = []
+
+    def counted(*args, _fn=oracle_module.on_lattice):
+        calls.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(oracle_module, "on_lattice", counted)
+    instances = golden_instances()
+    paired = [x for x in instances if parse_field(x[0]).involution != IDENTITY]
+    assert paired
+    for field_spec, n, a in paired:
+        family = build(spec_of(field_spec, int(n), a), checked=False)
+        calls.clear()
+        assert verify_family(family, family.elements).ok, (field_spec, n, a)
+        assert len(calls) == len(family.items), (field_spec, n, a)
 
 
 @pytest.mark.parametrize(
@@ -715,16 +744,16 @@ def test_verify_flags_corrupted_ambient_family(
 
 
 def first_dropped(closed):
-    return closed[1:]
+    return list(closed)[1:]
 
 
 def last_dropped(closed):
-    return closed[:-1]
+    return list(closed)[:-1]
 
 
 def last_negated(closed):
-    label, r, k = closed[-1]
-    return closed[:-1] + [(label, r, -k)]
+    *rest, (label, r, k) = closed
+    return rest + [(label, r, -k)]
 
 
 # instances that dispatch to the plain and to the negated paired case
@@ -874,7 +903,7 @@ def test_one_descriptor_per_field(field_spec):
     assert (y - x).is_zero() and (x * sigma(x)).is_k_rational()
     assert sqrt_ambient(x * x) in (x, -x)
     family = build(AlgebraSpec(2, H.one()))
-    assert family.report.ok and family.spec.field is H
+    assert verify_family(family, family.elements).ok and family.spec.field is H
 
 
 def test_pairing_needs_nontrivial_involution():
@@ -1015,7 +1044,7 @@ def test_checked_families_at_64_bit_heights(capsys):
         x = K.element([rng.getrandbits(64) - 2**63 for _ in range(K.ambient_dim)])
         B = x + sigma(x)
         family = build(AlgebraSpec(s + 1, B ** (1 << s)))
-        assert family.report.ok, (field_spec, s)
+        assert verify_family(family, family.elements).ok, (field_spec, s)
         if K.involution != IDENTITY:
             assert conjugate_pairing_check(family, ambient_constants(family))
     rng = random.Random(5)

@@ -336,6 +336,14 @@ def test_an_item_is_its_label_and_constants():
     assert tuple(f.name for f in dataclasses.fields(item)) == ("label", "S", "k")
 
 
+def test_a_family_is_what_the_construction_states():
+    # a family holds no verdict: a checked build returns it as stated,
+    # and the report is what verify_family returns
+    family = importlib.import_module("cyclotwist.builder").IdempotentFamily
+    fields = tuple(f.name for f in dataclasses.fields(family))
+    assert fields == ("spec", "decomposition", "items")
+
+
 def test_the_field_rule_catches_what_it_names(tmp_path):
     path = tmp_path / "probe.py"
     path.write_text(
