@@ -10,10 +10,11 @@ exhaustive enumeration as ground truth for small instances).
 
 Typical use::
 
-    from cyclotwist import AlgebraSpec, build, parse_element, parse_field
+    from cyclotwist import AlgebraSpec, build, parse_element, parse_field, verified
 
     K = parse_field("Q")
     family = build(AlgebraSpec(2, parse_element(K, "-4")))
+    verified(family, family.elements)  # raises VerificationError unless it passes
     for item in family.items:
         print(item.label, item.dim, item.min_poly)
 """
@@ -45,6 +46,7 @@ from .oracle import (
     brute_enumerate_minimal,
     conjugate_pairing_check,
     cross_check,
+    verified,
     verify_family,
 )
 
@@ -81,6 +83,7 @@ __all__ = [
     "parse_field",
     "sigma",
     "sqrt_ambient",
+    "verified",
     "verify_family",
     "__version__",
 ]

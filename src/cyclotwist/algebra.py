@@ -28,9 +28,9 @@ of length 2^(n-j), and g^k * x is ``spec.gbar(k) * x``.
 Also here: the monic polynomials over K that the construction states
 as minimal polynomials (it writes them in closed form, no factoring or
 linear algebra), held as their nonzero (degree, coefficient) terms,
-at most three for a stated one, and the certificate that such a
-polynomial is irreducible over K, which takes one square root and one
-square test in A over the field of its monic top coefficient.
+at most three for a stated one.  The module holds no certificate:
+``oracle.certify_irreducible`` decides whether such a polynomial is
+irreducible over K.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from math import lcm
 from operator import index, sub
 from typing import List, Optional, Sequence, Tuple, Union
 
-from . import fields
 from .fields import (
     AmbientElement,
     AmbientError,
@@ -347,67 +346,3 @@ class Poly:
                 body = f"({vec})" if k == 0 else f"({vec})*{mono}"
             parts.append(f"{sign} {body}")
         return " ".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# the irreducibility certificate
-# ---------------------------------------------------------------------------
-
-
-def certify_irreducible(poly: Poly) -> bool:
-    """Is poly certified irreducible over K, the field of its monic top
-    coefficient?
-
-    Over an A that contains i, Capelli's criterion decides a 2-power
-    binomial x^(2^k) - c over A with one square test: it is
-    irreducible iff c is no square in A, since its other condition,
-    c not in -4*A^4, is implied once -4 = (1+i)^4 is a fourth power
-    (Lang, *Algebra*, VI Thm 9.1).
-
-    When A/K is quadratic with involution sigma, a monic K-rational p
-    is irreducible over K iff it is irreducible over A, or p = f*sigma(f)
-    with f irreducible over A and f != sigma(f): a K-rational factor is
-    sigma-stable, so it holds both of f and sigma(f) or neither
-    (Trager, "Algebraic factoring and rational function integration",
-    SYMSAC 1976).  The construction states q(x^S) for q = y - c or a
-    monic quadratic q = y^2 + beta*y + gamma, S a power of two.  One
-    square root splits q over A into y - c and y - sigma(c): of -gamma
-    for a binomial, else of beta^2 - 4*gamma, formed by sums and halved
-    by one product.  Then p is irreducible iff c is not in K and x^S - c
-    is irreducible over A: S = 1, or c no square in A (``is_square``).
-    A binomial whose constant is no square in A is irreducible over A
-    already.  The root's sign does not matter: -c lies in K iff c does,
-    and is a square iff c is, as -1 = i^2; the other root of the
-    discriminant gives sigma(c), a square iff c is.  Over K = A every
-    root lies in K, so the formula reduces to Capelli's square test:
-    x^D - c is irreducible iff c is no square in A.
-
-    Any other polynomial has no certificate: the answer is a definite
-    False, never an open verdict.
-    """
-    K = poly.terms[-1][1].owner
-    require_i(K, "the square test")
-    D = poly.degree
-    if D < 1:
-        raise ValueError("constants have no irreducibility")
-    if D == 1:
-        return True
-    S = D // 2
-    c = dict(poly.terms)
-    if D & (D - 1) or c.keys() - {0, S, D}:
-        return False
-    beta, gamma = c.get(S), c.get(0, K.zero())
-    # every root is looked up on the module, so that a traced run counts it
-    if not all(c.is_k_rational() for _, c in poly.terms):
-        return False
-    if beta is None:
-        root = fields.sqrt_ambient(-gamma)
-        if root is None:
-            return True
-    else:
-        twice = gamma + gamma
-        delta = fields.sqrt_ambient(beta * beta - twice - twice)
-        if delta is None:
-            return False
-        root = (delta - beta) * K.half
-    return not root.is_k_rational() and (S == 1 or not fields.is_square(root))

@@ -35,7 +35,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .algebra import AlgebraSpec
-from .builder import IdempotentFamily, ambient_constants, build, verified
+from .builder import IdempotentFamily, ambient_constants, build
 from .classify import classify, emulates
 from .fields import IDENTITY
 from .grammar import (
@@ -53,6 +53,7 @@ from .oracle import (
     certificate_work,
     conjugate_pairing_check,
     cross_check,
+    verified,
     verify_family,
 )
 
@@ -205,7 +206,7 @@ def _spec_from_args(args) -> AlgebraSpec:
 
 def _cmd_idempotents(args) -> int:
     spec = _spec_from_args(args)
-    family = build(spec, checked=False)  # refuses an oversized family
+    family = build(spec)  # refuses an oversized family
     elements = family.elements()
     if not args.unchecked:  # nothing is printed before the verdict
         elements = list(elements)
@@ -222,7 +223,7 @@ def _cmd_idempotents(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = _spec_from_args(args)
-    family = build(spec, checked=False)
+    family = build(spec)
     elements = family.elements
     if spec.field.q and certificate_work(family) <= args.max_enum:
         elements = list(elements()).__iter__  # the certificate reads them too

@@ -33,8 +33,11 @@ Element literals
 ----------------
 
 An *element literal* is a comma-separated list of coordinates over the
-ambient power basis: ``Fraction`` syntax (``-3/2``) for cyclotomic
-fields, integers for finite fields.  A single token denotes a scalar
+ambient power basis: ``Fraction`` syntax (``-3/2``, or a decimal such
+as ``1.5``) for cyclotomic fields, integers for finite fields.  No
+coordinate may hold an exponent (``e`` or ``E``): ``1e1000000`` would
+name a million-digit integer in nine characters, whereas a literal
+without one is no larger than its text.  A single token denotes a scalar
 (rational or residue); otherwise exactly ``ambient_dim`` tokens are
 required.  ``format_element`` emits the shortest faithful literal
 (scalars as one token) and round-trips through ``parse_element``.
@@ -146,6 +149,8 @@ def _coordinate(field: FieldDescriptor, token: str):
     try:
         if field.q:
             return int(token)
+        if "e" in token.lower():  # 1e1000000 names a million-digit integer
+            raise ValueError
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ValueError(

@@ -1,5 +1,8 @@
 """Independent verification of constructed idempotent families.
 
+``builder`` states a family and this module alone certifies it: a
+checked family is ``verified(family, elements)``, the report of
+``verify_family``, which raises ``VerificationError`` unless it passes.
 Three lines of evidence are kept separate:
 
 * ``verify_family``: structural checks inside the algebra itself
@@ -24,9 +27,9 @@ certificate reads only each item's stated polynomial: once the
 structural checks prove it the minimal polynomial, the item is
 primitive iff it is irreducible over K, which Capelli's criterion over
 A and quadratic descent from A to K decide with one square root and
-one square test in A (``algebra.certify_irreducible``).  ``verify_family`` is the
-one check of the coefficients ``builder._char_sum`` expands, in one pass
-over their stream; pairing reads each item's constants (S, k) alone.
+one square test in A (``certify_irreducible``).  ``verify_family`` is
+the one check of the coefficients ``builder._char_sum`` expands, in one
+pass over their stream; pairing reads each item's constants (S, k) alone.
 """
 
 from __future__ import annotations
@@ -39,15 +42,9 @@ from math import gcd, lcm
 from operator import add
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
-from . import _enum_py
-from .algebra import (
-    AlgebraElement,
-    AlgebraSpec,
-    certify_irreducible,
-    lattice_step,
-    on_lattice,
-)
-from .fields import IDENTITY, FieldDescriptor, sigma_coords, times_coords
+from . import _enum_py, fields
+from .algebra import AlgebraElement, AlgebraSpec, Poly, lattice_step, on_lattice
+from .fields import IDENTITY, FieldDescriptor, require_i, sigma_coords, times_coords
 from .grammar import format_label
 
 if TYPE_CHECKING:
@@ -57,11 +54,20 @@ DEFAULT_ENUM_BUDGET = 10**6
 
 
 class VerificationError(RuntimeError):
-    """Raised by checked builds; carries the full report."""
+    """Raised by ``verified``; carries the full report."""
 
     def __init__(self, report: "VerificationReport"):
         self.report = report
         super().__init__(report.headline())
+
+
+def verified(family: IdempotentFamily, elements) -> VerificationReport:
+    """The report of ``verify_family`` on ``elements``; raises
+    VerificationError unless it passes."""
+    report = verify_family(family, elements)
+    if not report.ok:
+        raise VerificationError(report)
+    return report
 
 
 class EnumerationBudgetError(ValueError):
@@ -278,6 +284,70 @@ def _annihilates(spec: AlgebraSpec, xs, h: int, terms) -> bool:
         lo, hi = r * d, r * d + len(vals)
         acc[lo:hi] = map(add, acc[lo:hi], vals if f == 1 else map(f.__mul__, vals))
     return not any(v % q for v in acc) if q else not any(acc)
+
+
+# ---------------------------------------------------------------------------
+# the irreducibility certificate
+# ---------------------------------------------------------------------------
+
+
+def certify_irreducible(poly: Poly) -> bool:
+    """Is poly certified irreducible over K, the field of its monic top
+    coefficient?
+
+    Over an A that contains i, Capelli's criterion decides a 2-power
+    binomial x^(2^k) - c over A with one square test: it is
+    irreducible iff c is no square in A, since its other condition,
+    c not in -4*A^4, is implied once -4 = (1+i)^4 is a fourth power
+    (Lang, *Algebra*, VI Thm 9.1).
+
+    When A/K is quadratic with involution sigma, a monic K-rational p
+    is irreducible over K iff it is irreducible over A, or p = f*sigma(f)
+    with f irreducible over A and f != sigma(f): a K-rational factor is
+    sigma-stable, so it holds both of f and sigma(f) or neither
+    (Trager, "Algebraic factoring and rational function integration",
+    SYMSAC 1976).  The construction states q(x^S) for q = y - c or a
+    monic quadratic q = y^2 + beta*y + gamma, S a power of two.  One
+    square root splits q over A into y - c and y - sigma(c): of -gamma
+    for a binomial, else of beta^2 - 4*gamma, formed by sums and halved
+    by one product.  Then p is irreducible iff c is not in K and x^S - c
+    is irreducible over A: S = 1, or c no square in A (``is_square``).
+    A binomial whose constant is no square in A is irreducible over A
+    already.  The root's sign does not matter: -c lies in K iff c does,
+    and is a square iff c is, as -1 = i^2; the other root of the
+    discriminant gives sigma(c), a square iff c is.  Over K = A every
+    root lies in K, so the formula reduces to Capelli's square test:
+    x^D - c is irreducible iff c is no square in A.
+
+    Any other polynomial has no certificate: the answer is a definite
+    False, never an open verdict.
+    """
+    K = poly.terms[-1][1].owner
+    require_i(K, "the square test")
+    D = poly.degree
+    if D < 1:
+        raise ValueError("constants have no irreducibility")
+    if D == 1:
+        return True
+    S = D // 2
+    c = dict(poly.terms)
+    if D & (D - 1) or c.keys() - {0, S, D}:
+        return False
+    beta, gamma = c.get(S), c.get(0, K.zero())
+    # every root is looked up on the module, so that a traced run counts it
+    if not all(c.is_k_rational() for _, c in poly.terms):
+        return False
+    if beta is None:
+        root = fields.sqrt_ambient(-gamma)
+        if root is None:
+            return True
+    else:
+        twice = gamma + gamma
+        delta = fields.sqrt_ambient(beta * beta - twice - twice)
+        if delta is None:
+            return False
+        root = (delta - beta) * K.half
+    return not root.is_k_rational() and (S == 1 or not fields.is_square(root))
 
 
 # ---------------------------------------------------------------------------

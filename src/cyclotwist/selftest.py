@@ -12,17 +12,11 @@ a check that returns a failure text or raises gives one detail line, so
 no case hides another and no criterion stops the run, and the first
 failing case names the ``reproduce with`` command, a CLI call that
 shows the failing value.
-
-Setting the environment variable ``CYCLOTWIST_CORRUPT`` makes
-criterion 1 deliberately tamper with the first verified family and
-report the invariant that catches it — a debug hook for checking that
-failure reporting works end to end.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 from typing import Callable, List, Optional, Tuple
@@ -35,7 +29,6 @@ from .builder import (
     build,
     thm3_case3,
     thm3_case4,
-    verified,
 )
 from .classify import classify, h_n, ks_decompose, ks_membership
 from .fields import IDENTITY, FieldDescriptor
@@ -45,7 +38,7 @@ from .oracle import (
     VerificationError,
     brute_enumerate_minimal,
     conjugate_pairing_check,
-    verify_family,
+    verified,
 )
 
 __all__ = ["MATRIX", "MatrixCase", "CriterionResult", "CRITERIA", "run_selftest"]
@@ -124,7 +117,7 @@ class CriterionResult:
 # is built once per process.
 @lru_cache(maxsize=None)
 def _family(spec: AlgebraSpec) -> IdempotentFamily:
-    return build(spec, checked=False)
+    return build(spec)
 
 
 @lru_cache(maxsize=None)
@@ -166,18 +159,7 @@ def criterion_case_matrix(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionResul
         return None if dims == case.dims else f"dims {dims} != {case.dims}"
 
     title = "case-coverage matrix verifies"
-    result = _each_case(1, title, MATRIX, check, lambda c: f"{c} [{c.tag}]")
-    if result.passed and os.environ.get("CYCLOTWIST_CORRUPT"):
-        case = MATRIX[0]
-        family = _checked_family(case)
-        tampered = replace(family, items=family.items[:-1])
-        report = verify_family(tampered, tampered.elements)
-        result.details.append(
-            f"{case}: deliberate corruption detected by: "
-            + "; ".join(report.failures)
-        )
-        result.passed, result.repro = False, case.repro()
-    return result
+    return _each_case(1, title, MATRIX, check, lambda c: f"{c} [{c.tag}]")
 
 
 def criterion_ground_truth(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionResult:

@@ -16,7 +16,7 @@ import pytest
 
 from cyclotwist import builder, cli, selftest
 from cyclotwist.grammar import parse_field
-from cyclotwist.oracle import DEFAULT_ENUM_BUDGET, VerificationError, verify_family
+from cyclotwist.oracle import DEFAULT_ENUM_BUDGET, verified
 from cyclotwist.selftest import (
     criterion_case_matrix,
     criterion_conjugate_pairing,
@@ -85,9 +85,9 @@ def test_selftest_builds_each_algebra_once(monkeypatch):
     # none of them
     calls = []
 
-    def counting(spec, checked=True):
+    def counting(spec):
         calls.append(spec)
-        return original(spec, checked)
+        return original(spec)
 
     original = builder.build
     monkeypatch.setattr(builder, "build", counting)
@@ -158,13 +158,13 @@ def _classification_with_a_fault(K):
 
 
 def _checked_family_with_a_fault(case):
-    # the first matrix case loses its last item, so its checked build
-    # raises VerificationError
+    # the first matrix case loses its last item, so its check raises
+    # VerificationError
     if case is not selftest.MATRIX[0]:
         return _CHECKED_FAMILY(case)
     family = selftest._family(case.spec())
     short = replace(family, items=family.items[:-1])
-    raise VerificationError(verify_family(short, short.elements))
+    verified(short, short.elements)
 
 
 def _relabelled_case4(s, b):

@@ -15,12 +15,11 @@ from cyclotwist.algebra import (
     _pack,
     _unpack,
     alg_mul,
-    certify_irreducible,
 )
 from cyclotwist.builder import ambient_spec, build
 from cyclotwist.fields import IDENTITY, INVERSE_CONJ, sigma, sqrt_ambient
 from cyclotwist.grammar import parse_element, parse_field
-from cyclotwist.oracle import verify_family
+from cyclotwist.oracle import certify_irreducible, verified, verify_family
 from test_builder import (
     StatedItem,
     galois,
@@ -414,6 +413,7 @@ def test_mixed_comparisons(field_spec, n, a, other_a):
 def test_min_poly_of_identity_component():
     # x^4 - 2 is irreducible over Q: one component, cut out by 1
     family = build(spec_of("Q", 2, "2"))
+    verified(family, family.elements)
     [item] = family.items
     assert list(family.elements()) == [family.spec.one()]
     assert item.dim == 4
@@ -425,6 +425,7 @@ def test_min_poly_golden_quartic_split():
     # are cut out by e = 1/2 -+ (g/4 - g^3/8)
     spec = spec_of("Q", 2, "-4")
     family = build(spec)
+    verified(family, family.elements)
     half, quarter, eighth = Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)
     assert list(family.elements()) == [
         spec.element([half, -quarter, 0, eighth]),
@@ -449,7 +450,7 @@ def test_min_poly_refuses_non_rational_component():
     # stated as a family item with x^2 - i (e is the character sum of
     # c = -i on the powers of g^2), verification rejects it: a stand-in,
     # as the constants (2, -i) state x^4 + 1
-    family = build(spec, checked=False)
+    family = build(spec)
     item = StatedItem((0,), 2, -i, 2, poly_of((-i, Q.zero(), Q.one())))
     report = verify_family(replace(family, items=(item,)), [e].__iter__)
     [check] = report.item_checks
@@ -681,8 +682,8 @@ def certificate_mutants(poly):
 @pytest.mark.parametrize("field_spec, n, a", golden_instances(), ids=" ".join)
 def test_certificate_agrees_with_two_square_roots(field_spec, n, a):
     # on every stated polynomial, over K and over A, and on its mutants
-    family = build(spec_of(field_spec, int(n), a), checked=False)
-    for fam in (family, build(ambient_spec(family.spec), checked=False)):
+    family = build(spec_of(field_spec, int(n), a))
+    for fam in (family, build(ambient_spec(family.spec))):
         K = fam.spec.field
         for it in fam.items:
             for p in certificate_mutants(it.min_poly):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclotwist import builder, cli, fields
-from cyclotwist.algebra import AlgebraSpec, Poly, certify_irreducible, lattice_step
+from cyclotwist.algebra import AlgebraSpec, Poly, lattice_step
 from cyclotwist.builder import (
     _char_sum,
     _stated,
@@ -36,7 +36,7 @@ from cyclotwist.fields import (
     sigma,
 )
 from cyclotwist.grammar import parse_element, parse_field
-from cyclotwist.oracle import verify_family
+from cyclotwist.oracle import certify_irreducible, verified, verify_family
 from cyclotwist.selftest import MATRIX
 
 # the module, which the package's ``classify`` function shadows
@@ -143,10 +143,11 @@ def min_poly_reference(e):
 # -- structure of built families ----------------------------------------------
 
 
-def test_checked_build_returns_the_stated_family():
+def test_verified_returns_the_report_and_leaves_the_family_stated():
     family = build(spec_of("Q", 2, "-4"))
-    assert family == build(family.spec, checked=False)
-    assert verify_family(family, family.elements).ok
+    report = verified(family, family.elements)
+    assert report.ok and report == verify_family(family, family.elements)
+    assert family == build(family.spec)
     assert [it.label for it in family.items] == [(0,), (1,)]
     assert sum(it.dim for it in family.items) == 4
 
@@ -160,36 +161,22 @@ def test_checked_build_returns_the_stated_family():
         ("F:7", 3, "1"),
     ],
 )
-def test_checked_build_makes_one_build(field_spec, n, a, monkeypatch):
+def test_verified_builds_each_element_once(field_spec, n, a, monkeypatch):
     # types D and E: the certificate needs no family over A
     spec = spec_of(field_spec, n, a)
     assert classify(spec.field).field_type != TYPE_B
+    family = build(spec)
     calls = []
-    inner = builder.build
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return inner(*args, **kwargs)
-
+    monkeypatch.setattr(builder, "build", lambda *args: calls.append(args))
     char_sums = Counter()
 
     def char_sum(*args):
         char_sums[args[1:3]] += 1
         return _char_sum(*args)
 
-    reports = []
-
-    def verified(*args, _fn=builder.verified):
-        reports.append(_fn(*args))
-        return reports[-1]
-
-    monkeypatch.setattr(builder, "build", counted)
     monkeypatch.setattr(builder, "_char_sum", char_sum)
-    monkeypatch.setattr(builder, "verified", verified)
-    family = builder.build(spec)
-    [report] = reports
-    assert report.ok
-    assert len(calls) == 1
+    assert verified(family, family.elements).ok
+    assert calls == []
     # and each element once: a passing family takes one pass
     assert char_sums == Counter((it.S, it.k) for it in family.items)
 
@@ -216,20 +203,22 @@ def test_build_runs_one_chain_of_square_roots(field_spec, n, a, chains, monkeypa
 
     monkeypatch.setattr(fields, "root_chain", counted)
     monkeypatch.setattr(classify_module, "root_chain", counted)
-    family = build(spec, checked=False)
+    family = build(spec)
     assert (family.decomposition.s > spec.field.root_level) == (chains == 2)
     assert len(calls) == chains
 
 
-def test_unchecked_build_has_no_report():
-    family = build(spec_of("Q", 2, "-4"), checked=False)
+def test_stated_family_has_no_report():
+    family = build(spec_of("Q", 2, "-4"))
     assert not hasattr(family, "report")
 
 
 def test_labels_single_and_double_indexed():
     family = build(spec_of("Q", 3, "16"))
+    verified(family, family.elements)
     assert [it.label for it in family.items] == [(0,), (1,), (1, 0), (1, 1)]
     family = build(spec_of("F:5", 3, "1"))
+    verified(family, family.elements)
     labels = [it.label for it in family.items]
     assert [l for l in labels if len(l) == 2] == [(1, 0), (1, 1)]
 
@@ -336,6 +325,7 @@ def test_items_carry_their_closed_form(field_spec, n, a):
     spec = spec_of(field_spec, n, a)
     K = spec.field
     family = build(spec)
+    verified(family, family.elements)
     for it, e in zip(family.items, family.elements()):
         c = it.k.inverse()
         cs = [c] if sigma(it.k) == it.k else [c, sigma(c)]
@@ -377,8 +367,8 @@ def test_constants_do_not_depend_on_n(instances):
         if spec.n >= 16 or ks_decompose(spec.a, spec.n).s >= spec.n:
             continue
         deeper = AlgebraSpec(spec.n + 1, spec.a)
-        head, items, sizes = closed_form(build(spec, checked=False))
-        head1, items1, sizes1 = closed_form(build(deeper, checked=False))
+        head, items, sizes = closed_form(build(spec))
+        head1, items1, sizes1 = closed_form(build(deeper))
         assert (head1, items1) == (head, items), (field_spec, n, a)
         assert sizes1 == [(2 * S, 2 * dim) for S, dim in sizes], (field_spec, n, a)
 
@@ -394,7 +384,7 @@ def test_each_item_lies_on_the_lattice_of_its_S(instances):
     # agree, except that a paired item with no x^S term (sigma(k) = -k)
     # cancels every odd power of g^S and lies on the lattice of 2S
     for field_spec, n, a in instances:
-        family = build(spec_of(field_spec, int(n), a), checked=False)
+        family = build(spec_of(field_spec, int(n), a))
         d = family.spec.field.ambient_dim
         for it, e in zip(family.items, family.elements()):
             no_middle = it.S not in dict(it.min_poly.terms)
@@ -450,7 +440,7 @@ def test_build_forms_each_constant_once(monkeypatch, field_spec, n, a):
     monkeypatch.setattr(element, "inverse", counted("inverse", element.inverse))
     monkeypatch.setattr(builder, "ks_decompose", uncounted)
     monkeypatch.setattr(builder, "_char_sum", char_sum)
-    family = build(spec, checked=False)
+    family = build(spec)
     assert calls["characters"] == 0
     elements = list(family.elements())
     s = family.decomposition.s
@@ -482,7 +472,7 @@ def test_build_inverts_a_alone(monkeypatch):
             m.setattr(builder, "ks_decompose", lambda *args: dec)
             m.setattr(fields.AmbientElement, "inverse", recorded)
             inverted.clear()
-            family = build(spec, checked=False)
+            family = build(spec)
             assert inverted == [], (field_spec, n, a)
             list(family.elements())
         assert inverted == [spec.a], (field_spec, n, a)
@@ -500,7 +490,7 @@ def test_each_call_builds_each_element_once(field_spec, n, a, monkeypatch, capsy
         return _char_sum(*args)
 
     monkeypatch.setattr(builder, "_char_sum", char_sum)
-    family = build(spec_of(field_spec, int(n), a), checked=False)
+    family = build(spec_of(field_spec, int(n), a))
     assert not built
     items = Counter((it.S, it.k) for it in family.items)
     for command in (["verify"], ["idempotents", "--unchecked"], ["idempotents"]):
@@ -513,18 +503,17 @@ def test_each_call_builds_each_element_once(field_spec, n, a, monkeypatch, capsy
 def test_an_oversized_family_is_refused_before_any_element(monkeypatch):
     # the limit counts items x 2^n x d coordinates: F:7 3 1 has 5 items
     # of 8 coefficients of 2 coordinates, 80 in all; build refuses it as
-    # it is stated, checked or not
+    # it is stated
     spec = spec_of("F:7", 3, "1")
     built = []
     monkeypatch.setattr(builder, "_char_sum", lambda *args: built.append(args))
     monkeypatch.setattr(builder, "MAX_COORDS", 79)
     refusal = "^at 8 coefficients x 2 coordinates per item, the family exceeds"
-    for checked in (False, True):
-        with pytest.raises(ValueError, match=refusal + " the limit of 79 coordinates$"):
-            build(spec, checked=checked)
+    with pytest.raises(ValueError, match=refusal + " the limit of 79 coordinates$"):
+        build(spec)
     assert built == []
     monkeypatch.setattr(builder, "MAX_COORDS", 80)
-    family = build(spec, checked=False)
+    family = build(spec)
     assert len(family.items) * spec.size * spec.field.ambient_dim == 80
     assert built == []
     assert len(list(family.elements())) == len(built) == 5
@@ -543,7 +532,7 @@ def test_a_refused_family_forms_no_further_constant(monkeypatch):
     monkeypatch.setattr(builder, "_dispatch", dispatch)
     monkeypatch.setattr(builder, "MAX_COORDS", 47)
     with pytest.raises(ValueError, match="the limit of 47 coordinates$"):
-        build(spec_of("F:7", 3, "1"), checked=False)
+        build(spec_of("F:7", 3, "1"))
     assert len(read) == 3
 
 
@@ -628,6 +617,7 @@ def test_cancelled_middle_terms_are_not_stated():
     # x^8 - 16: the pairs of characters +-sqrt(2) and +-sqrt(-2) state
     # x^2 - 2 and x^2 + 2, their middle coefficient -(k1 + k2) being 0
     family = build(spec_of("Q", 3, "16"))
+    verified(family, family.elements)
     terms = {str(it.min_poly): it.min_poly.terms for it in family.items}
     assert sorted(terms) == ["x^2 + 2", "x^2 + 2*x + 2", "x^2 - 2", "x^2 - 2*x + 2"]
     Q = family.spec.field
@@ -639,7 +629,7 @@ def test_deep_unit_coset_octics():
     # The two depth-2 components have the conjugate non-binomial minimal
     # polynomials x^8 +- (8 + 6*sqrt2) x^4 + (68 + 48*sqrt2).
     spec = spec_of("QR:3", 5, DEEP_A)
-    family = build(spec, checked=False)
+    family = build(spec)
     octics = {
         it.label: [(k, c.coeffs) for k, c in it.min_poly.terms]
         for it in family.items
@@ -663,11 +653,13 @@ def test_deep_unit_coset_octics():
 def test_emulated_full_split():
     # m >= n+1 with identity involution: all components have dim 1
     family = build(spec_of("QC:4", 2, "16"))
+    verified(family, family.elements)
     assert [it.dim for it in family.items] == [1, 1, 1, 1]
 
 
 def test_emulated_paired_split():
     family = build(spec_of("QR:5", 2, "16"))
+    verified(family, family.elements)
     assert tuple(sorted(it.dim for it in family.items)) == (1, 1, 2)
 
 
@@ -714,9 +706,9 @@ def test_scaling_by_full_powers_preserves_dims(
         c = K.scalar(1 + c_seed % (K.q - 1))
     else:
         a, c = K.scalar(a_rational), K.scalar(c_rational)
-    base = build(AlgebraSpec(n, a), checked=False)
+    base = build(AlgebraSpec(n, a))
     spec = AlgebraSpec(n, a * c ** (1 << n))
-    scaled = build(spec, checked=False)
+    scaled = build(spec)
     image = {
         spec.element(e_k * c**-k for k, e_k in enumerate(e.coeffs)): it.dim
         for it, e in zip(base.items, base.elements())
@@ -761,11 +753,11 @@ def test_galois_conjugate_constant_conjugates_the_family(
         c = K.one()
     a = c ** (1 << min(depth, n)) * sign
     spec = AlgebraSpec(n, galois(K, a, k))
-    family = build(AlgebraSpec(n, a), checked=False)
+    family = build(AlgebraSpec(n, a))
     image = {
         spec.element(galois(K, e_k, k) for e_k in e.coeffs) for e in family.elements()
     }
-    assert image == set(build(spec, checked=False).elements())
+    assert image == set(build(spec).elements())
 
 
 @settings(max_examples=60, deadline=None)
@@ -784,7 +776,8 @@ def test_random_finite_builds_verify(field_spec, n, a_seed, a_rational):
         a = K.scalar(1 + a_seed % (K.q - 1))
     else:
         a = K.scalar(a_rational)
-    family = build(AlgebraSpec(n, a))  # checked: raises on any failure
+    family = build(AlgebraSpec(n, a))
+    verified(family, family.elements)  # raises on any failure
     assert sum(it.dim for it in family.items) == 1 << n
 
 
@@ -796,7 +789,8 @@ def test_random_finite_builds_verify(field_spec, n, a_seed, a_rational):
 )
 def test_random_cyclotomic_builds_verify_to_depth_five(field_spec, n, a_rational):
     K = parse_field(field_spec)
-    family = build(AlgebraSpec(n, K.scalar(a_rational)))  # checked
+    family = build(AlgebraSpec(n, K.scalar(a_rational)))
+    verified(family, family.elements)
     assert sum(it.dim for it in family.items) == 1 << n
 
 
@@ -816,8 +810,9 @@ def test_stated_min_poly_matches_gaussian_reference(field_spec, n, a_seed, a_rat
         a = K.scalar(1 + a_seed % (K.q - 1))
     else:
         a = K.scalar(a_rational)
-    family = build(AlgebraSpec(n, a))  # checked
-    for fam in (family, build(ambient_spec(family.spec), checked=False)):
+    family = build(AlgebraSpec(n, a))
+    verified(family, family.elements)
+    for fam in (family, build(ambient_spec(family.spec))):
         for it, e in zip(fam.items, fam.elements()):
             assert it.min_poly == min_poly_reference(e)
             assert it.dim == it.min_poly.degree
@@ -844,7 +839,8 @@ def test_non_rational_constants_build_and_verify(field_spec, n, coords, depth, s
     if c.is_zero():
         c = K.one()
     a = c ** (1 << min(depth, n)) * sign
-    family = build(AlgebraSpec(n, a))  # checked: raises on any failure
+    family = build(AlgebraSpec(n, a))
+    verified(family, family.elements)  # raises on any failure
     assert sum(it.dim for it in family.items) == 1 << n
 
 
@@ -857,7 +853,7 @@ def sympy_degrees(n, a, **domain):
 
 
 def family_degrees(K, n, a):
-    return sorted(it.dim for it in build(AlgebraSpec(n, a), checked=False).items)
+    return sorted(it.dim for it in build(AlgebraSpec(n, a)).items)
 
 
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")

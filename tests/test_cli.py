@@ -14,14 +14,15 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_acceptance import _checked_family_with_a_fault
 from test_golden_cli import argvs
 
-from cyclotwist import algebra, cli
+from cyclotwist import algebra, cli, selftest
 from cyclotwist.builder import build
 from cyclotwist.classify import classify
 from cyclotwist.cli import _build_parser, main
 from cyclotwist.grammar import format_element, format_field, parse_field
-from cyclotwist.oracle import VerificationError, verify_family
+from cyclotwist.oracle import VerificationError, verified, verify_family
 
 DEEP_A = "170459392,120532992,0,-120532992"  # (1 + eps_3)^32 over QR:3
 
@@ -109,7 +110,7 @@ def test_idempotents_json_schema(capsys):
 
 def test_idempotents_certifies_the_octic_unit_coset(capsys):
     # the octic components are certified by quadratic descent, so the
-    # checked build succeeds
+    # check passes
     code, out, err = run(
         capsys, "idempotents", "QR:3", "5", DEEP_A, "--verify", "--json"
     )
@@ -187,6 +188,32 @@ def test_verify_reads_a_literal_past_4300_digits(capsys):
     assert "overall: PASS" in out
 
 
+@pytest.mark.parametrize(
+    "argv, token",
+    [
+        (["verify", "Q", "2", "1e10000000"], "1e10000000"),
+        (["idempotents", "QC:3", "1", "0,1e9,0,0"], "1e9"),
+        (["verify", "Q", "2", "3E2"], "3E2"),
+    ],
+    ids=lambda x: x if isinstance(x, str) else " ".join(x),
+)
+def test_an_exponent_in_a_literal_is_refused_at_once(capsys, argv, token):
+    # 1e10000000 would name a ten-million-digit a in ten characters
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: bad coordinate '{token}': expected a rational like -3/2\n"
+
+
+def test_a_decimal_literal_is_exact(capsys):
+    # a decimal is as large as its text: 1.5 is 3/2
+    code, out, err = run(capsys, "verify", "Q", "2", "1.5")
+    assert (code, err) == (0, "")
+    assert "overall: PASS" in out
+    assert run(capsys, "verify", "Q", "2", "3/2")[1] == out
+
+
 def test_json_prints_coefficients_past_4300_digits(capsys):
     # a = (10^1500 + 7)^4 reads 6,001 digits, and c = b^-1 puts a
     # 4,501-digit denominator into the coefficients
@@ -261,6 +288,25 @@ def test_verify_json(capsys):
     assert data["structural"]["sum_is_one"] is True
 
 
+VERIFY_JSON_ARGVS = [argv for argv in argvs() if argv[:2] == ["verify", "--json"]]
+
+
+def test_every_golden_verify_json_call_is_compared():
+    assert len(VERIFY_JSON_ARGVS) == 28
+
+
+@pytest.mark.parametrize("argv", VERIFY_JSON_ARGVS, ids=" ".join)
+def test_idempotents_verify_gives_the_structural_verdict(capsys, argv):
+    # one verdict: the verification object of ``idempotents --verify
+    # --json`` is the structural object of ``verify --json``
+    code, out, _ = run(capsys, *argv)
+    structural = json.loads(out)["structural"]
+    assert code == 0 and structural["pass"] is True
+    code, out, _ = run(capsys, "idempotents", "--verify", "--json", *argv[2:])
+    assert code == 0
+    assert json.loads(out)["verification"] == structural
+
+
 # -- exit codes and determinism ------------------------------------------------------
 
 
@@ -293,7 +339,7 @@ def test_level_bound_is_named(capsys):
 
 def test_memory_error_exits_2(capsys, monkeypatch):
     # a job too large for the machine is no verification failure (exit 1)
-    def exhausted(spec, checked=True):
+    def exhausted(spec):
         raise MemoryError
 
     monkeypatch.setattr(cli, "build", exhausted)
@@ -366,13 +412,13 @@ def test_a_call_holds_one_element_at_a_time(argv):
 
 
 def test_verification_error_exits_1(capsys, monkeypatch):
-    # a checked build that fails reports on stderr and prints nothing
+    # a family that fails its check reports on stderr and prints nothing
     F5 = parse_field("F:5")
-    family = build(algebra.AlgebraSpec(2, F5.one()), checked=False)
+    family = build(algebra.AlgebraSpec(2, F5.one()))
     short = replace(family, items=family.items[1:])
     report = verify_family(short, short.elements)
 
-    def failing(spec, checked=True):
+    def failing(spec):
         raise VerificationError(report)
 
     monkeypatch.setattr(cli, "build", failing)
@@ -472,11 +518,12 @@ def test_selftest_with_an_empty_budget_fails(capsys):
 
 
 def test_selftest_corruption_hook(capsys, monkeypatch):
-    monkeypatch.setenv("CYCLOTWIST_CORRUPT", "1")
+    # the first matrix case loses its last item: its check fails
+    monkeypatch.setattr(selftest, "_checked_family", _checked_family_with_a_fault)
     code, out, _ = run(capsys, "selftest", "--max-enum", "100")
     assert code == 1
     assert "criterion 1 (case-coverage matrix verifies): FAIL" in out
-    assert "deliberate corruption detected by: family does not sum to 1" in out
+    assert "verification failed: FAIL: family does not sum to 1" in out
     assert "reproduce with: cyclotwist verify F:5 2 1" in out
     assert out.rstrip().endswith("selftest: FAIL")
 
@@ -503,11 +550,11 @@ criterion 7 (index-convention regressions): PASS
             + "selftest: PASS\n",
         ),
         (
-            "1",
+            1,
             1,
             "criterion 1 (case-coverage matrix verifies): FAIL\n"
-            "    (F:5, n=2, a=1): deliberate corruption detected by: family does "
-            "not sum to 1; component dimensions sum to 3, expected 4\n"
+            "    (F:5, n=2, a=1) [split-shallow]: verification failed: FAIL: family "
+            "does not sum to 1; component dimensions sum to 3, expected 4\n"
             "    reproduce with: cyclotwist verify F:5 2 1\n"
             + SELFTEST_TAIL
             + "selftest: FAIL\n",
@@ -515,12 +562,10 @@ criterion 7 (index-convention regressions): PASS
     ],
 )
 def test_selftest_stdout_is_pinned(capsys, monkeypatch, corrupt, code, expected):
-    # the whole default report, byte for byte, with and without the
-    # deliberate corruption
-    if corrupt is None:
-        monkeypatch.delenv("CYCLOTWIST_CORRUPT", raising=False)
-    else:
-        monkeypatch.setenv("CYCLOTWIST_CORRUPT", corrupt)
+    # the whole default report, byte for byte, as it is and with the
+    # first matrix case short of ``corrupt`` items
+    if corrupt:
+        monkeypatch.setattr(selftest, "_checked_family", _checked_family_with_a_fault)
     assert run(capsys, "selftest") == (code, expected, "")
 
 
@@ -604,10 +649,9 @@ def test_json_writer_on_every_golden_json_call(monkeypatch, capsys):
     for argv in family_argvs:
         code, out, _ = run(capsys, *argv)
         args = _build_parser().parse_args(argv)
-        family = build(cli._spec_from_args(args), checked=not args.unchecked)
-        verification = None
-        if args.verify:
-            verification = verify_family(family, family.elements).as_dict()
+        family = build(cli._spec_from_args(args))
+        report = None if args.unchecked else verified(family, family.elements)
+        verification = report.as_dict() if args.verify else None
         reference = _family_dict(family, verification)
         assert (code, out) == (0, json.dumps(reference, indent=2) + "\n")
     verify_argvs = [argv for argv in json_argvs if argv not in family_argvs]

@@ -128,6 +128,8 @@ def test_format_element_is_shortest_faithful():
         ("1,2,3", "expected 1 or 2"),
         ("x", "bad coordinate"),
         ("1/0", "bad coordinate"),
+        ("1e3", "bad coordinate '1e3'"),
+        ("2.5E1,0", "bad coordinate '2.5E1'"),
     ],
 )
 def test_rejected_literals(bad, message):
@@ -177,8 +179,8 @@ def _golden_instances():
 @pytest.mark.parametrize("field_spec, n, a", _golden_instances())
 def test_format_coeffs_matches_format_element_on_golden_items(field_spec, n, a):
     K = parse_field(field_spec)
-    family = build(AlgebraSpec(n, parse_element(K, a)), checked=False)
-    for fam in (family, build(ambient_spec(family.spec), checked=False)):
+    family = build(AlgebraSpec(n, parse_element(K, a)))
+    for fam in (family, build(ambient_spec(family.spec))):
         for e in fam.elements():
             want = [format_element(c) for c in e.coeffs]
             assert format_coeffs(e.ints, e.den, e.spec.field.ambient_dim) == want

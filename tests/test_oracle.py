@@ -17,14 +17,13 @@ from cyclotwist import oracle as oracle_module
 from cyclotwist.algebra import (
     AlgebraElement,
     AlgebraSpec,
-    certify_irreducible,
     lattice_step,
     off_lattice,
     on_lattice,
 )
 from cyclotwist import builder
 from cyclotwist.classify import ks_decompose
-from cyclotwist.builder import ambient_constants, ambient_spec, build, verified
+from cyclotwist.builder import ambient_constants, ambient_spec, build
 from cyclotwist.fields import (
     IDENTITY,
     FieldDescriptor,
@@ -40,8 +39,10 @@ from cyclotwist.oracle import (
     _annihilates,
     _square,
     brute_enumerate_minimal,
+    certify_irreducible,
     conjugate_pairing_check,
     cross_check,
+    verified,
     verify_family,
 )
 from test_algebra import ambient_elements, kernel_specs
@@ -94,7 +95,7 @@ def test_enumeration_budget():
     with pytest.raises(EnumerationBudgetError, match="budget"):
         brute_enumerate_minimal(spec)
     # the certificate's work is 2^3 coefficients x 5 items = 40
-    family = build(spec, checked=False)
+    family = build(spec)
     assert len(family.items) == 5
     with pytest.raises(EnumerationBudgetError, match="8 coefficients x 5 items = 40"):
         cross_check(family, family.elements, max_count=39)
@@ -167,7 +168,7 @@ SMALL_UNITS = [
 
 @pytest.mark.parametrize("q, n, a", SMALL_UNITS)
 def test_certificate_agrees_with_enumeration(q, n, a):
-    family = build(spec_of(f"F:{q}", n, str(a)), checked=False)
+    family = build(spec_of(f"F:{q}", n, str(a)))
     atoms = _enum_py.atoms(q, n, a)
     assert residues(family.elements()) == atoms
     assert cross_check(family, family.elements)
@@ -198,7 +199,7 @@ def test_enumeration_atoms_of_f5_at_n1():
     ],
 )
 def test_certificate_rejects_mutants(field_spec, n, a):
-    family = build(spec_of(field_spec, n, a), checked=False)
+    family = build(spec_of(field_spec, n, a))
     assert cross_check(family, family.elements)
     kinds = set()
     for kind, elements in mutants(family):
@@ -219,7 +220,7 @@ def test_square_with_slots_wider_than_eight_bytes(N):
 
 def test_certificate_rejects_items_outside_k():
     # e0 + i*e1 has the residues of e0 in its K-coordinates
-    family = build(spec_of("F:7", 2, "1"), checked=False)
+    family = build(spec_of("F:7", 2, "1"))
     i = family.spec.field.element((0, 1))
     es = list(family.elements())
     assert not cross_check(*with_elements(family, [es[0] + es[1] * i] + es[1:]))
@@ -230,7 +231,7 @@ def test_certificate_rejects_items_outside_k():
     [("F:5", 3, "1", "overlapping"), ("F:3", 3, "1", "overlapping"), ("F:3", 2, "1", "telescoped")],
 )
 def test_certificate_rejects_families_that_sum_to_one(field_spec, n, a, kind):
-    family = build(spec_of(field_spec, n, a), checked=False)
+    family = build(spec_of(field_spec, n, a))
     wrong = [es for k, es in mutants(family) if k == kind]
     assert wrong
     for elements in wrong:
@@ -240,7 +241,7 @@ def test_certificate_rejects_families_that_sum_to_one(field_spec, n, a, kind):
 
 
 def test_certificate_needs_a_finite_field():
-    family = build(spec_of("Q", 1, "2"), checked=False)
+    family = build(spec_of("Q", 1, "2"))
     with pytest.raises(ValueError, match="finite field"):
         cross_check(family, family.elements)
 
@@ -251,7 +252,7 @@ def test_oracles_refuse_a_field_larger_than_its_prime():
     spec = AlgebraSpec(1, K.one())
     with pytest.raises(ValueError, match=r"^enumeration is over K; need \|K\| = q$"):
         brute_enumerate_minimal(spec)
-    family = build(spec, checked=False)
+    family = build(spec)
     with pytest.raises(
         ValueError, match=r"^the certificate is over K; need \|K\| = q$"
     ):
@@ -264,7 +265,7 @@ def test_unchecked_builds_certify(data):
     q = data.draw(st.sampled_from([3, 5, 7, 13, 17]))
     n = data.draw(st.integers(min_value=0, max_value=7))
     a = data.draw(st.integers(min_value=1, max_value=q - 1))
-    family = build(spec_of(f"F:{q}", n, str(a)), checked=False)
+    family = build(spec_of(f"F:{q}", n, str(a)))
     assert cross_check(family, family.elements)
 
 
@@ -272,7 +273,7 @@ def test_unchecked_builds_certify(data):
 
 
 def test_verify_accepts_correct_family():
-    family = build(spec_of("F:3", 2, "1"), checked=False)
+    family = build(spec_of("F:3", 2, "1"))
     report = verify_family(family, family.elements)
     assert report.ok
     assert report.orthogonal and report.sum_is_one
@@ -282,7 +283,7 @@ def test_verify_accepts_correct_family():
 
 def test_verify_flags_duplicate_items():
     spec = spec_of("F:3", 2, "1")
-    family = build(spec, checked=False)
+    family = build(spec)
     dup = replace(family, items=family.items + (family.items[0],))
     report = verify_family(dup, dup.elements)
     assert not report.ok
@@ -293,7 +294,7 @@ def test_verify_flags_duplicate_items():
 
 def test_verify_flags_missing_item():
     spec = spec_of("F:3", 2, "1")
-    family = build(spec, checked=False)
+    family = build(spec)
     short = replace(family, items=family.items[1:])
     report = verify_family(short, short.elements)
     assert not report.ok
@@ -305,7 +306,7 @@ def test_verify_flags_missing_item():
 def test_missing_item_at_real_sizes_multiplies_each_item_out(field_spec, n, a):
     # a short family fails the sum, so e*e == e is computed for every
     # item: packed products of 1024 and 256 coefficients
-    family = build(spec_of(field_spec, n, a), checked=False)
+    family = build(spec_of(field_spec, n, a))
     short = replace(family, items=family.items[1:])
     report = verify_family(short, short.elements)
     assert "family does not sum to 1" in report.failures
@@ -316,7 +317,7 @@ def test_missing_item_at_real_sizes_multiplies_each_item_out(field_spec, n, a):
 
 def test_verify_flags_corrupted_coefficient():
     spec = spec_of("F:3", 2, "1")
-    family = build(spec, checked=False)
+    family = build(spec)
     item = family.items[0]
     es = list(family.elements())
     es[0] = spec.element([c + spec.field.one() for c in es[0].coeffs])
@@ -330,7 +331,7 @@ def test_failure_lines_name_items_as_the_listing_does():
     # g added to e[0]: the headline names the item e[0], as the family
     # listing prints it, not as the label tuple's repr
     spec = spec_of("QC:3", 2, "4")
-    family = build(spec, checked=False)
+    family = build(spec)
     assert family.items[0].label == (0,)
     es = list(family.elements())
     es[0] = es[0] + spec.gbar()
@@ -343,7 +344,7 @@ def test_failure_lines_name_items_as_the_listing_does():
 
 def test_verify_flags_wrong_dim():
     spec = spec_of("F:3", 2, "1")
-    family = build(spec, checked=False)
+    family = build(spec)
     item = family.items[0]
     bad = replace(family, items=(stand_in(item, dim=item.dim + 1),) + family.items[1:])
     report = verify_family(bad, family.elements)
@@ -373,7 +374,7 @@ def with_stated_poly(family, label, poly):
 
 @pytest.mark.parametrize("field_spec, n, a", [("Q", 3, "16"), ("F:5", 2, "1")])
 def test_verify_flags_stated_poly_with_wrong_constant(field_spec, n, a):
-    family = build(spec_of(field_spec, n, a), checked=False)
+    family = build(spec_of(field_spec, n, a))
     item = family.items[0]
     coeffs = dict(item.min_poly.terms)
     coeffs[0] = coeffs[0] + 1
@@ -387,7 +388,7 @@ def test_verify_flags_stated_poly_with_wrong_constant(field_spec, n, a):
 @pytest.mark.parametrize("field_spec, n, a", [("Q", 3, "16"), ("F:5", 2, "1")])
 def test_verify_flags_stated_poly_squared(field_spec, n, a):
     # p^2 annihilates g*e too, but the degrees no longer sum to 2^n
-    family = build(spec_of(field_spec, n, a), checked=False)
+    family = build(spec_of(field_spec, n, a))
     item = family.items[0]
     square = poly_product(item.min_poly, item.min_poly)
     report = verify_family(with_stated_poly(family, item.label, square), family.elements)
@@ -418,7 +419,7 @@ def test_verify_flags_merged_components(field_spec, n, a, pair):
     # two components merged into one item, stated with its true minimal
     # polynomial: every check but the certificate passes
     spec = spec_of(field_spec, n, a)
-    family = build(spec, checked=False)
+    family = build(spec)
     items = {it.label: it for it in family.items}
     es = dict(zip(items, family.elements()))
     merged = es[pair[0]] + es[pair[1]]
@@ -442,7 +443,7 @@ def test_verify_flags_stated_poly_with_a_root_in_k(field_spec, n, a, other):
     # x - c stated as (x - c)(x - other): it still annihilates g*e, but it
     # splits over K, so the item is not certified, and the degrees no
     # longer sum to 2^n
-    family = build(spec_of(field_spec, n, a), checked=False)
+    family = build(spec_of(field_spec, n, a))
     item = family.items[0]
     K = family.spec.field
     c = -dict(item.min_poly.terms)[0]
@@ -481,7 +482,7 @@ def stated_polys(draw, spec, e):
     K, N = spec.field, spec.size
     kind = draw(st.sampled_from(["random", "binomial", "wrap", "item"]))
     if kind == "item":
-        family = build(spec, checked=False)
+        family = build(spec)
         item, e = draw(st.sampled_from(list(zip(family.items, family.elements()))))
         return e, item.min_poly
     j = draw(st.integers(0, N))
@@ -557,7 +558,7 @@ def test_a_changed_coordinate_fails_annihilation(field_spec, n, a):
     # one more in any coordinate of an item, on its lattice or off it,
     # adds g^k * zeta^j / den to it, and no stated p of degree < 2^n
     # annihilates a unit
-    family = build(spec_of(field_spec, n, a), checked=False)
+    family = build(spec_of(field_spec, n, a))
     spec = family.spec
     d = spec.field.ambient_dim
     es = list(family.elements())
@@ -589,7 +590,7 @@ def test_each_element_is_read_on_its_lattice_once(monkeypatch):
     paired = [x for x in instances if parse_field(x[0]).involution != IDENTITY]
     assert paired
     for field_spec, n, a in paired:
-        family = build(spec_of(field_spec, int(n), a), checked=False)
+        family = build(spec_of(field_spec, int(n), a))
         calls.clear()
         assert verify_family(family, family.elements).ok, (field_spec, n, a)
         assert len(calls) == len(family.items), (field_spec, n, a)
@@ -602,7 +603,7 @@ def test_each_element_is_read_on_its_lattice_once(monkeypatch):
 def test_passing_family_is_verified_without_dense_arithmetic(
     field_spec, n, a, monkeypatch
 ):
-    family = build(spec_of(field_spec, n, a), checked=False)
+    family = build(spec_of(field_spec, n, a))
 
     def refuse(*args):
         raise AssertionError("verify_family built an intermediate element")
@@ -629,7 +630,7 @@ def test_passing_family_is_verified_without_dense_arithmetic(
     ],
 )
 def test_pairing_across_types(field_spec, n, a):
-    family = build(spec_of(field_spec, n, a), checked=False)
+    family = build(spec_of(field_spec, n, a))
     assert conjugate_pairing_check(family, ambient_constants(family))
 
 
@@ -694,7 +695,7 @@ PAIRING_CASES = [("Q", 2, "-4"), ("QE:3", 3, "16"), ("QR:3", 3, "16"), ("F:3", 3
 def test_pairing_verdict_is_the_set_equality(field_spec, n, a):
     # set semantics: a constant or an orbit stated twice, or every
     # constant stated as its partner, is still the same set of orbits
-    family = build(spec_of(field_spec, n, a), checked=False)
+    family = build(spec_of(field_spec, n, a))
     ambient = ambient_constants(family)
     K = family.spec.field
     orbit, rest = first_orbit(family, ambient)
@@ -732,7 +733,7 @@ def test_verify_flags_corrupted_ambient_family(
     # the certificate reads only the K-side items, so wrong ambient
     # constants leave the structural report as it is, and pairing alone
     # rejects them
-    family = build(spec_of(field_spec, n, a), checked=False)
+    family = build(spec_of(field_spec, n, a))
     mutants = wrong_ambients(family, ambient_constants(family))[corruption]
     assert mutants
     for bad in mutants:
@@ -779,7 +780,7 @@ def test_pairing_flags_a_mutated_case_function(
     original = getattr(builder, case)
     monkeypatch.setattr(builder, case, lambda s, b: mutate(original(s, b)))
     for instance in touched + untouched:
-        family = build(spec_of(*instance), checked=False)
+        family = build(spec_of(*instance))
         paired = conjugate_pairing_check(family, ambient_constants(family))
         assert paired == (instance in untouched)
 
@@ -790,7 +791,7 @@ def test_pairing_flags_a_mutated_case_function(
 def test_verify_builds_no_ambient_coefficient(field_spec, n, a, monkeypatch, capsys):
     # one character sum and one stated item per K item: the ambient side
     # is read as constants alone
-    items = len(build(spec_of(field_spec, n, a), checked=False).items)
+    items = len(build(spec_of(field_spec, n, a)).items)
     calls = []
 
     def counted(*args, _fn=builder._char_sum):
@@ -824,7 +825,7 @@ CONSTANT_MATRIX_FIELDS = ["F:3", "F:7", "F:11", "F:19", "Q", "QR:3", "QR:4", "QE
 )
 def test_ambient_constants_need_no_second_chain(instances):
     for field_spec, n, a in instances:
-        family = build(spec_of(field_spec, int(n), a), checked=False)
+        family = build(spec_of(field_spec, int(n), a))
         got = [(S, c.owner, c.ints, c.den) for S, c in ambient_constants(family)]
         want = ambient_constants_reference(family.spec)
         assert got == [(S, c.owner, c.ints, c.den) for S, c in want], (field_spec, n, a)
@@ -907,7 +908,7 @@ def test_one_descriptor_per_field(field_spec):
 
 
 def test_pairing_needs_nontrivial_involution():
-    family = build(spec_of("F:5", 1, "1"), checked=False)
+    family = build(spec_of("F:5", 1, "1"))
     with pytest.raises(ValueError, match="involution"):
         conjugate_pairing_check(family, ambient_constants(family))
 
@@ -936,7 +937,7 @@ def descent_reference(family, elements):
             if D == 1 or (binomial and sqrt_ambient(-c.get(0, K.zero())) is None):
                 certified.add(it.label)
         return certified
-    ambient = build(ambient_spec(family.spec), checked=False)
+    ambient = build(ambient_spec(family.spec))
     assert verify_family(ambient, ambient.elements).ok
     spec0 = ambient.spec
     members = {(e.ints, e.den): e for e in ambient.elements()}
@@ -963,8 +964,8 @@ def with_first_two_merged(family):
 def test_stated_polys_are_their_nonzero_terms(field_spec, n, a):
     # prod_chi (x^S - c_chi) over at most two characters: at most three
     # terms, nonzero, by increasing degree, monic
-    family = build(spec_of(field_spec, int(n), a), checked=False)
-    for it in family.items + build(ambient_spec(family.spec), checked=False).items:
+    family = build(spec_of(field_spec, int(n), a))
+    for it in family.items + build(ambient_spec(family.spec)).items:
         degrees = [k for k, _ in it.min_poly.terms]
         assert 2 <= len(degrees) <= 3 and degrees == sorted(set(degrees))
         assert all(not c.is_zero() for _, c in it.min_poly.terms)
@@ -975,7 +976,7 @@ def test_stated_polys_are_their_nonzero_terms(field_spec, n, a):
 @pytest.mark.parametrize("field_spec, n, a", golden_instances(), ids=" ".join)
 def test_certificate_agrees_with_descent(field_spec, n, a):
     # every item is certified by both, and a merged pair by neither
-    family = build(spec_of(field_spec, int(n), a), checked=False)
+    family = build(spec_of(field_spec, int(n), a))
     elements = list(family.elements())
     assert len(descent_reference(family, elements)) == len(family.items)
     if len(family.items) > 1:
@@ -1012,7 +1013,7 @@ def cyclotomic_specs(draw):
 @example(spec_of("QR:3", 4, "9232,6528,0,-6528"))  # the unit coset
 @example(spec_of("QE:4", 4, "-16"))  # negated at s = m - 1: sigma(eps_m) = -eps_m^-1
 def test_cyclotomic_families_verify_and_pair(spec):
-    family = build(spec, checked=False)
+    family = build(spec)
     report = verify_family(family, family.elements)
     assert report.ok
     if spec.field.involution != IDENTITY:

@@ -7,7 +7,9 @@ module writes a float or complex literal or calls ``float``,
 rebinding module-level names from outside the package
 (``perfbench/layers.py``); a rename would silently drop a layer from
 its report, so those names are pinned here.  Every element holds its
-field, so no function takes an element and its field both.
+field, so no function takes an element and its field both.  ``builder``
+states a family and only ``oracle`` certifies it, so no layer below the
+oracle imports it.
 """
 
 import ast
@@ -337,11 +339,69 @@ def test_an_item_is_its_label_and_constants():
 
 
 def test_a_family_is_what_the_construction_states():
-    # a family holds no verdict: a checked build returns it as stated,
-    # and the report is what verify_family returns
+    # a family holds no verdict: build returns it as stated, and the
+    # report is what verify_family returns
     family = importlib.import_module("cyclotwist.builder").IdempotentFamily
     fields = tuple(f.name for f in dataclasses.fields(family))
     assert fields == ("spec", "decomposition", "items")
+
+
+def _package_imports(path):
+    """(module, for type checking only) of each package module that
+    ``path`` imports, at any depth."""
+    tree = _parsed(path)
+    typing_only = {
+        id(node)
+        for block in ast.walk(tree)
+        if isinstance(block, ast.If) and ast.unparse(block.test) == "TYPE_CHECKING"
+        for node in ast.walk(block)
+    }
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module] if node.module else [a.name for a in node.names]
+            found |= {(name, id(node) in typing_only) for name in names}
+    return found
+
+
+def test_only_the_oracle_certifies():
+    # builder states a family and oracle certifies it: no layer below
+    # the oracle imports it, the oracle reads builder's types only, build
+    # has no switch that runs a check, and each certificate has one home
+    for stem in ("fields", "algebra", "classify", "grammar", "builder"):
+        imported = {name for name, _ in _package_imports(PACKAGE / f"{stem}.py")}
+        assert "oracle" not in imported, stem
+    builder_imports = {i for i in _package_imports(PACKAGE / "oracle.py") if i[0] == "builder"}
+    assert builder_imports == {("builder", True)}
+    build = importlib.import_module("cyclotwist.builder").build
+    assert list(inspect.signature(build).parameters) == ["spec"]
+    for name in ("verified", "certify_irreducible"):
+        homes = [
+            path.stem
+            for path in MODULES
+            for fn in _parsed(path).body
+            if isinstance(fn, ast.FunctionDef) and fn.name == name
+        ]
+        assert homes == ["oracle"], name
+
+
+def test_the_import_rule_catches_what_it_names(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "from typing import TYPE_CHECKING\n"
+        "from . import fields\n"
+        "from .algebra import Poly\n"
+        "if TYPE_CHECKING:\n"
+        "    from .builder import IdempotentFamily\n"
+        "def late():\n"
+        "    from .oracle import verified\n"
+    )
+    assert _package_imports(path) == {
+        ("fields", False),
+        ("algebra", False),
+        ("builder", True),
+        ("oracle", False),
+    }
 
 
 def test_the_field_rule_catches_what_it_names(tmp_path):
