@@ -11,9 +11,10 @@ given by one constant k = b^(2^r) / chi, the constant of its minimal
 polynomial x^S - k: its partner, when it has one, is sigma(k), and
 there is none exactly when k lies in K.  The sum is over the powers of
 c = k^-1, and as k^T = a, c^j = k^(T-j) / a, so the family's
-``elements`` inverts a once and nothing it states.  As the powers of
-u never wrap, the sum is the T powers of c (and their sigma images)
-laid on the lattice g^(j * 2^(n-s+r)); ``_char_sum`` builds them as one
+``elements`` inverts a at most once (never for the family {1}, every
+T = 1) and nothing it states.  As the powers of u never wrap, the sum
+is the T powers of c (and their sigma images) laid on the lattice
+g^(j * 2^(n-s+r)); ``_char_sum`` builds them as one
 flat integer list by doubling k's ladder down from k/a, with O(log T)
 products per item and none per coefficient.  Each case function forms
 b^(2^r) once per depth r (one ``squarings`` ladder) and enumerates its
@@ -53,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 from operator import add, mul
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .algebra import AlgebraElement, AlgebraSpec, Poly, off_lattice
 from .classify import (
@@ -123,9 +124,9 @@ class IdempotentFamily:
 
     def elements(self) -> Iterator[AlgebraElement]:
         """The items' elements, built as the stream reaches them; the call
-        inverts a.  A stated family is within ``MAX_COORDS`` (``_stated``)."""
+        inverts a iff some item has T > 1, and is within ``MAX_COORDS``."""
         spec, items = self.spec, self.items
-        ainv = spec.a.inverse()
+        ainv = spec.a.inverse() if any(it.S < spec.size for it in items) else None
         n = max(1, BATCH_COORDS // (spec.size * spec.field.ambient_dim))
         return chain.from_iterable(
             [_char_sum(spec, it.S, it.k, it.paired, ainv) for it in items[i : i + n]]
@@ -139,14 +140,19 @@ class IdempotentFamily:
 
 
 def _char_sum(
-    spec: AlgebraSpec, S: int, k: AmbientElement, paired: bool, ainv: AmbientElement
+    spec: AlgebraSpec,
+    S: int,
+    k: AmbientElement,
+    paired: bool,
+    ainv: Optional[AmbientElement],
 ) -> AlgebraElement:
     """(1/T) * sum_{j<T} c^j * g^(jS) for c = k^-1, plus the same sum
     over sigma(c) when ``paired``, T = 2^n/S: the averaged character sum
     over the powers of the unit u = b^(-2^r) g^S, given the constant
     k = b^(2^r) / chi of its character chi, the item's exponent S and
-    ``ainv`` = a^-1.  Since jS < 2^n the powers of
-    u never wrap, so the coefficient c^j / T lands on g^(jS).
+    ``ainv`` = a^-1.  Since jS < 2^n the powers of u never wrap, so the
+    coefficient c^j / T lands on g^(jS).  An unpaired item with T = 1
+    (the family {1}) is 1, and reads no ``ainv``.
 
     Nothing here inverts: k^T = a makes c^j = k^(T-j) / a, so the
     coefficients are k's powers times 1/a, read downward from
@@ -168,6 +174,8 @@ def _char_sum(
     q = K.q
     d = K.ambient_dim
     T = spec.size // S
+    if T == 1 and not paired:
+        return spec.one()
     last = k * ainv  # c^(T-1)
     flat, high = list(last.ints), k.ints
     for i in range(T.bit_length() - 1):

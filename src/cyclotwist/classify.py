@@ -14,7 +14,8 @@ Everything downstream hinges on two integers and one coset form:
 decomposition is fully constructive: one chain of square roots
 (``root_chain``) gives both the depth s and an ambient witness
 alpha^(2^s) = a, and from alpha it manufactures the K-rational coset
-representative b by dividing out an explicit root of unity.
+representative b by dividing out a square root of its unit part
+alpha/sigma(alpha), an explicit root of unity.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def _root_order_log2(x: AmbientElement) -> int:
 
 def _strip_root(alpha: AmbientElement, omega: AmbientElement) -> AmbientElement:
     """Divide alpha by a square root of its unit part omega =
-    alpha^2/N(alpha), a 2^t-th root of unity.
+    alpha/sigma(alpha), a 2^t-th root of unity.
 
     The quotient is fixed by the involution whenever the root eta has
     norm +1; when the norm is -1 (which forces t = m-1 and type E) an
@@ -152,10 +153,11 @@ def ks_decompose(a: AmbientElement, n: int) -> CosetDecomposition:
     One ``root_chain`` finds s and a 2^s-th root y of a.  Up to the
     root level m of ``classify(K)``, y is the witness alpha; for s > m
     the witness is the canonical m-chain of y^(2^m), the same for every
-    2^s-th root of a.
-    The returned representative b is always in K*; which form comes out
-    is forced by the field type and by s relative to m, and internal
-    assertions check that the arithmetic agrees with that bookkeeping.
+    2^s-th root of a.  When K = A or s = 0, b = alpha.  Otherwise one
+    ``_strip_root`` divides out the unit part alpha/sigma(alpha) of the
+    witness alpha/u, u = 1+eps_m in type D at full order 2^m and 1 else,
+    and the form is read by comparing a with +-(u*b)^(2^s): nothing
+    taller than alpha is inverted, and assertions check the bookkeeping.
     """
     require_unit_in_k(a)
     require_depth(n, "n")
@@ -165,30 +167,22 @@ def ks_decompose(a: AmbientElement, n: int) -> CosetDecomposition:
     s, alpha = root_chain(a, n)
     if s > m:
         alpha = root_chain(alpha ** (1 << m), m)[1]
-    if cls.field_type == TYPE_B:
+    if cls.field_type == TYPE_B or s == 0:
         return CosetDecomposition(s, PLAIN, alpha, alpha)
 
-    one = K.one()
-    omega = alpha * alpha / norm(alpha)
+    form, u, witness = PLAIN, K.one(), alpha
+    omega = alpha / sigma(alpha)
     t = _root_order_log2(omega)
     assert t <= min(s, m)
-
     if cls.field_type == TYPE_D and t == m:
         # the unit part has full order; only the coset of (1+eps_m) absorbs it
-        em = eps(K, m)
-        alpha2 = alpha / (one + em)
-        omega2 = alpha2 * alpha2 / norm(alpha2)
-        assert _root_order_log2(omega2) < m
-        b = _strip_root(alpha2, omega2)
-        assert b.is_k_rational()
-        assert a == ((one + em) * b) ** (1 << s)
-        return CosetDecomposition(s, EPS_COSET, b, alpha)
-
-    b = _strip_root(alpha, omega)
+        form, u = EPS_COSET, u + eps(K, m)
+        witness, omega = alpha / u, omega * sigma(u) / u
+        assert _root_order_log2(omega) < m
+    b = _strip_root(witness, omega)
     assert b.is_k_rational()
-    resid = a / b ** (1 << s)
-    if resid == one:
-        return CosetDecomposition(s, PLAIN, b, alpha)
-    assert resid == -one and 1 <= s <= m - 1
-    return CosetDecomposition(s, NEGATED, b, alpha)
-
+    power = (u * b) ** (1 << s)
+    if a != power:
+        assert form == PLAIN and a == -power and 1 <= s <= m - 1
+        form = NEGATED
+    return CosetDecomposition(s, form, b, alpha)

@@ -638,12 +638,9 @@ def _sqrt_coords(a: Sequence[int], q: int) -> Optional[list]:
         c = _sqrt_coords(half, q)
         if c is None or not any(c):
             continue
-        # d = v / (2c) = v * nums / (2 * nrm); a one-coordinate c is nrm
-        if m == 1:
-            top, nrm = v, c[0]
-        else:
-            nums, nrm = _inverse_coords(c, q)
-            top = times_coords(v, nums, q)
+        # d = v / (2c) = v * nums / (2 * nrm)
+        nums, nrm = _inverse_coords(c, q)
+        top = times_coords(v, nums, q)
         if q:
             inv = pow(2 * nrm, -1, q)
             return _interleave(c, [t * inv % q for t in top])

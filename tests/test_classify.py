@@ -1,5 +1,8 @@
 """Field classification, the depth function h_n, and coset decomposition."""
 
+import functools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +20,7 @@ from cyclotwist.classify import (
     ks_decompose,
     ks_membership,
 )
-from cyclotwist.fields import eps
+from cyclotwist.fields import AmbientElement, eps, sigma
 from cyclotwist.grammar import parse_field
 
 Q = parse_field("Q")
@@ -237,3 +240,62 @@ def test_decomposition_roundtrip_property(qspec, seed, n):
     assert ks_membership(a, s)
     if s < n:
         assert not ks_membership(a, s + 1)
+
+
+# -- coset forms at height ----------------------------------------------------
+
+# (field, form, s) of a = +-u^(2^s) b^(2^s), b of 300-bit coordinates
+HEIGHT_CASES = [
+    (spec, form, s)
+    for spec in ("QR:7", "QE:7", "QR:5")
+    for form, s in ((PLAIN, 1), (PLAIN, 3), (NEGATED, 1))
+] + [("QR:3", EPS_COSET, 4)]
+
+
+def height(x):
+    """Bits of x's largest coordinate plus those of its denominator."""
+    return max(abs(v).bit_length() for v in x.ints) + x.den.bit_length()
+
+
+@functools.lru_cache(maxsize=None)
+def coset_at_height(spec, form, s):
+    """a in the coset ``form`` at depth s, b = x + sigma(x) in K for an x
+    of random 300-bit coordinates."""
+    K = parse_field(spec)
+    rng = random.Random(f"{spec} {form} {s}")
+    x = K.element([rng.getrandbits(300) - (1 << 299) for _ in range(K.ambient_dim)])
+    a = (x + sigma(x)) ** (1 << s)
+    if form == NEGATED:
+        return -a
+    if form == EPS_COSET:
+        return (K.one() + eps(K, classify(K).m)) ** (1 << s) * a
+    return a
+
+
+@pytest.mark.parametrize("spec, form, s", HEIGHT_CASES)
+def test_decomposition_at_height_inverts_nothing_taller_than_the_root(
+    spec, form, s, monkeypatch
+):
+    # the unit part is alpha/sigma(alpha) and the form is read by
+    # comparison, so neither N(alpha) nor anything as tall as a is inverted
+    a = coset_at_height(spec, form, s)
+    inverted = []
+    inverse = AmbientElement.inverse
+
+    def recorded(x):
+        inverted.append(x)
+        return inverse(x)
+
+    monkeypatch.setattr(AmbientElement, "inverse", recorded)
+    dec = ks_decompose(a, 4)
+    assert inverted and max(map(height, inverted)) <= height(dec.root)
+
+
+@pytest.mark.parametrize("spec, form, s", HEIGHT_CASES)
+def test_decomposition_forms_at_height(spec, form, s):
+    K = parse_field(spec)
+    a = coset_at_height(spec, form, s)
+    dec = ks_decompose(a, 4)
+    assert (dec.s, dec.form) == (s, form)
+    assert dec.b.is_k_rational()
+    assert recompose(K, dec) == a

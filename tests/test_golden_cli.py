@@ -1,8 +1,9 @@
-"""Byte-identity of the CLI on every selftest matrix case and on a few
-deep instances.
+"""Byte-identity of the CLI on every selftest matrix case, on a few
+deep instances and on every benchmark call.
 
-``golden_cli.json`` holds, for each MATRIX case under four commands and
-for each call in ``DEEP``, the sha256 of stdout and the exit code.
+``golden_cli.json`` holds, for each MATRIX case under four commands, for
+each call in ``DEEP`` and for each call any benchmark seed can draw
+(``perfbench/workloads.py``), the sha256 of stdout and the exit code.
 Refactors of the construction, the verifier or the arithmetic kernel
 must leave every entry unchanged.  To re-freeze after an intended
 output change, run from the repository root::
@@ -21,6 +22,9 @@ import pytest
 
 from cyclotwist.cli import main
 from cyclotwist.selftest import MATRIX
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -92,6 +96,19 @@ def argvs():
         yield list(argv)
 
 
+def every_argv():
+    """``argvs()``, then every call any benchmark seed can draw."""
+    return [*argvs(), *(inst.argv() for inst in workloads.every_instance())]
+
+
+def golden_instances():
+    """(field, n, a) of every ``argvs()`` call and every selftest matrix
+    case, sorted: the instances the per-instance tests run on."""
+    out = {(c.field, str(c.n), c.a) for c in MATRIX}
+    out |= {tuple(t for t in argv if not t.startswith("--"))[1:] for argv in argvs()}
+    return sorted(out)
+
+
 def run(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -105,10 +122,10 @@ def load():
 
 
 def test_golden_covers_every_case():
-    assert sorted(load()) == sorted(" ".join(argv) for argv in argvs())
+    assert sorted(load()) == sorted(" ".join(argv) for argv in every_argv())
 
 
-@pytest.mark.parametrize("argv", list(argvs()), ids=" ".join)
+@pytest.mark.parametrize("argv", every_argv(), ids=" ".join)
 def test_cli_output_is_frozen(argv):
     assert run(argv) == load()[" ".join(argv)]
 
@@ -116,6 +133,6 @@ def test_cli_output_is_frozen(argv):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--freeze"]:
         sys.exit("usage: python tests/test_golden_cli.py --freeze")
-    frozen = {" ".join(argv): run(argv) for argv in argvs()}
+    frozen = {" ".join(argv): run(argv) for argv in every_argv()}
     GOLDEN.write_text(json.dumps(frozen, indent=1) + "\n")
     print(f"froze {len(frozen)} entries to {GOLDEN}")

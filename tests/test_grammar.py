@@ -1,14 +1,13 @@
 """Field-spec and element-literal parsing and printing."""
 
-import json
 import re
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_algebra import algebra_elements, kernel_specs
+from test_golden_cli import golden_instances
 
 from cyclotwist.algebra import AlgebraSpec
 from cyclotwist.builder import ambient_spec, build
@@ -166,20 +165,10 @@ def test_literal_roundtrip_property(spec, coords):
 # -- coefficient literals straight from the flat integers ---------------------
 
 
-def _golden_instances():
-    """(field, n, a) of every instance in ``golden_cli.json``."""
-    keys = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
-    out = set()
-    for key in keys:
-        field, n, a = [t for t in key.split() if not t.startswith("--")][-3:]
-        out.add((field, int(n), a))
-    return sorted(out)
-
-
-@pytest.mark.parametrize("field_spec, n, a", _golden_instances())
+@pytest.mark.parametrize("field_spec, n, a", golden_instances())
 def test_format_coeffs_matches_format_element_on_golden_items(field_spec, n, a):
     K = parse_field(field_spec)
-    family = build(AlgebraSpec(n, parse_element(K, a)))
+    family = build(AlgebraSpec(int(n), parse_element(K, a)))
     for fam in (family, build(ambient_spec(family.spec))):
         for e in fam.elements():
             want = [format_element(c) for c in e.coeffs]
