@@ -32,7 +32,9 @@ depth s of a in the 2-power filtration, and the coset form of a in
 K_s, which ``_dispatch`` alone reads.  The four case functions below
 each state one complete family in closed form; ``build`` dispatches
 and states each item, and holds no certificate: ``oracle.verified``
-certifies a stated family.  The two that serve every depth
+certifies a stated family.  ``core_family`` states the b-free core of
+one (K, form, s), of which each family of that kind is the image.  The
+two that serve every depth
 (``thm2_case1`` for K = A, ``thm3_case3`` for a plain coset) average
 over the roots of unity up to t = min(s, m) or min(s, m-1) and add the
 blocks on squared generators only when s runs past that supply.
@@ -51,6 +53,7 @@ than 1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 from operator import add, mul
@@ -70,6 +73,7 @@ from .classify import (
 from .fields import (
     IDENTITY,
     AmbientElement,
+    FieldDescriptor,
     eps,
     interned,
     reduce_coords,
@@ -318,6 +322,29 @@ def build(spec: AlgebraSpec) -> IdempotentFamily:
     """
     dec = ks_decompose(spec.a, spec.n)
     return _stated(spec, dec, _dispatch(dec))
+
+
+@functools.lru_cache(maxsize=None)
+def core_family(K: FieldDescriptor, form: str, s: int) -> IdempotentFamily:
+    """The b-free core of every family over K of coset form ``form`` and
+    depth s: the family the same case function states on (s, b = 1) over
+    C = K[z]/(z^(2^s) - u), u = w^(2^s) for the unit w = 1, eps_(s+1) or
+    1+eps_m that the form names (u = 1, -1 or (1+eps_m)^(2^s)).
+
+    The family of a = u*b^(2^s) at any n >= s is its image under the
+    injective map z -> g^(2^(n-s)) * b^-1, item for item: the core item
+    (label, 2^r, k) goes to (label, 2^(n-s+r), k*b^(2^r)), as the case
+    function's constants carry b^(2^r) and nothing else of b.
+    ``oracle.verify_core`` certifies a family through it.  Cached per
+    (K, form, s), as ``classify`` is per field: it holds no a and no n."""
+    if form == NEGATED:
+        w = eps(K, s + 1)
+    elif form == EPS_COSET:
+        w = K.one() + eps(K, classify(K).m)
+    else:
+        w = K.one()
+    dec = CosetDecomposition(s, form, K.one(), w)
+    return _stated(AlgebraSpec(s, squarings(w, s)[-1]), dec, _dispatch(dec))
 
 
 def _stated(spec: AlgebraSpec, dec: CosetDecomposition, closed) -> IdempotentFamily:

@@ -32,12 +32,12 @@ import os
 import sys
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from .algebra import AlgebraSpec
-from .builder import IdempotentFamily, ambient_constants, build
+from .builder import IdempotentFamily, ambient_constants, build, core_family
 from .classify import classify, emulates
-from .fields import IDENTITY
+from .fields import IDENTITY, FieldDescriptor
 from .grammar import (
     format_coeffs,
     format_element,
@@ -50,10 +50,13 @@ from .oracle import (
     DEFAULT_ENUM_BUDGET,
     EnumerationBudgetError,
     VerificationError,
+    VerificationReport,
     certificate_work,
     conjugate_pairing_check,
     cross_check,
+    image_failures,
     verified,
+    verify_core,
     verify_family,
 )
 
@@ -221,13 +224,41 @@ def _cmd_idempotents(args) -> int:
     return 0
 
 
+# verify_family's report on the core of each (K, form, s) that verify
+# has met (builder.core_family): keyed like the core, by no a and no n
+_CORE_REPORTS: Dict[Tuple[FieldDescriptor, str, int], VerificationReport] = {}
+
+
+def _certified(family: IdempotentFamily, elements) -> VerificationReport:
+    """``family``'s report, certified through its b-free core
+    (``oracle.verify_core``), whose own report is taken once per
+    (K, form, s).  A core of the family's own size (s = n) saves no
+    coefficient, so while its report is not held the family is certified
+    at n off ``elements``, its stream; z -> g * b^-1 then maps the core
+    onto the family, so the report of a passing family that is the
+    core's image (``image_failures``) is the core's report too, and is
+    kept."""
+    dec = family.decomposition
+    key = (family.spec.field, dec.form, dec.s)
+    core = core_family(*key)
+    core_report = _CORE_REPORTS.get(key)
+    if core_report is None and dec.s == family.spec.n:
+        report = verify_family(family, elements)
+        if report.ok and not image_failures(family, core):
+            _CORE_REPORTS[key] = report
+        return report
+    if core_report is None:
+        core_report = _CORE_REPORTS[key] = verify_family(core, core.elements)
+    return verify_core(family, core, core_report)
+
+
 def _cmd_verify(args) -> int:
     spec = _spec_from_args(args)
     family = build(spec)
     elements = family.elements
     if spec.field.q and certificate_work(family) <= args.max_enum:
         elements = list(elements()).__iter__  # the certificate reads them too
-    report = verify_family(family, elements)
+    report = _certified(family, elements)
 
     if not spec.field.q:
         enumeration = "skipped: enumeration needs a finite field"

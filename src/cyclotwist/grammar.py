@@ -167,10 +167,11 @@ def parse_element(field: FieldDescriptor, literal: str) -> AmbientElement:
     coords = [_coordinate(field, tok) for tok in tokens]
     if len(coords) == 1:
         return field.scalar(coords[0])
-    if len(coords) != field.ambient_dim:
+    d = field.ambient_dim
+    if len(coords) != d:
+        want = "1 coordinate" if d == 1 else f"1 or {d} coordinates"
         raise ValueError(
-            f"bad element literal {literal!r}: expected 1 or "
-            f"{field.ambient_dim} coordinates, got {len(coords)}"
+            f"bad element literal {literal!r}: expected {want}, got {len(coords)}"
         )
     return field.element(coords)
 

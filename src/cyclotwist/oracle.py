@@ -30,6 +30,20 @@ A and quadratic descent from A to K decide with one square root and
 one square test in A (``certify_irreducible``).  ``verify_family`` is
 the one check of the coefficients ``builder._char_sum`` expands, in one
 pass over their stream; pairing reads each item's constants (S, k) alone.
+
+``verify`` runs those coefficient checks on the family's b-free core
+alone (``verify_core``).  With a = u*b^(2^s) (``ks_decompose``), the
+core is the family the same case function states on (s, b = 1) over
+C = K[z]/(z^(2^s) - u) (``builder.core_family``), and the injective
+map z -> g^(2^(n-s)) * b^-1 takes it onto the family.  So the family is
+certified by (a) ``verify_family`` on the core, (b) a == u*b^(2^s)
+with b in K, (c) each item being its core item's image, and (d)
+``certify_irreducible`` at n.  ``verify`` takes (a) once per
+(K, form, s), never per a or n, and (b) to (d) on every call that
+finds (a) taken; until then a core of the family's own size (s = n)
+saves nothing, and the family is certified at n instead.  The
+coefficients ``idempotents`` prints are checked at n (``verified``),
+as they are the ones it prints.
 """
 
 from __future__ import annotations
@@ -44,7 +58,14 @@ from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from . import _enum_py, fields
 from .algebra import AlgebraElement, AlgebraSpec, Poly, lattice_step, on_lattice
-from .fields import IDENTITY, FieldDescriptor, require_i, sigma_coords, times_coords
+from .fields import (
+    IDENTITY,
+    FieldDescriptor,
+    require_i,
+    sigma_coords,
+    squarings,
+    times_coords,
+)
 from .grammar import format_label
 
 if TYPE_CHECKING:
@@ -180,11 +201,6 @@ def verify_family(family: IdempotentFamily, elements) -> VerificationReport:
     """
     spec = family.spec
     K = spec.field
-    failures: List[str] = []
-
-    labels = [it.label for it in family.items]
-    if len(set(labels)) != len(labels):
-        failures.append("duplicate labels in family")
 
     # the elements in one pass, the constants apart: each loop's work together
     polys = [it.min_poly for it in family.items]
@@ -218,23 +234,95 @@ def verify_family(family: IdempotentFamily, elements) -> VerificationReport:
             family.items, polys, read, squares
         )
     ]
-    failures += [line for check in checks for line in check.violations()]
+    return _report(family, checks, orthogonal, sum_is_one, [])
 
+
+def _report(family, checks, orthogonal, sum_is_one, failures) -> VerificationReport:
+    """The report on ``family`` with these item checks: ``failures``,
+    then one line for repeated labels, for each failed item check, for a
+    sum other than 1 and for dimensions that do not add up to 2^n."""
+    size = family.spec.size
+    labels = [it.label for it in family.items]
+    if len(set(labels)) != len(labels):
+        failures.append("duplicate labels in family")
+    failures += [line for check in checks for line in check.violations()]
     if not sum_is_one:
         failures.append("family does not sum to 1")
     dim_total = sum(it.dim for it in family.items)
-    if dim_total != spec.size:
-        failures.append(
-            f"component dimensions sum to {dim_total}, expected {spec.size}"
-        )
+    if dim_total != size:
+        failures.append(f"component dimensions sum to {dim_total}, expected {size}")
     return VerificationReport(
         item_checks=tuple(checks),
         orthogonal=orthogonal,
         sum_is_one=sum_is_one,
         dim_total=dim_total,
-        expected_dim=spec.size,
+        expected_dim=size,
         failures=tuple(failures),
     )
+
+
+def verify_core(
+    family: IdempotentFamily, core: IdempotentFamily, core_report: VerificationReport
+) -> VerificationReport:
+    """The report of ``verify_family`` on ``family``, certified through
+    its b-free core C = K[z]/(z^(2^s) - u) (``builder.core_family``),
+    given ``core_report``, ``verify_family``'s report on the core (2^s
+    coefficients), which a caller takes once per core.
+
+    With b the family's coset representative, z -> g^(2^(n-s)) * b^-1
+    maps C into K_t<g> whenever a = u * b^(2^s), and injectively, as it
+    sends z^i (i < 2^s) to a nonzero multiple of g^(i * 2^(n-s)).  It
+    keeps K-rationality when b is in K, so the core's items go to
+    nonzero K-rational items that sum to 1, and the core item of
+    x^(2^r) - k goes to the item whose x^S - k*b^(2^r), S = 2^(n-s+r),
+    annihilates it (p_n(g) = b^(2^r) * p_core(z), and likewise for a
+    paired item), of degrees summing to 2^n.  So ``verify_family``'s
+    argument holds at n once three things are checked here:
+
+    * (b) b is in K and a == u * b^(2^s), on one squaring ladder of b;
+    * (c) each item's (label, S, k) is its core item's image;
+    * (d) each item's polynomial at n is irreducible
+      (``certify_irreducible``).
+
+    The per-item flags are the core's, with (d) as ``primitive``; a
+    failed (b) or (c) adds a failure line first (``image_failures``).
+    No coefficient at n is formed, and nothing is kept."""
+    checks = [
+        dataclasses.replace(c, label=it.label, primitive=certify_irreducible(it.min_poly))
+        for it, c in zip(family.items, core_report.item_checks)
+    ]
+    return _report(
+        family,
+        checks,
+        core_report.orthogonal,
+        core_report.sum_is_one,
+        image_failures(family, core),
+    )
+
+
+def image_failures(family: IdempotentFamily, core: IdempotentFamily) -> List[str]:
+    """Checks (b) and (c) of ``verify_core``: one line if b is not in K
+    or a != u * b^(2^s), on one squaring ladder of b (u = the core's a,
+    s = its n), else one line if some item's (label, S, k) is not its
+    core item's image; no line when ``family`` is the core's image."""
+    spec, b = family.spec, family.decomposition.b
+    s = core.spec.n
+    bs = squarings(b, s)  # b^(2^r) for r = 0..s
+    if not (
+        core.spec.field == spec.field == b.owner
+        and s <= spec.n
+        and b.is_k_rational()
+        and spec.a == core.spec.a * bs[-1]
+    ):
+        return ["a is not u*b^(2^s) with b in K for the core's u and s"]
+    # the core item (label, 2^r, k) goes to (label, 2^(n-s+r), k*b^(2^r))
+    image = [
+        (c.label, c.S << (spec.n - s), c.k * bs[c.S.bit_length() - 1])
+        for c in core.items
+    ]
+    if image != [(it.label, it.S, it.k) for it in family.items]:
+        return ["family is not the image of its core"]
+    return []
 
 
 def _add_on_lattice(total, D, fine, xs, den, h, K: FieldDescriptor) -> int:

@@ -16,6 +16,7 @@ from cyclotwist.builder import (
     _stated,
     ambient_spec,
     build,
+    core_family,
     thm3_case3,
     thm3_case4,
 )
@@ -34,7 +35,13 @@ from cyclotwist.fields import (
     sigma,
 )
 from cyclotwist.grammar import parse_element, parse_field
-from cyclotwist.oracle import certify_irreducible, verified, verify_family
+from cyclotwist.oracle import (
+    DEFAULT_ENUM_BUDGET,
+    certificate_work,
+    certify_irreducible,
+    verified,
+    verify_family,
+)
 from test_golden_cli import golden_instances
 
 # the module, which the package's ``classify`` function shadows
@@ -471,24 +478,40 @@ def test_build_inverts_a_alone(monkeypatch):
 
 @pytest.mark.parametrize("field_spec, n, a", golden_instances(), ids=" ".join)
 def test_each_call_builds_each_element_once(field_spec, n, a, monkeypatch, capsys):
-    # an unchecked build states constants alone; verify, idempotents
-    # --unchecked and the checked idempotents build each item's element
-    # once on a passing family, however many oracles or writers read it
+    # an unchecked build states constants alone; idempotents --unchecked
+    # and the checked idempotents build each item's element once on a
+    # passing family, however many oracles or writers read it.  verify
+    # certifies a family whose core is of its own size (s = n) at n, and
+    # builds each item's element once for both oracles; otherwise it
+    # builds each element of the core once, and each item's at n once
+    # only for the Frobenius certificate
     built = Counter()
 
-    def char_sum(*args):
-        built[args[1:3]] += 1  # (S, k)
-        return _char_sum(*args)
+    def char_sum(spec, S, k, *rest):
+        built[spec, S, k] += 1
+        return _char_sum(spec, S, k, *rest)
 
     monkeypatch.setattr(builder, "_char_sum", char_sum)
     family = build(spec_of(field_spec, int(n), a))
+    dec = family.decomposition
     assert not built
-    items = Counter((it.S, it.k) for it in family.items)
-    for command in (["verify"], ["idempotents", "--unchecked"], ["idempotents"]):
+    items = Counter((family.spec, it.S, it.k) for it in family.items)
+    certified = family.spec.field.q and certificate_work(family) <= DEFAULT_ENUM_BUDGET
+    if dec.s == family.spec.n:
+        verify = items
+    else:
+        core = core_family(family.spec.field, dec.form, dec.s)
+        verify = Counter((core.spec, it.S, it.k) for it in core.items)
+        verify += items if certified else Counter()
+    for command, want in (
+        (["verify"], verify),
+        (["idempotents", "--unchecked"], items),
+        (["idempotents"], items),
+    ):
         built.clear()
         assert cli.main([*command, field_spec, n, "--", a]) == 0
         capsys.readouterr()
-        assert built == items, command
+        assert built == want, command
 
 
 def test_an_oversized_family_is_refused_before_any_element(monkeypatch):

@@ -121,20 +121,24 @@ def test_format_element_is_shortest_faithful():
 
 
 @pytest.mark.parametrize(
-    "bad, message",
+    "field, bad, message",
     [
-        ("", "empty"),
-        ("1,2,3", "expected 1 or 2"),
-        ("x", "bad coordinate"),
-        ("1/0", "bad coordinate"),
-        ("1e3", "bad coordinate '1e3'"),
-        ("2.5E1,0", "bad coordinate '2.5E1'"),
+        # the id names the field only where it is not Q (d = 2)
+        pytest.param(field, bad, message, id=f"{bad}-{message}" if field == "Q" else None)
+        for field, bad, message in [
+            ("Q", "", "empty"),
+            ("Q", "1,2,3", "expected 1 or 2"),
+            ("Q", "x", "bad coordinate"),
+            ("Q", "1/0", "bad coordinate"),
+            ("Q", "1e3", "bad coordinate '1e3'"),
+            ("Q", "2.5E1,0", "bad coordinate '2.5E1'"),
+            ("F:5", "1,0", "expected 1 coordinate, got 2$"),
+        ]
     ],
 )
-def test_rejected_literals(bad, message):
-    Q = parse_field("Q")
+def test_rejected_literals(field, bad, message):
     with pytest.raises(ValueError, match=message):
-        parse_element(Q, bad)
+        parse_element(parse_field(field), bad)
 
 
 def test_finite_literals_are_integers_only():

@@ -22,11 +22,12 @@ from cyclotwist.algebra import (
     on_lattice,
 )
 from cyclotwist import builder
-from cyclotwist.classify import ks_decompose
-from cyclotwist.builder import ambient_constants, ambient_spec, build
+from cyclotwist.classify import EPS_COSET, PLAIN, ks_decompose
+from cyclotwist.builder import ambient_constants, ambient_spec, build, core_family
 from cyclotwist.fields import (
     IDENTITY,
     FieldDescriptor,
+    eps,
     sigma,
     sigma_coords,
     sqrt_ambient,
@@ -42,7 +43,9 @@ from cyclotwist.oracle import (
     certify_irreducible,
     conjugate_pairing_check,
     cross_check,
+    image_failures,
     verified,
+    verify_core,
     verify_family,
 )
 from test_algebra import ambient_elements, kernel_specs
@@ -789,9 +792,14 @@ def test_pairing_flags_a_mutated_case_function(
     "field_spec, n, a", [("QR:3", 3, "16"), ("F:7", 5, "1"), ("QE:6", 8, "-1")]
 )
 def test_verify_builds_no_ambient_coefficient(field_spec, n, a, monkeypatch, capsys):
-    # one character sum and one stated item per K item: the ambient side
-    # is read as constants alone
-    items = len(build(spec_of(field_spec, n, a)).items)
+    # one character sum per K item: the first call sums the items of the
+    # core it certifies, one per K item, or those at n when the core is
+    # of the family's size (QR:3 3 16, F:7 5 1), and F_7's Frobenius
+    # certificate reads that one list; a second call sums the items at n
+    # only for the Frobenius certificate.  The ambient side is read as
+    # constants alone
+    family = build(spec_of(field_spec, n, a))
+    items = len(family.items)
     calls = []
 
     def counted(*args, _fn=builder._char_sum):
@@ -799,9 +807,11 @@ def test_verify_builds_no_ambient_coefficient(field_spec, n, a, monkeypatch, cap
         return _fn(*args)
 
     monkeypatch.setattr(builder, "_char_sum", counted)
-    assert cli.main(["verify", field_spec, str(n), a]) == 0
-    assert "pairing: pass" in capsys.readouterr().out
-    assert len(calls) == items
+    for want in (items, items if family.spec.field.q else 0):
+        calls.clear()
+        assert cli.main(["verify", field_spec, str(n), a]) == 0
+        assert "pairing: pass" in capsys.readouterr().out
+        assert len(calls) == want
 
 
 def ambient_constants_reference(spec):
@@ -839,7 +849,9 @@ def test_verify_runs_one_root_chain(field_spec, n, a, chains, monkeypatch, capsy
     # the chains of the one ks_decompose over K: one, or two when the
     # depth s runs past the root level (F:7 5 4, s = 5 over F_49, L = 4);
     # the ambient constants take no chain of their own, validate no
-    # second algebra and dispatch no second time
+    # second algebra and dispatch no second time.  The first call also
+    # states the core (one more algebra, one more dispatch, no chain); a
+    # second call finds it stated
     calls = Counter()
 
     def counted(owner, name):
@@ -854,14 +866,23 @@ def test_verify_runs_one_root_chain(field_spec, n, a, chains, monkeypatch, capsy
     counted(classify_module, "root_chain")
     counted(AlgebraSpec, "__post_init__")
     counted(builder, "_dispatch")
-    assert cli.main(["verify", field_spec, str(n), a]) == 0
-    assert "pairing: pass" in capsys.readouterr().out
-    assert calls == {"root_chain": chains, "__post_init__": 1, "_dispatch": 1}
+    for core in (1, 0):
+        calls.clear()
+        assert cli.main(["verify", field_spec, str(n), a]) == 0
+        assert "pairing: pass" in capsys.readouterr().out
+        assert calls == {
+            "root_chain": chains,
+            "__post_init__": 1 + core,
+            "_dispatch": 1 + core,
+        }
 
 
 def test_verify_memoises_no_answer(monkeypatch, capsys):
     # the benchmark reruns identical inputs: once the per-field values
-    # are in place, identical calls do identical work
+    # and the core's report are in place, identical calls do identical
+    # work, and still multiply.  F:13 3 2 alone takes no product warm: it
+    # is the family {1}, whose core is {1} over K[z]/(z - 1), so its
+    # warm call only decomposes a and checks a = 2 * 1^1 (b = 1)
     counts = Counter()
 
     def counted(name, fn):
@@ -882,7 +903,11 @@ def test_verify_memoises_no_answer(monkeypatch, capsys):
             assert cli.main(["verify", "--json", *argv]) == 0
             seen.append(dict(counts))
         capsys.readouterr()
-        assert seen[1] == seen[2] and seen[1]["times"] and seen[1]["sqrt"], argv
+        assert seen[1] == seen[2] and seen[0]["times"] and seen[1]["sqrt"], argv
+        if argv[0] == "F:13":
+            assert seen[1] == {"sqrt": 2}
+        else:
+            assert seen[1]["times"], argv
 
 
 @pytest.mark.parametrize("field_spec", sorted({x[0] for x in golden_instances()}))
@@ -1028,6 +1053,159 @@ def test_cyclotomic_families_verify_and_pair(spec):
         for e, check in zip(elements, rep.item_checks):
             assert check.idempotent == (e * e == e)
     assert not mutant_report.item_checks[0].idempotent
+
+
+# -- certification through the b-free core ----------------------------------------------
+
+
+def family_and_core(field_spec, n, a):
+    family = build(spec_of(field_spec, int(n), a))
+    dec = family.decomposition
+    return family, core_family(family.spec.field, dec.form, dec.s)
+
+
+def core_report(core):
+    return verify_family(core, core.elements)
+
+
+# every golden instance, the selftest matrix among them
+@pytest.mark.parametrize(
+    "field_spec, n, a", golden_instances(), ids=[" ".join(x) for x in golden_instances()]
+)
+def test_verify_core_agrees_with_verify_family(field_spec, n, a):
+    family, core = family_and_core(field_spec, n, a)
+    report = verify_core(family, core, core_report(core))
+    assert report.ok
+    assert report.as_dict() == verify_family(family, family.elements).as_dict()
+
+
+def last_dropped_item(items):
+    return items[:-1]
+
+
+def first_stated_twice(items):
+    return items[:1] + items
+
+
+def first_k_negated(items):
+    return (replace(items[0], k=-items[0].k),) + items[1:]
+
+
+def last_k_times_a_root(items):
+    k = items[-1].k
+    return items[:-1] + (replace(items[-1], k=k * eps(k.owner, k.owner.root_level)),)
+
+
+# the golden instances of depth s >= 1, and those whose first item is
+# paired with -k = sigma(k)
+DEEP_GOLDEN = [
+    (f, n, a)
+    for f, n, a in golden_instances()
+    if build(spec_of(f, int(n), a)).decomposition.s
+]
+SAME_WHEN_NEGATED = [("F:3", "1", "2"), ("Q", "2", "-1")]
+
+
+@pytest.mark.parametrize(
+    "mutate", [last_dropped_item, first_stated_twice, first_k_negated, last_k_times_a_root]
+)
+@pytest.mark.parametrize(
+    "field_spec, n, a", DEEP_GOLDEN, ids=[" ".join(x) for x in DEEP_GOLDEN]
+)
+def test_verify_core_rejects_core_mutants(field_spec, n, a, mutate):
+    # a wrong core, with the family at n its image: the core's own check
+    # rejects it, as verify_family at n does.  Negating the k of a paired
+    # item where -k = sigma(k) (F:3 1 2, Q 2 -1) states the same family
+    family, core = family_and_core(field_spec, n, a)
+    family = replace(family, items=mutate(family.items))
+    core = replace(core, items=mutate(core.items))
+    same = mutate is first_k_negated and (field_spec, n, a) in SAME_WHEN_NEGATED
+    if same:
+        k = core.items[0].k
+        assert -k == sigma(k) != k
+    report = verify_core(family, core, core_report(core))
+    assert report.ok == same
+    assert verify_family(family, family.elements).ok == same
+
+
+@pytest.mark.parametrize(
+    "field_spec, n, a", [("Q", "3", "16"), ("QR:3", "3", "16"), ("F:7", "5", "5")]
+)
+def test_verify_core_flags_a_family_that_is_not_the_image_of_its_core(
+    field_spec, n, a, monkeypatch, capsys
+):
+    # (b) a = u*b^(2^s) fails for a doubled b; (c) fails for a family
+    # whose first k is negated while its core's is not.  Each adds one
+    # line, and verify exits 1 once the core's report is held.  Before
+    # that, a family whose core is its own size (Q 3 16, QR:3 3 16) is
+    # certified at n, which reads no b, and neither is kept as the core's;
+    # a smaller core (F:7 5 5, s = 3) is certified on its own and kept
+    family, core = family_and_core(field_spec, n, a)
+    dec, base = family.decomposition, core_report(core)
+    wrong_b = replace(family, decomposition=replace(dec, b=dec.b + dec.b))
+    report = verify_core(wrong_b, core, base)
+    assert report.failures == ("a is not u*b^(2^s) with b in K for the core's u and s",)
+    assert image_failures(wrong_b, core) == list(report.failures)
+    not_image = replace(family, items=first_k_negated(family.items))
+    report = verify_core(not_image, core, base)
+    assert report.failures[0] == "family is not the image of its core"
+    assert image_failures(family, core) == []
+    argv = ["verify", field_spec, n, "--", a]
+    key, smaller = (family.spec.field, dec.form, dec.s), dec.s < int(n)
+    for wrong, cold in ((wrong_b, smaller), (not_image, True)):
+        monkeypatch.setattr(cli, "build", lambda spec, wrong=wrong: wrong)
+        assert cli.main(argv) == cold
+        assert list(cli._CORE_REPORTS) == [key] * smaller
+        monkeypatch.setattr(cli, "build", build)
+        assert cli.main(argv) == 0
+        assert list(cli._CORE_REPORTS) == [key]
+        monkeypatch.setattr(cli, "build", lambda spec, wrong=wrong: wrong)
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "overall: FAIL"
+        cli._CORE_REPORTS.clear()
+
+
+def test_verify_states_and_certifies_each_core_once(monkeypatch, capsys):
+    # calls that differ in a and n but share (K, form, s) share one core:
+    # the first states it (one more dispatch) and certifies it (one
+    # verify_family, on 2^s coefficients), the later ones do neither; and
+    # the one core held, and the one report, are those of (K, form, s),
+    # which hold no a and no n.  A family that is its own core (F:13 1 1,
+    # Q 3 1) is certified as that core, and its report serves the rest
+    calls = Counter()
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(builder, "_dispatch")
+    counted(cli, "verify_family")
+    for calls_in_turn, (field_spec, form, s) in (
+        ([("F:13", "3", "4"), ("F:13", "4", "10")], ("F:13", PLAIN, 1)),
+        ([("F:13", "1", "1"), ("F:13", "3", "4")], ("F:13", PLAIN, 1)),
+        ([("Q", "3", "16"), ("Q", "4", str(16 * 3**8))], ("Q", EPS_COSET, 3)),
+        ([("Q", "3", "1"), ("Q", "4", "6561"), ("Q", "3", "1")], ("Q", PLAIN, 3)),
+    ):
+        builder.core_family.cache_clear()
+        cli._CORE_REPORTS.clear()
+        seen = []
+        for field, n, a in calls_in_turn:
+            calls.clear()
+            assert cli.main(["verify", field, n, a]) == 0
+            assert "overall: PASS" in capsys.readouterr().out
+            seen.append(dict(calls))
+        warm = [{"_dispatch": 1}] * (len(seen) - 1)
+        assert seen == [{"_dispatch": 2, "verify_family": 1}] + warm
+        K = parse_field(field_spec)
+        core = core_family(K, form, s)
+        assert (core.spec.n, core.decomposition.b) == (s, K.one())
+        assert builder.core_family.cache_info().currsize == 1
+        assert cli._CORE_REPORTS == {(K, form, s): core_report(core)}
 
 
 # -- high heights ------------------------------------------------------------------------

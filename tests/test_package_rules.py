@@ -219,7 +219,9 @@ CACHES = {
     "fields._signed_perm": "(n, k), a permutation of the power basis",
     "fields._fin_nonresidue": "(q, d), the first non-square",
     "classify.classify": "a field descriptor",
+    "builder.core_family": "(K, form, s): the b-free core, which holds no a and no n",
     "cli._build_parser": "nothing: the one argument parser",
+    "cli._CORE_REPORTS": "(K, form, s): the report on builder.core_family's core",
     "selftest._family": "a matrix spec, each algebra built once per selftest",
     "selftest._checked_family": "a matrix case",
     "selftest._powers": "(field, s), a ground-truth table",
@@ -237,10 +239,16 @@ def _decorator_name(node):
 
 def _cached_functions():
     """(dotted name, function node, enclosing class name or None) of
-    every cached function in the package."""
+    every cached function in the package, and (dotted name, None, None)
+    of every module-level store that starts as an empty dict."""
     out = []
     for path in MODULES:
         tree = _parsed(path)
+        for node in tree.body:
+            value = getattr(node, "value", None)
+            if isinstance(value, ast.Dict) and not value.keys:
+                targets = getattr(node, "targets", None) or [node.target]
+                out += [(f"{path.stem}.{t.id}", None, None) for t in targets]
         scopes = [(None, tree)] + [
             (n.name, n) for n in ast.walk(tree) if isinstance(n, ast.ClassDef)
         ]
@@ -262,7 +270,7 @@ def _keyed_caches():
     """Each cache outside the selftest that is keyed by an input."""
     keyed = []
     for name, fn, owner in _cached_functions():
-        if name.startswith("selftest."):
+        if name.startswith("selftest.") or fn is None:
             continue
         if owner not in (None, "FieldDescriptor"):
             keyed.append(f"{name}: cached on a {owner}")
@@ -289,12 +297,19 @@ def test_the_cache_rules_catch_what_they_name(tmp_path, monkeypatch):
         "    @cached_property\n"
         "    def zero(self): ...\n"
         "def plain(spec): ...\n"
+        "STORE: dict = {}\n"
+        "TABLE = {1: 2}\n"
     )
     path = tmp_path / "probe.py"
     path.write_text(src)
     monkeypatch.setattr(sys.modules[__name__], "MODULES", [path])
     found = {name for name, _, _ in _cached_functions()}
-    assert found == {"probe.by_spec", "probe.by_element", "probe.AlgebraSpec.zero"}
+    assert found == {
+        "probe.by_spec",
+        "probe.by_element",
+        "probe.AlgebraSpec.zero",
+        "probe.STORE",
+    }
     assert sorted(_keyed_caches()) == [
         "probe.AlgebraSpec.zero: cached on a AlgebraSpec",
         "probe.by_element: parameter y",
