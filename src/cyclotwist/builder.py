@@ -53,7 +53,6 @@ than 1.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 from operator import add, mul
@@ -324,7 +323,6 @@ def build(spec: AlgebraSpec) -> IdempotentFamily:
     return _stated(spec, dec, _dispatch(dec))
 
 
-@functools.lru_cache(maxsize=None)
 def core_family(K: FieldDescriptor, form: str, s: int) -> IdempotentFamily:
     """The b-free core of every family over K of coset form ``form`` and
     depth s: the family the same case function states on (s, b = 1) over
@@ -335,8 +333,8 @@ def core_family(K: FieldDescriptor, form: str, s: int) -> IdempotentFamily:
     injective map z -> g^(2^(n-s)) * b^-1, item for item: the core item
     (label, 2^r, k) goes to (label, 2^(n-s+r), k*b^(2^r)), as the case
     function's constants carry b^(2^r) and nothing else of b.
-    ``oracle.verify_core`` certifies a family through it.  Cached per
-    (K, form, s), as ``classify`` is per field: it holds no a and no n."""
+    ``oracle.verify_core`` certifies a family through it.  It holds no
+    a and no n."""
     if form == NEGATED:
         w = eps(K, s + 1)
     elif form == EPS_COSET:

@@ -32,7 +32,7 @@ import os
 import sys
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .algebra import AlgebraSpec
 from .builder import IdempotentFamily, ambient_constants, build, core_family
@@ -51,10 +51,8 @@ from .oracle import (
     EnumerationBudgetError,
     VerificationError,
     VerificationReport,
-    certificate_work,
     conjugate_pairing_check,
     cross_check,
-    image_failures,
     verified,
     verify_core,
     verify_family,
@@ -224,47 +222,36 @@ def _cmd_idempotents(args) -> int:
     return 0
 
 
-# verify_family's report on the core of each (K, form, s) that verify
-# has met (builder.core_family): keyed like the core, by no a and no n
-_CORE_REPORTS: Dict[Tuple[FieldDescriptor, str, int], VerificationReport] = {}
+@functools.lru_cache(maxsize=None)
+def _certified_core(
+    K: FieldDescriptor, form: str, s: int
+) -> Tuple[IdempotentFamily, VerificationReport]:
+    """The b-free core of (K, form, s) (``builder.core_family``) and
+    ``verify_family``'s report on it, taken once per (K, form, s) in a
+    process: neither holds an a or an n."""
+    core = core_family(K, form, s)
+    return core, verify_family(core, core.elements)
 
 
-def _certified(family: IdempotentFamily, elements) -> VerificationReport:
+def _certified(family: IdempotentFamily) -> VerificationReport:
     """``family``'s report, certified through its b-free core
-    (``oracle.verify_core``), whose own report is taken once per
-    (K, form, s).  A core of the family's own size (s = n) saves no
-    coefficient, so while its report is not held the family is certified
-    at n off ``elements``, its stream; z -> g * b^-1 then maps the core
-    onto the family, so the report of a passing family that is the
-    core's image (``image_failures``) is the core's report too, and is
-    kept."""
+    (``oracle.verify_core``) at every depth: at s < n with each item's
+    polynomial certified irreducible at n, at s = n with the core's
+    verdicts, as x -> x/b carries each core polynomial to the family's."""
     dec = family.decomposition
-    key = (family.spec.field, dec.form, dec.s)
-    core = core_family(*key)
-    core_report = _CORE_REPORTS.get(key)
-    if core_report is None and dec.s == family.spec.n:
-        report = verify_family(family, elements)
-        if report.ok and not image_failures(family, core):
-            _CORE_REPORTS[key] = report
-        return report
-    if core_report is None:
-        core_report = _CORE_REPORTS[key] = verify_family(core, core.elements)
-    return verify_core(family, core, core_report)
+    return verify_core(family, *_certified_core(family.spec.field, dec.form, dec.s))
 
 
 def _cmd_verify(args) -> int:
     spec = _spec_from_args(args)
     family = build(spec)
-    elements = family.elements
-    if spec.field.q and certificate_work(family) <= args.max_enum:
-        elements = list(elements()).__iter__  # the certificate reads them too
-    report = _certified(family, elements)
+    report = _certified(family)
 
     if not spec.field.q:
         enumeration = "skipped: enumeration needs a finite field"
     else:
         try:
-            verdict = cross_check(family, elements, args.max_enum)
+            verdict = cross_check(family, family.elements, args.max_enum)
             enumeration = "pass" if verdict else "mismatch"
         except EnumerationBudgetError as err:
             enumeration = f"skipped: {err}"

@@ -38,12 +38,12 @@ C = K[z]/(z^(2^s) - u) (``builder.core_family``), and the injective
 map z -> g^(2^(n-s)) * b^-1 takes it onto the family.  So the family is
 certified by (a) ``verify_family`` on the core, (b) a == u*b^(2^s)
 with b in K, (c) each item being its core item's image, and (d)
-``certify_irreducible`` at n.  ``verify`` takes (a) once per
-(K, form, s), never per a or n, and (b) to (d) on every call that
-finds (a) taken; until then a core of the family's own size (s = n)
-saves nothing, and the family is certified at n instead.  The
-coefficients ``idempotents`` prints are checked at n (``verified``),
-as they are the ones it prints.
+``certify_irreducible`` at n when s < n.  At s = n, (b) and (c) make
+each polynomial at n the core's under x -> x/b, which keeps
+irreducibility, so the core's verdict on each item is the family's.
+``verify`` takes (a) once per (K, form, s), never per a or n, and (b)
+to (d) on every call.  The coefficients ``idempotents`` prints are
+checked at n (``verified``), as they are the ones it prints.
 """
 
 from __future__ import annotations
@@ -281,14 +281,24 @@ def verify_core(
 
     * (b) b is in K and a == u * b^(2^s), on one squaring ladder of b;
     * (c) each item's (label, S, k) is its core item's image;
-    * (d) each item's polynomial at n is irreducible
+    * (d) at s < n, each item's polynomial at n is irreducible
       (``certify_irreducible``).
 
-    The per-item flags are the core's, with (d) as ``primitive``; a
-    failed (b) or (c) adds a failure line first (``image_failures``).
-    No coefficient at n is formed, and nothing is kept."""
+    At s = n, (b) and (c) make each polynomial at n the core's under the
+    K-linear substitution x -> x/b, p_n(x) = b^deg * p_core(x/b), an
+    automorphism of K[x] for b != 0 in K, which keeps irreducibility:
+    the core's ``primitive`` is the family's, and (d) is not run.
+    The per-item flags are the core's, with (d) as ``primitive`` at
+    s < n; a failed (b) or (c) adds a failure line first
+    (``image_failures``).  No coefficient at n is formed, and nothing is
+    kept."""
+    deeper = core.spec.n < family.spec.n
     checks = [
-        dataclasses.replace(c, label=it.label, primitive=certify_irreducible(it.min_poly))
+        dataclasses.replace(
+            c,
+            label=it.label,
+            primitive=certify_irreducible(it.min_poly) if deeper else c.primitive,
+        )
         for it, c in zip(family.items, core_report.item_checks)
     ]
     return _report(

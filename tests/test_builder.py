@@ -481,10 +481,8 @@ def test_each_call_builds_each_element_once(field_spec, n, a, monkeypatch, capsy
     # an unchecked build states constants alone; idempotents --unchecked
     # and the checked idempotents build each item's element once on a
     # passing family, however many oracles or writers read it.  verify
-    # certifies a family whose core is of its own size (s = n) at n, and
-    # builds each item's element once for both oracles; otherwise it
-    # builds each element of the core once, and each item's at n once
-    # only for the Frobenius certificate
+    # builds each element of the core once, at every depth s, and each
+    # item's at n once only for the Frobenius certificate
     built = Counter()
 
     def char_sum(spec, S, k, *rest):
@@ -497,12 +495,9 @@ def test_each_call_builds_each_element_once(field_spec, n, a, monkeypatch, capsy
     assert not built
     items = Counter((family.spec, it.S, it.k) for it in family.items)
     certified = family.spec.field.q and certificate_work(family) <= DEFAULT_ENUM_BUDGET
-    if dec.s == family.spec.n:
-        verify = items
-    else:
-        core = core_family(family.spec.field, dec.form, dec.s)
-        verify = Counter((core.spec, it.S, it.k) for it in core.items)
-        verify += items if certified else Counter()
+    core = core_family(family.spec.field, dec.form, dec.s)
+    verify = Counter((core.spec, it.S, it.k) for it in core.items)
+    verify += items if certified else Counter()
     for command, want in (
         (["verify"], verify),
         (["idempotents", "--unchecked"], items),

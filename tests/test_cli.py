@@ -362,6 +362,13 @@ def test_an_oversized_family_is_refused_at_once(capsys, command):
     )
 
 
+# the size of one item, 2^n coefficients x 2^(L-1) coordinates, of QC:L at n = L
+PER_ITEM = {
+    "QC:15": "32768 coefficients x 16384 coordinates",
+    "QC:16": "65536 coefficients x 32768 coordinates",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -379,7 +386,10 @@ def test_a_family_past_the_limit_is_refused_before_its_constants(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 2
     assert (code, out) == (2, "")
-    assert err.startswith("error: at ") and "per item, the family exceeds" in err
+    assert err == (
+        f"error: at {PER_ITEM[argv[-3]]} per item, the family exceeds the limit of"
+        " 1073741824 coordinates\n"
+    )
 
 
 def test_a_refusal_holds_little_memory(capsys):

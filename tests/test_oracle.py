@@ -2,6 +2,7 @@
 certificate, conjugate pairing."""
 
 import importlib
+import json
 import random
 from collections import Counter
 from dataclasses import replace
@@ -32,7 +33,13 @@ from cyclotwist.fields import (
     sigma_coords,
     sqrt_ambient,
 )
-from cyclotwist.grammar import format_label, parse_element, parse_field
+from cyclotwist.grammar import (
+    format_element,
+    format_field,
+    format_label,
+    parse_element,
+    parse_field,
+)
 from cyclotwist.oracle import (
     EnumerationBudgetError,
     VerificationError,
@@ -792,14 +799,14 @@ def test_pairing_flags_a_mutated_case_function(
     "field_spec, n, a", [("QR:3", 3, "16"), ("F:7", 5, "1"), ("QE:6", 8, "-1")]
 )
 def test_verify_builds_no_ambient_coefficient(field_spec, n, a, monkeypatch, capsys):
-    # one character sum per K item: the first call sums the items of the
-    # core it certifies, one per K item, or those at n when the core is
-    # of the family's size (QR:3 3 16, F:7 5 1), and F_7's Frobenius
-    # certificate reads that one list; a second call sums the items at n
-    # only for the Frobenius certificate.  The ambient side is read as
-    # constants alone
+    # one character sum per K item and reader: the first call sums the
+    # items of the core it certifies, one per K item, whatever the core's
+    # size (QR:3 3 16 and F:7 5 1 are their cores' size), and each call
+    # sums the items at n only for F_7's Frobenius certificate.  The
+    # ambient side is read as constants alone
     family = build(spec_of(field_spec, n, a))
     items = len(family.items)
+    frobenius = items if family.spec.field.q else 0
     calls = []
 
     def counted(*args, _fn=builder._char_sum):
@@ -807,7 +814,7 @@ def test_verify_builds_no_ambient_coefficient(field_spec, n, a, monkeypatch, cap
         return _fn(*args)
 
     monkeypatch.setattr(builder, "_char_sum", counted)
-    for want in (items, items if family.spec.field.q else 0):
+    for want in (items + frobenius, frobenius):
         calls.clear()
         assert cli.main(["verify", field_spec, str(n), a]) == 0
         assert "pairing: pass" in capsys.readouterr().out
@@ -1068,6 +1075,16 @@ def core_report(core):
     return verify_family(core, core.elements)
 
 
+def held_core(key):
+    """The core and report ``verify`` holds for (K, form, s) ``key``,
+    its one entry: reading it certifies nothing new."""
+    misses = cli._certified_core.cache_info().misses
+    value = cli._certified_core(*key)
+    info = cli._certified_core.cache_info()
+    assert (info.misses, info.currsize) == (misses, 1)
+    return value
+
+
 # every golden instance, the selftest matrix among them
 @pytest.mark.parametrize(
     "field_spec, n, a", golden_instances(), ids=[" ".join(x) for x in golden_instances()]
@@ -1077,6 +1094,79 @@ def test_verify_core_agrees_with_verify_family(field_spec, n, a):
     report = verify_core(family, core, core_report(core))
     assert report.ok
     assert report.as_dict() == verify_family(family, family.elements).as_dict()
+
+
+def s_equals_n_cases():
+    """Families of depth s = n and coset representative b != 1, drawn as
+    a = b^(2^n) over F_q (q = 5, 7, 13; n <= 4) and a = +-b^(2^n) over
+    QC:3, QR:3 and QE:3 (n <= 3): each AlgebraSpec with a readable id."""
+    draws = [
+        (f"F:{q}", str(b), [b], n, 1)
+        for q in (5, 7, 13)
+        for n in range(1, 5)
+        for b in range(2, q)
+    ]
+    bases = {
+        "QC:3": {"3": [3, 0, 0, 0], "(1+z)": [1, 1, 0, 0], "(1+i)": [1, 0, 1, 0]},
+        "QR:3": {"3": [3, 0, 0, 0], "(1+sqrt2)": [1, 1, 0, -1]},
+        "QE:3": {"3": [3, 0, 0, 0], "(1+sqrt-2)": [1, 1, 0, 1]},
+    }
+    draws += [
+        (field_spec, name, coords, n, sign)
+        for field_spec, named in bases.items()
+        for name, coords in named.items()
+        for n in range(1, 4)
+        for sign in (1, -1)
+    ]
+    cases, seen = [], set()
+    for field_spec, name, coords, n, sign in draws:
+        K = parse_field(field_spec)
+        b = K.element(coords + [0] * (K.ambient_dim - len(coords)))
+        spec = AlgebraSpec(n, b ** (1 << n) * sign)
+        dec = build(spec).decomposition
+        if dec.s == n and dec.b != K.one() and spec not in seen:
+            seen.add(spec)
+            a_text = ("-" if sign < 0 else "") + f"{name}^{1 << n}"
+            cases.append(pytest.param(spec, id=f"{field_spec} n={n} a={a_text}"))
+    return cases
+
+
+S_EQUALS_N = s_equals_n_cases()
+
+
+@pytest.mark.parametrize("spec", S_EQUALS_N)
+def test_verify_carries_the_cores_verdicts_at_s_equals_n(spec, monkeypatch, capsys):
+    # at s = n, x -> x/b takes each core polynomial to the family's, and
+    # keeps irreducibility: verify certifies the core's polynomials on
+    # its cold call, none on its warm one, and never one at n; its
+    # structural report is still verify_family's at n
+    family = build(spec)
+    dec = family.decomposition
+    core = core_family(spec.field, dec.form, dec.s)
+    polys = [it.min_poly for it in core.items]
+    assert polys != [it.min_poly for it in family.items]  # b != 1 tells them apart
+    want = verify_family(family, family.elements).as_dict()
+    certified = []
+
+    def recorded(p, _fn=certify_irreducible):
+        certified.append(p)
+        return _fn(p)
+
+    monkeypatch.setattr(oracle_module, "certify_irreducible", recorded)
+    argv = ["verify", "--json", format_field(spec.field), str(spec.n)]
+    argv += ["--", format_element(spec.a)]
+    for cold in (True, False):
+        certified.clear()
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["structural"] == want
+        assert certified == (polys if cold else [])
+
+
+def test_s_equals_n_cases_cover_each_field():
+    # 20 over F_q and 30 over the three level-3 fields: over QC:3,
+    # -b^8 is of depth 2, not 3, and is left out
+    met = Counter(format_field(p.values[0].field) for p in S_EQUALS_N)
+    assert met == {"F:5": 1, "F:7": 8, "F:13": 11, "QC:3": 15, "QR:3": 10, "QE:3": 10}
 
 
 def last_dropped_item(items):
@@ -1136,10 +1226,9 @@ def test_verify_core_flags_a_family_that_is_not_the_image_of_its_core(
 ):
     # (b) a = u*b^(2^s) fails for a doubled b; (c) fails for a family
     # whose first k is negated while its core's is not.  Each adds one
-    # line, and verify exits 1 once the core's report is held.  Before
-    # that, a family whose core is its own size (Q 3 16, QR:3 3 16) is
-    # certified at n, which reads no b, and neither is kept as the core's;
-    # a smaller core (F:7 5 5, s = 3) is certified on its own and kept
+    # line, and verify exits 1 on its cold call, which certifies and
+    # keeps the real core, and on its warm one, whether the core is of
+    # the family's size (Q 3 16, QR:3 3 16) or smaller (F:7 5 5, s = 3)
     family, core = family_and_core(field_spec, n, a)
     dec, base = family.decomposition, core_report(core)
     wrong_b = replace(family, decomposition=replace(dec, b=dec.b + dec.b))
@@ -1151,26 +1240,25 @@ def test_verify_core_flags_a_family_that_is_not_the_image_of_its_core(
     assert report.failures[0] == "family is not the image of its core"
     assert image_failures(family, core) == []
     argv = ["verify", field_spec, n, "--", a]
-    key, smaller = (family.spec.field, dec.form, dec.s), dec.s < int(n)
-    for wrong, cold in ((wrong_b, smaller), (not_image, True)):
+    key = (family.spec.field, dec.form, dec.s)
+    for wrong in (wrong_b, not_image):
         monkeypatch.setattr(cli, "build", lambda spec, wrong=wrong: wrong)
-        assert cli.main(argv) == cold
-        assert list(cli._CORE_REPORTS) == [key] * smaller
+        assert cli.main(argv) == 1
+        assert held_core(key) == (core, base)
         monkeypatch.setattr(cli, "build", build)
         assert cli.main(argv) == 0
-        assert list(cli._CORE_REPORTS) == [key]
         monkeypatch.setattr(cli, "build", lambda spec, wrong=wrong: wrong)
         assert cli.main(argv) == 1
         assert capsys.readouterr().out.splitlines()[-1] == "overall: FAIL"
-        cli._CORE_REPORTS.clear()
+        cli._certified_core.cache_clear()
 
 
 def test_verify_states_and_certifies_each_core_once(monkeypatch, capsys):
     # calls that differ in a and n but share (K, form, s) share one core:
     # the first states it (one more dispatch) and certifies it (one
     # verify_family, on 2^s coefficients), the later ones do neither; and
-    # the one core held, and the one report, are those of (K, form, s),
-    # which hold no a and no n.  A family that is its own core (F:13 1 1,
+    # the one core held, with its report, is that of (K, form, s), which
+    # holds no a and no n.  A family that is its own core (F:13 1 1,
     # Q 3 1) is certified as that core, and its report serves the rest
     calls = Counter()
 
@@ -1191,8 +1279,7 @@ def test_verify_states_and_certifies_each_core_once(monkeypatch, capsys):
         ([("Q", "3", "16"), ("Q", "4", str(16 * 3**8))], ("Q", EPS_COSET, 3)),
         ([("Q", "3", "1"), ("Q", "4", "6561"), ("Q", "3", "1")], ("Q", PLAIN, 3)),
     ):
-        builder.core_family.cache_clear()
-        cli._CORE_REPORTS.clear()
+        cli._certified_core.cache_clear()
         seen = []
         for field, n, a in calls_in_turn:
             calls.clear()
@@ -1204,8 +1291,7 @@ def test_verify_states_and_certifies_each_core_once(monkeypatch, capsys):
         K = parse_field(field_spec)
         core = core_family(K, form, s)
         assert (core.spec.n, core.decomposition.b) == (s, K.one())
-        assert builder.core_family.cache_info().currsize == 1
-        assert cli._CORE_REPORTS == {(K, form, s): core_report(core)}
+        assert held_core((K, form, s)) == (core, core_report(core))
 
 
 # -- high heights ------------------------------------------------------------------------

@@ -219,9 +219,8 @@ CACHES = {
     "fields._signed_perm": "(n, k), a permutation of the power basis",
     "fields._fin_nonresidue": "(q, d), the first non-square",
     "classify.classify": "a field descriptor",
-    "builder.core_family": "(K, form, s): the b-free core, which holds no a and no n",
     "cli._build_parser": "nothing: the one argument parser",
-    "cli._CORE_REPORTS": "(K, form, s): the report on builder.core_family's core",
+    "cli._certified_core": "(K, form, s): the b-free core and its report, no a or n",
     "selftest._family": "a matrix spec, each algebra built once per selftest",
     "selftest._checked_family": "a matrix case",
     "selftest._powers": "(field, s), a ground-truth table",
