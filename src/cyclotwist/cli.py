@@ -20,18 +20,22 @@ All output is deterministic: identical invocations produce identical
 bytes.  JSON output keeps a stable key order and serializes every
 number as an exact string — never a float.  Its bytes are those of
 ``json.dumps(obj, indent=2)``: ``_json_text`` writes them for any
-object, and ``idempotents --json`` writes each item's text directly,
-one join per coefficient list (``_item_json``).
+object, ``idempotents --json`` writes each item's text directly, one
+join per coefficient list (``_item_json``), and the verification report
+of ``verify --json`` and ``idempotents --verify --json`` is written by
+``_report_json``, one template per item check.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Optional, Sequence, Tuple
 
 from .algebra import AlgebraSpec
@@ -49,6 +53,7 @@ from .grammar import (
 from .oracle import (
     DEFAULT_ENUM_BUDGET,
     EnumerationBudgetError,
+    ItemCheck,
     VerificationError,
     VerificationReport,
     conjugate_pairing_check,
@@ -63,12 +68,12 @@ __all__ = ["main"]
 
 def _print_json(obj) -> None:
     """Print ``obj`` exactly as ``print(json.dumps(obj, indent=2))``
-    would, for the objects of ``verify --json`` and ``classify --json``:
-    dicts with str keys, lists, str, int, bool and None.  ``json.dumps``
-    runs the generators of the pure-Python encoder whenever it indents;
-    ``_json_text`` writes the same bytes in one recursive pass.  The
-    family of ``idempotents --json`` is printed by
-    ``_print_family_json``."""
+    would, for the objects of ``classify --json``: dicts with str keys,
+    lists, str, int, bool and None.  ``json.dumps`` runs the generators
+    of the pure-Python encoder whenever it indents; ``_json_text`` writes
+    the same bytes in one recursive pass.  ``verify --json`` and the
+    family of ``idempotents --json`` (``_print_family_json``) write their
+    header through ``_json_text`` and their report by ``_report_json``."""
     print(_json_text(obj, "\n"))
 
 
@@ -101,6 +106,43 @@ def _json_text(obj, pad: str) -> str:
         leaf = _JSON_LEAVES.get(type(v))
         parts.append(head + (leaf(v) if leaf else _json_text(v, inner)))
     return ends[0] + inner + ("," + inner).join(parts) + pad + ends[1]
+
+
+_FLAG_NAMES = [f.name for f in dataclasses.fields(ItemCheck)[1:]]
+_item_flags = attrgetter(*_FLAG_NAMES)
+# one item check at its place in either report, as in ``as_dict``: the
+# label's elements and then each flag, in ``ItemCheck``'s field order
+_ITEM_CHECK_JSON = (
+    '{{\n        "label": [\n          {}\n        ]'
+    + "".join(f',\n        "{name}": {{}}' for name in _FLAG_NAMES)
+    + "\n      }}"
+)
+_JSON_BOOL = {True: "true", False: "false"}.__getitem__
+
+
+def _report_json(report: VerificationReport) -> str:
+    """The text of ``report.as_dict()`` at its place in either document,
+    a value of the top object, as ``json.dumps(obj, indent=2)`` writes
+    it: each item check is one template, filled with its label and its
+    flags.  A label is a nonempty tuple of ints, which need no escaping."""
+    items = [
+        _ITEM_CHECK_JSON.format(
+            ",\n          ".join(map(str, c.label)), *map(_JSON_BOOL, _item_flags(c))
+        )
+        for c in report.item_checks
+    ]
+    items = "[\n      " + ",\n      ".join(items) + "\n    ]" if items else "[]"
+    ok = _JSON_BOOL(report.ok)
+    failures = _json_text(list(report.failures), "\n    ")
+    return (
+        f'{{\n    "pass": {ok},\n    "sound": {ok},'
+        f'\n    "orthogonal": {_JSON_BOOL(report.orthogonal)},'
+        f'\n    "sum_is_one": {_JSON_BOOL(report.sum_is_one)},'
+        f'\n    "dim_total": {report.dim_total},'
+        f'\n    "expected_dim": {report.expected_dim},'
+        f'\n    "failures": {failures},\n    "uncertified": [],'
+        f'\n    "items": {items}\n  }}'
+    )
 
 
 def _classification_dict(cls, n: Optional[int]) -> dict:
@@ -141,12 +183,13 @@ def _item_json(it, e) -> str:
     )
 
 
-def _print_family_json(family: IdempotentFamily, elements, verification) -> None:
+def _print_family_json(family: IdempotentFamily, elements, report) -> None:
     """Print the family and its ``elements`` as ``print(json.dumps(obj,
     indent=2))`` would, with ``obj`` the keys field, classification, n, a,
-    s, coset, idempotents and verification.  The header and
-    ``verification`` go through ``_json_text``; the items, which hold
-    nearly all the bytes, by ``_item_json``, each as its element comes."""
+    s, coset, idempotents and verification, ``report.as_dict()`` or null
+    for no ``report``.  The header goes through ``_json_text``, the
+    report through ``_report_json``, and the items, which hold nearly all
+    the bytes, through ``_item_json``, each as its element comes."""
     spec = family.spec
     dec = family.decomposition
     header = {
@@ -162,7 +205,7 @@ def _print_family_json(family: IdempotentFamily, elements, verification) -> None
     for it, e in zip(family.items, elements, strict=True):
         print(sep + _item_json(it, e), end="")
         sep = ",\n    "
-    tail = _json_text(verification, "\n  ")
+    tail = "null" if report is None else _report_json(report)
     print(f'\n  ],\n  "verification": {tail}\n}}')
 
 
@@ -212,9 +255,8 @@ def _cmd_idempotents(args) -> int:
     if not args.unchecked:  # nothing is printed before the verdict
         elements = list(elements)
         report = verified(family, elements.__iter__)
-    verification = report.as_dict() if args.verify else None
     if args.json:
-        _print_family_json(family, elements, verification)
+        _print_family_json(family, elements, report if args.verify else None)
     else:
         _print_family_text(family, elements)
         if args.verify:
@@ -264,16 +306,13 @@ def _cmd_verify(args) -> int:
 
     passed = report.ok and "mismatch" not in (enumeration, pairing)
     if args.json:
-        _print_json(
-            {
-                "field": format_field(spec.field),
-                "n": spec.n,
-                "a": format_element(spec.a),
-                "structural": report.as_dict(),
-                "enumeration": enumeration,
-                "pairing": pairing,
-                "pass": passed,
-            }
+        # the keys field, n, a, structural, enumeration, pairing and pass
+        head = {"field": format_field(spec.field), "n": spec.n, "a": format_element(spec.a)}
+        tail = {"enumeration": enumeration, "pairing": pairing, "pass": passed}
+        print(
+            _json_text(head, "\n")[:-2]
+            + f',\n  "structural": {_report_json(report)},'
+            + _json_text(tail, "\n")[1:]
         )
     else:
         print(f"structural: {report.headline()}")
@@ -356,6 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_selftest)
 
+    parser.subcommands = sub.choices  # each subcommand's own parser, by name
     return parser
 
 
@@ -364,7 +404,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # int <-> str, both in a literal and in what is printed
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser()
+    # the subparsers action would parse the whole call a second time,
+    # after the top parser has walked it; so a call that names its
+    # subcommand goes to that subcommand's parser alone, as the action
+    # sends it, and the rest (no argument, -h, an unknown command) to
+    # the whole parser.  What the subcommand leaves over is refused as
+    # the whole parser refuses it
+    own = parser.subcommands.get(argv[0]) if argv else None
+    if own is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = own.parse_known_args(argv[1:])
+        if extras:
+            parser.error("unrecognized arguments: " + " ".join(extras))
     try:
         code = args.handler(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit

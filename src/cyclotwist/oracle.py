@@ -53,7 +53,7 @@ import struct
 from dataclasses import dataclass
 from itertools import repeat
 from math import gcd, lcm
-from operator import add
+from operator import add, attrgetter
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from . import _enum_py, fields
@@ -125,6 +125,8 @@ class ItemCheck:
 
 
 _FLAGS = dataclasses.fields(ItemCheck)[1:]
+# every flag but the last, ``primitive``, which ``verify_core`` sets itself
+_kept_flags = attrgetter(*[f.name for f in _FLAGS[:-1]])
 
 
 @dataclass(frozen=True)
@@ -294,10 +296,10 @@ def verify_core(
     kept."""
     deeper = core.spec.n < family.spec.n
     checks = [
-        dataclasses.replace(
-            c,
-            label=it.label,
-            primitive=certify_irreducible(it.min_poly) if deeper else c.primitive,
+        ItemCheck(
+            it.label,
+            *_kept_flags(c),
+            certify_irreducible(it.min_poly) if deeper else c.primitive,
         )
         for it, c in zip(family.items, core_report.item_checks)
     ]

@@ -16,13 +16,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import _checked_family_with_a_fault
 from test_golden_cli import argvs
+from test_oracle import core_report, family_and_core, first_k_negated, mutants, with_elements
 
 from cyclotwist import algebra, cli, selftest
 from cyclotwist.builder import build
 from cyclotwist.classify import classify
 from cyclotwist.cli import _build_parser, main
 from cyclotwist.grammar import format_element, format_field, parse_field
-from cyclotwist.oracle import VerificationError, verified, verify_family
+from cyclotwist.oracle import VerificationError, verified, verify_core, verify_family
 
 DEEP_A = "170459392,120532992,0,-120532992"  # (1 + eps_3)^32 over QR:3
 
@@ -593,6 +594,68 @@ def test_one_parser_serves_every_call_in_a_process(capsys):
     assert _build_parser() is _build_parser()
 
 
+# each call main sends to its subcommand's parser, and the calls it
+# sends to the whole parser, by what they test
+PARITY_ARGVS = {
+    "no arguments": [],
+    "top help": ["-h"],
+    "unknown command": ["verb"],
+    "command alone": ["verify"],
+    "missing a": ["verify", "F:7", "2"],
+    "leftover argument": ["verify", "F:7", "2", "3", "extra"],
+    "bad n": ["verify", "F:7", "x", "3"],
+    "bad budget": ["verify", "F:7", "2", "3", "--max-enum", "x"],
+    "negative budget": ["verify", "F:7", "2", "3", "--max-enum", "-1"],
+    "option after --": ["idempotents", "QE:3", "2", "--", "-1/2,1,0,1", "--json"],
+    "exclusive flags": ["idempotents", "F:7", "2", "3", "--verify", "--unchecked"],
+    "abbreviated flag": ["verify", "--js", "F:7", "2", "3"],
+    "negative a, abbreviated budget": ["verify", "F:7", "2", "-1", "--max", "5"],
+    "flag after --": ["verify", "F:7", "2", "3", "--", "--json"],
+    "selftest leftover": ["selftest", "extra"],
+    "option before command": ["--json", "verify", "F:7", "2", "3"],
+    "bad classify n": ["classify", "Q", "--n", "x"],
+}
+
+
+def _exit(call, capsys):
+    """The exit code, stdout and stderr of ``call()``."""
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGVS.values(), ids=PARITY_ARGVS.keys())
+def test_main_parses_each_call_as_the_whole_parser_does(argv, capsys):
+    # main parses a call that names its subcommand with that
+    # subcommand's parser alone: the exit code, stdout and stderr, and
+    # the namespace each handler receives but for "command", are those
+    # of the whole parser and the handler it names
+    parser = _build_parser()
+    handlers = {name: p.get_default("handler") for name, p in parser.subcommands.items()}
+    namespaces = []
+    for name, handler in handlers.items():
+        parser.subcommands[name].set_defaults(
+            handler=lambda args, h=handler: namespaces.append(vars(args)) or h(args)
+        )
+
+    def whole():
+        args = parser.parse_args(argv)
+        return args.handler(args)
+
+    try:
+        assert _exit(lambda: main(argv), capsys) == _exit(whole, capsys)
+    finally:
+        for name, handler in handlers.items():
+            parser.subcommands[name].set_defaults(handler=handler)
+    if namespaces:  # the call parsed, and each path ran its handler
+        mine, theirs = namespaces
+        assert theirs.pop("command") == argv[0]
+        assert mine == theirs
+
+
 # -- the JSON writer ---------------------------------------------------------------
 
 JSON_VALUES = st.recursive(
@@ -646,12 +709,11 @@ def _family_dict(family, verification):
     }
 
 
-def test_json_writer_on_every_golden_json_call(monkeypatch, capsys):
-    # verify prints its object through _print_json; idempotents writes
-    # its document item by item, which must be the bytes json.dumps
-    # writes for the reference object, checked and unchecked alike
-    printed = []
-    monkeypatch.setattr(cli, "_print_json", printed.append)
+def test_json_writer_on_every_golden_json_call(capsys):
+    # idempotents writes its document item by item, and verify and
+    # idempotents --verify their report by template: each must be the
+    # bytes json.dumps writes for the reference object, checked and
+    # unchecked alike, with the report's as_dict() as its report
     json_argvs = [argv for argv in argvs() if "--json" in argv]
     family_argvs = [argv for argv in json_argvs if argv[0] == "idempotents"]
     flags = {flag for argv in family_argvs for flag in argv}
@@ -665,8 +727,44 @@ def test_json_writer_on_every_golden_json_call(monkeypatch, capsys):
         reference = _family_dict(family, verification)
         assert (code, out) == (0, json.dumps(reference, indent=2) + "\n")
     verify_argvs = [argv for argv in json_argvs if argv not in family_argvs]
+    assert verify_argvs
     for argv in verify_argvs:
-        run(capsys, *argv)
-    assert len(printed) == len(verify_argvs)
-    for obj in printed:
-        assert cli._json_text(obj, "\n") == json.dumps(obj, indent=2)
+        _, out, _ = run(capsys, *argv)
+        spec = cli._spec_from_args(_build_parser().parse_args(argv))
+        verdicts = json.loads(out)
+        obj = {
+            "field": format_field(spec.field),
+            "n": spec.n,
+            "a": format_element(spec.a),
+            "structural": cli._certified(build(spec)).as_dict(),
+            **{key: verdicts[key] for key in ("enumeration", "pairing", "pass")},
+        }
+        assert out == json.dumps(obj, indent=2) + "\n"
+
+
+def failing_reports():
+    """Reports with failure lines and false flags: verify_family on the
+    wrong families of ``mutants``, and verify_core on families that are
+    not their core's image (a doubled b, a negated k)."""
+    for field_spec, n, a in [("F:7", "2", "3"), ("F:3", "1", "2"), ("Q", "3", "16")]:
+        family, core = family_and_core(field_spec, n, a)
+        for _, elements in mutants(family):
+            yield verify_family(*with_elements(family, elements))
+        dec = family.decomposition
+        for wrong in (
+            replace(family, decomposition=replace(dec, b=dec.b + dec.b)),
+            replace(family, items=first_k_negated(family.items)),
+        ):
+            yield verify_core(wrong, core, core_report(core))
+
+
+def test_report_writer_on_failing_reports():
+    # every golden report passes, so only these write failure lines,
+    # false flags and an empty item list
+    reports = list(failing_reports())
+    flags = {f for r in reports for c in r.item_checks for f in cli._item_flags(c)}
+    assert all(not r.ok for r in reports)
+    assert False in flags and any(not r.item_checks for r in reports)
+    for report in reports:
+        want = json.dumps({"structural": report.as_dict()}, indent=2)
+        assert '{\n  "structural": ' + cli._report_json(report) + "\n}" == want
