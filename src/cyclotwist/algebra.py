@@ -100,7 +100,8 @@ class AlgebraSpec:
 
     def gbar(self, e: int = 1) -> "AlgebraElement":
         """The basis monomial g^e for e >= 0, reduced by g^(2^n) = a:
-        a^(e div 2^n) as the coefficient of g^(e mod 2^n)."""
+        a^(e div 2^n) as the coefficient of g^(e mod 2^n).  Library API
+        (README, Library): no command forms a monomial."""
         if e < 0:
             raise ValueError("exponent must be >= 0")
         wraps, r = divmod(e, self.size)
@@ -112,7 +113,10 @@ class AlgebraSpec:
     def coerce(self, c) -> Optional["AlgebraElement"]:
         """``c`` as an element of this algebra: an element of it as is, a
         field element or any other number as a scalar
-        (``FieldDescriptor.coerce``), None for anything else."""
+        (``FieldDescriptor.coerce``), None for anything else.  Library
+        API (README, Library): the lift of the other operand of a sum,
+        difference or comparison (``Element._lift``); no command mixes
+        an algebra element with a number."""
         if isinstance(c, AlgebraElement):
             if c.owner is not self and c.owner != self:
                 raise AmbientError("operands live in different algebras")
@@ -200,6 +204,12 @@ def alg_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     (one slot of every power) at a time: zeta^d = -1 (i^2 = -1)
     subtracts lane j + d from lane j, and u^M = a adds the upper M
     powers times a to the lower ones in one ``times_coords`` call.
+
+    The product of two elements is library API (README, Library), and
+    no command forms one unless a family fails a check, where
+    ``oracle.verify_family`` computes e*e.  It is kept as the package's
+    big-integer product of algebra elements, the kernel a faster
+    annihilation check would share.
     """
     if x.spec is not y.spec and x.spec != y.spec:
         raise AmbientError("operands live in different algebras")

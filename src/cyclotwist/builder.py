@@ -366,13 +366,6 @@ def _ambient(x: AmbientElement) -> AmbientElement:
     return AmbientElement._make(interned(IDENTITY, K.level, K.q), x.ints, x.den)
 
 
-def ambient_spec(spec: AlgebraSpec) -> AlgebraSpec:
-    """The same algebra over the ambient field A (interned, with the
-    trivial involution); equal to ``spec`` when K = A.  Its ``build``
-    is the ambient family, coefficients and all."""
-    return AlgebraSpec(spec.n, _ambient(spec.a))
-
-
 def ambient_constants(family: IdempotentFamily) -> List[Tuple[int, AmbientElement]]:
     """(S, k) of every item over the ambient field A, for
     ``conjugate_pairing_check``: A has the identity involution, so one

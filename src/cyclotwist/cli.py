@@ -66,17 +66,6 @@ from .oracle import (
 __all__ = ["main"]
 
 
-def _print_json(obj) -> None:
-    """Print ``obj`` exactly as ``print(json.dumps(obj, indent=2))``
-    would, for the objects of ``classify --json``: dicts with str keys,
-    lists, str, int, bool and None.  ``json.dumps`` runs the generators
-    of the pure-Python encoder whenever it indents; ``_json_text`` writes
-    the same bytes in one recursive pass.  ``verify --json`` and the
-    family of ``idempotents --json`` (``_print_family_json``) write their
-    header through ``_json_text`` and their report by ``_report_json``."""
-    print(_json_text(obj, "\n"))
-
-
 # the text of each leaf type, written inside a container with no recursion
 _JSON_LEAVES = {
     str: encode_basestring_ascii,
@@ -110,8 +99,8 @@ def _json_text(obj, pad: str) -> str:
 
 _FLAG_NAMES = [f.name for f in dataclasses.fields(ItemCheck)[1:]]
 _item_flags = attrgetter(*_FLAG_NAMES)
-# one item check at its place in either report, as in ``as_dict``: the
-# label's elements and then each flag, in ``ItemCheck``'s field order
+# one item check at its place in either report: the label's elements
+# and then each flag, in ``ItemCheck``'s field order
 _ITEM_CHECK_JSON = (
     '{{\n        "label": [\n          {}\n        ]'
     + "".join(f',\n        "{name}": {{}}' for name in _FLAG_NAMES)
@@ -121,10 +110,15 @@ _JSON_BOOL = {True: "true", False: "false"}.__getitem__
 
 
 def _report_json(report: VerificationReport) -> str:
-    """The text of ``report.as_dict()`` at its place in either document,
-    a value of the top object, as ``json.dumps(obj, indent=2)`` writes
-    it: each item check is one template, filled with its label and its
-    flags.  A label is a nonempty tuple of ints, which need no escaping."""
+    """The JSON text of ``report`` at its place in either document, a
+    value of the top object, as ``json.dumps(obj, indent=2)`` writes it:
+    the keys pass, sound, orthogonal, sum_is_one, dim_total,
+    expected_dim, failures, uncertified and items, each item check one
+    template filled with its label and its flags.  A label is a nonempty
+    tuple of ints, which need no escaping.  The format keeps "sound"
+    (always equal to "pass") and "uncertified" (always empty): every
+    verdict is definite.  "orthogonal" is implied by the other checks,
+    not multiplied out (``oracle.verify_family``)."""
     items = [
         _ITEM_CHECK_JSON.format(
             ",\n          ".join(map(str, c.label)), *map(_JSON_BOOL, _item_flags(c))
@@ -186,8 +180,8 @@ def _item_json(it, e) -> str:
 def _print_family_json(family: IdempotentFamily, elements, report) -> None:
     """Print the family and its ``elements`` as ``print(json.dumps(obj,
     indent=2))`` would, with ``obj`` the keys field, classification, n, a,
-    s, coset, idempotents and verification, ``report.as_dict()`` or null
-    for no ``report``.  The header goes through ``_json_text``, the
+    s, coset, idempotents and verification, ``report`` or null for no
+    ``report``.  The header goes through ``_json_text``, the
     report through ``_report_json``, and the items, which hold nearly all
     the bytes, through ``_item_json``, each as its element comes."""
     spec = family.spec
@@ -232,9 +226,8 @@ def _cmd_classify(args) -> int:
     K = parse_field(args.field)
     classification = _classification_dict(classify(K), args.n)
     if args.json:
-        _print_json(
-            {"field": format_field(K), "classification": classification, "n": args.n}
-        )
+        obj = {"field": format_field(K), "classification": classification, "n": args.n}
+        print(_json_text(obj, "\n"))
         return 0
     print(f"field: {format_field(K)}")
     print(f"type: {classification['type']}")

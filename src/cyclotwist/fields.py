@@ -444,10 +444,6 @@ class AmbientElement(Element):
         o = self._lift(other)
         return NotImplemented if o is None else self * o.inverse()
 
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is None else o * self.inverse()
-
     def __repr__(self):
         body = ", ".join(str(c) for c in self.coeffs)
         return f"<[{body}] in {self.owner}>"

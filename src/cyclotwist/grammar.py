@@ -33,11 +33,14 @@ Element literals
 ----------------
 
 An *element literal* is a comma-separated list of coordinates over the
-ambient power basis: ``Fraction`` syntax (``-3/2``, or a decimal such
-as ``1.5``) for cyclotomic fields, integers for finite fields.  No
-coordinate may hold an exponent (``e`` or ``E``): ``1e1000000`` would
-name a million-digit integer in nine characters, whereas a literal
-without one is no larger than its text.  A single token denotes a scalar
+ambient power basis, each in ASCII: an optional sign and decimal digits
+(``-4``) for every field, and for cyclotomic fields also a fraction
+(``-3/2``) or a decimal (``1.5``, ``.5``, ``5.``).  Spaces may surround
+a coordinate but not split it.  No coordinate may hold an exponent
+(``e`` or ``E``): ``1e1000000`` would name a million-digit integer in
+nine characters, whereas a literal without one is no larger than its
+text.  No ``_`` separator or non-ASCII digit is read, so a literal
+parses alike on every Python.  A single token denotes a scalar
 (rational or residue); otherwise exactly ``ambient_dim`` tokens are
 required.  ``format_element`` emits the shortest faithful literal
 (scalars as one token) and round-trips through ``parse_element``.
@@ -49,6 +52,7 @@ oracle's failure lines alike.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import compress
 from math import gcd
@@ -144,19 +148,24 @@ def format_field(field: FieldDescriptor) -> str:
             return "Q" if (head, field.level) == ("QR", 2) else f"{head}:{field.level}"
 
 
+# the coordinate grammar (module docstring): ``int`` and ``Fraction``
+# read more than it, and what more differs between Python versions
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
+
+
 def _coordinate(field: FieldDescriptor, token: str):
     token = token.strip()
+    pattern, convert = (_INTEGER, int) if field.q else (_RATIONAL, Fraction)
     try:
-        if field.q:
-            return int(token)
-        if "e" in token.lower():  # 1e1000000 names a million-digit integer
-            raise ValueError
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(
-            f"bad coordinate {token!r}: expected "
-            + ("an integer" if field.q else "a rational like -3/2")
-        ) from None
+        if pattern.fullmatch(token):
+            return convert(token)
+    except ZeroDivisionError:  # a zero denominator
+        pass
+    raise ValueError(
+        f"bad coordinate {token!r}: expected "
+        + ("an integer" if field.q else "a rational like -3/2")
+    )
 
 
 def parse_element(field: FieldDescriptor, literal: str) -> AmbientElement:

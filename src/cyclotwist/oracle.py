@@ -147,26 +147,6 @@ class VerificationReport:
             return "PASS"
         return "FAIL: " + "; ".join(self.failures)
 
-    def as_dict(self) -> dict:
-        # The JSON format keeps "sound" (always equal to "pass") and
-        # "uncertified" (always empty): every verdict is definite.
-        # "orthogonal" is implied by the other checks, not multiplied
-        # out (see verify_family).
-        return {
-            "pass": self.ok,
-            "sound": self.ok,
-            "orthogonal": self.orthogonal,
-            "sum_is_one": self.sum_is_one,
-            "dim_total": self.dim_total,
-            "expected_dim": self.expected_dim,
-            "failures": list(self.failures),
-            "uncertified": [],
-            "items": [
-                {"label": list(c.label), **{f.name: getattr(c, f.name) for f in _FLAGS}}
-                for c in self.item_checks
-            ],
-        }
-
 
 def verify_family(family: IdempotentFamily, elements) -> VerificationReport:
     """Run every structural check on a constructed family, and certify

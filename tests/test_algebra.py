@@ -16,12 +16,13 @@ from cyclotwist.algebra import (
     _unpack,
     alg_mul,
 )
-from cyclotwist.builder import ambient_spec, build
+from cyclotwist.builder import build
 from cyclotwist.fields import IDENTITY, INVERSE_CONJ, sigma, sqrt_ambient
 from cyclotwist.grammar import parse_element, parse_field
 from cyclotwist.oracle import certify_irreducible, verified, verify_family
 from test_builder import (
     StatedItem,
+    ambient_spec,
     galois,
     golden_instances,
     min_poly_reference,

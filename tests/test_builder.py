@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from cyclotwist import builder, cli, fields
 from cyclotwist.algebra import AlgebraSpec, Poly, lattice_step
 from cyclotwist.builder import (
+    _ambient,
     _char_sum,
     _stated,
-    ambient_spec,
     build,
     core_family,
     thm3_case3,
@@ -53,6 +53,14 @@ DEEP_A = "170459392,120532992,0,-120532992"  # (1 + eps_3)^32 over QR:3
 def spec_of(field_spec, n, a_literal):
     K = parse_field(field_spec)
     return AlgebraSpec(n, parse_element(K, a_literal))
+
+
+def ambient_spec(spec):
+    """The same algebra over the ambient field A (interned, with the
+    trivial involution); equal to ``spec`` when K = A.  Its ``build``
+    is the ambient family, coefficients and all, which the tests compare
+    the package's ambient-side results against."""
+    return AlgebraSpec(spec.n, _ambient(spec.a))
 
 
 def poly_of(coeffs):

@@ -16,7 +16,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import _checked_family_with_a_fault
 from test_golden_cli import argvs
-from test_oracle import core_report, family_and_core, first_k_negated, mutants, with_elements
+from test_oracle import (
+    core_report,
+    family_and_core,
+    first_k_negated,
+    mutants,
+    report_dict,
+    with_elements,
+)
 
 from cyclotwist import algebra, cli, selftest
 from cyclotwist.builder import build
@@ -713,7 +720,7 @@ def test_json_writer_on_every_golden_json_call(capsys):
     # idempotents writes its document item by item, and verify and
     # idempotents --verify their report by template: each must be the
     # bytes json.dumps writes for the reference object, checked and
-    # unchecked alike, with the report's as_dict() as its report
+    # unchecked alike, with the tests' report_dict as its report
     json_argvs = [argv for argv in argvs() if "--json" in argv]
     family_argvs = [argv for argv in json_argvs if argv[0] == "idempotents"]
     flags = {flag for argv in family_argvs for flag in argv}
@@ -723,7 +730,7 @@ def test_json_writer_on_every_golden_json_call(capsys):
         args = _build_parser().parse_args(argv)
         family = build(cli._spec_from_args(args))
         report = None if args.unchecked else verified(family, family.elements)
-        verification = report.as_dict() if args.verify else None
+        verification = report_dict(report) if args.verify else None
         reference = _family_dict(family, verification)
         assert (code, out) == (0, json.dumps(reference, indent=2) + "\n")
     verify_argvs = [argv for argv in json_argvs if argv not in family_argvs]
@@ -736,7 +743,7 @@ def test_json_writer_on_every_golden_json_call(capsys):
             "field": format_field(spec.field),
             "n": spec.n,
             "a": format_element(spec.a),
-            "structural": cli._certified(build(spec)).as_dict(),
+            "structural": report_dict(cli._certified(build(spec))),
             **{key: verdicts[key] for key in ("enumeration", "pairing", "pass")},
         }
         assert out == json.dumps(obj, indent=2) + "\n"
@@ -766,5 +773,5 @@ def test_report_writer_on_failing_reports():
     assert all(not r.ok for r in reports)
     assert False in flags and any(not r.item_checks for r in reports)
     for report in reports:
-        want = json.dumps({"structural": report.as_dict()}, indent=2)
+        want = json.dumps({"structural": report_dict(report)}, indent=2)
         assert '{\n  "structural": ' + cli._report_json(report) + "\n}" == want

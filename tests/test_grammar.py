@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_algebra import algebra_elements, kernel_specs
+from test_builder import ambient_spec
 from test_golden_cli import golden_instances
 
 from cyclotwist.algebra import AlgebraSpec
-from cyclotwist.builder import ambient_spec, build
+from cyclotwist.builder import build
 from cyclotwist.fields import (
     IDENTITY,
     INVERSE_CONJ,
@@ -139,6 +140,32 @@ def test_format_element_is_shortest_faithful():
 def test_rejected_literals(field, bad, message):
     with pytest.raises(ValueError, match=message):
         parse_element(parse_field(field), bad)
+
+
+@pytest.mark.parametrize(
+    "token, value",
+    [
+        ("1_000", None),
+        ("1 / 2", None),
+        ("\u0661", None),  # ARABIC-INDIC DIGIT ONE, which int and Fraction read as 1
+        ("1e3", None),
+        ("+3", Fraction(3)),
+        (".5", Fraction(1, 2)),
+        ("5.", Fraction(5)),
+        ("-3/2", Fraction(-3, 2)),
+    ],
+)
+def test_coordinates_are_read_by_one_ascii_grammar(token, value):
+    # int and Fraction read more than the grammar, and differently on
+    # each Python: 1_000 from 3.11 on, "1 / 2" on 3.12 alone
+    Q = parse_field("Q")
+    if value is not None:
+        assert parse_element(Q, token) == Q.scalar(value)
+        return
+    for field, expected in (("Q", "a rational like -3/2"), ("F:5", "an integer")):
+        message = f"bad coordinate {token!r}: expected {expected}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_element(parse_field(field), token)
 
 
 def test_finite_literals_are_integers_only():

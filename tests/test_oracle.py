@@ -1,6 +1,7 @@
 """Verification oracles: structural checks, brute force, the Frobenius
 certificate, conjugate pairing."""
 
+import dataclasses
 import importlib
 import json
 import random
@@ -24,7 +25,7 @@ from cyclotwist.algebra import (
 )
 from cyclotwist import builder
 from cyclotwist.classify import EPS_COSET, PLAIN, ks_decompose
-from cyclotwist.builder import ambient_constants, ambient_spec, build, core_family
+from cyclotwist.builder import ambient_constants, build, core_family
 from cyclotwist.fields import (
     IDENTITY,
     FieldDescriptor,
@@ -57,6 +58,7 @@ from cyclotwist.oracle import (
 )
 from test_algebra import ambient_elements, kernel_specs
 from test_builder import (
+    ambient_spec,
     golden_instances,
     min_poly_reference,
     poly_of,
@@ -135,6 +137,26 @@ def with_elements(family, elements):
     item = family.items[0]
     items = tuple(replace(item, label=(j,)) for j in range(len(elements)))
     return replace(family, items=items), elements.__iter__
+
+
+def report_dict(report):
+    """The report as the object whose ``json.dumps(obj, indent=2)``
+    ``cli._report_json`` writes: the reference of the report's JSON
+    schema.  Each item check is its label as a list, then its flags in
+    ``ItemCheck``'s field order."""
+    return {
+        "pass": report.ok,
+        "sound": report.ok,
+        "orthogonal": report.orthogonal,
+        "sum_is_one": report.sum_is_one,
+        "dim_total": report.dim_total,
+        "expected_dim": report.expected_dim,
+        "failures": list(report.failures),
+        "uncertified": [],
+        "items": [
+            {**dataclasses.asdict(c), "label": list(c.label)} for c in report.item_checks
+        ],
+    }
 
 
 def mutants(family):
@@ -825,7 +847,7 @@ def ambient_constants_reference(spec):
     """(S, k) of the ambient items from a second ``ks_decompose``, over
     ``ambient_spec``, as ``ambient_constants`` computed them before it
     read the family's own root chain."""
-    A = builder.ambient_spec(spec)
+    A = ambient_spec(spec)
     dec = ks_decompose(A.a, A.n)
     closed = builder._dispatch(dec)
     return [(1 << (A.n - dec.s + r), k) for _, r, k in closed]
@@ -922,8 +944,8 @@ def test_one_descriptor_per_field(field_spec):
     K = parse_field(field_spec)
     assert parse_field(field_spec) is K
     assert parse_field(f" {field_spec} ") is K
-    A = builder.ambient_spec(spec_of(field_spec, 1, "1")).field
-    assert A is builder.ambient_spec(spec_of(field_spec, 2, "1")).field
+    A = ambient_spec(spec_of(field_spec, 1, "1")).field
+    assert A is ambient_spec(spec_of(field_spec, 2, "1")).field
     assert A == FieldDescriptor(IDENTITY, K.level, K.q)
     assert A is K or K.involution != IDENTITY
     # a descriptor built directly is equal, hashes alike and combines
@@ -1093,7 +1115,7 @@ def test_verify_core_agrees_with_verify_family(field_spec, n, a):
     family, core = family_and_core(field_spec, n, a)
     report = verify_core(family, core, core_report(core))
     assert report.ok
-    assert report.as_dict() == verify_family(family, family.elements).as_dict()
+    assert report == verify_family(family, family.elements)
 
 
 def s_equals_n_cases():
@@ -1145,7 +1167,7 @@ def test_verify_carries_the_cores_verdicts_at_s_equals_n(spec, monkeypatch, caps
     core = core_family(spec.field, dec.form, dec.s)
     polys = [it.min_poly for it in core.items]
     assert polys != [it.min_poly for it in family.items]  # b != 1 tells them apart
-    want = verify_family(family, family.elements).as_dict()
+    want = report_dict(verify_family(family, family.elements))
     certified = []
 
     def recorded(p, _fn=certify_irreducible):

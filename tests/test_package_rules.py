@@ -9,13 +9,17 @@ rebinding module-level names from outside the package
 its report, so those names are pinned here.  Every element holds its
 field, so no function takes an element and its field both.  ``builder``
 states a family and only ``oracle`` certifies it, so no layer below the
-oracle imports it.
+oracle imports it.  Every package function runs on some command, or is
+library API or a failure path named with its reason: code that only
+tests reach lives in the tests.
 """
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -174,15 +178,15 @@ def test_the_depth_cap_is_read_only_in_fields():
 
 def test_the_construction_reads_n_only_as_the_cap():
     # the classification belongs to the field alone, and the builder
-    # reads n only where build hands the cap to ks_decompose and where
-    # ambient_spec copies a spec: every S comes from the size 2^n
+    # reads n only where build hands the cap to ks_decompose: every S
+    # comes from the size 2^n
     classify = importlib.import_module("cyclotwist.classify").classify
     assert len(inspect.signature(classify).parameters) == 1
     tree = _parsed(PACKAGE / "builder.py")
     allowed = {
         id(node)
         for fn in tree.body
-        if isinstance(fn, ast.FunctionDef) and fn.name in ("build", "ambient_spec")
+        if isinstance(fn, ast.FunctionDef) and fn.name == "build"
         for node in ast.walk(fn)
     }
     readers = [
@@ -428,3 +432,139 @@ def test_the_field_rule_catches_what_it_names(tmp_path):
         "def bare(K, x): ...\n"
     )
     assert _field_beside_an_element([path]) == ["probe.both", "probe.algebra"]
+
+
+# -- every package function runs on some command ----------------------------------
+
+# the calls besides every golden and benchmark argv (``every_argv``): the
+# selftest, passing and failing, the CI's classify calls, a verdict in
+# text, and each refusal the CI makes through the console script
+REACH_CALLS = [
+    "selftest",
+    "selftest --max-enum 0",
+    "classify QC:3 --n 2",
+    "classify F:7 --json",
+    "classify Q --n 40",
+    "verify F:7 2 3",
+    "idempotents --verify Q 2 -4",
+    "verify Q 17 -4",
+    "idempotents F:9 2 1",
+    "verify QC:17 2 1",
+    "idempotents --json Q 2 0",
+    "verify Q 2 1e1000000000",
+    "verify Q 2 1_000",
+    "verify Q 2 '1 / 2'",
+    "verify F:7 2 3 extra",
+    "idempotents QE:3 2 -- -1/2,1,0,1 --json",
+    "verify F:7 2",
+    "verify F:65537 16 1",
+    "verify QC:15 15 -1",
+    "verify QC:16 16 -1",
+]
+
+# a fresh interpreter, profiled from before the package is imported, runs
+# every call and prints (module, first line) of each package code object
+# it entered; the first line of a decorated function is its decorator's
+_REACH_SCRIPT = """
+import cProfile, contextlib, io, json, shlex, sys
+from pathlib import Path
+package, tests, calls = Path(sys.argv[1]).resolve(), sys.argv[2], json.loads(sys.argv[3])
+sys.path[:0] = [str(package.parent), tests]
+profile = cProfile.Profile()
+profile.enable()
+from cyclotwist.cli import main
+from test_golden_cli import every_argv
+for argv in every_argv() + [shlex.split(call) for call in calls]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+profile.disable()
+entered = {
+    (path.stem, entry.code.co_firstlineno)
+    for entry in profile.getstats()
+    if not isinstance(entry.code, str)
+    if (path := Path(entry.code.co_filename).resolve()).parent == package
+}
+print(json.dumps(sorted(entered)))
+"""
+
+# each package function that no call enters, and why it stays: library
+# API that README documents, or a path that only a failure takes
+UNREACHED = {
+    "algebra.AlgebraSpec.gbar": "library API: g^k is spec.gbar(k) (README, Library)",
+    "algebra.AlgebraSpec.coerce": "library API: the lift of a mixed operand (README, Library)",
+    "algebra.AlgebraElement.coeffs": "library API: an element's coefficients (README, Library)",
+    "algebra.AlgebraElement.__mul__": "library API; e*e, formed only for a family that fails",
+    "algebra.AlgebraElement.__repr__": "library API: the element at a prompt",
+    "algebra.alg_mul": "the product of two algebra elements, formed only for a family that fails",
+    "algebra._pack": "alg_mul's Kronecker packing",
+    "algebra._unpack": "alg_mul's Kronecker unpacking",
+    "algebra._bias": "alg_mul's Kronecker packing",
+    "fields.FieldDescriptor.__str__": "library API: the field at a prompt",
+    "fields.Element.__setattr__": "failure path: an element is immutable",
+    "fields.Element.__rsub__": "library API: a number minus an element (README, Library)",
+    "fields.Element.inverse": "failure path: an algebra element has no inverse",
+    "fields.AmbientElement.coeffs": "library API: an element's coordinates (README, Library)",
+    "fields.AmbientElement.__repr__": "library API: the element at a prompt",
+    "oracle.VerificationError.__init__": "failure path: verified refuses a failing family",
+    "selftest.MatrixCase.repro": "failure path: the call that reproduces a failing case",
+    "selftest.MatrixCase.__str__": "failure path: a failing case's name",
+    "selftest._unchecked": "failure path: the call that reproduces a failing depth",
+    "selftest.criterion_depth_regression.name": "failure path: a failing depth's name",
+    "selftest.criterion_structure_law.name": "failure path: a failing law's name",
+    "selftest.criterion_structure_law.repro": "failure path: the call that reproduces it",
+}
+
+
+def _defs(tree, prefix):
+    """(dotted name, first line) of every function defined in ``tree``,
+    methods and nested functions included, the first line of a decorated
+    one its first decorator's, as its code object counts it."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, min(d.lineno for d in node.decorator_list + [node])
+            yield from _defs(node, f"{prefix}{node.name}.")
+        elif isinstance(node, ast.ClassDef):
+            yield from _defs(node, f"{prefix}{node.name}.")
+
+
+def test_every_package_function_runs_on_some_command():
+    # code that only tests reach belongs in the tests: each function the
+    # commands never enter is library API or a failure path, named here
+    tests = Path(__file__).parent
+    argv = [sys.executable, "-c", _REACH_SCRIPT, str(PACKAGE), str(tests)]
+    done = subprocess.run(
+        argv + [json.dumps(REACH_CALLS)], capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    entered = {tuple(key) for key in json.loads(done.stdout)}
+    unreached = {
+        name
+        for path in MODULES
+        for name, line in _defs(_parsed(path), f"{path.stem}.")
+        if (path.stem, line) not in entered
+    }
+    # (unreached and not allowed, allowed but reached)
+    assert (sorted(unreached - UNREACHED.keys()), sorted(UNREACHED.keys() - unreached)) == ([], [])
+
+
+def test_the_reach_rule_names_what_it_finds():
+    tree = ast.parse(
+        "import functools\n"
+        "def plain(): ...\n"
+        "class Spec:\n"
+        "    @property\n"
+        "    @functools.cache\n"
+        "    def size(self):\n"
+        "        def inner(): ...\n"
+        "async def later(): ...\n"
+        "f = lambda: 0\n"
+    )
+    assert list(_defs(tree, "probe.")) == [
+        ("probe.plain", 2),
+        ("probe.Spec.size", 4),
+        ("probe.Spec.size.inner", 7),
+        ("probe.later", 8),
+    ]
