@@ -8,10 +8,16 @@ Four subcommands::
     cyclotwist selftest [--max-enum M]
 
 FIELD uses the spec grammar (Q, QC:L, QR:L, QE:L, F:q) and A is an
-element literal (comma-separated exact coordinates).  Element literals
-that begin with ``-`` but are not plain integers must follow a ``--``
-separator, e.g. ``cyclotwist idempotents QE:3 2 -- -1/2,1,0,1`` for
-a = -1/2 + sqrt(-2).
+element literal (comma-separated exact coordinates).  N, M, the value
+of ``--n`` and a spec's level and modulus are integers in one ASCII
+grammar, a sign and digits (``grammar.parse_int``).  An element literal
+that begins with ``-`` must follow a ``--`` separator unless it is a
+negative integer or decimal (``-4``, ``-1.5``, ``-.5``), e.g.
+``cyclotwist idempotents QE:3 2 -- -1/2,1,0,1`` for a = -1/2 + sqrt(-2).
+A plain call, each token an exact option string, its value or a
+positional, is read straight off its subcommand's parser
+(``_plain_args``); argparse parses every other call and writes all
+usage, help and error text.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 141 (128 + SIGPIPE) when the reader closes stdout early, as
@@ -32,6 +38,7 @@ import argparse
 import dataclasses
 import functools
 import os
+import re
 import sys
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
@@ -49,6 +56,7 @@ from .grammar import (
     format_label,
     parse_element,
     parse_field,
+    parse_int,
 )
 from .oracle import (
     DEFAULT_ENUM_BUDGET,
@@ -321,12 +329,18 @@ def _cmd_selftest(args) -> int:
     return run_selftest(max_enum=args.max_enum)
 
 
+def _integer(text: str) -> int:
+    """An integer of the command line, read by ``grammar.parse_int``;
+    argparse writes its refusal as it writes one of ``type=int``."""
+    try:
+        return parse_int(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
 def _budget(text: str) -> int:
     """A nonnegative enumeration budget."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
     return value
@@ -342,13 +356,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="field type, m, and emulation")
     p.add_argument("field", help="field spec (Q, QC:L, QR:L, QE:L, F:q)")
-    p.add_argument("--n", type=int, default=None, help="algebra exponent")
+    p.add_argument("--n", type=_integer, default=None, help="algebra exponent")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("idempotents", help="construct the idempotent family")
     p.add_argument("field", help="field spec")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
     p.add_argument("a", help="element literal")
     p.add_argument("--json", action="store_true")
     group = p.add_mutually_exclusive_group()
@@ -364,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run every applicable oracle")
     p.add_argument("field", help="field spec")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
     p.add_argument("a", help="element literal")
     p.add_argument(
         "--max-enum",
@@ -392,6 +406,73 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse's pattern of a negative number, a positional for a parser
+# with no option that looks like one; to ASCII digits, which it matches
+# on every Python
+_NEGATIVE_NUMBER = re.compile(r"-[0-9]+|-[0-9]*\.[0-9]+")
+# the actions of a plain call: a flag stores its const, a store its value
+_FLAGS = {argparse._StoreConstAction, argparse._StoreTrueAction, argparse._StoreFalseAction}
+
+
+def _plain_args(own: argparse.ArgumentParser, tokens) -> Optional[argparse.Namespace]:
+    """The namespace ``own.parse_known_args(tokens)`` returns, with
+    nothing left over, when the call is plain: each token an exact
+    option string of a flag or a one-value option of ``own``, that
+    option's value, or a positional (a token that does not start with
+    "-", or a negative number).  The grammar is ``own``'s actions: their
+    dests, option strings, types and exclusive groups, and the defaults,
+    read at each call.  Otherwise None, and argparse parses the call:
+    -h or --, an abbreviation or --opt=value, a missing value or one that
+    starts with "-", a failed conversion, the wrong number of
+    positionals, two options of one exclusive group."""
+    options = own._option_string_actions
+    words, given = [], []  # the positionals; (action, its text or None)
+    tokens = iter(tokens)
+    for token in tokens:
+        if token in options:
+            action = options[token]
+            text = None if type(action) in _FLAGS else next(tokens, "-")
+            if text is not None and text[:1] == "-":
+                return None
+            given.append((action, text))
+        elif token[:1] != "-" or (
+            _NEGATIVE_NUMBER.fullmatch(token) and not own._has_negative_number_optionals
+        ):
+            words.append(token)
+        else:
+            return None
+    positionals = [action for action in own._actions if not action.option_strings]
+    if len(words) != len(positionals):
+        return None
+    given += zip(positionals, words)
+    seen = {action for action, _ in given}
+    for group in own._mutually_exclusive_groups:
+        named = len(seen.intersection(group._group_actions))
+        if named > 1 or (group.required and not named):
+            return None
+    args = argparse.Namespace()
+    values = vars(args)
+    for action in own._actions:  # the actions' defaults, then the parser's
+        if action.required and action not in seen:
+            return None
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            values.setdefault(action.dest, action.default)
+    for dest, value in own._defaults.items():
+        values.setdefault(dest, value)
+    for action, text in given:
+        if text is None:
+            values[action.dest] = action.const
+            continue
+        one_value = type(action) is argparse._StoreAction and action.nargs is None
+        if not one_value or action.choices is not None:  # -h, or another kind
+            return None
+        try:
+            values[action.dest] = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     # exact coordinates may run past the interpreter's 4,300 digits for
     # int <-> str, both in a literal and in what is printed
@@ -403,12 +484,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # after the top parser has walked it; so a call that names its
     # subcommand goes to that subcommand's parser alone, as the action
     # sends it, and the rest (no argument, -h, an unknown command) to
-    # the whole parser.  What the subcommand leaves over is refused as
-    # the whole parser refuses it
+    # the whole parser.  A plain call is read straight off that parser's
+    # actions; argparse parses any other, writes every usage, help and
+    # error text, and what the subcommand leaves over is refused as the
+    # whole parser refuses it
     own = parser.subcommands.get(argv[0]) if argv else None
     if own is None:
         args = parser.parse_args(argv)
-    else:
+    elif (args := _plain_args(own, argv[1:])) is None:
         args, extras = own.parse_known_args(argv[1:])
         if extras:
             parser.error("unrecognized arguments: " + " ".join(extras))

@@ -45,7 +45,9 @@ parses alike on every Python.  A single token denotes a scalar
 required.  ``format_element`` emits the shortest faithful literal
 (scalars as one token) and round-trips through ``parse_element``.
 ``format_coeffs`` prints the coefficients of a flat algebra element
-the same way, straight from its integers.  ``format_label`` writes an
+the same way, straight from its integers.  ``parse_int`` reads every
+other integer of the command line, and a field spec's level and
+modulus, in the coordinate grammar over F_q: a sign and ASCII digits.  ``format_label`` writes an
 item's name, ``e[0]`` or ``e[1,3]``, for the family listing and the
 oracle's failure lines alike.
 """
@@ -69,10 +71,17 @@ from .fields import (
 __all__ = [
     "parse_field",
     "format_field",
+    "parse_int",
     "parse_element",
     "format_element",
     "format_coeffs",
 ]
+
+
+# the coordinate grammar (module docstring): ``int`` and ``Fraction``
+# read more than it, and what more differs between Python versions
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
 
 
 # the cyclotomic spec heads: the involution each names, and its least level
@@ -83,13 +92,26 @@ _CYCLOTOMIC = {
 }
 
 
-def _parse_level(tail: str, spec: str, minimum: int) -> int:
+def parse_int(text: str) -> int:
+    """``text`` as an int: an optional sign and ASCII decimal digits, which
+    spaces may surround, the grammar of a coordinate over F_q.  A ``_``
+    separator or a non-ASCII digit, which ``int`` reads, is a ValueError."""
+    if not _INTEGER.fullmatch(text.strip()):
+        raise ValueError(f"invalid int value: {text!r}")
+    return int(text)
+
+
+def _spec_int(spec: str, what: str, tail: str) -> int:
     try:
-        level = int(tail)
+        return parse_int(tail)
     except ValueError:
         raise ValueError(
-            f"bad field spec {spec!r}: level {tail!r} is not an integer"
+            f"bad field spec {spec!r}: {what} {tail!r} is not an integer"
         ) from None
+
+
+def _parse_level(tail: str, spec: str, minimum: int) -> int:
+    level = _spec_int(spec, "level", tail)
     if level < minimum:
         raise ValueError(
             f"bad field spec {spec!r}: level must be >= {minimum}, got {level}"
@@ -111,12 +133,7 @@ def parse_field(spec: str) -> FieldDescriptor:
         involution, least = _CYCLOTOMIC[head]
         return interned(involution, _parse_level(tail, spec, least), 0)
     if head == "F":
-        try:
-            q = int(tail)
-        except ValueError:
-            raise ValueError(
-                f"bad field spec {spec!r}: modulus {tail!r} is not an integer"
-            ) from None
+        q = _spec_int(spec, "modulus", tail)
         # FieldDescriptor validates primality/oddness and raises with a
         # diagnostic naming the violated constraint; q = 0 would be
         # characteristic 0.
@@ -146,12 +163,6 @@ def format_field(field: FieldDescriptor) -> str:
                     f"field has no spec string: {head} levels start at {least}"
                 )
             return "Q" if (head, field.level) == ("QR", 2) else f"{head}:{field.level}"
-
-
-# the coordinate grammar (module docstring): ``int`` and ``Fraction``
-# read more than it, and what more differs between Python versions
-_INTEGER = re.compile(r"[+-]?[0-9]+")
-_RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
 
 
 def _coordinate(field: FieldDescriptor, token: str):

@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import _checked_family_with_a_fault
-from test_golden_cli import argvs
+from test_golden_cli import argvs, every_argv
 from test_oracle import (
     core_report,
     family_and_core,
@@ -526,6 +527,49 @@ def test_non_integer_enumeration_budget_is_a_usage_error(capsys):
     assert err.endswith("argument --max-enum: invalid int value: 'x'\n")
 
 
+USAGE = {
+    "classify": "usage: cyclotwist classify [-h] [--n N] [--json] field\n",
+    "verify": "usage: cyclotwist verify [-h] [--max-enum M] [--json] field n a\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ["classify", "F:1_3"],
+            "error: bad field spec 'F:1_3': modulus '1_3' is not an integer\n",
+        ),
+        (
+            ["classify", "QC:\u0663"],
+            "error: bad field spec 'QC:\u0663': level '\u0663' is not an integer\n",
+        ),
+        (
+            ["verify", "F:7", "\u0662", "3"],
+            USAGE["verify"] + "cyclotwist verify: error: argument n: invalid int value: '\u0662'\n",
+        ),
+        (
+            ["verify", "F:7", "0_2", "3"],
+            USAGE["verify"] + "cyclotwist verify: error: argument n: invalid int value: '0_2'\n",
+        ),
+        (
+            ["verify", "F:7", "2", "3", "--max-enum", "1_0"],
+            USAGE["verify"]
+            + "cyclotwist verify: error: argument --max-enum: invalid int value: '1_0'\n",
+        ),
+        (
+            ["classify", "Q", "--n", "\u0662"],
+            USAGE["classify"]
+            + "cyclotwist classify: error: argument --n: invalid int value: '\u0662'\n",
+        ),
+    ],
+)
+def test_cli_integers_are_read_by_one_ascii_grammar(capsys, argv, err):
+    # int reads "_" separators and non-ASCII digits; the field spec, N,
+    # --n and --max-enum read a sign and ASCII digits alone
+    assert _exit(lambda: main(argv), capsys) == (2, "", err)
+
+
 def test_selftest_with_an_empty_budget_fails(capsys):
     # a budget that admits no instance is a failure, not a vacuous pass
     code, out, _ = run(capsys, "selftest", "--max-enum", "0")
@@ -621,6 +665,13 @@ PARITY_ARGVS = {
     "selftest leftover": ["selftest", "extra"],
     "option before command": ["--json", "verify", "F:7", "2", "3"],
     "bad classify n": ["classify", "Q", "--n", "x"],
+    # plain calls, which main reads without argparse
+    "plain": ["verify", "F:7", "2", "3", "--json"],
+    "plain, negative a": ["verify", "--json", "Q", "2", "-1"],
+    "plain, decimal a": ["verify", "Q", "2", "-1.5", "--max-enum", "0"],
+    "plain idempotents": ["idempotents", "--unchecked", "--json", "F:5", "2", "1"],
+    "plain classify": ["classify", "QC:3", "--n", "2", "--json"],
+    "repeated flag": ["verify", "F:7", "2", "3", "--json", "--json"],
 }
 
 
@@ -661,6 +712,76 @@ def test_main_parses_each_call_as_the_whole_parser_does(argv, capsys):
         mine, theirs = namespaces
         assert theirs.pop("command") == argv[0]
         assert mine == theirs
+
+
+def test_every_golden_and_benchmark_call_without_a_separator_is_plain():
+    # main reads these calls off the parser's actions, with no argparse,
+    # into the namespace argparse would give; only a "--" sends one to it
+    parser = _build_parser()
+    for argv in every_argv():
+        own = parser.subcommands[argv[0]]
+        args, extras = own.parse_known_args(argv[1:])
+        mine = cli._plain_args(own, argv[1:])
+        if mine is None:
+            assert "--" in argv, argv
+        else:
+            assert (extras, vars(mine)) == ([], vars(args)), argv
+
+
+# the tokens of the drawn calls: field specs, integers with and without
+# a sign, literals that start with "-" and other words, then the
+# subcommands, every option string exact and abbreviated, and tokens
+# argparse reads its own way
+CALL_WORDS = [
+    *("Q", "F:7", "QC:3", "F:1_3", "0", "2", "3", "+2", "-1", "-4", "0_2", "\u0662"),
+    *("-1.5", "-.5", "-1/2", "-1,0,0,0", "1/2", "1 / 2", ""),
+]
+CALL_TOKENS = [
+    *CALL_WORDS,
+    *("classify", "idempotents", "verify", "selftest"),
+    *("--json", "--n", "--max-enum", "--verify", "--unchecked", "-h", "--help"),
+    *("--js", "--max", "--max-enum=3", "--n=2", "--", "-", "-x", "x"),
+]
+POSITIONALS = {"classify": 1, "idempotents": 3, "verify": 3, "selftest": 0}
+
+
+@st.composite
+def calls(draw):
+    """A subcommand and its tokens: about as many words as it takes
+    positionals, and up to three tokens of the whole alphabet, in any
+    order."""
+    command = draw(st.sampled_from(sorted(POSITIONALS)))
+    k = POSITIONALS[command]
+    words = draw(st.lists(st.sampled_from(CALL_WORDS), min_size=max(k - 1, 0), max_size=k + 1))
+    others = draw(st.lists(st.sampled_from(CALL_TOKENS), max_size=3))
+    return command, draw(st.permutations(words + others))
+
+
+@settings(max_examples=600, deadline=None)
+@given(calls())
+@example(("verify", ["F:7", "2", "-1.5", "--max-enum", "3", "--json"]))
+@example(("idempotents", ["--verify", "F:7", "--verify", "2", "-.5"]))
+@example(("idempotents", ["F:7", "2", "3", "--verify", "--unchecked"]))
+@example(("verify", ["F:7", "2", "3", "--max-enum", "x", "--max-enum", "3"]))
+@example(("classify", ["Q", "--n", "-1"]))
+def test_the_direct_parse_is_argparse_on_every_plain_call(call):
+    # where the direct parse gives a namespace, argparse gives the same
+    # one with nothing left over; where argparse refuses the call or
+    # leaves tokens over, the direct parse gives None.  No handler runs
+    command, tokens = call
+    own = _build_parser().subcommands[command]
+    mine = cli._plain_args(own, tokens)
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            args, extras = own.parse_known_args(tokens)
+    except SystemExit:
+        assert mine is None
+        return
+    if extras:
+        assert mine is None
+    elif mine is not None:
+        assert vars(mine) == vars(args)
 
 
 # -- the JSON writer ---------------------------------------------------------------

@@ -24,6 +24,7 @@ from cyclotwist.grammar import (
     format_field,
     parse_element,
     parse_field,
+    parse_int,
 )
 
 CANONICAL = ["Q", "QC:2", "QC:3", "QC:4", "QR:3", "QR:5", "QE:3", "QE:4",
@@ -89,6 +90,47 @@ def test_cyclotomic_presentations(spec, want):
 def test_rejected_specs_name_the_constraint(bad, message):
     with pytest.raises(ValueError, match=message):
         parse_field(bad)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("0_2", None),
+        ("1_000", None),
+        ("\u0662", None),  # ARABIC-INDIC DIGIT TWO, which int reads as 2
+        ("1\u0663", None),
+        ("", None),
+        ("1e3", None),
+        ("1.0", None),
+        ("+3", 3),
+        ("-0", 0),
+        (" 12 ", 12),
+        ("-4", -4),
+    ],
+)
+def test_integers_are_read_by_one_ascii_grammar(text, value):
+    # the grammar of a coordinate over F_q, whatever int reads
+    if value is not None:
+        assert parse_int(text) == value
+        return
+    with pytest.raises(ValueError, match=f"^{re.escape(f'invalid int value: {text!r}')}$"):
+        parse_int(text)
+
+
+@pytest.mark.parametrize(
+    "spec, what",
+    [
+        ("F:1_3", "modulus '1_3'"),
+        ("F:\u0661\u0663", "modulus '\u0661\u0663'"),
+        ("QC:\u0663", "level '\u0663'"),
+        ("QR:0_3", "level '0_3'"),
+        ("QE:\u0663", "level '\u0663'"),
+    ],
+)
+def test_a_spec_reads_its_integer_in_the_ascii_grammar(spec, what):
+    message = f"bad field spec {spec!r}: {what} is not an integer"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_field(spec)
 
 
 def test_nameless_descriptors_are_refused():

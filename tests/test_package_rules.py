@@ -454,9 +454,13 @@ REACH_CALLS = [
     "verify Q 2 1e1000000000",
     "verify Q 2 1_000",
     "verify Q 2 '1 / 2'",
+    "verify F:7 0_2 3",
+    "classify F:1_3",
     "verify F:7 2 3 extra",
     "idempotents QE:3 2 -- -1/2,1,0,1 --json",
     "verify F:7 2",
+    "idempotents --verify --unchecked F:7 2 3",
+    "verify Q 2 -1",
     "verify F:65537 16 1",
     "verify QC:15 15 -1",
     "verify QC:16 16 -1",
