@@ -14,10 +14,10 @@ grammar, a sign and digits (``grammar.parse_int``).  An element literal
 that begins with ``-`` must follow a ``--`` separator unless it is a
 negative integer or decimal (``-4``, ``-1.5``, ``-.5``), e.g.
 ``cyclotwist idempotents QE:3 2 -- -1/2,1,0,1`` for a = -1/2 + sqrt(-2).
-A plain call, each token an exact option string, its value or a
-positional, is read straight off its subcommand's parser
-(``_plain_args``); argparse parses every other call and writes all
-usage, help and error text.
+The subcommands are declared once, in ``COMMANDS``: a plain call, each
+token an exact option, its value or a positional, is read straight off
+it (``_plain_args``), and argparse, built from it, parses every other
+call and writes all usage, help and error text.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 141 (128 + SIGPIPE) when the reader closes stdout early, as
@@ -43,7 +43,7 @@ import sys
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import AlgebraSpec
 from .builder import IdempotentFamily, ambient_constants, build, core_family
@@ -346,130 +346,144 @@ def _budget(text: str) -> int:
     return value
 
 
+class Command(NamedTuple):
+    """A subcommand: help, handler, arguments, exclusive group."""
+
+    help: str
+    handler: Callable[[argparse.Namespace], int]
+    arguments: Dict[str, dict]
+    exclusive: Tuple[str, ...] = ()
+
+
+_SPEC = {"field": {"help": "field spec"}, "n": {"type": _integer}, "a": {"help": "element literal"}}
+_FLAG = {"action": "store_true"}
+_BUDGET = {"type": _budget, "default": DEFAULT_ENUM_BUDGET, "metavar": "M"}
+
+# the command line, declared once, each argument by its name and its
+# ``add_argument`` keywords: a positional, a store_true flag or an
+# option of one value.  ``_build_parser`` builds argparse's parser from
+# it, and ``_plain_args`` reads a plain call off it
+COMMANDS = {
+    "classify": Command(
+        "field type, m, and emulation",
+        _cmd_classify,
+        {
+            "field": {"help": "field spec (Q, QC:L, QR:L, QE:L, F:q)"},
+            "--n": {"type": _integer, "default": None, "help": "algebra exponent"},
+            "--json": _FLAG,
+        },
+    ),
+    "idempotents": Command(
+        "construct the idempotent family",
+        _cmd_idempotents,
+        {
+            **_SPEC,
+            "--json": _FLAG,
+            "--verify": {**_FLAG, "help": "attach the verification report"},
+            "--unchecked": {**_FLAG, "help": "skip verification"},
+        },
+        exclusive=("--verify", "--unchecked"),
+    ),
+    "verify": Command(
+        "run every applicable oracle",
+        _cmd_verify,
+        {
+            **_SPEC,
+            "--max-enum": {
+                **_BUDGET,
+                "help": "over F_q, skip the Frobenius certificate when its work, 2^n "
+                "coefficients times the number of items, exceeds M (default %(default)s)",
+            },
+            "--json": _FLAG,
+        },
+    ),
+    "selftest": Command(
+        "run the built-in verification criteria",
+        _cmd_selftest,
+        {
+            "--max-enum": {
+                **_BUDGET,
+                "help": "skip a brute-force ground-truth instance when it has more than "
+                "M coefficient vectors, q^(2^n) (default %(default)s)",
+            },
+        },
+    ),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cyclotwist",
-        description="minimal idempotents of twisted cyclic 2-group algebras",
-    )
+    about = "minimal idempotents of twisted cyclic 2-group algebras"
+    parser = argparse.ArgumentParser(prog="cyclotwist", description=about)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="field type, m, and emulation")
-    p.add_argument("field", help="field spec (Q, QC:L, QR:L, QE:L, F:q)")
-    p.add_argument("--n", type=_integer, default=None, help="algebra exponent")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("idempotents", help="construct the idempotent family")
-    p.add_argument("field", help="field spec")
-    p.add_argument("n", type=_integer)
-    p.add_argument("a", help="element literal")
-    p.add_argument("--json", action="store_true")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument(
-        "--verify", action="store_true", help="attach the verification report"
-    )
-    group.add_argument(
-        "--unchecked",
-        action="store_true",
-        help="skip verification",
-    )
-    p.set_defaults(handler=_cmd_idempotents)
-
-    p = sub.add_parser("verify", help="run every applicable oracle")
-    p.add_argument("field", help="field spec")
-    p.add_argument("n", type=_integer)
-    p.add_argument("a", help="element literal")
-    p.add_argument(
-        "--max-enum",
-        type=_budget,
-        default=DEFAULT_ENUM_BUDGET,
-        metavar="M",
-        help="over F_q, skip the Frobenius certificate when its work, 2^n "
-        "coefficients times the number of items, exceeds M (default %(default)s)",
-    )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("selftest", help="run the built-in verification criteria")
-    p.add_argument(
-        "--max-enum",
-        type=_budget,
-        default=DEFAULT_ENUM_BUDGET,
-        metavar="M",
-        help="skip a brute-force ground-truth instance when it has more than "
-        "M coefficient vectors, q^(2^n) (default %(default)s)",
-    )
-    p.set_defaults(handler=_cmd_selftest)
-
-    parser.subcommands = sub.choices  # each subcommand's own parser, by name
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        group = p.add_mutually_exclusive_group() if command.exclusive else p
+        for arg, keywords in command.arguments.items():
+            (group if arg in command.exclusive else p).add_argument(arg, **keywords)
     return parser
 
 
-# argparse's pattern of a negative number, a positional for a parser
-# with no option that looks like one; to ASCII digits, which it matches
-# on every Python
-_NEGATIVE_NUMBER = re.compile(r"-[0-9]+|-[0-9]*\.[0-9]+")
-# the actions of a plain call: a flag stores its const, a store its value
-_FLAGS = {argparse._StoreConstAction, argparse._StoreTrueAction, argparse._StoreFalseAction}
-
-
-def _plain_args(own: argparse.ArgumentParser, tokens) -> Optional[argparse.Namespace]:
-    """The namespace ``own.parse_known_args(tokens)`` returns, with
-    nothing left over, when the call is plain: each token an exact
-    option string of a flag or a one-value option of ``own``, that
-    option's value, or a positional (a token that does not start with
-    "-", or a negative number).  The grammar is ``own``'s actions: their
-    dests, option strings, types and exclusive groups, and the defaults,
-    read at each call.  Otherwise None, and argparse parses the call:
-    -h or --, an abbreviation or --opt=value, a missing value or one that
-    starts with "-", a failed conversion, the wrong number of
-    positionals, two options of one exclusive group."""
-    options = own._option_string_actions
-    words, given = [], []  # the positionals; (action, its text or None)
-    tokens = iter(tokens)
-    for token in tokens:
-        if token in options:
-            action = options[token]
-            text = None if type(action) in _FLAGS else next(tokens, "-")
-            if text is not None and text[:1] == "-":
-                return None
-            given.append((action, text))
-        elif token[:1] != "-" or (
-            _NEGATIVE_NUMBER.fullmatch(token) and not own._has_negative_number_optionals
-        ):
-            words.append(token)
-        else:
-            return None
-    positionals = [action for action in own._actions if not action.option_strings]
-    if len(words) != len(positionals):
-        return None
-    given += zip(positionals, words)
-    seen = {action for action, _ in given}
-    for group in own._mutually_exclusive_groups:
-        named = len(seen.intersection(group._group_actions))
-        if named > 1 or (group.required and not named):
-            return None
-    args = argparse.Namespace()
-    values = vars(args)
-    for action in own._actions:  # the actions' defaults, then the parser's
-        if action.required and action not in seen:
-            return None
-        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-            values.setdefault(action.dest, action.default)
-    for dest, value in own._defaults.items():
-        values.setdefault(dest, value)
-    for action, text in given:
-        if text is None:
-            values[action.dest] = action.const
+def _grammar(name: str, command: Command):
+    """(dest, type) of each positional of ``command``, in order, and of
+    each option, type None for a flag; the namespace of a call that
+    names no option; its exclusive options.  A dest is argparse's."""
+    positionals, options, defaults = [], {}, {"command": name}
+    for arg, keywords in command.arguments.items():
+        convert = keywords.get("type", str)
+        if arg[:1] != "-":
+            positionals.append((arg, convert))
             continue
-        one_value = type(action) is argparse._StoreAction and action.nargs is None
-        if not one_value or action.choices is not None:  # -h, or another kind
+        dest, flag = arg[2:].replace("-", "_"), keywords.get("action") == "store_true"
+        defaults[dest] = False if flag else keywords.get("default")
+        options[arg] = dest, None if flag else convert
+    return positionals, options, defaults, frozenset(command.exclusive)
+
+
+_GRAMMARS = {name: _grammar(name, command) for name, command in COMMANDS.items()}
+# argparse's negative number, a positional while no option looks like
+# one (a test pins that none does), in ASCII digits on every Python
+_NEGATIVE_NUMBER = re.compile(r"-[0-9]+|-[0-9]*\.[0-9]+")
+
+
+def _plain_args(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace ``_build_parser().parse_args(argv)`` returns when
+    the call is plain: a subcommand, then each token an exact option of
+    it, that option's value, or a positional (a token that does not start
+    with "-", or a negative number).  Otherwise None, and argparse parses
+    the call: -h or --, an abbreviation or --opt=value, a missing value
+    or one that starts with "-", a failed conversion, the wrong number
+    of positionals, two options of one exclusive group."""
+    tokens = iter(argv)
+    grammar = _GRAMMARS.get(next(tokens, ""))
+    if grammar is None:
+        return None
+    positionals, options, defaults, exclusive = grammar
+    args = argparse.Namespace()
+    values = args.__dict__
+    values.update(defaults)
+    words, named = [], set()
+    try:
+        for token in tokens:
+            if token in options:
+                dest, convert = options[token]
+                if convert is None:
+                    values[dest] = True
+                elif (text := next(tokens, "-"))[:1] == "-":
+                    return None
+                else:
+                    values[dest] = convert(text)
+                named.add(token)
+            elif token[:1] != "-" or _NEGATIVE_NUMBER.fullmatch(token):
+                words.append(token)
+            else:
+                return None
+        if len(words) != len(positionals) or len(exclusive.intersection(named)) > 1:
             return None
-        try:
-            values[action.dest] = text if action.type is None else action.type(text)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
-            return None
+        for (dest, convert), word in zip(positionals, words):
+            values[dest] = convert(word)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
     return args
 
 
@@ -479,24 +493,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser()
-    # the subparsers action would parse the whole call a second time,
-    # after the top parser has walked it; so a call that names its
-    # subcommand goes to that subcommand's parser alone, as the action
-    # sends it, and the rest (no argument, -h, an unknown command) to
-    # the whole parser.  A plain call is read straight off that parser's
-    # actions; argparse parses any other, writes every usage, help and
-    # error text, and what the subcommand leaves over is refused as the
-    # whole parser refuses it
-    own = parser.subcommands.get(argv[0]) if argv else None
-    if own is None:
-        args = parser.parse_args(argv)
-    elif (args := _plain_args(own, argv[1:])) is None:
-        args, extras = own.parse_known_args(argv[1:])
-        if extras:
-            parser.error("unrecognized arguments: " + " ".join(extras))
+    args = _plain_args(argv) or _build_parser().parse_args(argv)
     try:
-        code = args.handler(args)
+        code = COMMANDS[args.command].handler(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code
     except BrokenPipeError:

@@ -55,8 +55,8 @@ class MatrixCase:
     def spec(self) -> AlgebraSpec:
         return AlgebraSpec(self.n, parse_element(parse_field(self.field), self.a))
 
-    def repro(self) -> str:
-        return f"cyclotwist verify {self.field} {self.n} {self.a}"
+    def repro(self, command: str = "verify") -> str:
+        return f"cyclotwist {command} {self.field} {self.n} {self.a}"
 
     def __str__(self) -> str:
         return f"({self.field}, n={self.n}, a={self.a})"
@@ -159,7 +159,8 @@ def criterion_case_matrix(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionResul
         return None if dims == case.dims else f"dims {dims} != {case.dims}"
 
     title = "case-coverage matrix verifies"
-    return _each_case(1, title, MATRIX, check, lambda c: f"{c} [{c.tag}]")
+    repro = "idempotents --verify"  # runs the check: ``verified`` at n
+    return _each_case(1, title, MATRIX, check, lambda c: f"{c} [{c.tag}]", lambda c: c.repro(repro))
 
 
 def criterion_ground_truth(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionResult:
@@ -219,7 +220,9 @@ def criterion_exact_decompositions(
             return f"minimal polynomials differ from {what}"
         return None
 
-    return _each_case(3, "exact decompositions reproduced", expected, check)
+    title = "exact decompositions reproduced"
+    # ``idempotents`` prints the minimal polynomials the check compares
+    return _each_case(3, title, expected, check, repro=lambda c: c.repro("idempotents"))
 
 
 def criterion_depth_regression(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionResult:

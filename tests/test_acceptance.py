@@ -9,6 +9,7 @@ stated runtime bound assert it.
 
 import contextlib
 import io
+import shlex
 import time
 from dataclasses import replace
 
@@ -110,6 +111,7 @@ _CLASSIFY = selftest.classify
 _KS_MEMBERSHIP = selftest.ks_membership
 _CHECKED_FAMILY = selftest._checked_family
 _THM3_CASE4 = selftest.thm3_case4
+_CHAR_SUM = builder._char_sum
 
 
 def _matrix_with_two_faults(matrix):
@@ -184,7 +186,7 @@ FORCED_FAILURES = {
         "criterion 1 (case-coverage matrix verifies): FAIL\n"
         "    (F:5, n=3, a=0) [split-deep]: ValueError: a must be nonzero\n"
         "    (QR:5, n=2, a=16) [paired-shallow]: dims (1, 1, 2) != (1, 2)\n"
-        "    reproduce with: cyclotwist verify F:5 3 0\n",
+        "    reproduce with: cyclotwist idempotents --verify F:5 3 0\n",
     ),
     "verification error": (
         criterion_case_matrix,
@@ -192,7 +194,7 @@ FORCED_FAILURES = {
         "criterion 1 (case-coverage matrix verifies): FAIL\n"
         "    (F:5, n=2, a=1) [split-shallow]: verification failed: FAIL: family "
         "does not sum to 1; component dimensions sum to 3, expected 4\n"
-        "    reproduce with: cyclotwist verify F:5 2 1\n",
+        "    reproduce with: cyclotwist idempotents --verify F:5 2 1\n",
     ),
     "ground truth": (
         criterion_ground_truth,
@@ -212,7 +214,7 @@ FORCED_FAILURES = {
         "criterion 3 (exact decompositions reproduced): FAIL\n"
         "    (Q, n=3, a=16): minimal polynomials differ from the factors of "
         "x^8-16\n"
-        "    reproduce with: cyclotwist verify Q 3 16\n",
+        "    reproduce with: cyclotwist idempotents Q 3 16\n",
     ),
     "depth": (
         criterion_depth_regression,
@@ -275,6 +277,33 @@ def test_forced_failure_lines_are_pinned(monkeypatch, what):
     with contextlib.redirect_stdout(out):
         assert selftest.run_selftest() == 1
     assert out.getvalue() == expected + "selftest: FAIL\n"
+
+
+def test_a_fault_off_the_core_fails_its_reproduce_line(monkeypatch, capsys):
+    # one coefficient corrupted in the QC:3 families with a != 1, none of
+    # them a core: verify, which certifies through the core, passes the
+    # first failing case, and the call criterion 1 names, which runs its
+    # check at n, exits 1
+    K = parse_field("QC:3")
+
+    def corrupted(spec, *rest):
+        e = _CHAR_SUM(spec, *rest)
+        return e + 1 if spec.field == K and spec.a != 1 else e
+
+    caches = (selftest._family, selftest._checked_family, cli._certified_core)
+    monkeypatch.setattr(builder, "_char_sum", corrupted)
+    try:
+        for cache in caches:
+            cache.cache_clear()
+        result = criterion_case_matrix()
+        argv = shlex.split(result.repro)
+        assert (result.passed, argv[:3]) == (False, ["cyclotwist", "idempotents", "--verify"])
+        assert cli.main(argv[1:]) == 1
+        assert cli.main(["verify", *argv[3:]]) == 0
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("error", [RuntimeError, ValueError])

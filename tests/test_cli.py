@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -586,7 +587,7 @@ def test_selftest_corruption_hook(capsys, monkeypatch):
     assert code == 1
     assert "criterion 1 (case-coverage matrix verifies): FAIL" in out
     assert "verification failed: FAIL: family does not sum to 1" in out
-    assert "reproduce with: cyclotwist verify F:5 2 1" in out
+    assert "reproduce with: cyclotwist idempotents --verify F:5 2 1" in out
     assert out.rstrip().endswith("selftest: FAIL")
 
 
@@ -617,7 +618,7 @@ criterion 7 (index-convention regressions): PASS
             "criterion 1 (case-coverage matrix verifies): FAIL\n"
             "    (F:5, n=2, a=1) [split-shallow]: verification failed: FAIL: family "
             "does not sum to 1; component dimensions sum to 3, expected 4\n"
-            "    reproduce with: cyclotwist verify F:5 2 1\n"
+            "    reproduce with: cyclotwist idempotents --verify F:5 2 1\n"
             + SELFTEST_TAIL
             + "selftest: FAIL\n",
         ),
@@ -645,8 +646,8 @@ def test_one_parser_serves_every_call_in_a_process(capsys):
     assert _build_parser() is _build_parser()
 
 
-# each call main sends to its subcommand's parser, and the calls it
-# sends to the whole parser, by what they test
+# calls main hands to the whole parser, and plain calls, which it reads
+# off the declaration, by what they test
 PARITY_ARGVS = {
     "no arguments": [],
     "top help": ["-h"],
@@ -665,7 +666,7 @@ PARITY_ARGVS = {
     "selftest leftover": ["selftest", "extra"],
     "option before command": ["--json", "verify", "F:7", "2", "3"],
     "bad classify n": ["classify", "Q", "--n", "x"],
-    # plain calls, which main reads without argparse
+    # plain calls
     "plain": ["verify", "F:7", "2", "3", "--json"],
     "plain, negative a": ["verify", "--json", "Q", "2", "-1"],
     "plain, decimal a": ["verify", "Q", "2", "-1.5", "--max-enum", "0"],
@@ -686,46 +687,47 @@ def _exit(call, capsys):
 
 
 @pytest.mark.parametrize("argv", PARITY_ARGVS.values(), ids=PARITY_ARGVS.keys())
-def test_main_parses_each_call_as_the_whole_parser_does(argv, capsys):
-    # main parses a call that names its subcommand with that
-    # subcommand's parser alone: the exit code, stdout and stderr, and
-    # the namespace each handler receives but for "command", are those
-    # of the whole parser and the handler it names
-    parser = _build_parser()
-    handlers = {name: p.get_default("handler") for name, p in parser.subcommands.items()}
+def test_main_parses_each_call_as_the_whole_parser_does(argv, capsys, monkeypatch):
+    # main reads a plain call off the declaration and hands any other to
+    # the whole parser: the exit code, stdout and stderr, and the whole
+    # namespace the handler receives, are those of the whole parser
     namespaces = []
-    for name, handler in handlers.items():
-        parser.subcommands[name].set_defaults(
-            handler=lambda args, h=handler: namespaces.append(vars(args)) or h(args)
-        )
+    for name, command in cli.COMMANDS.items():
+
+        def record(args, handler=command.handler):
+            namespaces.append(vars(args))
+            return handler(args)
+
+        monkeypatch.setitem(cli.COMMANDS, name, command._replace(handler=record))
 
     def whole():
-        args = parser.parse_args(argv)
-        return args.handler(args)
+        args = _build_parser().parse_args(argv)
+        return cli.COMMANDS[args.command].handler(args)
 
-    try:
-        assert _exit(lambda: main(argv), capsys) == _exit(whole, capsys)
-    finally:
-        for name, handler in handlers.items():
-            parser.subcommands[name].set_defaults(handler=handler)
+    assert _exit(lambda: main(argv), capsys) == _exit(whole, capsys)
     if namespaces:  # the call parsed, and each path ran its handler
         mine, theirs = namespaces
-        assert theirs.pop("command") == argv[0]
         assert mine == theirs
 
 
 def test_every_golden_and_benchmark_call_without_a_separator_is_plain():
-    # main reads these calls off the parser's actions, with no argparse,
-    # into the namespace argparse would give; only a "--" sends one to it
+    # main reads these calls off the declaration, with no argparse, into
+    # the namespace argparse would give; only a "--" sends one to it
     parser = _build_parser()
     for argv in every_argv():
-        own = parser.subcommands[argv[0]]
-        args, extras = own.parse_known_args(argv[1:])
-        mine = cli._plain_args(own, argv[1:])
+        mine = cli._plain_args(argv)
         if mine is None:
             assert "--" in argv, argv
         else:
-            assert (extras, vars(mine)) == ([], vars(args)), argv
+            assert vars(mine) == vars(parser.parse_args(argv)), argv
+
+
+def test_no_declared_option_looks_like_a_negative_number():
+    # the direct parse reads "-1" as a positional, which argparse does
+    # only while no option of the parser looks like a negative number
+    names = [arg for command in cli.COMMANDS.values() for arg in command.arguments]
+    assert "--max-enum" in names
+    assert [arg for arg in names if re.match(r"^-\d+$|^-\d*\.\d+$", arg)] == []
 
 
 # the tokens of the drawn calls: field specs, integers with and without
@@ -765,22 +767,19 @@ def calls(draw):
 @example(("verify", ["F:7", "2", "3", "--max-enum", "x", "--max-enum", "3"]))
 @example(("classify", ["Q", "--n", "-1"]))
 def test_the_direct_parse_is_argparse_on_every_plain_call(call):
-    # where the direct parse gives a namespace, argparse gives the same
-    # one with nothing left over; where argparse refuses the call or
-    # leaves tokens over, the direct parse gives None.  No handler runs
+    # where the direct parse gives a namespace, the whole parser gives
+    # the same one; where the whole parser refuses the call, the direct
+    # parse gives None.  No handler runs
     command, tokens = call
-    own = _build_parser().subcommands[command]
-    mine = cli._plain_args(own, tokens)
+    mine = cli._plain_args([command, *tokens])
     sink = io.StringIO()
     try:
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            args, extras = own.parse_known_args(tokens)
+            args = _build_parser().parse_args([command, *tokens])
     except SystemExit:
         assert mine is None
         return
-    if extras:
-        assert mine is None
-    elif mine is not None:
+    if mine is not None:
         assert vars(mine) == vars(args)
 
 

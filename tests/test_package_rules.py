@@ -9,9 +9,10 @@ rebinding module-level names from outside the package
 its report, so those names are pinned here.  Every element holds its
 field, so no function takes an element and its field both.  ``builder``
 states a family and only ``oracle`` certifies it, so no layer below the
-oracle imports it.  Every package function runs on some command, or is
-library API or a failure path named with its reason: code that only
-tests reach lives in the tests.
+oracle imports it.  The CLI declares its command line as its own data
+and reads no private attribute.  Every package function runs on some
+command, or is library API or a failure path named with its reason:
+code that only tests reach lives in the tests.
 """
 
 import ast
@@ -422,6 +423,34 @@ def test_the_import_rule_catches_what_it_names(tmp_path):
     }
 
 
+def _private_attributes(path):
+    """Each attribute named with one leading underscore that ``path``
+    reads or writes, as ``owner.name``."""
+    return [
+        f"{ast.unparse(node.value)}.{node.attr}"
+        for node in ast.walk(_parsed(path))
+        if isinstance(node, ast.Attribute)
+        if node.attr[:1] == "_" and node.attr[:2] != "__"
+    ]
+
+
+def test_the_cli_reads_no_private_attribute():
+    # the command line is declared in the CLI's own data, so no private
+    # name of argparse (or of another module) can change under it
+    assert _private_attributes(PACKAGE / "cli.py") == []
+
+
+def test_the_private_attribute_rule_catches_what_it_names(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "import argparse\n"
+        "options = own._actions\n"
+        "kinds = {argparse._StoreAction, argparse.Namespace}\n"
+        "text = int.__repr__(args.json)\n"
+    )
+    assert _private_attributes(path) == ["own._actions", "argparse._StoreAction"]
+
+
 def test_the_field_rule_catches_what_it_names(tmp_path):
     path = tmp_path / "probe.py"
     path.write_text(
@@ -438,7 +467,8 @@ def test_the_field_rule_catches_what_it_names(tmp_path):
 
 # the calls besides every golden and benchmark argv (``every_argv``): the
 # selftest, passing and failing, the CI's classify calls, a verdict in
-# text, and each refusal the CI makes through the console script
+# text, and each help call and refusal the CI makes through the console
+# script
 REACH_CALLS = [
     "selftest",
     "selftest --max-enum 0",
@@ -461,6 +491,8 @@ REACH_CALLS = [
     "verify F:7 2",
     "idempotents --verify --unchecked F:7 2 3",
     "verify Q 2 -1",
+    "-h",
+    "verify -h",
     "verify F:65537 16 1",
     "verify QC:15 15 -1",
     "verify QC:16 16 -1",
@@ -513,7 +545,7 @@ UNREACHED = {
     "fields.AmbientElement.coeffs": "library API: an element's coordinates (README, Library)",
     "fields.AmbientElement.__repr__": "library API: the element at a prompt",
     "oracle.VerificationError.__init__": "failure path: verified refuses a failing family",
-    "selftest.MatrixCase.repro": "failure path: the call that reproduces a failing case",
+    "selftest.MatrixCase.repro": "failure path: the call of a command that reproduces a case",
     "selftest.MatrixCase.__str__": "failure path: a failing case's name",
     "selftest._unchecked": "failure path: the call that reproduces a failing depth",
     "selftest.criterion_depth_regression.name": "failure path: a failing depth's name",
