@@ -712,14 +712,16 @@ def test_main_parses_each_call_as_the_whole_parser_does(argv, capsys, monkeypatc
 
 def test_every_golden_and_benchmark_call_without_a_separator_is_plain():
     # main reads these calls off the declaration, with no argparse, into
-    # the namespace argparse would give; only a "--" sends one to it
+    # the namespace argparse would give; only a "--", or a call that the
+    # whole parser refuses, sends one to it
     parser = _build_parser()
     for argv in every_argv():
         mine = cli._plain_args(argv)
-        if mine is None:
-            assert "--" in argv, argv
-        else:
+        if mine is not None:
             assert vars(mine) == vars(parser.parse_args(argv)), argv
+        elif "--" not in argv:
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
 
 
 def test_no_declared_option_looks_like_a_negative_number():
