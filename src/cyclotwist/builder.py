@@ -16,16 +16,20 @@ T = 1) and nothing it states.  As the powers of u never wrap, the sum
 is the T powers of c (and their sigma images) laid on the lattice
 g^(j * 2^(n-s+r)); ``_char_sum`` builds them as one
 flat integer list by doubling k's ladder down from k/a, with O(log T)
-products per item and none per coefficient.  Each case function forms
-b^(2^r) once per depth r (one ``squarings`` ladder) and enumerates its
-constants block by block (``_block``) as running products by the roots
-of unity it holds, one product per item, as closed forms (label, r, k)
-from s and b alone (K is b's field), each as ``_stated`` reads it.  An
+products per item and none per coefficient.  Each case function is the
+paper's block table, a function of (K, s) alone: it states its blocks
+(r, first_label, start, step, count) with b-free starts, and never sees
+b.  ``_expanded``, the one place b enters, multiplies each block's start
+by b^(2^r), from one squaring ladder of b, and runs the block's product
+by the root of unity ``step``, one product per item, giving the closed
+forms (label, r, k) as ``_stated`` reads them.  So every family
+is its b-free core's blocks plus b: ``build`` expands them on dec.b,
+``core_family`` on b = 1 and ``ambient_constants`` on the root.  An
 item is its label and (S, k), S = 2^(n-s+r) read off the algebra's size
 2^n; ``_stated`` refuses a family past ``MAX_COORDS`` coordinates before
 it forms one constant more, so a family that exists fits, and none holds
-a coefficient: ``IdempotentFamily.elements`` builds them in small
-batches.  Beyond that size, n enters only as the cap that
+a coefficient: ``IdempotentFamily.elements`` builds them one at a
+time.  Beyond that size, n enters only as the cap that
 ``build`` hands ``ks_decompose``.  Which family of weights applies is
 decided entirely by the field type (B/D/E) of ``classify(K)``, the
 depth s of a in the 2-power filtration, and the coset form of a in
@@ -54,9 +58,9 @@ than 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, islice, repeat
 from operator import add, mul
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .algebra import AlgebraElement, AlgebraSpec, Poly, off_lattice
 from .classify import (
@@ -82,10 +86,8 @@ from .fields import (
     times_coords,
 )
 
-# the most coordinates, items x 2^n x d, that a stated family may hold, and
-# the most its ``elements`` builds at once, so that a consumer's loops run together
+# the most coordinates, items x 2^n x d, that a stated family may hold
 MAX_COORDS = 1 << 30
-BATCH_COORDS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -126,15 +128,11 @@ class IdempotentFamily:
     items: Tuple[IdempotentItem, ...]
 
     def elements(self) -> Iterator[AlgebraElement]:
-        """The items' elements, built as the stream reaches them; the call
-        inverts a iff some item has T > 1, and is within ``MAX_COORDS``."""
+        """The items' elements, each built as the stream reaches it; the
+        call inverts a iff some item has T > 1, and is within ``MAX_COORDS``."""
         spec, items = self.spec, self.items
         ainv = spec.a.inverse() if any(it.S < spec.size for it in items) else None
-        n = max(1, BATCH_COORDS // (spec.size * spec.field.ambient_dim))
-        return chain.from_iterable(
-            [_char_sum(spec, it.S, it.k, it.paired, ainv) for it in items[i : i + n]]
-            for i in range(0, len(items), n)
-        )
+        return (_char_sum(spec, it.S, it.k, it.paired, ainv) for it in items)
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +195,23 @@ def _char_sum(
     return AlgebraElement._make(spec, tuple(vals), den)
 
 
-def _block(
-    r: int, head: tuple, start: AmbientElement, step: AmbientElement, count: int
-) -> Iterator[tuple]:
-    """(label, r, k) of the items labelled head + (i,), i < count, of the
-    constants k = start * step^i, each formed as the stream reaches it:
-    count - 1 products."""
-    ks = accumulate(repeat(step, count - 1), mul, initial=start)
-    return ((head + (i,), r, k) for i, k in enumerate(ks))
+def _expanded(blocks: Iterable[tuple], b: AmbientElement) -> Iterator[tuple]:
+    """(label, r, k) of each item of ``blocks``: the items of a block
+    (r, first_label, start, step, count) are labelled up from
+    first_label in its last index and hold k = start * b^(2^r) * step^i,
+    i < count.  The one place b enters the construction: b^(2^r) comes
+    from one squaring ladder grown to the largest r met, a start of one
+    takes it as it is, and each constant is formed as the stream reaches
+    it, one product per item."""
+    one, ladder = b.owner.one(), [b]
+    for r, label, start, step, count in blocks:
+        if r >= len(ladder):
+            ladder += squarings(ladder[-1], r + 1 - len(ladder))[1:]
+        k0 = ladder[r] if start is one else start * ladder[r]
+        ks = accumulate(repeat(step, count - 1), mul, initial=k0)
+        head = label[:-1]
+        for i, k in enumerate(ks, label[-1]):
+            yield head + (i,), r, k
 
 
 # ---------------------------------------------------------------------------
@@ -212,85 +219,68 @@ def _block(
 # ---------------------------------------------------------------------------
 
 
-def thm2_case1(s: int, b: AmbientElement) -> Iterator[tuple]:
+def thm2_case1(K: FieldDescriptor, s: int) -> List[tuple]:
     """K = A, or depth s = 0: the 2^t characters of <h> over eps_t,
     t = min(s, m), each give one idempotent averaged at full length.
     When s exceeds m the rest collapse into one family per extra power
     of two, r = 1..s-m, built on the squared generators."""
-    K = b.owner
     m = K.root_level
     t = min(s, m)
-    bs = squarings(b, max(s - m, 0))
     et = eps(K, t)
-    items = _block(0, (), bs[0], et, 1 << t)
+    blocks = [(0, (0,), K.one(), et, 1 << t)]
     if s > m:
         em1, count = eps(K, m - 1), 1 << (m - 1)
-        blocks = (_block(r, (r,), et * bs[r], em1, count) for r in range(1, s - m + 1))
-        items = chain(items, *blocks)
-    return items
+        blocks += [(r, (r, 0), et, em1, count) for r in range(1, s - m + 1)]
+    return blocks
 
 
-def thm3_case4(s: int, b: AmbientElement) -> Iterator[tuple]:
+def thm3_case4(K: FieldDescriptor, s: int) -> List[tuple]:
     """a = -b^(2^s) with 1 <= s <= m-1: weights mix eps_{s+1} with the
     characters of <h>, each paired with its image under the
     involution."""
-    K = b.owner
     cls = classify(K)
     assert 1 <= s <= cls.m - 1 and cls.field_type in (TYPE_D, TYPE_E)
-    start = eps(K, s + 1) * b
-    return _block(0, (), start, eps(K, s - 1), 1 << (s - 1))
+    return [(0, (0,), eps(K, s + 1), eps(K, s - 1), 1 << (s - 1))]
 
 
-def thm3_case3(s: int, b: AmbientElement) -> Iterator[tuple]:
+def thm3_case3(K: FieldDescriptor, s: int) -> List[tuple]:
     """a = b^(2^s) with s >= 1 and K != A: the characters of <h> over
     eps_t, t = min(s, m-1), pair off under the involution; endpoints
     i = 0 and i = 2^(t-1) are self-paired.  From s = m on, past the
     root-of-unity supply, a double-indexed block over the squared
     generators takes over, r = 0..s-m."""
-    K = b.owner
     cls = classify(K)
     m = cls.m
     assert s >= 1 and cls.field_type in (TYPE_D, TYPE_E)
     t = min(s, m - 1)
     half = 1 << (t - 1)
-    bs = squarings(b, max(s - m, 0))
-    items = _block(0, (), bs[0], eps(K, t, -1), half + 1)
+    blocks = [(0, (0,), K.one(), eps(K, t, -1), half + 1)]
     if s >= m:
         em, em2 = eps(K, m), eps(K, m - 2)
-        blocks = (_block(r, (r,), em * bs[r], em2, half) for r in range(s - m + 1))
-        items = chain(items, *blocks)
-    return items
+        blocks += [(r, (r, 0), em, em2, half) for r in range(s - m + 1)]
+    return blocks
 
 
-def thm3_case5(s: int, b: AmbientElement) -> Iterator[tuple]:
+def thm3_case5(K: FieldDescriptor, s: int) -> List[tuple]:
     """a = (1+eps_m)^(2^s) b^(2^s), type D, s >= m.  The unit 1+eps_m
     threads through every weight.  At s = m the first family is already
     complete; deeper s add a block on the squared generator that ends
     in two self-paired idempotents and (from s >= m+2 on) one block per
     further squaring."""
-    K = b.owner
     cls = classify(K)
     m = cls.m
     assert s >= m and cls.field_type == TYPE_D
-    u = eps(K, m)
-    em1 = eps(K, m - 1)
-    # (1+u)^(2^r) b^(2^r) for r = 0..s-m
-    w = squarings((1 + u) * b, s - m)
-    count = 1 << (m - 1)
-    items = _block(0, (), w[0], em1, count)
-    if s == m:
-        return items
-    # c0 b^2 with c0 = 2 + u + u^-1 = (1+u)^2 / u; the block's
-    # last constant, c0b * eps_(m-1)^(2^(m-2)), is -c0b
-    c0b = w[1] * eps(K, m, -1)
-    quarter = 1 << (m - 2)
-    em2 = eps(K, m - 2)
-    return chain(
-        items,
-        _block(1, (1,), c0b * em1, em1, quarter),
-        [((1, count - 1), 1, c0b)],
-        *(_block(r, (r,), w[r] * u, em2, quarter) for r in range(2, s - m + 1)),
-    )
+    u, em1, em2 = eps(K, m), eps(K, m - 1), eps(K, m - 2)
+    w = squarings(1 + u, s - m)  # (1+u)^(2^r) for r = 0..s-m
+    count, quarter = 1 << (m - 1), 1 << (m - 2)
+    blocks = [(0, (0,), w[0], em1, count)]
+    if s > m:
+        # c0 = 2 + u + u^-1 = (1+u)^2 / u; the block's last constant,
+        # c0 * eps_(m-1)^(2^(m-2)) (times b^2), is -c0 (times b^2)
+        c0 = w[1] * eps(K, m, -1)
+        blocks += [(1, (1, 0), c0 * em1, em1, quarter), (1, (1, count - 1), c0, em1, 1)]
+        blocks += [(r, (r, 0), w[r] * u, em2, quarter) for r in range(2, s - m + 1)]
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -298,15 +288,14 @@ def thm3_case5(s: int, b: AmbientElement) -> Iterator[tuple]:
 # ---------------------------------------------------------------------------
 
 
-def _dispatch(dec: CosetDecomposition) -> Iterator[tuple]:
-    s, b = dec.s, dec.b
-    if classify(b.owner).field_type == TYPE_B or s == 0:
-        return thm2_case1(s, b)
-    if dec.form == NEGATED:
-        return thm3_case4(s, b)
-    if dec.form == EPS_COSET:
-        return thm3_case5(s, b)
-    return thm3_case3(s, b)
+def _dispatch(K: FieldDescriptor, form: str, s: int) -> List[tuple]:
+    if classify(K).field_type == TYPE_B or s == 0:
+        return thm2_case1(K, s)
+    if form == NEGATED:
+        return thm3_case4(K, s)
+    if form == EPS_COSET:
+        return thm3_case5(K, s)
+    return thm3_case3(K, s)
 
 
 def build(spec: AlgebraSpec) -> IdempotentFamily:
@@ -314,25 +303,25 @@ def build(spec: AlgebraSpec) -> IdempotentFamily:
 
     One ``ks_decompose`` call gives the depth s = h_n(a) and the coset
     form of a (one chain of square roots, two when s exceeds the root
-    level); the case functions then state every item in closed form,
-    by its constants, and no element is built; an oversized family is
+    level); the case function's blocks, expanded on dec.b, then state
+    every item in closed form, by its constants, and no element is built; an oversized family is
     refused (ValueError) as it is stated (``_stated``).  ``build``
     never checks the family: ``oracle.verified`` certifies it.
     """
     dec = ks_decompose(spec.a, spec.n)
-    return _stated(spec, dec, _dispatch(dec))
+    return _stated(spec, dec, _dispatch(spec.field, dec.form, dec.s))
 
 
 def core_family(K: FieldDescriptor, form: str, s: int) -> IdempotentFamily:
     """The b-free core of every family over K of coset form ``form`` and
-    depth s: the family the same case function states on (s, b = 1) over
+    depth s: the same case function's blocks expanded on b = 1 over
     C = K[z]/(z^(2^s) - u), u = w^(2^s) for the unit w = 1, eps_(s+1) or
     1+eps_m that the form names (u = 1, -1 or (1+eps_m)^(2^s)).
 
     The family of a = u*b^(2^s) at any n >= s is its image under the
     injective map z -> g^(2^(n-s)) * b^-1, item for item: the core item
-    (label, 2^r, k) goes to (label, 2^(n-s+r), k*b^(2^r)), as the case
-    function's constants carry b^(2^r) and nothing else of b.
+    (label, 2^r, k) goes to (label, 2^(n-s+r), k*b^(2^r)), as
+    ``_expanded`` folds b^(2^r) into each block and nothing else of b.
     ``oracle.verify_core`` certifies a family through it.  It holds no
     a and no n."""
     if form == NEGATED:
@@ -342,15 +331,16 @@ def core_family(K: FieldDescriptor, form: str, s: int) -> IdempotentFamily:
     else:
         w = K.one()
     dec = CosetDecomposition(s, form, K.one(), w)
-    return _stated(AlgebraSpec(s, squarings(w, s)[-1]), dec, _dispatch(dec))
+    return _stated(AlgebraSpec(s, squarings(w, s)[-1]), dec, _dispatch(K, form, s))
 
 
-def _stated(spec: AlgebraSpec, dec: CosetDecomposition, closed) -> IdempotentFamily:
-    """The family of the closed forms (label, r, k): S = 2^(n-s+r).
-    ``closed`` is read at most one item past ``MAX_COORDS`` coordinates,
-    2^n x d per item, and refused (ValueError) if it gets there."""
+def _stated(spec: AlgebraSpec, dec: CosetDecomposition, blocks) -> IdempotentFamily:
+    """The family of the core blocks ``blocks`` expanded on dec.b
+    (``_expanded``), each item (label, r, k) at S = 2^(n-s+r).  The
+    items are read at most one past ``MAX_COORDS`` coordinates, 2^n x d
+    per item, and refused (ValueError) if they get there."""
     S, d = spec.size >> dec.s, spec.field.ambient_dim  # s <= n
-    closed = islice(closed, MAX_COORDS // (spec.size * d) + 1)
+    closed = islice(_expanded(blocks, dec.b), MAX_COORDS // (spec.size * d) + 1)
     items = tuple(IdempotentItem(label, S << r, k) for label, r, k in closed)
     if len(items) * spec.size * d > MAX_COORDS:
         raise ValueError(
@@ -368,10 +358,13 @@ def _ambient(x: AmbientElement) -> AmbientElement:
 
 def ambient_constants(family: IdempotentFamily) -> List[Tuple[int, AmbientElement]]:
     """(S, k) of every item over the ambient field A, for
-    ``conjugate_pairing_check``: A has the identity involution, so one
-    ``thm2_case1`` call on the family's root (``CosetDecomposition.root``)
-    states them, each k the constant of its x^S - k; no item, second
-    algebra, inverse or ``ks_decompose`` is built."""
+    ``conjugate_pairing_check``: A has the identity involution, so the
+    ``thm2_case1`` blocks over A expanded on the family's root
+    (``CosetDecomposition.root``) state them, each k the constant of its
+    x^S - k; no item, second algebra, inverse or ``ks_decompose`` is
+    built.  No cap applies: there are at most twice as many as the
+    family at n has, and it passed the cap."""
     size, dec = family.spec.size, family.decomposition
-    closed = thm2_case1(dec.s, _ambient(dec.root))
+    root = _ambient(dec.root)
+    closed = _expanded(thm2_case1(root.owner, dec.s), root)
     return [(size >> (dec.s - r), k) for _, r, k in closed]

@@ -718,7 +718,7 @@ def _fp_sqrt(a: int, q: int) -> Optional[int]:
 
 def squarings(x: Element, count: int) -> list:
     """[x, x^2, x^4, ..., x^(2^count)]: count squarings, the one ladder
-    behind the roots of unity and the case functions' b^(2^r)."""
+    behind the roots of unity and the expander's b^(2^r)."""
     out = [x]
     for _ in range(count):
         out.append(out[-1] * out[-1])

@@ -318,7 +318,7 @@ def criterion_index_regressions(max_enum: int = DEFAULT_ENUM_BUDGET) -> Criterio
         case, construct, dropped, rejected, adopted = convention
         spec = case.spec()
         dec = ks_decompose(spec.a, spec.n)
-        family = _stated(spec, dec, construct(dec.s, dec.b))
+        family = _stated(spec, dec, construct(spec.field, dec.s))
         elements = list(zip(family.items, family.elements()))
         narrowed = [e for it, e in elements if it.label[0] or len(it.label) != dropped]
         zero, one = spec.zero(), spec.one()

@@ -27,6 +27,7 @@ from cyclotwist.selftest import (
     criterion_index_regressions,
     criterion_structure_law,
 )
+from test_builder import item_blocks
 
 
 def check(criterion, time_bound=None):
@@ -169,9 +170,9 @@ def _checked_family_with_a_fault(case):
     verified(short, short.elements)
 
 
-def _relabelled_case4(s, b):
+def _relabelled_case4(K, s):
     # no label (0,): the rejected i=1 reading drops nothing
-    return [((i + 1,), r, c) for (i,), r, c in _THM3_CASE4(s, b)]
+    return [(r, (i + 1,), *rest) for r, (i,), *rest in item_blocks(_THM3_CASE4(K, s), K)]
 
 
 def _membership_with_a_fault(a, s):
@@ -252,7 +253,7 @@ FORCED_FAILURES = {
     ),
     "index conventions": (
         criterion_index_regressions,
-        {"thm3_case3": lambda s, b: list(_THM3_CASE3(s, b))[:-1]},
+        {"thm3_case3": lambda K, s: item_blocks(_THM3_CASE3(K, s), K)[:-1]},
         "criterion 7 (index-convention regressions): FAIL\n"
         "    (F:3, n=3, a=1): the adopted r=0 reading fails to sum to 1\n"
         "    reproduce with: cyclotwist verify F:3 3 1\n",

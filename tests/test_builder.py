@@ -14,6 +14,7 @@ from cyclotwist.algebra import AlgebraSpec, Poly, lattice_step
 from cyclotwist.builder import (
     _ambient,
     _char_sum,
+    _expanded,
     _stated,
     build,
     core_family,
@@ -75,11 +76,18 @@ def decomposed(spec):
     return dec.s, dec
 
 
-def items_of(spec, dec, closed):
-    """(item, element) of each closed form (label, r, k) a case function
-    states."""
-    family = _stated(spec, dec, closed)
+def items_of(spec, dec, blocks):
+    """(item, element) of each item that a case function's ``blocks``
+    state on dec.b."""
+    family = _stated(spec, dec, blocks)
     return list(zip(family.items, family.elements()))
+
+
+def item_blocks(blocks, K):
+    """The items that a case function's ``blocks`` over K state on b = 1,
+    each as a block of one item, so that a mutant acts on the expanded
+    item stream: expanded on any b, they state the items ``blocks`` do."""
+    return [(r, label, k, k, 1) for label, r, k in _expanded(blocks, K.one())]
 
 
 def items_sum(spec, items):
@@ -538,19 +546,23 @@ def test_an_oversized_family_is_refused_before_any_element(monkeypatch):
 
 def test_a_refused_family_forms_no_further_constant(monkeypatch):
     # with room for two items of F:7 3 1 (16 coordinates each), the
-    # statement stops at the third constant, of five
-    read = []
+    # statement stops at the third constant, of five: the expander forms
+    # each constant as the stream reaches it
+    formed = []
 
-    def dispatch(dec, _fn=builder._dispatch):
-        for closed in _fn(dec):
-            read.append(closed)
+    def expanded(blocks, b, _fn=_expanded):
+        for closed in _fn(blocks, b):
+            formed.append(closed)
             yield closed
 
-    monkeypatch.setattr(builder, "_dispatch", dispatch)
+    monkeypatch.setattr(builder, "_expanded", expanded)
     monkeypatch.setattr(builder, "MAX_COORDS", 47)
     with pytest.raises(ValueError, match="the limit of 47 coordinates$"):
         build(spec_of("F:7", 3, "1"))
-    assert len(read) == 3
+    assert len(formed) == 3
+    monkeypatch.setattr(builder, "MAX_COORDS", 80)
+    formed.clear()
+    assert len(build(spec_of("F:7", 3, "1")).items) == len(formed) == 5
 
 
 # -- index-convention regressions ----------------------------------------------
@@ -560,13 +572,13 @@ def test_negated_family_must_start_at_zero():
     # the family that starts at i = 1 is the one without e(0,)
     spec = spec_of("Q", 2, "-1")
     s, dec = decomposed(spec)
-    full = items_of(spec, dec, thm3_case4(s, dec.b))
+    full = items_of(spec, dec, thm3_case4(spec.field, s))
     assert items_sum(spec, full) == spec.one()
     assert [it.label for it, _ in full] == [(0,)]  # i = 1 leaves nothing
 
     spec = spec_of("QE:3", 2, "-1")
     s, dec = decomposed(spec)
-    full = items_of(spec, dec, thm3_case4(s, dec.b))
+    full = items_of(spec, dec, thm3_case4(spec.field, s))
     narrowed = [(it, e) for it, e in full if it.label != (0,)]
     assert len(narrowed) == 1
     assert items_sum(spec, narrowed) != spec.one()
@@ -576,7 +588,7 @@ def test_deep_paired_family_needs_r0_block():
     # the block that starts at r = 1 is the family without e(0, i)
     spec = spec_of("F:3", 3, "1")
     s, dec = decomposed(spec)
-    full = items_of(spec, dec, thm3_case3(s, dec.b))
+    full = items_of(spec, dec, thm3_case3(spec.field, s))
     assert items_sum(spec, full) == spec.one()
     narrowed = [(it, e) for it, e in full if len(it.label) == 1 or it.label[0] >= 1]
     assert len(narrowed) == len(full) - 2
@@ -595,7 +607,7 @@ def test_flipped_lambda_loses_k_rationality():
     s, dec = decomposed(spec)
     m = classify(K).m
     em, em2 = eps(K, m), eps(K, m - 2)
-    full = items_of(spec, dec, thm3_case3(s, dec.b))
+    full = items_of(spec, dec, thm3_case3(K, s))
     singles = [(it, e) for it, e in full if len(it.label) == 1]
     doubles = [
         dense_char_sum(spec, s, r, [em**-1 * em2**-i * bi, em * em2**i * bi])

@@ -127,6 +127,12 @@ AT_DEPTH = (
     ("idempotents", "--unchecked", "--json", "QE:5", "7", "-1"),
     # polynomial path at S = 2^14 and the F_q[i] descent at n = 16
     ("verify", "F:7", "16", "6"),
+    # the unchecked family printed from the flat integers, in text and
+    # JSON, at n = 16 over F_7 and at n = 7 over QC:7
+    ("idempotents", "--unchecked", "F:7", "16", "6"),
+    ("idempotents", "--unchecked", "--json", "F:7", "16", "6"),
+    ("idempotents", "--unchecked", "QC:7", "7", "-1"),
+    ("idempotents", "--unchecked", "--json", "QC:7", "7", "-1"),
     # the core's verdicts carried to a family of its own size (s = n =
     # 16, b = 2, type E)
     ("verify", "F:7", "16", "2"),

@@ -24,7 +24,7 @@ from cyclotwist.algebra import (
     on_lattice,
 )
 from cyclotwist import builder
-from cyclotwist.classify import EPS_COSET, PLAIN, ks_decompose
+from cyclotwist.classify import EPS_COSET, PLAIN
 from cyclotwist.builder import ambient_constants, build, core_family
 from cyclotwist.fields import (
     IDENTITY,
@@ -60,6 +60,7 @@ from test_algebra import ambient_elements, kernel_specs
 from test_builder import (
     ambient_spec,
     golden_instances,
+    item_blocks,
     min_poly_reference,
     poly_of,
     stand_in,
@@ -776,17 +777,18 @@ def test_verify_flags_corrupted_ambient_family(
         assert "pairing: mismatch" in out and "overall: FAIL" in out and code == 1
 
 
-def first_dropped(closed):
-    return list(closed)[1:]
+# mutants of the item stream, one block per item (``item_blocks``)
+def first_dropped(items):
+    return items[1:]
 
 
-def last_dropped(closed):
-    return list(closed)[:-1]
+def last_dropped(items):
+    return items[:-1]
 
 
-def last_negated(closed):
-    *rest, (label, r, k) = closed
-    return rest + [(label, r, -k)]
+def last_negated(items):
+    *rest, (r, label, k, step, count) = items
+    return rest + [(r, label, -k, step, count)]
 
 
 # instances that dispatch to the plain and to the negated paired case
@@ -810,7 +812,7 @@ def test_pairing_flags_a_mutated_case_function(
     # the ambient constants, which the trivial-involution case states:
     # pairing rejects every instance of that case, and no other
     original = getattr(builder, case)
-    monkeypatch.setattr(builder, case, lambda s, b: mutate(original(s, b)))
+    monkeypatch.setattr(builder, case, lambda K, s: mutate(item_blocks(original(K, s), K)))
     for instance in touched + untouched:
         family = build(spec_of(*instance))
         paired = conjugate_pairing_check(family, ambient_constants(family))
@@ -846,11 +848,8 @@ def test_verify_builds_no_ambient_coefficient(field_spec, n, a, monkeypatch, cap
 def ambient_constants_reference(spec):
     """(S, k) of the ambient items from a second ``ks_decompose``, over
     ``ambient_spec``, as ``ambient_constants`` computed them before it
-    read the family's own root chain."""
-    A = ambient_spec(spec)
-    dec = ks_decompose(A.a, A.n)
-    closed = builder._dispatch(dec)
-    return [(1 << (A.n - dec.s + r), k) for _, r, k in closed]
+    read the family's own root chain: the items ``build`` states there."""
+    return [(it.S, it.k) for it in build(ambient_spec(spec)).items]
 
 
 CONSTANT_MATRIX_FIELDS = ["F:3", "F:7", "F:11", "F:19", "Q", "QR:3", "QR:4", "QE:3", "QE:4"]
@@ -1273,6 +1272,34 @@ def test_verify_core_flags_a_family_that_is_not_the_image_of_its_core(
         assert cli.main(argv) == 1
         assert capsys.readouterr().out.splitlines()[-1] == "overall: FAIL"
         cli._certified_core.cache_clear()
+
+
+def test_a_wrong_power_of_b_where_b_enters_fails_the_family(monkeypatch, capsys):
+    # the expander, the one place b enters the construction, taking
+    # b^(2^(r+1)) for b^(2^r) at r >= 1, on Q 16 6561: a = 3^8, s = 3,
+    # b = 3 and blocks r = 0 and 1.  The core (b = 1) and the ambient
+    # constants (expanded alike, so pairing passes) do not show it: verify
+    # fails on the image check alone, and the checked build on its check
+    argv = ["Q", "16", "6561"]
+    dec = build(spec_of("Q", 16, "6561")).decomposition
+    K = dec.b.owner
+    assert dec.b not in (K.one(), -K.one())
+    assert max(r for r, *_ in builder._dispatch(K, dec.form, dec.s)) == 1
+
+    def wrong_power(blocks, b, _fn=builder._expanded):
+        # each r >= 1 block's start times b^(2^r) more: b^(2^(r+1)) in all
+        return _fn(
+            [(r, label, x * b ** (1 << r) if r else x, *rest) for r, label, x, *rest in blocks],
+            b,
+        )
+
+    monkeypatch.setattr(builder, "_expanded", wrong_power)
+    assert cli.main(["verify", *argv]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "structural: FAIL: family is not the image of its core"
+    assert out[2:] == ["pairing: pass", "overall: FAIL"]
+    assert cli.main(["idempotents", *argv]) == 1
+    assert capsys.readouterr().err.startswith("verification failed: FAIL: ")
 
 
 def test_verify_states_and_certifies_each_core_once(monkeypatch, capsys):

@@ -201,6 +201,64 @@ def test_the_construction_reads_n_only_as_the_cap():
     assert not readers
 
 
+# the paper's block tables: functions of (K, s) alone
+CASE_FUNCTIONS = ("thm2_case1", "thm3_case3", "thm3_case4", "thm3_case5")
+
+
+def _where_b_enters(path):
+    """Each place of ``path`` where b enters the construction besides its
+    one expander: a case function with parameters other than (K, s), a
+    function other than ``_expanded`` with a parameter b, and a read of
+    an attribute ``.b`` outside ``_stated``, which hands dec.b to it."""
+    found = []
+    for top in _parsed(path).body:
+        name = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                if node.name in CASE_FUNCTIONS and params != ["K", "s"]:
+                    found.append(f"{node.name}: parameters {', '.join(params)}")
+                elif "b" in params and node.name != "_expanded":
+                    found.append(f"{node.name}: parameter b")
+            elif isinstance(node, ast.Attribute) and node.attr == "b" and name != "_stated":
+                found.append(f"{name}: reads .b, line {node.lineno}")
+    return found
+
+
+def test_b_enters_the_construction_in_one_place():
+    # a family is its core's blocks plus b: the case functions state
+    # b-free blocks from (K, s), and the expander alone folds b^(2^r)
+    # into each block's start
+    builder = importlib.import_module("cyclotwist.builder")
+    for name in CASE_FUNCTIONS:
+        assert list(inspect.signature(getattr(builder, name)).parameters) == ["K", "s"]
+    assert _where_b_enters(PACKAGE / "builder.py") == []
+
+
+def test_the_b_rule_catches_what_it_names(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "def thm2_case1(K, s, b): ...\n"
+        "def thm3_case3(K, s):\n"
+        "    return dec.b\n"
+        "def _expanded(blocks, b): ...\n"
+        "def _stated(spec, dec, blocks):\n"
+        "    return dec.b\n"
+        "def ambient(family):\n"
+        "    def inner(b): ...\n"
+        "class Family:\n"
+        "    def expand(self):\n"
+        "        return self.decomposition.b\n"
+    )
+    assert _where_b_enters(path) == [
+        "thm2_case1: parameters K, s, b",
+        "thm3_case3: reads .b, line 3",
+        "inner: parameter b",
+        "Family: reads .b, line 11",
+    ]
+
+
 def test_the_ci_workflow_parses_and_every_step_acts():
     # a workflow that is not valid YAML runs none of its steps, and a
     # step with neither ``run`` nor ``uses`` does nothing
