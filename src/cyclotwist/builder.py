@@ -26,19 +26,19 @@ forms (label, r, k) as ``_stated`` reads them.  So every family
 is its b-free core's blocks plus b: ``build`` expands them on dec.b,
 ``core_family`` on b = 1 and ``ambient_constants`` on the root.  An
 item is its label and (S, k), S = 2^(n-s+r) read off the algebra's size
-2^n; ``_stated`` refuses a family past ``MAX_COORDS`` coordinates before
-it forms one constant more, so a family that exists fits, and none holds
-a coefficient: ``IdempotentFamily.elements`` builds them one at a
-time.  Beyond that size, n enters only as the cap that
-``build`` hands ``ks_decompose``.  Which family of weights applies is
-decided entirely by the field type (B/D/E) of ``classify(K)``, the
-depth s of a in the 2-power filtration, and the coset form of a in
-K_s, which ``_dispatch`` alone reads.  The four case functions below
-each state one complete family in closed form; ``build`` dispatches
-and states each item, and holds no certificate: ``oracle.verified``
-certifies a stated family.  ``core_family`` states the b-free core of
-one (K, form, s), of which each family of that kind is the image.  The
-two that serve every depth
+2^n; ``_stated`` counts the blocks' items and refuses a family past
+``MAX_COORDS`` coordinates before it forms one constant, so a family
+that exists fits, and none holds a coefficient:
+``IdempotentFamily.elements`` builds them one at a time.  Beyond that
+size, n enters only as the cap that ``build`` hands ``ks_decompose``.
+Which family of weights applies is decided entirely by the field type
+(B/D/E) of ``classify(K)``, the depth s of a in the 2-power filtration,
+and the coset form of a in K_s, which ``_dispatch`` alone reads.  The
+four case functions below each state one complete family in closed
+form; ``build`` dispatches and states each item, and holds no
+certificate: ``oracle.verified`` certifies a stated family.
+``core_family`` states the b-free core of one (K, form, s), of which
+each family of that kind is the image.  The two that serve every depth
 (``thm2_case1`` for K = A, ``thm3_case3`` for a plain coset) average
 over the roots of unity up to t = min(s, m) or min(s, m-1) and add the
 blocks on squared generators only when s runs past that supply.
@@ -58,9 +58,9 @@ than 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, repeat
 from operator import add, mul
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, AlgebraSpec, Poly, off_lattice
 from .classify import (
@@ -195,18 +195,16 @@ def _char_sum(
     return AlgebraElement._make(spec, tuple(vals), den)
 
 
-def _expanded(blocks: Iterable[tuple], b: AmbientElement) -> Iterator[tuple]:
+def _expanded(blocks: Sequence[tuple], b: AmbientElement) -> Iterator[tuple]:
     """(label, r, k) of each item of ``blocks``: the items of a block
     (r, first_label, start, step, count) are labelled up from
     first_label in its last index and hold k = start * b^(2^r) * step^i,
     i < count.  The one place b enters the construction: b^(2^r) comes
-    from one squaring ladder grown to the largest r met, a start of one
-    takes it as it is, and each constant is formed as the stream reaches
-    it, one product per item."""
-    one, ladder = b.owner.one(), [b]
+    from one squaring ladder of b to the blocks' largest r, a start of
+    one takes it as it is, and each constant is formed as the stream
+    reaches it, one product per item."""
+    one, ladder = b.owner.one(), squarings(b, max((r for r, *_ in blocks), default=0))
     for r, label, start, step, count in blocks:
-        if r >= len(ladder):
-            ladder += squarings(ladder[-1], r + 1 - len(ladder))[1:]
         k0 = ladder[r] if start is one else start * ladder[r]
         ks = accumulate(repeat(step, count - 1), mul, initial=k0)
         head = label[:-1]
@@ -304,9 +302,10 @@ def build(spec: AlgebraSpec) -> IdempotentFamily:
     One ``ks_decompose`` call gives the depth s = h_n(a) and the coset
     form of a (one chain of square roots, two when s exceeds the root
     level); the case function's blocks, expanded on dec.b, then state
-    every item in closed form, by its constants, and no element is built; an oversized family is
-    refused (ValueError) as it is stated (``_stated``).  ``build``
-    never checks the family: ``oracle.verified`` certifies it.
+    every item in closed form, by its constants, and no element is
+    built; an oversized family is refused (ValueError) on its blocks'
+    count, before any constant (``_stated``).  ``build`` never checks
+    the family: ``oracle.verified`` certifies it.
     """
     dec = ks_decompose(spec.a, spec.n)
     return _stated(spec, dec, _dispatch(spec.field, dec.form, dec.s))
@@ -336,17 +335,16 @@ def core_family(K: FieldDescriptor, form: str, s: int) -> IdempotentFamily:
 
 def _stated(spec: AlgebraSpec, dec: CosetDecomposition, blocks) -> IdempotentFamily:
     """The family of the core blocks ``blocks`` expanded on dec.b
-    (``_expanded``), each item (label, r, k) at S = 2^(n-s+r).  The
-    items are read at most one past ``MAX_COORDS`` coordinates, 2^n x d
-    per item, and refused (ValueError) if they get there."""
+    (``_expanded``), each item (label, r, k) at S = 2^(n-s+r).  A family
+    of more than ``MAX_COORDS`` coordinates, 2^n x d per item counted
+    on the blocks, is refused (ValueError) before any constant is formed."""
     S, d = spec.size >> dec.s, spec.field.ambient_dim  # s <= n
-    closed = islice(_expanded(blocks, dec.b), MAX_COORDS // (spec.size * d) + 1)
-    items = tuple(IdempotentItem(label, S << r, k) for label, r, k in closed)
-    if len(items) * spec.size * d > MAX_COORDS:
+    if sum(count for *_, count in blocks) * spec.size * d > MAX_COORDS:
         raise ValueError(
             f"at {spec.size} coefficients x {d} coordinates per item, the family"
             f" exceeds the limit of {MAX_COORDS} coordinates"
         )
+    items = tuple(IdempotentItem(label, S << r, k) for label, r, k in _expanded(blocks, dec.b))
     return IdempotentFamily(spec, dec, items)
 
 
@@ -363,7 +361,7 @@ def ambient_constants(family: IdempotentFamily) -> List[Tuple[int, AmbientElemen
     (``CosetDecomposition.root``) state them, each k the constant of its
     x^S - k; no item, second algebra, inverse or ``ks_decompose`` is
     built.  No cap applies: there are at most twice as many as the
-    family at n has, and it passed the cap."""
+    family at n has, and its blocks' count passed the cap."""
     size, dec = family.spec.size, family.decomposition
     root = _ambient(dec.root)
     closed = _expanded(thm2_case1(root.owner, dec.s), root)

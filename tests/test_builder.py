@@ -544,24 +544,29 @@ def test_an_oversized_family_is_refused_before_any_element(monkeypatch):
     assert len(list(family.elements())) == len(built) == 5
 
 
-def test_a_refused_family_forms_no_further_constant(monkeypatch):
-    # with room for two items of F:7 3 1 (16 coordinates each), the
-    # statement stops at the third constant, of five: the expander forms
-    # each constant as the stream reaches it
-    formed = []
+def test_a_refused_family_forms_no_further_constant(monkeypatch, capsys):
+    # the limit counts the blocks' items, so a refused family forms no
+    # constant: the expander is not entered on F:7 3 1 with room for two
+    # of its five items (16 coordinates each), nor on the golden
+    # refusals, each past the limit by its count alone
+    entered, formed = [], []
 
     def expanded(blocks, b, _fn=_expanded):
-        for closed in _fn(blocks, b):
-            formed.append(closed)
-            yield closed
+        entered.append(b)
+        closed = list(_fn(blocks, b))
+        formed.extend(closed)
+        return iter(closed)
 
     monkeypatch.setattr(builder, "_expanded", expanded)
+    for argv in (["F:65537", "16", "1"], ["QC:15", "15", "-1"], ["QC:16", "16", "-1"]):
+        assert cli.main(["verify", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(" the family exceeds the limit of 1073741824 coordinates\n")
     monkeypatch.setattr(builder, "MAX_COORDS", 47)
     with pytest.raises(ValueError, match="the limit of 47 coordinates$"):
         build(spec_of("F:7", 3, "1"))
-    assert len(formed) == 3
+    assert entered == formed == []
     monkeypatch.setattr(builder, "MAX_COORDS", 80)
-    formed.clear()
     assert len(build(spec_of("F:7", 3, "1")).items) == len(formed) == 5
 
 

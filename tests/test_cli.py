@@ -363,8 +363,8 @@ PER_ITEM = {
 )
 def test_a_family_past_the_limit_is_refused_before_its_constants(capsys, argv):
     # QC:15 15 -1 has 2^15 items of 2^15 x 2^14 coordinates; at QC:16 not
-    # one item of 2^16 x 2^15 fits: each is refused after at most
-    # 2^30 / (2^n x d) + 1 constants, not after all 2^n of them
+    # one item of 2^16 x 2^15 fits: each is refused on its blocks' count
+    # of items, before any of its 2^n constants
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 2
@@ -377,7 +377,7 @@ def test_a_family_past_the_limit_is_refused_before_its_constants(capsys, argv):
 
 def test_a_refusal_holds_little_memory(capsys):
     # all 2^16 constants of QC:16 16 -1, each of 2^15 coordinates, take
-    # gigabytes; the refusal forms one
+    # gigabytes; the refusal forms none
     tracemalloc.start()
     try:
         code = main(["verify", "QC:16", "16", "-1"])

@@ -777,12 +777,12 @@ def test_verify_flags_corrupted_ambient_family(
         assert "pairing: mismatch" in out and "overall: FAIL" in out and code == 1
 
 
-# mutants of the item stream, one block per item (``item_blocks``)
+# mutants of the item stream, here of one block per item (``item_blocks``)
 def first_dropped(items):
     return items[1:]
 
 
-def last_dropped(items):
+def last_dropped_item(items):
     return items[:-1]
 
 
@@ -801,7 +801,7 @@ CASE4 = [("Q", 2, "-1"), ("QE:3", 2, "-1")]
     [
         ("thm3_case3", first_dropped, CASE3, CASE4),
         ("thm3_case3", last_negated, CASE3, CASE4),
-        ("thm3_case4", last_dropped, CASE4, CASE3),
+        ("thm3_case4", last_dropped_item, CASE4, CASE3),
     ],
     ids=["case3 first dropped", "case3 last negated", "case4 last dropped"],
 )
@@ -1188,10 +1188,6 @@ def test_s_equals_n_cases_cover_each_field():
     # -b^8 is of depth 2, not 3, and is left out
     met = Counter(format_field(p.values[0].field) for p in S_EQUALS_N)
     assert met == {"F:5": 1, "F:7": 8, "F:13": 11, "QC:3": 15, "QR:3": 10, "QE:3": 10}
-
-
-def last_dropped_item(items):
-    return items[:-1]
 
 
 def first_stated_twice(items):
