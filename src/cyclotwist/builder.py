@@ -314,8 +314,9 @@ def build(spec: AlgebraSpec) -> IdempotentFamily:
 def core_family(K: FieldDescriptor, form: str, s: int) -> IdempotentFamily:
     """The b-free core of every family over K of coset form ``form`` and
     depth s: the same case function's blocks expanded on b = 1 over
-    C = K[z]/(z^(2^s) - u), u = w^(2^s) for the unit w = 1, eps_(s+1) or
-    1+eps_m that the form names (u = 1, -1 or (1+eps_m)^(2^s)).
+    C = K[z]/(z^(2^s) - u), u = w^(2^s) for the unit w that starts the
+    r = 0 block (1, eps_(s+1) or 1+eps_m), whose item's constant k has
+    k^(2^s) = u.
 
     The family of a = u*b^(2^s) at any n >= s is its image under the
     injective map z -> g^(2^(n-s)) * b^-1, item for item: the core item
@@ -323,14 +324,10 @@ def core_family(K: FieldDescriptor, form: str, s: int) -> IdempotentFamily:
     ``_expanded`` folds b^(2^r) into each block and nothing else of b.
     ``oracle.verify_core`` certifies a family through it.  It holds no
     a and no n."""
-    if form == NEGATED:
-        w = eps(K, s + 1)
-    elif form == EPS_COSET:
-        w = K.one() + eps(K, classify(K).m)
-    else:
-        w = K.one()
+    blocks = _dispatch(K, form, s)
+    w = blocks[0][2]
     dec = CosetDecomposition(s, form, K.one(), w)
-    return _stated(AlgebraSpec(s, squarings(w, s)[-1]), dec, _dispatch(K, form, s))
+    return _stated(AlgebraSpec(s, squarings(w, s)[-1]), dec, blocks)
 
 
 def _stated(spec: AlgebraSpec, dec: CosetDecomposition, blocks) -> IdempotentFamily:

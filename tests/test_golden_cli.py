@@ -6,7 +6,9 @@ repository pins.
 included), the sha256 of its stdout and its stderr verbatim.  The calls
 are each selftest MATRIX case under four commands, each call in
 ``CALLS`` (the deep instances, the selftest, classify, every refusal
-and the depth calls whose a is a literal) and each call any benchmark
+and the depth calls, among them the high-height calls whose a is
+computed here: 1,600-bit coordinates, two squares B^2 and a literal
+past the interpreter's int/str digit limit) and each call any benchmark
 seed can draw (``perfbench/workloads.py``).  Tier-1 runs every entry in
 process, and each ``verify`` call must print it cold and again warm, in
 the same process, once its core is held.  Refactors of the
@@ -17,7 +19,9 @@ from the repository root::
     PYTHONPATH=src python tests/test_golden_cli.py --freeze
 
 and to run every entry through the installed ``cyclotwist`` console
-script, one fresh interpreter per call, as CI does::
+script, one fresh interpreter per call in development mode with every
+warning an error (``PYTHONDEVMODE=1``, ``PYTHONWARNINGS=error``), as CI
+does::
 
     PYTHONPATH=src python tests/test_golden_cli.py --console
 """
@@ -26,6 +30,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import shlex
 import shutil
@@ -36,7 +41,8 @@ from pathlib import Path
 import pytest
 
 from cyclotwist import cli
-from cyclotwist.grammar import format_coeffs, parse_field
+from cyclotwist.fields import sigma
+from cyclotwist.grammar import format_coeffs, format_element, parse_element, parse_field
 from cyclotwist.selftest import MATRIX
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -111,6 +117,28 @@ def _coordinates(bits, count):
     return ",".join(str(r.getrandbits(bits) - 2 ** (bits - 1)) for _ in range(count))
 
 
+def _b_squared(field, bits, count, symmetric=False):
+    """The literal of B^2 over ``field`` for B the element of
+    ``_coordinates(bits, count)``, or for B = x + sigma(x), x that
+    element, if ``symmetric``."""
+    b = parse_element(parse_field(field), _coordinates(bits, count))
+    if symmetric:
+        b = b + sigma(b)
+    return format_element(b * b)
+
+
+def _past_the_digit_limit():
+    """(10^1500 + 7)^4, 6,001 digits: past the 4,300 that int and str
+    convert by default, so it is formed with the limit lifted, as
+    ``cli.main`` lifts it, and the limit is then restored."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str((10**1500 + 7) ** 4)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # The calls at depth, each a path where its output is largest.  The reach
 # rule (test_package_rules.py) runs the table without them: a call left
 # out can leave a package function unreached, never hide one
@@ -155,6 +183,15 @@ AT_DEPTH = (
     ("verify", "F:2305843009213693951", "6", "1"),
     # a 64-bit-height constant over QC:8 (128 coordinates)
     ("verify", "QC:8", "4", "--", _coordinates(64, 128)),
+    # a family of one field at height inverts nothing (1,600-bit
+    # coordinates); B^2 certified through its core over QC:8, and in the
+    # coset form over QR:7, pairing included, for B = x + sigma(x)
+    ("verify", "QC:8", "4", "--", _coordinates(1600, 128)),
+    ("verify", "QC:8", "4", "--", _b_squared("QC:8", 400, 128)),
+    ("verify", "QR:7", "4", "--", _b_squared("QR:7", 700, 64, symmetric=True)),
+    # coordinates past the interpreter's int/str digit limit, read and
+    # printed
+    ("idempotents", "--unchecked", "--json", "Q", "2", _past_the_digit_limit()),
     # frontier calls that finish in about a second in a fresh
     # interpreter: QC:8 at n = 8, and F:3 at n = 16, whose certificate
     # work is over the enumeration budget
@@ -296,18 +333,20 @@ def test_the_table_catches_a_changed_refusal(monkeypatch):
 
 def console():
     """Run every entry through the ``cyclotwist`` console script, each in
-    a fresh interpreter with 120 s to finish, and print each call that
-    differs from its entry.  Return 1 if any does."""
+    a fresh interpreter in development mode with every warning an error
+    and 120 s to finish, and print each call that differs from its
+    entry.  Return 1 if any does."""
     script = shutil.which("cyclotwist")
     if script is None:
         sys.exit("no cyclotwist console script on PATH: run pip install -e . first")
+    env = {**os.environ, "PYTHONDEVMODE": "1", "PYTHONWARNINGS": "error"}
     frozen = load()
     calls = every_argv()
     failed = 0
     for argv in calls:
         key = shlex.join(argv)
         try:
-            done = subprocess.run([script, *argv], capture_output=True, timeout=120)
+            done = subprocess.run([script, *argv], capture_output=True, timeout=120, env=env)
             got = entry(done.returncode, done.stdout, done.stderr.decode())
         except subprocess.TimeoutExpired:
             got = {"sha256": None, "exit": "timed out after 120 s", "stderr": None}

@@ -9,12 +9,14 @@ rebinding module-level names from outside the package
 its report, so those names are pinned here.  Every element holds its
 field, so no function takes an element and its field both.  ``builder``
 states a family and only ``oracle`` certifies it, so no layer below the
-oracle imports it.  The CLI declares its command line as its own data
-and reads no private attribute.  Every package function runs on some
-command, or is library API or a failure path named with its reason:
-code that only tests reach lives in the tests.  The commands are the
-golden table's calls (``tests/test_golden_cli.py``) but for those at
-depth, and argparse's help.
+oracle imports it, and only ``builder._dispatch`` reads the coset
+form.  CI calls the CLI only where the golden table cannot pin a call.
+The CLI declares its command line as its own data and reads no private
+attribute.  Every package function runs on some command, or is library
+API or a failure path named with its reason: code that only tests reach
+lives in the tests.  The commands are the golden table's calls
+(``tests/test_golden_cli.py``) but for those at depth, and argparse's
+help.
 """
 
 import ast
@@ -22,6 +24,7 @@ import dataclasses
 import importlib
 import inspect
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -259,16 +262,102 @@ def test_the_b_rule_catches_what_it_names(tmp_path):
     ]
 
 
-def test_the_ci_workflow_parses_and_every_step_acts():
-    # a workflow that is not valid YAML runs none of its steps, and a
-    # step with neither ``run`` nor ``uses`` does nothing
+# the names of the coset forms, which only the dispatch reads
+FORMS = {"PLAIN", "NEGATED", "EPS_COSET"}
+
+
+def _form_readers(path):
+    """Each name of a coset form that ``path`` reads outside
+    ``_dispatch``, by the top-level function, class or ``<module>``
+    statement that reads it."""
+    found = []
+    for top in _parsed(path).body:
+        name = getattr(top, "name", "<module>")
+        if name == "_dispatch":
+            continue
+        for node in ast.walk(top):
+            form = getattr(node, "id", None) or getattr(node, "attr", None)
+            if form in FORMS:
+                found.append(f"{name}: {form}, line {node.lineno}")
+    return found
+
+
+def test_only_the_dispatch_reads_the_coset_form():
+    # the form picks the case function, and everything else of a family
+    # (its core's unit w included) is read off that function's blocks
+    assert _form_readers(PACKAGE / "builder.py") == []
+
+
+def test_the_form_rule_catches_what_it_names(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "from .classify import EPS_COSET, NEGATED, PLAIN\n"
+        "def _dispatch(K, form, s):\n"
+        "    return form == NEGATED\n"
+        "def core_family(K, form, s):\n"
+        "    if form == NEGATED:\n"
+        "        return 1\n"
+        "    return 2 if form == classify.EPS_COSET else 3\n"
+        "UNITS = {PLAIN: 1}\n"
+    )
+    assert _form_readers(path) == [
+        "core_family: NEGATED, line 5",
+        "core_family: EPS_COSET, line 7",
+        "<module>: PLAIN, line 8",
+    ]
+
+
+def _workflow_steps():
     import yaml
 
     workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tier1.yml"
     jobs = yaml.safe_load(workflow.read_text())["jobs"]
-    steps = [step for job in jobs.values() for step in job["steps"]]
+    return [step for job in jobs.values() for step in job["steps"]]
+
+
+def _cli_calls(script):
+    """The arguments of each call of the CLI in ``script``, a step's
+    shell code, through the console script or ``python -m
+    cyclotwist.cli``: what follows each ``cyclotwist`` outside single
+    quotes, up to the end of its command."""
+    code = re.sub(r"'[^']*'", "''", script)
+    calls = re.findall(r"(?<![\w./-])cyclotwist(?:\.cli)?\b([^)|;&\n]*)", code)
+    return [call.strip() for call in calls]
+
+
+def test_the_ci_workflow_parses_and_every_step_acts():
+    # a workflow that is not valid YAML runs none of its steps, and a
+    # step with neither ``run`` nor ``uses`` does nothing
+    steps = _workflow_steps()
     assert steps
     assert [s for s in steps if not ("run" in s or "uses" in s)] == []
+
+
+def test_the_ci_workflow_calls_the_cli_only_where_the_table_cannot():
+    # every pinned call is an entry of the golden table, which CI runs
+    # through the console script (``--console``): the workflow calls
+    # the CLI itself only for argparse's help, whose text differs across
+    # Python versions, and for a call under an address-space limit
+    calls = [call for step in _workflow_steps() for call in _cli_calls(step.get("run", ""))]
+    assert sorted(calls) == ["-h", "verify -h", "verify QC:9 9 -1"]
+
+
+def test_the_workflow_rule_catches_what_it_names():
+    script = (
+        "out=$(cyclotwist -h)\n"
+        "test \"${out%%$'\\n'*}\" = 'usage: cyclotwist [-h] ...'\n"
+        "python -X dev -W error -m cyclotwist.cli selftest\n"
+        "a=$(python -c 'from cyclotwist import parse_field; print(1)')\n"
+        "out=$(timeout 10 cyclotwist verify QC:8 4 -- \"$a\")\n"
+        "cyclotwist idempotents --json Q 2 3 | python -c \"$check\"\n"
+        "python -m pip install -e . && python tests/test_golden_cli.py --console\n"
+    )
+    assert _cli_calls(script) == [
+        "-h",
+        "selftest",
+        'verify QC:8 4 -- "$a"',
+        "idempotents --json Q 2 3",
+    ]
 
 
 # every cache in the package, and what it is keyed by.  The benchmark
