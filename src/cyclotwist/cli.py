@@ -489,9 +489,19 @@ def _plain_args(argv: Sequence[str]) -> Optional[argparse.Namespace]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     # exact coordinates may run past the interpreter's 4,300 digits for
-    # int <-> str, both in a literal and in what is printed
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    # int <-> str, both in a literal and in what is printed: the limit is
+    # lifted for the call, and the caller's restored on every way out
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv: Optional[Sequence[str]]) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _plain_args(argv) or _build_parser().parse_args(argv)
     try:

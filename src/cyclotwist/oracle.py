@@ -22,7 +22,10 @@ Three lines of evidence are kept separate:
 
 The structural checks and the Frobenius certificate share nothing with
 each other or with the construction: no roots of unity or coset forms,
-and ``alg_mul`` only for a family that fails a check.  The minimality
+and ``alg_mul`` only for a family that fails a check.  Which of the
+oracles rejects each kind of wrong family is measured, not assumed: the
+kill matrix of ``tests/test_oracle.py`` runs each on the catalogue of
+``tests/mutants.py`` and pins its verdicts (README, "Certification").  The minimality
 certificate reads only each item's stated polynomial: once the
 structural checks prove it the minimal polynomial, the item is
 primitive iff it is irreducible over K, which Capelli's criterion over

@@ -2,7 +2,7 @@
 
 import importlib
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -43,6 +43,7 @@ from cyclotwist.oracle import (
     verified,
     verify_family,
 )
+from mutants import index_variants
 from test_golden_cli import golden_instances
 
 # the module, which the package's ``classify`` function shadows
@@ -92,24 +93,6 @@ def item_blocks(blocks, K):
 
 def items_sum(spec, items):
     return sum((e for _, e in items), spec.zero())
-
-
-@dataclass(frozen=True)
-class StatedItem:
-    """A mutant's stand-in for an item: it states its ``dim`` and
-    ``min_poly`` outright, as no constants (S, k) can."""
-
-    label: tuple
-    S: int
-    k: object
-    dim: int
-    min_poly: Poly
-
-
-def stand_in(item, **changes):
-    """``item`` as a ``StatedItem``, with ``changes``."""
-    stated = StatedItem(item.label, item.S, item.k, item.dim, item.min_poly)
-    return replace(stated, **changes)
 
 
 def min_poly_reference(e):
@@ -573,20 +556,29 @@ def test_a_refused_family_forms_no_further_constant(monkeypatch, capsys):
 # -- index-convention regressions ----------------------------------------------
 
 
+def narrowed(spec, full, kind):
+    """The (item, element) pairs of ``full`` that the catalogue's index
+    variant ``kind`` (``mutants.index_variants``) keeps."""
+    [change] = [change for k, change in index_variants(build(spec)) if k == kind]
+    kept = change(tuple(it for it, _ in full))
+    return [(it, e) for it, e in full if it in kept]
+
+
 def test_negated_family_must_start_at_zero():
     # the family that starts at i = 1 is the one without e(0,)
     spec = spec_of("Q", 2, "-1")
     s, dec = decomposed(spec)
     full = items_of(spec, dec, thm3_case4(spec.field, s))
     assert items_sum(spec, full) == spec.one()
-    assert [it.label for it, _ in full] == [(0,)]  # i = 1 leaves nothing
+    assert [it.label for it, _ in full] == [(0,)]
+    assert narrowed(spec, full, "i = 0 item dropped") == []  # i = 1 leaves nothing
 
     spec = spec_of("QE:3", 2, "-1")
     s, dec = decomposed(spec)
     full = items_of(spec, dec, thm3_case4(spec.field, s))
-    narrowed = [(it, e) for it, e in full if it.label != (0,)]
-    assert len(narrowed) == 1
-    assert items_sum(spec, narrowed) != spec.one()
+    rest = narrowed(spec, full, "i = 0 item dropped")
+    assert len(rest) == 1
+    assert items_sum(spec, rest) != spec.one()
 
 
 def test_deep_paired_family_needs_r0_block():
@@ -595,9 +587,9 @@ def test_deep_paired_family_needs_r0_block():
     s, dec = decomposed(spec)
     full = items_of(spec, dec, thm3_case3(spec.field, s))
     assert items_sum(spec, full) == spec.one()
-    narrowed = [(it, e) for it, e in full if len(it.label) == 1 or it.label[0] >= 1]
-    assert len(narrowed) == len(full) - 2
-    assert items_sum(spec, narrowed) != spec.one()
+    rest = narrowed(spec, full, "r = 0 block dropped")
+    assert len(rest) == len(full) - 2
+    assert items_sum(spec, rest) != spec.one()
 
 
 def test_flipped_lambda_loses_k_rationality():

@@ -15,16 +15,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mutants import KINDS, catalogue
 from test_acceptance import _checked_family_with_a_fault
-from test_golden_cli import argvs, every_argv
-from test_oracle import (
-    core_report,
-    family_and_core,
-    first_k_negated,
-    mutants,
-    report_dict,
-    with_elements,
-)
+from test_golden_cli import _past_the_digit_limit, argvs, every_argv
+from test_oracle import report_dict, spec_of
 
 from cyclotwist import algebra, cli, selftest
 from cyclotwist.builder import build
@@ -200,12 +194,40 @@ def test_a_decimal_literal_is_exact(capsys):
 def test_json_prints_coefficients_past_4300_digits(capsys):
     # a = (10^1500 + 7)^4 reads 6,001 digits, and c = b^-1 puts a
     # 4,501-digit denominator into the coefficients
-    a = str((10**1500 + 7) ** 4)
+    a = _past_the_digit_limit()
     code, out, err = run(capsys, "idempotents", "--unchecked", "--json", "Q", "2", a)
     assert (code, err) == (0, "")
     items = json.loads(out)["idempotents"]
     assert len(items) == 3
     assert max(len(c) for it in items for c in it["coeffs"]) == 4504
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit before Python 3.10.7"
+)
+def test_main_restores_the_callers_digit_limit(capsys):
+    # main lifts the int/str digit limit for its call alone: a caller's
+    # limit, the default or its own, is back after a call that printed
+    # 4,504-digit coefficients, a refusal and argparse's exit
+    a = _past_the_digit_limit()
+    calls = [
+        (0, ["idempotents", "--unchecked", "--json", "Q", "2", a]),
+        (0, ["verify", "Q", "2", "--", a]),
+        (2, ["verify", "Q", "2", "0"]),
+    ]
+    default = sys.get_int_max_str_digits()
+    for limit in (default, 5000):
+        sys.set_int_max_str_digits(limit)
+        try:
+            for code, argv in calls:
+                assert main(argv) == code
+                assert sys.get_int_max_str_digits() == limit
+            with pytest.raises(SystemExit):
+                main(["verify", "F:7", "2"])
+            assert sys.get_int_max_str_digits() == limit
+        finally:
+            sys.set_int_max_str_digits(default)
+    capsys.readouterr()
 
 
 def test_verify_skips_are_reported(capsys):
@@ -845,19 +867,18 @@ def test_json_writer_on_every_golden_json_call(capsys):
 
 
 def failing_reports():
-    """Reports with failure lines and false flags: verify_family on the
-    wrong families of ``mutants``, and verify_core on families that are
-    not their core's image (a doubled b, a negated k)."""
-    for field_spec, n, a in [("F:7", "2", "3"), ("F:3", "1", "2"), ("Q", "3", "16")]:
-        family, core = family_and_core(field_spec, n, a)
-        for _, elements in mutants(family):
-            yield verify_family(*with_elements(family, elements))
-        dec = family.decomposition
-        for wrong in (
-            replace(family, decomposition=replace(dec, b=dec.b + dec.b)),
-            replace(family, items=first_k_negated(family.items)),
-        ):
-            yield verify_core(wrong, core, core_report(core))
+    """Reports with failure lines and false flags, on the catalogue's
+    wrong families (``mutants.catalogue``): verify_family on each stream
+    mutant, and verify_core on a doubled b and on a negated k."""
+    for field_spec, n, a in [("F:7", 2, "3"), ("F:3", 1, "2"), ("Q", 3, "16")]:
+        for m in catalogue(build(spec_of(field_spec, n, a))):
+            st = m.statement
+            if m.same:
+                continue
+            if KINDS[m.kind] == "stream":
+                yield verify_family(st.family, st.elements)
+            elif m.kind in ("b doubled", "k negated"):
+                yield verify_core(st.family, st.core, verify_family(st.core, st.core_elements))
 
 
 def test_report_writer_on_failing_reports():

@@ -9,9 +9,11 @@ are each selftest MATRIX case under four commands, each call in
 and the depth calls, among them the high-height calls whose a is
 computed here: 1,600-bit coordinates, two squares B^2 and a literal
 past the interpreter's int/str digit limit) and each call any benchmark
-seed can draw (``perfbench/workloads.py``).  Tier-1 runs every entry in
-process, and each ``verify`` call must print it cold and again warm, in
-the same process, once its core is held.  Refactors of the
+seed can draw (``perfbench/workloads.py``).  A call's test id is its
+key, or past 120 characters its first 64 and the literal's length and
+sha256 prefix (``call_id``).  Tier-1 runs every entry in process, and
+each ``verify`` call must print it cold and again warm, in the same
+process, once its core is held.  Refactors of the
 construction, the verifier or the arithmetic kernel must leave every
 entry unchanged.  To re-freeze after an intended output change, run
 from the repository root::
@@ -130,7 +132,10 @@ def _b_squared(field, bits, count, symmetric=False):
 def _past_the_digit_limit():
     """(10^1500 + 7)^4, 6,001 digits: past the 4,300 that int and str
     convert by default, so it is formed with the limit lifted, as
-    ``cli.main`` lifts it, and the limit is then restored."""
+    ``cli.main`` lifts it, and the limit is then restored.  Before
+    Python 3.10.7 there is no limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str((10**1500 + 7) ** 4)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -302,10 +307,32 @@ def check(argv):
         assert run(argv) == frozen
 
 
-@pytest.mark.parametrize("argv", every_argv(), ids=shlex.join)
+# the longest test id of a call, so that a run's report stays readable
+MAX_ID = 120
+
+
+def call_id(argv):
+    """The test id of a call: its key, ``shlex.join(argv)``, or for a key
+    past ``MAX_ID`` characters its first 64 and the length and sha256
+    prefix of its last argument, the literal that runs long."""
+    key = shlex.join(argv)
+    if len(key) <= MAX_ID:
+        return key
+    literal = argv[-1]
+    digest = hashlib.sha256(literal.encode()).hexdigest()[:12]
+    return f"{key[:64]}... ({len(literal)} chars, sha256 {digest})"
+
+
+@pytest.mark.parametrize("argv", every_argv(), ids=call_id)
 def test_cli_output_is_frozen(argv):
     # each test starts with no core held (conftest.py)
     check(argv)
+
+
+def test_every_call_id_is_short_and_its_own():
+    ids = [call_id(argv) for argv in every_argv()]
+    assert max(map(len, ids)) <= MAX_ID
+    assert len(set(ids)) == len(ids)
 
 
 def test_the_table_catches_a_changed_separator(monkeypatch):

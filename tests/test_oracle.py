@@ -5,7 +5,7 @@ import dataclasses
 import importlib
 import json
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import replace
 from math import gcd
 
@@ -25,11 +25,16 @@ from cyclotwist.algebra import (
 )
 from cyclotwist import builder
 from cyclotwist.classify import EPS_COSET, PLAIN
-from cyclotwist.builder import ambient_constants, build, core_family
+from cyclotwist.builder import (
+    IdempotentItem,
+    _expanded,
+    ambient_constants,
+    build,
+    core_family,
+)
 from cyclotwist.fields import (
     IDENTITY,
     FieldDescriptor,
-    eps,
     sigma,
     sigma_coords,
     sqrt_ambient,
@@ -56,16 +61,31 @@ from cyclotwist.oracle import (
     verify_core,
     verify_family,
 )
+from cyclotwist.selftest import MATRIX
+from mutants import (
+    ITEM_KINDS,
+    KINDS,
+    ambient_mutants,
+    b_doubled,
+    bumped,
+    catalogue,
+    conj,
+    first_orbit,
+    raised_b_power,
+    sourced,
+    stand_in,
+    streams,
+    under_deep,
+)
 from test_algebra import ambient_elements, kernel_specs
 from test_builder import (
     ambient_spec,
     golden_instances,
-    item_blocks,
     min_poly_reference,
     poly_of,
-    stand_in,
     unit_matrix,
 )
+from test_golden_cli import call_id
 
 # the module, which the package's ``classify`` function shadows
 classify_module = importlib.import_module("cyclotwist.classify")
@@ -130,14 +150,13 @@ def residues(elements):
     return sorted(e.ints[:: e.field.ambient_dim] for e in elements)
 
 
-def with_elements(family, elements):
-    """(family, stream) for ``cross_check``: ``family`` with one item,
-    labelled (0,), (1,), ..., per element of ``elements``, and the
-    stream of those elements, which is all that ``cross_check`` reads
-    beyond the item count."""
-    item = family.items[0]
-    items = tuple(replace(item, label=(j,)) for j in range(len(elements)))
-    return replace(family, items=items), elements.__iter__
+def stream_mutants(family):
+    """(kind, (family, stream)) of each stream mutant of the catalogue
+    (``mutants.streams``), the family stating for each element the item
+    it was formed from: ``cross_check`` reads the stream and the item
+    count alone."""
+    for kind, _, elements, sources in streams(family.spec, list(family.elements())):
+        yield kind, (sourced(family, sources), elements.__iter__)
 
 
 def report_dict(report):
@@ -160,36 +179,6 @@ def report_dict(report):
     }
 
 
-def mutants(family):
-    """(kind, elements) for wrong families: an item dropped, two merged
-    into their sum, one duplicated, or one replaced by -e, g*e or 1 - e;
-    and three wrong families of the right size that sum to 1, each
-    caught by one check alone."""
-    es = list(family.elements())
-    one, g = family.spec.one(), family.spec.gbar()
-    q = family.spec.field.q
-    for i, e in enumerate(es):
-        rest = es[:i] + es[i + 1 :]
-        yield "dropped", rest
-        yield "duplicated", es + [e]
-        yield "negated", rest + [-e]
-        yield "complemented", rest + [one - e]
-        if g * e != e:  # g*e = e on the component where g is 1
-            yield "shifted", rest + [g * e]
-        if i + 1 < len(es):
-            merged = es[:i] + [e + es[i + 1]] + es[i + 2 :]
-            yield "merged", merged
-            # only the nonzero check rejects this one
-            yield "merged", merged + [family.spec.zero()]
-    if len(es) >= 3:
-        # running sums e0, e1, 1: idempotent, but e1 - e0 is not
-        yield "telescoped", [es[0], es[1] - es[0], es[0] + es[2]] + es[3:]
-    if len(es) > q:
-        # idempotents e0 + ej (j = 1..q) and e0 sum to 1, as (q + 1)*e0 = e0;
-        # only the running sums see that they overlap
-        yield "overlapping", [es[0] + f for f in es[1 : q + 1]] + [es[0]] + es[q + 1 :]
-
-
 SMALL_UNITS = [
     (q, n, a)
     for q in (3, 5, 7, 11, 13)
@@ -205,9 +194,10 @@ def test_certificate_agrees_with_enumeration(q, n, a):
     atoms = _enum_py.atoms(q, n, a)
     assert residues(family.elements()) == atoms
     assert cross_check(family, family.elements)
-    for kind, elements in mutants(family):
-        wrong = with_elements(family, elements)
-        assert cross_check(*wrong) == (residues(elements) == atoms), kind
+    for kind, wrong in stream_mutants(family):
+        elements = list(wrong[1]())
+        in_k = all(e.is_k_rational() for e in elements)
+        assert cross_check(*wrong) == (in_k and residues(elements) == atoms), kind
 
 
 def test_enumeration_atoms_of_f5_at_n1():
@@ -235,8 +225,8 @@ def test_certificate_rejects_mutants(field_spec, n, a):
     family = build(spec_of(field_spec, n, a))
     assert cross_check(family, family.elements)
     kinds = set()
-    for kind, elements in mutants(family):
-        assert not cross_check(*with_elements(family, elements)), kind
+    for kind, wrong in stream_mutants(family):
+        assert not cross_check(*wrong), kind
         kinds.add(kind)
     assert kinds >= {"dropped", "duplicated", "negated", "complemented", "shifted", "merged"}
 
@@ -254,9 +244,10 @@ def test_square_with_slots_wider_than_eight_bytes(N):
 def test_certificate_rejects_items_outside_k():
     # e0 + i*e1 has the residues of e0 in its K-coordinates
     family = build(spec_of("F:7", 2, "1"))
-    i = family.spec.field.element((0, 1))
-    es = list(family.elements())
-    assert not cross_check(*with_elements(family, [es[0] + es[1] * i] + es[1:]))
+    wrong = [w for kind, w in stream_mutants(family) if kind == "plus i times another"]
+    assert len(wrong) == len(family.items) - 1
+    for w in wrong:
+        assert not cross_check(*w)
 
 
 @pytest.mark.parametrize(
@@ -265,12 +256,13 @@ def test_certificate_rejects_items_outside_k():
 )
 def test_certificate_rejects_families_that_sum_to_one(field_spec, n, a, kind):
     family = build(spec_of(field_spec, n, a))
-    wrong = [es for k, es in mutants(family) if k == kind]
+    wrong = [w for k, w in stream_mutants(family) if k == kind]
     assert wrong
-    for elements in wrong:
+    for w in wrong:
+        elements = list(w[1]())
         assert len(elements) == len(family.items)
         assert sum(elements[1:], elements[0]) == family.spec.one()
-        assert not cross_check(*with_elements(family, elements))
+        assert not cross_check(*w)
 
 
 def test_certificate_needs_a_finite_field():
@@ -598,9 +590,7 @@ def test_a_changed_coordinate_fails_annihilation(field_spec, n, a):
     for i, (it, e) in enumerate(zip(family.items, es)):
         assert it.min_poly.degree < spec.size
         for j in range(len(e.ints)):
-            ints = list(e.ints)
-            ints[j] += 1
-            bad = AlgebraElement(spec, ints, e.den)
+            bad = bumped(e, j)
             assert not annihilates(spec, bad, it.min_poly.terms)
         # and through verify_family, for the last coordinate of each item
         mutant = es[:i] + [bad] + es[i + 1 :]
@@ -667,11 +657,6 @@ def test_pairing_across_types(field_spec, n, a):
     assert conjugate_pairing_check(family, ambient_constants(family))
 
 
-def conj(K, k):
-    """The involution of K on the coordinates of k, over k's own field."""
-    return type(k)._make(k.owner, tuple(sigma_coords(K, k.ints)), k.den)
-
-
 def pairing_reference(family, ambient):
     """The pairing verdict as a set equality over constants: the
     ambient (S, k) are closed under the involution, and their orbits,
@@ -688,37 +673,6 @@ def pairing_reference(family, ambient):
         return False
     want = {keys(it.S, it.k) for it in family.items}
     return {keys(S, k) for S, k in ambient} == want
-
-
-def first_orbit(family, ambient):
-    """The first ambient orbit {(S, k), (S, sigma k)} with sigma k != k,
-    and the ambient constants without it."""
-    K = family.spec.field
-    S, k = next((S, k) for S, k in ambient if conj(K, k) != k)
-    orbit = [(S, k), (S, conj(K, k))]
-    return orbit, [x for x in ambient if x not in orbit]
-
-
-def wrong_ambients(family, ambient):
-    """Ambient constants that pairing must reject, by corruption: the
-    first paired orbit {(S, k), (S, sigma k)} dropped, or replaced by the
-    orbit of k^2, or added again at another S, or replaced by the orbit
-    of zeta^j * k, one mutant for each root of unity zeta^j of the
-    ambient field other than 1 and sigma(k) / k."""
-    K = family.spec.field
-    orbit, rest = first_orbit(family, ambient)
-    S, k = orbit[0]
-    other = S * 2 if S < family.spec.size else S // 2
-    A = k.owner
-    zetas = [A.zeta_pow(j) * k for j in range(1, 1 << A.level)]
-    return {
-        "dropped": [rest],
-        "squared constant": [rest + [(S, k * k), (S, conj(K, k * k))]],
-        "at another S": [ambient + [(other, x) for _, x in orbit]],
-        "times a root of unity": [
-            rest + [(S, z), (S, conj(K, z))] for z in zetas if z != conj(K, k)
-        ],
-    }
 
 
 PAIRING_CASES = [("Q", 2, "-4"), ("QE:3", 3, "16"), ("QR:3", 3, "16"), ("F:3", 3, "1")]
@@ -745,16 +699,24 @@ def test_pairing_verdict_is_the_set_equality(field_spec, n, a):
     assert verdicts == [pairing_reference(k, amb) for k, amb in mutants]
     assert verdicts == [True, True, True, True, False, True, False]
     # every wrong constant is rejected, and so is a missing partner
-    wrong = [amb for ambs in wrong_ambients(family, ambient).values() for amb in ambs]
+    wrong = [amb for ambs in ambient_mutants(family, ambient).values() for amb in ambs]
     assert len(wrong) >= 4
     for amb in wrong + [rest + orbit[:1]]:
         assert not conjugate_pairing_check(family, amb)
         assert not pairing_reference(family, amb)
 
 
+# each ambient corruption of the catalogue, by the id it has in this test
+AMBIENT_CORRUPTIONS = {
+    "dropped": "ambient orbit dropped",
+    "squared constant": "ambient constant squared",
+    "at another S": "ambient orbit at another S",
+    "times a root of unity": "ambient times a root of unity",
+}
+
+
 @pytest.mark.parametrize(
-    "corruption",
-    ["dropped", "squared constant", "at another S", "times a root of unity"],
+    "corruption", AMBIENT_CORRUPTIONS.values(), ids=list(AMBIENT_CORRUPTIONS)
 )
 @pytest.mark.parametrize(
     "field_spec, n, a",
@@ -767,9 +729,9 @@ def test_verify_flags_corrupted_ambient_family(
     # constants leave the structural report as it is, and pairing alone
     # rejects them
     family = build(spec_of(field_spec, n, a))
-    mutants = wrong_ambients(family, ambient_constants(family))[corruption]
-    assert mutants
-    for bad in mutants:
+    wrong = ambient_mutants(family, ambient_constants(family))[corruption]
+    assert wrong
+    for bad in wrong:
         monkeypatch.setattr(cli, "ambient_constants", lambda family: bad)
         code = cli.main(["verify", field_spec, str(n), a])
         out = capsys.readouterr().out
@@ -777,18 +739,18 @@ def test_verify_flags_corrupted_ambient_family(
         assert "pairing: mismatch" in out and "overall: FAIL" in out and code == 1
 
 
-# mutants of the item stream, here of one block per item (``item_blocks``)
-def first_dropped(items):
-    return items[1:]
+def mutated_case(original, kind, i):
+    """The case function ``original`` with the catalogue's item change
+    ``kind`` at item i: its blocks expanded on b = 1, one block per item,
+    so that the change acts on the item stream; expanded on any b, the
+    blocks state the changed items."""
 
+    def case(K, s):
+        closed = _expanded(original(K, s), K.one())
+        items = ITEM_KINDS[kind]([IdempotentItem(label, 1 << r, k) for label, r, k in closed], i)
+        return [(it.S.bit_length() - 1, it.label, it.k, it.k, 1) for it in items]
 
-def last_dropped_item(items):
-    return items[:-1]
-
-
-def last_negated(items):
-    *rest, (r, label, k, step, count) = items
-    return rest + [(r, label, -k, step, count)]
+    return case
 
 
 # instances that dispatch to the plain and to the negated paired case
@@ -799,9 +761,9 @@ CASE4 = [("Q", 2, "-1"), ("QE:3", 2, "-1")]
 @pytest.mark.parametrize(
     "case, mutate, touched, untouched",
     [
-        ("thm3_case3", first_dropped, CASE3, CASE4),
-        ("thm3_case3", last_negated, CASE3, CASE4),
-        ("thm3_case4", last_dropped_item, CASE4, CASE3),
+        ("thm3_case3", ("item dropped", 0), CASE3, CASE4),
+        ("thm3_case3", ("k negated", -1), CASE3, CASE4),
+        ("thm3_case4", ("item dropped", -1), CASE4, CASE3),
     ],
     ids=["case3 first dropped", "case3 last negated", "case4 last dropped"],
 )
@@ -811,8 +773,7 @@ def test_pairing_flags_a_mutated_case_function(
     # a K-side case function that states a wrong family no longer meets
     # the ambient constants, which the trivial-involution case states:
     # pairing rejects every instance of that case, and no other
-    original = getattr(builder, case)
-    monkeypatch.setattr(builder, case, lambda K, s: mutate(item_blocks(original(K, s), K)))
+    monkeypatch.setattr(builder, case, mutated_case(getattr(builder, case), *mutate))
     for instance in touched + untouched:
         family = build(spec_of(*instance))
         paired = conjugate_pairing_check(family, ambient_constants(family))
@@ -1190,19 +1151,6 @@ def test_s_equals_n_cases_cover_each_field():
     assert met == {"F:5": 1, "F:7": 8, "F:13": 11, "QC:3": 15, "QR:3": 10, "QE:3": 10}
 
 
-def first_stated_twice(items):
-    return items[:1] + items
-
-
-def first_k_negated(items):
-    return (replace(items[0], k=-items[0].k),) + items[1:]
-
-
-def last_k_times_a_root(items):
-    k = items[-1].k
-    return items[:-1] + (replace(items[-1], k=k * eps(k.owner, k.owner.root_level)),)
-
-
 # the golden instances of depth s >= 1, and those whose first item is
 # paired with -k = sigma(k)
 DEEP_GOLDEN = [
@@ -1213,9 +1161,17 @@ DEEP_GOLDEN = [
 SAME_WHEN_NEGATED = [("F:3", "1", "2"), ("Q", "2", "-1")]
 
 
-@pytest.mark.parametrize(
-    "mutate", [last_dropped_item, first_stated_twice, first_k_negated, last_k_times_a_root]
-)
+# item changes of the catalogue at the first (0) or last (-1) item, by
+# the id each has in this test
+CORE_MUTANTS = {
+    "last_dropped_item": ("item dropped", -1),
+    "first_stated_twice": ("item stated twice", 0),
+    "first_k_negated": ("k negated", 0),
+    "last_k_times_a_root": ("k times a root of unity", -1),
+}
+
+
+@pytest.mark.parametrize("mutate", CORE_MUTANTS.values(), ids=list(CORE_MUTANTS))
 @pytest.mark.parametrize(
     "field_spec, n, a", DEEP_GOLDEN, ids=[" ".join(x) for x in DEEP_GOLDEN]
 )
@@ -1224,9 +1180,10 @@ def test_verify_core_rejects_core_mutants(field_spec, n, a, mutate):
     # rejects it, as verify_family at n does.  Negating the k of a paired
     # item where -k = sigma(k) (F:3 1 2, Q 2 -1) states the same family
     family, core = family_and_core(field_spec, n, a)
-    family = replace(family, items=mutate(family.items))
-    core = replace(core, items=mutate(core.items))
-    same = mutate is first_k_negated and (field_spec, n, a) in SAME_WHEN_NEGATED
+    kind, i = mutate
+    family = replace(family, items=ITEM_KINDS[kind](family.items, i))
+    core = replace(core, items=ITEM_KINDS[kind](core.items, i))
+    same = kind == "k negated" and (field_spec, n, a) in SAME_WHEN_NEGATED
     if same:
         k = core.items[0].k
         assert -k == sigma(k) != k
@@ -1248,11 +1205,11 @@ def test_verify_core_flags_a_family_that_is_not_the_image_of_its_core(
     # the family's size (Q 3 16, QR:3 3 16) or smaller (F:7 5 5, s = 3)
     family, core = family_and_core(field_spec, n, a)
     dec, base = family.decomposition, core_report(core)
-    wrong_b = replace(family, decomposition=replace(dec, b=dec.b + dec.b))
+    wrong_b = b_doubled(family)
     report = verify_core(wrong_b, core, base)
     assert report.failures == ("a is not u*b^(2^s) with b in K for the core's u and s",)
     assert image_failures(wrong_b, core) == list(report.failures)
-    not_image = replace(family, items=first_k_negated(family.items))
+    not_image = replace(family, items=ITEM_KINDS["k negated"](family.items, 0))
     report = verify_core(not_image, core, base)
     assert report.failures[0] == "family is not the image of its core"
     assert image_failures(family, core) == []
@@ -1283,11 +1240,7 @@ def test_a_wrong_power_of_b_where_b_enters_fails_the_family(monkeypatch, capsys)
     assert max(r for r, *_ in builder._dispatch(K, dec.form, dec.s)) == 1
 
     def wrong_power(blocks, b, _fn=builder._expanded):
-        # each r >= 1 block's start times b^(2^r) more: b^(2^(r+1)) in all
-        return _fn(
-            [(r, label, x * b ** (1 << r) if r else x, *rest) for r, label, x, *rest in blocks],
-            b,
-        )
+        return raised_b_power(_fn(blocks, b), b)
 
     monkeypatch.setattr(builder, "_expanded", wrong_power)
     assert cli.main(["verify", *argv]) == 1
@@ -1337,6 +1290,150 @@ def test_verify_states_and_certifies_each_core_once(monkeypatch, capsys):
         core = core_family(K, form, s)
         assert (core.spec.n, core.decomposition.b) == (s, K.one())
         assert held_core((K, form, s)) == (core, core_report(core))
+
+
+# -- the kill matrix ---------------------------------------------------------------------
+
+ORACLES = ("verify_core", "verify_family", "cross_check", "pairing")
+
+# one instance per construction branch, and Q 3 6561 (a = 3^8, s = 3,
+# b = 3, blocks r = 0 and 1): in every MATRIX case b^(2^r) = 1 for each
+# r >= 1 block, so there a wrong power of b states the same family
+KILL_CASES = [(c.field, c.n, c.a) for c in MATRIX] + [("Q", 3, "6561")]
+
+# kind -> the verdict of each of ORACLES on the catalogue's mutants of
+# every KILL_CASES family (``kill_matrix``)
+KILL_MATRIX = {
+    **dict.fromkeys(
+        ["dropped", "merged", "item dropped", "r = 0 block dropped", "i = 0 item dropped"],
+        ("rejects", "rejects", "rejects", "rejects"),
+    ),
+    **dict.fromkeys(
+        [
+            "duplicated",
+            "negated",
+            "complemented",
+            "shifted",
+            "merged plus zero",
+            "telescoped",
+            "overlapping",
+            "coefficient changed",
+            "plus i times another",
+            "item stated twice",
+            "under-deep",
+        ],
+        ("rejects", "rejects", "rejects", "accepts"),
+    ),
+    # on the family {1} of F:5 2 2 a wrong k leaves the element 1
+    **dict.fromkeys(
+        ["k negated", "k times a root of unity"], ("rejects", "rejects", "some", "rejects")
+    ),
+    "k to sigma(k)": ("same", "same", "same", "same"),
+    "wrong polynomial term": ("rejects", "rejects", "accepts", "accepts"),
+    **dict.fromkeys(
+        [
+            "ambient orbit dropped",
+            "ambient constant squared",
+            "ambient orbit at another S",
+            "ambient times a root of unity",
+        ],
+        ("accepts", "accepts", "accepts", "rejects"),
+    ),
+    "b doubled": ("rejects", "accepts", "accepts", "accepts"),
+    "wrong power of b": ("rejects", "rejects", "n/a", "rejects"),
+}
+
+
+def oracle_verdicts(st):
+    """True (accepts), False (rejects) or None (does not apply) of each
+    of ``ORACLES``, the oracles ``verify`` runs, on the statement ``st``:
+    ``verify_core`` through the core, ``verify_family`` at n,
+    ``cross_check`` over F_q and pairing where sigma is nontrivial.  A
+    stream mutant with no counterpart in the core gives ``verify_core``
+    nothing to read."""
+    K = st.family.spec.field
+    report = st.core_elements and verify_core(
+        st.family, st.core, verify_family(st.core, st.core_elements)
+    )
+    return (
+        report and report.ok,
+        verify_family(st.family, st.elements).ok,
+        cross_check(st.family, st.elements) if K.q else None,
+        conjugate_pairing_check(st.family, st.ambient) if K.involution != IDENTITY else None,
+    )
+
+
+def fails_check_d_alone(st):
+    """Does ``verify_core`` reject ``st`` through the ``primitive`` flags
+    of check (d) alone: the core's report passes, (b) and (c) add no
+    line, and every line is an item not certified minimal?"""
+    base = verify_family(st.core, st.core_elements)
+    report = verify_core(st.family, st.core, base)
+    flags = [dataclasses.astuple(c)[1:] for c in report.item_checks]
+    return (
+        base.ok
+        and image_failures(st.family, st.core) == []
+        and not report.ok
+        and all(line.endswith(" is not certified minimal") for line in report.failures)
+        and all(all(f[:-1]) for f in flags)
+    )
+
+
+def kill_matrix():
+    """kind -> the verdict of each of ``ORACLES`` on the catalogue's
+    mutants of every ``KILL_CASES`` family: "rejects" or "accepts" for
+    one verdict on every mutant that states another family, "some" for
+    both, "same" when every mutant states the same family, and "n/a"
+    when the oracle applies to no mutant.  A mutant that states the
+    same family must be accepted by every oracle, and an under-deep one
+    fail check (d) alone."""
+    seen = defaultdict(set)
+    for case in KILL_CASES:
+        for m in catalogue(build(spec_of(*case))):
+            for oracle, verdict in zip(ORACLES, oracle_verdicts(m.statement)):
+                if verdict is not None:
+                    assert verdict or not m.same, (case, m.kind, oracle)
+                    seen[m.kind, oracle].add("same" if m.same else verdict)
+            if m.kind == "under-deep":
+                assert fails_check_d_alone(m.statement), case
+
+    def cell(verdicts):
+        wrong = verdicts - {"same"}
+        if not wrong:
+            return "same" if verdicts else "n/a"
+        return {frozenset([False]): "rejects", frozenset([True]): "accepts"}.get(
+            frozenset(wrong), "some"
+        )
+
+    return {kind: tuple(cell(seen[kind, oracle]) for oracle in ORACLES) for kind in KINDS}
+
+
+def test_the_kill_matrix():
+    # which oracle rejects each kind of wrong family: every kind but the
+    # one that always states the same family is rejected by one at least
+    assert kill_matrix() == KILL_MATRIX
+    assert all("rejects" in row for row in KILL_MATRIX.values() if row[0] != "same")
+
+
+PLAIN_DEEP_GOLDEN = [
+    (f, n, a)
+    for f, n, a in DEEP_GOLDEN
+    if build(spec_of(f, int(n), a)).decomposition.form == PLAIN
+]
+
+
+@pytest.mark.parametrize(
+    "field_spec, n, a", PLAIN_DEEP_GOLDEN, ids=map(call_id, PLAIN_DEEP_GOLDEN)
+)
+def test_an_under_deep_family_fails_check_d_alone(field_spec, n, a):
+    # a = b^(2^s) restated at depth s - 1 with b^2: the core at s - 1 and
+    # the image check (b), (c) pass, and only certify_irreducible at n
+    # sees that its items are not primitive
+    st = under_deep(build(spec_of(field_spec, int(n), a)))
+    assert fails_check_d_alone(st)
+    assert verify_family(st.family, st.elements).failures == verify_core(
+        st.family, st.core, verify_family(st.core, st.core_elements)
+    ).failures
 
 
 # -- high heights ------------------------------------------------------------------------

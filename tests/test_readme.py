@@ -5,7 +5,8 @@ a CLI call and its stdout, byte for byte; the ``json`` block is the
 parsed output of ``idempotents --json Q 2 -4``; each ``python`` block
 runs, and the ``ks_decompose`` one prints what its comment says.  The
 "Typical use" block of ``cyclotwist.__doc__`` runs too, and every name
-in ``cyclotwist.__all__`` resolves.
+in ``cyclotwist.__all__`` resolves.  The kill-matrix table of
+"Certification" is the one ``test_oracle.py`` pins.
 """
 
 import contextlib
@@ -20,6 +21,7 @@ import pytest
 
 import cyclotwist
 from cyclotwist.cli import main
+from test_oracle import KILL_MATRIX, ORACLES
 
 README = (Path(__file__).parents[1] / "README.md").read_text()
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```$", README, flags=re.M | re.S)
@@ -74,3 +76,15 @@ def test_every_exported_name_resolves():
     missing = [name for name in cyclotwist.__all__ if not hasattr(cyclotwist, name)]
     assert missing == []
     assert len(set(cyclotwist.__all__)) == len(cyclotwist.__all__)
+
+
+def test_the_kill_matrix_table_is_the_pinned_one():
+    # each row of the README's table: its kinds, then one verdict per oracle
+    [table] = re.findall(r"^\| kinds \|.*?\n\n", README, flags=re.M | re.S)
+    header, *rows = re.findall(r"^\| (.*) \|$", table, flags=re.M)
+    assert tuple(c.strip("`") for c in header.split(" | ")[1:]) == ORACLES
+    shown = {}
+    for row in rows:
+        kinds, *verdicts = row.split(" | ")
+        shown.update(dict.fromkeys(re.findall(r"`([^`]+)`", kinds), tuple(verdicts)))
+    assert shown == KILL_MATRIX
