@@ -57,10 +57,9 @@ than 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import add, mul
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, AlgebraSpec, Poly, off_lattice
 from .classify import (
@@ -90,8 +89,7 @@ from .fields import (
 MAX_COORDS = 1 << 30
 
 
-@dataclass(frozen=True)
-class IdempotentItem:
+class IdempotentItem(NamedTuple):
     """One minimal idempotent e by its constants: g^S * e_k = k * e_k for
     its part e_k.  ``dim`` (of e*K_t<g>) and ``min_poly`` (of g*e) follow
     from (S, k), and ``verify_family`` proves both; ``elements`` builds e."""
@@ -121,17 +119,18 @@ class IdempotentItem:
         return Poly(tuple((e, v) for e, v in terms if v))
 
 
-@dataclass(frozen=True)
-class IdempotentFamily:
+class IdempotentFamily(NamedTuple):
     spec: AlgebraSpec
     decomposition: CosetDecomposition
     items: Tuple[IdempotentItem, ...]
 
     def elements(self) -> Iterator[AlgebraElement]:
         """The items' elements, each built as the stream reaches it; the
-        call inverts a iff some item has T > 1, and is within ``MAX_COORDS``."""
+        call inverts a at most once, iff some item has T > 1 or is paired
+        (``_char_sum`` reads a^-1 for no other), and is within ``MAX_COORDS``."""
         spec, items = self.spec, self.items
-        ainv = spec.a.inverse() if any(it.S < spec.size for it in items) else None
+        inverts = any(it.S < spec.size or it.paired for it in items)
+        ainv = spec.a.inverse() if inverts else None
         return (_char_sum(spec, it.S, it.k, it.paired, ainv) for it in items)
 
 

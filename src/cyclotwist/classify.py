@@ -21,7 +21,7 @@ alpha/sigma(alpha), an explicit root of unity.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fields import (
     IDENTITY,
@@ -45,8 +45,7 @@ TYPE_D = "D"
 TYPE_E = "E"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Symmetry type of K inside A, plus the root-of-unity bound m; both
     belong to the field alone, never to n."""
 
@@ -54,8 +53,7 @@ class Classification:
     m: int
 
 
-@dataclass(frozen=True)
-class CosetDecomposition:
+class CosetDecomposition(NamedTuple):
     """a = b^(2^s) (plain), -b^(2^s) (negated) or (1+eps_m)^(2^s) b^(2^s)
     (eps_coset), with b in K*.  ``root``, alpha^(2^s) = a, ends the root
     chain, which never reads the involution: it is the b of a over A."""

@@ -35,14 +35,12 @@ of ``verify --json`` and ``idempotents --verify --json`` is written by
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import os
 import re
 import sys
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import AlgebraSpec
@@ -60,8 +58,8 @@ from .grammar import (
 )
 from .oracle import (
     DEFAULT_ENUM_BUDGET,
+    FLAG_FAILURES,
     EnumerationBudgetError,
-    ItemCheck,
     VerificationError,
     VerificationReport,
     conjugate_pairing_check,
@@ -105,13 +103,11 @@ def _json_text(obj, pad: str) -> str:
     return ends[0] + inner + ("," + inner).join(parts) + pad + ends[1]
 
 
-_FLAG_NAMES = [f.name for f in dataclasses.fields(ItemCheck)[1:]]
-_item_flags = attrgetter(*_FLAG_NAMES)
 # one item check at its place in either report: the label's elements
 # and then each flag, in ``ItemCheck``'s field order
 _ITEM_CHECK_JSON = (
     '{{\n        "label": [\n          {}\n        ]'
-    + "".join(f',\n        "{name}": {{}}' for name in _FLAG_NAMES)
+    + "".join(f',\n        "{name}": {{}}' for name in FLAG_FAILURES)
     + "\n      }}"
 )
 _JSON_BOOL = {True: "true", False: "false"}.__getitem__
@@ -129,7 +125,7 @@ def _report_json(report: VerificationReport) -> str:
     not multiplied out (``oracle.verify_family``)."""
     items = [
         _ITEM_CHECK_JSON.format(
-            ",\n          ".join(map(str, c.label)), *map(_JSON_BOOL, _item_flags(c))
+            ",\n          ".join(map(str, c.label)), *map(_JSON_BOOL, c[1:])
         )
         for c in report.item_checks
     ]

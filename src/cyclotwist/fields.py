@@ -164,13 +164,14 @@ class FieldDescriptor:
 
     @functools.cached_property
     def _roots(self) -> Tuple[tuple, tuple]:
-        """(eps_t, eps_t^-1) for t = 0..root_level: eps_(t-1) = eps_t^2,
-        each a ``squarings`` ladder from t = root_level down."""
+        """(eps_t, eps_t^-1) for t = 0..root_level: over Q(zeta) each
+        is zeta^(+-2^(L-t)); mod q, eps_(t-1) = eps_t^2, each a
+        ``squarings`` ladder from t = root_level down."""
         L, q, d = self.root_level, self.q, self.ambient_dim
-        if q:
-            top = _new(self, _fin_nonresidue(q, d), 1) ** ((q**d - 1) >> L)
-        else:
-            top = self.zeta_pow(1)
+        if not q:
+            steps = [1 << (L - t) for t in range(L + 1)]
+            return tuple(map(self.zeta_pow, steps)), tuple(self.zeta_pow(-e) for e in steps)
+        top = _new(self, _fin_nonresidue(q, d), 1) ** ((q**d - 1) >> L)
         roots, inverses = squarings(top, L), squarings(top.inverse(), L)
         return tuple(reversed(roots)), tuple(reversed(inverses))
 

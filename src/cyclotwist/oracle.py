@@ -51,13 +51,11 @@ checked at n (``verified``), as they are the ones it prints.
 
 from __future__ import annotations
 
-import dataclasses
 import struct
-from dataclasses import dataclass
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, attrgetter
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from operator import add
+from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
 
 from . import _enum_py, fields
 from .algebra import AlgebraElement, AlgebraSpec, Poly, lattice_step, on_lattice
@@ -99,41 +97,39 @@ class EnumerationBudgetError(ValueError):
     enumeration) would be too large."""
 
 
-def _flag(fails: str):
-    """A pass/fail field of ``ItemCheck`` and the text its failure reports."""
-    return dataclasses.field(metadata={"fails": fails})
-
-
-@dataclass(frozen=True)
-class ItemCheck:
-    """The checks on one item, in report order."""
+class ItemCheck(NamedTuple):
+    """The checks on one item, in report order: its label, then one
+    flag per entry of ``FLAG_FAILURES``."""
 
     label: tuple
-    nonzero: bool = _flag("is zero")
-    idempotent: bool = _flag("is not idempotent")
-    k_rational: bool = _flag("has coefficients outside K")
-    min_poly_annihilates: bool = _flag("is not annihilated by its min poly")
-    min_poly_k_rational: bool = _flag("has a min poly outside K[x]")
-    dim_consistent: bool = _flag("has dim != deg(min poly)")
-    primitive: bool = _flag("is not certified minimal")
+    nonzero: bool
+    idempotent: bool
+    k_rational: bool
+    min_poly_annihilates: bool
+    min_poly_k_rational: bool
+    dim_consistent: bool
+    primitive: bool
 
     def violations(self) -> List[str]:
         """One line per failed check, naming the item as the family
         listing does (``format_label``)."""
-        return [
-            f"{format_label(self.label)} {f.metadata['fails']}"
-            for f in _FLAGS
-            if not getattr(self, f.name)
-        ]
+        failed = [text for ok, text in zip(self[1:], FLAG_FAILURES.values()) if not ok]
+        return [f"{format_label(self.label)} {text}" for text in failed]
 
 
-_FLAGS = dataclasses.fields(ItemCheck)[1:]
-# every flag but the last, ``primitive``, which ``verify_core`` sets itself
-_kept_flags = attrgetter(*[f.name for f in _FLAGS[:-1]])
+# each flag of ``ItemCheck``, in field order, and the text its failure reports
+FLAG_FAILURES = {
+    "nonzero": "is zero",
+    "idempotent": "is not idempotent",
+    "k_rational": "has coefficients outside K",
+    "min_poly_annihilates": "is not annihilated by its min poly",
+    "min_poly_k_rational": "has a min poly outside K[x]",
+    "dim_consistent": "has dim != deg(min poly)",
+    "primitive": "is not certified minimal",
+}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     item_checks: Tuple[ItemCheck, ...]
     orthogonal: bool
     sum_is_one: bool
@@ -280,9 +276,7 @@ def verify_core(
     deeper = core.spec.n < family.spec.n
     checks = [
         ItemCheck(
-            it.label,
-            *_kept_flags(c),
-            certify_irreducible(it.min_poly) if deeper else c.primitive,
+            it.label, *c[1:-1], certify_irreducible(it.min_poly) if deeper else c.primitive
         )
         for it, c in zip(family.items, core_report.item_checks)
     ]

@@ -16,10 +16,9 @@ shows the failing value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .algebra import AlgebraSpec, Poly
 from .builder import (
@@ -44,8 +43,7 @@ from .oracle import (
 __all__ = ["MATRIX", "MatrixCase", "CriterionResult", "CRITERIA", "run_selftest"]
 
 
-@dataclass(frozen=True)
-class MatrixCase:
+class MatrixCase(NamedTuple):
     tag: str
     field: str
     n: int
@@ -100,13 +98,12 @@ def _case(field: str, n: int, a: str) -> MatrixCase:
     return next(c for c in MATRIX if (c.field, c.n, c.a) == (field, n, a))
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     title: str
     passed: bool
     details: List[str]
-    repro: Optional[str] = None
+    repro: Optional[str]
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -133,7 +130,7 @@ def _each_case(
     """Criterion ``number`` of ``check`` over ``cases``: one detail
     ``name(case): text`` for each case whose check returns a failure
     text or raises, and the ``repro`` of the first such case."""
-    result = CriterionResult(number, title, True, [])
+    details, first = [], None
     for case in cases:
         try:
             failure = check(case)
@@ -142,10 +139,9 @@ def _each_case(
         except Exception as err:  # the check itself blew up
             failure = f"{type(err).__name__}: {err}"
         if failure is not None:
-            result.details.append(f"{name(case)}: {failure}")
-            result.repro = result.repro or repro(case)
-    result.passed = not result.details
-    return result
+            details.append(f"{name(case)}: {failure}")
+            first = first or repro(case)
+    return CriterionResult(number, title, not details, details, first)
 
 
 def _unchecked(field: str, n: int, a) -> str:
@@ -180,12 +176,9 @@ def criterion_ground_truth(max_enum: int = DEFAULT_ENUM_BUDGET) -> CriterionResu
 
     result = _each_case(2, "brute-force ground truth", within, check)
     if not within:
-        result.passed = False
-        result.details.append(
-            f"no instance cross-checked: all {skipped} are over the "
-            f"enumeration budget {max_enum}"
-        )
-    elif result.passed:
+        over = f"all {skipped} are over the enumeration budget {max_enum}"
+        return result._replace(passed=False, details=[f"no instance cross-checked: {over}"])
+    if result.passed:
         result.details.append(f"{len(within)} instances cross-checked")
         if skipped:
             result.details.append(

@@ -29,7 +29,6 @@ from typing import Callable, Optional
 from cyclotwist.algebra import AlgebraElement, Poly
 from cyclotwist.builder import (
     IdempotentFamily,
-    _char_sum,
     _dispatch,
     _stated,
     ambient_constants,
@@ -115,17 +114,9 @@ def streams(spec, es):
         yield "overlapping", 0, overlapping, every[1 : q + 1] + [0] + every[q + 1 :]
 
 
-def built(family):
-    """The elements of ``family``'s items as ``IdempotentFamily.elements``
-    builds them, with a^-1 at hand for every item: a wrong constant can
-    make an item of T = 1 paired, which a family never states."""
-    spec, ainv = family.spec, family.spec.a.inverse()
-    return lambda: (_char_sum(spec, it.S, it.k, it.paired, ainv) for it in family.items)
-
-
 def sourced(family, sources):
     """``family`` stating item ``sources[j]`` for its element j."""
-    return replace(family, items=tuple(family.items[j] for j in sources))
+    return family._replace(items=tuple(family.items[j] for j in sources))
 
 
 # -- constants -------------------------------------------------------------------
@@ -150,7 +141,7 @@ def stand_in(item, **changes):
 
 
 def _with_k(items, i, k):
-    return items[:i] + (replace(items[i], k=k),) + items[i + 1 :]
+    return items[:i] + (items[i]._replace(k=k),) + items[i + 1 :]
 
 
 def _times_a_root(k):
@@ -266,7 +257,7 @@ def raised_b_power(closed, b):
 def b_doubled(family):
     """``family`` whose decomposition states 2b for b; its items are as built."""
     dec = family.decomposition
-    return replace(family, decomposition=replace(dec, b=dec.b + dec.b))
+    return family._replace(decomposition=dec._replace(b=dec.b + dec.b))
 
 
 def with_raised_b_power(family):
@@ -276,9 +267,9 @@ def with_raised_b_power(family):
     shift = spec.n - dec.s
     closed = [(it.label, (it.S >> shift).bit_length() - 1, it.k) for it in family.items]
     items = tuple(
-        replace(it, k=k) for it, (_, _, k) in zip(family.items, raised_b_power(closed, dec.b))
+        it._replace(k=k) for it, (_, _, k) in zip(family.items, raised_b_power(closed, dec.b))
     )
-    return replace(family, items=items)
+    return family._replace(items=items)
 
 
 def under_deep(family):
@@ -290,7 +281,7 @@ def under_deep(family):
     if dec.form != PLAIN or not dec.s:
         return None
     K, s = family.spec.field, dec.s - 1
-    shallow = replace(dec, s=s, b=dec.b * dec.b, root=dec.root * dec.root)
+    shallow = dec._replace(s=s, b=dec.b * dec.b, root=dec.root * dec.root)
     restated = _stated(family.spec, shallow, _dispatch(K, PLAIN, s))
     core = core_family(K, PLAIN, s)
     return Statement(
@@ -388,11 +379,11 @@ def catalogue(family):
         """The statement whose family and core items are ``change`` of
         their own, each level's elements built from them, or as built
         when the items are ``stated`` stand-ins."""
-        fam = replace(family, items=change(family.items))
-        cor = replace(core, items=change(core.items))
+        fam = family._replace(items=change(family.items))
+        cor = core._replace(items=change(core.items))
         if stated:
             return replace(base, family=fam, core=cor)
-        return replace(base, family=fam, elements=built(fam), core=cor, core_elements=built(cor))
+        return replace(base, family=fam, elements=fam.elements, core=cor, core_elements=cor.elements)
 
     ends = sorted({0, len(family.items) - 1})
     for kind, change in ITEM_KINDS.items():
@@ -415,7 +406,7 @@ def catalogue(family):
     yield mutant("b doubled", replace(base, family=b_doubled(family)))
     raised = with_raised_b_power(family)
     if raised.items != family.items:
-        yield mutant("wrong power of b", replace(base, family=raised, elements=built(raised)))
+        yield mutant("wrong power of b", replace(base, family=raised, elements=raised.elements))
     restated = under_deep(family)
     if restated is not None:
         yield mutant("under-deep", restated)

@@ -11,7 +11,6 @@ import contextlib
 import io
 import shlex
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -121,9 +120,9 @@ def _matrix_with_two_faults(matrix):
     out = []
     for case in matrix:
         if case.field == "QR:5":
-            case = replace(case, dims=case.dims[1:])
+            case = case._replace(dims=case.dims[1:])
         elif (case.field, case.n, case.a) == ("F:5", 3, "1"):
-            case = replace(case, a="0")
+            case = case._replace(a="0")
         out.append(case)
     return tuple(out)
 
@@ -157,7 +156,7 @@ def _depth_with_two_faults(a, n):
 
 def _classification_with_a_fault(K):
     cls = _CLASSIFY(K)
-    return replace(cls, m=cls.m + 1) if K == parse_field("F:13") else cls
+    return cls._replace(m=cls.m + 1) if K == parse_field("F:13") else cls
 
 
 def _checked_family_with_a_fault(case):
@@ -166,7 +165,7 @@ def _checked_family_with_a_fault(case):
     if case is not selftest.MATRIX[0]:
         return _CHECKED_FAMILY(case)
     family = selftest._family(case.spec())
-    short = replace(family, items=family.items[:-1])
+    short = family._replace(items=family.items[:-1])
     verified(short, short.elements)
 
 

@@ -453,7 +453,7 @@ def test_min_poly_refuses_non_rational_component():
     # as the constants (2, -i) state x^4 + 1
     family = build(spec)
     item = StatedItem((0,), 2, -i, 2, poly_of((-i, Q.zero(), Q.one())))
-    report = verify_family(replace(family, items=(item,)), [e].__iter__)
+    report = verify_family(family._replace(items=(item,)), [e].__iter__)
     [check] = report.item_checks
     assert check.idempotent and check.min_poly_annihilates
     assert not check.k_rational and not check.min_poly_k_rational

@@ -40,6 +40,7 @@ from cyclotwist.fields import (
     times_coords,
     sigma,
     sqrt_ambient,
+    squarings,
 )
 from cyclotwist.grammar import parse_field
 
@@ -595,6 +596,19 @@ def test_eps_has_exact_order(K, max_t):
         assert e * eps(K, t, -1) == K.one()
         if not K.q:  # the power zeta^(2^(L-t)) of the defining root
             assert e == K.zeta_pow(1 << (K.level - t))
+
+
+@pytest.mark.parametrize("level", range(1, 11))
+def test_cyclotomic_eps_is_the_squaring_ladder(level):
+    # over Q(zeta), eps_t^(+-1) is written as zeta^(+-2^(L-t)); the
+    # reference is the ladder of squares down from zeta, and from zeta^-1
+    involutions = [IDENTITY, INVERSE_CONJ, NEGATED_INVERSE_CONJ][:level]
+    for involution in involutions:
+        K = interned(involution, level, 0)
+        zeta = K.zeta_pow(1)
+        for power, top in ((1, zeta), (-1, zeta.inverse())):
+            ladder = squarings(top, level)[::-1]  # eps_t at index t
+            assert [eps(K, t, power) for t in range(level + 1)] == ladder, (level, power)
 
 
 def test_eps_beyond_supply_raises():

@@ -1,12 +1,10 @@
 """Verification oracles: structural checks, brute force, the Frobenius
 certificate, conjugate pairing."""
 
-import dataclasses
 import importlib
 import json
 import random
 from collections import Counter, defaultdict
-from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -47,8 +45,11 @@ from cyclotwist.grammar import (
     parse_field,
 )
 from cyclotwist.oracle import (
+    FLAG_FAILURES,
     EnumerationBudgetError,
+    ItemCheck,
     VerificationError,
+    VerificationReport,
     _add_on_lattice,
     _annihilates,
     _square,
@@ -174,7 +175,7 @@ def report_dict(report):
         "failures": list(report.failures),
         "uncertified": [],
         "items": [
-            {**dataclasses.asdict(c), "label": list(c.label)} for c in report.item_checks
+            {**c._asdict(), "label": list(c.label)} for c in report.item_checks
         ],
     }
 
@@ -309,7 +310,7 @@ def test_verify_accepts_correct_family():
 def test_verify_flags_duplicate_items():
     spec = spec_of("F:3", 2, "1")
     family = build(spec)
-    dup = replace(family, items=family.items + (family.items[0],))
+    dup = family._replace(items=family.items + (family.items[0],))
     report = verify_family(dup, dup.elements)
     assert not report.ok
     assert any("duplicate labels" in f for f in report.failures)
@@ -320,11 +321,43 @@ def test_verify_flags_duplicate_items():
 def test_verify_flags_missing_item():
     spec = spec_of("F:3", 2, "1")
     family = build(spec)
-    short = replace(family, items=family.items[1:])
+    short = family._replace(items=family.items[1:])
     report = verify_family(short, short.elements)
     assert not report.ok
     assert not report.sum_is_one
     assert report.dim_total < report.expected_dim
+
+
+def test_a_paired_item_of_one_term_gets_a_report():
+    # k times a root of unity makes the one item of Q 2 2, of S = 2^n,
+    # paired: elements() takes a^-1 for it, as _char_sum reads it
+    family = build(spec_of("Q", 2, "2"))
+    wrong = family._replace(items=ITEM_KINDS["k times a root of unity"](family.items, 0))
+    assert [(it.S, it.paired) for it in wrong.items] == [(4, True)]
+    report = verify_family(wrong, wrong.elements)
+    assert not report.ok
+    with pytest.raises(VerificationError) as err:
+        verified(wrong, wrong.elements)
+    assert err.value.report == report
+
+
+def test_each_flag_has_one_failure_text_in_field_order():
+    # the report's one table of failure texts is keyed by ItemCheck's
+    # flags in field order, and the failure lines and the JSON item
+    # template read it in that order
+    flags = ItemCheck._fields[1:]
+    assert tuple(FLAG_FAILURES) == flags
+    assert len(set(FLAG_FAILURES.values())) == len(flags)
+    label = (1, 0)
+    for j, flag in enumerate(flags):
+        check = ItemCheck(label, *(i != j for i in range(len(flags))))
+        assert check.violations() == [f"{format_label(label)} {FLAG_FAILURES[flag]}"]
+        report = VerificationReport((check,), True, True, 2, 2, ())
+        item = json.loads(cli._report_json(report))["items"][0]
+        assert list(item.items()) == list({**check._asdict(), "label": [1, 0]}.items())
+    assert ItemCheck(label, *[False] * len(flags)).violations() == [
+        f"{format_label(label)} {text}" for text in FLAG_FAILURES.values()
+    ]
 
 
 @pytest.mark.parametrize("field_spec, n, a", [("F:3", 10, "1"), ("QR:6", 8, "-1")])
@@ -332,7 +365,7 @@ def test_missing_item_at_real_sizes_multiplies_each_item_out(field_spec, n, a):
     # a short family fails the sum, so e*e == e is computed for every
     # item: packed products of 1024 and 256 coefficients
     family = build(spec_of(field_spec, n, a))
-    short = replace(family, items=family.items[1:])
+    short = family._replace(items=family.items[1:])
     report = verify_family(short, short.elements)
     assert "family does not sum to 1" in report.failures
     assert not report.orthogonal
@@ -371,7 +404,7 @@ def test_verify_flags_wrong_dim():
     spec = spec_of("F:3", 2, "1")
     family = build(spec)
     item = family.items[0]
-    bad = replace(family, items=(stand_in(item, dim=item.dim + 1),) + family.items[1:])
+    bad = family._replace(items=(stand_in(item, dim=item.dim + 1),) + family.items[1:])
     report = verify_family(bad, family.elements)
     checks = {c.label: c for c in report.item_checks}
     assert not checks[item.label].dim_consistent
@@ -394,7 +427,7 @@ def with_stated_poly(family, label, poly):
         stand_in(it, min_poly=poly, dim=poly.degree) if it.label == label else it
         for it in family.items
     )
-    return replace(family, items=items)
+    return family._replace(items=items)
 
 
 @pytest.mark.parametrize("field_spec, n, a", [("Q", 3, "16"), ("F:5", 2, "1")])
@@ -451,7 +484,7 @@ def test_verify_flags_merged_components(field_spec, n, a, pair):
     poly = min_poly_reference(merged)
     rest = [label for label in items if label not in pair]
     item = stand_in(items[pair[0]], dim=poly.degree, min_poly=poly)
-    bad = replace(family, items=(item, *(items[label] for label in rest)))
+    bad = family._replace(items=(item, *(items[label] for label in rest)))
     elements = [merged] + [es[label] for label in rest]
     report = verify_family(bad, elements.__iter__)
     assert report.orthogonal and report.sum_is_one
@@ -691,8 +724,8 @@ def test_pairing_verdict_is_the_set_equality(field_spec, n, a):
         (family, ambient + orbit[:1]),  # a constant twice: True
         (family, ambient + orbit),  # an orbit twice: True
         (family, [(S, conj(K, c)) for S, c in ambient]),  # partners: True
-        (replace(family, items=family.items[1:]), ambient),  # one item short
-        (replace(family, items=family.items + family.items[:1]), ambient),  # True
+        (family._replace(items=family.items[1:]), ambient),  # one item short
+        (family._replace(items=family.items + family.items[:1]), ambient),  # True
         (family, rest),  # one orbit short
     ]
     verdicts = [conjugate_pairing_check(k, amb) for k, amb in mutants]
@@ -971,7 +1004,7 @@ def with_first_two_merged(family):
     (a, b, *rest), (ea, eb, *es) = family.items, list(family.elements())
     p = poly_product(a.min_poly, b.min_poly)
     merged = stand_in(a, dim=p.degree, min_poly=p)
-    return replace(family, items=(merged, *rest)), [ea + eb, *es]
+    return family._replace(items=(merged, *rest)), [ea + eb, *es]
 
 
 @pytest.mark.parametrize("field_spec, n, a", golden_instances(), ids=" ".join)
@@ -1181,8 +1214,8 @@ def test_verify_core_rejects_core_mutants(field_spec, n, a, mutate):
     # item where -k = sigma(k) (F:3 1 2, Q 2 -1) states the same family
     family, core = family_and_core(field_spec, n, a)
     kind, i = mutate
-    family = replace(family, items=ITEM_KINDS[kind](family.items, i))
-    core = replace(core, items=ITEM_KINDS[kind](core.items, i))
+    family = family._replace(items=ITEM_KINDS[kind](family.items, i))
+    core = core._replace(items=ITEM_KINDS[kind](core.items, i))
     same = kind == "k negated" and (field_spec, n, a) in SAME_WHEN_NEGATED
     if same:
         k = core.items[0].k
@@ -1209,7 +1242,7 @@ def test_verify_core_flags_a_family_that_is_not_the_image_of_its_core(
     report = verify_core(wrong_b, core, base)
     assert report.failures == ("a is not u*b^(2^s) with b in K for the core's u and s",)
     assert image_failures(wrong_b, core) == list(report.failures)
-    not_image = replace(family, items=ITEM_KINDS["k negated"](family.items, 0))
+    not_image = family._replace(items=ITEM_KINDS["k negated"](family.items, 0))
     report = verify_core(not_image, core, base)
     assert report.failures[0] == "family is not the image of its core"
     assert image_failures(family, core) == []
@@ -1369,7 +1402,7 @@ def fails_check_d_alone(st):
     line, and every line is an item not certified minimal?"""
     base = verify_family(st.core, st.core_elements)
     report = verify_core(st.family, st.core, base)
-    flags = [dataclasses.astuple(c)[1:] for c in report.item_checks]
+    flags = [c[1:] for c in report.item_checks]
     return (
         base.ok
         and image_failures(st.family, st.core) == []

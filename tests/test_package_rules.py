@@ -14,7 +14,9 @@ form.  CI calls the CLI only where the golden table cannot pin a call.
 The CLI declares its command line as its own data and reads no private
 attribute.  Every package function runs on some command, or is library
 API or a failure path named with its reason: code that only tests reach
-lives in the tests.  The commands are the golden table's calls
+lives in the tests.  A record that refuses no input is a ``NamedTuple``:
+``@dataclass`` stays only on a class whose ``__post_init__`` refuses
+bad input.  The commands are the golden table's calls
 (``tests/test_golden_cli.py``) but for those at depth, and argparse's
 help.
 """
@@ -503,15 +505,83 @@ def test_an_item_is_its_label_and_constants():
     # builds the element on demand: an item stores no derived fact (and
     # the cache rules above keep any cache off it)
     item = importlib.import_module("cyclotwist.builder").IdempotentItem
-    assert tuple(f.name for f in dataclasses.fields(item)) == ("label", "S", "k")
+    assert item._fields == ("label", "S", "k")
 
 
 def test_a_family_is_what_the_construction_states():
     # a family holds no verdict: build returns it as stated, and the
     # report is what verify_family returns
     family = importlib.import_module("cyclotwist.builder").IdempotentFamily
-    fields = tuple(f.name for f in dataclasses.fields(family))
-    assert fields == ("spec", "decomposition", "items")
+    assert family._fields == ("spec", "decomposition", "items")
+
+
+def _dataclasses(path):
+    """(name, defines ``__post_init__``) of each class of ``path``
+    decorated ``@dataclass``, called or not, plain or module-qualified."""
+    found = []
+    for node in ast.walk(_parsed(path)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [ast.unparse(d) for d in node.decorator_list]
+        if any(re.fullmatch(r"(dataclasses\.)?dataclass(\(.*\))?", d) for d in decorators):
+            methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+            found.append((f"{path.stem}.{node.name}", "__post_init__" in methods))
+    return found
+
+
+# the records that validate nothing, each a NamedTuple
+RECORDS = {
+    "classify": ("Classification", "CosetDecomposition"),
+    "builder": ("IdempotentItem", "IdempotentFamily"),
+    "oracle": ("ItemCheck", "VerificationReport"),
+    "selftest": ("MatrixCase", "CriterionResult"),
+}
+
+
+def test_a_dataclass_refuses_bad_input():
+    # a record that refuses nothing is a NamedTuple, which is cheaper to
+    # make and keeps equality, hashing and immutability; @dataclass stays
+    # where __post_init__ refuses bad input (and a cached_property needs
+    # the instance dict)
+    found = [entry for path in MODULES for entry in _dataclasses(path)]
+    assert found == [
+        ("algebra.AlgebraSpec", True),
+        ("algebra.Poly", True),
+        ("fields.FieldDescriptor", True),
+    ]
+    importing = {
+        path.stem
+        for path in MODULES
+        for node in ast.walk(_parsed(path))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        if "dataclasses" in [getattr(node, "module", None)] + [a.name for a in node.names]
+    }
+    assert importing == {"algebra", "fields"}
+    for stem, names in RECORDS.items():
+        module = importlib.import_module(f"cyclotwist.{stem}")
+        for name in names:
+            record = getattr(module, name)
+            assert issubclass(record, tuple) and record._fields, name
+            assert not dataclasses.is_dataclass(record), name
+
+
+def test_the_dataclass_rule_catches_what_it_names(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Bare:\n"
+        "    x: int\n"
+        "@dataclasses.dataclass\n"
+        "class Checked:\n"
+        "    x: int\n"
+        "    def __post_init__(self): ...\n"
+        "@functools.total_ordering\n"
+        "class Plain:\n"
+        "    def __post_init__(self): ...\n"
+    )
+    assert _dataclasses(path) == [("probe.Bare", False), ("probe.Checked", True)]
 
 
 def _package_imports(path):
